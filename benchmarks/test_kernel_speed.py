@@ -40,21 +40,7 @@ def test_naive_kernel_still_runs(benchmark):
     """The retained full-scan reference stepper stays exercised."""
     kind, params = _CASES["ur-4x4-r0.05"]
     cycles, _wall = benchmark.pedantic(
-        lambda: run_case("ur-4x4-r0.05", kind, params, naive=True),
-        rounds=1,
-        iterations=1,
-    )
-    assert cycles > 0
-
-
-@pytest.mark.parametrize("name", ["ur-8x8-r0.05", "faulty-4x4-r0.05"])
-def test_soa_kernel_speed(benchmark, name):
-    """The structure-of-arrays batch kernel stays exercised, including
-    the faulty case where it must transparently fall back to the event
-    kernel."""
-    kind, params = _CASES[name]
-    cycles, _wall = benchmark.pedantic(
-        lambda: run_case(name, kind, params, kernel="soa"),
+        lambda: run_case("ur-4x4-r0.05", kind, params, kernel="naive"),
         rounds=1,
         iterations=1,
     )

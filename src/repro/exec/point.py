@@ -66,8 +66,8 @@ class SweepPoint:
     #: serialization entirely, so fault-free specs hash exactly as they
     #: did before the fault subsystem existed (golden-run stability).
     faults: Optional[object] = None
-    #: cycle-kernel override (``"event"``, ``"soa"``, ``"naive"`` or
-    #: ``"c"``, the compiled kernel);
+    #: cycle-kernel override (``"event"``, ``"naive"`` or ``"c"``, the
+    #: compiled kernel);
     #: ``None`` -- the default -- leaves the network's own selection
     #: (config / ``REPRO_KERNEL``) in force and is omitted from the spec
     #: serialization, so kernel-free specs hash exactly as before.  All
@@ -117,11 +117,7 @@ class SweepPoint:
         if self.kernel is not None:
             from repro.noc.config import NetworkConfig
 
-            if self.kernel not in NetworkConfig.KERNELS:
-                raise ValueError(
-                    f"kernel must be one of {NetworkConfig.KERNELS} or None, "
-                    f"got {self.kernel!r}"
-                )
+            NetworkConfig.check_kernel(self.kernel)
         if self.faults is not None:
             from repro.faults.schedule import FaultSchedule
 

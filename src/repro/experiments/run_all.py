@@ -19,7 +19,7 @@ Usage::
     python -m repro.experiments.run_all --list        # enumerate harnesses
                                                       #   and their sweep tags
     python -m repro.experiments.run_all --kernel c    # force a cycle kernel
-                                        # (event, soa, naive or c) for every
+                                        # (event, naive or c) for every
                                         # harness via REPRO_KERNEL; all
                                         # kernels are bit-identical, so this
                                         # changes wall-clock only
@@ -334,14 +334,9 @@ def main(argv: list) -> int:
 
         try:
             value, argv = _pop_flag_with_value(argv, "--kernel")
+            NetworkConfig.check_kernel(value)
         except ValueError as exc:
             print(exc)
-            return 2
-        if value not in NetworkConfig.KERNELS:
-            print(
-                f"--kernel must be one of {list(NetworkConfig.KERNELS)}, "
-                f"got {value!r}"
-            )
             return 2
         # REPRO_KERNEL reaches every network the harnesses (and any
         # --jobs worker processes) construct; the harness tables stay

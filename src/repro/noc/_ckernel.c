@@ -5,13 +5,13 @@
  * dependency-free C99 with an int64-only FFI surface.
  *
  * The kernel owns a full copy of the dynamic simulation state -- per-lane
- * scalars and bitmasks (the SoaKernel layout), flit queues as fixed rings
+ * scalars and bitmasks (repro.noc.layout), flit queues as fixed rings
  * of (packet handle, flit index, ready_at), per-node source queues,
  * arrival/credit calendars, activity-counter deltas and a completion
  * buffer -- and advances it one clock cycle per ck_step() call.  The
  * phase order, iteration orders, arbitration pointer updates and counter
- * increments replicate repro.noc.soa.SoaKernel.step() exactly: every
- * divergence would show in the four-way differential digests.
+ * increments replicate the event kernel (Network.step) exactly: every
+ * divergence would show in the differential suite's per-cycle digests.
  *
  * Packets and flits cross the FFI as integer handles/indices; the Python
  * wrapper keeps the handle -> Packet table and rebuilds Flit objects on

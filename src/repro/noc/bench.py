@@ -4,28 +4,27 @@ Runs a fixed matrix of simulator workloads -- empty meshes, uniform-random
 sweeps at low/mid/saturation rates on 4x4 and 8x8, the fig07 operating
 points for both the baseline and the HeteroNoC diagonal layout, and one
 faulty point -- and reports cycles-per-second for the event-driven
-kernel, the structure-of-arrays batch kernel, the compiled C kernel
-(``repro.noc.ckernel``; timed only when a C compiler is available) and
-(optionally) the retained naive full-scan kernel.  Each case gets one
-untimed warmup run before the timed best-of-N repetitions, so one-time
-costs (route-table build, kernel pack, shared-object load, allocator
-warmup) never pollute the recorded figures.
+kernel, the compiled C kernel (``repro.noc.ckernel``; timed only when a
+C compiler is available) and (optionally) the retained naive full-scan
+kernel.  Each case gets one untimed warmup run before the timed
+best-of-N repetitions, so one-time costs (route-table build, kernel
+pack, shared-object load, allocator warmup) never pollute the recorded
+figures.
 
 Usage::
 
     PYTHONPATH=src python -m repro.noc.bench --out BENCH_kernel.json
     PYTHONPATH=src python -m repro.noc.bench --kernel event --repeat 1
     PYTHONPATH=src python -m repro.noc.bench --check BENCH_kernel.json
-    PYTHONPATH=src python -m repro.noc.bench --kernel soa --only empty-4x4
-    PYTHONPATH=src python -m repro.noc.bench --kernel c
+    PYTHONPATH=src python -m repro.noc.bench --kernel c --only empty-4x4
 
 ``--check`` is the CI perf-smoke mode: it times a small subset of the
 matrix and fails (exit 1) if any point runs more than ``--tolerance``
 times slower than the committed baseline's figure for the same kernel
-(``--kernel event`` by default; the soa-smoke job passes
-``--kernel soa``, the ckernel-smoke job ``--kernel c``).  On a host
-with no C compiler, ``--kernel c`` prints a clear skip message and
-exits 0 instead of timing a silently degraded kernel.
+(``--kernel event`` by default; the ckernel-smoke job passes
+``--kernel c``).  On a host with no C compiler, ``--kernel c`` prints
+a clear skip message and exits 0 instead of timing a silently degraded
+kernel.
 
 ``--only`` with a name not in the frozen matrix is an error (exit 2,
 naming the unknown case): a typo must not silently time nothing.
@@ -105,19 +104,15 @@ def run_case(
     name: str,
     kind: str,
     params: Dict,
-    naive: bool = False,
-    kernel: Optional[str] = None,
+    kernel: str = "event",
 ) -> Tuple[int, float]:
     """Run one benchmark case; returns ``(simulated_cycles, wall_seconds)``.
 
-    ``kernel`` names the cycle kernel to time; the legacy ``naive`` flag
-    is shorthand for ``kernel="naive"``.
+    ``kernel`` names the cycle kernel to time.
     """
     from repro.traffic.patterns import pattern_by_name
     from repro.traffic.runner import run_synthetic
 
-    if kernel is None:
-        kernel = "naive" if naive else "event"
     if kind == "empty":
         net = _build("baseline", params["mesh_size"], kernel)
         n = params["cycles"]
@@ -215,7 +210,6 @@ def build_report(
     naive: Optional[Dict[str, Dict]],
     seed_baseline: Optional[Dict[str, Dict]],
     repeat: int,
-    soa: Optional[Dict[str, Dict]] = None,
     c: Optional[Dict[str, Dict]] = None,
 ) -> Dict:
     report: Dict = {
@@ -238,13 +232,6 @@ def build_report(
             for name in event
             if name in naive and event[name]["wall_s"] > 0
         }
-    if soa:
-        report["soa"] = soa
-        report["speedup_soa_vs_event"] = {
-            name: round(event[name]["wall_s"] / soa[name]["wall_s"], 3)
-            for name in event
-            if name in soa and soa[name]["wall_s"] > 0
-        }
     if c:
         report["c"] = c
         report["speedup_c_vs_event"] = {
@@ -252,12 +239,6 @@ def build_report(
             for name in event
             if name in c and c[name]["wall_s"] > 0
         }
-        if soa:
-            report["speedup_c_vs_soa"] = {
-                name: round(soa[name]["wall_s"] / c[name]["wall_s"], 3)
-                for name in soa
-                if name in c and c[name]["wall_s"] > 0
-            }
     if seed_baseline:
         report["seed_baseline"] = seed_baseline
         report["speedup_vs_seed"] = {
@@ -271,16 +252,6 @@ def build_report(
         "fig07_low": _group_summary(FIG07_GROUP, event, seed_baseline),
         "saturation": _group_summary(SATURATION_GROUP, event, seed_baseline),
     }
-    if soa:
-        # The soa acceptance group: same cases, soa wall clock, with the
-        # current *event* figures as the comparison baseline.
-        report["groups"]["fig07_low_soa"] = _group_summary(
-            FIG07_GROUP, soa, event
-        )
-        summary = report["groups"]["fig07_low_soa"]
-        if "speedup_vs_baseline" in summary:
-            summary["speedup_vs_event"] = summary.pop("speedup_vs_baseline")
-            summary["event_wall_s"] = summary.pop("baseline_wall_s")
     if c:
         # The compiled-kernel acceptance group: same cases, c wall
         # clock, with the current *event* figures as the baseline.
@@ -315,12 +286,11 @@ def history_entry(
             for group, summary in report.get("groups", {}).items()
         },
     }
-    for section in ("soa", "c"):
-        data = report.get(section)
-        if data:
-            entry[section] = {
-                name: stats["cycles_per_s"] for name, stats in data.items()
-            }
+    data = report.get("c")
+    if data:
+        entry["c"] = {
+            name: stats["cycles_per_s"] for name, stats in data.items()
+        }
     return entry
 
 
@@ -429,11 +399,11 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--kernel",
-        choices=("event", "soa", "naive", "c", "both", "all"),
+        choices=("event", "naive", "c", "both", "all"),
         default="all",
         help="which kernel(s) to time: a single kernel, 'both' "
-             "(event + naive, the pre-soa matrix) or 'all' "
-             "(event + soa + c + naive, default; c is skipped when no "
+             "(event + naive) or 'all' "
+             "(event + c + naive, default; c is skipped when no "
              "C compiler is available); in --check mode a single "
              "kernel name selects which baseline figures to compare",
     )
@@ -474,8 +444,8 @@ def main(argv: Optional[list] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # The compiled kernel degrades silently to soa when no compiler
-    # exists; timing it would then mislabel soa figures as "c".  Decide
+    # The compiled kernel degrades to event when no compiler exists;
+    # timing it would then mislabel event figures as "c".  Decide
     # availability up front and skip loudly instead.
     want_c = args.kernel in ("c", "all")
     c_reason = None
@@ -491,13 +461,13 @@ def main(argv: Optional[list] = None) -> int:
                 )
                 return 0
             print(f"note: compiled kernel unavailable ({c_reason}); "
-                  "timing event + soa + naive only")
+                  "timing event + naive only")
             want_c = False
 
     if args.check:
         check_kernel = (
             args.kernel
-            if args.kernel in ("event", "soa", "naive", "c")
+            if args.kernel in ("event", "naive", "c")
             else "event"
         )
         return run_check(
@@ -507,10 +477,6 @@ def main(argv: Optional[list] = None) -> int:
     try:
         print("benchmarking event-driven kernel:")
         event = run_suite(repeat=args.repeat, kernel="event", only=args.only)
-        soa = None
-        if args.kernel in ("soa", "all"):
-            print("benchmarking structure-of-arrays kernel:")
-            soa = run_suite(repeat=args.repeat, kernel="soa", only=args.only)
         c = None
         if want_c:
             print("benchmarking compiled (C) kernel:")
@@ -535,9 +501,7 @@ def main(argv: Optional[list] = None) -> int:
         ):
             seed_baseline = seed_baseline["event"]
 
-    report = build_report(
-        event, naive, seed_baseline, args.repeat, soa=soa, c=c
-    )
+    report = build_report(event, naive, seed_baseline, args.repeat, c=c)
     fig07 = report["groups"]["fig07_low"]
     if "speedup_vs_baseline" in fig07:
         print(
@@ -545,14 +509,13 @@ def main(argv: Optional[list] = None) -> int:
             f"{fig07['baseline_wall_s']:.3f}s = "
             f"{fig07['speedup_vs_baseline']:.2f}x"
         )
-    for label, group in (("soa", "fig07_low_soa"), ("c", "fig07_low_c")):
-        summary = report["groups"].get(group)
-        if summary and "speedup_vs_event" in summary:
-            print(
-                f"fig07 group ({label}): {summary['wall_s']:.3f}s vs event "
-                f"{summary['event_wall_s']:.3f}s = "
-                f"{summary['speedup_vs_event']:.2f}x"
-            )
+    summary = report["groups"].get("fig07_low_c")
+    if summary and "speedup_vs_event" in summary:
+        print(
+            f"fig07 group (c): {summary['wall_s']:.3f}s vs event "
+            f"{summary['event_wall_s']:.3f}s = "
+            f"{summary['speedup_vs_event']:.2f}x"
+        )
     # Regression flags against the committed baseline (read before --out
     # can overwrite it).  A flagged case fails the run -- after the
     # history/report artifacts are written, so the evidence survives.

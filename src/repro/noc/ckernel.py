@@ -1,10 +1,10 @@
 """Compiled (C) cycle kernel: on-demand build, ctypes bridge, dispatch.
 
-The fourth cycle kernel, selected with ``NetworkConfig(kernel="c")``,
+The fast cycle kernel, selected with ``NetworkConfig(kernel="c")``,
 ``REPRO_KERNEL=c`` or ``network.use_kernel("c")``.  The per-cycle walk
 itself lives in ``_ckernel.c`` (shipped in-repo next to this module) and
-replicates :meth:`repro.noc.soa.SoaKernel.step` over the same flat
-integer layout; this module owns everything around it:
+runs over the flat integer layout of :mod:`repro.noc.layout`; this
+module owns everything around it:
 
 * **build** -- the C source is compiled on first use with the system C
   compiler (discovered via :func:`shutil.which` over the ``sysconfig``
@@ -25,9 +25,10 @@ integer layout; this module owns everything around it:
 * **fallback** -- when no compiler is available (or the compile or a
   precondition fails), :func:`load_kernel_library` raises
   :class:`CKernelUnavailable`; the network warns once per process and
-  silently falls back to the ``soa`` kernel, which in turn falls back to
-  ``event`` whenever faults/observers/watchdogs attach.  The ladder is
-  ``c -> soa -> event`` and every rung is bit-identical.
+  the ``event`` kernel carries the run, as it does whenever
+  faults/observers/watchdogs attach.  The ladder is ``c -> event`` and
+  both rungs are bit-identical, so a compiler-less host asking for
+  ``"c"`` runs at event speed (EXPERIMENTS.md, "Fallback rules").
 
 Packets cross the FFI as integer handles into a Python-side table;
 completed packets flush back through ``Network._complete_packet`` every
@@ -44,6 +45,7 @@ import shutil
 import subprocess
 import sysconfig
 import warnings
+import weakref
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -198,14 +200,14 @@ def unavailable_reason() -> Optional[str]:
 
 
 def warn_unavailable(reason: str) -> None:
-    """One warning per process when ``kernel="c"`` degrades to soa."""
+    """One warning per process when ``kernel="c"`` degrades to event."""
     global _WARNED
     if _WARNED:
         return
     _WARNED = True
     warnings.warn(
         f"compiled cycle kernel unavailable ({reason}); "
-        "falling back to the soa kernel",
+        "falling back to the event kernel",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -234,7 +236,7 @@ S_CYCLE, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NCOMP, S_PEND, S_PK_CAP = (
     range(8)
 )
 
-#: soa delta-array name per C activity-counter id, in flush order.
+#: layout delta-array name per C activity-counter id, in flush order.
 _ACTIVITY_ARRS = (
     (A_BW, "a_bw"), (A_BR, "a_br"), (A_XB, "a_xb"), (A_RC, "a_rc"),
     (A_VA, "a_va"), (A_ARB, "a_arb"), (A_CF, "a_cf"), (A_CS, "a_cs"),
@@ -255,35 +257,37 @@ class CKernel:
     requested and eligible; raises :class:`CKernelUnavailable` when the
     library cannot load or the network shape breaks a kernel
     precondition (credit/link delays below 1 cycle, more than 62 ports
-    or VCs per router).  A :class:`~repro.noc.soa.SoaKernel` instance is
-    embedded purely as the pack/sync codec between the Router objects
-    and the flat layout -- it never steps.
+    or VCs per router).  A :class:`~repro.noc.layout.FlatLayout` is
+    embedded as the pack/sync codec between the Router objects and the
+    flat arrays.  The C arena lives exactly as long as this object:
+    :meth:`free` releases it eagerly, and dropping the kernel (or the
+    network holding it) releases it at collection.
     """
 
     def __init__(self, net) -> None:
-        from repro.noc.soa import SoaKernel
+        from repro.noc.layout import FlatLayout
 
         lib = load_kernel_library()
-        soa = SoaKernel(net)  # packs router scalars; shares queues
-        R, P, V = soa.R, soa.P, soa.V
+        layout = FlatLayout(net)  # packs router scalars; shares queues
+        R, P, V = layout.R, layout.P, layout.V
         if P > 62 or V > 62:
             raise CKernelUnavailable(
                 f"router shape too wide for the bitmask kernel "
                 f"(ports={P}, vcs={V}, limit 62)"
             )
         cd = net._credit_delay
-        delays = [info[2] for info in soa.linkinfo if info is not None]
+        delays = [info[2] for info in layout.linkinfo if info is not None]
         if cd < 1 or (delays and min(delays) < 1):
             raise CKernelUnavailable(
                 "credit/link delays below 1 cycle break the calendar ring"
             )
         self.net = net
-        self.soa = soa
+        self.layout = layout
         self.lib = lib
         self.R, self.P, self.V = R, P, V
         self.L = R * P * V
         self.RP = R * P
-        self.D = max(max(soa.depth), 1)
+        self.D = max(max(layout.depth), 1)
         self.nnodes = net.topology.num_nodes
         self.cal_sz = max([cd] + delays) + 1
         po = net.config.router_pipeline_stages - 1
@@ -294,6 +298,7 @@ class CKernel:
         if not ck:
             raise CKernelUnavailable("ck_new returned NULL (out of memory)")
         self._ck = ck
+        self._finalizer = weakref.finalize(self, lib.ck_free, ck)
         #: handle table: Python stays authoritative for Packet identity.
         self._handles: List[Optional[Packet]] = []
         self._free: List[int] = []
@@ -305,8 +310,7 @@ class CKernel:
         try:
             self._pack()
         except Exception:
-            lib.ck_free(ck)
-            self._ck = None
+            self.free()
             raise
 
     # -- raw accessors ----------------------------------------------------
@@ -322,9 +326,9 @@ class CKernel:
         ).contents
 
     def free(self) -> None:
-        if self._ck is not None:
-            self.lib.ck_free(self._ck)
-            self._ck = None
+        """Release the C arena now (idempotent)."""
+        self._finalizer()
+        self._ck = None
 
     # -- packet handles ---------------------------------------------------
     def _handle(self, packet: Packet) -> int:
@@ -374,29 +378,29 @@ class CKernel:
     # -- pack: Python -> C ------------------------------------------------
     def _pack(self) -> None:
         net = self.net
-        soa = self.soa
+        layout = self.layout
         lib = self.lib
         ck = self._ck
         R, L, RP = self.R, self.L, self.RP
         lib.ck_set(ck, S_CYCLE, net.cycle)
 
         # static tensors
-        self._view(A_NPORTS, R)[:] = soa.nports
-        self._view(A_NVCS, R)[:] = soa.nvcs
-        self._view(A_DEPTH, R)[:] = soa.depth
-        self._view(A_EJ_PMASK, R)[:] = soa.ej_pmask
-        self._view(A_EJ_LANES, R)[:] = soa.ej_lanes
-        self._view(A_HAS_WIDE, R)[:] = [1 if w else 0 for w in soa.has_wide]
+        self._view(A_NPORTS, R)[:] = layout.nports
+        self._view(A_NVCS, R)[:] = layout.nvcs
+        self._view(A_DEPTH, R)[:] = layout.depth
+        self._view(A_EJ_PMASK, R)[:] = layout.ej_pmask
+        self._view(A_EJ_LANES, R)[:] = layout.ej_lanes
+        self._view(A_HAS_WIDE, R)[:] = [1 if w else 0 for w in layout.has_wide]
         nnodes = self.nnodes
         rt = self._view(A_ROUTE_TAB, R * nnodes)
-        for rid, row in enumerate(soa.route_tab):
+        for rid, row in enumerate(layout.route_tab):
             rt[rid * nnodes:(rid + 1) * nnodes] = row
-        self._view(A_OVC_CNT, RP)[:] = soa.ovc_cnt
-        self._view(A_CEIL, RP)[:] = soa.ceil
-        self._view(A_SLANES, RP)[:] = soa.slanes
+        self._view(A_OVC_CNT, RP)[:] = layout.ovc_cnt
+        self._view(A_CEIL, RP)[:] = layout.ceil
+        self._view(A_SLANES, RP)[:] = layout.slanes
         link_r, link_p = [-1] * RP, [0] * RP
         link_d, link_l = [0] * RP, [0] * RP
-        for rp, info in enumerate(soa.linkinfo):
+        for rp, info in enumerate(layout.linkinfo):
             if info is not None:
                 link_r[rp], link_p[rp], link_d[rp], link_l[rp] = info
         self._view(A_LINK_R, RP)[:] = link_r
@@ -404,7 +408,7 @@ class CKernel:
         self._view(A_LINK_DELAY, RP)[:] = link_d
         self._view(A_LINK_LANES, RP)[:] = link_l
         up_r, up_p = [-1] * RP, [0] * RP
-        for rp, up in enumerate(soa.upstream):
+        for rp, up in enumerate(layout.upstream):
             if up is not None:
                 up_r[rp], up_p[rp] = up
         self._view(A_UP_R, RP)[:] = up_r
@@ -413,33 +417,33 @@ class CKernel:
         self._view(A_NODE_PORT, nnodes)[:] = net._node_port
         self._view(A_NODE_LANES, nnodes)[:] = net._node_lanes
 
-        # dynamic scalar state straight from the freshly packed soa codec
-        self._view(A_ST_PID, L)[:] = soa.st_pid
-        self._view(A_ST_ROUTE, L)[:] = soa.st_route
-        self._view(A_ST_OUTVC, L)[:] = soa.st_outvc
-        self._view(A_NEED, L)[:] = soa.need
-        self._view(A_CRED, L)[:] = soa.cred
-        self._view(A_OWNER, L)[:] = soa.owner
-        self._view(A_OCC, RP)[:] = soa.occ_mask
-        self._view(A_AM, RP)[:] = soa.am
-        self._view(A_CREDOK, RP)[:] = soa.credok
-        self._view(A_IN_NEXT, RP)[:] = soa.in_next
-        self._view(A_OUT_NEXT, RP)[:] = soa.out_next
-        self._view(A_SEC_NEXT, RP)[:] = soa.sec_next
-        self._view(A_NVA, R)[:] = soa.nva
-        self._view(A_OCCUPIED, R)[:] = soa.occupied
-        self._view(A_VA_OFF, R)[:] = soa.va_off
+        # dynamic scalar state straight from the freshly packed layout
+        self._view(A_ST_PID, L)[:] = layout.st_pid
+        self._view(A_ST_ROUTE, L)[:] = layout.st_route
+        self._view(A_ST_OUTVC, L)[:] = layout.st_outvc
+        self._view(A_NEED, L)[:] = layout.need
+        self._view(A_CRED, L)[:] = layout.cred
+        self._view(A_OWNER, L)[:] = layout.owner
+        self._view(A_OCC, RP)[:] = layout.occ_mask
+        self._view(A_AM, RP)[:] = layout.am
+        self._view(A_CREDOK, RP)[:] = layout.credok
+        self._view(A_IN_NEXT, RP)[:] = layout.in_next
+        self._view(A_OUT_NEXT, RP)[:] = layout.out_next
+        self._view(A_SEC_NEXT, RP)[:] = layout.sec_next
+        self._view(A_NVA, R)[:] = layout.nva
+        self._view(A_OCCUPIED, R)[:] = layout.occupied
+        self._view(A_VA_OFF, R)[:] = layout.va_off
         nw_r = (R + 63) // 64
         self._view(A_ACTW, nw_r)[:] = [
-            _to_i64(soa.actmask >> (64 * w)) for w in range(nw_r)
+            _to_i64(layout.actmask >> (64 * w)) for w in range(nw_r)
         ]
         for rid in range(R):
             lib.ck_act_clear(ck, rid)
-            for lane in soa.active_lanes[rid]:
+            for lane in layout.active_lanes[rid]:
                 lib.ck_act_push(ck, rid, lane)
 
         # flit queues (shared deques -> handle/index/ready rings)
-        for lane, q in enumerate(soa.queues):
+        for lane, q in enumerate(layout.queues):
             if not q:
                 continue
             for flit in q:
@@ -587,16 +591,16 @@ class CKernel:
 
     # -- activity & link-stat flushing ------------------------------------
     def _drain_deltas(self) -> None:
-        """Move C-side activity/link deltas into the soa delta arrays and
+        """Move C-side activity/link deltas into the layout delta arrays and
         the stats dictionaries, zeroing the C side."""
         R, RP = self.R, self.RP
-        soa = self.soa
+        layout = self.layout
         zeros_r = [0] * R
         for aid, name in _ACTIVITY_ARRS:
             view = self._view(aid, R)
             deltas = view[:]
             view[:] = zeros_r
-            target = getattr(soa, name)
+            target = getattr(layout, name)
             for rid, d in enumerate(deltas):
                 if d:
                     target[rid] += d
@@ -616,7 +620,7 @@ class CKernel:
         """Flush pending activity deltas into the shared RouterActivity
         objects (measurement boundaries call this)."""
         self._drain_deltas()
-        self.soa.flush_activity()
+        self.layout.flush_activity()
 
     def reload_activities(self) -> None:
         """Drop pending deltas after ``reset_stats`` replaced the
@@ -626,7 +630,7 @@ class CKernel:
             self._view(aid, R)[:] = [0] * R
         self._view(A_LF, RP)[:] = [0] * RP
         self._view(A_LB, RP)[:] = [0] * RP
-        self.soa.reload_activities()
+        self.layout.reload_activities()
 
     # -- sync: C -> Python -------------------------------------------------
     def _make_flit(self, packet: Packet, index: int) -> Flit:
@@ -644,43 +648,43 @@ class CKernel:
         """Mirror the C state back into the object model (non-destructive:
         the C side stays live and authoritative until :meth:`free`)."""
         net = self.net
-        soa = self.soa
+        layout = self.layout
         lib = self.lib
         ck = self._ck
         R, L, RP, V, D = self.R, self.L, self.RP, self.V, self.D
 
-        soa.st_pid[:] = self._arr(A_ST_PID)[0:L]
-        soa.st_route[:] = self._arr(A_ST_ROUTE)[0:L]
-        soa.st_outvc[:] = self._arr(A_ST_OUTVC)[0:L]
-        soa.need[:] = self._arr(A_NEED)[0:L]
-        soa.cred[:] = self._arr(A_CRED)[0:L]
-        soa.owner[:] = self._arr(A_OWNER)[0:L]
-        soa.occ_mask[:] = self._arr(A_OCC)[0:RP]
-        soa.am[:] = self._arr(A_AM)[0:RP]
-        soa.credok[:] = self._arr(A_CREDOK)[0:RP]
-        soa.in_next[:] = self._arr(A_IN_NEXT)[0:RP]
-        soa.out_next[:] = self._arr(A_OUT_NEXT)[0:RP]
-        soa.sec_next[:] = self._arr(A_SEC_NEXT)[0:RP]
-        soa.nva[:] = self._arr(A_NVA)[0:R]
-        soa.occupied[:] = self._arr(A_OCCUPIED)[0:R]
-        soa.va_off[:] = self._arr(A_VA_OFF)[0:R]
+        layout.st_pid[:] = self._arr(A_ST_PID)[0:L]
+        layout.st_route[:] = self._arr(A_ST_ROUTE)[0:L]
+        layout.st_outvc[:] = self._arr(A_ST_OUTVC)[0:L]
+        layout.need[:] = self._arr(A_NEED)[0:L]
+        layout.cred[:] = self._arr(A_CRED)[0:L]
+        layout.owner[:] = self._arr(A_OWNER)[0:L]
+        layout.occ_mask[:] = self._arr(A_OCC)[0:RP]
+        layout.am[:] = self._arr(A_AM)[0:RP]
+        layout.credok[:] = self._arr(A_CREDOK)[0:RP]
+        layout.in_next[:] = self._arr(A_IN_NEXT)[0:RP]
+        layout.out_next[:] = self._arr(A_OUT_NEXT)[0:RP]
+        layout.sec_next[:] = self._arr(A_SEC_NEXT)[0:RP]
+        layout.nva[:] = self._arr(A_NVA)[0:R]
+        layout.occupied[:] = self._arr(A_OCCUPIED)[0:R]
+        layout.va_off[:] = self._arr(A_VA_OFF)[0:R]
         nw_r = (R + 63) // 64
         actmask = 0
         for w, word in enumerate(self._arr(A_ACTW)[0:nw_r]):
             actmask |= (word & _MASK64) << (64 * w)
-        soa.actmask = actmask
+        layout.actmask = actmask
         for rid in range(R):
             lanes = {
                 lib.ck_act_at(ck, rid, i): True
                 for i in range(lib.ck_act_len(ck, rid))
             }
-            soa.active_lanes[rid] = lanes
+            layout.active_lanes[rid] = lanes
 
         # queue rings -> the shared Flit deques, rebuilt in place
         qs_pkt, qs_seq, qs_ready = self._qs_pkt, self._qs_seq, self._qs_ready
         qhead, qlen = self._qhead, self._qlen
         handles = self._handles
-        for lane, q in enumerate(soa.queues):
+        for lane, q in enumerate(layout.queues):
             if q is None:
                 continue
             n = qlen[lane]
@@ -757,5 +761,5 @@ class CKernel:
                 self._mirror_packet(h, packet)
 
         self._drain_deltas()
-        soa.sync()
+        layout.sync()
         self._mirrored = True

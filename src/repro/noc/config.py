@@ -206,20 +206,18 @@ class NetworkConfig:
             a single flit per cycle like narrow ones.
         kernel: which cycle kernel drives :meth:`Network.step` --
             ``"event"`` (the event-driven active-set kernel, default),
-            ``"soa"`` (the structure-of-arrays batch kernel, which falls
-            back to the event kernel whenever faults, observation hooks
-            or dynamic routing require the per-flit object datapath),
             ``"c"`` (the compiled kernel of ``repro.noc.ckernel``: the
-            soa layout stepped by an on-demand-built C shared object;
-            degrades to ``soa`` when no C compiler is available, and to
-            ``event`` under the same conditions as ``soa``) or
-            ``"naive"`` (the retained full-scan reference stepper).  All
-            four are bit-identical; see ``repro.noc.soa`` and
-            ``repro.noc.ckernel``.  Overridable per process with
-            ``REPRO_KERNEL``.
+            flat layout of ``repro.noc.layout`` stepped by an
+            on-demand-built C shared object; hands the cycle to
+            ``event`` whenever faults, observation hooks, a watchdog or
+            dynamic routing require the per-flit object datapath, and
+            for the whole run -- with one ``RuntimeWarning`` -- when no
+            C compiler is available) or ``"naive"`` (the retained
+            full-scan reference stepper).  All three are bit-identical.
+            Overridable per process with ``REPRO_KERNEL``.
     """
 
-    KERNELS = ("event", "soa", "naive", "c")
+    KERNELS = ("event", "naive", "c")
 
     router_pipeline_stages: int = 2
     link_delay: int = 1
@@ -240,9 +238,20 @@ class NetworkConfig:
             raise ValueError("credit_delay must be >= 0")
         if self.frequency_ghz <= 0:
             raise ValueError("frequency_ghz must be positive")
-        if self.kernel not in self.KERNELS:
+        self.check_kernel(self.kernel)
+
+    @classmethod
+    def check_kernel(cls, name: str) -> None:
+        """Reject a kernel name that is not in :attr:`KERNELS`.
+
+        The one check every entry point shares (this config,
+        ``REPRO_KERNEL``, ``Network.use_kernel``, ``SweepPoint``,
+        ``run_all --kernel``), so a bad name fails with the same message
+        wherever it arrives from.
+        """
+        if name not in cls.KERNELS:
             raise ValueError(
-                f"kernel must be one of {self.KERNELS}, got {self.kernel!r}"
+                f"unknown kernel {name!r}; expected one of {cls.KERNELS}"
             )
 
     @property

@@ -29,19 +29,23 @@ added on every ``write_flit``/``enqueue`` and pruned when a drained member
 is next visited -- and they are always iterated in ascending id order with
 the same per-element guards as a full scan, which makes the kernel
 bit-identical to the naive all-routers walk.  That naive walk is retained
-as :meth:`Network._step_naive` (select it with ``REPRO_NAIVE_STEP=1`` or
-``network.naive_step = True``) and serves as the differential-testing
+as :meth:`Network._step_naive` (select it with
+``NetworkConfig(kernel="naive")``, ``REPRO_KERNEL=naive`` or
+``network.use_kernel("naive")``) and serves as the differential-testing
 reference for the event kernel.
 
-A third kernel -- the structure-of-arrays batch kernel of
-:mod:`repro.noc.soa` -- is selected with ``NetworkConfig(kernel="soa")``,
-``REPRO_KERNEL=soa`` or ``network.use_kernel("soa")``.  It simulates the
-same microarchitecture over flat arrays and bitmasks, is bit-identical to
-both object-model kernels, and *falls back to the event kernel
+The fast path -- the compiled kernel of :mod:`repro.noc.ckernel` -- is
+selected with ``NetworkConfig(kernel="c")``, ``REPRO_KERNEL=c`` or
+``network.use_kernel("c")``.  It simulates the same microarchitecture
+over the flat arrays of :mod:`repro.noc.layout`, is bit-identical to both
+object-model kernels, and *hands the cycle to the event kernel
 automatically* whenever faults, observation hooks, a watchdog, a profiler
 or a dynamic routing discipline require the per-flit object datapath; the
 fallback is re-evaluated every cycle, so attaching or detaching such a
-subsystem mid-run simply switches kernels at the next step.
+subsystem mid-run simply switches kernels at the next step.  When the
+compiled kernel cannot be built or does not support the network shape
+(no C compiler, credit/link delay below one cycle) the event kernel
+carries the whole run after a single ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -153,36 +157,21 @@ class Network:
         #: zero hook calls and zero per-event attribute probes).
         self._tracing = False
         # -- kernel selection --------------------------------------------
-        # REPRO_NAIVE_STEP=1 (the original switch) takes precedence, then
-        # REPRO_KERNEL, then the config field.
+        # REPRO_KERNEL takes precedence over the config field.
         kernel = os.environ.get("REPRO_KERNEL") or self.config.kernel
-        if os.environ.get("REPRO_NAIVE_STEP") == "1":
-            kernel = "naive"
-        if kernel not in NetworkConfig.KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of "
-                f"{NetworkConfig.KERNELS}"
-            )
-        #: whether the retained naive (full-scan) stepper is selected.
-        self._naive = kernel == "naive"
-        #: whether the structure-of-arrays batch kernel is requested;
+        NetworkConfig.check_kernel(kernel)
+        #: the requested kernel name (see :attr:`kernel`); for ``"c"``,
         #: eligibility is (re)checked every step so faults/obs/watchdog/
         #: profiler attachment falls back to the event kernel.
-        self._soa_requested = kernel == "soa"
-        #: the live :class:`repro.noc.soa.SoaKernel`, or ``None`` when the
-        #: object-model kernels are driving.
-        self._soa = None
-        #: whether the compiled (C) kernel is requested; it shares the soa
-        #: kernel's eligibility rules and degrades to soa when the shared
-        #: library cannot be built or loaded.
-        self._ck_requested = kernel == "c"
-        #: the live :class:`repro.noc.ckernel.CKernel`, or ``None``.
+        self._kernel = kernel
+        #: the live :class:`repro.noc.ckernel.CKernel`, or ``None`` when
+        #: the object-model kernels are driving.
         self._ck = None
         #: set after a failed compiled-kernel activation so the (warned)
-        #: soa fallback does not retry the build every cycle.
+        #: event fallback does not retry the build every cycle.
         self._ck_blocked = False
         #: whether precomputed route tables *and* default-VA tables are
-        #: installed (the soa kernel's routing precondition).
+        #: installed (the compiled kernel's routing precondition).
         self._route_tables_ok = False
 
         # -- prebuilt hot-path structures (hoisted out of the cycle loop) --
@@ -282,9 +271,8 @@ class Network:
         if not routers:
             return
         self._deactivate_ck()
-        self._deactivate_soa()
         tables = None
-        if not self._naive and self.faults is None:
+        if self._kernel != "naive" and self.faults is None:
             tables = self._routing.build_route_tables()
         if tables is None:
             self._route_tables_ok = False
@@ -320,35 +308,16 @@ class Network:
         self._install_routing_tables()
 
     @property
-    def naive_step(self) -> bool:
-        """Whether the retained full-scan reference stepper is selected."""
-        return self._naive
-
-    @naive_step.setter
-    def naive_step(self, naive: bool) -> None:
-        if naive:
-            self.use_kernel("naive")
-        elif self._naive:
-            self.use_kernel("event")
-
-    @property
     def kernel(self) -> str:
-        """The selected cycle kernel: ``"event"``, ``"soa"``, ``"naive"``
-        or ``"c"``.
+        """The selected cycle kernel: ``"event"``, ``"naive"`` or ``"c"``.
 
-        Note this is the *requested* kernel; a requested ``"soa"`` or
-        ``"c"`` still steps through the event kernel whenever faults,
-        observation hooks, a watchdog, a profiler or dynamic routing are
-        attached, and ``"c"`` degrades to the soa datapath when no C
-        compiler is available (see :attr:`active_kernel`).
+        Note this is the *requested* kernel; a requested ``"c"`` still
+        steps through the event kernel whenever faults, observation
+        hooks, a watchdog, a profiler or dynamic routing are attached,
+        or when the compiled kernel is unavailable (see
+        :attr:`active_kernel`).
         """
-        if self._naive:
-            return "naive"
-        if self._ck_requested:
-            return "c"
-        if self._soa_requested:
-            return "soa"
-        return "event"
+        return self._kernel
 
     @kernel.setter
     def kernel(self, name: str) -> None:
@@ -356,61 +325,31 @@ class Network:
 
     def use_kernel(self, name: str) -> None:
         """Switch the cycle kernel mid-run (bit-identical hand-off)."""
-        if name not in NetworkConfig.KERNELS:
-            raise ValueError(
-                f"unknown kernel {name!r}; expected one of "
-                f"{NetworkConfig.KERNELS}"
-            )
+        NetworkConfig.check_kernel(name)
         self._deactivate_ck()
-        self._deactivate_soa()
-        was_naive = self._naive
-        self._naive = name == "naive"
-        self._soa_requested = name == "soa"
-        self._ck_requested = name == "c"
-        if self._ck_requested:
-            # An explicit re-request gets a fresh activation attempt
-            # (e.g. a compiler appeared on PATH since the last failure).
-            self._ck_blocked = False
-        if was_naive != self._naive:
+        previous, self._kernel = self._kernel, name
+        # An explicit re-request gets a fresh activation attempt (e.g. a
+        # compiler appeared on PATH since the last failure).
+        self._ck_blocked = False
+        if (previous == "naive") != (name == "naive"):
             # naive <-> table-driven changes the routers' RC/VA tables.
             self._install_routing_tables()
-
-    @property
-    def soa_active(self) -> bool:
-        """Whether the soa batch kernel is currently driving the cycle."""
-        return self._soa is not None
 
     @property
     def active_kernel(self) -> str:
         """The kernel *actually driving* the cycle right now.
 
         Unlike :attr:`kernel` (the request), this reflects the fallback
-        ladder: ``"c"`` while the compiled kernel is live, ``"soa"``
-        while the batch kernel is live, otherwise the object-model
-        kernel that would step (``"naive"`` or ``"event"``).
+        ladder: ``"c"`` while the compiled kernel is live, otherwise the
+        object-model kernel that would step (``"naive"`` or ``"event"``).
         """
         if self._ck is not None:
             return "c"
-        if self._soa is not None:
-            return "soa"
-        return "naive" if self._naive else "event"
-
-    def _activate_soa(self):
-        from repro.noc.soa import SoaKernel
-
-        kernel = SoaKernel(self)
-        self._soa = kernel
-        return kernel
-
-    def _deactivate_soa(self) -> None:
-        kernel = getattr(self, "_soa", None)
-        if kernel is not None:
-            kernel.sync()
-            self._soa = None
+        return "naive" if self._kernel == "naive" else "event"
 
     def _activate_ck(self):
         """Try to bring up the compiled kernel; on failure warn once and
-        return ``None`` (the caller then steps the soa kernel)."""
+        return ``None`` (the caller then steps the event kernel)."""
         from repro.noc.ckernel import (
             CKernel,
             CKernelUnavailable,
@@ -434,25 +373,20 @@ class Network:
             self._ck = None
 
     def sync_kernel(self) -> None:
-        """Mirror batch-kernel state back into the Router objects.
+        """Mirror compiled-kernel state back into the object model.
 
-        No-op unless the soa kernel is live.  Callers that inspect router
-        internals mid-run (tests, diagnostics) should call this first;
-        the shared structures (flit queues, stats, activity counters,
-        event buckets, sources) are always current.
+        No-op unless the compiled kernel is live.  Callers that inspect
+        router internals, flit queues, sources or event buckets mid-run
+        (tests, diagnostics) should call this first.
         """
         if self._ck is not None:
             self._ck.sync()
-        elif self._soa is not None:
-            self._soa.sync()
 
     def wake_router(self, router_id: int) -> None:
         """Mark a router active (for callers that write flits directly)."""
         self._active_routers.add(router_id)
         if self._ck is not None:
             self._ck.wake(router_id)
-        elif self._soa is not None:
-            self._soa.actmask |= 1 << router_id
 
     def wake_source(self, node: int) -> None:
         """Mark a source node active (for callers that bypass enqueue)."""
@@ -464,7 +398,6 @@ class Network:
         """Attach observation hooks (an :class:`repro.obs.hooks.Observer`)
         to the network and all its routers."""
         self._deactivate_ck()
-        self._deactivate_soa()
         self.obs = observer
         self._tracing = observer is not None
         for router in self.routers:
@@ -500,7 +433,6 @@ class Network:
         """Attach a deadlock/livelock watchdog (read-only: cannot change
         simulation results)."""
         self._deactivate_ck()
-        self._deactivate_soa()
         self.watchdog = watchdog
 
     def detach_watchdog(self) -> None:
@@ -511,8 +443,6 @@ class Network:
         utilization and power cover exactly the window."""
         if self._ck is not None:
             self._ck.flush_activity()
-        elif self._soa is not None:
-            self._soa.flush_activity()
         self._activity_snapshot = [r.activity.snapshot() for r in self.routers]
         self.measuring = True
 
@@ -520,8 +450,6 @@ class Network:
         """Close the window and freeze its activity deltas into the stats."""
         if self._ck is not None:
             self._ck.flush_activity()
-        elif self._soa is not None:
-            self._soa.flush_activity()
         self.measuring = False
         snapshot = getattr(self, "_activity_snapshot", None)
         if snapshot is None:
@@ -544,8 +472,6 @@ class Network:
         self._stats.router_activity = [r.activity for r in self.routers]
         if self._ck is not None:
             self._ck.reload_activities()
-        elif self._soa is not None:
-            self._soa.reload_activities()
 
     def make_packet(
         self,
@@ -619,38 +545,33 @@ class Network:
         """
         if self.profiler is not None:
             self._deactivate_ck()
-            self._deactivate_soa()
             self._step_profiled()
             return
-        if self._naive:
-            self._step_naive()
-            return
-        if self._soa_requested or self._ck_requested:
-            # Per-step eligibility: the batch kernels need precomputed
-            # route/VA tables and step aside for any subsystem that needs
+        requested = self._kernel
+        if requested != "event":
+            if requested == "naive":
+                self._step_naive()
+                return
+            # Per-step eligibility: the compiled kernel needs precomputed
+            # route/VA tables and steps aside for any subsystem that needs
             # the per-flit object datapath (faults, obs, watchdog).
             if (
                 self.faults is None
                 and self.obs is None
                 and self.watchdog is None
                 and self._route_tables_ok
+                and not self._ck_blocked
             ):
-                if self._ck_requested and not self._ck_blocked:
-                    kernel = self._ck
-                    if kernel is None:
-                        kernel = self._activate_ck()
-                    if kernel is not None:
-                        kernel.step()
-                        return
-                    # Activation failed (no compiler, bad shape): warned
-                    # once, _ck_blocked set -- degrade to the soa datapath.
-                kernel = self._soa
+                kernel = self._ck
                 if kernel is None:
-                    kernel = self._activate_soa()
-                kernel.step()
-                return
-            self._deactivate_ck()
-            self._deactivate_soa()
+                    kernel = self._activate_ck()
+                if kernel is not None:
+                    kernel.step()
+                    return
+                # Activation failed (no compiler, bad shape): warned
+                # once, _ck_blocked set -- the event kernel steps below.
+            else:
+                self._deactivate_ck()
         cycle = self.cycle
         if self.faults is not None:
             self.faults.tick(self, cycle)
@@ -749,14 +670,15 @@ class Network:
         if credits:
             self._deliver_credit_events(credits, cycle)
         t2 = perf_counter()
-        if self._naive:
+        naive = self._kernel == "naive"
+        if naive:
             self._inject(cycle, self._all_nodes)
         elif self._active_sources:
             self._inject(cycle, None)
         t3 = perf_counter()
         routing = self._routing
         live: List[Router] = []
-        if self._naive:
+        if naive:
             for router in self.routers:
                 if router.occupied_flits:
                     live.append(router)
@@ -1120,7 +1042,6 @@ class Network:
         is a no-op.
         """
         self._deactivate_ck()
-        self._deactivate_soa()
         pid = packet.packet_id
         topo = self.topology
         found = False
@@ -1264,8 +1185,6 @@ class Network:
     def total_buffered_flits(self) -> int:
         if self._ck is not None:
             return self._ck.total_buffered_flits()
-        if self._soa is not None:
-            return self._soa.total_buffered_flits()
         return sum(router.occupied_flits for router in self.routers)
 
     def describe(self) -> str:

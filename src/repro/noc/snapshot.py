@@ -7,16 +7,16 @@ sources, stats), the driver's RNG, the injection process, the global
 packet-id counter and any driver bookkeeping -- so that a restored run
 continues exactly where the original left off.  "Exactly" is literal:
 the differential state digests of a restored run match an uninterrupted
-one cycle for cycle, for all four cycle kernels (pinned by
+one cycle for cycle, for all three cycle kernels (pinned by
 ``tests/test_snapshot.py``).
 
 Two layers:
 
 * :func:`capture` / :class:`SimSnapshot` -- freeze a live network (plus
-  optional RNG / injector / driver state) into one picklable value.  The
-  structure-of-arrays kernel is synced back into the object model first
-  (the hand-off is bit-identical, see :mod:`repro.noc.soa`), so
-  snapshots never contain numpy arrays and a restored ``"soa"`` network
+  optional RNG / injector / driver state) into one picklable value.  A
+  live compiled kernel is synced back into the object model and freed
+  first (the hand-off is bit-identical, see :mod:`repro.noc.layout`),
+  so snapshots never contain C state and a restored ``"c"`` network
   simply re-packs on its next step.
 * :func:`save_snapshot` / :func:`load_snapshot` -- the versioned binary
   container: an 8-byte magic, a format version, the sha256 of the pickle
@@ -45,8 +45,9 @@ from typing import Dict, Optional
 
 from repro.noc.flit import packet_id_marker, seed_packet_ids
 
-#: bump when the container layout or the pickled payload schema changes.
-SNAPSHOT_VERSION = 1
+#: bump when the container layout or the pickled payload schema changes
+#: (v2: ``Network`` keeps one kernel-name field and one live-kernel slot).
+SNAPSHOT_VERSION = 2
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)
@@ -107,11 +108,10 @@ def capture(
 ) -> SimSnapshot:
     """Freeze a live network (and driver state) into a :class:`SimSnapshot`.
 
-    The soa or compiled (C) kernel, if active, is synced and
-    deactivated first: the object model then holds the authoritative
-    state, and the restored network re-activates its batch kernel on
-    the next step (both transitions are bit-identical, pinned by the
-    differential tests).
+    The compiled (C) kernel, if active, is synced and deactivated
+    first: the object model then holds the authoritative state, and the
+    restored network re-activates the kernel on the next step (both
+    transitions are bit-identical, pinned by the differential tests).
     Deactivation is equally bit-identical for the network being
     captured, so taking a checkpoint never perturbs the ongoing run.
     """
@@ -120,9 +120,7 @@ def capture(
             "cannot snapshot a network with an observer or profiler "
             "attached (live file handles); detach it first"
         )
-    network.sync_kernel()
     network._deactivate_ck()
-    network._deactivate_soa()
     return SimSnapshot(
         network=network,
         rng_state=rng.getstate() if rng is not None else None,

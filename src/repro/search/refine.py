@@ -36,9 +36,9 @@ def placement_points(
     placement (e.g. each candidate's own worst-case kill set from
     :meth:`repro.search.objectives.PlacementEvaluator.kill_schedule`).
     ``kernel`` (optional) forces a cycle kernel for every candidate --
-    ``"soa"`` (or ``"c"``, the compiled kernel) speeds fault-free
-    refinement batches up without changing a single measured bit (all
-    kernels are differentially verified).
+    ``"c"``, the compiled kernel, speeds fault-free refinement batches
+    up without changing a single measured bit (all kernels are
+    differentially verified).
     """
     placements = [tuple(sorted(set(p))) for p in placements]
     if warmup_packets is None:

@@ -192,7 +192,7 @@ class TestWatchdogUnderEventKernel:
         """The watchdog runs every cycle regardless of the active set, so
         a cyclic wormhole wedge is still detected and diagnosed."""
         net = self._wedged_network()
-        assert net.naive_step is False
+        assert net.kernel == "event"
         net.attach_watchdog(Watchdog(stall_window=64, check_interval=16))
         with pytest.raises(SimulationStalled) as excinfo:
             for _ in range(5_000):

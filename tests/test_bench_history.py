@@ -17,6 +17,7 @@ from repro.noc.bench import (
     history_entry,
     main,
 )
+from repro.noc.ckernel import ckernel_available
 
 REPORT = {
     "meta": {"tool": "repro.noc.bench", "repeat": 2, "scale": {}},
@@ -154,15 +155,21 @@ class TestCliIntegration:
         with pytest.raises(ValueError, match="no-such-case"):
             run_suite(repeat=1, only=["no-such-case"])
 
-    def test_soa_kernel_runs_and_reports(self, run):
-        """--kernel soa adds a soa section to the history entry."""
+    @pytest.mark.skipif(
+        not ckernel_available(), reason="compiled kernel unavailable"
+    )
+    def test_c_kernel_runs_and_reports(self, run):
+        """--kernel c adds a c section to the history entry."""
         code, out, history = run(
-            "--kernel", "soa", "--timestamp", "2026-08-08T00:00:00Z"
+            "--kernel", "c", "--timestamp", "2026-08-08T00:00:00Z"
         )
         assert code == 0
-        assert "[soa] empty-4x4" in out
+        assert "[c] empty-4x4" in out
         entry = json.loads(history.read_text())
-        assert entry["soa"]["empty-4x4"] > 0
+        assert entry["c"]["empty-4x4"] > 0
+        assert entry.keys() == {
+            "timestamp", "git_sha", "repeat", "event", "groups", "c",
+        }
 
 
 class TestReadHistory:
@@ -174,6 +181,26 @@ class TestReadHistory:
         append_history(history_entry(REPORT, "t2"), path)
         entries = read_history(path)
         assert [entry["timestamp"] for entry in entries] == ["t1", "t2"]
+
+    def test_committed_history_with_soa_sections_still_reads(self):
+        """The history is append-only: lines recorded while the ``soa``
+        kernel existed keep their ``soa`` section and must keep parsing
+        next to the entries this build writes."""
+        import pathlib
+        import warnings
+
+        from repro.noc.bench import read_history
+
+        committed = pathlib.Path(__file__).parents[1] / "BENCH_history.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = read_history(committed)
+        assert len(entries) == len(committed.read_text().splitlines())
+        legacy = [entry for entry in entries if "soa" in entry]
+        assert legacy, "the committed soa-era lines must not be rewritten"
+        for entry in legacy:
+            assert entry["soa"].keys() == entry["event"].keys()
+            assert "fig07_low_soa" in entry["groups"]
 
     def test_damaged_lines_skipped_with_warning(self, tmp_path):
         from repro.noc.bench import read_history

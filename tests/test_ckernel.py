@@ -1,6 +1,6 @@
 """The compiled C cycle kernel: build machinery, fallback ladder, cache.
 
-The bit-identity of ``kernel="c"`` against the other three kernels is
+The bit-identity of ``kernel="c"`` against the other two kernels is
 pinned by ``tests/test_kernel_differential.py`` / ``test_golden_runs.py``
 / ``test_snapshot.py``; this file covers what is unique to the compiled
 kernel:
@@ -8,16 +8,20 @@ kernel:
 * the on-demand build: compiler discovery, the sha256-keyed shared-object
   cache (``REPRO_CKERNEL_CACHE``), and reuse across loads;
 * the degradation ladder: no compiler -> a *single* ``RuntimeWarning``
-  and a transparent, bit-identical fall back to the soa kernel; hooks or
-  faults -> per-step fall back to the event kernel (differential file);
+  and a transparent, bit-identical fall back to the event kernel; hooks
+  or faults -> per-step fall back to the event kernel (differential
+  file);
 * unsupported shapes (sub-cycle credit/link delays, too-wide routers)
   refuse cleanly instead of simulating wrongly;
+* the C arena's lifetime: every ``ck_new`` is matched by a ``ck_free``
+  once the owning network is dropped;
 * ``python -m repro.noc.bench --kernel c`` skips loudly (exit 0, clear
-  message) on a compilerless host instead of mislabelling soa timings;
+  message) on a compilerless host instead of mislabelling event timings;
 * the :class:`SweepPoint` spec-hash rule: ``kernel="c"`` is part of the
   cache key, kernel-free rows in an existing store keep replaying.
 """
 
+import gc
 import random
 import warnings
 from dataclasses import replace
@@ -26,7 +30,7 @@ import pytest
 
 import repro.noc.ckernel as ckernel
 from repro.core.layouts import build_network, layout_by_name
-from repro.exec import SweepPoint, run_sweep
+from repro.exec import SweepPoint, execute_point, run_sweep
 from repro.exec.store import ResultStore
 from repro.noc.ckernel import (
     CKernelUnavailable,
@@ -39,6 +43,7 @@ from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import reset_packet_ids
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
+from tests.test_kernel_differential import _assert_same, _digest, _run_one
 
 needs_ckernel = pytest.mark.skipif(
     not ckernel_available(),
@@ -58,7 +63,7 @@ def no_compiler(monkeypatch):
     yield
 
 
-def _drive(net, cycles=60, rate=0.2, seed=5):
+def _drive(net, cycles=60, rate=0.2, seed=5, digests=None):
     rng = random.Random(seed)
     num_nodes = net.topology.num_nodes
     for _ in range(cycles):
@@ -68,6 +73,8 @@ def _drive(net, cycles=60, rate=0.2, seed=5):
                 if dst != node:
                     net.enqueue(net.make_packet(node, dst))
         net.step()
+        if digests is not None:
+            digests.append(_digest(net))
 
 
 class TestBuildMachinery:
@@ -108,16 +115,21 @@ class TestBuildMachinery:
 
 
 class TestFallbackLadder:
-    def test_no_compiler_falls_back_to_soa_with_one_warning(self, no_compiler):
+    def test_no_compiler_falls_back_to_event_with_one_warning(
+        self, no_compiler
+    ):
         """kernel="c" on a compilerless host: exactly one RuntimeWarning
-        per process, then the soa kernel carries the run."""
+        per process, then the event kernel carries the run."""
         reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3))
         net.use_kernel("c")
-        with pytest.warns(RuntimeWarning, match="falling back to the soa"):
+        with pytest.warns(
+            RuntimeWarning, match="falling back to the event kernel"
+        ) as caught:
             net.step()
+        assert "soa" not in str(caught[0].message)
         assert net.kernel == "c", "the *requested* kernel is unchanged"
-        assert net.active_kernel == "soa"
+        assert net.active_kernel == "event"
         # Further steps and even further networks stay silent.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -126,42 +138,44 @@ class TestFallbackLadder:
             other = build_network(layout_by_name("baseline", 2))
             other.use_kernel("c")
             other.step()
-        assert other.active_kernel == "soa"
+        assert other.active_kernel == "event"
         net.drain()
         assert net.total_buffered_flits() == 0
 
-    def test_no_compiler_run_matches_soa_bit_for_bit(self, no_compiler):
-        import sys
-
-        sys.path.insert(0, "tests")
-        try:
-            from test_kernel_differential import _run_one, _assert_same
-        finally:
-            sys.path.pop(0)
+    def test_no_compiler_run_matches_event_bit_for_bit(self, no_compiler):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             degraded = _run_one("c", 3, "baseline", 0.2, 11, 80, 1024)
-        reference = _run_one("soa", 3, "baseline", 0.2, 11, 80, 1024)
-        _assert_same(reference, degraded, "c-degraded-to-soa")
+        reference = _run_one("event", 3, "baseline", 0.2, 11, 80, 1024)
+        _assert_same(reference, degraded, "c-degraded-to-event")
 
     @needs_ckernel
-    def test_sub_cycle_delays_refuse_cleanly(self):
+    def test_sub_cycle_delays_refuse_cleanly(self, monkeypatch):
         """credit_delay=0 breaks the C calendar ring; the kernel must
-        refuse (and the network degrade to soa) rather than mis-simulate."""
+        refuse (and the network degrade to event, warning once, digest
+        for digest equal to a plain event run) rather than mis-simulate."""
         from repro.noc.ckernel import CKernel
 
-        reset_packet_ids()
-        topo = Mesh(3)
-        configs = {r: RouterConfig() for r in range(topo.num_routers)}
-        net = Network(topo, configs, NetworkConfig(credit_delay=0, kernel="c"))
+        def run(kernel):
+            reset_packet_ids()
+            topo = Mesh(3)
+            configs = {r: RouterConfig() for r in range(topo.num_routers)}
+            net = Network(
+                topo, configs, NetworkConfig(credit_delay=0, kernel=kernel)
+            )
+            digests = []
+            _drive(net, digests=digests)
+            return net, digests
+
         with pytest.raises(CKernelUnavailable, match="calendar"):
-            CKernel(net)
-        # The network-level ladder degrades to soa (sub-cycle credits
-        # are an event/soa-kernel concern either way, not the C ring's).
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            net.step()
-        assert net.active_kernel == "soa"
+            CKernel(run("event")[0])
+        monkeypatch.setattr(ckernel, "_WARNED", False)
+        with pytest.warns(RuntimeWarning, match="event kernel") as caught:
+            degraded, digests = run("c")
+        assert len(caught) == 1
+        assert degraded.kernel == "c"
+        assert degraded.active_kernel == "event"
+        assert digests == run("event")[1]
 
     @needs_ckernel
     def test_explicit_rerequest_retries_activation(self):
@@ -172,7 +186,7 @@ class TestFallbackLadder:
         net.use_kernel("c")
         net._ck_blocked = True  # as if a prior activation failed
         net.step()
-        assert net.active_kernel == "soa"
+        assert net.active_kernel == "event"
         net.use_kernel("c")  # explicit re-request clears the block
         net.step()
         assert net.active_kernel == "c"
@@ -223,7 +237,8 @@ class TestBenchSkipPath:
         assert "c" in report
         assert "empty-4x4" in report["c"]
         assert "speedup_c_vs_event" in report
-        assert "speedup_c_vs_soa" in report
+        assert not [key for key in report if "soa" in key]
+        assert not [key for key in report["groups"] if "soa" in key]
 
 
 class TestSpecHashRule:
@@ -274,13 +289,6 @@ class TestCompiledStepping:
     def test_sync_is_non_destructive(self):
         """sync_kernel() mirrors C state into the object model without
         deactivating: stepping continues compiled, digests unperturbed."""
-        import sys
-
-        sys.path.insert(0, "tests")
-        try:
-            from test_kernel_differential import _digest
-        finally:
-            sys.path.pop(0)
         reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3))
         net.use_kernel("c")
@@ -291,6 +299,31 @@ class TestCompiledStepping:
         _drive(net, cycles=10)
         net.drain()
         assert net.total_buffered_flits() == 0
+
+    def test_arena_is_freed_with_the_network(self, monkeypatch):
+        """Dropping a network with the kernel still live (what every
+        ``execute_point`` does) must release its C arena: one ``ck_free``
+        per ``ck_new`` once the garbage is collected."""
+        lib = load_kernel_library()
+        calls = {"ck_new": 0, "ck_free": 0}
+
+        def counted(name):
+            real = getattr(lib, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(lib, name, counted(name))
+        point = replace(TestSpecHashRule.POINT, kernel="c")
+        for seed in range(10):
+            assert execute_point(replace(point, seed=seed)).error is None
+        gc.collect()
+        assert calls["ck_new"] >= 10
+        assert calls["ck_free"] == calls["ck_new"]
 
     def test_wormhole_violation_raises_event_kernel_message(self):
         """C-side invariant failures surface as the same RuntimeError

@@ -12,7 +12,7 @@ once:
   change to injection order, routing, arbitration or stats shows up as a
   golden diff, deliberately);
 * ``process`` backend == ``serial`` backend, bit for bit;
-* ``naive`` == ``event`` == ``soa`` == ``c`` cycle kernels, bit for
+* ``naive`` == ``event`` == ``c`` cycle kernels, bit for
   bit, via the :class:`SweepPoint` ``kernel`` override (only the spec
   hash may differ -- the override is part of the cache key);
 * the ``_offer_load`` injection path: packet ids are creation-ordered,
@@ -103,7 +103,7 @@ class TestGoldenReferences:
 
 
 class TestKernelsMatchGolden:
-    """All four cycle kernels reproduce the golden payloads exactly.
+    """All three cycle kernels reproduce the golden payloads exactly.
 
     The ``kernel`` field is part of the spec (and hence the cache key)
     whenever it is set, so only the ``key`` field of the payload may
@@ -117,7 +117,7 @@ class TestKernelsMatchGolden:
         del payload["key"]
         return payload
 
-    @pytest.mark.parametrize("kernel", ["naive", "event", "soa", "c"])
+    @pytest.mark.parametrize("kernel", ["naive", "event", "c"])
     @pytest.mark.parametrize("name", list(GOLDEN_POINTS))
     def test_kernel_override_reproduces_golden(self, golden, name, kernel):
         point = replace(GOLDEN_POINTS[name], kernel=kernel)
@@ -128,12 +128,11 @@ class TestKernelsMatchGolden:
             golden[name]["result"]
         ), f"{name} diverged under the {kernel} kernel"
 
-    @pytest.mark.parametrize("kernel", ["soa", "c"])
-    def test_batch_kernel_process_backend_bit_identical(self, golden, kernel):
-        """soa and c through the pool workers still equal the golden
-        serial event-kernel reference: kernels x backends all agree
-        (each worker process compiles/loads the shared object itself)."""
-        points = [replace(p, kernel=kernel) for p in GOLDEN_POINTS.values()]
+    def test_c_kernel_process_backend_bit_identical(self, golden):
+        """c through the pool workers still equals the golden serial
+        event-kernel reference: kernels x backends all agree (each
+        worker process compiles/loads the shared object itself)."""
+        points = [replace(p, kernel="c") for p in GOLDEN_POINTS.values()]
         results = run_sweep(points, jobs=2, backend="process", cache=None)
         for name, result in zip(GOLDEN_POINTS, results):
             assert not result.from_cache
@@ -147,7 +146,7 @@ class TestKernelsMatchGolden:
         the content hash."""
         base = GOLDEN_POINTS["homogeneous-4x4-UR"]
         assert "kernel" not in base.spec_dict()
-        assert replace(base, kernel="soa").key() != base.key()
+        assert replace(base, kernel="c").key() != base.key()
         with pytest.raises(ValueError, match="kernel"):
             replace(base, kernel="vectorized")
 

@@ -1,16 +1,16 @@
-"""Differential testing: the four cycle kernels against each other.
+"""Differential testing: the three cycle kernels against each other.
 
-:meth:`Network.step` can be driven by four kernels -- the event-driven
-active-set kernel (default), the structure-of-arrays batch kernel
-(``repro.noc.soa``), the compiled C kernel (``repro.noc.ckernel``,
-skipped here only when no C compiler exists) and the retained full-scan
-reference stepper -- and they must be *bit-identical*: same flit
-movements, same arbitration pointer evolution, same activity counters,
-same delivered packets, every cycle.  These tests drive all four over a
-randomized matrix of mesh sizes, layouts, injection rates, payload
-sizes and seeds (plus faulty and observed configurations, which
-exercise the soa and c kernels' automatic fallback) and compare a deep
-per-cycle digest of the complete simulation state.  Mid-run kernel
+:meth:`Network.step` can be driven by three kernels -- the event-driven
+active-set kernel (default), the compiled C kernel
+(``repro.noc.ckernel``, skipped here only when no C compiler exists)
+and the retained full-scan reference stepper -- and they must be
+*bit-identical*: same flit movements, same arbitration pointer
+evolution, same activity counters, same delivered packets, every cycle.
+These tests drive all three over a randomized matrix of mesh sizes,
+layouts, injection rates, payload sizes and seeds (plus faulty and
+observed configurations, which exercise the c kernel's automatic
+fallback) and compare a deep per-cycle digest of the complete
+simulation state.  Mid-run kernel
 switches mirror ``tests/test_active_set.py``: flipping kernels while
 wormholes are in flight must not perturb a single bit.
 """
@@ -27,7 +27,7 @@ from repro.noc.ckernel import ckernel_available, unavailable_reason
 from repro.noc.config import NetworkConfig
 from repro.noc.flit import reset_packet_ids
 
-KERNELS = NetworkConfig.KERNELS  # ("event", "soa", "naive", "c")
+KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
 
 #: skip-or-run marker for tests that *require* the compiled kernel: on a
 #: compilerless host they skip (the fallback ladder has its own tests in
@@ -151,12 +151,12 @@ def _assert_same(reference, other, name):
     seed=st.integers(min_value=0, max_value=2**16),
     payload_bits=st.sampled_from([64, 1024]),
 )
-def test_four_kernels_bit_identical(mesh_size, layout, rate, seed, payload_bits):
+def test_kernels_bit_identical(mesh_size, layout, rate, seed, payload_bits):
     cycles = 120
     event = _run_one(
         "event", mesh_size, layout, rate, seed, cycles, payload_bits
     )
-    others = ["soa", "naive"]
+    others = ["naive"]
     if ckernel_available():
         others.append("c")
     for name in others:
@@ -167,24 +167,23 @@ def test_four_kernels_bit_identical(mesh_size, layout, rate, seed, payload_bits)
 
 
 @pytest.mark.parametrize("layout", ["baseline", "diagonal+B", "diagonal+BL"])
-def test_four_kernels_loaded_smoke(layout):
+def test_kernels_loaded_smoke(layout):
     """One fixed loaded point per layout, all kernels (fast determinism
-    check that runs without hypothesis -- the CI soa-/ckernel-smoke
-    subset).  On a compilerless host the ``"c"`` run transparently
-    degrades to soa, which must *still* be bit-identical."""
+    check that runs without hypothesis -- the CI ckernel-smoke subset).
+    On a compilerless host the ``"c"`` run transparently degrades to
+    event, which must *still* be bit-identical."""
     runs = {
         name: _run_one(name, 4, layout, 0.20, 1234, 150, 1024)
         for name in KERNELS
     }
-    _assert_same(runs["event"], runs["soa"], "soa")
     _assert_same(runs["event"], runs["naive"], "naive")
     _assert_same(runs["event"], runs["c"], "c")
 
 
-@pytest.mark.parametrize("kernel", ["naive", "soa", "c"])
+@pytest.mark.parametrize("kernel", ["naive", "c"])
 def test_kernels_match_event_under_faults(kernel):
-    """Faulty runs: naive really steps, a requested soa or c kernel
-    transparently falls back to the event kernel -- all must match it
+    """Faulty runs: naive really steps, a requested c kernel
+    transparently falls back to the event kernel -- both must match it
     bit-for-bit."""
     from repro.faults.schedule import FaultSchedule, FaultSpec
     from repro.traffic.patterns import pattern_by_name
@@ -208,9 +207,8 @@ def test_kernels_match_event_under_faults(kernel):
             0.08, seed=11, faults=faults,
             warmup_packets=80, measure_packets=300,
         )
-        if name in ("soa", "c"):
+        if name == "c":
             # Dynamic (fault-aware) routing forces the fallback.
-            assert net.soa_active is False
             assert net.active_kernel == "event"
         stats = net.stats
         return (
@@ -236,7 +234,7 @@ def test_switching_kernels_mid_run_is_safe():
     rng = random.Random(7)
     num_nodes = net.topology.num_nodes
     offered = 0
-    schedule = {60: "soa", 120: "naive", 180: "c", 240: "event"}
+    schedule = {60: "c", 120: "naive", 180: "c", 240: "event"}
     for step_index in range(300):
         if step_index in schedule:
             net.use_kernel(schedule[step_index])
@@ -252,7 +250,7 @@ def test_switching_kernels_mid_run_is_safe():
     assert net.total_buffered_flits() == 0
 
 
-@pytest.mark.parametrize("pivot", ["soa", "naive", _kernel_param("c")])
+@pytest.mark.parametrize("pivot", ["naive", _kernel_param("c")])
 def test_mid_run_switch_is_bit_identical(pivot):
     """A kernel hand-off mid-wormhole must not perturb a single bit:
     event-for-the-whole-run == switch-away-and-back."""
@@ -281,83 +279,113 @@ def test_mid_run_switch_is_bit_identical(pivot):
 
 
 def test_kernel_env_overrides():
-    """REPRO_KERNEL selects the kernel at construction; the legacy
-    REPRO_NAIVE_STEP=1 still wins for backwards compatibility."""
+    """REPRO_KERNEL selects the kernel at construction, over the config
+    field."""
     try:
         os.environ["REPRO_KERNEL"] = "c"
         reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         assert net.kernel == "c"
-        assert net.naive_step is False
-        os.environ["REPRO_KERNEL"] = "soa"
-        reset_packet_ids()
-        net = build_network(layout_by_name("baseline", 2))
-        assert net.kernel == "soa"
-        assert net.naive_step is False
-        os.environ["REPRO_NAIVE_STEP"] = "1"
+        os.environ["REPRO_KERNEL"] = "naive"
         reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         assert net.kernel == "naive"
-        assert net.naive_step is True
         # Dynamic lookups only: no precomputed tables in naive mode.
         assert all(r._route_table is None for r in net.routers)
     finally:
         del os.environ["REPRO_KERNEL"]
-        del os.environ["REPRO_NAIVE_STEP"]
     reset_packet_ids()
     net = build_network(layout_by_name("baseline", 2))
     assert net.kernel == "event"
     assert all(r._route_table is not None for r in net.routers)
 
 
-def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError, match="kernel"):
-        NetworkConfig(kernel="vectorized")
-    reset_packet_ids()
-    net = build_network(layout_by_name("baseline", 2))
-    with pytest.raises(ValueError, match="unknown kernel"):
-        net.use_kernel("vectorized")
-    os.environ["REPRO_KERNEL"] = "bogus"
-    try:
-        with pytest.raises(ValueError):
-            build_network(layout_by_name("baseline", 2))
-    finally:
-        del os.environ["REPRO_KERNEL"]
+def _via_config(name, monkeypatch, capsys):
+    NetworkConfig(kernel=name)
 
 
-def test_soa_falls_back_when_hooks_attached():
-    """Observation hooks and watchdogs need per-flit callbacks: a
-    requested soa kernel must hand the cycle back to the event kernel
-    while they are attached, and resume batching when detached."""
+def _via_env(name, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_KERNEL", name)
+    build_network(layout_by_name("baseline", 2))
+
+
+def _via_use_kernel(name, monkeypatch, capsys):
+    build_network(layout_by_name("baseline", 2)).use_kernel(name)
+
+
+def _via_sweep_point(name, monkeypatch, capsys):
+    from repro.exec import SweepPoint
+
+    SweepPoint(layout="baseline", mesh_size=2, kernel=name)
+
+
+def _via_run_all(name, monkeypatch, capsys):
+    from repro.experiments import run_all
+
+    assert run_all.main(["--kernel", name, "--list"]) == 2
+    raise ValueError(capsys.readouterr().out)
+
+
+def _via_bench(name, monkeypatch, capsys):
+    from repro.noc import bench
+
+    with pytest.raises(SystemExit) as excinfo:
+        bench.main(["--kernel", name, "--no-history"])
+    assert excinfo.value.code == 2
+    raise ValueError(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name", ["soa", "vectorized"])
+@pytest.mark.parametrize(
+    "door",
+    [_via_config, _via_env, _via_use_kernel, _via_sweep_point, _via_run_all,
+     _via_bench],
+)
+def test_unknown_kernel_rejected_everywhere(door, name, monkeypatch, capsys):
+    """A kernel name outside ``NetworkConfig.KERNELS`` -- the removed
+    ``"soa"`` included, there is no alias -- fails loudly at every door
+    it can arrive through, and the message names the valid kernels.
+    (A served job carrying it gets a 400: ``tests/test_serve.py``.)"""
+    with pytest.raises(ValueError) as excinfo:
+        door(name, monkeypatch, capsys)
+    message = str(excinfo.value)
+    assert name in message
+    for kernel in KERNELS:
+        assert repr(kernel) in message, message
+
+
+def _attach_watchdog(net):
     from repro.faults import Watchdog
 
-    reset_packet_ids()
-    net = build_network(layout_by_name("baseline", 3))
-    net.use_kernel("soa")
-    net.enqueue(net.make_packet(0, 8))
-    net.step()
-    assert net.soa_active is True
+    net.attach_watchdog(Watchdog(stall_window=10_000, check_interval=64))
+    return net.detach_watchdog
 
-    watchdog = Watchdog(stall_window=10_000, check_interval=64)
-    net.attach_watchdog(watchdog)
-    net.step()
-    assert net.soa_active is False, "watchdog must force the event kernel"
-    assert net.kernel == "soa", "the *requested* kernel is unchanged"
-    net.detach_watchdog()
-    net.step()
-    assert net.soa_active is True, "fallback must lift on detach"
-    net.drain()
-    assert net.total_delivered == 1
-    assert net.total_buffered_flits() == 0
+
+def _attach_observer(net):
+    from repro.obs.hooks import Observer
+
+    net.attach_observer(Observer())
+    return net.detach_observer
+
+
+def _attach_faults(net):
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
+
+    net.attach_faults(FaultInjector(FaultSchedule(specs=()), net.topology))
+    return net.detach_faults
 
 
 @needs_ckernel
-def test_ckernel_falls_back_when_hooks_attached():
-    """Same contract as the soa fallback: a requested c kernel hands the
-    cycle to the event kernel while a watchdog is attached, and resumes
-    compiled stepping when detached."""
-    from repro.faults import Watchdog
-
+@pytest.mark.parametrize(
+    "attach", [_attach_watchdog, _attach_observer, _attach_faults],
+    ids=["watchdog", "observer", "faults"],
+)
+def test_ckernel_falls_back_when_hooks_attached(attach):
+    """Watchdogs, observation hooks and fault injectors need the
+    per-flit object datapath: a requested c kernel hands the cycle to
+    the event kernel while one is attached (mid-run, with a wormhole in
+    flight), and resumes compiled stepping when it is detached."""
     reset_packet_ids()
     net = build_network(layout_by_name("baseline", 3))
     net.use_kernel("c")
@@ -365,12 +393,11 @@ def test_ckernel_falls_back_when_hooks_attached():
     net.step()
     assert net.active_kernel == "c"
 
-    watchdog = Watchdog(stall_window=10_000, check_interval=64)
-    net.attach_watchdog(watchdog)
+    detach = attach(net)
     net.step()
-    assert net.active_kernel == "event", "watchdog must force the event kernel"
+    assert net.active_kernel == "event", "must force the event kernel"
     assert net.kernel == "c", "the *requested* kernel is unchanged"
-    net.detach_watchdog()
+    detach()
     net.step()
     assert net.active_kernel == "c", "fallback must lift on detach"
     net.drain()

@@ -42,9 +42,9 @@ class TestPlacementPoints:
             placement_points(CANDIDATES, 4, faults=[None])
 
     def test_kernel_forwarded_to_every_point(self):
-        points = placement_points(CANDIDATES, 4, kernel="soa")
-        assert all(p.kernel == "soa" for p in points)
-        assert all(p.spec_dict()["kernel"] == "soa" for p in points)
+        points = placement_points(CANDIDATES, 4, kernel="c")
+        assert all(p.kernel == "c" for p in points)
+        assert all(p.spec_dict()["kernel"] == "c" for p in points)
         # Unset stays off the spec, so existing cached refinements keep
         # their keys.
         default = placement_points(CANDIDATES, 4)

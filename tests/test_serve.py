@@ -269,6 +269,10 @@ class TestServerAPI:
             client._request(
                 "POST", "/jobs", {"points": [{"no_such_field": 1}]}
             )
+        with pytest.raises(ServeError, match="400.*unknown kernel 'soa'"):
+            client._request(
+                "POST", "/jobs", {"points": [{"kernel": "soa"}]}
+            )
 
     def test_result_before_terminal_is_409(self, server, client):
         # Stall the queue with an artificial running job so a queued

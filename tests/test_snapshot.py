@@ -5,7 +5,7 @@ The crash-safety contract of :mod:`repro.noc.snapshot`:
 * restoring a snapshot and continuing reproduces an uninterrupted run
   *exactly* -- same deep per-cycle state digests (the differential
   harness from ``test_kernel_differential``), same delivered-packet
-  records, for all four cycle kernels;
+  records, for all three cycle kernels;
 * the binary container detects truncation, bit flips, bad magic and
   format-version skew loudly (``SnapshotCorrupt`` /
   ``SnapshotVersionMismatch``) instead of half-restoring;
@@ -43,7 +43,7 @@ from repro.traffic.patterns import pattern_by_name
 from repro.traffic.runner import run_synthetic
 from tests.test_kernel_differential import _digest
 
-KERNELS = NetworkConfig.KERNELS  # ("event", "soa", "naive")
+KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
 
 
 def _fresh_network(kernel, mesh_size=4, layout="baseline"):
@@ -51,6 +51,13 @@ def _fresh_network(kernel, mesh_size=4, layout="baseline"):
     net = build_network(layout_by_name(layout, mesh_size))
     net.use_kernel(kernel)
     return net
+
+
+def _restamp(blob, version):
+    """``blob`` with its container-header version field rewritten."""
+    import struct
+
+    return blob[:8] + struct.pack(">I", version) + blob[12:]
 
 
 def _drive(net, rng, cycles, rate, record=None):
@@ -138,13 +145,13 @@ class TestContainer:
         with pytest.raises(SnapshotCorrupt, match="magic"):
             loads(b"NOTASNAP" + blob[8:])
 
-    def test_version_skew_detected(self):
-        import struct
-
-        blob = bytearray(dumps(self._snapshot()))
-        blob[8:12] = struct.pack(">I", SNAPSHOT_VERSION + 1)
-        with pytest.raises(SnapshotVersionMismatch):
-            loads(bytes(blob))
+    @pytest.mark.parametrize("version", [1, SNAPSHOT_VERSION + 1])
+    def test_version_skew_detected(self, version):
+        """Newer *and* older containers refuse before unpickling: a v1
+        payload holds a ``Network`` with the pre-v2 kernel fields."""
+        blob = _restamp(dumps(self._snapshot()), version)
+        with pytest.raises(SnapshotVersionMismatch, match=f"v{version}"):
+            loads(blob)
 
     def test_wrong_payload_type_detected(self):
         import hashlib
@@ -369,8 +376,9 @@ class TestExecutePointCheckpointing:
         assert resumed == expected
         assert not checkpoint.exists()
 
+    @pytest.mark.parametrize("damage", ["bit-flips", "v1-container"])
     def test_corrupt_checkpoint_falls_back_to_scratch(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, damage
     ):
         from repro.chaos.corrupt import flip_bits
         from repro.chaos.sites import reset_chaos_sites, write_site_plan
@@ -387,7 +395,15 @@ class TestExecutePointCheckpointing:
                 self.POINT, checkpoint_every=20, checkpoint_dir=tmp_path
             )
         monkeypatch.delenv("REPRO_CHAOS_PLAN")
-        flip_bits(checkpoint_path_for(self.POINT, tmp_path), seed=1, flips=3)
+        checkpoint = checkpoint_path_for(self.POINT, tmp_path)
+        if damage == "bit-flips":
+            flip_bits(checkpoint, seed=1, flips=3)
+        else:
+            # What a checkpoint left behind by the previous format looks
+            # like to this build: intact, but stamped v1.
+            checkpoint.write_bytes(_restamp(checkpoint.read_bytes(), 1))
+            with pytest.raises(SnapshotVersionMismatch):
+                load_snapshot(checkpoint)
         recovered = execute_point(
             self.POINT, checkpoint_every=20, checkpoint_dir=tmp_path
         ).to_dict()
