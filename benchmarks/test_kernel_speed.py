@@ -47,6 +47,33 @@ def test_naive_kernel_still_runs(benchmark):
     assert cycles > 0
 
 
+def test_c_kernel_speedup_floor():
+    """``kernel="c"`` must stay >= 10x faster than event on a loaded 8x8
+    point.
+
+    The committed ``BENCH_kernel.json`` measures 20.9x on this case now
+    that ``run_synthetic`` drives the compiled kernel in spans (it was
+    11.4x while every cycle returned to Python for injection); the floor
+    sits at half of that so runner noise cannot trip it, while a run
+    that silently fell back to per-cycle stepping still would.
+    Interleaved best-of-3 cancels machine drift.
+    """
+    from repro.noc.ckernel import ckernel_available, unavailable_reason
+
+    if not ckernel_available():
+        pytest.skip(f"compiled kernel unavailable: {unavailable_reason()}")
+    name = "ur-8x8-r0.05"
+    kind, params = _CASES[name]
+    run_case(name, kind, params, kernel="c")  # build + load, untimed
+    event = c = float("inf")
+    for _ in range(3):
+        event = min(event, run_case(name, kind, params, kernel="event")[1])
+        c = min(c, run_case(name, kind, params, kernel="c")[1])
+    assert event >= 10 * c, (
+        f"c kernel {c:.4f}s vs event {event:.4f}s: only {event / c:.1f}x"
+    )
+
+
 def test_metrics_off_overhead():
     """Metrics disabled must cost <= 5% on the hot path.
 

@@ -1,24 +1,34 @@
 /* Compiled cycle kernel over the structure-of-arrays layout.
  *
  * This file is compiled on demand by repro.noc.ckernel with the system C
- * compiler (cc -O2 -shared -fPIC) and loaded through ctypes; keep it
- * dependency-free C99 with an int64-only FFI surface.
+ * compiler (cc -O2 -shared -fPIC -ffp-contract=off ... -lm) and loaded
+ * through ctypes; keep it C99 + libm with an int64 FFI surface (the span
+ * driver's RNG words and Pareto constants cross as uint32/double buffers).
  *
  * The kernel owns a full copy of the dynamic simulation state -- per-lane
  * scalars and bitmasks (repro.noc.layout), flit queues as fixed rings
  * of (packet handle, flit index, ready_at), per-node source queues,
- * arrival/credit calendars, activity-counter deltas and a completion
- * buffer -- and advances it one clock cycle per ck_step() call.  The
- * phase order, iteration orders, arbitration pointer updates and counter
- * increments replicate the event kernel (Network.step) exactly: every
- * divergence would show in the differential suite's per-cycle digests.
+ * arrival/credit calendars, activity-counter deltas, packet records and a
+ * completion log -- and advances it one clock cycle per ck_step() call,
+ * or a whole span of cycles per ck_run() call with the open-loop traffic
+ * source (injection coin flips, destination draws, packet birth) inside
+ * the loop.  The phase order, iteration orders, arbitration pointer
+ * updates and counter increments replicate the event kernel
+ * (Network.step) exactly, and the source replicates
+ * repro.traffic.runner._offer_load draw for draw on CPython's own
+ * MT19937 stream: every divergence would show in the differential
+ * suite's per-cycle digests.
  *
- * Packets and flits cross the FFI as integer handles/indices; the Python
- * wrapper keeps the handle -> Packet table and rebuilds Flit objects on
- * sync().  All arrays are exposed through ck_arr()/ck_get()/ck_set()
- * accessors so no struct layout is shared with ctypes.
+ * Packets and flits cross the FFI as integer handles/indices.  Handles
+ * come from one allocator here, whether the packet was born in Python
+ * (ck_handle_new + ck_set_packet) or in ck_run; the Python wrapper keeps
+ * Packet objects for the former, materialises the latter on sync(), and
+ * reads finished packets as rows of the completion log.  All arrays are
+ * exposed through ck_arr()/ck_get()/ck_set() accessors so no struct
+ * layout is shared with ctypes.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -94,16 +104,18 @@ enum {
     A_BW, A_BR, A_XB, A_RC, A_VA, A_ARB, A_CF, A_CS, A_MG, A_OC,
     A_LF, A_LB,
     A_PK_ID, A_PK_SRC, A_PK_DST, A_PK_NFLITS, A_PK_MINLANES, A_PK_HOPS,
-    A_PK_INJ,
-    A_COMP,
+    A_PK_INJ, A_PK_CREATED, A_PK_MEASURED, A_PK_LIVE,
+    A_LOG,
+    A_SS_ON, A_SS_REMAINING, A_DST_OFF, A_DST_TAB,
 };
 
 enum {
-    S_CYCLE = 0, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NCOMP, S_PEND,
-    S_PK_CAP,
+    S_CYCLE = 0, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NLOG, S_PEND,
+    S_PK_TOP, S_BORN,
 };
 
-/* error codes returned by ck_step (negative) */
+/* error codes returned by ck_step / ck_run (negative); every code needs a
+ * row in repro.noc.ckernel._ERRORS (a test walks this enum) */
 enum {
     E_BUF_OVERFLOW = -1,
     E_CREDIT_OVERFLOW = -2,
@@ -112,7 +124,95 @@ enum {
     E_NEG_CREDIT = -5,
     E_NOMEM = -6,
     E_CALENDAR = -7,
+    E_PARETO_ZERO = -8,
 };
+
+/* completion-log row: one finished packet */
+enum {
+    LOG_HANDLE = 0, LOG_ID, LOG_SRC, LOG_DST, LOG_NFLITS, LOG_HOPS,
+    LOG_CREATED, LOG_INJ, LOG_MINLANES, LOG_MEASURED, LOG_RECEIVED,
+    LOG_WIDTH,
+};
+
+/* ---- MT19937, word for word CPython's _randommodule.c ------------------- */
+#define MT_N 624
+#define MT_M 397
+#define MT_WORDS (MT_N + 1) /* state words + the index, as getstate() */
+
+/* kept out of line: the draw functions below inline mt_uint32 many times
+ * over, and a copy of this loop in each would dominate the build time */
+__attribute__((noinline)) static void mt_twist(uint32_t *mt) {
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    mt[MT_N] = 0;
+}
+
+static uint32_t mt_uint32(uint32_t *mt) {
+    if (mt[MT_N] >= MT_N)
+        mt_twist(mt);
+    uint32_t y = mt[mt[MT_N]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.random(): 53 bits from two words */
+static double mt_random(uint32_t *mt) {
+    uint32_t a = mt_uint32(mt) >> 5, b = mt_uint32(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.Random._randbelow(n), 1 <= n < 2**31: getrandbits(k) rejection
+ * loop, the draw behind randrange(n) and choice(seq) */
+static i64 mt_randbelow(uint32_t *mt, i64 n) {
+    int k = 64 - __builtin_clzll((u64)n);
+    uint32_t r = mt_uint32(mt) >> (32 - k);
+    while ((i64)r >= n)
+        r = mt_uint32(mt) >> (32 - k);
+    return (i64)r;
+}
+
+/* ParetoOnOffSource._draw_period(): max(1, int(round(xm / u ** (1/a)))),
+ * with round() half-even exactly as float.__round__ computes it.  A draw
+ * of u == 0.0 is the ZeroDivisionError Python raises. */
+static i64 pareto_period(uint32_t *mt, double xm, double inv_alpha) {
+    double p = pow(mt_random(mt), inv_alpha);
+    if (p == 0.0)
+        return E_PARETO_ZERO;
+    double x = xm / p;
+    double r = round(x);
+    if (fabs(x - r) == 0.5)
+        r = 2.0 * round(x / 2.0);
+    return r < 1.0 ? 1 : (i64)r;
+}
+
+/* The RNG twin in isolation (load-time self-check and the tests): op 0
+ * draws random(), op n > 0 draws _randbelow(n), op < 0 draws a Pareto
+ * period (an error code comes back as its negative value). */
+void ck_twin_draws(uint32_t *mt, const i64 *ops, i64 n, double xm,
+                   double inv_alpha, double *out) {
+    for (i64 i = 0; i < n; i++) {
+        if (ops[i] == 0)
+            out[i] = mt_random(mt);
+        else if (ops[i] > 0)
+            out[i] = (double)mt_randbelow(mt, ops[i]);
+        else
+            out[i] = (double)pareto_period(mt, xm, inv_alpha);
+    }
+}
 
 typedef struct CK {
     i64 R, P, V, RP, L, nnodes, D;
@@ -157,13 +257,26 @@ typedef struct CK {
         *a_oc;
     i64 *lf, *lb; /* RP */
 
-    /* packet records (grown on demand) */
-    i64 pk_cap;
+    /* packet records (grown on demand) and the handle allocator: handles
+     * below pk_top have been issued, hfree stacks the released ones */
+    i64 pk_cap, pk_top, hfree_len;
     i64 *pk_id, *pk_src, *pk_dst, *pk_nflits, *pk_minlanes, *pk_hops,
-        *pk_inj;
+        *pk_inj, *pk_created, *pk_measured, *pk_live, *hfree;
 
-    /* completions (packet handles, tail ejected this cycle) */
-    Vec comp;
+    /* completion log: LOG_WIDTH ints per packet whose tail was ejected
+     * since the wrapper last emptied it */
+    Vec log;
+    i64 log_measured; /* rows with LOG_MEASURED set */
+
+    /* span driver (ck_run): the traffic source handed over by Python */
+    i64 born;          /* packets created by the last ck_run */
+    uint32_t *rng;     /* MT_WORDS: the run's random.Random */
+    uint32_t *node_rng; /* nnodes * MT_WORDS: per-node Pareto streams */
+    double *src_f64;   /* [0] Bernoulli rate; then 5 per node: p_on,
+                        * xm_on, 1/alpha_on, xm_off, 1/alpha_off */
+    i64 *ss_on, *ss_remaining; /* nnodes: ON/OFF state machines */
+    i64 *dst_off;      /* nnodes + 1: row bounds into dst_tab */
+    i64 *dst_tab, dst_cap; /* candidate destinations per source node */
 
     /* per-cycle scratch */
     i64 *bid_vc, *obid, *elig, *bid_ports, *out_order;
@@ -173,6 +286,8 @@ typedef struct CK {
 static i64 *zalloc(i64 n) {
     return (i64 *)calloc((size_t)(n > 0 ? n : 1), sizeof(i64));
 }
+
+void ck_free(CK *ck);
 
 CK *ck_new(i64 R, i64 P, i64 V, i64 nnodes, i64 po, i64 cd, i64 merging,
            i64 cal_sz, i64 maxdepth) {
@@ -271,7 +386,16 @@ CK *ck_new(i64 R, i64 P, i64 V, i64 nnodes, i64 po, i64 cd, i64 merging,
     ck->lf = zalloc(RP);
     ck->lb = zalloc(RP);
 
-    ck->pk_cap = 0;
+    ck->rng = (uint32_t *)calloc(MT_WORDS, sizeof(uint32_t));
+    ck->src_f64 = (double *)calloc((size_t)(1 + 5 * nnodes), sizeof(double));
+    ck->ss_on = zalloc(nnodes);
+    ck->ss_remaining = zalloc(nnodes);
+    ck->dst_off = zalloc(nnodes + 1);
+    if (!ck->rng || !ck->src_f64 || !ck->ss_on || !ck->ss_remaining ||
+        !ck->dst_off) {
+        ck_free(ck);
+        return NULL;
+    }
 
     ck->bid_vc = zalloc(P);
     ck->obid = zalloc(P);
@@ -321,8 +445,12 @@ void ck_free(CK *ck) {
     free(ck->a_mg); free(ck->a_oc); free(ck->lf); free(ck->lb);
     free(ck->pk_id); free(ck->pk_src); free(ck->pk_dst);
     free(ck->pk_nflits); free(ck->pk_minlanes); free(ck->pk_hops);
-    free(ck->pk_inj);
-    free(ck->comp.buf);
+    free(ck->pk_inj); free(ck->pk_created); free(ck->pk_measured);
+    free(ck->pk_live); free(ck->hfree);
+    free(ck->log.buf);
+    free(ck->rng); free(ck->node_rng); free(ck->src_f64);
+    free(ck->ss_on); free(ck->ss_remaining);
+    free(ck->dst_off); free(ck->dst_tab);
     free(ck->bid_vc); free(ck->obid); free(ck->elig);
     free(ck->bid_ports); free(ck->out_order); free(ck->grants);
     free(ck);
@@ -394,9 +522,44 @@ i64 *ck_arr(CK *ck, i64 id) {
     case A_PK_MINLANES: return ck->pk_minlanes;
     case A_PK_HOPS: return ck->pk_hops;
     case A_PK_INJ: return ck->pk_inj;
-    case A_COMP: return ck->comp.buf;
+    case A_PK_CREATED: return ck->pk_created;
+    case A_PK_MEASURED: return ck->pk_measured;
+    case A_PK_LIVE: return ck->pk_live;
+    case A_LOG: return ck->log.buf;
+    case A_SS_ON: return ck->ss_on;
+    case A_SS_REMAINING: return ck->ss_remaining;
+    case A_DST_OFF: return ck->dst_off;
+    case A_DST_TAB: return ck->dst_tab;
     }
     return NULL;
+}
+
+/* span-driver buffers that are not int64: RNG words and Pareto constants */
+uint32_t *ck_rng_words(CK *ck, i64 per_node) {
+    return per_node ? ck->node_rng : ck->rng;
+}
+
+double *ck_source_f64(CK *ck) { return ck->src_f64; }
+
+/* Make room for a span's source: the per-node RNG block (Pareto sources
+ * only) and dst_total candidate destinations. */
+i64 ck_span_reserve(CK *ck, i64 per_node_rng, i64 dst_total) {
+    if (per_node_rng && !ck->node_rng) {
+        ck->node_rng = (uint32_t *)calloc(
+            (size_t)(ck->nnodes > 0 ? ck->nnodes : 1) * MT_WORDS,
+            sizeof(uint32_t));
+        if (!ck->node_rng)
+            return E_NOMEM;
+    }
+    if (dst_total > ck->dst_cap) {
+        i64 *nb = (i64 *)realloc(ck->dst_tab,
+                                 (size_t)dst_total * sizeof(i64));
+        if (!nb)
+            return E_NOMEM;
+        ck->dst_tab = nb;
+        ck->dst_cap = dst_total;
+    }
+    return 0;
 }
 
 i64 ck_get(CK *ck, i64 id) {
@@ -406,9 +569,10 @@ i64 ck_get(CK *ck, i64 id) {
     case S_ERR_A: return ck->err_a;
     case S_ERR_B: return ck->err_b;
     case S_ERR_C: return ck->err_c;
-    case S_NCOMP: return ck->comp.len;
+    case S_NLOG: return ck->log.len / LOG_WIDTH;
     case S_PEND: return ck->pend;
-    case S_PK_CAP: return ck->pk_cap;
+    case S_PK_TOP: return ck->pk_top;
+    case S_BORN: return ck->born;
     }
     return 0;
 }
@@ -416,7 +580,10 @@ i64 ck_get(CK *ck, i64 id) {
 void ck_set(CK *ck, i64 id, i64 v) {
     switch (id) {
     case S_CYCLE: ck->cycle = v; break;
-    case S_NCOMP: ck->comp.len = v; break;
+    case S_NLOG:
+        ck->log.len = v * LOG_WIDTH;
+        ck->log_measured = 0;
+        break;
     }
 }
 
@@ -428,7 +595,7 @@ static i64 *regrow(i64 *p, i64 old, i64 nc) {
     return nb;
 }
 
-i64 ck_ensure_packets(CK *ck, i64 cap) {
+static i64 ensure_packets(CK *ck, i64 cap) {
     if (cap <= ck->pk_cap)
         return 0;
     i64 nc = ck->pk_cap ? ck->pk_cap : 64;
@@ -444,12 +611,35 @@ i64 ck_ensure_packets(CK *ck, i64 cap) {
     ck->pk_minlanes = a;
     a = regrow(ck->pk_hops, old, nc); if (!a) return -1; ck->pk_hops = a;
     a = regrow(ck->pk_inj, old, nc); if (!a) return -1; ck->pk_inj = a;
+    a = regrow(ck->pk_created, old, nc); if (!a) return -1;
+    ck->pk_created = a;
+    a = regrow(ck->pk_measured, old, nc); if (!a) return -1;
+    ck->pk_measured = a;
+    a = regrow(ck->pk_live, old, nc); if (!a) return -1; ck->pk_live = a;
+    /* sized with the records so releasing a handle can never fail */
+    a = regrow(ck->hfree, old, nc); if (!a) return -1; ck->hfree = a;
     ck->pk_cap = nc;
     return 0;
 }
 
+/* The one handle allocator, for packets born in Python and in ck_run:
+ * most recently released handle first, else the next unused one. */
+i64 ck_handle_new(CK *ck) {
+    i64 h;
+    if (ck->hfree_len) {
+        h = ck->hfree[--ck->hfree_len];
+    } else {
+        if (ensure_packets(ck, ck->pk_top + 1))
+            return E_NOMEM;
+        h = ck->pk_top++;
+    }
+    ck->pk_live[h] = 1;
+    return h;
+}
+
 void ck_set_packet(CK *ck, i64 h, i64 pid, i64 src, i64 dst, i64 nflits,
-                   i64 injected, i64 minlanes, i64 hops) {
+                   i64 injected, i64 minlanes, i64 hops, i64 created,
+                   i64 measured) {
     ck->pk_id[h] = pid;
     ck->pk_src[h] = src;
     ck->pk_dst[h] = dst;
@@ -457,6 +647,39 @@ void ck_set_packet(CK *ck, i64 h, i64 pid, i64 src, i64 dst, i64 nflits,
     ck->pk_inj[h] = injected;
     ck->pk_minlanes[h] = minlanes;
     ck->pk_hops[h] = hops;
+    ck->pk_created[h] = created;
+    ck->pk_measured[h] = measured;
+}
+
+/* Tail ejected: append the packet's row to the completion log and release
+ * its handle (nothing in the kernel state names a delivered packet). */
+static int complete_packet(CK *ck, i64 h, i64 cycle) {
+    Vec *log = &ck->log;
+    if (log->len + LOG_WIDTH > log->cap) {
+        i64 nc = log->cap ? log->cap * 2 : 64 * LOG_WIDTH;
+        i64 *nb = (i64 *)realloc(log->buf, (size_t)nc * sizeof(i64));
+        if (!nb)
+            return -1;
+        log->buf = nb;
+        log->cap = nc;
+    }
+    i64 *row = log->buf + log->len;
+    row[LOG_HANDLE] = h;
+    row[LOG_ID] = ck->pk_id[h];
+    row[LOG_SRC] = ck->pk_src[h];
+    row[LOG_DST] = ck->pk_dst[h];
+    row[LOG_NFLITS] = ck->pk_nflits[h];
+    row[LOG_HOPS] = ck->pk_hops[h];
+    row[LOG_CREATED] = ck->pk_created[h];
+    row[LOG_INJ] = ck->pk_inj[h];
+    row[LOG_MINLANES] = ck->pk_minlanes[h];
+    row[LOG_MEASURED] = ck->pk_measured[h];
+    row[LOG_RECEIVED] = cycle;
+    log->len += LOG_WIDTH;
+    ck->log_measured += ck->pk_measured[h];
+    ck->pk_live[h] = 0;
+    ck->hfree[ck->hfree_len++] = h;
+    return 0;
 }
 
 /* ---- source queues ------------------------------------------------------ */
@@ -585,7 +808,7 @@ static i64 rot_pick(i64 mask, i64 nxt, i64 n) {
         return (code);                                                       \
     } while (0)
 
-i64 ck_step(CK *ck, i64 measuring) {
+static i64 cycle_body(CK *ck, i64 measuring) {
     const i64 P = ck->P, V = ck->V, D = ck->D;
     const i64 cycle = ck->cycle;
     const i64 po = ck->po, cd = ck->cd, merging = ck->merging;
@@ -1061,10 +1284,8 @@ i64 ck_step(CK *ck, i64 measuring) {
                             if (el < pk_minlanes[pkt])
                                 pk_minlanes[pkt] = el;
                         }
-                        if (is_tail) {
-                            if (vec_push(&ck->comp, pkt))
-                                ERR3(E_NOMEM, 0, 0, 0);
-                        }
+                        if (is_tail && complete_packet(ck, pkt, cycle))
+                            ERR3(E_NOMEM, 0, 0, 0);
                     } else {
                         i64 rpo2 = base + op;
                         if (is_head) {
@@ -1119,5 +1340,82 @@ i64 ck_step(CK *ck, i64 measuring) {
     }
 
     ck->cycle = cycle + 1;
-    return ck->comp.len;
+    return 0;
+}
+
+/* One cycle, traffic offered by the caller; returns the completion-log
+ * row count (or a negative error code). */
+i64 ck_step(CK *ck, i64 measuring) {
+    i64 rc = cycle_body(ck, measuring);
+    return rc < 0 ? rc : ck->log.len / LOG_WIDTH;
+}
+
+/* ---- a span of whole cycles with the open-loop source inside ------------ */
+enum { INJ_BERNOULLI = 0, INJ_PARETO = 1 };
+enum { PAT_UNIFORM = 0, PAT_CHOICE = 1, PAT_FIXED = 2 };
+
+/* Runs cycles until max_cycles have passed, or the next cycle could
+ * overrun birth_budget (every node firing), or need_measured measured
+ * packets have completed; -1 disables either of the last two.  Per cycle,
+ * per node in ascending order -- exactly runner._offer_load: fires, then
+ * the destination draw, then the packet record (ids from next_pid up) and
+ * the source-queue push; then the cycle itself.  The RNG streams and the
+ * ON/OFF machines are left where the last draw put them.  Returns the
+ * cycles run (or a negative error code); S_BORN holds the packets made. */
+i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 births_measured,
+           i64 birth_budget, i64 need_measured, i64 next_pid, i64 nflits,
+           i64 inj_kind, i64 pat_kind) {
+    const i64 n = ck->nnodes;
+    const double rate = ck->src_f64[0];
+    uint32_t *rng = ck->rng;
+    i64 done = 0;
+    ck->born = 0;
+    while (done < max_cycles &&
+           (birth_budget < 0 || ck->born + n <= birth_budget) &&
+           (need_measured < 0 || ck->log_measured < need_measured)) {
+        for (i64 node = 0; node < n; node++) {
+            if (inj_kind == INJ_BERNOULLI) {
+                if (!(mt_random(rng) < rate))
+                    continue;
+            } else {
+                uint32_t *own = ck->node_rng + node * MT_WORDS;
+                const double *c = ck->src_f64 + 1 + 5 * node;
+                if (ck->ss_remaining[node] <= 0) {
+                    i64 on = ck->ss_on[node] = !ck->ss_on[node];
+                    i64 period = on ? pareto_period(own, c[1], c[2])
+                                    : pareto_period(own, c[3], c[4]);
+                    if (period < 0)
+                        ERR3(period, node, 0, 0);
+                    ck->ss_remaining[node] = period;
+                }
+                ck->ss_remaining[node]--;
+                if (!(ck->ss_on[node] && mt_random(own) < c[0]))
+                    continue;
+            }
+            i64 dst;
+            if (pat_kind == PAT_UNIFORM) {
+                dst = mt_randbelow(rng, n - 1);
+                if (dst >= node)
+                    dst++;
+            } else {
+                const i64 *row = ck->dst_tab + ck->dst_off[node];
+                dst = pat_kind == PAT_FIXED
+                          ? row[0]
+                          : row[mt_randbelow(rng, ck->dst_off[node + 1] -
+                                                      ck->dst_off[node])];
+            }
+            i64 h = ck_handle_new(ck);
+            if (h < 0 || ring_push(&ck->srcq[node], h))
+                ERR3(E_NOMEM, node, 0, 0);
+            ck_set_packet(ck, h, next_pid++, node, dst, nflits, -1, -1, 0,
+                          ck->cycle, births_measured);
+            ck->srcw[node >> 6] |= 1ull << (node & 63);
+            ck->born++;
+        }
+        i64 rc = cycle_body(ck, measuring);
+        if (rc < 0)
+            return rc;
+        done++;
+    }
+    return done;
 }

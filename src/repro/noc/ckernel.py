@@ -22,6 +22,16 @@ module owns everything around it:
   :class:`~repro.noc.flit.Flit` deques and the event buckets -- so
   mid-run kernel switches, snapshots and the differential digests stay
   bit-identical.
+* **spans** -- :meth:`CKernel.run` advances a whole :class:`Span` of
+  cycles in one FFI call with the open-loop traffic source inside the C
+  loop (``ck_run``): the run's ``random.Random`` state is *handed over*
+  (``getstate()`` in, ``setstate()`` out, likewise the per-node Pareto
+  streams and the packet-id counter), so the stream continues draw for
+  draw and everything outside the span keeps using ordinary Python
+  objects.  A load-time self-check compares the C twin of
+  ``random()``/``randrange``/``choice``/the Pareto period against
+  ``random.Random``; a mismatch disables spans (one warning) and the
+  per-cycle loop carries every run.
 * **fallback** -- when no compiler is available (or the compile or a
   precondition fails), :func:`load_kernel_library` raises
   :class:`CKernelUnavailable`; the network warns once per process and
@@ -30,10 +40,15 @@ module owns everything around it:
   both rungs are bit-identical, so a compiler-less host asking for
   ``"c"`` runs at event speed (EXPERIMENTS.md, "Fallback rules").
 
-Packets cross the FFI as integer handles into a Python-side table;
-completed packets flush back through ``Network._complete_packet`` every
-step, so latency records, callbacks and ``packets_in_flight`` behave
-exactly as under the other kernels.
+Packets cross the FFI as integer handles from one C-side allocator.
+Packets handed to :meth:`Network.enqueue` keep their Python object in a
+handle table; packets born inside a span exist only as C records until
+they finish (a row of the completion log) or until :meth:`CKernel.sync`
+materialises the in-flight ones as :class:`~repro.noc.flit.Packet`
+objects.  Per-cycle stepping flushes the log through
+``Network._complete_packet``, so latency records, callbacks and
+``packets_in_flight`` behave exactly as under the other kernels; a span
+turns its rows into latency records in bulk.
 """
 
 from __future__ import annotations
@@ -41,23 +56,38 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import random
 import shutil
+import struct
 import subprocess
 import sysconfig
 import warnings
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.noc.flit import Flit, FlitType, Packet
+from repro.noc.flit import (
+    Flit,
+    FlitType,
+    Packet,
+    packet_id_marker,
+    seed_packet_ids,
+)
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: ``-ffp-contract=off``: the Pareto twin must round exactly as CPython's
+#: own float arithmetic does, so no fused multiply-add.
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+#: after the source on the command line (the twin calls libm ``pow``).
+_LDLIBS = ("-lm",)
 
 #: process-wide build memo: the loaded library, or the failure reason.
 _LIB: Optional[ctypes.CDLL] = None
 _FAILED: Optional[str] = None
 _WARNED = False
+#: why spans are off although the library loaded (RNG twin mismatch).
+_SPANS_OFF: Optional[str] = None
 
 _MASK64 = (1 << 64) - 1
 
@@ -97,7 +127,7 @@ def _build_library() -> ctypes.CDLL:
     except OSError as exc:
         raise CKernelUnavailable(f"cannot read {_SOURCE.name}: {exc}")
     key = hashlib.sha256(
-        source + compiler.encode() + " ".join(_CFLAGS).encode()
+        source + compiler.encode() + " ".join(_CFLAGS + _LDLIBS).encode()
     ).hexdigest()[:20]
     directory = cache_dir()
     so_path = directory / f"ckernel-{key}.so"
@@ -107,7 +137,7 @@ def _build_library() -> ctypes.CDLL:
         except OSError as exc:
             raise CKernelUnavailable(f"cannot create {directory}: {exc}")
         tmp = directory / f"ckernel-{key}.{os.getpid()}.tmp.so"
-        cmd = [compiler, *_CFLAGS, "-o", str(tmp), str(_SOURCE)]
+        cmd = [compiler, *_CFLAGS, "-o", str(tmp), str(_SOURCE), *_LDLIBS]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
         except OSError as exc:
@@ -143,8 +173,14 @@ def _bind(lib: ctypes.CDLL) -> None:
     sig("ck_get", i64, void_p, i64)
     sig("ck_set", None, void_p, i64, i64)
     sig("ck_step", i64, void_p, i64)
-    sig("ck_ensure_packets", i64, void_p, i64)
-    sig("ck_set_packet", None, void_p, *([i64] * 8))
+    sig("ck_run", i64, void_p, *([i64] * 9))
+    sig("ck_rng_words", void_p, void_p, i64)
+    sig("ck_source_f64", ctypes.POINTER(ctypes.c_double), void_p)
+    sig("ck_span_reserve", i64, void_p, i64, i64)
+    sig("ck_twin_draws", None, void_p, p_i64, i64, ctypes.c_double,
+        ctypes.c_double, ctypes.POINTER(ctypes.c_double))
+    sig("ck_handle_new", i64, void_p)
+    sig("ck_set_packet", None, void_p, *([i64] * 10))
     sig("ck_source_push", i64, void_p, i64, i64)
     sig("ck_source_len", i64, void_p, i64)
     sig("ck_source_at", i64, void_p, i64, i64)
@@ -173,12 +209,76 @@ def load_kernel_library() -> ctypes.CDLL:
         return _LIB
     if _FAILED is not None:
         raise CKernelUnavailable(_FAILED)
+    global _SPANS_OFF
     try:
-        _LIB = _build_library()
+        lib = _build_library()
     except CKernelUnavailable as exc:
         _FAILED = str(exc)
         raise
+    _SPANS_OFF = _twin_mismatch(lib)
+    if _SPANS_OFF is not None:
+        warnings.warn(
+            f"compiled span driver disabled ({_SPANS_OFF}); "
+            "falling back to the per-cycle loop",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    _LIB = lib
     return _LIB
+
+
+_MT_STATE = struct.Struct("625I")  # getstate()[1]: 624 words + the index
+
+
+def twin_draws(lib, state: tuple, ops, xm: float, inv_alpha: float):
+    """Run ``ops`` on the C twin from ``random.Random`` state ``state``
+    -- 0 draws ``random()``, n > 0 draws ``randrange(n)`` (or ``choice``
+    over n items), -1 a Pareto period; returns ``(values, state_after)``."""
+    words = (ctypes.c_uint32 * len(state[1]))(*state[1])
+    n = len(ops)
+    out = (ctypes.c_double * n)()
+    lib.ck_twin_draws(
+        ctypes.addressof(words), (ctypes.c_int64 * n)(*ops), n, xm,
+        inv_alpha, out,
+    )
+    return list(out), (state[0], tuple(words), state[2])
+
+
+def python_draws(rng: random.Random, ops, xm: float, inv_alpha: float):
+    """The same draws on ``rng`` itself -- the reference the twin must
+    match: ``random()``, ``randrange(n)`` and the period arithmetic of
+    :class:`repro.traffic.selfsimilar.ParetoOnOffSource`."""
+    values = []
+    for op in ops:
+        if op == 0:
+            values.append(rng.random())
+        elif op > 0:
+            values.append(float(rng.randrange(op)))
+        else:
+            values.append(float(max(
+                1, int(round(xm / (rng.random() ** inv_alpha)))
+            )))
+    return values
+
+
+def _twin_mismatch(lib) -> Optional[str]:
+    """Compare 1,000 mixed draws of the C RNG twin with
+    ``random.Random``."""
+    plan = random.Random(1000)
+    ops = [plan.choice((0, 0, -1, plan.randrange(2, 257)))
+           for _ in range(1000)]
+    xm, inv_alpha = 8.0, 1.0 / 1.25
+    rng = random.Random(19937)
+    got, state = twin_draws(lib, rng.getstate(), ops, xm, inv_alpha)
+    if got != python_draws(rng, ops, xm, inv_alpha) or state != rng.getstate():
+        return "the C RNG twin does not reproduce random.Random here"
+    return None
+
+
+def spans_disabled_reason() -> Optional[str]:
+    """Why :meth:`CKernel.run` must not be used although the library
+    loads (the load-time RNG twin check failed), else ``None``."""
+    return _SPANS_OFF
 
 
 def ckernel_available() -> bool:
@@ -228,13 +328,42 @@ def warn_unavailable(reason: str) -> None:
     A_BW, A_BR, A_XB, A_RC, A_VA, A_ARB, A_CF, A_CS, A_MG, A_OC,
     A_LF, A_LB,
     A_PK_ID, A_PK_SRC, A_PK_DST, A_PK_NFLITS, A_PK_MINLANES, A_PK_HOPS,
-    A_PK_INJ,
-    A_COMP,
-) = range(64)
+    A_PK_INJ, A_PK_CREATED, A_PK_MEASURED, A_PK_LIVE,
+    A_LOG,
+    A_SS_ON, A_SS_REMAINING, A_DST_OFF, A_DST_TAB,
+) = range(71)
 
-S_CYCLE, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NCOMP, S_PEND, S_PK_CAP = (
-    range(8)
-)
+(
+    S_CYCLE, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NLOG, S_PEND, S_PK_TOP,
+    S_BORN,
+) = range(9)
+
+#: ints per completion-log row: handle, id, src, dst, flits, hops,
+#: created_at, injected_at, min_lanes, measured, received_at.
+LOG_WIDTH = 11
+#: ints read from the log per ctypes slice (a whole number of rows).
+_LOG_CHUNK = 256 * LOG_WIDTH
+
+#: every code ``ck_step``/``ck_run`` can return (the C ``E_*`` enum, walked
+#: by a test): exception type and message over the three error operands.
+_ERRORS = {
+    -1: (RuntimeError, "buffer overflow at router {a} port {b} vc {c}: "
+                       "credit protocol violated"),
+    -2: (RuntimeError, "credit overflow at router {a} port {b} vc {c}"),
+    -3: (RuntimeError, "wormhole violation at router {a}: body flit of "
+                       "packet {b} at queue head without its head flit"),
+    -4: (RuntimeError, "switch traversal popped an unexpected flit"),
+    -5: (RuntimeError, "negative credits at router {a} port {b} vc {c}"),
+    -6: (MemoryError, "compiled kernel out of memory (completion log, "
+                      "packet records or event calendar)"),
+    -7: (RuntimeError, "event from router {a} port {b} scheduled outside "
+                       "the calendar ring"),
+    # what ParetoOnOffSource._pareto raises on a draw of exactly 0.0
+    -8: (ZeroDivisionError, "float division by zero"),
+}
+
+_INJECTOR_KINDS = {"bernoulli": 0, "pareto": 1}
+_PATTERN_KINDS = {"uniform": 0, "choice": 1, "fixed": 2}
 
 #: layout delta-array name per C activity-counter id, in flush order.
 _ACTIVITY_ARRS = (
@@ -248,6 +377,50 @@ def _to_i64(word: int) -> int:
     """Reinterpret an unsigned 64-bit word as ctypes' signed int64."""
     word &= _MASK64
     return word - (1 << 64) if word >= (1 << 63) else word
+
+
+def _span_born(pid: int, src: int, dst: int, flits: int, created: int,
+               measured: int) -> Packet:
+    """The Packet ``Network.make_packet`` would have built for a packet
+    that ``ck_run`` created, under the id C drew for it."""
+    return Packet(src=src, dst=dst, num_flits=flits, created_at=created,
+                  packet_id=pid, measured=bool(measured))
+
+
+def _mirror(packet: Packet, hops: int, lanes: int, injected: int) -> None:
+    """Copy the in-network fields of a C packet record onto ``packet``."""
+    packet.hops = hops
+    packet.min_lanes = None if lanes < 0 else lanes
+    packet.injected_at = None if injected < 0 else injected
+
+
+@dataclass
+class SpanSource:
+    """A run's open-loop traffic source in the plain-data form ``ck_run``
+    replays: ``pattern`` from :func:`repro.traffic.patterns.span_twin`,
+    ``injector`` from :func:`repro.traffic.selfsimilar.span_twin`, and
+    the run's own ``random.Random`` (handed over and back every span)."""
+
+    pattern: tuple
+    injector: tuple
+    rng: random.Random
+
+
+@dataclass
+class Span:
+    """What :meth:`Network.step` takes to advance whole cycles in C.
+
+    Cycles run until ``max_cycles`` have passed, or the next cycle could
+    create more than ``birth_budget`` packets in total (every node
+    firing), or ``need_measured`` measured packets have finished --
+    whichever comes first; ``None`` lifts either of the last two."""
+
+    source: SpanSource
+    max_cycles: int
+    #: whether packets born in this span fall in the measurement window
+    births_measured: bool
+    birth_budget: Optional[int] = None
+    need_measured: Optional[int] = None
 
 
 class CKernel:
@@ -281,7 +454,10 @@ class CKernel:
             raise CKernelUnavailable(
                 "credit/link delays below 1 cycle break the calendar ring"
             )
-        self.net = net
+        #: weak, like the layout's: the network owns this kernel, and a
+        #: strong reference back would leave every dropped network (and
+        #: its C arena) waiting for the cycle collector.
+        self.net = weakref.proxy(net)
         self.layout = layout
         self.lib = lib
         self.R, self.P, self.V = R, P, V
@@ -299,11 +475,12 @@ class CKernel:
             raise CKernelUnavailable("ck_new returned NULL (out of memory)")
         self._ck = ck
         self._finalizer = weakref.finalize(self, lib.ck_free, ck)
-        #: handle table: Python stays authoritative for Packet identity.
+        #: handle -> Packet for the packets Python holds an object for
+        #: (enqueued ones, and span-born ones once sync() materialised
+        #: them); ``None`` for free handles and for packets that so far
+        #: exist only as C records.  The allocator itself lives in C.
         self._handles: List[Optional[Packet]] = []
-        self._free: List[int] = []
         self._hmap: Dict[int, int] = {}  # id(packet) -> handle
-        self._ccap = 0
         #: True while net._arrivals/_credits hold a sync() mirror of the
         #: C calendars; the next step() drops it (C stays authoritative).
         self._mirrored = False
@@ -335,45 +512,36 @@ class CKernel:
         h = self._hmap.get(id(packet))
         if h is not None:
             return h
-        if self._free:
-            h = self._free.pop()
-        else:
-            h = len(self._handles)
-            self._handles.append(None)
-            if h >= self._ccap:
-                if self.lib.ck_ensure_packets(self._ck, h + 1):
-                    raise MemoryError("ck_ensure_packets failed")
-                self._ccap = self.lib.ck_get(self._ck, S_PK_CAP)
-                self._refresh_pk()
-        self._handles[h] = packet
-        self._hmap[id(packet)] = h
+        h = self.lib.ck_handle_new(self._ck)
+        if h < 0:
+            self._raise_error(h)
+        self._hold(h, packet)
         self.lib.ck_set_packet(
             self._ck, h, packet.packet_id, packet.src, packet.dst,
             packet.num_flits,
             -1 if packet.injected_at is None else packet.injected_at,
             -1 if packet.min_lanes is None else packet.min_lanes,
-            packet.hops,
+            packet.hops, packet.created_at, 1 if packet.measured else 0,
         )
         return h
 
-    def _release(self, h: int, packet: Packet) -> None:
+    def _hold(self, h: int, packet: Packet) -> None:
+        handles = self._handles
+        if h >= len(handles):
+            handles.extend([None] * (h + 1 - len(handles)))
+        handles[h] = packet
+        self._hmap[id(packet)] = h
+
+    def _held(self, h: int) -> Optional[Packet]:
+        """The Packet object behind handle ``h``; ``None`` for a packet
+        born in a span that exists only as its C record."""
+        handles = self._handles
+        return handles[h] if h < len(handles) else None
+
+    def _let_go(self, h: int, packet: Packet) -> None:
+        """Forget a finished packet (C released the handle already)."""
         del self._hmap[id(packet)]
         self._handles[h] = None
-        self._free.append(h)
-
-    def _refresh_pk(self) -> None:
-        self._pk_id = self._arr(A_PK_ID)
-        self._pk_minlanes = self._arr(A_PK_MINLANES)
-        self._pk_hops = self._arr(A_PK_HOPS)
-        self._pk_inj = self._arr(A_PK_INJ)
-
-    def _mirror_packet(self, h: int, packet: Packet) -> None:
-        """Copy the C-side record of handle ``h`` back onto ``packet``."""
-        packet.hops = self._pk_hops[h]
-        ml = self._pk_minlanes[h]
-        packet.min_lanes = None if ml < 0 else ml
-        inj = self._pk_inj[h]
-        packet.injected_at = None if inj < 0 else inj
 
     # -- pack: Python -> C ------------------------------------------------
     def _pack(self) -> None:
@@ -503,66 +671,195 @@ class CKernel:
         self._qs_ready = self._arr(A_QS_READY)
         self._qhead = self._arr(A_QHEAD)
         self._qlen = self._arr(A_QLEN)
-        self._refresh_pk()
 
     # -- stepping ---------------------------------------------------------
-    def step(self) -> None:
-        net = self.net
-        cycle = net.cycle
-        lib = self.lib
-        ck = self._ck
+    def _drop_mirror(self) -> None:
         if self._mirrored:
             # sync() left a read-only mirror of the C calendars in the
             # event dicts (for digests / snapshots / kernel hand-off).
             # C stays authoritative while we keep stepping, so drop the
             # mirror -- a stale copy would make idle()/drain() spin
             # forever on events the C side has long consumed.
-            net._arrivals.clear()
-            net._credits.clear()
+            self.net._arrivals.clear()
+            self.net._credits.clear()
             self._mirrored = False
-        ncomp = lib.ck_step(ck, 1 if net.measuring else 0)
-        if ncomp < 0:
-            self._raise_error(ncomp)
-        if ncomp:
-            comp = lib.ck_arr(ck, A_COMP)
-            handles = comp[0:ncomp]
-            lib.ck_set(ck, S_NCOMP, 0)
+
+    def _take_log(self, rows: int):
+        """Empty the completion log, yielding one ``LOG_WIDTH``-int row
+        per finished packet (read in chunks: a drain span can leave
+        thousands of rows, and one slice of them all would be the run's
+        largest transient allocation)."""
+        log = self.lib.ck_arr(self._ck, A_LOG)
+        end = rows * LOG_WIDTH
+        for start in range(0, end, _LOG_CHUNK):
+            chunk = log[start:min(start + _LOG_CHUNK, end)]
+            for at in range(0, len(chunk), LOG_WIDTH):
+                yield chunk[at:at + LOG_WIDTH]
+        self.lib.ck_set(self._ck, S_NLOG, 0)
+
+    def step(self) -> None:
+        net = self.net
+        cycle = net.cycle
+        self._drop_mirror()
+        rows = self.lib.ck_step(self._ck, 1 if net.measuring else 0)
+        if rows < 0:
+            self._raise_error(rows)
+        if rows:
             complete = net._complete_packet
-            for h in handles:
-                packet = self._handles[h]
-                self._mirror_packet(h, packet)
-                self._release(h, packet)
+            for (h, pid, src, dst, flits, hops, created, injected, lanes,
+                 measured, _) in self._take_log(rows):
+                packet = self._held(h)
+                if packet is None:
+                    packet = _span_born(pid, src, dst, flits, created,
+                                        measured)
+                else:
+                    self._let_go(h, packet)
+                _mirror(packet, hops, lanes, injected)
                 complete(packet, cycle)
         if net.measuring:
             net._stats.measured_cycles += 1
         net.cycle = cycle + 1
 
+    def run(self, span: Span) -> Tuple[int, int]:
+        """Advance a whole :class:`Span` in one ``ck_run`` call; returns
+        ``(cycles run, packets created)``.
+
+        Only valid while nothing needs a per-packet Python callback
+        (:meth:`Network.span_blocker` is the gate)."""
+        net = self.net
+        lib = self.lib
+        ck = self._ck
+        self._drop_mirror()
+        kinds, hand_back = self._hand_over(span.source)
+        measuring = net.measuring
+        next_id = packet_id_marker()
+        ran = lib.ck_run(
+            ck, span.max_cycles, measuring, span.births_measured,
+            -1 if span.birth_budget is None else span.birth_budget,
+            -1 if span.need_measured is None else span.need_measured,
+            next_id, net._default_packet_flits, *kinds,
+        )
+        if ran < 0:
+            self._raise_error(ran)
+        born = lib.ck_get(ck, S_BORN)
+        seed_packet_ids(next_id + born)
+        hand_back()
+        stats = net._stats
+        net.cycle += ran
+        net.packets_in_flight += born
+        if span.births_measured:
+            stats.packets_offered += born
+        if measuring:
+            stats.measured_cycles += ran
+
+        rows = lib.ck_get(ck, S_NLOG)
+        if rows:
+            record = stats.record_packet
+            latency_record = net._latency_record_of
+            flits_done = 0
+            for (h, pid, src, dst, flits, hops, created, injected, lanes,
+                 measured, received) in self._take_log(rows):
+                flits_done += flits
+                # A held packet always finishes before its handle can be
+                # reissued to a span-born one, and rows are in finishing
+                # order, so a Packet found here is this row's packet.
+                packet = self._held(h)
+                packet_class = "data"
+                if packet is not None:
+                    self._let_go(h, packet)
+                    _mirror(packet, hops, lanes, injected)
+                    packet.received_at = received
+                    packet_class = packet.packet_class
+                if measured:
+                    record(latency_record(
+                        pid, src, dst, flits, hops, created, injected,
+                        lanes if lanes > 0 else None, received,
+                        packet_class,
+                    ))
+            net.packets_in_flight -= rows
+            net.total_delivered += rows
+            if measuring:
+                stats.window_packet_deliveries += rows
+                stats.window_flit_deliveries += flits_done
+        return ran, born
+
+    def _hand_over(self, source: SpanSource):
+        """Load ``source`` into the C side -- tables, constants, ON/OFF
+        machines and every RNG stream as it stands -- and return the
+        ``(injector kind, pattern kind)`` ids plus the closure that hands
+        the advanced streams back to the Python objects."""
+        lib = self.lib
+        ck = self._ck
+        nnodes = self.nnodes
+        pattern_kind, rows = source.pattern
+        injector_kind, rate, sources = source.injector
+        flat, offsets = [], [0]
+        if rows is not None:
+            # ck_run indexes with these unchecked: validate here.
+            if len(rows) != nnodes or not all(
+                row and all(0 <= dst < nnodes for dst in row) for row in rows
+            ):
+                raise ValueError(
+                    "span pattern rows must give every node at least one "
+                    f"destination in [0, {nnodes})"
+                )
+            for row in rows:
+                flat.extend(row)
+                offsets.append(len(flat))
+        if lib.ck_span_reserve(ck, 1 if sources else 0, len(flat)):
+            self._raise_error(-6)
+        if flat:
+            self._view(A_DST_OFF, nnodes + 1)[:] = offsets
+            self._view(A_DST_TAB, len(flat))[:] = flat
+
+        streams = [(lib.ck_rng_words(ck, 0), source.rng)]
+        constants = [rate]
+        if sources:
+            if len(sources) != nnodes:
+                raise ValueError("span injector needs one source per node")
+            base = lib.ck_rng_words(ck, 1)
+            size = _MT_STATE.size
+            for node, src in enumerate(sources):
+                streams.append((base + node * size, src.rng))
+                constants.extend(src.span_constants())
+            self._view(A_SS_ON, nnodes)[:] = [int(s.on) for s in sources]
+            self._view(A_SS_REMAINING, nnodes)[:] = [
+                s.remaining for s in sources
+            ]
+        ctypes.cast(
+            lib.ck_source_f64(ck),
+            ctypes.POINTER(ctypes.c_double * len(constants)),
+        ).contents[:] = constants
+        states = []
+        for address, rng in streams:
+            state = rng.getstate()
+            states.append(state)
+            ctypes.memmove(address, _MT_STATE.pack(*state[1]),
+                           _MT_STATE.size)
+
+        def hand_back() -> None:
+            for (address, rng), state in zip(streams, states):
+                words = _MT_STATE.unpack(
+                    ctypes.string_at(address, _MT_STATE.size)
+                )
+                rng.setstate((state[0], words, state[2]))
+            if sources:
+                on = self._arr(A_SS_ON)[0:nnodes]
+                remaining = self._arr(A_SS_REMAINING)[0:nnodes]
+                for src, src_on, src_left in zip(sources, on, remaining):
+                    src.on = bool(src_on)
+                    src.remaining = src_left
+
+        kinds = (_INJECTOR_KINDS[injector_kind], _PATTERN_KINDS[pattern_kind])
+        return kinds, hand_back
+
     def _raise_error(self, code: int) -> None:
         lib, ck = self.lib, self._ck
-        a = lib.ck_get(ck, S_ERR_A)
-        b = lib.ck_get(ck, S_ERR_B)
-        c = lib.ck_get(ck, S_ERR_C)
-        if code == -1:
-            raise RuntimeError(
-                f"buffer overflow at router {a} port {b} vc {c}: "
-                "credit protocol violated"
-            )
-        if code == -2:
-            raise RuntimeError(
-                f"credit overflow at router {a} port {b} vc {c}"
-            )
-        if code == -3:
-            raise RuntimeError(
-                f"wormhole violation at router {a}: body flit of packet "
-                f"{b} at queue head without its head flit"
-            )
-        if code == -4:
-            raise RuntimeError("switch traversal popped an unexpected flit")
-        if code == -5:
-            raise RuntimeError(
-                f"negative credits at router {a} port {b} vc {c}"
-            )
-        raise RuntimeError(f"compiled kernel error {code} ({a}, {b}, {c})")
+        kind, message = _ERRORS[code]
+        raise kind(message.format(
+            a=lib.ck_get(ck, S_ERR_A), b=lib.ck_get(ck, S_ERR_B),
+            c=lib.ck_get(ck, S_ERR_C),
+        ))
 
     # -- network-facing helpers -------------------------------------------
     def enqueue_packet(self, packet: Packet) -> None:
@@ -680,6 +977,27 @@ class CKernel:
             }
             layout.active_lanes[rid] = lanes
 
+        # live packet records -> Packet attributes; packets born in a
+        # span get their Packet object here
+        top = lib.ck_get(ck, S_PK_TOP)
+        if top:
+            fields = [
+                self._arr(aid)[0:top]
+                for aid in (A_PK_LIVE, A_PK_ID, A_PK_SRC, A_PK_DST,
+                            A_PK_NFLITS, A_PK_CREATED, A_PK_MEASURED,
+                            A_PK_HOPS, A_PK_MINLANES, A_PK_INJ)
+            ]
+            for h, (live, pid, src, dst, flits, created, measured, hops,
+                    lanes, injected) in enumerate(zip(*fields)):
+                if not live:
+                    continue
+                packet = self._held(h)
+                if packet is None:
+                    packet = _span_born(pid, src, dst, flits, created,
+                                        measured)
+                    self._hold(h, packet)
+                _mirror(packet, hops, lanes, injected)
+
         # queue rings -> the shared Flit deques, rebuilt in place
         qs_pkt, qs_seq, qs_ready = self._qs_pkt, self._qs_seq, self._qs_ready
         qhead, qlen = self._qhead, self._qlen
@@ -754,11 +1072,6 @@ class CKernel:
                     (raw[e], raw[e + 1], raw[e + 2], bool(raw[e + 3]))
                     for e in range(0, n, 4)
                 ]
-
-        # live packet records -> Packet attributes
-        for h, packet in enumerate(handles):
-            if packet is not None:
-                self._mirror_packet(h, packet)
 
         self._drain_deltas()
         layout.sync()

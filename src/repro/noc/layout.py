@@ -37,6 +37,7 @@ cycle walk here: the only code that advances this layout is
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,7 +52,7 @@ class FlatLayout:
     """
 
     def __init__(self, net) -> None:
-        self.net = net
+        self.net = weakref.proxy(net)  # the network owns us (no cycle)
         topo = net.topology
         routers = net.routers
         R = topo.num_routers

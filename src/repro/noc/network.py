@@ -6,7 +6,9 @@ configurations), a :class:`~repro.noc.config.NetworkConfig` and a routing
 discipline.  Higher layers interact with it through three calls:
 
 * :meth:`Network.enqueue` -- hand a packet to its source queue;
-* :meth:`Network.step` -- advance one clock cycle;
+* :meth:`Network.step` -- advance one clock cycle (or, given a
+  :class:`~repro.noc.ckernel.Span`, a whole span of cycles inside the
+  compiled kernel with the open-loop traffic source in the C loop);
 * :meth:`Network.stats` -- the :class:`~repro.noc.stats.NetworkStats`
   collector for packets marked ``measured``.
 
@@ -534,7 +536,38 @@ class Network:
         """True when no packet is queued, buffered or on a link."""
         return self.packets_in_flight == 0
 
-    def step(self) -> None:
+    def span_blocker(self) -> Optional[str]:
+        """Why :meth:`step` cannot take a span here, or ``None``.
+
+        Spans run cycles and traffic source inside the compiled kernel
+        without returning to Python, so anything that must see each
+        cycle, packet or delivery keeps the run on the per-cycle loop.
+        Brings the compiled kernel up if it is requested and not live.
+        """
+        if self._kernel != "c":
+            return f"the {self._kernel} kernel drives this network"
+        for attached, what in (
+            (self.profiler, "a profiler"),
+            (self.faults, "a fault injector"),
+            (self.obs, "an observer"),
+            (self.watchdog, "a watchdog"),
+            (self.on_delivery, "an on_delivery callback"),
+        ):
+            if attached is not None:
+                return f"{what} is attached"
+        if self.config.source_queue_limit is not None:
+            return "source_queue_limit is set"
+        if not self._route_tables_ok:
+            return "routing is dynamic (no precomputed route tables)"
+        if self._ck is None and (
+            self._ck_blocked or self._activate_ck() is None
+        ):
+            return "the compiled kernel is unavailable"
+        from repro.noc.ckernel import spans_disabled_reason
+
+        return spans_disabled_reason()
+
+    def step(self, span=None) -> Optional[Tuple[int, int]]:
         """Advance the network by one clock cycle (event-driven kernel).
 
         Only routers in the active set are visited; the set is pruned of
@@ -542,7 +575,16 @@ class Network:
         router-id order, which keeps arbitration state evolution -- and
         therefore every simulation result -- bit-identical to the retained
         full-scan reference (:meth:`_step_naive`).
+
+        With a :class:`~repro.noc.ckernel.Span` the compiled kernel
+        advances the whole span in one call and ``(cycles run, packets
+        created)`` comes back; callers check :meth:`span_blocker` first.
         """
+        if span is not None:
+            blocker = self.span_blocker()
+            if blocker is not None:
+                raise RuntimeError(f"cannot step a span: {blocker}")
+            return self._ck.run(span)
         if self.profiler is not None:
             self._deactivate_ck()
             self._step_profiled()
@@ -980,13 +1022,34 @@ class Network:
             self.on_delivery(packet, cycle)
 
     def _latency_record(self, packet: Packet) -> LatencyRecord:
+        return self._latency_record_of(
+            packet.packet_id, packet.src, packet.dst, packet.num_flits,
+            packet.hops, packet.created_at, packet.injected_at,
+            packet.min_lanes, packet.received_at, packet.packet_class,
+        )
+
+    def _latency_record_of(
+        self,
+        packet_id: int,
+        src: int,
+        dst: int,
+        num_flits: int,
+        hops: int,
+        created_at: int,
+        injected_at: int,
+        min_lanes: Optional[int],
+        received_at: int,
+        packet_class: str,
+    ) -> LatencyRecord:
+        """The latency decomposition from a packet's plain fields (the
+        compiled kernel's completion log has no Packet objects)."""
         stages = self.config.router_pipeline_stages
         hop_cost = (stages - 1) + self.config.link_delay
-        lanes = packet.min_lanes or 1
-        serialization = math.ceil((packet.num_flits - 1) / lanes)
-        transfer = hop_cost * packet.hops + (stages - 1) + serialization
-        total = packet.received_at - packet.created_at
-        queuing = packet.injected_at - packet.created_at
+        lanes = min_lanes or 1
+        serialization = math.ceil((num_flits - 1) / lanes)
+        transfer = hop_cost * hops + (stages - 1) + serialization
+        total = received_at - created_at
+        queuing = injected_at - created_at
         blocking = total - queuing - transfer
         if blocking < 0:
             # A packet can (slightly) beat the analytic zero-load bound:
@@ -994,26 +1057,26 @@ class Network:
             # later wide links carry them two per cycle, recovering
             # serialization the bound charged to the narrowest link.
             # Attribute the whole in-network time to transfer then.
-            minimum = hop_cost * packet.hops + (stages - 1)
+            minimum = hop_cost * hops + (stages - 1)
             if total - queuing < minimum:
                 raise RuntimeError(
-                    f"packet {packet.packet_id} beat the per-hop pipeline "
+                    f"packet {packet_id} beat the per-hop pipeline "
                     f"bound ({total - queuing} < {minimum} cycles); the "
                     "router model violated its own timing"
                 )
             transfer = total - queuing
             blocking = 0
         return LatencyRecord(
-            packet_id=packet.packet_id,
-            src=packet.src,
-            dst=packet.dst,
-            num_flits=packet.num_flits,
-            hops=packet.hops,
+            packet_id=packet_id,
+            src=src,
+            dst=dst,
+            num_flits=num_flits,
+            hops=hops,
             total=total,
             queuing=queuing,
             transfer=transfer,
             blocking=blocking,
-            packet_class=packet.packet_class,
+            packet_class=packet_class,
         )
 
     # -- fault recovery ------------------------------------------------------------

@@ -75,23 +75,23 @@ class Routing:
     def _probe_tables(self) -> List[List[int]]:
         """Build full route tables by probing :meth:`output_port`.
 
-        Probe packets carry ``packet_id=-1`` explicitly so table
-        construction never draws from the global packet-id counter (which
-        the sweep engine rewinds for bit-identical replay).
+        One probe packet per destination serves every router (only
+        disciplines whose :meth:`output_port` leaves the packet untouched
+        may build tables at all).  Probes carry ``packet_id=-1``
+        explicitly so table construction never draws from the global
+        packet-id counter (which the sweep engine rewinds for
+        bit-identical replay).
         """
         topo = self.topology
-        tables: List[List[int]] = []
-        for router in range(topo.num_routers):
-            row = [
-                self.output_port(
-                    router,
-                    Packet(src=0, dst=dst, num_flits=1, created_at=0,
-                           packet_id=-1),
-                )
-                for dst in range(topo.num_nodes)
-            ]
-            tables.append(row)
-        return tables
+        probes = [
+            Packet(src=0, dst=dst, num_flits=1, created_at=0, packet_id=-1)
+            for dst in range(topo.num_nodes)
+        ]
+        output_port = self.output_port
+        return [
+            [output_port(router, probe) for probe in probes]
+            for router in range(topo.num_routers)
+        ]
 
     def output_port(self, router: int, packet: Packet) -> int:
         """Output port the packet requests at ``router``.

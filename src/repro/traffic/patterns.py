@@ -162,6 +162,29 @@ class Tornado(TrafficPattern):
         return row * self.side + (col + shift) % self.side
 
 
+def span_twin(pattern: TrafficPattern):
+    """``pattern`` as plain data the compiled span driver
+    (:meth:`repro.noc.ckernel.CKernel.run`) replays, or ``None``.
+
+    ``(kind, rows)``: ``"uniform"`` draws ``randrange(n - 1)`` and skips
+    the source; ``"choice"`` draws ``rng.choice(rows[src])``; ``"fixed"``
+    sends to ``rows[src][0]`` without touching the RNG.  Only the exact
+    built-in classes have a twin -- a subclass may override
+    ``destination`` -- so anything else stays on the per-cycle loop.
+    """
+    kind = type(pattern)
+    if kind is UniformRandom:
+        return ("uniform", None)
+    if kind is NearestNeighbor:
+        return ("choice", pattern._neighbors)
+    if kind in (Transpose, BitComplement, BitReverse, Tornado):
+        return ("fixed", [
+            [pattern.destination(src, None)]
+            for src in range(pattern.num_nodes)
+        ])
+    return None
+
+
 def pattern_by_name(
     name: str, topology: Topology
 ) -> TrafficPattern:

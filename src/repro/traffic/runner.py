@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from repro.noc.ckernel import Span, SpanSource
 from repro.noc.network import Network
 from repro.noc.snapshot import (
     SimSnapshot,
@@ -34,12 +35,20 @@ from repro.noc.snapshot import (
 )
 from repro.noc.stats import NetworkStats
 from repro.obs.profiler import Progress, RunProfiler
+from repro.traffic import patterns, selfsimilar
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.selfsimilar import BernoulliInjector
 
 #: bump when the runner's checkpoint bookkeeping changes shape; restores
 #: refuse (and restart from cycle 0) on mismatch rather than guessing.
-CHECKPOINT_FORMAT = 1
+#: (2: the state carries ``kernel_cycles``.)
+CHECKPOINT_FORMAT = 2
+
+
+#: span length when no checkpoint, heartbeat or deadline bounds it; the
+#: packet budget or the drain's own stop condition ends the span long
+#: before.
+_UNBOUNDED_SPAN = 1 << 40
 
 
 class DrainAccountingError(RuntimeError):
@@ -71,6 +80,14 @@ class SyntheticRunResult:
     #: NI/fault-layer counters for the run (empty for fault-free runs):
     #: retransmissions, corrupt/clean deliveries, losses, fault events.
     resilience: Dict[str, int] = field(default_factory=dict)
+    #: simulated cycles by what drove them: ``c_span`` (whole spans inside
+    #: the compiled kernel, traffic source included), ``c`` (compiled
+    #: kernel, one cycle per call), ``event``, ``naive``.  Sums to
+    #: ``total_cycles`` for a run that started at cycle 0.
+    kernel_cycles: Dict[str, int] = field(default_factory=dict)
+    #: why no cycle of the run was driven as a span (the first reason
+    #: found); ``None`` when spans were used.
+    span_fallback: Optional[str] = None
 
     @property
     def avg_latency_cycles(self) -> float:
@@ -121,6 +138,26 @@ def _offer_load(
         enqueue(packet)
         created += 1
     return created
+
+
+def _span_source(
+    network: Network, pattern, injector, rng: random.Random, ni
+):
+    """``(source, None)`` when the compiled span driver can carry this
+    run's load and drain loops, else ``(None, why not)``."""
+    if ni is not None:
+        return None, "traffic flows through the NI retransmission layer"
+    blocker = network.span_blocker()
+    if blocker is not None:
+        return None, blocker
+    num_nodes = network.topology.num_nodes
+    pattern_twin = patterns.span_twin(pattern)
+    if pattern_twin is None or pattern.num_nodes != num_nodes:
+        return None, f"no compiled twin of pattern {type(pattern).__name__}"
+    injector_twin = selfsimilar.span_twin(injector, num_nodes)
+    if injector_twin is None:
+        return None, f"no compiled twin of injector {type(injector).__name__}"
+    return SpanSource(pattern_twin, injector_twin, rng), None
 
 
 def run_synthetic(
@@ -193,6 +230,16 @@ def run_synthetic(
     Checkpointing and observers/profilers are mutually exclusive (a
     snapshot cannot carry live file handles).
 
+    When the compiled kernel drives the network and nothing needs Python
+    per cycle, packet or delivery (no NI, observer, profiler, watchdog or
+    ``on_delivery``; built-in pattern and injector classes), the load and
+    drain loops advance in *spans*: ``network.step(Span(...))`` runs whole
+    cycles, injection included, inside the kernel, and only the few
+    cycles around each phase boundary, checkpoint and heartbeat go
+    through :func:`_offer_load`.  Results are bit-identical either way;
+    ``kernel_cycles`` / ``span_fallback`` on the result say which way a
+    run went and why.
+
     Returns a :class:`SyntheticRunResult`; ``saturated`` is set when the
     drain phase hit its cycle cap, meaning the offered load exceeded the
     network's capacity (latency numbers are then unbounded-queue artefacts
@@ -219,6 +266,7 @@ def run_synthetic(
     rng = random.Random(seed)
     injector = injector or BernoulliInjector(rate)
     created = 0
+    kernel_cycles = dict.fromkeys(("c_span", "c", "event", "naive"), 0)
     target = warmup_packets + measure_packets
     started_at = time.perf_counter()
 
@@ -256,6 +304,7 @@ def run_synthetic(
         if snapshot.injector is not None:
             injector = snapshot.injector
         created = runner_state["created"]
+        kernel_cycles = runner_state["kernel_cycles"]
 
     if observer is not None:
         network.attach_observer(observer)
@@ -368,6 +417,7 @@ def run_synthetic(
             },
             "phase": phase,
             "created": created,
+            "kernel_cycles": kernel_cycles,
             "next_checkpoint": next_checkpoint,
             "ni": ni,
             "retransmit_timeout": retransmit_timeout,
@@ -388,22 +438,63 @@ def run_synthetic(
     )
     if runner_state is None:
         network.reset_stats()
+
+    span_source, span_fallback = _span_source(
+        network, pattern, injector, rng, ni
+    )
+    num_nodes = network.topology.num_nodes
+
+    def _span_room(deadline: Optional[int] = None) -> int:
+        """Cycles a span starting now may cover: up to the next cycle the
+        loop itself must see (checkpoint, heartbeat, drain deadline)."""
+        cycle = network.cycle
+        stops = [cycle + _UNBOUNDED_SPAN]
+        if deadline is not None:
+            stops.append(deadline)
+        if next_checkpoint is not None:
+            stops.append(next_checkpoint)
+        if progress is not None:
+            stops.append(cycle + progress_every - cycle % progress_every)
+        return min(stops) - cycle
+
+    def _step_once() -> None:
+        network.step()
+        kernel_cycles[network.active_kernel] += 1
+
     while created < target:
         if next_checkpoint is not None and network.cycle >= next_checkpoint:
             next_checkpoint = network.cycle + checkpoint_every
             _save_checkpoint("load")
-        if ni is not None:
-            ni.tick(network.cycle)
-        _offer_load(
-            network,
-            pattern,
-            injector,
-            rng,
-            budget=target - created,
-            on_create=_mark_measured,
-            send=send,
-        )
-        network.step()
+        # A span must not cross a phase boundary: the cycle that creates
+        # packet number warmup_packets opens the window mid-cycle, the one
+        # that reaches the target stops drawing destinations mid-cycle, and
+        # both stay with _offer_load.  Short of those, every node may fire.
+        warming = created < warmup_packets
+        bound = warmup_packets if warming else target
+        if (
+            span_source is not None
+            and warming != network.measuring
+            and created + num_nodes <= bound
+        ):
+            ran, born = network.step(Span(
+                span_source, _span_room(), births_measured=not warming,
+                birth_budget=bound - created,
+            ))
+            created += born
+            kernel_cycles["c_span"] += ran
+        else:
+            if ni is not None:
+                ni.tick(network.cycle)
+            _offer_load(
+                network,
+                pattern,
+                injector,
+                rng,
+                budget=target - created,
+                on_create=_mark_measured,
+                send=send,
+            )
+            _step_once()
         if progress is not None and network.cycle % progress_every == 0:
             phase = "measure" if network.measuring else "warmup"
             _heartbeat(phase, created, target)
@@ -431,10 +522,20 @@ def run_synthetic(
         if next_checkpoint is not None and network.cycle >= next_checkpoint:
             next_checkpoint = network.cycle + checkpoint_every
             _save_checkpoint("drain", drain_deadline=drain_deadline)
-        if ni is not None:
-            ni.tick(network.cycle)
-        _offer_load(network, pattern, injector, rng, send=send)
-        network.step()
+        if span_source is not None:
+            # No phase boundary left: the span ends itself on the cycle
+            # the last measured packet is accounted for.
+            ran, _ = network.step(Span(
+                span_source, _span_room(drain_deadline),
+                births_measured=False,
+                need_measured=measure_packets - _accounted(),
+            ))
+            kernel_cycles["c_span"] += ran
+        else:
+            if ni is not None:
+                ni.tick(network.cycle)
+            _offer_load(network, pattern, injector, rng, send=send)
+            _step_once()
         if progress is not None and network.cycle % progress_every == 0:
             _heartbeat("drain", _accounted(), measure_packets)
 
@@ -473,6 +574,9 @@ def run_synthetic(
         resilience["fault_events"] = len(network.faults.events)
         resilience["retransmit_timeout"] = retransmit_timeout
 
+    if span_source is not None and not kernel_cycles["c_span"]:
+        span_fallback = "no whole span fits between the phase boundaries"
+
     return SyntheticRunResult(
         stats=stats,
         offered_rate=rate,
@@ -483,4 +587,6 @@ def run_synthetic(
         unfinished_measured_packets=unfinished,
         lost_measured_packets=lost_measured,
         resilience=resilience,
+        kernel_cycles=kernel_cycles,
+        span_fallback=span_fallback,
     )

@@ -50,6 +50,18 @@ class ParetoOnOffSource:
         xm = mean * (alpha - 1.0) / alpha
         return xm / (self.rng.random() ** (1.0 / alpha))
 
+    def span_constants(self):
+        """``(p_on, xm_on, 1/alpha_on, xm_off, 1/alpha_off)``: the
+        constants of :meth:`fires` and :meth:`_pareto`, computed with the
+        very same expressions, for the compiled twin of this source."""
+        return (
+            self.p_on,
+            self.mean_on * (self.alpha_on - 1.0) / self.alpha_on,
+            1.0 / self.alpha_on,
+            self.mean_off * (self.alpha_off - 1.0) / self.alpha_off,
+            1.0 / self.alpha_off,
+        )
+
     def _draw_period(self) -> int:
         mean = self.mean_on if self.on else self.mean_off
         alpha = self.alpha_on if self.on else self.alpha_off
@@ -97,3 +109,40 @@ class BernoulliInjector:
 
     def fires(self, node: int, rng: random.Random) -> bool:
         return rng.random() < self.rate
+
+
+def span_twin(injector, num_nodes: int):
+    """``injector`` as plain data the compiled span driver
+    (:meth:`repro.noc.ckernel.CKernel.run`) replays, or ``None``.
+
+    ``(kind, rate, sources)``: ``"bernoulli"`` fires on
+    ``rng.random() < rate``; ``"pareto"`` steps the ``num_nodes``
+    :class:`ParetoOnOffSource` machines in ``sources``, whose ``on`` /
+    ``remaining`` / ``rng`` the driver reads before a span and writes
+    back after it.  Only the exact built-in classes on plain
+    ``random.Random`` streams have a twin, and only while the longest
+    possible Pareto period (a 53-bit draw of 2**-53) fits an int64;
+    anything else stays on the per-cycle loop.
+    """
+    if type(injector) is BernoulliInjector:
+        return ("bernoulli", injector.rate, None)
+    if type(injector) is not SelfSimilarInjector:
+        return None
+    sources = injector.sources
+    if len(sources) != num_nodes:
+        return None
+    for source in sources:
+        if (
+            type(source) is not ParetoOnOffSource
+            or type(source.rng) is not random.Random
+        ):
+            return None
+        _, xm_on, inv_on, xm_off, inv_off = source.span_constants()
+        for xm, inv_alpha in ((xm_on, inv_on), (xm_off, inv_off)):
+            if not (
+                xm > 0.0
+                and 0.0 < inv_alpha <= 1.0
+                and xm * 2.0 ** (53 * inv_alpha) < 2.0 ** 62
+            ):
+                return None
+    return ("pareto", 0.0, sources)

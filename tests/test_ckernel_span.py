@@ -1,0 +1,601 @@
+"""The compiled span driver (``ck_run``): RNG twin and span differential.
+
+``run_synthetic`` drives a ``kernel="c"`` network through whole *spans*
+of cycles inside the compiled kernel, with the open-loop traffic source
+(injection coin flips, destination draws, packet birth) in the C loop.
+Two things make that safe, and this file pins both:
+
+* the **RNG twin** -- the C port of MT19937, ``random()``, the
+  ``getrandbits`` rejection loop behind ``randrange``/``choice`` and the
+  Pareto period arithmetic -- continues a ``random.Random`` stream draw
+  for draw, and hands back a state ``setstate`` accepts;
+* **span == per-cycle c == event**: every observable of a run (state
+  digest, RNG and injector state, packet-id counter, in-flight count,
+  stats, latency records in order) is identical whether the cycles ran
+  as spans, one ``ck_step`` at a time, or on the event kernel.
+"""
+
+import random
+import re
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.noc.ckernel as ckernel
+import repro.traffic.runner as runner
+from repro.core.layouts import build_network, layout_by_name
+from repro.exec import SweepPoint, execute_point
+from repro.noc.ckernel import (
+    Span,
+    SpanSource,
+    ckernel_available,
+    load_kernel_library,
+    unavailable_reason,
+)
+from repro.noc.flit import packet_id_marker, reset_packet_ids
+from repro.traffic import patterns, selfsimilar
+from repro.traffic.patterns import TrafficPattern, UniformRandom, pattern_by_name
+from repro.traffic.runner import _offer_load, run_synthetic
+from repro.traffic.selfsimilar import BernoulliInjector, SelfSimilarInjector
+from tests.test_golden_runs import GOLDEN_POINTS
+from tests.test_kernel_differential import _digest
+
+needs_ckernel = pytest.mark.skipif(
+    not ckernel_available(),
+    reason=f"compiled kernel unavailable: {unavailable_reason()}",
+)
+
+PATTERNS = (
+    "uniform_random", "nearest_neighbor", "transpose", "bit_complement",
+    "bit_reverse", "tornado",
+)
+
+
+# -- (a) the RNG twin -----------------------------------------------------------
+@needs_ckernel
+class TestRngTwin:
+    XM, INV_ALPHA = 8.0, 1.0 / 1.25
+
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63),
+        plan_seed=st.integers(min_value=0, max_value=2**32),
+        sizes=st.lists(st.integers(2, 256), min_size=1, max_size=6),
+        count=st.integers(2000, 2600),
+    )
+    def test_c_stream_equals_random_random(self, seed, plan_seed, sizes, count):
+        """>= 2,000 mixed draws (so the 624-word twist is crossed at
+        least three times) agree by ``float.hex``; the state handed back
+        continues the Python stream."""
+        plan = random.Random(plan_seed)
+        draws = [
+            (kind, plan.choice(sizes))
+            for kind in plan.choices(
+                ("random", "randrange", "choice", "pareto"), k=count
+            )
+        ]
+        rng = random.Random(seed)
+        start = rng.getstate()
+        expected = []
+        for kind, n in draws:
+            if kind == "random":
+                expected.append(rng.random())
+            elif kind == "randrange":
+                expected.append(float(rng.randrange(n)))
+            elif kind == "choice":
+                expected.append(float(rng.choice(range(n))))
+            else:
+                expected.append(float(max(1, int(round(
+                    self.XM / (rng.random() ** self.INV_ALPHA)
+                )))))
+        ops = [
+            {"random": 0, "pareto": -1}.get(kind, n) for kind, n in draws
+        ]
+        got, state = ckernel.twin_draws(
+            load_kernel_library(), start, ops, self.XM, self.INV_ALPHA
+        )
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert state == rng.getstate()
+        handed_back = random.Random()
+        handed_back.setstate(state)
+        assert handed_back.random().hex() == rng.random().hex()
+        assert handed_back.randrange(97) == rng.randrange(97)
+
+    def test_choice_over_one_item_still_draws(self):
+        """``_randbelow(1)`` consumes bits until it sees a 0; the twin
+        must too or every later draw shifts."""
+        rng = random.Random(4)
+        start = rng.getstate()
+        expected = [float(rng.choice([0])) for _ in range(50)]
+        got, state = ckernel.twin_draws(
+            load_kernel_library(), start, [1] * 50, 1.0, 1.0
+        )
+        assert got == expected and state == rng.getstate()
+
+    def test_pareto_draw_of_zero_is_the_zero_division_code(self):
+        """A 53-bit draw of exactly 0.0 makes Python divide by zero; the
+        twin reports that, it does not return an ``inf`` period."""
+        words = [0] * 624  # untempered zeros: the next two outputs are 0
+        state = (3, tuple(words) + (0,), None)
+        rng = random.Random()
+        rng.setstate(state)
+        with pytest.raises(ZeroDivisionError):
+            self.XM / (rng.random() ** self.INV_ALPHA)
+        got, _ = ckernel.twin_draws(
+            load_kernel_library(), state, [-1], self.XM, self.INV_ALPHA
+        )
+        assert got == [-8.0]
+        assert ckernel._ERRORS[-8][0] is ZeroDivisionError
+
+    def test_load_time_check_passes_here(self):
+        assert ckernel._twin_mismatch(load_kernel_library()) is None
+        assert ckernel.spans_disabled_reason() is None
+
+    def test_load_time_mismatch_disables_spans_with_one_warning(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(ckernel, "_LIB", None)
+        monkeypatch.setattr(ckernel, "_SPANS_OFF", None)
+        monkeypatch.setattr(ckernel, "_twin_mismatch", lambda lib: "forced")
+        with pytest.warns(RuntimeWarning, match="span driver disabled") as w:
+            load_kernel_library()
+        assert len(w) == 1
+        assert ckernel.spans_disabled_reason() == "forced"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load_kernel_library()  # memoized: silent
+        # The per-cycle compiled kernel still carries the run, identically.
+        point = replace(GOLDEN_POINTS["heteronoc-4x4-UR"], kernel="c")
+        blocked = _observe(point, "c")
+        assert blocked["kernel_cycles"]["c_span"] == 0
+        assert blocked["kernel_cycles"]["c"] == blocked["total_cycles"]
+        assert blocked["span_fallback"] == "forced"
+        monkeypatch.setattr(ckernel, "_SPANS_OFF", None)
+        assert _same_run(_observe(point, "c"), blocked)
+
+    def test_detects_a_wrong_twin(self):
+        class Skewed:
+            def __init__(self, lib):
+                self.lib = lib
+
+            def ck_twin_draws(self, words, ops, n, xm, inv_alpha, out):
+                self.lib.ck_twin_draws(words, ops, n, xm, inv_alpha, out)
+                out[n - 1] += 1.0
+
+        assert "RNG twin" in ckernel._twin_mismatch(
+            Skewed(load_kernel_library())
+        )
+
+
+def test_every_c_error_code_has_a_message():
+    """Walks the ``E_*`` enum of ``_ckernel.c``: a code added in C
+    without a row in ``_ERRORS`` fails here, not as a KeyError mid-run."""
+    source = Path(ckernel.__file__).with_name("_ckernel.c").read_text()
+    codes = {
+        name: int(value)
+        for name, value in re.findall(r"\b(E_[A-Z_]+) = (-\d+),", source)
+    }
+    assert len(codes) >= 8 and "E_PARETO_ZERO" in codes
+    assert set(codes.values()) == set(ckernel._ERRORS), codes
+    assert ckernel._ERRORS[codes["E_NOMEM"]][0] is MemoryError
+    assert "calendar" in ckernel._ERRORS[codes["E_CALENDAR"]][1]
+    for kind, message in ckernel._ERRORS.values():
+        assert issubclass(kind, Exception)
+        message.format(a=1, b=2, c=3)
+
+
+@needs_ckernel
+def test_out_of_memory_code_raises_memory_error():
+    reset_packet_ids()
+    net = build_network(layout_by_name("baseline", 2))
+    net.use_kernel("c")
+    net.step()
+    with pytest.raises(MemoryError, match="out of memory"):
+        net._ck._raise_error(-6)
+
+
+# -- (b) span == per-cycle c == event ---------------------------------------------
+class _RecordingRandom:
+    """Stands in for the ``random`` module inside the runner so a test
+    can read the state of the RNG ``run_synthetic`` seeded itself."""
+
+    def __init__(self):
+        self.made = []
+
+    def Random(self, seed=None):
+        rng = random.Random(seed)
+        self.made.append(rng)
+        return rng
+
+
+def _injector_state(injector):
+    if injector is None:
+        return None
+    return [
+        (source.on, source.remaining, source.rng.getstate())
+        for source in injector.sources
+    ]
+
+
+def _observe(point, mode, **knobs):
+    """Run ``point`` and return everything that could diverge.
+
+    ``mode``: ``"span"`` (kernel c, spans on), ``"c"`` (kernel c, spans
+    forced off) or ``"event"``."""
+    reset_packet_ids()
+    point = replace(point, kernel="event" if mode == "event" else "c")
+    net = point.build_network()
+    injector = point.build_injector(net.topology.num_nodes)
+    recorder = _RecordingRandom()
+    saved_random, saved_off = runner.random, ckernel._SPANS_OFF
+    runner.random = recorder
+    if mode == "c" and ckernel._SPANS_OFF is None:
+        ckernel._SPANS_OFF = "spans forced off by the test"
+    try:
+        result = run_synthetic(
+            net,
+            pattern_by_name(point.pattern, net.topology),
+            point.rate,
+            warmup_packets=point.warmup_packets,
+            measure_packets=point.measure_packets,
+            seed=point.seed,
+            injector=injector,
+            drain_cycle_cap=point.drain_cycle_cap,
+            **knobs,
+        )
+    finally:
+        runner.random, ckernel._SPANS_OFF = saved_random, saved_off
+    stats = result.stats
+    return {
+        "digest": _digest(net),
+        "rng": recorder.made[0].getstate(),
+        "injector": _injector_state(injector),
+        "next_packet_id": packet_id_marker(),
+        "packets_in_flight": net.packets_in_flight,
+        "records": [tuple(vars(r).values()) for r in stats.records],
+        "stats": (
+            stats.packets_offered, stats.packets_delivered,
+            stats.flits_delivered, stats.measured_cycles,
+            stats.window_packet_deliveries, stats.window_flit_deliveries,
+            sorted(stats.link_flits.items()),
+            sorted(stats.link_busy_cycles.items()),
+            [tuple(vars(a).values()) for a in stats.router_activity],
+        ),
+        "total_cycles": result.total_cycles,
+        "saturated": result.saturated,
+        "unfinished": result.unfinished_measured_packets,
+        "kernel_cycles": result.kernel_cycles,
+        "span_fallback": result.span_fallback,
+    }
+
+
+_HOW_IT_RAN = ("kernel_cycles", "span_fallback")
+
+
+def _same_run(a, b):
+    for key in a:
+        if key not in _HOW_IT_RAN:
+            assert a[key] == b[key], f"{key} diverged"
+    return True
+
+
+def _three_way(point, **knobs):
+    span = _observe(point, "span", **knobs)
+    assert sum(span["kernel_cycles"].values()) == span["total_cycles"]
+    _same_run(span, _observe(point, "c", **knobs))
+    _same_run(span, _observe(point, "event", **knobs))
+    return span
+
+
+def _point(**fields):
+    fields.setdefault("mesh_size", 4)
+    fields.setdefault("warmup_packets", 40)
+    fields.setdefault("measure_packets", 200)
+    fields.setdefault("drain_cycle_cap", 5_000)
+    return SweepPoint(**fields)
+
+
+@needs_ckernel
+class TestSpanDifferential:
+    @pytest.mark.parametrize("rate", [0.02, 0.12])
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("injector", ["bernoulli", "self_similar"])
+    @pytest.mark.parametrize("layout", ["baseline", "diagonal+BL"])
+    def test_matrix(self, layout, injector, pattern, rate):
+        seed = 1 + PATTERNS.index(pattern) + 10 * (layout != "baseline")
+        span = _three_way(_point(
+            layout=layout, injector=injector, pattern=pattern, rate=rate,
+            seed=seed,
+        ))
+        assert span["span_fallback"] is None
+        assert span["kernel_cycles"]["c_span"] >= 0.5 * span["total_cycles"]
+        assert span["kernel_cycles"]["event"] == 0
+
+    def test_8x8_point_is_span_driven(self):
+        span = _three_way(_point(
+            layout="center+BL", mesh_size=8, rate=0.04, seed=3,
+            warmup_packets=300, measure_packets=1500,
+        ))
+        assert span["kernel_cycles"]["c_span"] >= 0.9 * span["total_cycles"]
+
+    def test_no_warmup(self):
+        """``warmup_packets=0``: the first packet opens the window
+        mid-cycle, so the cycles up to it stay on the per-cycle loop."""
+        span = _three_way(_point(rate=0.05, seed=2, warmup_packets=0))
+        assert span["kernel_cycles"]["c"] >= 1
+        assert span["kernel_cycles"]["c_span"] > 0
+
+    def test_one_measured_packet(self):
+        span = _three_way(_point(rate=0.05, seed=3, measure_packets=1))
+        assert len(span["records"]) == 1
+
+    def test_target_below_node_count(self):
+        """Fewer packets than nodes: no load-phase cycle is safely inside
+        a phase, so only the drain may run as a span."""
+        span = _three_way(_point(
+            rate=0.05, seed=4, warmup_packets=3, measure_packets=9,
+        ))
+        assert len(span["records"]) == 9
+
+    def test_saturated_point_hits_the_drain_cap(self):
+        span = _three_way(_point(
+            rate=0.5, seed=5, warmup_packets=30, measure_packets=300,
+            drain_cycle_cap=100,
+        ))
+        assert span["saturated"] and span["unfinished"] > 0
+        assert span["kernel_cycles"]["c_span"] > 0
+
+    def test_heartbeats_bound_the_spans(self):
+        beats = {}
+        for mode in ("span", "c"):
+            seen = beats[mode] = []
+            _observe(
+                _point(rate=0.05, seed=6), mode,
+                progress=lambda p: seen.append((p.phase, p.cycle, p.done)),
+                progress_every=16,
+            )
+        assert beats["span"] == beats["c"] and len(beats["c"]) > 5
+
+    def test_python_packet_completes_inside_a_span(self):
+        """A packet handed to ``enqueue`` keeps its Python object; when it
+        finishes inside a span the object gets its delivery fields and
+        its own ``packet_class`` lands in the latency record."""
+        def run(span_cycles):
+            reset_packet_ids()
+            net = build_network(layout_by_name("baseline", 4))
+            net.use_kernel("c")
+            net.begin_measurement()
+            pattern = UniformRandom(16)
+            injector = BernoulliInjector(0.05)
+            rng = random.Random(8)
+            probe = net.make_packet(0, 15, packet_class="probe")
+            probe.measured = True
+            net.enqueue(probe)
+            if span_cycles:
+                source = SpanSource(
+                    patterns.span_twin(pattern),
+                    selfsimilar.span_twin(injector, 16), rng,
+                )
+                assert net.step(Span(source, 60, births_measured=False)) \
+                    == (60, net.packets_in_flight + net.total_delivered - 1)
+            else:
+                for _ in range(60):
+                    _offer_load(net, pattern, injector, rng)
+                    net.step()
+            assert probe.received_at is not None and probe.hops == 6
+            (record,) = net.stats.records
+            assert record.packet_class == "probe"
+            return (vars(probe), vars(record), rng.getstate(), _digest(net),
+                    packet_id_marker(), net.stats.window_flit_deliveries)
+
+        assert run(True) == run(False)
+
+    def test_span_refused_while_something_watches(self):
+        reset_packet_ids()
+        net = build_network(layout_by_name("baseline", 2))
+        assert "event kernel" in net.span_blocker()
+        net.use_kernel("c")
+        assert net.span_blocker() is None
+        net.on_delivery = lambda packet, cycle: None
+        assert "on_delivery" in net.span_blocker()
+        source = SpanSource(("uniform", None), ("bernoulli", 0.1, None),
+                            random.Random(1))
+        with pytest.raises(RuntimeError, match="cannot step a span"):
+            net.step(Span(source, 5, births_measured=False))
+
+    def test_malformed_pattern_rows_are_rejected_before_c_sees_them(self):
+        reset_packet_ids()
+        net = build_network(layout_by_name("baseline", 2))
+        net.use_kernel("c")
+        for rows in ([[1], [2], [3]], [[1], [2], [3], [4]], [[1], [], [0], [0]]):
+            source = SpanSource(("choice", rows), ("bernoulli", 0.1, None),
+                                random.Random(1))
+            with pytest.raises(ValueError, match="span pattern rows"):
+                net.step(Span(source, 5, births_measured=False))
+
+
+class TestSpanEligibility:
+    """What keeps a run on the per-cycle loop, and that it says so."""
+
+    def _run(self, net, pattern=None, injector=None, **knobs):
+        reset_packet_ids()
+        return run_synthetic(
+            net, pattern or UniformRandom(net.topology.num_nodes), 0.05,
+            warmup_packets=10, measure_packets=40, seed=3,
+            injector=injector, **knobs,
+        )
+
+    def _c_network(self, **config):
+        reset_packet_ids()
+        net = build_network(layout_by_name("baseline", 3), **config)
+        net.use_kernel("c")
+        return net
+
+    def test_event_kernel_names_itself(self):
+        reset_packet_ids()
+        result = self._run(build_network(layout_by_name("baseline", 3)))
+        assert result.kernel_cycles["c_span"] == 0
+        assert result.kernel_cycles["event"] == result.total_cycles
+        assert "event kernel" in result.span_fallback
+
+    @needs_ckernel
+    def test_subclassed_pattern_and_injector_stay_per_cycle(self):
+        class Skewed(UniformRandom):
+            def destination(self, src, rng):
+                return (src + 1) % self.num_nodes
+
+        class Bursty(BernoulliInjector):
+            pass
+
+        result = self._run(self._c_network(), pattern=Skewed(9))
+        assert result.kernel_cycles["c_span"] == 0
+        assert result.kernel_cycles["c"] == result.total_cycles
+        assert "pattern Skewed" in result.span_fallback
+        result = self._run(self._c_network(), injector=Bursty(0.05))
+        assert "injector Bursty" in result.span_fallback
+        assert patterns.span_twin(TrafficPattern(4)) is None
+
+    @needs_ckernel
+    def test_self_similar_twin_needs_plain_sources(self):
+        injector = SelfSimilarInjector(9, 0.05, seed=1)
+        assert selfsimilar.span_twin(injector, 9)[0] == "pareto"
+        assert selfsimilar.span_twin(injector, 16) is None
+
+        class Loud(random.Random):
+            pass
+
+        injector.sources[4].rng = Loud(1)
+        assert selfsimilar.span_twin(injector, 9) is None
+        injector = SelfSimilarInjector(9, 0.05, seed=1)
+        injector.sources[2].mean_off = 1e40  # period would overflow int64
+        assert selfsimilar.span_twin(injector, 9) is None
+
+    @needs_ckernel
+    @pytest.mark.parametrize("what", ["watchdog", "queue-limit", "faults"])
+    def test_watchers_keep_the_per_cycle_loop(self, what):
+        knobs, config = {}, {}
+        if what == "watchdog":
+            from repro.faults import Watchdog
+
+            knobs["watchdog"] = Watchdog(stall_window=10_000)
+        elif what == "queue-limit":
+            config["source_queue_limit"] = 50
+        else:
+            from repro.faults.schedule import FaultSchedule
+
+            knobs["faults"] = FaultSchedule(specs=())
+        result = self._run(self._c_network(**config), **knobs)
+        assert result.kernel_cycles["c_span"] == 0
+        assert result.span_fallback is not None
+        assert sum(result.kernel_cycles.values()) == result.total_cycles
+
+    def test_no_compiler_runs_identically_without_spans(self, monkeypatch):
+        """The compiler-less leg: ``kernel="c"`` degrades to event, no
+        cycle is span-driven, the payload equals the golden one."""
+        monkeypatch.setattr(ckernel, "_LIB", None)
+        monkeypatch.setattr(ckernel, "_FAILED", None)
+        monkeypatch.setattr(ckernel, "find_compiler", lambda: None)
+        point = replace(GOLDEN_POINTS["homogeneous-4x4-UR"], kernel="c")
+        reset_packet_ids()
+        net = point.build_network()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_synthetic(
+                net, pattern_by_name(point.pattern, net.topology), point.rate,
+                warmup_packets=point.warmup_packets,
+                measure_packets=point.measure_packets, seed=point.seed,
+            )
+            degraded = execute_point(point).to_dict()
+        assert result.kernel_cycles["c_span"] == 0
+        assert result.kernel_cycles["event"] == result.total_cycles
+        assert "unavailable" in result.span_fallback
+        reference = execute_point(replace(point, kernel="event")).to_dict()
+        degraded.pop("key"), reference.pop("key")
+        assert degraded == reference
+
+
+# -- (c) checkpoints and kernel hand-off around spans -----------------------------
+@needs_ckernel
+class TestSpansAndSnapshots:
+    POINT = _point(layout="diagonal+BL", injector="self_similar", rate=0.06,
+                   seed=9)
+
+    def test_checkpoint_inside_a_span_driven_run_resumes_identically(
+        self, tmp_path
+    ):
+        plain = _observe(self.POINT, "span")
+        path = tmp_path / "run.ckpt"
+        checkpointed = _observe(
+            self.POINT, "span", checkpoint_every=23, checkpoint_path=path,
+        )
+        assert checkpointed["kernel_cycles"]["c_span"] > 0
+        _same_run(plain, checkpointed)
+        # The file left behind is a mid-run checkpoint; resume from it
+        # (the network, RNG and injector then come out of the snapshot).
+        resumed = _observe(self.POINT, "span", resume_from=path)
+        for key in ("records", "stats", "total_cycles", "next_packet_id"):
+            assert resumed[key] == plain[key], key
+        assert sum(resumed["kernel_cycles"].values()) == plain["total_cycles"]
+
+    def test_execute_point_checkpointing_under_kernel_c(self, tmp_path):
+        point = replace(self.POINT, kernel="c")
+        expected = execute_point(point).to_dict()
+        got = execute_point(
+            point, checkpoint_every=17, checkpoint_dir=tmp_path
+        ).to_dict()
+        assert got == expected
+
+    def test_hand_off_to_event_after_a_span(self):
+        """Packets born in C are materialised as Packet objects when the
+        kernel is swapped out; the event kernel then finishes them."""
+        def run(handoff):
+            reset_packet_ids()
+            net = build_network(layout_by_name("diagonal+BL", 4))
+            net.use_kernel("c" if handoff else "event")
+            pattern = pattern_by_name("nearest_neighbor", net.topology)
+            injector = SelfSimilarInjector(16, 0.2, seed=5)
+            rng = random.Random(12)
+            delivered = []
+            if handoff:
+                source = SpanSource(
+                    patterns.span_twin(pattern),
+                    selfsimilar.span_twin(injector, 16), rng,
+                )
+                ran, born = net.step(Span(source, 80, births_measured=False))
+                assert ran == 80 and born > 20
+                assert net.packets_in_flight > 0
+                net.use_kernel("event")
+            else:
+                for _ in range(80):
+                    _offer_load(net, pattern, injector, rng)
+                    net.step()
+            net.on_delivery = lambda packet, cycle: delivered.append(
+                (packet.packet_id, packet.src, packet.dst, packet.created_at,
+                 packet.injected_at, packet.hops, packet.min_lanes, cycle)
+            )
+            for _ in range(40):
+                _offer_load(net, pattern, injector, rng)
+                net.step()
+            net.drain()
+            assert len(delivered) > 20
+            return (delivered, _digest(net), rng.getstate(),
+                    _injector_state(injector), packet_id_marker())
+
+        assert run(True) == run(False)
+
+
+# -- (d) golden points really are span-driven under kernel="c" ---------------------
+@needs_ckernel
+@pytest.mark.parametrize("name", list(GOLDEN_POINTS))
+def test_golden_points_are_span_driven(name):
+    span = _observe(GOLDEN_POINTS[name], "span")
+    assert span["span_fallback"] is None
+    assert span["kernel_cycles"]["c_span"] > 0.8 * span["total_cycles"]
+    assert span["kernel_cycles"]["event"] == 0

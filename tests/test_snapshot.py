@@ -376,7 +376,9 @@ class TestExecutePointCheckpointing:
         assert resumed == expected
         assert not checkpoint.exists()
 
-    @pytest.mark.parametrize("damage", ["bit-flips", "v1-container"])
+    @pytest.mark.parametrize(
+        "damage", ["bit-flips", "v1-container", "v1-runner-state"]
+    )
     def test_corrupt_checkpoint_falls_back_to_scratch(
         self, tmp_path, monkeypatch, damage
     ):
@@ -398,6 +400,14 @@ class TestExecutePointCheckpointing:
         checkpoint = checkpoint_path_for(self.POINT, tmp_path)
         if damage == "bit-flips":
             flip_bits(checkpoint, seed=1, flips=3)
+        elif damage == "v1-runner-state":
+            # A valid container whose runner bookkeeping predates
+            # ``kernel_cycles`` (CHECKPOINT_FORMAT 1): refused, recomputed.
+            snapshot = load_snapshot(checkpoint)
+            state = snapshot.extra["runner"]
+            del state["kernel_cycles"]
+            state["format"] = 1
+            save_snapshot(snapshot, checkpoint)
         else:
             # What a checkpoint left behind by the previous format looks
             # like to this build: intact, but stamped v1.
