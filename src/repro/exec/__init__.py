@@ -1,4 +1,4 @@
-"""Parallel sweep execution with deterministic result caching.
+"""Parallel sweep execution over one durable result store.
 
 The package turns "run this list of independent simulations" into a
 first-class operation:
@@ -7,19 +7,20 @@ first-class operation:
 * :func:`execute_point` -- run one spec from scratch, deterministically
   (packet ids rewound per point);
 * :func:`run_sweep` -- execute many specs through a ``serial`` or
-  ``process`` backend, short-circuiting through a :class:`ResultCache`
-  (loose JSON files) or a :class:`ResultStore` (crash-safe WAL-mode
-  SQLite with a sweep journal and corrupt-row quarantine; selected by a
-  ``.sqlite``/``.db`` cache path);
-* :func:`configure` -- process-wide defaults (``--jobs``/``--no-cache``
-  in ``run_all``, ``REPRO_JOBS``/``REPRO_SWEEP_CACHE`` in CI).
+  ``process`` backend, replaying whatever the :class:`ResultStore`
+  already holds (crash-safe WAL-mode SQLite with a sweep journal and
+  corrupt-row quarantine -- the only durable backend; ``python -m
+  repro.exec <store> info|quarantine|import`` inspects and migrates);
+* :func:`configure` -- process-wide :class:`ExecDefaults`
+  (``--jobs``/``--no-cache`` in ``run_all``), seeded once from
+  ``REPRO_JOBS`` / ``REPRO_SWEEP_CACHE`` / ``REPRO_CHECKPOINT_EVERY`` /
+  ``REPRO_CHECKPOINT_DIR`` by :meth:`ExecDefaults.from_env`.
 
 The contract the test suite pins: for a given spec, serial execution,
-process execution and a cache hit -- on either backend -- all yield the
-same :class:`PointResult`, bit for bit.
+process execution and a store replay all yield the same
+:class:`PointResult`, bit for bit.
 """
 
-from repro.exec.cache import ResultCache, default_cache_dir
 from repro.exec.engine import (
     ExecDefaults,
     PointTimeout,
@@ -34,21 +35,19 @@ from repro.exec.point import (
     SweepPoint,
     execute_point,
 )
-from repro.exec.store import ResultStore, open_result_backend
+from repro.exec.store import ResultStore, default_store_path
 
 __all__ = [
     "SPEC_VERSION",
     "ExecDefaults",
     "PointResult",
     "PointTimeout",
-    "ResultCache",
     "ResultStore",
     "SweepCancelled",
     "SweepPoint",
     "configure",
-    "default_cache_dir",
+    "default_store_path",
     "execute_point",
-    "open_result_backend",
     "run_sweep",
     "sweep_points",
 ]

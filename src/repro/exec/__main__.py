@@ -1,9 +1,7 @@
 """``python -m repro.exec`` -- the result-store CLI.
 
 Delegates to :func:`repro.exec.store.main` (``info`` / ``quarantine`` /
-``import``); preferred over ``python -m repro.exec.store``, which works
-too but trips runpy's re-import warning because the package itself
-imports the submodule.
+``import``).
 """
 
 import sys

@@ -1,59 +1,56 @@
-"""The sweep-execution engine: fan sweep points out, cache what completes.
+"""The sweep-execution engine: fan sweep points out, store what completes.
 
 The experiment harnesses describe their work as lists of
 :class:`~repro.exec.point.SweepPoint` specs and hand them to
 :func:`run_sweep`, which returns one :class:`~repro.exec.point.PointResult`
 per point *in input order*.  Three orthogonal choices:
 
-* **backend** -- ``"serial"`` executes in-process (today's behaviour);
-  ``"process"`` fans the cache misses out over a
+* **backend** -- ``"serial"`` executes in-process; ``"process"`` fans the
+  cache misses out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Every point carries
   its own seed and builds its own network worker-side, and
   :func:`~repro.exec.point.execute_point` rewinds the packet-id counter
   first, so the two backends are bit-identical (the golden-run tests
   assert this).
-* **cache** -- a :class:`~repro.exec.cache.ResultCache` (or a directory
-  path) short-circuits already-computed points, so re-running ``run_all``
-  or a crashed ``--full`` sweep resumes instead of recomputing.
+* **cache** -- a :class:`~repro.exec.store.ResultStore`, a path to one,
+  or ``None``.  The store is the one durable backend: already-computed
+  points replay from it, every sweep registers its points in the store's
+  journal and flips them to ``done`` as results commit, so re-running
+  ``run_all`` -- or a crashed ``--full`` sweep -- resumes instead of
+  recomputing, and ``run_all --resume`` reports exactly what survived.
 * **progress** -- a callback receiving
   :class:`~repro.obs.profiler.Progress` heartbeats (phase ``"sweep"``)
   as points complete; :func:`repro.obs.profiler.make_progress_printer`
   plugs in directly.
 
-The ``cache`` argument accepts two durable backends, chosen by path: a
-directory keeps the loose-file :class:`~repro.exec.cache.ResultCache`,
-while a ``.sqlite``/``.sqlite3``/``.db`` path selects the crash-safe
-:class:`~repro.exec.store.ResultStore` (WAL-mode SQLite with atomic
-per-point commits, a sweep journal for ``run_all --resume`` and
-corrupt-row quarantine).  With a store backend every sweep registers its
-points in the journal and flips them to ``done`` as results commit.
-
 Long points can additionally auto-checkpoint: ``checkpoint_every=N``
-(plus a ``checkpoint_dir``) snapshots the live simulation every ``N``
-cycles via :mod:`repro.noc.snapshot`, and a retried or re-run point
+snapshots the live simulation every ``N`` cycles via
+:mod:`repro.noc.snapshot` (into ``checkpoint_dir``, by default
+``<store path>.ckpt/`` beside the store), and a retried or re-run point
 resumes bit-identically from its last checkpoint instead of cycle 0.
 
-Process-wide defaults come from :func:`configure` or the environment
-(``REPRO_JOBS``, ``REPRO_SWEEP_CACHE``, ``REPRO_CHECKPOINT_EVERY``,
-``REPRO_CHECKPOINT_DIR``), so harnesses can stay ignorant of parallelism
-while ``run_all --jobs N`` turns it on globally.
+Every setting resolves the same way: an argument passed to
+:func:`run_sweep` wins, else the process-wide :class:`ExecDefaults` that
+:func:`configure` edits, which start out as
+:meth:`ExecDefaults.from_env` -- the one place this package reads
+``REPRO_JOBS``, ``REPRO_SWEEP_CACHE``, ``REPRO_CHECKPOINT_EVERY`` and
+``REPRO_CHECKPOINT_DIR``.  Harnesses can therefore stay ignorant of
+parallelism while ``run_all --jobs N`` turns it on globally.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import threading
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.exec.cache import ResultCache
 from repro.exec.point import PointResult, SweepPoint, execute_point
-from repro.exec.store import ResultStore, is_store_path
+from repro.exec.store import ResultStore
 from repro.obs.profiler import Progress
 
 _UNSET = object()
@@ -72,8 +69,14 @@ def _execute_point_guarded(
     timeout_s: Optional[float],
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-) -> PointResult:
+) -> Tuple[PointResult, dict]:
     """Run one point, optionally under a wall-clock alarm.
+
+    Returns ``(result, info)`` where ``info`` carries the worker pid, the
+    ``perf_counter`` at execution start (CLOCK_MONOTONIC on Linux, so the
+    parent's submit timestamp is directly comparable) and the wall time
+    spent simulating -- what a telemetry span records; with telemetry off
+    the caller just drops it.
 
     Module-level so the process backend can pickle it.  The alarm uses
     ``SIGALRM`` where the platform has it (POSIX); elsewhere the timeout
@@ -88,19 +91,26 @@ def _execute_point_guarded(
     remaining time afterwards, so a caller's outer deadline keeps
     counting down across a guarded inner call.
     """
+    start_s = time.perf_counter()
     if os.environ.get("REPRO_CHAOS_KILL"):
         from repro.chaos.kill import maybe_kill_self
 
         maybe_kill_self(point)
 
-    def _run() -> PointResult:
-        if checkpoint_every is not None and checkpoint_dir is not None:
-            return execute_point(
+    def _run() -> Tuple[PointResult, dict]:
+        if checkpoint_every is not None:
+            result = execute_point(
                 point,
                 checkpoint_every=checkpoint_every,
                 checkpoint_dir=checkpoint_dir,
             )
-        return execute_point(point)
+        else:
+            result = execute_point(point)
+        return result, {
+            "worker": os.getpid(),
+            "start_s": start_s,
+            "sim_s": time.perf_counter() - start_s,
+        }
 
     if (
         timeout_s is not None
@@ -135,32 +145,6 @@ def _execute_point_guarded(
                     signal.ITIMER_REAL, max(remaining, 1e-6), outer_interval
                 )
     return _run()
-
-
-def _execute_point_timed(
-    point: SweepPoint,
-    timeout_s: Optional[float],
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> tuple:
-    """Like :func:`_execute_point_guarded`, plus worker-side timing.
-
-    Submitted *instead of* the plain runner only when sweep telemetry is
-    active, so the telemetry-off path stays bit-for-bit the old code.
-    Returns ``(result, info)`` where ``info`` carries the worker pid, the
-    ``perf_counter`` at execution start (CLOCK_MONOTONIC on Linux, so the
-    parent's submit timestamp is directly comparable), and the wall time
-    spent simulating.
-    """
-    start_s = time.perf_counter()
-    result = _execute_point_guarded(
-        point, timeout_s, checkpoint_every, checkpoint_dir
-    )
-    return result, {
-        "worker": os.getpid(),
-        "start_s": start_s,
-        "sim_s": time.perf_counter() - start_s,
-    }
 
 
 def _failed_result(point: SweepPoint, error: str) -> PointResult:
@@ -202,22 +186,34 @@ def _failed_result(point: SweepPoint, error: str) -> PointResult:
     )
 
 
-@dataclass
+def _positive_int(raw: Optional[str]) -> Optional[int]:
+    """An environment integer clamped to >= 1; unset or junk is ``None``."""
+    try:
+        return max(1, int(raw)) if raw else None
+    except ValueError:
+        return None
+
+
+@dataclasses.dataclass
 class ExecDefaults:
-    """Process-wide defaults applied when :func:`run_sweep` callers omit
-    the corresponding argument."""
+    """Process-wide settings :func:`run_sweep` falls back to for every
+    argument its caller omits."""
 
     jobs: int = 1
-    cache_dir: Optional[str] = None
+    #: the result store: a :class:`ResultStore`, a path to one (an
+    #: existing directory means ``<dir>/sweeps.sqlite``), or ``None`` for
+    #: no caching.
+    cache_dir: Union[str, os.PathLike, ResultStore, None] = None
     progress: Optional[Callable[[Progress], None]] = None
     #: a :class:`repro.obs.manifest.SweepTelemetry` (or anything with its
-    #: ``record_point`` signature); ``None`` keeps the untimed fast path.
+    #: ``record_point`` signature); ``None`` records nothing.
     telemetry: Optional[object] = None
-    #: auto-checkpoint period in cycles; needs ``checkpoint_dir`` too.
+    #: auto-checkpoint period in cycles.
     checkpoint_every: Optional[int] = None
-    checkpoint_dir: Optional[str] = None
-    #: journal tag recorded with each sweep on store backends, so
-    #: ``run_all --resume`` can report progress per figure.
+    #: where checkpoints go; ``None`` means ``<store path>.ckpt/``.
+    checkpoint_dir: Union[str, os.PathLike, None] = None
+    #: journal tag recorded with each sweep, so ``run_all --resume`` can
+    #: report progress per figure.
     sweep_tag: Optional[str] = None
     #: remote-submission hook: a callable ``(points, tag=...) -> results``
     #: (``repro.serve.client.install_submit`` wires one up).  When set,
@@ -225,110 +221,59 @@ class ExecDefaults:
     #: locally -- the ``run_all --submit <url>`` path.
     submit: Optional[Callable] = None
 
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
+            )
 
-def _defaults_from_env() -> ExecDefaults:
-    jobs = 1
-    raw = os.environ.get("REPRO_JOBS")
-    if raw:
-        try:
-            jobs = max(1, int(raw))
-        except ValueError:
-            jobs = 1
-    checkpoint_every = None
-    raw = os.environ.get("REPRO_CHECKPOINT_EVERY")
-    if raw:
-        try:
-            checkpoint_every = max(1, int(raw))
-        except ValueError:
-            checkpoint_every = None
-    return ExecDefaults(
-        jobs=jobs,
-        cache_dir=os.environ.get("REPRO_SWEEP_CACHE") or None,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=os.environ.get("REPRO_CHECKPOINT_DIR") or None,
+    @classmethod
+    def from_env(cls) -> "ExecDefaults":
+        """The defaults the environment asks for -- the only place
+        :mod:`repro.exec` reads its ``REPRO_*`` settings."""
+        env = os.environ
+        return cls(
+            jobs=_positive_int(env.get("REPRO_JOBS")) or 1,
+            cache_dir=env.get("REPRO_SWEEP_CACHE") or None,
+            checkpoint_every=_positive_int(env.get("REPRO_CHECKPOINT_EVERY")),
+            checkpoint_dir=env.get("REPRO_CHECKPOINT_DIR") or None,
+        )
+
+
+_defaults = ExecDefaults.from_env()
+
+
+def _resolve(**given) -> ExecDefaults:
+    """The settings in force: the process-wide defaults overlaid with
+    every argument the caller actually passed (``_UNSET`` -- and, for
+    ``jobs``, ``None`` -- means "not passed")."""
+    if given.get("jobs") is None:
+        given.pop("jobs", None)
+    return dataclasses.replace(
+        _defaults, **{k: v for k, v in given.items() if v is not _UNSET}
     )
 
 
-_defaults = _defaults_from_env()
+def configure(jobs: Optional[int] = None, **settings: object) -> ExecDefaults:
+    """Set engine-wide defaults; omitted settings keep their value.
 
-
-def configure(
-    jobs: Optional[int] = None,
-    cache_dir: object = _UNSET,
-    progress: object = _UNSET,
-    telemetry: object = _UNSET,
-    checkpoint_every: object = _UNSET,
-    checkpoint_dir: object = _UNSET,
-    sweep_tag: object = _UNSET,
-    submit: object = _UNSET,
-) -> ExecDefaults:
-    """Set engine-wide defaults; omitted arguments keep their value.
-
-    ``cache_dir=None`` explicitly disables caching; a string/path enables
-    it at that location (directory = loose files, ``.sqlite`` = durable
-    store).  Returns the resulting defaults (also handy for tests to
-    snapshot/restore).
+    ``settings`` are :class:`ExecDefaults` fields by name.
+    ``cache_dir=None`` explicitly disables caching; a :class:`ResultStore`
+    or a path to one enables it there.  Returns the resulting defaults
+    (also handy for tests to snapshot/restore).
     """
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        _defaults.jobs = jobs
-    if cache_dir is not _UNSET:
-        _defaults.cache_dir = str(cache_dir) if cache_dir is not None else None
-    if progress is not _UNSET:
-        _defaults.progress = progress
-    if telemetry is not _UNSET:
-        _defaults.telemetry = telemetry
-    if checkpoint_every is not _UNSET:
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        _defaults.checkpoint_every = checkpoint_every
-    if checkpoint_dir is not _UNSET:
-        _defaults.checkpoint_dir = (
-            str(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-    if sweep_tag is not _UNSET:
-        _defaults.sweep_tag = sweep_tag
-    if submit is not _UNSET:
-        _defaults.submit = submit
+    global _defaults
+    _defaults = _resolve(jobs=jobs, **settings)
     return _defaults
-
-
-def _resolve_cache(cache: object) -> Union[ResultCache, ResultStore, None]:
-    if cache is _UNSET:
-        if _defaults.cache_dir is None:
-            return None
-        cache = _defaults.cache_dir
-    if cache is None or isinstance(cache, (ResultCache, ResultStore)):
-        return cache
-    if is_store_path(cache):
-        return ResultStore(cache)
-    return ResultCache(cache)
-
-
-def _cache_put(cache, point: SweepPoint, result: PointResult) -> None:
-    """Write-back that never sinks a computed result.
-
-    :class:`ResultStore` already absorbs its own failures; this guards
-    the loose-file backend (and any duck-typed cache) the same way, so a
-    full disk degrades to "uncached" instead of losing the sweep.
-    """
-    try:
-        cache.put(point, result)
-    except Exception as exc:
-        warnings.warn(
-            f"cache write failed for {point.label}: "
-            f"{type(exc).__name__}: {exc}; result stays uncached"
-        )
 
 
 def run_sweep(
     points: Iterable[SweepPoint],
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
-    cache: Union[ResultCache, str, None, object] = _UNSET,
+    cache: Union[ResultStore, str, None, object] = _UNSET,
     progress: object = _UNSET,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -348,8 +293,9 @@ def run_sweep(
             ``REPRO_JOBS``).  ``jobs > 1`` implies the process backend.
         backend: ``"serial"`` or ``"process"``; inferred from ``jobs``
             when omitted.
-        cache: a :class:`ResultCache`, a directory path, or ``None`` to
-            disable; defaults to the configured cache directory.
+        cache: a :class:`ResultStore`, a path to one (an existing
+            directory means ``<dir>/sweeps.sqlite``), or ``None`` to
+            disable; defaults to the configured store.
         progress: callback for :class:`Progress` heartbeats (one per
             completed point; ``done`` counts points, and cached hits are
             counted immediately).
@@ -371,16 +317,17 @@ def run_sweep(
         telemetry: a :class:`repro.obs.manifest.SweepTelemetry` receiving
             one structured span per point (queue wait, sim wall time,
             worker pid, cache hit, attempts, config digest); defaults to
-            the configured telemetry, and ``None`` disables span
-            recording entirely (the engine then submits the plain untimed
-            runner -- the pre-telemetry code path, bit for bit).
-        checkpoint_every: auto-checkpoint period in simulated cycles;
-            with ``checkpoint_dir`` set, every executing point snapshots
-            its full simulation state that often and resumes from the
-            last snapshot on retry or re-run (bit-identically).  Both
-            default to the configured values (``REPRO_CHECKPOINT_EVERY``
-            / ``REPRO_CHECKPOINT_DIR``); either being ``None`` disables
-            checkpointing.
+            the configured telemetry, and ``None`` records nothing (the
+            points run through the same code either way).
+        checkpoint_every: auto-checkpoint period in simulated cycles
+            (default: the configured value / ``REPRO_CHECKPOINT_EVERY``;
+            ``None`` disables).  Every executing point snapshots its full
+            simulation state that often and resumes from the last
+            snapshot on retry or re-run, bit-identically.
+        checkpoint_dir: where the snapshots go (default: the configured
+            value / ``REPRO_CHECKPOINT_DIR``, else ``<store path>.ckpt/``
+            beside the store).  Checkpointing with neither a directory
+            nor a store is a :class:`ValueError`.
         cancel_event: anything with an ``is_set()`` method (a
             ``threading.Event``); when it reports set, the sweep raises
             :class:`SweepCancelled` instead of starting the next point
@@ -396,40 +343,49 @@ def run_sweep(
             back in input order, bit-identical to local serial execution.
 
     Cached results come back with ``from_cache=True`` and cost zero
-    simulation cycles; everything else executes and is written back to
-    the cache before returning.  Failed (captured) results are never
-    cached, so a re-run retries them.
+    simulation cycles; everything else executes and is committed to the
+    store before returning.  Failed (captured) results are never stored,
+    so a re-run retries them.
 
-    On a :class:`ResultStore` backend the sweep additionally journals
-    itself: every point is registered up front and marked committed as
-    its result lands, so an interrupted sweep reports exact
-    committed/pending counts and resumes with zero recomputation of
-    committed points.
+    With a store the sweep also journals itself: every point is
+    registered up front and marked committed as its result lands, so an
+    interrupted sweep reports exact committed/pending counts and resumes
+    with zero recomputation of committed points.
     """
     points = list(points)
-    submit_hook = _defaults.submit if submit is _UNSET else submit
-    if submit_hook is not None and points:
-        results = submit_hook(points, tag=_defaults.sweep_tag)
-        if len(results) != len(points):
-            raise RuntimeError(
-                f"submit hook returned {len(results)} results for "
-                f"{len(points)} points"
-            )
-        heartbeat = _defaults.progress if progress is _UNSET else progress
+    settings = _resolve(
+        jobs=jobs,
+        cache_dir=cache,
+        progress=progress,
+        telemetry=telemetry,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        submit=submit,
+    )
+    heartbeat, spans = settings.progress, settings.telemetry
+
+    def _beat(done: int, elapsed_s: float) -> None:
         if heartbeat is not None:
             heartbeat(
                 Progress(
                     phase="sweep",
                     cycle=0,
-                    done=len(points),
+                    done=done,
                     target=len(points),
-                    elapsed_s=0.0,
+                    elapsed_s=elapsed_s,
                 )
             )
+
+    if settings.submit is not None and points:
+        results = settings.submit(points, tag=settings.sweep_tag)
+        if len(results) != len(points):
+            raise RuntimeError(
+                f"submit hook returned {len(results)} results for "
+                f"{len(points)} points"
+            )
+        _beat(len(points), 0.0)
         return results
-    jobs = jobs if jobs is not None else _defaults.jobs
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = settings.jobs
     if backend is None:
         backend = "process" if jobs > 1 else "serial"
     if backend not in ("serial", "process"):
@@ -440,52 +396,63 @@ def run_sweep(
         on_error = "capture" if backend == "process" else "raise"
     if on_error not in ("raise", "capture"):
         raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
-    resolved_cache = _resolve_cache(cache)
-    heartbeat = _defaults.progress if progress is _UNSET else progress
-    spans = _defaults.telemetry if telemetry is _UNSET else telemetry
-    ckpt_every = (
-        _defaults.checkpoint_every
-        if checkpoint_every is _UNSET
-        else checkpoint_every
-    )
-    ckpt_dir = (
-        _defaults.checkpoint_dir if checkpoint_dir is _UNSET else checkpoint_dir
-    )
-    if ckpt_every is None or ckpt_dir is None:
-        ckpt_every = ckpt_dir = None
-    else:
-        os.makedirs(ckpt_dir, exist_ok=True)
+    store = settings.cache_dir
+    if store is not None and not isinstance(store, ResultStore):
+        store = ResultStore(store)
+    ckpt_every, ckpt_dir = settings.checkpoint_every, settings.checkpoint_dir
+    if ckpt_every is not None and ckpt_dir is None:
+        if store is None:
+            raise ValueError(
+                f"checkpoint_every={ckpt_every} has nowhere to write: give "
+                "a checkpoint_dir (REPRO_CHECKPOINT_DIR) or enable the "
+                "result store (cache= / REPRO_SWEEP_CACHE), which keeps "
+                "checkpoints in <store path>.ckpt/"
+            )
+        ckpt_dir = f"{store.path}.ckpt"
 
     journal_id: Optional[str] = None
-    if isinstance(resolved_cache, ResultStore) and points:
-        journal_id = resolved_cache.begin_sweep(
-            points, tag=_defaults.sweep_tag
-        )
+    if store is not None and points:
+        journal_id = store.begin_sweep(points, tag=settings.sweep_tag)
 
     started = time.perf_counter()
     done = 0
 
-    def _tick(point: SweepPoint) -> None:
+    def _tick() -> None:
         nonlocal done
         done += 1
-        if heartbeat is not None:
-            heartbeat(
-                Progress(
-                    phase="sweep",
-                    cycle=0,
-                    done=done,
-                    target=len(points),
-                    elapsed_s=time.perf_counter() - started,
-                )
-            )
+        _beat(done, time.perf_counter() - started)
+
+    def _record(
+        index: int,
+        attempts: int,
+        info: Optional[dict] = None,
+        submitted_s: float = 0.0,
+        **outcome,
+    ) -> None:
+        """One telemetry span; ``info`` is ``None`` when nothing ran to
+        completion (cache hit, exhausted failure)."""
+        if spans is None:
+            return
+        if info is None:
+            info = {"worker": os.getpid(), "start_s": None, "sim_s": 0.0}
+            queue_wait_s = 0.0
+        else:
+            queue_wait_s = info["start_s"] - submitted_s
+        spans.record_point(
+            points[index],
+            queue_wait_s=queue_wait_s,
+            attempts=attempts,
+            **info,
+            **outcome,
+        )
 
     def _finish(index: int, result: PointResult) -> None:
-        if resolved_cache is not None and result.error is None:
-            _cache_put(resolved_cache, points[index], result)
+        if store is not None and result.error is None:
+            store.put(points[index], result)
             if journal_id is not None:
-                resolved_cache.mark_committed(journal_id, points[index])
+                store.mark_committed(journal_id, points[index])
         results[index] = result
-        _tick(points[index])
+        _tick()
 
     def _backoff(attempt: int) -> None:
         if retry_backoff_s > 0:
@@ -500,82 +467,49 @@ def run_sweep(
     results: List[Optional[PointResult]] = [None] * len(points)
     pending: List[int] = []
     for index, point in enumerate(points):
-        hit = resolved_cache.get(point) if resolved_cache is not None else None
+        hit = store.get(point) if store is not None else None
         if hit is not None:
             hit.from_cache = True
             if journal_id is not None:
-                resolved_cache.mark_committed(journal_id, point)
-            if spans is not None:
-                spans.record_point(
-                    point,
-                    queue_wait_s=0.0,
-                    sim_s=0.0,
-                    worker=os.getpid(),
-                    cache_hit=True,
-                    attempts=0,
-                )
+                store.mark_committed(journal_id, point)
+            _record(index, 0, cache_hit=True)
             results[index] = hit
-            _tick(point)
+            _tick()
         else:
             pending.append(index)
 
+    run_args = (timeout, ckpt_every, ckpt_dir)
     if backend == "serial" or len(pending) <= 1:
         for index in pending:
             _check_cancelled()
-            attempt = 0
-            info = None
-            error = None
-            submit_s = 0.0
+            attempts = 0
             while True:
+                attempts += 1
+                submitted_s = time.perf_counter()
                 try:
-                    if spans is None:
-                        result = _execute_point_guarded(
-                            points[index], timeout, ckpt_every, ckpt_dir
-                        )
-                    else:
-                        submit_s = time.perf_counter()
-                        result, info = _execute_point_timed(
-                            points[index], timeout, ckpt_every, ckpt_dir
-                        )
-                    break
+                    result, info = _execute_point_guarded(
+                        points[index], *run_args
+                    )
                 except Exception as exc:
-                    attempt += 1
-                    if attempt <= retries:
-                        _backoff(attempt)
+                    if attempts <= retries:
+                        _backoff(attempts)
                         continue
                     if on_error == "raise":
                         raise
-                    error = f"{type(exc).__name__}: {exc}"
-                    result = _failed_result(points[index], error)
-                    break
-            if spans is not None:
-                if info is not None:
-                    spans.record_point(
-                        points[index],
-                        queue_wait_s=info["start_s"] - submit_s,
-                        sim_s=info["sim_s"],
-                        worker=info["worker"],
-                        start_s=info["start_s"],
-                        attempts=attempt + 1,
+                    result = _failed_result(
+                        points[index], f"{type(exc).__name__}: {exc}"
                     )
-                else:
-                    spans.record_point(
-                        points[index],
-                        queue_wait_s=0.0,
-                        sim_s=0.0,
-                        worker=os.getpid(),
-                        attempts=attempt,
-                        error=error,
-                    )
+                    info = None
+                break
+            _record(index, attempts, info, submitted_s, error=result.error)
             _finish(index, result)
-    elif pending:
+    else:
         # Failures (worker exceptions, timeouts, even a worker process
         # dying and breaking the whole pool) are retried for `retries`
         # rounds; the pool is rebuilt each round so a poisoned worker
         # cannot take the rest of the sweep down with it.
         remaining = pending
         round_no = 0
-        attempts_so_far: Dict[int, int] = {}
         while remaining:
             _check_cancelled()
             errors: Dict[int, str] = {}
@@ -583,39 +517,19 @@ def run_sweep(
             workers = min(jobs, len(remaining))
             pool = ProcessPoolExecutor(max_workers=workers)
             try:
-                if spans is None:
-                    futures = {
+                futures = {}
+                submitted: Dict[int, float] = {}
+                for index in remaining:
+                    submitted[index] = time.perf_counter()
+                    futures[
                         pool.submit(
-                            _execute_point_guarded,
-                            points[index],
-                            timeout,
-                            ckpt_every,
-                            ckpt_dir,
-                        ): index
-                        for index in remaining
-                    }
-                    submit_times = None
-                else:
-                    futures = {}
-                    submit_times = {}
-                    for index in remaining:
-                        attempts_so_far[index] = (
-                            attempts_so_far.get(index, 0) + 1
+                            _execute_point_guarded, points[index], *run_args
                         )
-                        submit_times[index] = time.perf_counter()
-                        futures[
-                            pool.submit(
-                                _execute_point_timed,
-                                points[index],
-                                timeout,
-                                ckpt_every,
-                                ckpt_dir,
-                            )
-                        ] = index
+                    ] = index
                 for future in as_completed(futures):
                     index = futures[future]
                     try:
-                        result = future.result()
+                        result, info = future.result()
                     except BrokenProcessPool:
                         failed.append(index)
                         errors[index] = "worker process died (BrokenProcessPool)"
@@ -624,18 +538,7 @@ def run_sweep(
                         failed.append(index)
                         errors[index] = f"{type(exc).__name__}: {exc}"
                         continue
-                    if spans is not None:
-                        result, info = result
-                        spans.record_point(
-                            points[index],
-                            queue_wait_s=(
-                                info["start_s"] - submit_times[index]
-                            ),
-                            sim_s=info["sim_s"],
-                            worker=info["worker"],
-                            start_s=info["start_s"],
-                            attempts=attempts_so_far[index],
-                        )
+                    _record(index, round_no + 1, info, submitted[index])
                     _finish(index, result)
             finally:
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -654,15 +557,7 @@ def run_sweep(
                     f"{round_no} attempt(s): {errors[first]}"
                 )
             for index in failed:
-                if spans is not None:
-                    spans.record_point(
-                        points[index],
-                        queue_wait_s=0.0,
-                        sim_s=0.0,
-                        worker=os.getpid(),
-                        attempts=attempts_so_far.get(index, round_no),
-                        error=errors[index],
-                    )
+                _record(index, round_no, error=errors[index])
                 _finish(index, _failed_result(points[index], errors[index]))
             break
     return results  # type: ignore[return-value]

@@ -5,8 +5,8 @@ A :class:`SweepPoint` captures *everything* one load-latency sample needs
 injection process, offered rate, seed and measurement knobs -- as a
 frozen, picklable value object.  Because the spec is self-contained, a
 point can execute anywhere: in-process, in a worker of a
-:class:`concurrent.futures.ProcessPoolExecutor`, or not at all when a
-:class:`repro.exec.cache.ResultCache` already holds its result.
+:class:`concurrent.futures.ProcessPoolExecutor`, or not at all when the
+:class:`repro.exec.store.ResultStore` already holds its result.
 
 Determinism contract: :func:`execute_point` rewinds the global packet-id
 counter before building the network, so the same spec produces the same
@@ -154,7 +154,7 @@ class SweepPoint:
         """Content hash identifying this spec (stable across processes).
 
         Any field change -- rate, seed, measurement scale, placement --
-        yields a different key; the cache layer uses it as the filename.
+        yields a different key; the result store uses it as the row key.
         """
         payload = {"version": SPEC_VERSION, "spec": self.spec_dict()}
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -229,7 +229,7 @@ class PointResult:
 
     Deliberately *not* the live :class:`~repro.noc.network.Network` or
     :class:`~repro.noc.stats.NetworkStats`: results must cross process
-    boundaries and round-trip through the JSON cache, so only plain
+    boundaries and round-trip through JSON store rows, so only plain
     scalars and lists appear here.  The integer checksums
     (``latency_sum_cycles``, ``hops_sum``, ``packet_id_sum``) exist for
     exact golden-run comparisons where float formatting would be lossy.
@@ -270,7 +270,7 @@ class PointResult:
     #: error string when the engine captured a failed execution instead
     #: of aborting the sweep; failed results are never cached.
     error: Optional[str] = None
-    #: set by the engine when this result came from the disk cache rather
+    #: set by the engine when this result came from the result store rather
     #: than a simulation; never serialized.
     from_cache: bool = field(default=False, compare=False)
 

@@ -1,9 +1,8 @@
-"""Durable SQLite result store: the crash-safe sweep cache backend.
+"""Durable SQLite result store: the sweep engine's one result backend.
 
-The loose-file :class:`~repro.exec.cache.ResultCache` keeps one JSON file
-per point; this store keeps the same content-addressed payloads in a
-single SQLite database and adds the durability features a long-running
-sweep needs:
+Completed :class:`~repro.exec.point.PointResult` payloads live in a
+single SQLite database, content-addressed by the point's spec hash, with
+the durability features a long-running sweep needs:
 
 * **WAL mode, single-writer transactions** -- every ``put`` is one
   atomic transaction, so a SIGKILL at any instant leaves either the old
@@ -23,15 +22,17 @@ sweep needs:
 * **Schema versioning** -- ``meta.schema_version`` is checked on every
   open; an unknown (newer) schema refuses loudly instead of guessing.
 
-The store is selected wherever a cache path is accepted (``cache=`` in
-:func:`repro.exec.engine.run_sweep`, ``REPRO_SWEEP_CACHE``) simply by
-using a path with a ``.sqlite``/``.sqlite3``/``.db`` suffix; everything
-else keeps the loose-file backend.  Results are byte-identical across
-the two backends (pinned by the golden parity tests).
+Wherever a store path is accepted (``cache=`` in
+:func:`repro.exec.engine.run_sweep`, ``REPRO_SWEEP_CACHE``, this
+module's CLI) one rule applies, in :class:`ResultStore`'s constructor: an
+existing directory means ``<dir>/sweeps.sqlite``, anything else is the
+database file itself.  ``run_all`` defaults to
+:func:`default_store_path`.
 
-Migrate an existing loose-file cache with::
+Before the store, results were cached as one loose ``<key>.json`` file
+per point; migrate such a directory (one way) with::
 
-    python -m repro.exec.store sweeps.sqlite import ~/.cache/repro-heteronoc/sweeps
+    python -m repro.exec sweeps.sqlite import ~/.cache/repro-heteronoc/sweeps
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import json
 import os
 import pathlib
 import sqlite3
-import sys
 import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Union
@@ -56,9 +56,6 @@ STORE_SCHEMA_VERSION = 2
 
 #: schema versions this build can upgrade in place on open.
 _MIGRATABLE_VERSIONS = (1,)
-
-#: path suffixes that select the SQLite store over the loose-file cache.
-STORE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -111,22 +108,14 @@ class StoreSchemaError(RuntimeError):
     """The database carries a schema this build does not understand."""
 
 
-def is_store_path(path: Union[str, pathlib.Path, None]) -> bool:
-    """Whether a cache path selects the SQLite store backend."""
-    if path is None:
-        return False
-    return pathlib.Path(path).suffix.lower() in STORE_SUFFIXES
-
-
-def open_result_backend(path: Union[str, pathlib.Path]):
-    """The result backend for ``path``: :class:`ResultStore` for
-    ``.sqlite``/``.sqlite3``/``.db`` files, the loose-file
-    :class:`~repro.exec.cache.ResultCache` for directories."""
-    if is_store_path(path):
-        return ResultStore(path)
-    from repro.exec.cache import ResultCache
-
-    return ResultCache(path)
+def default_store_path() -> pathlib.Path:
+    """Where ``run_all`` keeps results unless ``REPRO_SWEEP_CACHE`` says
+    otherwise: ``sweeps/sweeps.sqlite`` under the XDG cache directory."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join("~", ".cache")
+    return (
+        pathlib.Path(base).expanduser()
+        / "repro-heteronoc" / "sweeps" / "sweeps.sqlite"
+    )
 
 
 def _now() -> str:
@@ -160,15 +149,21 @@ def sweep_id_for(
 class ResultStore:
     """Content-addressed, crash-safe store of :class:`PointResult` rows.
 
-    Duck-type compatible with :class:`~repro.exec.cache.ResultCache`
-    (``get`` / ``put`` / ``__len__``), plus the journal and quarantine
-    API.  Every method is defensive: database-level corruption recovers
-    by moving the file aside, row-level corruption quarantines the row
-    -- neither ever raises out of ``get``/``put``.
+    The cache contract (``get`` / ``put`` / ``__len__``) plus the
+    journal and quarantine API.  Every method is defensive:
+    database-level corruption recovers by moving the file aside,
+    row-level corruption quarantines the row -- neither ever raises out
+    of ``get``/``put``.
+
+    ``path`` is the database file, or an existing directory holding it
+    as ``sweeps.sqlite`` (so a directory of old loose-file cache entries
+    keeps working as the cache location, entries untouched).
     """
 
     def __init__(self, path: Union[str, pathlib.Path]) -> None:
         self.path = pathlib.Path(path).expanduser()
+        if self.path.is_dir():
+            self.path = self.path / "sweeps.sqlite"
         self._conn: Optional[sqlite3.Connection] = None
 
     # -- connection management ------------------------------------------------
@@ -228,13 +223,15 @@ class ResultStore:
         return conn
 
     def _quarantine_database(self, reason: str) -> None:
-        """Move a hopelessly corrupt database file aside and warn."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
+        """Move a hopelessly corrupt database file aside and warn.
+
+        Only ever a regular file: when the path is anything else (a
+        directory, a missing or unreadable location) the database error
+        being handled is not corruption and propagates instead.
+        """
+        if not self.path.is_file():
+            raise
+        self.close()
         target = self.path.with_name(self.path.name + ".corrupt")
         try:
             os.replace(self.path, target)
@@ -552,7 +549,9 @@ class ResultStore:
     def import_cache(
         self, directory: Union[str, pathlib.Path]
     ) -> Dict[str, int]:
-        """Import a loose-file :class:`ResultCache` directory.
+        """Import a legacy loose-file cache directory (what the retired
+        ``ResultCache`` wrote: ``<key>.json`` files holding
+        ``{"version", "spec", "result"}``).
 
         Every ``*.json`` entry that validates (filename matches the
         spec's content hash, payload parses as a result) becomes one
@@ -608,21 +607,22 @@ class ResultStore:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.exec.store`` -- inspect and migrate stores."""
+    """``python -m repro.exec`` -- inspect and migrate stores."""
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.exec.store",
-        description="Inspect a sweep result store or import a loose-file "
-        "cache directory into it.",
+        prog="python -m repro.exec",
+        description="Inspect a sweep result store or import a legacy "
+        "loose-file cache directory into it.",
     )
-    parser.add_argument("store", help="path to the SQLite store "
-                        "(created when missing)")
+    parser.add_argument("store", help="path to the SQLite store (created "
+                        "when missing), or a directory holding it as "
+                        "sweeps.sqlite")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="row counts and journal progress")
     sub.add_parser("quarantine", help="list quarantined rows")
     import_parser = sub.add_parser(
-        "import", help="import a loose-file ResultCache directory"
+        "import", help="import a legacy loose-file cache directory"
     )
     import_parser.add_argument("cache_dir", help="directory of *.json "
                                "cache entries")
@@ -680,6 +680,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"jobs: {states}")
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

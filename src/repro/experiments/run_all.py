@@ -8,10 +8,9 @@ Usage::
     python -m repro.experiments.run_all --jobs 4      # parallel sweep points
     python -m repro.experiments.run_all --no-cache    # always resimulate
     python -m repro.experiments.run_all --csv out/    # also export CSVs
-    python -m repro.experiments.run_all --resume      # durable store:
-                                                      #   report journal
-                                                      #   progress, then
-                                                      #   continue
+    python -m repro.experiments.run_all --resume      # report the store's
+                                                      #   journal progress,
+                                                      #   then continue
     python -m repro.experiments.run_all --obs out/    # observability demo:
                                                       #   instrumented fig01
                                                       #   run -> time series,
@@ -31,9 +30,10 @@ Usage::
 Sweep-style harnesses submit their points through :mod:`repro.exec`:
 ``--jobs N`` fans independent points out over N worker processes
 (bit-identical output to serial execution) and completed points land in
-a disk cache (see ``repro.exec.default_cache_dir``), so a re-run -- or a
-crashed ``--full`` sweep restarted -- skips simulation for every point
-it already has.  ``--no-cache`` opts out.  Progress heartbeats and cache
+the durable result store (``REPRO_SWEEP_CACHE``, else
+``repro.exec.default_store_path()``), so a re-run -- or a crashed
+``--full`` sweep restarted -- skips simulation for every point it
+already has.  ``--no-cache`` opts out.  Progress heartbeats and cache
 configuration go to stderr so stdout stays byte-comparable across
 ``--jobs`` settings.
 
@@ -207,18 +207,21 @@ def _pop_flag_with_value(argv: list, flag: str):
 def _configure_exec(argv: list):
     """Apply ``--jobs N`` / ``--no-cache`` / ``--resume`` to the engine.
 
-    Returns ``(argv, resume_store)`` where ``resume_store`` is the
-    durable store path when ``--resume`` was given (else ``None``).
-    Everything this prints goes to stderr: the harness tables on stdout
-    must stay byte-identical whatever the execution backend.
+    Returns ``(argv, resume_store)`` where ``resume_store`` is the store
+    path when ``--resume`` was given (else ``None``).  Everything this
+    prints goes to stderr: the harness tables on stdout must stay
+    byte-identical whatever the execution backend.
 
-    ``--resume`` switches the cache to the crash-safe SQLite store
-    (``sweeps.sqlite`` in the cache directory, unless the configured
-    cache path already *is* a store), so the sweep journal from an
-    interrupted run is available to report and extend.
+    Every mode shares one result store -- ``REPRO_SWEEP_CACHE`` or
+    :func:`repro.exec.default_store_path` -- so ``--resume`` only adds the
+    journal report: whatever a plain (or killed) run committed is there.
     """
-    from repro.exec import configure, default_cache_dir
-    from repro.exec.store import is_store_path
+    from repro.exec import (
+        ExecDefaults,
+        ResultStore,
+        configure,
+        default_store_path,
+    )
     from repro.obs.profiler import make_progress_printer
 
     jobs = None
@@ -227,35 +230,37 @@ def _configure_exec(argv: list):
         jobs = int(value)
         if jobs < 1:
             raise ValueError(f"--jobs needs a positive integer, got {value}")
-    cache_dir = default_cache_dir()
+    store_path, cache_label = None, "off"
     if "--no-cache" in argv:
         argv = [a for a in argv if a != "--no-cache"]
-        cache_dir = None
-    resume_store = None
-    if "--resume" in argv:
+    else:
+        store_path = ResultStore(
+            ExecDefaults.from_env().cache_dir or default_store_path()
+        ).path
+        cache_label = str(store_path)
+        # Entries the retired loose-file cache left beside the store
+        # (<sha256>.json) are not read any more; say how to keep them.
+        loose = len(list(store_path.parent.glob("?" * 64 + ".json")))
+        if loose:
+            cache_label += (
+                f" ({loose} legacy loose-file entries beside it are not "
+                f"read; import them once with: python -m repro.exec "
+                f"{store_path} import {store_path.parent})"
+            )
+    resume = "--resume" in argv
+    if resume:
         argv = [a for a in argv if a != "--resume"]
-        if cache_dir is None:
+        if store_path is None:
             raise ValueError("--resume needs the cache; drop --no-cache")
-        if is_store_path(cache_dir):
-            resume_store = cache_dir
-        else:
-            import os
-
-            resume_store = os.path.join(cache_dir, "sweeps.sqlite")
-        cache_dir = resume_store
     configure(
         jobs=jobs,
-        cache_dir=cache_dir,
+        cache_dir=store_path,
         # No captured stream: the printer resolves sys.stderr per print,
         # so the installed default keeps working after redirection.
         progress=make_progress_printer(),
     )
-    print(
-        f"[exec] jobs={jobs or 'default'} "
-        f"cache={cache_dir if cache_dir is not None else 'off'}",
-        file=sys.stderr,
-    )
-    return argv, resume_store
+    print(f"[exec] jobs={jobs or 'default'} cache={cache_label}", file=sys.stderr)
+    return argv, store_path if resume else None
 
 
 def _report_resume(store_path, names: list) -> dict:
@@ -273,7 +278,6 @@ def _report_resume(store_path, names: list) -> dict:
     print(f"[resume] store {store_path}", file=sys.stderr)
     if not summary:
         print("[resume] no journalled sweeps yet", file=sys.stderr)
-    relevant = []
     for row in summary:
         tag = row["tag"] or "(untagged)"
         print(
@@ -281,10 +285,9 @@ def _report_resume(store_path, names: list) -> dict:
             f"committed, {row['pending']} pending",
             file=sys.stderr,
         )
-        relevant.append(row)
     return {
         "store": str(store_path),
-        "sweeps": relevant,
+        "sweeps": summary,
         "harnesses": list(names),
     }
 
@@ -300,9 +303,7 @@ def _write_resume_manifest(store_path, resume_report: dict) -> None:
         argv=sys.argv,
         extra={"resume": resume_report},
     )
-    import pathlib
-
-    path = pathlib.Path(store_path).with_suffix(".resume.json")
+    path = store_path.with_suffix(".resume.json")
     manifest.write_json(path)
     print(f"[resume] manifest {path}", file=sys.stderr)
 

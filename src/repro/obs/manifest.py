@@ -93,8 +93,8 @@ class SweepTelemetry:
 
     Pass to :func:`repro.exec.engine.run_sweep` (``telemetry=``) or
     install process-wide with ``repro.exec.engine.configure(telemetry=t)``.
-    When no telemetry is installed the engine submits the plain untimed
-    runner, so the disabled path is bit-for-bit the pre-telemetry code.
+    Points run through the same code with or without telemetry; when none
+    is installed the engine simply records nothing.
     """
 
     def __init__(self) -> None:

@@ -1,10 +1,10 @@
 """Engine and cache-layer behaviour: hits, misses, corruption, resume.
 
-The headline property: a warm cache makes :func:`repro.exec.run_sweep`
+The headline property: a warm store makes :func:`repro.exec.run_sweep`
 execute *zero* simulations (proved here by stubbing ``execute_point`` to
-raise), and any damaged cache entry -- truncated, corrupt JSON, wrong
-version, wrong spec, wrong field set -- silently degrades to a recompute,
-never an exception.  That combination is what lets an interrupted
+raise), and any damaged row -- torn, corrupt JSON, wrong version, wrong
+spec, wrong field set -- silently degrades to a recompute, never an
+exception.  That combination is what lets an interrupted
 ``run_all --full`` sweep resume from where it crashed.
 """
 
@@ -16,13 +16,13 @@ import pytest
 import repro.exec.engine as engine_mod
 from repro.exec import (
     ExecDefaults,
-    ResultCache,
+    ResultStore,
     SweepPoint,
     configure,
-    default_cache_dir,
     execute_point,
     run_sweep,
 )
+from repro.exec.store import _checksum
 
 POINT = SweepPoint(
     layout="baseline", mesh_size=4, pattern="uniform_random",
@@ -43,14 +43,15 @@ def _isolated_defaults(monkeypatch):
 
 @pytest.fixture()
 def cache(tmp_path):
-    return ResultCache(tmp_path / "sweeps")
+    with ResultStore(tmp_path / "sweeps.sqlite") as store:
+        yield store
 
 
 class TestCacheRoundTrip:
     def test_put_then_get(self, cache):
         result = execute_point(POINT)
-        path = cache.put(POINT, result)
-        assert path.exists() and path.name == f"{POINT.key()}.json"
+        cache.put(POINT, result)
+        assert cache.path.exists()
         hit = cache.get(POINT)
         assert hit is not None
         assert hit.to_dict() == result.to_dict()
@@ -65,53 +66,83 @@ class TestCacheRoundTrip:
 
     def test_no_stray_tmp_files(self, cache):
         cache.put(POINT, execute_point(POINT))
-        assert not list(cache.directory.glob("*.tmp"))
+        cache.close()
+        # Only the database and its WAL sidecars, next to nothing else.
+        name = cache.path.name
+        assert {p.name for p in cache.path.parent.iterdir()} <= {
+            name, f"{name}-wal", f"{name}-shm",
+        }
         assert len(cache) == 1
 
 
-class TestCacheCorruptionFallsBackToRecompute:
-    """Satellite 3: damaged entries are misses, and the damaged file is
-    discarded so it cannot poison later runs."""
+def _rewrite_row(cache, resign=True, **columns):
+    """Overwrite columns of POINT's row; ``resign`` recomputes the
+    checksum, so the damage has to be caught by the layer behind it."""
+    conn = cache.connection()
+    row = dict(zip(
+        ("version", "spec", "result"),
+        conn.execute(
+            "SELECT version, spec, result FROM results WHERE key = ?",
+            (POINT.key(),),
+        ).fetchone(),
+    ))
+    row.update(columns)
+    if resign:
+        row["checksum"] = _checksum(row["version"], row["spec"], row["result"])
+    assignments = ", ".join(f"{name} = ?" for name in row)
+    with conn:
+        conn.execute(
+            f"UPDATE results SET {assignments} WHERE key = ?",
+            (*row.values(), POINT.key()),
+        )
 
-    def _seed_entry(self, cache):
-        result = execute_point(POINT)
-        return cache.put(POINT, result), result
+
+class TestCacheCorruptionFallsBackToRecompute:
+    """Damaged rows are misses, and the damaged row is moved out of
+    ``results`` so it cannot poison later runs."""
 
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda path: path.write_text(""),                      # truncated empty
-            lambda path: path.write_text(path.read_text()[: len(path.read_text()) // 2]),
-            lambda path: path.write_text("{not json"),
-            lambda path: path.write_text(json.dumps({"version": 999})),
-            lambda path: path.write_text(json.dumps(
-                {"version": 1, "spec": {"rate": 9.9}, "result": {}})),
-            lambda path: path.write_text(json.dumps(
-                {"version": 1, "spec": None, "result": None})),
+            dict(result="", resign=False),
+            dict(result='{"latency_cyc', resign=False),
+            dict(result="{not json"),
+            dict(version=999),
+            dict(spec=json.dumps({"rate": 9.9})),
+            dict(spec="null", result="null"),
         ],
         ids=["empty", "truncated", "not-json", "bad-version", "spec-mismatch",
              "null-payload"],
     )
     def test_damaged_entry_is_a_miss_and_discarded(self, cache, damage):
-        path, _ = self._seed_entry(cache)
-        damage(path)
-        assert cache.get(POINT) is None
-        assert not path.exists()  # discarded, not left to fail again
+        cache.put(POINT, execute_point(POINT))
+        _rewrite_row(cache, **damage)
+        with pytest.warns(UserWarning, match="quarantined"):
+            assert cache.get(POINT) is None
+        assert len(cache) == 0  # discarded, not left to fail again
+        assert [row["key"] for row in cache.quarantined()] == [POINT.key()]
 
     def test_result_with_wrong_fields_is_a_miss(self, cache):
-        path, result = self._seed_entry(cache)
-        payload = json.loads(path.read_text())
-        del payload["result"]["packet_id_sum"]
-        path.write_text(json.dumps(payload))
-        assert cache.get(POINT) is None
+        result = execute_point(POINT)
+        cache.put(POINT, result)
+        payload = result.to_dict()
+        del payload["packet_id_sum"]
+        _rewrite_row(cache, result=json.dumps(payload, sort_keys=True))
+        with pytest.warns(UserWarning, match="quarantined"):
+            assert cache.get(POINT) is None
 
     def test_run_sweep_recovers_from_corrupt_entry(self, cache):
-        """End to end: corrupt one entry of a swept cache; the sweep
+        """End to end: corrupt one row of a swept store; the sweep
         recomputes exactly that point and still returns correct results."""
         points = _points()
         first = run_sweep(points, jobs=1, cache=cache)
-        cache.path_for(points[1]).write_text("garbage")
-        second = run_sweep(points, jobs=1, cache=cache)
+        with cache.connection() as conn:
+            conn.execute(
+                "UPDATE results SET result = 'garbage' WHERE key = ?",
+                (points[1].key(),),
+            )
+        with pytest.warns(UserWarning, match="quarantined"):
+            second = run_sweep(points, jobs=1, cache=cache)
         assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
         assert [r.from_cache for r in second] == [True, False, True]
         # ... and the recompute repaired the entry.
@@ -163,7 +194,7 @@ class TestWarmCacheExecutesNothing:
 class TestEngineConfiguration:
     def test_configure_sets_defaults(self, tmp_path):
         defaults = configure(jobs=3, cache_dir=tmp_path)
-        assert defaults.jobs == 3 and defaults.cache_dir == str(tmp_path)
+        assert defaults.jobs == 3 and defaults.cache_dir == tmp_path
         # Omitted args keep their values.
         assert configure().jobs == 3
 
@@ -174,7 +205,7 @@ class TestEngineConfiguration:
     def test_configured_cache_used_by_default(self, tmp_path, monkeypatch):
         configure(cache_dir=tmp_path / "sweeps")
         run_sweep(_points(1), jobs=1)
-        assert len(ResultCache(tmp_path / "sweeps")) == 1
+        assert len(ResultStore(tmp_path / "sweeps")) == 1
         # cache=None opts a single call out even when a default is set.
         monkeypatch.setattr(
             engine_mod, "execute_point",
@@ -187,14 +218,19 @@ class TestEngineConfiguration:
     def test_env_defaults(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_JOBS", "4")
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "env-cache"))
-        defaults = engine_mod._defaults_from_env()
+        defaults = ExecDefaults.from_env()
         assert defaults.jobs == 4
         assert defaults.cache_dir == str(tmp_path / "env-cache")
-        assert default_cache_dir() == tmp_path / "env-cache"
+
+    def test_env_unset_means_no_store(self, monkeypatch):
+        for name in ("REPRO_JOBS", "REPRO_SWEEP_CACHE",
+                     "REPRO_CHECKPOINT_EVERY", "REPRO_CHECKPOINT_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        assert ExecDefaults.from_env() == ExecDefaults()
 
     def test_env_junk_jobs_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
-        assert engine_mod._defaults_from_env().jobs == 1
+        assert ExecDefaults.from_env().jobs == 1
 
     def test_bad_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
@@ -221,3 +257,51 @@ class TestProgressHeartbeats:
         assert len(cache) == 2
         assert sorted(p.done for p in beats) == [1, 2]
         assert [r.key for r in results] == [p.key() for p in points]
+
+
+class TestCheckpointDefaults:
+    def test_checkpoint_every_alone_checkpoints_beside_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """``REPRO_CHECKPOINT_EVERY`` needs no second variable: the
+        checkpoints go to ``<store path>.ckpt/``."""
+        from repro.chaos.sites import reset_chaos_sites, write_site_plan
+        from repro.exec.point import checkpoint_path_for
+
+        store_path = tmp_path / "sweeps.sqlite"
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(store_path))
+        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "20")
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        monkeypatch.setattr(engine_mod, "_defaults", ExecDefaults.from_env())
+        expected = execute_point(POINT).to_dict()
+        # Interrupt the point right after its first checkpoint lands.
+        plan = write_site_plan(
+            tmp_path / "plan.json",
+            {"runner.checkpoint": {"exc": "OSError", "calls": [1]}},
+        )
+        monkeypatch.setenv("REPRO_CHAOS_PLAN", str(plan))
+        reset_chaos_sites()
+        with pytest.raises(OSError):
+            run_sweep([POINT])
+        monkeypatch.delenv("REPRO_CHAOS_PLAN")
+        checkpoint = checkpoint_path_for(POINT, f"{store_path}.ckpt")
+        assert checkpoint.exists()
+        [resumed] = run_sweep([POINT])
+        assert resumed.to_dict() == expected
+        assert not checkpoint.exists()  # deleted once the point commits
+        assert len(ResultStore(store_path)) == 1
+
+    def test_checkpoint_every_with_nowhere_to_write_is_an_error(self):
+        with pytest.raises(
+            ValueError, match="REPRO_CHECKPOINT_DIR.*REPRO_SWEEP_CACHE"
+        ):
+            run_sweep([POINT], cache=None, checkpoint_every=20)
+
+    def test_explicit_checkpoint_dir_needs_no_store(self, tmp_path):
+        expected = execute_point(POINT).to_dict()
+        [result] = run_sweep(
+            [POINT], cache=None, checkpoint_every=20,
+            checkpoint_dir=tmp_path / "ckpt",
+        )
+        assert result.to_dict() == expected
+        assert (tmp_path / "ckpt").is_dir()

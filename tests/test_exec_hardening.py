@@ -3,7 +3,7 @@
 One bad point must not abort a long parallel sweep: with
 ``on_error="capture"`` (the process backend's default) a failing point
 comes back as a placeholder result carrying the error string and NaN
-metrics, is never written to the cache, and every other point completes
+metrics, is never written to the store, and every other point completes
 normally.
 """
 
@@ -13,8 +13,7 @@ import time
 import pytest
 
 import repro.exec.engine as engine_mod
-from repro.exec import SweepPoint, run_sweep
-from repro.exec.cache import ResultCache
+from repro.exec import ResultStore, SweepPoint, run_sweep
 
 
 def _tiny_point(**overrides) -> SweepPoint:
@@ -88,7 +87,7 @@ class TestSerialHardening:
 
         monkeypatch.setattr(engine_mod, "execute_point", _fail_once)
         point = _tiny_point()
-        cache = ResultCache(str(tmp_path))
+        cache = ResultStore(tmp_path / "sweeps.sqlite")
         failed = run_sweep([point], cache=cache, on_error="capture")[0]
         assert failed.error is not None
         assert cache.get(point) is None
@@ -191,7 +190,7 @@ class TestNestedAlarms:
             time.sleep(5)  # the nested call: must hit its 0.1 s budget
 
         monkeypatch.setattr(engine_mod, "execute_point", _nesting)
-        result = _execute_point_guarded(point, timeout_s=30.0)
+        result, _ = _execute_point_guarded(point, timeout_s=30.0)
         assert result.error is None
         assert result.measured_packets == 30
 

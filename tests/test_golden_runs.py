@@ -163,9 +163,8 @@ class TestProcessBackendMatchesGolden:
 
 
 class TestStoreBackendMatchesGolden:
-    """The durable SQLite store backend (``.sqlite`` cache path) serves
-    and stores the golden payloads exactly: store == cache-file == no
-    cache, bit for bit, computed or replayed."""
+    """The durable SQLite store serves and stores the golden payloads
+    exactly: store == no cache, bit for bit, computed or replayed."""
 
     def test_store_computed_and_replayed_match_golden(self, golden, tmp_path):
         points = list(GOLDEN_POINTS.values())
@@ -180,14 +179,6 @@ class TestStoreBackendMatchesGolden:
             payload = result.to_dict()
             payload.pop("from_cache", None)
             assert payload == golden[name]["result"], name
-
-    def test_store_and_cache_file_backends_agree(self, tmp_path):
-        points = list(GOLDEN_POINTS.values())
-        via_cache = run_sweep(points, cache=str(tmp_path / "loose"))
-        via_store = run_sweep(points, cache=str(tmp_path / "golden.sqlite"))
-        assert [r.to_dict() for r in via_cache] == [
-            r.to_dict() for r in via_store
-        ]
 
 
 def _regenerate() -> None:

@@ -107,7 +107,29 @@ class TestAsymmetricHarnessSmall:
             assert r["harmonic_speedup"] > 0
 
 
+def _tiny_sweep_harness(fast):
+    """A run_all harness small enough for a test: two 4x4 points."""
+    from repro.exec import run_sweep, sweep_points
+
+    points = sweep_points(
+        ["baseline"], "uniform_random", [0.04, 0.06], seed=7,
+        warmup_packets=10, measure_packets=30, mesh_size=4,
+    )
+    for result in run_sweep(points):
+        print(f"{result.label}  {result.latency_cycles!r}")
+
+
 class TestRunAllCli:
+    @pytest.fixture(autouse=True)
+    def _isolated_exec(self, tmp_path, monkeypatch):
+        """``run_all.main`` installs process-wide engine defaults and a
+        default store under the XDG cache: keep both inside the test."""
+        import repro.exec.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_defaults", engine_mod.ExecDefaults())
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
+
     def test_dispatch_unknown(self):
         assert run_all.main(["not-an-experiment"]) == 2
 
@@ -134,6 +156,41 @@ class TestRunAllCli:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["name"] == "run_all_resume"
         assert manifest["extra"]["resume"]["harnesses"] == ["table1"]
+
+    def test_plain_run_then_resume_recomputes_nothing(
+        self, capsys, monkeypatch
+    ):
+        # Plain runs and --resume share one store, so whatever a plain
+        # (or killed) run committed is what --resume finds.
+        import repro.exec.engine as engine_mod
+
+        def tables(stdout):  # minus the wall-clock "[... done in" line
+            return [ln for ln in stdout.splitlines() if not ln.startswith("[")]
+
+        monkeypatch.setitem(run_all.HARNESSES, "tiny", _tiny_sweep_harness)
+        assert run_all.main(["tiny"]) == 0
+        plain = capsys.readouterr()
+
+        def _boom(point):
+            raise AssertionError(f"re-simulated {point.label} on --resume")
+
+        monkeypatch.setattr(engine_mod, "execute_point", _boom)
+        assert run_all.main(["--resume", "tiny"]) == 0
+        resumed = capsys.readouterr()
+        assert "[resume] tiny: 2/2 points committed, 0 pending" in resumed.err
+        assert tables(resumed.out) == tables(plain.out)
+
+    def test_loose_cache_entries_get_an_import_hint(self, tmp_path, capsys):
+        sweeps = tmp_path / "xdg" / "repro-heteronoc" / "sweeps"
+        sweeps.mkdir(parents=True)
+        (sweeps / ("ab" * 32 + ".json")).write_text("{}")
+        assert run_all.main(["table1"]) == 0
+        err = capsys.readouterr().err
+        assert "1 legacy loose-file entries" in err
+        command = (
+            f"python -m repro.exec {sweeps / 'sweeps.sqlite'} import {sweeps}"
+        )
+        assert err.count(command) == 1
 
     def test_resume_without_cache_rejected(self, capsys):
         assert run_all.main(["--resume", "--no-cache", "table1"]) == 2

@@ -12,7 +12,7 @@ import json
 import pytest
 
 import repro.exec.engine as engine_mod
-from repro.exec import ExecDefaults, ResultCache, SweepPoint, run_sweep
+from repro.exec import ExecDefaults, SweepPoint, run_sweep
 from repro.obs.manifest import (
     RunManifest,
     SearchTrace,
@@ -76,12 +76,17 @@ class TestSweepTelemetry:
             assert span["error"] is None
 
     def test_telemetry_does_not_perturb_results(self):
+        # One runner whether or not spans are recorded: on == off, on
+        # the serial backend and across a two-worker pool.
         points = _points()
-        untraced = run_sweep(points, cache=None)
-        traced = run_sweep(points, cache=None, telemetry=SweepTelemetry())
-        assert [r.to_dict() for r in traced] == [
-            r.to_dict() for r in untraced
-        ]
+        for jobs in (1, 2):
+            untraced = run_sweep(points, jobs=jobs, cache=None, telemetry=None)
+            traced = run_sweep(
+                points, jobs=jobs, cache=None, telemetry=SweepTelemetry()
+            )
+            assert [r.to_dict() for r in traced] == [
+                r.to_dict() for r in untraced
+            ]
 
     def test_process_backend_records_worker_pids(self):
         telemetry = SweepTelemetry()
@@ -97,7 +102,7 @@ class TestSweepTelemetry:
         )
 
     def test_cache_hits_become_zero_cost_spans(self, tmp_path):
-        cache = ResultCache(tmp_path / "sweeps")
+        cache = str(tmp_path / "sweeps.sqlite")
         run_sweep(_points(), cache=cache)  # warm
         telemetry = SweepTelemetry()
         run_sweep(_points(), cache=cache, telemetry=telemetry)

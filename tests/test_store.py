@@ -2,28 +2,29 @@
 
 What must hold:
 
-* drop-in parity with the loose-file cache -- same results bit for bit,
-  ``run_sweep`` selects the backend purely from the cache path suffix;
+* caching changes nothing -- computed, stored and replayed results are
+  the same bit for bit; one path rule (an existing directory means
+  ``<dir>/sweeps.sqlite``, anything else is the database file);
 * corrupt rows are quarantined and recomputed, never served and never a
   crash; a corrupt *file* is moved aside and the store starts fresh;
 * the sweep journal tracks committed/pending points across interrupted
   sweeps, keyed deterministically so a relaunch re-attaches;
-* the migration CLI imports loose cache entries, skipping damaged ones.
+* the migration CLI imports legacy loose-file cache entries, skipping
+  damaged ones.
 """
 
 import json
 import sqlite3
+import warnings
 
 import pytest
 
-from repro.exec.cache import ResultCache
 from repro.exec.engine import configure, run_sweep, sweep_points
+from repro.exec.point import SPEC_VERSION
 from repro.exec.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
     StoreSchemaError,
-    is_store_path,
-    open_result_backend,
     sweep_id_for,
 )
 
@@ -63,38 +64,54 @@ def _no_ambient_defaults(monkeypatch):
     engine_mod._defaults = saved
 
 
-class TestBackendSelection:
-    def test_is_store_path(self):
-        assert is_store_path("sweeps.sqlite")
-        assert is_store_path("a/b/c.db")
-        assert is_store_path("x.SQLITE3")
-        assert not is_store_path("plain-directory")
-        assert not is_store_path(None)
-
-    def test_open_result_backend(self, tmp_path):
-        assert isinstance(
-            open_result_backend(tmp_path / "s.sqlite"), ResultStore
-        )
-        assert isinstance(open_result_backend(tmp_path / "dir"), ResultCache)
-
-    def test_run_sweep_routes_by_suffix(self, tmp_path):
+class TestStorePath:
+    def test_path_is_the_database_file(self, tmp_path):
+        # No suffix table: whatever the name, a non-directory path is
+        # the database itself.
         points = _points(1)
-        run_sweep(points, cache=str(tmp_path / "s.sqlite"))
-        assert (tmp_path / "s.sqlite").exists()
-        assert len(ResultStore(tmp_path / "s.sqlite")) == 1
+        run_sweep(points, cache=str(tmp_path / "s.results"))
+        assert (tmp_path / "s.results").is_file()
+        assert len(ResultStore(tmp_path / "s.results")) == 1
+
+    def test_directory_means_sweeps_sqlite_inside_it(self, tmp_path):
+        # A directory of legacy loose-file entries stays the cache
+        # location: the store opens inside it and touches nothing else.
+        loose = tmp_path / "loose"
+        loose.mkdir()
+        (loose / "abc.json").write_text("{}")
+        points = _points(1)
+        [result] = run_sweep(points, cache=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = ResultStore(loose)
+            assert len(store) == 0
+            store.put(points[0], result)
+        assert store.path == loose / "sweeps.sqlite"
+        assert (loose / "abc.json").read_text() == "{}"
+        assert not (tmp_path / "loose.corrupt").exists()
+        assert len(ResultStore(loose / "sweeps.sqlite")) == 1
+
+    def test_only_a_regular_file_is_ever_moved_aside(self, tmp_path):
+        # The path turns into a directory after the store was built (so
+        # the directory rule did not apply): opening fails, and the
+        # failure must not be "recovered" by renaming the directory.
+        store = ResultStore(tmp_path / "late")
+        (tmp_path / "late").mkdir()
+        (tmp_path / "late" / "abc.json").write_text("{}")
+        points = _points(1)
+        with pytest.raises(sqlite3.OperationalError):
+            store.get(points[0])
+        assert (tmp_path / "late" / "abc.json").exists()
+        assert not (tmp_path / "late.corrupt").exists()
 
 
 class TestParityWithCache:
     def test_store_and_cache_results_identical(self, tmp_path):
         points = _points(2)
         expected = _comparable(run_sweep(points, cache=None))
-        via_cache = _comparable(
-            run_sweep(points, cache=str(tmp_path / "loose"))
-        )
         via_store = _comparable(
             run_sweep(points, cache=str(tmp_path / "s.sqlite"))
         )
-        assert via_cache == expected
         assert via_store == expected
 
     def test_hits_are_bit_identical_and_flagged(self, tmp_path):
@@ -252,19 +269,41 @@ class TestJournal:
         assert store.sweep_progress(sweep_id_for(points))["pending"] == 0
 
 
+def _write_legacy_cache(directory, points):
+    """A loose-file cache as the retired ``ResultCache`` wrote it: one
+    ``<key>.json`` per point holding ``{version, spec, result}`` -- the
+    format :meth:`ResultStore.import_cache` must keep reading."""
+    directory.mkdir()
+    results = run_sweep(points, cache=None)
+    for point, result in zip(points, results):
+        payload = {
+            "version": SPEC_VERSION,
+            "spec": point.spec_dict(),
+            "result": result.to_dict(),
+        }
+        (directory / f"{point.key()}.json").write_text(
+            json.dumps(payload, sort_keys=True)
+        )
+    return results
+
+
 class TestMigration:
     def test_import_cache_directory(self, tmp_path):
         points = _points(2)
         cache_dir = tmp_path / "loose"
-        expected = _comparable(run_sweep(points, cache=str(cache_dir)))
-        # One damaged entry and one foreign file must be skipped.
+        expected = _comparable(_write_legacy_cache(cache_dir, points))
+        # A torn entry and a valid payload under the wrong hash must
+        # both be skipped.
         (cache_dir / "not-a-hash.json").write_text("{'torn")
+        (cache_dir / ("0" * 64 + ".json")).write_text(
+            (cache_dir / f"{points[0].key()}.json").read_text()
+        )
         store_path = tmp_path / "s.sqlite"
         store = ResultStore(store_path)
         with pytest.warns(UserWarning, match="skipping cache entry"):
             report = store.import_cache(cache_dir)
         assert report["imported"] == 2
-        assert report["skipped"] == 1
+        assert report["skipped"] == 2
         # Imported rows serve as hits, bit-identically.
         results = run_sweep(points, cache=str(store_path))
         assert all(r.from_cache for r in results)
@@ -276,12 +315,14 @@ class TestMigration:
     def test_cli_info_and_import(self, tmp_path, capsys):
         from repro.exec.store import main
 
-        points = _points(1)
         cache_dir = tmp_path / "loose"
-        run_sweep(points, cache=str(cache_dir))
+        _write_legacy_cache(cache_dir, _points(1))
         store_path = tmp_path / "s.sqlite"
         assert main([str(store_path), "import", str(cache_dir)]) == 0
         assert "imported 1 entries" in capsys.readouterr().out
+        # A directory argument names the store inside it.
+        assert main([str(cache_dir), "info"]) == 0
+        assert f"store: {cache_dir / 'sweeps.sqlite'}" in capsys.readouterr().out
         assert main([str(store_path), "info"]) == 0
         out = capsys.readouterr().out
         assert "results: 1" in out
