@@ -3,8 +3,7 @@
 The fast cycle kernel, selected with ``NetworkConfig(kernel="c")``,
 ``REPRO_KERNEL=c`` or ``network.use_kernel("c")``.  The per-cycle walk
 itself lives in ``_ckernel.c`` (shipped in-repo next to this module) and
-runs over the flat integer layout of :mod:`repro.noc.layout`; this
-module owns everything around it:
+runs over a flat integer arena; this module owns everything around it:
 
 * **build** -- the C source is compiled on first use with the system C
   compiler (discovered via :func:`shutil.which` over the ``sysconfig``
@@ -14,14 +13,25 @@ module owns everything around it:
   compiler and flags, so editing the C file or switching toolchains
   rebuilds automatically; concurrent builders race benignly through an
   atomic ``os.replace``.  No build-time dependency, no wheel machinery.
-* **bridge** -- :class:`CKernel` packs the network state into the C
-  side's arrays (queues as packet-handle/flit-index rings, calendars of
-  pending arrival/credit events, per-node source queues, packet
-  records), steps it one cycle per call, and mirrors everything back on
-  :meth:`CKernel.sync` -- including rebuilding the shared
-  :class:`~repro.noc.flit.Flit` deques and the event buckets -- so
-  mid-run kernel switches, snapshots and the differential digests stay
-  bit-identical.
+* **bridge** -- :class:`CKernel` is the one codec between the object
+  model and the arena, one hop each way.  Packing walks the
+  :class:`~repro.noc.router.Router` objects once and writes the arena:
+  static tensors (shapes, link/upstream/node maps, route tables), then
+  the live state -- per-lane scalars indexed ``(router * P + port) * V +
+  vc``, per-port VC bitmasks and arbiter pointers, the active sets,
+  queues as packet-handle/flit-index rings, calendars of pending
+  arrival/credit events, per-node source queues, packet records.
+  :meth:`CKernel.sync` reads the arena and writes the same fields of the
+  ``Router`` / ``_VCState`` / allocator / source objects back --
+  including rebuilding the shared :class:`~repro.noc.flit.Flit` deques
+  and the event buckets -- so mid-run kernel switches, snapshots and the
+  differential digests stay bit-identical.  Nothing on the Python side
+  mirrors an arena array; what stays here is what the arena cannot
+  hold: the packet handle table (C knows packets as integers), the
+  routers' own flit deques (sync refills them in place, so every
+  reference to them stays valid) and the
+  :class:`~repro.noc.stats.RouterActivity` objects the C counters are
+  added onto at measurement boundaries and on sync.
 * **spans** -- :meth:`CKernel.run` advances a whole :class:`Span` of
   cycles in one FFI call with the open-loop traffic source inside the C
   loop (``ck_run``): the run's ``random.Random`` state is *handed over*
@@ -33,10 +43,11 @@ module owns everything around it:
   ``random.Random``; a mismatch disables spans (one warning) and the
   per-cycle loop carries every run.
 * **fallback** -- when no compiler is available (or the compile or a
-  precondition fails), :func:`load_kernel_library` raises
-  :class:`CKernelUnavailable`; the network warns once per process and
-  the ``event`` kernel carries the run, as it does whenever
-  faults/observers/watchdogs attach.  The ladder is ``c -> event`` and
+  precondition fails), :func:`load_kernel_library` or the
+  :class:`CKernel` constructor raises :class:`CKernelUnavailable`; the
+  network warns once per process *and reason*, keeps the reason for
+  :meth:`Network.span_blocker`, and the ``event`` kernel carries the
+  run, as it does whenever faults/observers/watchdogs attach.  The ladder is ``c -> event`` and
   both rungs are bit-identical, so a compiler-less host asking for
   ``"c"`` runs at event speed (EXPERIMENTS.md, "Fallback rules").
 
@@ -85,7 +96,8 @@ _LDLIBS = ("-lm",)
 #: process-wide build memo: the loaded library, or the failure reason.
 _LIB: Optional[ctypes.CDLL] = None
 _FAILED: Optional[str] = None
-_WARNED = False
+#: the fallback reasons already warned about in this process.
+_WARNED: set = set()
 #: why spans are off although the library loaded (RNG twin mismatch).
 _SPANS_OFF: Optional[str] = None
 
@@ -186,7 +198,6 @@ def _bind(lib: ctypes.CDLL) -> None:
     sig("ck_source_at", i64, void_p, i64, i64)
     sig("ck_src_wake", None, void_p, i64)
     sig("ck_queue_push", i64, void_p, i64, i64, i64, i64)
-    sig("ck_act_clear", None, void_p, i64)
     sig("ck_act_push", None, void_p, i64, i64)
     sig("ck_act_len", i64, void_p, i64)
     sig("ck_act_at", i64, void_p, i64, i64)
@@ -300,11 +311,11 @@ def unavailable_reason() -> Optional[str]:
 
 
 def warn_unavailable(reason: str) -> None:
-    """One warning per process when ``kernel="c"`` degrades to event."""
-    global _WARNED
-    if _WARNED:
+    """Warn that ``kernel="c"`` degrades to event -- once per process for
+    each distinct ``reason``."""
+    if reason in _WARNED:
         return
-    _WARNED = True
+    _WARNED.add(reason)
     warnings.warn(
         f"compiled cycle kernel unavailable ({reason}); "
         "falling back to the event kernel",
@@ -365,11 +376,13 @@ _ERRORS = {
 _INJECTOR_KINDS = {"bernoulli": 0, "pareto": 1}
 _PATTERN_KINDS = {"uniform": 0, "choice": 1, "fixed": 2}
 
-#: layout delta-array name per C activity-counter id, in flush order.
-_ACTIVITY_ARRS = (
-    (A_BW, "a_bw"), (A_BR, "a_br"), (A_XB, "a_xb"), (A_RC, "a_rc"),
-    (A_VA, "a_va"), (A_ARB, "a_arb"), (A_CF, "a_cf"), (A_CS, "a_cs"),
-    (A_MG, "a_mg"), (A_OC, "a_oc"),
+#: the ``RouterActivity`` field each C activity-counter array adds onto.
+_ACTIVITY_FIELDS = (
+    (A_BW, "buffer_writes"), (A_BR, "buffer_reads"),
+    (A_XB, "crossbar_traversals"), (A_RC, "route_computations"),
+    (A_VA, "vc_allocations"), (A_ARB, "arbitrations"),
+    (A_CF, "arbitration_conflicts"), (A_CS, "credit_stalls"),
+    (A_MG, "merged_flit_pairs"), (A_OC, "occupancy_integral"),
 )
 
 
@@ -377,6 +390,12 @@ def _to_i64(word: int) -> int:
     """Reinterpret an unsigned 64-bit word as ctypes' signed int64."""
     word &= _MASK64
     return word - (1 << 64) if word >= (1 << 63) else word
+
+
+def _set_bits(words, n: int) -> set:
+    """The indices below ``n`` whose bit is set in the (signed) 64-bit
+    ``words`` of a C bitset."""
+    return {i for i in range(n) if words[i >> 6] >> (i & 63) & 1}
 
 
 def _span_born(pid: int, src: int, dst: int, flits: int, created: int,
@@ -430,40 +449,42 @@ class CKernel:
     requested and eligible; raises :class:`CKernelUnavailable` when the
     library cannot load or the network shape breaks a kernel
     precondition (credit/link delays below 1 cycle, more than 62 ports
-    or VCs per router).  A :class:`~repro.noc.layout.FlatLayout` is
-    embedded as the pack/sync codec between the Router objects and the
-    flat arrays.  The C arena lives exactly as long as this object:
-    :meth:`free` releases it eagerly, and dropping the kernel (or the
-    network holding it) releases it at collection.
+    or VCs per router).  The C arena lives exactly as long as this
+    object: :meth:`free` releases it eagerly, and dropping the kernel
+    (or the network holding it) releases it at collection.
     """
 
     def __init__(self, net) -> None:
-        from repro.noc.layout import FlatLayout
-
         lib = load_kernel_library()
-        layout = FlatLayout(net)  # packs router scalars; shares queues
-        R, P, V = layout.R, layout.P, layout.V
+        routers = net.routers
+        R = len(routers)
+        #: uniform strides: max ports / max VCs over the routers (lanes
+        #: for ports or VCs a router does not have are never touched).
+        P = max(r.num_ports for r in routers)
+        V = max(r.num_vcs for r in routers)
         if P > 62 or V > 62:
             raise CKernelUnavailable(
                 f"router shape too wide for the bitmask kernel "
                 f"(ports={P}, vcs={V}, limit 62)"
             )
         cd = net._credit_delay
-        delays = [info[2] for info in layout.linkinfo if info is not None]
+        delays = [
+            link.delay
+            for r in routers for link in r.out_links if link is not None
+        ]
         if cd < 1 or (delays and min(delays) < 1):
             raise CKernelUnavailable(
                 "credit/link delays below 1 cycle break the calendar ring"
             )
-        #: weak, like the layout's: the network owns this kernel, and a
-        #: strong reference back would leave every dropped network (and
-        #: its C arena) waiting for the cycle collector.
+        #: weak: the network owns this kernel, and a strong reference
+        #: back would leave every dropped network (and its C arena)
+        #: waiting for the cycle collector.
         self.net = weakref.proxy(net)
-        self.layout = layout
         self.lib = lib
         self.R, self.P, self.V = R, P, V
         self.L = R * P * V
         self.RP = R * P
-        self.D = max(max(layout.depth), 1)
+        self.D = max(r.config.buffer_depth for r in routers)
         self.nnodes = net.topology.num_nodes
         self.cal_sz = max([cd] + delays) + 1
         po = net.config.router_pipeline_stages - 1
@@ -481,10 +502,22 @@ class CKernel:
         #: exist only as C records.  The allocator itself lives in C.
         self._handles: List[Optional[Packet]] = []
         self._hmap: Dict[int, int] = {}  # id(packet) -> handle
+        #: the routers' own flit deques by lane (``None`` where a router
+        #: has no such port/VC): the C rings hold the contents while the
+        #: kernel is live, sync() refills these very objects.
+        self._queues: List[Optional[object]] = [None] * self.L
+        for rid, r in enumerate(routers):
+            for port, states in enumerate(r._vc_states):
+                lane = (rid * P + port) * V
+                for vc, state in enumerate(states):
+                    self._queues[lane + vc] = state.queue
+        #: the objects the C activity counters are flushed onto.
+        self._activities = [r.activity for r in routers]
         #: True while net._arrivals/_credits hold a sync() mirror of the
         #: C calendars; the next step() drops it (C stays authoritative).
         self._mirrored = False
         try:
+            self._fill_static()
             self._pack()
         except Exception:
             self.free()
@@ -544,74 +577,124 @@ class CKernel:
         self._handles[h] = None
 
     # -- pack: Python -> C ------------------------------------------------
-    def _pack(self) -> None:
+    def _put(self, aid: int, values: list) -> None:
+        """Write ``values`` over the first ``len(values)`` ints of array
+        ``aid``."""
+        self._view(aid, len(values))[:] = values
+
+    def _fill_static(self) -> None:
+        """Write the tensors that never change while the kernel lives:
+        router shapes, link / upstream / node maps and the route tables
+        -- facts of the topology and the router configs, not of the run."""
         net = self.net
-        layout = self.layout
+        routers = net.routers
+        R, P, RP, nnodes = self.R, self.P, self.RP, self.nnodes
+        merging = net._merging
+        self._put(A_NPORTS, [r.num_ports for r in routers])
+        self._put(A_NVCS, [r.num_vcs for r in routers])
+        self._put(A_DEPTH, [r.config.buffer_depth for r in routers])
+        self._put(A_EJ_LANES, [r._local_lanes for r in routers])
+        route_tab = self._view(A_ROUTE_TAB, R * nnodes)
+        ej_pmask, has_wide = [0] * R, [0] * R
+        ovc_cnt, ceil, slanes = [0] * RP, [0] * RP, [0] * RP
+        link_r, link_p = [-1] * RP, [0] * RP  # -1: no link on this port
+        link_delay, link_lanes = [0] * RP, [0] * RP
+        up_r, up_p = [-1] * RP, [0] * RP      # -1: local or edge port
+        for rid, r in enumerate(routers):
+            route_tab[rid * nnodes:(rid + 1) * nnodes] = r._route_table
+            for port in range(r.num_ports):
+                rp = rid * P + port
+                if r.is_ejection[port]:
+                    ej_pmask[rid] |= 1 << port
+                ovc_cnt[rp] = r.out_vc_count[port]
+                ceil[rp] = r._credit_ceiling[port]
+                slanes[rp] = r._static_lanes[port]
+                link = r.out_links[port]
+                if link is not None:
+                    link_r[rp], link_p[rp] = link.dst_router, link.dst_port
+                    link_delay[rp], link_lanes[rp] = link.delay, link.lanes
+                    if merging and link.lanes >= 2:
+                        has_wide[rid] = 1
+                upstream = net._upstream[rid][port]
+                if upstream is not None:
+                    up_r[rp], up_p[rp] = upstream
+        for aid, values in (
+            (A_EJ_PMASK, ej_pmask), (A_HAS_WIDE, has_wide),
+            (A_OVC_CNT, ovc_cnt), (A_CEIL, ceil), (A_SLANES, slanes),
+            (A_LINK_R, link_r), (A_LINK_P, link_p),
+            (A_LINK_DELAY, link_delay), (A_LINK_LANES, link_lanes),
+            (A_UP_R, up_r), (A_UP_P, up_p),
+            (A_NODE_RID, net._node_router_id), (A_NODE_PORT, net._node_port),
+            (A_NODE_LANES, net._node_lanes),
+        ):
+            self._put(aid, values)
+
+    def _pack(self) -> None:
+        """Write the live state of the object model into the (fresh, all
+        zero) arena, which then owns it until :meth:`sync`."""
+        net = self.net
         lib = self.lib
         ck = self._ck
-        R, L, RP = self.R, self.L, self.RP
+        R, P, V, L, RP = self.R, self.P, self.V, self.L, self.RP
         lib.ck_set(ck, S_CYCLE, net.cycle)
 
-        # static tensors
-        self._view(A_NPORTS, R)[:] = layout.nports
-        self._view(A_NVCS, R)[:] = layout.nvcs
-        self._view(A_DEPTH, R)[:] = layout.depth
-        self._view(A_EJ_PMASK, R)[:] = layout.ej_pmask
-        self._view(A_EJ_LANES, R)[:] = layout.ej_lanes
-        self._view(A_HAS_WIDE, R)[:] = [1 if w else 0 for w in layout.has_wide]
-        nnodes = self.nnodes
-        rt = self._view(A_ROUTE_TAB, R * nnodes)
-        for rid, row in enumerate(layout.route_tab):
-            rt[rid * nnodes:(rid + 1) * nnodes] = row
-        self._view(A_OVC_CNT, RP)[:] = layout.ovc_cnt
-        self._view(A_CEIL, RP)[:] = layout.ceil
-        self._view(A_SLANES, RP)[:] = layout.slanes
-        link_r, link_p = [-1] * RP, [0] * RP
-        link_d, link_l = [0] * RP, [0] * RP
-        for rp, info in enumerate(layout.linkinfo):
-            if info is not None:
-                link_r[rp], link_p[rp], link_d[rp], link_l[rp] = info
-        self._view(A_LINK_R, RP)[:] = link_r
-        self._view(A_LINK_P, RP)[:] = link_p
-        self._view(A_LINK_DELAY, RP)[:] = link_d
-        self._view(A_LINK_LANES, RP)[:] = link_l
-        up_r, up_p = [-1] * RP, [0] * RP
-        for rp, up in enumerate(layout.upstream):
-            if up is not None:
-                up_r[rp], up_p[rp] = up
-        self._view(A_UP_R, RP)[:] = up_r
-        self._view(A_UP_P, RP)[:] = up_p
-        self._view(A_NODE_RID, nnodes)[:] = net._node_router_id
-        self._view(A_NODE_PORT, nnodes)[:] = net._node_port
-        self._view(A_NODE_LANES, nnodes)[:] = net._node_lanes
-
-        # dynamic scalar state straight from the freshly packed layout
-        self._view(A_ST_PID, L)[:] = layout.st_pid
-        self._view(A_ST_ROUTE, L)[:] = layout.st_route
-        self._view(A_ST_OUTVC, L)[:] = layout.st_outvc
-        self._view(A_NEED, L)[:] = layout.need
-        self._view(A_CRED, L)[:] = layout.cred
-        self._view(A_OWNER, L)[:] = layout.owner
-        self._view(A_OCC, RP)[:] = layout.occ_mask
-        self._view(A_AM, RP)[:] = layout.am
-        self._view(A_CREDOK, RP)[:] = layout.credok
-        self._view(A_IN_NEXT, RP)[:] = layout.in_next
-        self._view(A_OUT_NEXT, RP)[:] = layout.out_next
-        self._view(A_SEC_NEXT, RP)[:] = layout.sec_next
-        self._view(A_NVA, R)[:] = layout.nva
-        self._view(A_OCCUPIED, R)[:] = layout.occupied
-        self._view(A_VA_OFF, R)[:] = layout.va_off
-        nw_r = (R + 63) // 64
-        self._view(A_ACTW, nw_r)[:] = [
-            _to_i64(layout.actmask >> (64 * w)) for w in range(nw_r)
-        ]
-        for rid in range(R):
-            lib.ck_act_clear(ck, rid)
-            for lane in layout.active_lanes[rid]:
-                lib.ck_act_push(ck, rid, lane)
+        # per-lane scalars, per-port masks and arbiter pointers
+        st_pid, st_route = [-1] * L, [-1] * L  # -1: None
+        st_outvc = [-2] * L                    # -2: None, -1: ejection
+        need = [0] * L                         # lane needs RC/VA
+        cred, owner = [0] * L, [-1] * L        # owner -1: None
+        occ, am, credok = [0] * RP, [0] * RP, [0] * RP
+        in_next, out_next, sec_next = [0] * RP, [0] * RP, [0] * RP
+        nva = [0] * R                          # needy lanes per router
+        for rid, r in enumerate(net.routers):
+            allocator = r.allocator
+            for port in range(r.num_ports):
+                rp = rid * P + port
+                lane = rp * V
+                in_next[rp] = allocator.input_stage[port]._next
+                out_next[rp] = allocator.output_stage[port]._next
+                sec_next[rp] = allocator.second_output_stage[port]._next
+                owners = r.out_vc_owner[port]
+                for vc, credits in enumerate(r.out_credits[port]):
+                    cred[lane + vc] = credits
+                    if credits > 0:
+                        credok[rp] |= 1 << vc
+                    if owners[vc] is not None:
+                        owner[lane + vc] = owners[vc]
+                for vc, state in enumerate(r._vc_states[port]):
+                    pid, out_vc = state.packet_id, state.out_vc
+                    if pid is not None:
+                        st_pid[lane + vc] = pid
+                    if state.route_port is not None:
+                        st_route[lane + vc] = state.route_port
+                    if out_vc is not None:
+                        st_outvc[lane + vc] = out_vc
+                        am[rp] |= 1 << vc
+                    queue = state.queue
+                    if queue:
+                        occ[rp] |= 1 << vc
+                        if out_vc is None or pid != queue[0].packet.packet_id:
+                            need[lane + vc] = 1
+                            nva[rid] += 1
+            for port, vc in r._active:
+                lib.ck_act_push(ck, rid, (rid * P + port) * V + vc)
+        actw = [0] * ((R + 63) // 64)
+        for rid in net._active_routers:
+            actw[rid >> 6] |= 1 << (rid & 63)
+        for aid, values in (
+            (A_ST_PID, st_pid), (A_ST_ROUTE, st_route),
+            (A_ST_OUTVC, st_outvc), (A_NEED, need), (A_CRED, cred),
+            (A_OWNER, owner), (A_OCC, occ), (A_AM, am), (A_CREDOK, credok),
+            (A_IN_NEXT, in_next), (A_OUT_NEXT, out_next),
+            (A_SEC_NEXT, sec_next), (A_NVA, nva),
+            (A_OCCUPIED, [r.occupied_flits for r in net.routers]),
+            (A_VA_OFF, [r._va_offset for r in net.routers]),
+            (A_ACTW, [_to_i64(word) for word in actw]),
+        ):
+            self._put(aid, values)
 
         # flit queues (shared deques -> handle/index/ready rings)
-        for lane, q in enumerate(layout.queues):
+        for lane, q in enumerate(self._queues):
             if not q:
                 continue
             for flit in q:
@@ -887,47 +970,37 @@ class CKernel:
         return self.lib.ck_total_buffered(self._ck)
 
     # -- activity & link-stat flushing ------------------------------------
-    def _drain_deltas(self) -> None:
-        """Move C-side activity/link deltas into the layout delta arrays and
-        the stats dictionaries, zeroing the C side."""
-        R, RP = self.R, self.RP
-        layout = self.layout
-        zeros_r = [0] * R
-        for aid, name in _ACTIVITY_ARRS:
-            view = self._view(aid, R)
-            deltas = view[:]
-            view[:] = zeros_r
-            target = getattr(layout, name)
-            for rid, d in enumerate(deltas):
-                if d:
-                    target[rid] += d
+    def flush_activity(self) -> None:
+        """Add the C-side activity and link counters onto the shared
+        RouterActivity objects and the stats dictionaries, zeroing the C
+        side (measurement boundaries call this)."""
+        R, P, RP = self.R, self.P, self.RP
+        activities = self._activities
+        for aid, field in _ACTIVITY_FIELDS:
+            counts = self._view(aid, R)
+            for rid, count in enumerate(counts):
+                if count:
+                    activity = activities[rid]
+                    setattr(activity, field, getattr(activity, field) + count)
+            counts[:] = [0] * R
         stats = self.net._stats
-        P = self.P
         for aid, dest in ((A_LF, stats.link_flits),
                           (A_LB, stats.link_busy_cycles)):
-            view = self._view(aid, RP)
-            deltas = view[:]
-            view[:] = [0] * RP
-            for rp, d in enumerate(deltas):
-                if d:
+            counts = self._view(aid, RP)
+            for rp, count in enumerate(counts):
+                if count:
                     key = (rp // P, rp % P)
-                    dest[key] = dest.get(key, 0) + d
-
-    def flush_activity(self) -> None:
-        """Flush pending activity deltas into the shared RouterActivity
-        objects (measurement boundaries call this)."""
-        self._drain_deltas()
-        self.layout.flush_activity()
+                    dest[key] = dest.get(key, 0) + count
+            counts[:] = [0] * RP
 
     def reload_activities(self) -> None:
-        """Drop pending deltas after ``reset_stats`` replaced the
+        """Drop pending counts after ``reset_stats`` replaced the
         RouterActivity objects."""
-        R, RP = self.R, self.RP
-        for aid, _ in _ACTIVITY_ARRS:
-            self._view(aid, R)[:] = [0] * R
-        self._view(A_LF, RP)[:] = [0] * RP
-        self._view(A_LB, RP)[:] = [0] * RP
-        self.layout.reload_activities()
+        for aid, _ in _ACTIVITY_FIELDS:
+            self._put(aid, [0] * self.R)
+        self._put(A_LF, [0] * self.RP)
+        self._put(A_LB, [0] * self.RP)
+        self._activities = [r.activity for r in self.net.routers]
 
     # -- sync: C -> Python -------------------------------------------------
     def _make_flit(self, packet: Packet, index: int) -> Flit:
@@ -945,37 +1018,49 @@ class CKernel:
         """Mirror the C state back into the object model (non-destructive:
         the C side stays live and authoritative until :meth:`free`)."""
         net = self.net
-        layout = self.layout
         lib = self.lib
         ck = self._ck
-        R, L, RP, V, D = self.R, self.L, self.RP, self.V, self.D
+        R, P, V, D = self.R, self.P, self.V, self.D
 
-        layout.st_pid[:] = self._arr(A_ST_PID)[0:L]
-        layout.st_route[:] = self._arr(A_ST_ROUTE)[0:L]
-        layout.st_outvc[:] = self._arr(A_ST_OUTVC)[0:L]
-        layout.need[:] = self._arr(A_NEED)[0:L]
-        layout.cred[:] = self._arr(A_CRED)[0:L]
-        layout.owner[:] = self._arr(A_OWNER)[0:L]
-        layout.occ_mask[:] = self._arr(A_OCC)[0:RP]
-        layout.am[:] = self._arr(A_AM)[0:RP]
-        layout.credok[:] = self._arr(A_CREDOK)[0:RP]
-        layout.in_next[:] = self._arr(A_IN_NEXT)[0:RP]
-        layout.out_next[:] = self._arr(A_OUT_NEXT)[0:RP]
-        layout.sec_next[:] = self._arr(A_SEC_NEXT)[0:RP]
-        layout.nva[:] = self._arr(A_NVA)[0:R]
-        layout.occupied[:] = self._arr(A_OCCUPIED)[0:R]
-        layout.va_off[:] = self._arr(A_VA_OFF)[0:R]
-        nw_r = (R + 63) // 64
-        actmask = 0
-        for w, word in enumerate(self._arr(A_ACTW)[0:nw_r]):
-            actmask |= (word & _MASK64) << (64 * w)
-        layout.actmask = actmask
-        for rid in range(R):
-            lanes = {
-                lib.ck_act_at(ck, rid, i): True
-                for i in range(lib.ck_act_len(ck, rid))
-            }
-            layout.active_lanes[rid] = lanes
+        # per-lane scalars, per-port masks and arbiter pointers -> the
+        # Router / _VCState / allocator fields they were packed from
+        # (need, nva, am and credok are derived state: nothing to write)
+        st_pid, st_route = self._arr(A_ST_PID), self._arr(A_ST_ROUTE)
+        st_outvc = self._arr(A_ST_OUTVC)
+        cred, owner = self._arr(A_CRED), self._arr(A_OWNER)
+        occ = self._arr(A_OCC)
+        in_next, out_next = self._arr(A_IN_NEXT), self._arr(A_OUT_NEXT)
+        sec_next = self._arr(A_SEC_NEXT)
+        occupied, va_off = self._arr(A_OCCUPIED), self._arr(A_VA_OFF)
+        for rid, r in enumerate(net.routers):
+            r.occupied_flits = occupied[rid]
+            r._va_offset = va_off[rid]
+            allocator = r.allocator
+            for port in range(r.num_ports):
+                rp = rid * P + port
+                lane = rp * V
+                allocator.input_stage[port]._next = in_next[rp]
+                allocator.output_stage[port]._next = out_next[rp]
+                allocator.second_output_stage[port]._next = sec_next[rp]
+                r._port_active[port] = occ[rp].bit_count()
+                credits = r.out_credits[port]
+                owners = r.out_vc_owner[port]
+                for vc in range(len(credits)):
+                    credits[vc] = cred[lane + vc]
+                    ow = owner[lane + vc]
+                    owners[vc] = None if ow == -1 else ow
+                for vc, state in enumerate(r._vc_states[port]):
+                    pid = st_pid[lane + vc]
+                    state.packet_id = None if pid == -1 else pid
+                    route = st_route[lane + vc]
+                    state.route_port = None if route == -1 else route
+                    out_vc = st_outvc[lane + vc]
+                    state.out_vc = None if out_vc == -2 else out_vc
+            r._active = {}
+            for i in range(lib.ck_act_len(ck, rid)):
+                lane = lib.ck_act_at(ck, rid, i)
+                r._active[(lane // V) % P, lane % V] = True
+        net._active_routers = _set_bits(self._arr(A_ACTW), R)
 
         # live packet records -> Packet attributes; packets born in a
         # span get their Packet object here
@@ -1002,7 +1087,7 @@ class CKernel:
         qs_pkt, qs_seq, qs_ready = self._qs_pkt, self._qs_seq, self._qs_ready
         qhead, qlen = self._qhead, self._qlen
         handles = self._handles
-        for lane, q in enumerate(layout.queues):
+        for lane, q in enumerate(self._queues):
             if q is None:
                 continue
             n = qlen[lane]
@@ -1021,11 +1106,6 @@ class CKernel:
         src_pkt = self._arr(A_SRC_PKT)
         src_next = self._arr(A_SRC_NEXT)
         src_vc = self._arr(A_SRC_VC)
-        srcw = self._arr(A_SRCW)
-        nw_n = (self.nnodes + 63) // 64
-        srcmask = 0
-        for w, word in enumerate(srcw[0:nw_n]):
-            srcmask |= (word & _MASK64) << (64 * w)
         for node, source in enumerate(net.sources):
             nq = lib.ck_source_len(ck, node)
             if nq or source.queue:
@@ -1044,9 +1124,7 @@ class CKernel:
                 source.flits = []
                 source.next_flit = 0
                 source.vc = None
-        net._active_sources = {
-            node for node in range(self.nnodes) if srcmask >> node & 1
-        }
+        net._active_sources = _set_bits(self._arr(A_SRCW), self.nnodes)
 
         # calendars -> the event dicts
         cycle = lib.ck_get(ck, S_CYCLE)
@@ -1073,6 +1151,5 @@ class CKernel:
                     for e in range(0, n, 4)
                 ]
 
-        self._drain_deltas()
-        layout.sync()
+        self.flush_activity()
         self._mirrored = True

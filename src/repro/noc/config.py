@@ -207,8 +207,8 @@ class NetworkConfig:
         kernel: which cycle kernel drives :meth:`Network.step` --
             ``"event"`` (the event-driven active-set kernel, default),
             ``"c"`` (the compiled kernel of ``repro.noc.ckernel``: the
-            flat layout of ``repro.noc.layout`` stepped by an
-            on-demand-built C shared object; hands the cycle to
+            router state packed into flat integer arrays and stepped by
+            an on-demand-built C shared object; hands the cycle to
             ``event`` whenever faults, observation hooks, a watchdog or
             dynamic routing require the per-flit object datapath, and
             for the whole run -- with one ``RuntimeWarning`` -- when no

@@ -39,15 +39,15 @@ reference for the event kernel.
 The fast path -- the compiled kernel of :mod:`repro.noc.ckernel` -- is
 selected with ``NetworkConfig(kernel="c")``, ``REPRO_KERNEL=c`` or
 ``network.use_kernel("c")``.  It simulates the same microarchitecture
-over the flat arrays of :mod:`repro.noc.layout`, is bit-identical to both
-object-model kernels, and *hands the cycle to the event kernel
-automatically* whenever faults, observation hooks, a watchdog, a profiler
-or a dynamic routing discipline require the per-flit object datapath; the
-fallback is re-evaluated every cycle, so attaching or detaching such a
-subsystem mid-run simply switches kernels at the next step.  When the
+over flat integer arrays, is bit-identical to both object-model kernels,
+and *hands the cycle to the event kernel automatically* whenever faults,
+observation hooks, a watchdog, a profiler or a dynamic routing discipline
+require the per-flit object datapath; the fallback is re-evaluated every
+cycle, so attaching or detaching such a subsystem mid-run simply switches
+kernels at the next step.  When the
 compiled kernel cannot be built or does not support the network shape
 (no C compiler, credit/link delay below one cycle) the event kernel
-carries the whole run after a single ``RuntimeWarning``.
+carries the whole run after one ``RuntimeWarning`` naming the reason.
 """
 
 from __future__ import annotations
@@ -169,9 +169,10 @@ class Network:
         #: the live :class:`repro.noc.ckernel.CKernel`, or ``None`` when
         #: the object-model kernels are driving.
         self._ck = None
-        #: set after a failed compiled-kernel activation so the (warned)
-        #: event fallback does not retry the build every cycle.
-        self._ck_blocked = False
+        #: why the last compiled-kernel activation failed (``None``: it
+        #: has not), so the (warned) event fallback does not retry the
+        #: build every cycle and :meth:`span_blocker` can name the cause.
+        self._ck_blocked: Optional[str] = None
         #: whether precomputed route tables *and* default-VA tables are
         #: installed (the compiled kernel's routing precondition).
         self._route_tables_ok = False
@@ -332,7 +333,7 @@ class Network:
         previous, self._kernel = self._kernel, name
         # An explicit re-request gets a fresh activation attempt (e.g. a
         # compiler appeared on PATH since the last failure).
-        self._ck_blocked = False
+        self._ck_blocked = None
         if (previous == "naive") != (name == "naive"):
             # naive <-> table-driven changes the routers' RC/VA tables.
             self._install_routing_tables()
@@ -350,8 +351,9 @@ class Network:
         return "naive" if self._kernel == "naive" else "event"
 
     def _activate_ck(self):
-        """Try to bring up the compiled kernel; on failure warn once and
-        return ``None`` (the caller then steps the event kernel)."""
+        """Try to bring up the compiled kernel; on failure warn (once per
+        reason), remember the reason and return ``None`` (the caller then
+        steps the event kernel)."""
         from repro.noc.ckernel import (
             CKernel,
             CKernelUnavailable,
@@ -361,8 +363,8 @@ class Network:
         try:
             kernel = CKernel(self)
         except CKernelUnavailable as exc:
-            warn_unavailable(str(exc))
-            self._ck_blocked = True
+            self._ck_blocked = str(exc)
+            warn_unavailable(self._ck_blocked)
             return None
         self._ck = kernel
         return kernel
@@ -559,10 +561,10 @@ class Network:
             return "source_queue_limit is set"
         if not self._route_tables_ok:
             return "routing is dynamic (no precomputed route tables)"
-        if self._ck is None and (
-            self._ck_blocked or self._activate_ck() is None
-        ):
-            return "the compiled kernel is unavailable"
+        if self._ck is None and not self._ck_blocked:
+            self._activate_ck()
+        if self._ck is None:
+            return f"the compiled kernel is unavailable ({self._ck_blocked})"
         from repro.noc.ckernel import spans_disabled_reason
 
         return spans_disabled_reason()
@@ -610,8 +612,8 @@ class Network:
                 if kernel is not None:
                     kernel.step()
                     return
-                # Activation failed (no compiler, bad shape): warned
-                # once, _ck_blocked set -- the event kernel steps below.
+                # Activation failed (no compiler, bad shape): warned,
+                # _ck_blocked says why -- the event kernel steps below.
             else:
                 self._deactivate_ck()
         cycle = self.cycle

@@ -15,7 +15,7 @@ Two layers:
 * :func:`capture` / :class:`SimSnapshot` -- freeze a live network (plus
   optional RNG / injector / driver state) into one picklable value.  A
   live compiled kernel is synced back into the object model and freed
-  first (the hand-off is bit-identical, see :mod:`repro.noc.layout`),
+  first (the hand-off is bit-identical, see :mod:`repro.noc.ckernel`),
   so snapshots never contain C state and a restored ``"c"`` network
   simply re-packs on its next step.
 * :func:`save_snapshot` / :func:`load_snapshot` -- the versioned binary

@@ -58,7 +58,7 @@ def no_compiler(monkeypatch):
     so later tests reuse the already-loaded library."""
     monkeypatch.setattr(ckernel, "_LIB", None)
     monkeypatch.setattr(ckernel, "_FAILED", None)
-    monkeypatch.setattr(ckernel, "_WARNED", False)
+    monkeypatch.setattr(ckernel, "_WARNED", set())
     monkeypatch.setattr(ckernel, "find_compiler", lambda: None)
     yield
 
@@ -169,7 +169,7 @@ class TestFallbackLadder:
 
         with pytest.raises(CKernelUnavailable, match="calendar"):
             CKernel(run("event")[0])
-        monkeypatch.setattr(ckernel, "_WARNED", False)
+        monkeypatch.setattr(ckernel, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="event kernel") as caught:
             degraded, digests = run("c")
         assert len(caught) == 1
@@ -178,13 +178,46 @@ class TestFallbackLadder:
         assert digests == run("event")[1]
 
     @needs_ckernel
+    def test_each_fallback_reason_is_warned_and_reported(self, monkeypatch):
+        """Two networks blocked for two different reasons in one process:
+        each cause gets its own RuntimeWarning (a repeat of either stays
+        silent), and both ``span_blocker()`` and the run result name the
+        cause that kept the network off the compiled kernel."""
+        from repro.traffic import UniformRandom, run_synthetic
+
+        def blocked(router, **config):
+            reset_packet_ids()
+            topo = Mesh(2)
+            configs = {r: router for r in range(topo.num_routers)}
+            return Network(
+                topo, configs, NetworkConfig(kernel="c", **config)
+            )
+
+        monkeypatch.setattr(ckernel, "_WARNED", set())
+        with pytest.warns(RuntimeWarning, match="event kernel") as caught:
+            wide = blocked(RouterConfig(num_vcs=63))
+            wide.step()
+            result = run_synthetic(
+                blocked(RouterConfig(), credit_delay=0), UniformRandom(4),
+                0.05, warmup_packets=10, measure_packets=40,
+            )
+            blocked(RouterConfig(num_vcs=63)).step()  # known cause: silent
+        messages = [str(warning.message) for warning in caught]
+        assert len(messages) == 2, messages
+        assert "too wide" in messages[0]
+        assert "calendar" in messages[1]
+        assert "too wide" in wide.span_blocker()
+        assert "calendar" in result.span_fallback
+        assert result.kernel_cycles["c"] == result.kernel_cycles["c_span"] == 0
+
+    @needs_ckernel
     def test_explicit_rerequest_retries_activation(self):
         """A blocked c request stays blocked (no per-step re-probe), but
         an explicit use_kernel("c") tries again."""
         reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         net.use_kernel("c")
-        net._ck_blocked = True  # as if a prior activation failed
+        net._ck_blocked = "as if a prior activation failed"
         net.step()
         assert net.active_kernel == "event"
         net.use_kernel("c")  # explicit re-request clears the block

@@ -10,7 +10,10 @@ These tests drive all three over a randomized matrix of mesh sizes,
 layouts, injection rates, payload sizes and seeds (plus faulty and
 observed configurations, which exercise the c kernel's automatic
 fallback) and compare a deep per-cycle digest of the complete
-simulation state.  Mid-run kernel
+simulation state.  Concentrated meshes and flattened butterflies ride
+along: several local ports per router, 8 and 10 ports instead of 5, so
+the compiled kernel's pack/sync codec sees multi-bit ejection masks and
+non-trivial node -> (router, port) maps.  Mid-run kernel
 switches mirror ``tests/test_active_set.py``: flipping kernels while
 wormholes are in flight must not perturb a single bit.
 """
@@ -19,10 +22,11 @@ import os
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.layouts import build_network, layout_by_name
+from repro.exec import SweepPoint
 from repro.noc.ckernel import ckernel_available, unavailable_reason
 from repro.noc.config import NetworkConfig
 from repro.noc.flit import reset_packet_ids
@@ -36,12 +40,6 @@ needs_ckernel = pytest.mark.skipif(
     not ckernel_available(),
     reason=f"compiled kernel unavailable: {unavailable_reason()}",
 )
-
-
-def _kernel_param(name):
-    return (
-        pytest.param(name, marks=needs_ckernel) if name == "c" else name
-    )
 
 
 def _digest(net):
@@ -95,10 +93,30 @@ def _digest(net):
     )
 
 
-def _run_one(kernel, mesh_size, layout, rate, seed, cycles, payload_bits):
-    """Drive one kernel with deterministic traffic; return digests."""
+def _concentrated(topology, width, concentration):
+    """A homogeneous cmesh / fbfly network (``width``^2 routers, each
+    with ``concentration`` local ports)."""
+    return SweepPoint(
+        topology=topology, mesh_size=width, concentration=concentration
+    ).build_network()
+
+
+#: (topology, width, concentration): 16, 64 and 18 nodes; 8 ports per
+#: cmesh router, 6-10 per fbfly router.
+CONCENTRATED = [
+    (topology, width, concentration)
+    for topology in ("cmesh", "fbfly")
+    for width, concentration in ((2, 4), (4, 4), (3, 2))
+]
+
+
+def _run_one(kernel, mesh_size, layout, rate, seed, cycles, payload_bits,
+             net=None):
+    """Drive one kernel with deterministic traffic; return digests.
+    A freshly built ``net`` replaces the ``layout`` mesh."""
     reset_packet_ids()
-    net = build_network(layout_by_name(layout, mesh_size))
+    if net is None:
+        net = build_network(layout_by_name(layout, mesh_size))
     net.use_kernel(kernel)
     assert net.kernel == kernel
     rng = random.Random(seed)
@@ -139,6 +157,17 @@ def _assert_same(reference, other, name):
         assert a == b, f"state digest diverged at step {cycle_index} ({name})"
 
 
+def _every_concentrated_shape(test):
+    """Pin one explicit example per concentrated shape, so none depends
+    on what hypothesis happens to draw."""
+    for shape in CONCENTRATED:
+        test = example(
+            mesh_size=2, layout="baseline", rate=0.15, seed=2011,
+            payload_bits=1024, concentrated=shape,
+        )(test)
+    return test
+
+
 @settings(
     max_examples=12,
     deadline=None,
@@ -150,20 +179,26 @@ def _assert_same(reference, other, name):
     rate=st.floats(min_value=0.01, max_value=0.35),
     seed=st.integers(min_value=0, max_value=2**16),
     payload_bits=st.sampled_from([64, 1024]),
+    concentrated=st.sampled_from([None] + CONCENTRATED),
 )
-def test_kernels_bit_identical(mesh_size, layout, rate, seed, payload_bits):
-    cycles = 120
-    event = _run_one(
-        "event", mesh_size, layout, rate, seed, cycles, payload_bits
-    )
+@_every_concentrated_shape
+def test_kernels_bit_identical(
+    mesh_size, layout, rate, seed, payload_bits, concentrated
+):
+    """``concentrated`` (a cmesh/fbfly shape) replaces the layout mesh."""
+
+    def run(name):
+        net = concentrated and _concentrated(*concentrated)
+        return _run_one(
+            name, mesh_size, layout, rate, seed, 120, payload_bits, net=net
+        )
+
+    event = run("event")
     others = ["naive"]
     if ckernel_available():
         others.append("c")
     for name in others:
-        other = _run_one(
-            name, mesh_size, layout, rate, seed, cycles, payload_bits
-        )
-        _assert_same(event, other, name)
+        _assert_same(event, run(name), name)
 
 
 @pytest.mark.parametrize("layout", ["baseline", "diagonal+B", "diagonal+BL"])
@@ -250,22 +285,38 @@ def test_switching_kernels_mid_run_is_safe():
     assert net.total_buffered_flits() == 0
 
 
-@pytest.mark.parametrize("pivot", ["naive", _kernel_param("c")])
-def test_mid_run_switch_is_bit_identical(pivot):
+@pytest.mark.parametrize(
+    "pivot, concentrated",
+    [
+        pytest.param("naive", None, id="naive"),
+        pytest.param("c", None, id="c", marks=needs_ckernel),
+    ] + [
+        pytest.param(
+            "c", (topology, width, concentration), marks=needs_ckernel,
+            id=f"c-{topology}-{width}x{width}c{concentration}",
+        )
+        for topology, width, concentration in CONCENTRATED
+    ],
+)
+def test_mid_run_switch_is_bit_identical(pivot, concentrated):
     """A kernel hand-off mid-wormhole must not perturb a single bit:
-    event-for-the-whole-run == switch-away-and-back."""
+    event-for-the-whole-run == switch-away-and-back (and, on the
+    concentrated shapes, away again: event -> c -> event -> c)."""
+    schedule = {80: pivot, 160: "event"}
+    if concentrated:
+        schedule = {60: pivot, 120: "event", 180: pivot}
 
     def run(switch):
         reset_packet_ids()
-        net = build_network(layout_by_name("diagonal+BL", 4))
+        if concentrated:
+            net = _concentrated(*concentrated)
+        else:
+            net = build_network(layout_by_name("diagonal+BL", 4))
         rng = random.Random(99)
         num_nodes = net.topology.num_nodes
         for step_index in range(240):
-            if switch:
-                if step_index == 80:
-                    net.use_kernel(pivot)
-                elif step_index == 160:
-                    net.use_kernel("event")
+            if switch and step_index in schedule:
+                net.use_kernel(schedule[step_index])
             for node in range(num_nodes):
                 if rng.random() < 0.15:
                     dst = rng.randrange(num_nodes)
