@@ -86,13 +86,11 @@ def test_metrics_off_overhead():
     import time
 
     from repro.core.layouts import build_network, layout_by_name
-    from repro.noc.flit import reset_packet_ids
     from repro.obs.metrics import KernelMetrics
     from repro.traffic.patterns import pattern_by_name
     from repro.traffic.runner import run_synthetic
 
     def run_once(with_lifecycle):
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 4))
         if with_lifecycle:
             metrics = KernelMetrics(net)

@@ -5,7 +5,7 @@ first-class operation:
 
 * :class:`SweepPoint` -- a picklable, content-hashable spec of one run;
 * :func:`execute_point` -- run one spec from scratch, deterministically
-  (packet ids rewound per point);
+  and re-entrantly (the run owns all of its state, packet ids included);
 * :func:`run_sweep` -- execute many specs through a ``serial`` or
   ``process`` backend, replaying whatever the :class:`ResultStore`
   already holds (crash-safe WAL-mode SQLite with a sweep journal and

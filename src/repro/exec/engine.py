@@ -8,10 +8,10 @@ per point *in input order*.  Three orthogonal choices:
 * **backend** -- ``"serial"`` executes in-process; ``"process"`` fans the
   cache misses out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Every point carries
-  its own seed and builds its own network worker-side, and
-  :func:`~repro.exec.point.execute_point` rewinds the packet-id counter
-  first, so the two backends are bit-identical (the golden-run tests
-  assert this).
+  its own seed and builds its own network worker-side, which issues the
+  run's packet ids, so :func:`~repro.exec.point.execute_point` shares no
+  state between points and the two backends are bit-identical (the
+  golden-run tests assert this).
 * **cache** -- a :class:`~repro.exec.store.ResultStore`, a path to one,
   or ``None``.  The store is the one durable backend: already-computed
   points replay from it, every sweep registers its points in the store's

@@ -8,11 +8,12 @@ point can execute anywhere: in-process, in a worker of a
 :class:`concurrent.futures.ProcessPoolExecutor`, or not at all when the
 :class:`repro.exec.store.ResultStore` already holds its result.
 
-Determinism contract: :func:`execute_point` rewinds the global packet-id
-counter before building the network, so the same spec produces the same
+Determinism contract: a run owns all of its state (the network it builds
+issues the packet ids), so the same spec produces the same
 :class:`PointResult` -- bit for bit, packet ids included -- regardless of
-what else the process simulated before, and therefore regardless of the
-backend the engine used.  The golden-run tests pin this.
+what else the process simulated before or is simulating on another thread,
+and therefore regardless of the backend the engine used.  The golden-run
+and determinism tests pin this.
 """
 
 from __future__ import annotations
@@ -316,7 +317,8 @@ def execute_point(
     """Run one sweep point and summarize it.
 
     This is the unit of work the engine ships to pool workers, so it must
-    stay a module-level (picklable) function.
+    stay a module-level (picklable) function, and re-entrant: the job
+    server calls it from several threads of one process at once.
 
     With ``checkpoint_every`` and ``checkpoint_dir`` set, the run
     auto-checkpoints every N cycles to ``<dir>/<spec-key>.ckpt`` and, if
@@ -329,7 +331,6 @@ def execute_point(
     """
     from repro.core.merging import merge_report
     from repro.core.power import network_power_breakdown
-    from repro.noc.flit import reset_packet_ids
     from repro.noc.snapshot import SnapshotError, load_snapshot
     from repro.traffic.patterns import pattern_by_name
     from repro.traffic.runner import run_synthetic
@@ -373,7 +374,6 @@ def execute_point(
             # (format drift): fall through to a from-scratch execution.
             result = None
     if result is None:
-        reset_packet_ids()
         network = point.build_network()
         pattern = pattern_by_name(point.pattern, network.topology)
         result = run_synthetic(

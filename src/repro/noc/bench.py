@@ -92,9 +92,7 @@ CHECK_GROUP = ["empty-4x4", "ur-4x4-r0.05"]
 
 def _build(layout_name: str, mesh_size: int, kernel: str = "event"):
     from repro.core.layouts import build_network, layout_by_name
-    from repro.noc.flit import reset_packet_ids
 
-    reset_packet_ids()
     network = build_network(layout_by_name(layout_name, mesh_size))
     network.use_kernel(kernel)
     return network

@@ -11,7 +11,8 @@ runs over a flat integer arena; this module owns everything around it:
   under ``~/.cache/repro-ckernel/`` (override with
   ``REPRO_CKERNEL_CACHE``).  The cache key is the sha256 of the source,
   compiler and flags, so editing the C file or switching toolchains
-  rebuilds automatically; concurrent builders race benignly through an
+  rebuilds automatically; threads build once (a lock around
+  build-and-memoise), concurrent processes race benignly through an
   atomic ``os.replace``.  No build-time dependency, no wheel machinery.
 * **bridge** -- :class:`CKernel` is the one codec between the object
   model and the arena, one hop each way.  Packing walks the
@@ -36,9 +37,9 @@ runs over a flat integer arena; this module owns everything around it:
   cycles in one FFI call with the open-loop traffic source inside the C
   loop (``ck_run``): the run's ``random.Random`` state is *handed over*
   (``getstate()`` in, ``setstate()`` out, likewise the per-node Pareto
-  streams and the packet-id counter), so the stream continues draw for
-  draw and everything outside the span keeps using ordinary Python
-  objects.  A load-time self-check compares the C twin of
+  streams and the network's next packet id), so the stream continues
+  draw for draw and everything outside the span keeps using ordinary
+  Python objects.  A load-time self-check compares the C twin of
   ``random()``/``randrange``/``choice``/the Pareto period against
   ``random.Random``; a mismatch disables spans (one warning) and the
   per-cycle loop carries every run.
@@ -72,19 +73,14 @@ import shutil
 import struct
 import subprocess
 import sysconfig
+import threading
 import warnings
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.noc.flit import (
-    Flit,
-    FlitType,
-    Packet,
-    packet_id_marker,
-    seed_packet_ids,
-)
+from repro.noc.flit import Flit, FlitType, Packet
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 #: ``-ffp-contract=off``: the Pareto twin must round exactly as CPython's
@@ -93,9 +89,11 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 #: after the source on the command line (the twin calls libm ``pow``).
 _LDLIBS = ("-lm",)
 
-#: process-wide build memo: the loaded library, or the failure reason.
+#: process-wide build memo: the loaded library, or the failure reason
+#: (written under ``_LOAD_LOCK``, so racing first loads build once).
 _LIB: Optional[ctypes.CDLL] = None
 _FAILED: Optional[str] = None
+_LOAD_LOCK = threading.Lock()
 #: the fallback reasons already warned about in this process.
 _WARNED: set = set()
 #: why spans are off although the library loaded (RNG twin mismatch).
@@ -160,7 +158,10 @@ def _build_library() -> ctypes.CDLL:
             raise CKernelUnavailable(
                 f"compile failed (rc={proc.returncode}): {tail}"
             )
-        os.replace(tmp, so_path)
+        try:
+            os.replace(tmp, so_path)
+        except OSError as exc:
+            raise CKernelUnavailable(f"cannot install {so_path.name}: {exc}")
     try:
         lib = ctypes.CDLL(str(so_path))
     except OSError as exc:
@@ -210,32 +211,33 @@ def _bind(lib: ctypes.CDLL) -> None:
 
 
 def load_kernel_library() -> ctypes.CDLL:
-    """The compiled kernel library, building it on first call.
+    """The compiled kernel library, building it on first call (once,
+    however many threads race to it).
 
     Raises :class:`CKernelUnavailable` (and memoizes the failure) when
     no compiler exists or the build fails; a later call fails fast.
     """
-    global _LIB, _FAILED
-    if _LIB is not None:
+    global _LIB, _FAILED, _SPANS_OFF
+    with _LOAD_LOCK:
+        if _LIB is not None:
+            return _LIB
+        if _FAILED is not None:
+            raise CKernelUnavailable(_FAILED)
+        try:
+            lib = _build_library()
+        except CKernelUnavailable as exc:
+            _FAILED = str(exc)
+            raise
+        _SPANS_OFF = _twin_mismatch(lib)
+        if _SPANS_OFF is not None:
+            warnings.warn(
+                f"compiled span driver disabled ({_SPANS_OFF}); "
+                "falling back to the per-cycle loop",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        _LIB = lib
         return _LIB
-    if _FAILED is not None:
-        raise CKernelUnavailable(_FAILED)
-    global _SPANS_OFF
-    try:
-        lib = _build_library()
-    except CKernelUnavailable as exc:
-        _FAILED = str(exc)
-        raise
-    _SPANS_OFF = _twin_mismatch(lib)
-    if _SPANS_OFF is not None:
-        warnings.warn(
-            f"compiled span driver disabled ({_SPANS_OFF}); "
-            "falling back to the per-cycle loop",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    _LIB = lib
-    return _LIB
 
 
 _MT_STATE = struct.Struct("625I")  # getstate()[1]: 624 words + the index
@@ -815,7 +817,7 @@ class CKernel:
         self._drop_mirror()
         kinds, hand_back = self._hand_over(span.source)
         measuring = net.measuring
-        next_id = packet_id_marker()
+        next_id = net.next_packet_id
         ran = lib.ck_run(
             ck, span.max_cycles, measuring, span.births_measured,
             -1 if span.birth_budget is None else span.birth_budget,
@@ -825,7 +827,7 @@ class CKernel:
         if ran < 0:
             self._raise_error(ran)
         born = lib.ck_get(ck, S_BORN)
-        seed_packet_ids(next_id + born)
+        net.next_packet_id = next_id + born
         hand_back()
         stats = net._stats
         net.cycle += ran

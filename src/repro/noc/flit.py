@@ -25,49 +25,23 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 DATA_PACKET_BITS = 1024
 """Payload of a data packet: one 128-byte cache line transfers as 1024 bits
 in the paper's flit accounting (Section 4)."""
 
 _packet_ids = itertools.count()
+"""Default ids for hand-built ``Packet(...)`` objects that go straight to
+a router, routing function or flit helper.  A packet a network carries
+gets its id from that network (``Network.make_packet``), so no simulation
+result depends on this counter."""
 
 
 def reset_packet_ids() -> None:
-    """Restart the global packet-id counter at zero.
-
-    Packet ids are process-global, so two otherwise-identical simulations
-    observe different ids unless the counter is rewound first.  The sweep
-    engine (:mod:`repro.exec`) calls this before executing each point so
-    that results are bit-identical whether points run serially in one
-    process or fan out across workers.
-    """
+    """Restart the hand-built-packet id default at zero."""
     global _packet_ids
     _packet_ids = itertools.count()
-
-
-def packet_id_marker() -> int:
-    """The next packet id that would be issued, without consuming it.
-
-    ``itertools.count`` cannot be peeked, so the counter is advanced once
-    and replaced by a fresh count starting at the observed value -- an
-    exact no-op for every later ``next()``.  Checkpointing
-    (:mod:`repro.noc.snapshot`) records this marker so a restored
-    simulation issues the same ids the uninterrupted one would.
-    """
-    global _packet_ids
-    next_id = next(_packet_ids)
-    _packet_ids = itertools.count(next_id)
-    return next_id
-
-
-def seed_packet_ids(next_id: int) -> None:
-    """Make ``next_id`` the next packet id issued (checkpoint restore)."""
-    global _packet_ids
-    if next_id < 0:
-        raise ValueError(f"next_id must be >= 0, got {next_id}")
-    _packet_ids = itertools.count(next_id)
 
 
 class FlitType(enum.Enum):
@@ -129,6 +103,9 @@ class Packet:
         dst: destination node id.
         num_flits: packet length in flits.
         created_at: cycle the packet was handed to the source queue.
+        packet_id: unique within the carrying network, which issues it
+            in creation order; routers tell packets sharing a VC apart
+            by it and the NI keys retransmissions on it.
         injected_at: cycle the head flit entered the source router
             (set by the network; ``None`` until injection).
         received_at: cycle the tail flit was ejected at the destination
@@ -251,14 +228,3 @@ class Flit:
             f"Flit(pkt={self.packet.packet_id}, idx={self.index}, "
             f"{self.flit_type.value}, {self.src}->{self.dst})"
         )
-
-
-def split_into_packets(
-    payload_bits: int, flit_width_bits: int, src: int, dst: int, cycle: int
-) -> Tuple[Packet, int]:
-    """Build a single packet carrying ``payload_bits`` and report flit count.
-
-    Convenience used by traffic generators; returns ``(packet, num_flits)``.
-    """
-    n = flits_per_packet(payload_bits, flit_width_bits)
-    return Packet(src=src, dst=dst, num_flits=n, created_at=cycle), n

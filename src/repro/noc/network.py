@@ -131,6 +131,9 @@ class Network:
         self._stats.router_activity = [r.activity for r in self.routers]
         self.measuring = False
         self.packets_in_flight = 0
+        #: id of the next packet this network creates (:meth:`make_packet`,
+        #: or the compiled kernel for a packet born inside a span).
+        self.next_packet_id = 0
         #: optional callback fired on every delivered packet
         self.on_delivery: Optional[Callable[[Packet, int], None]] = None
         #: optional observation hooks (see :mod:`repro.obs.hooks`); ``None``
@@ -490,11 +493,14 @@ class Network:
             num_flits = self._default_packet_flits
         else:
             num_flits = flits_per_packet(payload_bits, self.flit_width)
+        packet_id = self.next_packet_id
+        self.next_packet_id = packet_id + 1
         return Packet(
             src=src,
             dst=dst,
             num_flits=num_flits,
             created_at=self.cycle,
+            packet_id=packet_id,
             packet_class=packet_class,
             payload=payload,
         )

@@ -77,10 +77,8 @@ class Routing:
 
         One probe packet per destination serves every router (only
         disciplines whose :meth:`output_port` leaves the packet untouched
-        may build tables at all).  Probes carry ``packet_id=-1``
-        explicitly so table construction never draws from the global
-        packet-id counter (which the sweep engine rewinds for
-        bit-identical replay).
+        may build tables at all).  Probes carry ``packet_id=-1``: they
+        are no network's packets.
         """
         topo = self.topology
         probes = [

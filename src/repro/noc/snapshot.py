@@ -3,8 +3,8 @@
 A snapshot captures the *complete* state of a running simulation -- the
 :class:`~repro.noc.network.Network` object graph (routers, VC states,
 in-flight flits, arbiter pointers, activity counters, event buckets,
-sources, stats), the driver's RNG, the injection process, the global
-packet-id counter and any driver bookkeeping -- so that a restored run
+sources, stats, the next packet id it will issue), the driver's RNG, the
+injection process and any driver bookkeeping -- so that a restored run
 continues exactly where the original left off.  "Exactly" is literal:
 the differential state digests of a restored run match an uninterrupted
 one cycle for cycle, for all three cycle kernels (pinned by
@@ -43,11 +43,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.noc.flit import packet_id_marker, seed_packet_ids
-
 #: bump when the container layout or the pickled payload schema changes
-#: (v2: ``Network`` keeps one kernel-name field and one live-kernel slot).
-SNAPSHOT_VERSION = 2
+#: (v3: the pickled ``Network`` carries its next packet id).
+SNAPSHOT_VERSION = 3
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)
@@ -84,12 +82,7 @@ class SimSnapshot:
     network: object
     rng_state: Optional[tuple] = None
     injector: Optional[object] = None
-    packet_id_next: int = 0
     extra: Dict[str, object] = field(default_factory=dict)
-
-    def restore_packet_ids(self) -> None:
-        """Rewind the global packet-id counter to the captured marker."""
-        seed_packet_ids(self.packet_id_next)
 
     def make_rng(self) -> Optional[random.Random]:
         """A ``random.Random`` positioned exactly where capture left it."""
@@ -125,7 +118,6 @@ def capture(
         network=network,
         rng_state=rng.getstate() if rng is not None else None,
         injector=injector,
-        packet_id_next=packet_id_marker(),
         extra=dict(extra or {}),
     )
 

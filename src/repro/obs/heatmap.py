@@ -117,13 +117,11 @@ def demo_report(
 ) -> AttributionReport:
     """Run a small instrumented uniform-random simulation and attribute it."""
     from repro.core.layouts import build_network, layout_by_name
-    from repro.noc.flit import reset_packet_ids
     from repro.obs.attribution import attribute_metrics
     from repro.obs.metrics import KernelMetrics
     from repro.traffic.patterns import pattern_by_name
     from repro.traffic.runner import run_synthetic
 
-    reset_packet_ids()
     network = build_network(layout_by_name(layout, size))
     metrics = KernelMetrics(network)
     network.attach_observer(metrics)

@@ -28,10 +28,10 @@ API::
 
 Guarantees:
 
-* **bit-identity** -- a point is executed by the same
-  ``execute_point`` path a serial local run uses (packet ids rewound per
-  point), so results fetched through the server equal a local
-  ``run_sweep`` byte for byte;
+* **bit-identity** -- a point is executed by the same re-entrant
+  ``execute_point`` a serial local run uses, so results fetched through
+  the server equal a local ``run_sweep`` byte for byte, however many
+  clients submit and however many jobs the worker threads run at once;
 * **dedup, never recompute** -- a resubmitted job joins its live twin
   (content-addressed id); a point already in the store is served from
   it; a point being computed by another worker is *joined* (the second

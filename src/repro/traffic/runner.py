@@ -298,7 +298,6 @@ def run_synthetic(
                 f"this run's {spec}; refusing to splice different runs"
             )
         network = snapshot.network
-        snapshot.restore_packet_ids()
         if snapshot.rng_state is not None:
             rng.setstate(snapshot.rng_state)
         if snapshot.injector is not None:

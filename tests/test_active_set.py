@@ -29,7 +29,6 @@ from repro.faults import (
     Watchdog,
 )
 from repro.noc.config import RouterConfig
-from repro.noc.flit import reset_packet_ids
 from repro.noc.network import Network
 from repro.noc.routing import Routing
 from repro.noc.topology import Mesh
@@ -47,7 +46,6 @@ class TestDrainedRouterCredits:
         """A router is pruned the moment its buffers empty, which can be
         *before* the credits for its last forwarded flits return.  Those
         credit events must still be applied or the channel leaks."""
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3))
         # A long wormhole across the full diagonal touches many routers.
         net.enqueue(net.make_packet(0, 8, payload_bits=net.flit_width * 12))
@@ -71,7 +69,6 @@ class TestDrainedRouterCredits:
 
     def test_idle_steps_are_cheap_and_stable(self):
         """Stepping an idle network keeps the active sets empty."""
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 4))
         for _ in range(100):
             net.step()
@@ -85,7 +82,6 @@ class TestSourceStall:
         """With tiny buffers a long packet cannot inject in one go; the
         stalled source must stay in the active set until the tail flit
         leaves, or the wormhole is truncated forever."""
-        reset_packet_ids()
         topo = Mesh(2)
         configs = {
             rid: RouterConfig(num_vcs=2, buffer_depth=2)
@@ -115,7 +111,6 @@ class TestFaultReactivation:
     def test_transient_router_fault_then_reactivation(self):
         """A drained (pruned) router revived by a fault repair must be
         re-activated by the first flit routed through it."""
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3))
         schedule = FaultSchedule(
             specs=(
@@ -174,7 +169,6 @@ class _ClockwiseRing(Routing):
 
 class TestWatchdogUnderEventKernel:
     def _wedged_network(self):
-        reset_packet_ids()
         topo = Mesh(2)
         configs = {
             rid: RouterConfig(num_vcs=1, buffer_depth=2)
@@ -206,7 +200,6 @@ class TestWatchdogUnderEventKernel:
     def test_no_false_positive_on_idle_network(self):
         """An idle network (empty active set) resets the progress clocks;
         a tight stall window must not fire."""
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         net.attach_watchdog(Watchdog(stall_window=32, check_interval=8))
         for _ in range(2_000):

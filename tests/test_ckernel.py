@@ -6,7 +6,7 @@ pinned by ``tests/test_kernel_differential.py`` / ``test_golden_runs.py``
 kernel:
 
 * the on-demand build: compiler discovery, the sha256-keyed shared-object
-  cache (``REPRO_CKERNEL_CACHE``), and reuse across loads;
+  cache (``REPRO_CKERNEL_CACHE``), reuse across loads and threads;
 * the degradation ladder: no compiler -> a *single* ``RuntimeWarning``
   and a transparent, bit-identical fall back to the event kernel; hooks
   or faults -> per-step fall back to the event kernel (differential
@@ -24,6 +24,7 @@ kernel:
 import gc
 import random
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -40,7 +41,6 @@ from repro.noc.ckernel import (
     unavailable_reason,
 )
 from repro.noc.config import NetworkConfig, RouterConfig
-from repro.noc.flit import reset_packet_ids
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
 from tests.test_kernel_differential import _assert_same, _digest, _run_one
@@ -98,6 +98,23 @@ class TestBuildMachinery:
         assert load_kernel_library() is load_kernel_library()
         assert unavailable_reason() is None
 
+    @needs_ckernel
+    def test_cold_build_race_compiles_once(self, monkeypatch, tmp_path):
+        """Threads that all ask first (a fresh server's workers) share one
+        compiler launch and one library."""
+        monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path))
+        for memo in ("_LIB", "_FAILED", "_SPANS_OFF"):
+            monkeypatch.setattr(ckernel, memo, None)
+        launches = []
+        compile_ = ckernel.subprocess.run
+        monkeypatch.setattr(
+            ckernel.subprocess, "run",
+            lambda cmd, **kw: launches.append(cmd) or compile_(cmd, **kw),
+        )
+        with ThreadPoolExecutor(max_workers=4) as pool:  # a compile outlasts pool start-up
+            libs = list(pool.map(lambda _: load_kernel_library(), range(4)))
+        assert len(launches) == 1 and len({id(lib) for lib in libs}) == 1
+
     def test_compile_failure_is_memoized(self, no_compiler):
         with pytest.raises(CKernelUnavailable, match="no C compiler"):
             load_kernel_library()
@@ -120,7 +137,6 @@ class TestFallbackLadder:
     ):
         """kernel="c" on a compilerless host: exactly one RuntimeWarning
         per process, then the event kernel carries the run."""
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3))
         net.use_kernel("c")
         with pytest.warns(
@@ -134,7 +150,6 @@ class TestFallbackLadder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _drive(net, cycles=30)
-            reset_packet_ids()
             other = build_network(layout_by_name("baseline", 2))
             other.use_kernel("c")
             other.step()
@@ -157,7 +172,6 @@ class TestFallbackLadder:
         from repro.noc.ckernel import CKernel
 
         def run(kernel):
-            reset_packet_ids()
             topo = Mesh(3)
             configs = {r: RouterConfig() for r in range(topo.num_routers)}
             net = Network(
@@ -186,7 +200,6 @@ class TestFallbackLadder:
         from repro.traffic import UniformRandom, run_synthetic
 
         def blocked(router, **config):
-            reset_packet_ids()
             topo = Mesh(2)
             configs = {r: router for r in range(topo.num_routers)}
             return Network(
@@ -214,7 +227,6 @@ class TestFallbackLadder:
     def test_explicit_rerequest_retries_activation(self):
         """A blocked c request stays blocked (no per-step re-probe), but
         an explicit use_kernel("c") tries again."""
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         net.use_kernel("c")
         net._ck_blocked = "as if a prior activation failed"
@@ -309,7 +321,6 @@ class TestSpecHashRule:
 @needs_ckernel
 class TestCompiledStepping:
     def test_active_kernel_reports_c(self):
-        reset_packet_ids()
         net = build_network(layout_by_name("diagonal+BL", 3))
         net.use_kernel("c")
         assert net.active_kernel in ("naive", "event")  # not yet stepped
@@ -322,7 +333,6 @@ class TestCompiledStepping:
     def test_sync_is_non_destructive(self):
         """sync_kernel() mirrors C state into the object model without
         deactivating: stepping continues compiled, digests unperturbed."""
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3))
         net.use_kernel("c")
         _drive(net, cycles=50)
@@ -362,7 +372,6 @@ class TestCompiledStepping:
         """C-side invariant failures surface as the same RuntimeError
         wording the python kernels use (the differential tests rely on
         error parity to triangulate real bugs)."""
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         net.use_kernel("c")
         net.enqueue(net.make_packet(0, 3))

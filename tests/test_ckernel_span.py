@@ -10,7 +10,7 @@ Two things make that safe, and this file pins both:
   Pareto period arithmetic -- continues a ``random.Random`` stream draw
   for draw, and hands back a state ``setstate`` accepts;
 * **span == per-cycle c == event**: every observable of a run (state
-  digest, RNG and injector state, packet-id counter, in-flight count,
+  digest, RNG and injector state, next packet id, in-flight count,
   stats, latency records in order) is identical whether the cycles ran
   as spans, one ``ck_step`` at a time, or on the event kernel.
 """
@@ -36,7 +36,7 @@ from repro.noc.ckernel import (
     load_kernel_library,
     unavailable_reason,
 )
-from repro.noc.flit import packet_id_marker, reset_packet_ids
+from repro.noc.snapshot import load_snapshot
 from repro.traffic import patterns, selfsimilar
 from repro.traffic.patterns import TrafficPattern, UniformRandom, pattern_by_name
 from repro.traffic.runner import _offer_load, run_synthetic
@@ -193,7 +193,6 @@ def test_every_c_error_code_has_a_message():
 
 @needs_ckernel
 def test_out_of_memory_code_raises_memory_error():
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 2))
     net.use_kernel("c")
     net.step()
@@ -229,7 +228,6 @@ def _observe(point, mode, **knobs):
 
     ``mode``: ``"span"`` (kernel c, spans on), ``"c"`` (kernel c, spans
     forced off) or ``"event"``."""
-    reset_packet_ids()
     point = replace(point, kernel="event" if mode == "event" else "c")
     net = point.build_network()
     injector = point.build_injector(net.topology.num_nodes)
@@ -257,7 +255,7 @@ def _observe(point, mode, **knobs):
         "digest": _digest(net),
         "rng": recorder.made[0].getstate(),
         "injector": _injector_state(injector),
-        "next_packet_id": packet_id_marker(),
+        "next_packet_id": net.next_packet_id,
         "packets_in_flight": net.packets_in_flight,
         "records": [tuple(vars(r).values()) for r in stats.records],
         "stats": (
@@ -368,7 +366,6 @@ class TestSpanDifferential:
         finishes inside a span the object gets its delivery fields and
         its own ``packet_class`` lands in the latency record."""
         def run(span_cycles):
-            reset_packet_ids()
             net = build_network(layout_by_name("baseline", 4))
             net.use_kernel("c")
             net.begin_measurement()
@@ -393,12 +390,11 @@ class TestSpanDifferential:
             (record,) = net.stats.records
             assert record.packet_class == "probe"
             return (vars(probe), vars(record), rng.getstate(), _digest(net),
-                    packet_id_marker(), net.stats.window_flit_deliveries)
+                    net.next_packet_id, net.stats.window_flit_deliveries)
 
         assert run(True) == run(False)
 
     def test_span_refused_while_something_watches(self):
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         assert "event kernel" in net.span_blocker()
         net.use_kernel("c")
@@ -411,7 +407,6 @@ class TestSpanDifferential:
             net.step(Span(source, 5, births_measured=False))
 
     def test_malformed_pattern_rows_are_rejected_before_c_sees_them(self):
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         net.use_kernel("c")
         for rows in ([[1], [2], [3]], [[1], [2], [3], [4]], [[1], [], [0], [0]]):
@@ -425,7 +420,6 @@ class TestSpanEligibility:
     """What keeps a run on the per-cycle loop, and that it says so."""
 
     def _run(self, net, pattern=None, injector=None, **knobs):
-        reset_packet_ids()
         return run_synthetic(
             net, pattern or UniformRandom(net.topology.num_nodes), 0.05,
             warmup_packets=10, measure_packets=40, seed=3,
@@ -433,13 +427,11 @@ class TestSpanEligibility:
         )
 
     def _c_network(self, **config):
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3), **config)
         net.use_kernel("c")
         return net
 
     def test_event_kernel_names_itself(self):
-        reset_packet_ids()
         result = self._run(build_network(layout_by_name("baseline", 3)))
         assert result.kernel_cycles["c_span"] == 0
         assert result.kernel_cycles["event"] == result.total_cycles
@@ -503,7 +495,6 @@ class TestSpanEligibility:
         monkeypatch.setattr(ckernel, "_FAILED", None)
         monkeypatch.setattr(ckernel, "find_compiler", lambda: None)
         point = replace(GOLDEN_POINTS["homogeneous-4x4-UR"], kernel="c")
-        reset_packet_ids()
         net = point.build_network()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -539,9 +530,11 @@ class TestSpansAndSnapshots:
         _same_run(plain, checkpointed)
         # The file left behind is a mid-run checkpoint; resume from it
         # (the network, RNG and injector then come out of the snapshot).
-        resumed = _observe(self.POINT, "span", resume_from=path)
-        for key in ("records", "stats", "total_cycles", "next_packet_id"):
+        snapshot = load_snapshot(path)
+        resumed = _observe(self.POINT, "span", resume_from=snapshot)
+        for key in ("records", "stats", "total_cycles"):
             assert resumed[key] == plain[key], key
+        assert snapshot.network.next_packet_id == plain["next_packet_id"]
         assert sum(resumed["kernel_cycles"].values()) == plain["total_cycles"]
 
     def test_execute_point_checkpointing_under_kernel_c(self, tmp_path):
@@ -556,7 +549,6 @@ class TestSpansAndSnapshots:
         """Packets born in C are materialised as Packet objects when the
         kernel is swapped out; the event kernel then finishes them."""
         def run(handoff):
-            reset_packet_ids()
             net = build_network(layout_by_name("diagonal+BL", 4))
             net.use_kernel("c" if handoff else "event")
             pattern = pattern_by_name("nearest_neighbor", net.topology)
@@ -586,7 +578,7 @@ class TestSpansAndSnapshots:
             net.drain()
             assert len(delivered) > 20
             return (delivered, _digest(net), rng.getstate(),
-                    _injector_state(injector), packet_id_marker())
+                    _injector_state(injector), net.next_packet_id)
 
         assert run(True) == run(False)
 

@@ -3,12 +3,13 @@
 The paper's trend claims (and the parallel backend's correctness) rest on
 one property: a :class:`~repro.exec.SweepPoint` fully determines its
 result.  These tests pin that from several angles -- repeated execution,
-sweep-order shuffling, backend choice and process history -- and the
-converse: changing the seed really does change the injection stream.
+sweep-order shuffling, backend choice, process history, concurrency -- and
+the converse: changing the seed really does change the injection stream.
 """
 
 import dataclasses
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from repro.core.layouts import baseline_layout, build_network
 from repro.exec import SweepPoint, execute_point, run_sweep
-from repro.noc.flit import reset_packet_ids
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.runner import run_synthetic
+from tests.test_snapshot import _drive
 
 #: a cheap 4x4 reference point (~0.1 s to execute).
 POINT = SweepPoint(
@@ -43,8 +44,8 @@ class TestSweepPointDeterminism:
         assert first.to_dict() == second.to_dict()
 
     def test_result_independent_of_process_history(self):
-        """Executing unrelated simulations first (packet-id counter well
-        past zero) must not leak into a point's result."""
+        """Executing unrelated simulations first must not leak into a
+        point's result."""
         reference = execute_point(POINT)
         network = build_network(baseline_layout(4))
         run_synthetic(
@@ -85,13 +86,11 @@ class TestRunSyntheticInjectionPath:
     """Pins of the `_offer_load` refactor (single injection path)."""
 
     def _run(self, seed=5, warmup=25, measure=150, rate=0.06):
-        reset_packet_ids()
-        network = build_network(baseline_layout(4))
-        result = run_synthetic(
-            network, UniformRandom(16), rate,
+        self.network = build_network(baseline_layout(4))
+        return run_synthetic(
+            self.network, UniformRandom(16), rate,
             warmup_packets=warmup, measure_packets=measure, seed=seed,
         )
-        return result
 
     def test_packet_ids_are_creation_ordered(self):
         """Measured records are exactly ids [warmup, warmup+measure):
@@ -109,10 +108,7 @@ class TestRunSyntheticInjectionPath:
         assert result.stats.packets_delivered >= len(result.stats.records)
         # The network saw more creations than warmup+measure: the source
         # of the extra ids is the drain loop's _offer_load.
-        from repro.noc import flit
-
-        next_id = next(flit._packet_ids)
-        assert next_id > 25 + 150
+        assert self.network.next_packet_id > 25 + 150
 
     def test_identical_records_across_runs(self):
         first = self._run()
@@ -187,6 +183,50 @@ class TestBackendEquivalence:
         results = run_sweep(points, jobs=2, backend="process", cache=None)
         assert [r.rate for r in results] == [p.rate for p in points]
         assert [r.key for r in results] == [p.key() for p in points]
+
+
+class TestNoSharedSimulationState:
+    """Nothing another run does in the same process -- on another thread
+    or between this run's cycles -- shows in a run."""
+
+    @pytest.mark.parametrize("kernel", ["event", "c"])
+    def test_threaded_execute_point_equals_serial(self, kernel):
+        points = [
+            dataclasses.replace(point, kernel=kernel, seed=seed)
+            for seed in range(4)
+            for point in _points()
+        ]
+        serial = [execute_point(point).to_dict() for point in points]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = [r.to_dict() for r in pool.map(execute_point, points)]
+        assert threaded == serial
+
+    def test_interleaved_networks_match_their_solo_digests(self):
+        def fresh():
+            return [
+                (build_network(baseline_layout(4)), random.Random(seed), rate)
+                for seed, rate in ((3, 0.10), (4, 0.25))
+            ]
+
+        solo = [_drive(net, rng, 100, rate) for net, rng, rate in fresh()]
+        together = [[], []]
+        pair = fresh()
+        for _ in range(100):
+            for digests, (net, rng, rate) in zip(together, pair):
+                digests += _drive(net, rng, 1, rate)
+        assert together == solo
+
+    def test_repeated_traced_library_runs_are_identical(self):
+        from repro.experiments.common import run_layout_synthetic
+
+        first, second = (
+            run_layout_synthetic(
+                "baseline", "uniform_random", 0.02, trace=True,
+                warmup_packets=20, measure_packets=60,
+            )["observation"].tracer.traces
+            for _ in range(2)
+        )
+        assert first and first == second
 
 
 @pytest.mark.parametrize("bad", [0, -2])

@@ -6,6 +6,8 @@ invariant parts of their results (exact Table 1 numbers, correct layout
 orderings where cheap to check).
 """
 
+import functools
+
 import pytest
 
 from repro.experiments import (
@@ -150,11 +152,24 @@ class TestFig10Runner:
         from repro.core.layouts import baseline_layout, build_network
 
         network = build_network(baseline_layout(8))
-        latency = fig10_torus.run_app_traffic(
+        latency, unfinished = fig10_torus.run_app_traffic(
             network, "SPECjbb", rate=0.05,
             warmup_packets=30, measure_packets=120, seed=3,
         )
         assert latency > 0
+        assert unfinished == 0
+
+    def test_truncated_drain_is_reported_not_hidden(self, monkeypatch):
+        capped = functools.partial(fig10_torus.run_app_traffic, drain_cycle_cap=1)
+        monkeypatch.setattr(fig10_torus, "run_app_traffic", capped)
+        data = fig10_torus.run(workloads=("SAP",))
+        assert min(data["unfinished"][t]["SAP"] for t in ("mesh", "torus")) > 0
+        report = fig10_torus.format_reductions(data)
+        assert report.count("%*") == 2
+        assert "2 such point(s) excluded from the averages" in report
+        assert "torus benefit: n/a" in report
+        data["unfinished"] = {"mesh": {"SAP": 0}, "torus": {"SAP": 0}}
+        assert "*" not in fig10_torus.format_reductions(data)
 
     def test_ur_crosscheck_shape(self):
         ur = fig10_torus.run_uniform_random(fast=True)

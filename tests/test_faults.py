@@ -39,7 +39,6 @@ from repro.faults import (
     mesh_link_channels,
 )
 from repro.noc.config import RouterConfig
-from repro.noc.flit import reset_packet_ids
 from repro.noc.network import Network
 from repro.noc.routing import Routing
 from repro.noc.topology import Mesh
@@ -50,7 +49,6 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "golden_runs.json"
 
 
 def _build(mesh_size=4, layout="baseline"):
-    reset_packet_ids()
     network = build_network(
         layout_by_name(layout, mesh_size), topology=Mesh(mesh_size)
     )
@@ -316,7 +314,6 @@ class _ClockwiseRing(Routing):
 
 class TestWatchdog:
     def _ring_network(self):
-        reset_packet_ids()
         topo = Mesh(2)
         configs = {
             rid: RouterConfig(num_vcs=1, buffer_depth=2)

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.noc.flit import (
-    DATA_PACKET_BITS,
     FlitType,
     Packet,
     flits_per_packet,
-    split_into_packets,
 )
 
 
@@ -93,12 +91,6 @@ class TestPacket:
     def test_unique_packet_ids(self):
         ids = {Packet(src=0, dst=1, num_flits=1, created_at=0).packet_id for _ in range(50)}
         assert len(ids) == 50
-
-    def test_split_into_packets(self):
-        packet, n = split_into_packets(DATA_PACKET_BITS, 192, src=2, dst=9, cycle=7)
-        assert n == 6
-        assert packet.num_flits == 6
-        assert packet.created_at == 7
 
     @given(num_flits=st.integers(min_value=1, max_value=64))
     def test_flit_sequence_well_formed(self, num_flits):

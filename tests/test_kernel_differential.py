@@ -29,7 +29,6 @@ from repro.core.layouts import build_network, layout_by_name
 from repro.exec import SweepPoint
 from repro.noc.ckernel import ckernel_available, unavailable_reason
 from repro.noc.config import NetworkConfig
-from repro.noc.flit import reset_packet_ids
 
 KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
 
@@ -114,7 +113,6 @@ def _run_one(kernel, mesh_size, layout, rate, seed, cycles, payload_bits,
              net=None):
     """Drive one kernel with deterministic traffic; return digests.
     A freshly built ``net`` replaces the ``layout`` mesh."""
-    reset_packet_ids()
     if net is None:
         net = build_network(layout_by_name(layout, mesh_size))
     net.use_kernel(kernel)
@@ -225,7 +223,6 @@ def test_kernels_match_event_under_faults(kernel):
     from repro.traffic.runner import run_synthetic
 
     def run(name):
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 4))
         net.use_kernel(name)
         faults = FaultSchedule(
@@ -264,7 +261,6 @@ def test_switching_kernels_mid_run_is_safe():
     """Active sets and packed state are maintained by every kernel, so
     flipping mid-run (e.g. to bisect a divergence) must not lose any
     traffic."""
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 3))
     rng = random.Random(7)
     num_nodes = net.topology.num_nodes
@@ -307,7 +303,6 @@ def test_mid_run_switch_is_bit_identical(pivot, concentrated):
         schedule = {60: pivot, 120: "event", 180: pivot}
 
     def run(switch):
-        reset_packet_ids()
         if concentrated:
             net = _concentrated(*concentrated)
         else:
@@ -334,18 +329,15 @@ def test_kernel_env_overrides():
     field."""
     try:
         os.environ["REPRO_KERNEL"] = "c"
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         assert net.kernel == "c"
         os.environ["REPRO_KERNEL"] = "naive"
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         assert net.kernel == "naive"
         # Dynamic lookups only: no precomputed tables in naive mode.
         assert all(r._route_table is None for r in net.routers)
     finally:
         del os.environ["REPRO_KERNEL"]
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 2))
     assert net.kernel == "event"
     assert all(r._route_table is not None for r in net.routers)
@@ -437,7 +429,6 @@ def test_ckernel_falls_back_when_hooks_attached(attach):
     per-flit object datapath: a requested c kernel hands the cycle to
     the event kernel while one is attached (mid-run, with a wormhole in
     flight), and resumes compiled stepping when it is detached."""
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 3))
     net.use_kernel("c")
     net.enqueue(net.make_packet(0, 8))
@@ -458,7 +449,6 @@ def test_ckernel_falls_back_when_hooks_attached(attach):
 
 def test_route_tables_match_dynamic_routing():
     """Precomputed (router, dest) tables agree with per-packet RC."""
-    reset_packet_ids()
     net = build_network(layout_by_name("diagonal+BL", 4))
     routing = net.routing
     for router in net.routers:
@@ -473,7 +463,6 @@ def test_route_tables_cleared_under_faults_and_restored():
     from repro.faults.injector import FaultInjector
     from repro.faults.schedule import FaultSchedule
 
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 3))
     assert all(r._route_table is not None for r in net.routers)
     injector = FaultInjector(FaultSchedule(specs=()), net.topology)
@@ -486,7 +475,6 @@ def test_route_tables_cleared_under_faults_and_restored():
 @pytest.mark.parametrize("layout", ["baseline", "diagonal+BL"])
 def test_va_tables_follow_routing_kind(layout):
     """XY routing precomputes VA candidates; probe one router's table."""
-    reset_packet_ids()
     net = build_network(layout_by_name(layout, 3))
     router = net.routers[0]
     assert router._va_table is not None

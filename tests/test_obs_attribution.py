@@ -13,7 +13,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.layouts import build_network, layout_by_name
-from repro.noc.flit import reset_packet_ids
 from repro.noc.topology import manhattan_distance
 from repro.obs.attribution import (
     AttributionReport,
@@ -27,7 +26,6 @@ EAST, SOUTH = 2, 3  # mesh port indices (1 + direction)
 
 
 def _instrumented(size=4):
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", size))
     metrics = KernelMetrics(net)
     net.attach_observer(metrics)
@@ -139,7 +137,6 @@ class TestSerialization:
 
 class TestStatsSource:
     def test_measurement_window_report(self):
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 4))
         net.begin_measurement()
         packet = net.make_packet(0, 3)
@@ -165,7 +162,6 @@ class TestStatsSource:
 def test_link_flit_conservation_property(seed, size, n_packets):
     """Injected == delivered x hops, exactly, on any drained run."""
     rng = random.Random(seed)
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", size))
     metrics = KernelMetrics(net)
     net.attach_observer(metrics)

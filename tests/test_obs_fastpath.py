@@ -11,7 +11,6 @@ the simulation itself.
 import random
 
 from repro.core.layouts import build_network, layout_by_name
-from repro.noc.flit import reset_packet_ids
 from repro.obs.hooks import Observer
 
 
@@ -54,7 +53,6 @@ def _drive(net, seed=5, cycles=150, rate=0.1):
 
 
 def test_attached_observer_sees_the_event_stream():
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 3))
     obs = _make_counting_observer()
     net.attach_observer(obs)
@@ -78,7 +76,6 @@ def test_attached_observer_sees_the_event_stream():
 def test_detached_run_makes_zero_hook_calls():
     """The whole point of the fast path: obs-disabled runs must not
     touch the observer machinery at all."""
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 3))
     obs = _make_counting_observer()
     net.attach_observer(obs)
@@ -90,7 +87,6 @@ def test_detached_run_makes_zero_hook_calls():
 
 
 def test_tracing_flag_follows_attach_detach():
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 2))
     assert net._tracing is False
     obs = _make_counting_observer()
@@ -106,7 +102,6 @@ def test_tracing_does_not_perturb_the_simulation():
     """A traced run and an untraced run are byte-identical."""
 
     def run(traced):
-        reset_packet_ids()
         net = build_network(layout_by_name("diagonal+BL", 3))
         if traced:
             net.attach_observer(_make_counting_observer())
@@ -141,7 +136,6 @@ def _make_counting_metrics(net):
 def test_detached_metrics_make_zero_calls():
     """Metrics "off" is the same null-object fast path: once detached,
     the kernel performs zero metric calls and no instrument moves."""
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 3))
     metrics = _make_counting_metrics(net)
     net.attach_observer(metrics)
@@ -156,7 +150,6 @@ def test_detached_metrics_make_zero_calls():
 
 
 def test_attached_metrics_see_the_event_stream():
-    reset_packet_ids()
     net = build_network(layout_by_name("baseline", 3))
     metrics = _make_counting_metrics(net)
     net.attach_observer(metrics)
@@ -170,7 +163,6 @@ def test_metrics_do_not_perturb_the_simulation():
     from repro.obs.metrics import KernelMetrics
 
     def run(instrumented):
-        reset_packet_ids()
         net = build_network(layout_by_name("diagonal+BL", 3))
         if instrumented:
             net.attach_observer(KernelMetrics(net))

@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro.core.layouts import build_network, layout_by_name
-from repro.noc.flit import reset_packet_ids
 from repro.obs.metrics import Histogram, KernelMetrics, MetricsRegistry
 
 
@@ -101,7 +100,6 @@ class TestHistogram:
 
 class TestKernelMetrics:
     def _run(self, size=3, **drive):
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", size))
         metrics = KernelMetrics(net, sample_every=8)
         net.attach_observer(metrics)
@@ -151,7 +149,6 @@ class TestKernelMetrics:
             assert busy <= metrics.link_flits()[key]
 
     def test_contention_counters_are_deltas_since_attach(self):
-        reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3))
         _drive(net, seed=2, cycles=80)  # un-instrumented prefix
         metrics = KernelMetrics(net)

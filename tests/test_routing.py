@@ -283,8 +283,8 @@ class TestRouteTables:
     run without them) installs ``tables[router][dst] -> out_port`` when
     the discipline is a pure function of (router, destination).  These
     tests pin which disciplines publish tables, that every entry agrees
-    with the dynamic ``output_port`` lookup, and that probing never
-    consumes global packet ids (which would break bit-identical replay).
+    with the dynamic ``output_port`` lookup, and that probes carry
+    explicit packet ids.
     """
 
     PURE = [
@@ -334,16 +334,13 @@ class TestRouteTables:
         assert table.build_route_tables() is None
 
     def test_probe_does_not_consume_packet_ids(self):
-        from repro.noc.flit import reset_packet_ids
-
-        reset_packet_ids()
+        before = Packet(src=0, dst=1, num_flits=1, created_at=0)
         XYRouting(Mesh(4)).build_route_tables()
-        fresh = Packet(src=0, dst=1, num_flits=1, created_at=0)
-        assert fresh.packet_id == 0, (
-            "probe packets must carry explicit ids; drawing from the "
-            "global counter breaks bit-identical sweep replay"
+        after = Packet(src=0, dst=1, num_flits=1, created_at=0)
+        assert after.packet_id == before.packet_id + 1, (
+            "probe packets must carry explicit ids, not draw the "
+            "hand-built-packet default"
         )
-        reset_packet_ids()
 
     def test_uses_default_va_flags(self):
         """VA-candidate tables are only precomputable for disciplines

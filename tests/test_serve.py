@@ -4,7 +4,7 @@ What must hold:
 
 * results fetched through the server are bit-identical to a serial
   local ``run_sweep`` of the same points -- the engine invariant carried
-  across the HTTP boundary;
+  across the HTTP boundary, for one client or several at once;
 * submission is content-addressed: an equivalent sweep joins the
   existing job (queued, running or done) instead of recomputing, and
   points any earlier job committed serve from the store;
@@ -22,6 +22,8 @@ The SIGKILL/restart scenario lives in ``tests/test_serve_chaos.py``
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -209,6 +211,22 @@ class TestServerAPI:
         assert job["state"] == "done"
         assert job["progress"] == {"total": 2, "committed": 2, "pending": 0}
         assert _comparable(client.results(submitted["job_id"])) == expected
+
+    @pytest.mark.parametrize("kernel", ["event", "c"])
+    def test_concurrent_jobs_bit_identical_to_local(self, server, kernel):
+        """Four clients at once keep both worker threads busy: every
+        served result is still the local one (``c`` without a compiler
+        degrades to event on both sides)."""
+        jobs = [
+            [replace(p, kernel=kernel, measure_packets=120)
+             for p in _points(3, seed=seed)]
+            for seed in range(4)
+        ]
+        local = [_comparable(run_sweep(job, cache=None)) for job in jobs]
+        url = f"http://127.0.0.1:{server.port}"
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            served = pool.map(lambda job: ServeClient(url).run_sweep(job), jobs)
+        assert [_comparable(results) for results in served] == local
 
     def test_resubmission_joins_finished_job(self, server, client):
         points = _points(1)

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.core.layouts import build_network, layout_by_name
 from repro.exec.point import SweepPoint, checkpoint_path_for, execute_point
 from repro.noc.config import NetworkConfig
-from repro.noc.flit import packet_id_marker, reset_packet_ids, seed_packet_ids
 from repro.noc.snapshot import (
     SNAPSHOT_VERSION,
     SimSnapshot,
@@ -47,7 +46,6 @@ KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
 
 
 def _fresh_network(kernel, mesh_size=4, layout="baseline"):
-    reset_packet_ids()
     net = build_network(layout_by_name(layout, mesh_size))
     net.use_kernel(kernel)
     return net
@@ -75,30 +73,6 @@ def _drive(net, rng, cycles, rate, record=None):
         if record is not None:
             record.append(_digest(net))
     return digests
-
-
-class TestPacketIdMarker:
-    def test_marker_is_a_peek(self):
-        reset_packet_ids()
-        from repro.noc.flit import Packet
-
-        Packet(src=0, dst=1, num_flits=1, created_at=0)
-        marker = packet_id_marker()
-        assert marker == 1
-        # The marker consumed nothing: the next issued id is the marker.
-        pkt = Packet(src=0, dst=1, num_flits=1, created_at=0)
-        assert pkt.packet_id == marker
-
-    def test_seed_rewinds(self):
-        from repro.noc.flit import Packet
-
-        seed_packet_ids(41)
-        assert Packet(src=0, dst=1, num_flits=1, created_at=0).packet_id == 41
-
-    def test_seed_rejects_negative(self):
-        with pytest.raises(ValueError):
-            seed_packet_ids(-1)
-        reset_packet_ids()
 
 
 class TestContainer:
@@ -145,10 +119,11 @@ class TestContainer:
         with pytest.raises(SnapshotCorrupt, match="magic"):
             loads(b"NOTASNAP" + blob[8:])
 
-    @pytest.mark.parametrize("version", [1, SNAPSHOT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, SNAPSHOT_VERSION + 1])
     def test_version_skew_detected(self, version):
         """Newer *and* older containers refuse before unpickling: a v1
-        payload holds a ``Network`` with the pre-v2 kernel fields."""
+        payload holds a ``Network`` with the pre-v2 kernel fields, a v2
+        one a ``Network`` that does not know its next packet id."""
         blob = _restamp(dumps(self._snapshot()), version)
         with pytest.raises(SnapshotVersionMismatch, match=f"v{version}"):
             loads(blob)
@@ -210,19 +185,17 @@ class TestBitIdenticalResume:
         head = _drive(net, rng, split, rate)
         expected_tail = _drive(net, rng, tail_cycles, rate)
 
-        # Interrupted run: same head, checkpoint to disk, then scramble
-        # every piece of process state the snapshot claims to restore.
+        # Interrupted run: same head, checkpoint to disk, then drop every
+        # live object the snapshot claims to restore.
         net = _fresh_network(kernel, mesh_size, layout)
         rng = random.Random(seed)
         head2 = _drive(net, rng, split, rate)
         assert head2 == head
         path = tmp_path / f"{kernel}.ckpt"
         save_snapshot(capture(net, rng=rng), path)
-        seed_packet_ids(999_983)  # a restored process starts cold
         del net, rng
 
         snapshot = load_snapshot(path)
-        snapshot.restore_packet_ids()
         restored_tail = _drive(
             snapshot.network, snapshot.make_rng(), tail_cycles, rate
         )
@@ -289,7 +262,6 @@ class TestRunnerCheckpointing:
             checkpoint_path=path,
             **self.POINT,
         )
-        seed_packet_ids(424_243)
         resumed_net = _fresh_network("event")  # ignored: snapshot wins
         resumed = run_synthetic(
             resumed_net,
@@ -377,7 +349,7 @@ class TestExecutePointCheckpointing:
         assert not checkpoint.exists()
 
     @pytest.mark.parametrize(
-        "damage", ["bit-flips", "v1-container", "v1-runner-state"]
+        "damage", ["bit-flips", "v1-container", "v2-container", "v1-runner-state"]
     )
     def test_corrupt_checkpoint_falls_back_to_scratch(
         self, tmp_path, monkeypatch, damage
@@ -409,9 +381,9 @@ class TestExecutePointCheckpointing:
             state["format"] = 1
             save_snapshot(snapshot, checkpoint)
         else:
-            # What a checkpoint left behind by the previous format looks
-            # like to this build: intact, but stamped v1.
-            checkpoint.write_bytes(_restamp(checkpoint.read_bytes(), 1))
+            # What a checkpoint left behind by an earlier format looks
+            # like to this build: intact, but stamped v1 or v2.
+            checkpoint.write_bytes(_restamp(checkpoint.read_bytes(), int(damage[1])))
             with pytest.raises(SnapshotVersionMismatch):
                 load_snapshot(checkpoint)
         recovered = execute_point(
