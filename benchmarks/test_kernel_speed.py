@@ -51,11 +51,11 @@ def test_c_kernel_speedup_floor():
     """``kernel="c"`` must stay >= 10x faster than event on a loaded 8x8
     point.
 
-    The committed ``BENCH_kernel.json`` measures 20.9x on this case now
-    that ``run_synthetic`` drives the compiled kernel in spans (it was
-    11.4x while every cycle returned to Python for injection); the floor
-    sits at half of that so runner noise cannot trip it, while a run
-    that silently fell back to per-cycle stepping still would.
+    The committed ``BENCH_kernel.json`` measures 33.9x on this case,
+    where ``run_synthetic`` drives the compiled kernel in spans (11.4x is
+    what per-cycle stepping of the same kernel gives); the floor sits at
+    a third of that so runner noise cannot trip it, while a run that
+    silently fell back to per-cycle stepping still would.
     Interleaved best-of-3 cancels machine drift.
     """
     from repro.noc.ckernel import ckernel_available, unavailable_reason

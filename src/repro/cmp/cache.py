@@ -69,15 +69,19 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        # One LRU-ordered map per set: block address -> CacheLine.
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        # One LRU-ordered map per set, by set index: block address ->
+        # CacheLine.  A set exists from its first touch on: a run reaches
+        # a small fraction of the sets a bank has.
+        self._sets: Dict[int, OrderedDict] = {}
         self.hits = 0
         self.misses = 0
 
     def _set_for(self, block: int) -> OrderedDict:
-        return self._sets[self.config.set_index(block)]
+        index = self.config.set_index(block)
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        return cache_set
 
     def lookup(self, address: int, touch: bool = True) -> Optional[CacheLine]:
         """Line holding ``address`` (in any valid state), or None."""
@@ -133,12 +137,13 @@ class SetAssociativeCache:
         return self._set_for(block).pop(block, None)
 
     def lines(self) -> Iterator[CacheLine]:
-        for cache_set in self._sets:
-            yield from cache_set.values()
+        """Every resident line, sets in ascending index order."""
+        for index in sorted(self._sets):
+            yield from self._sets[index].values()
 
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     @property
     def hit_rate(self) -> float:

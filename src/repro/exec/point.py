@@ -413,9 +413,9 @@ def execute_point(
         avg_hops=summary["avg_hops"],
         p95_latency_cycles=summary["p95_latency_cycles"],
         p99_latency_cycles=summary["p99_latency_cycles"],
-        latency_sum_cycles=sum(r.total for r in records),
-        hops_sum=sum(r.hops for r in records),
-        packet_id_sum=sum(r.packet_id for r in records),
+        latency_sum_cycles=sum(records.total),
+        hops_sum=sum(records.hops),
+        packet_id_sum=sum(records.packet_id),
         throughput=summary["throughput_packets_per_node_cycle"],
         measured_packets=len(records),
         total_cycles=result.total_cycles,

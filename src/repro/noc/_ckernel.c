@@ -6,17 +6,17 @@
  * driver's RNG words and Pareto constants cross as uint32/double buffers).
  *
  * The kernel owns a full copy of the dynamic simulation state -- per-lane
- * scalars and bitmasks (repro.noc.layout), flit queues as fixed rings
+ * scalars and bitmasks (repro.noc.ckernel), flit queues as fixed rings
  * of (packet handle, flit index, ready_at), per-node source queues,
  * arrival/credit calendars, activity-counter deltas, packet records and a
  * completion log -- and advances it one clock cycle per ck_step() call,
  * or a whole span of cycles per ck_run() call with the open-loop traffic
- * source (injection coin flips, destination draws, packet birth) inside
- * the loop.  The phase order, iteration orders, arbitration pointer
- * updates and counter increments replicate the event kernel
- * (Network.step) exactly, and the source replicates
- * repro.traffic.runner._offer_load draw for draw on CPython's own
- * MT19937 stream: every divergence would show in the differential
+ * source (injection coin flips, destination draws, packet birth, the
+ * opening of the measurement window) inside the loop.  The phase order,
+ * iteration orders, arbitration pointer updates and counter increments
+ * replicate the event kernel (Network.step) exactly, and the source
+ * replicates repro.traffic.runner._offer_load draw for draw on CPython's
+ * own MT19937 stream: every divergence would show in the differential
  * suite's per-cycle digests.
  *
  * Packets and flits cross the FFI as integer handles/indices.  Handles
@@ -111,7 +111,7 @@ enum {
 
 enum {
     S_CYCLE = 0, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NLOG, S_PEND,
-    S_PK_TOP, S_BORN,
+    S_PK_TOP, S_BORN, S_BODY_PENDING,
 };
 
 /* error codes returned by ck_step / ck_run (negative); every code needs a
@@ -268,8 +268,11 @@ typedef struct CK {
     Vec log;
     i64 log_measured; /* rows with LOG_MEASURED set */
 
-    /* span driver (ck_run): the traffic source handed over by Python */
+    /* span driver (ck_run): the traffic source Python lends for the spans
+     * of a run */
     i64 born;          /* packets created by the last ck_run */
+    i64 body_pending;  /* the last ck_run stopped between a cycle's
+                        * injections and its body */
     uint32_t *rng;     /* MT_WORDS: the run's random.Random */
     uint32_t *node_rng; /* nnodes * MT_WORDS: per-node Pareto streams */
     double *src_f64;   /* [0] Bernoulli rate; then 5 per node: p_on,
@@ -573,6 +576,7 @@ i64 ck_get(CK *ck, i64 id) {
     case S_PEND: return ck->pend;
     case S_PK_TOP: return ck->pk_top;
     case S_BORN: return ck->born;
+    case S_BODY_PENDING: return ck->body_pending;
     }
     return 0;
 }
@@ -1354,64 +1358,82 @@ i64 ck_step(CK *ck, i64 measuring) {
 enum { INJ_BERNOULLI = 0, INJ_PARETO = 1 };
 enum { PAT_UNIFORM = 0, PAT_CHOICE = 1, PAT_FIXED = 2 };
 
-/* Runs cycles until max_cycles have passed, or the next cycle could
- * overrun birth_budget (every node firing), or need_measured measured
- * packets have completed; -1 disables either of the last two.  Per cycle,
- * per node in ascending order -- exactly runner._offer_load: fires, then
- * the destination draw, then the packet record (ids from next_pid up) and
- * the source-queue push; then the cycle itself.  The RNG streams and the
- * ON/OFF machines are left where the last draw put them.  Returns the
+/* Runs cycles until max_cycles have passed, or the next cycle could take
+ * the `created` packets that exist on entry past birth_budget (every node
+ * firing), or need_measured measured packets have completed; -1 disables
+ * either of the last two.  Births from creation index measure_from on are
+ * marked measured (-1: none are).  Per cycle, per node in ascending order
+ * -- exactly runner._offer_load: fires, then the destination draw, then the
+ * packet record (ids from next_pid up) and the source-queue push; then the
+ * cycle itself.  When the first measured packet is born while `measuring`
+ * is 0, the call returns after that cycle's injections and before its body
+ * with S_BODY_PENDING set, so the caller can open the measurement window;
+ * the next call starts with that body.  The RNG streams and the ON/OFF
+ * machines are left where the last draw put them.  Returns the whole
  * cycles run (or a negative error code); S_BORN holds the packets made. */
-i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 births_measured,
-           i64 birth_budget, i64 need_measured, i64 next_pid, i64 nflits,
-           i64 inj_kind, i64 pat_kind) {
+i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 created,
+           i64 measure_from, i64 birth_budget, i64 need_measured,
+           i64 next_pid, i64 nflits, i64 inj_kind, i64 pat_kind) {
     const i64 n = ck->nnodes;
     const double rate = ck->src_f64[0];
     uint32_t *rng = ck->rng;
     i64 done = 0;
     ck->born = 0;
-    while (done < max_cycles &&
-           (birth_budget < 0 || ck->born + n <= birth_budget) &&
-           (need_measured < 0 || ck->log_measured < need_measured)) {
-        for (i64 node = 0; node < n; node++) {
-            if (inj_kind == INJ_BERNOULLI) {
-                if (!(mt_random(rng) < rate))
-                    continue;
-            } else {
-                uint32_t *own = ck->node_rng + node * MT_WORDS;
-                const double *c = ck->src_f64 + 1 + 5 * node;
-                if (ck->ss_remaining[node] <= 0) {
-                    i64 on = ck->ss_on[node] = !ck->ss_on[node];
-                    i64 period = on ? pareto_period(own, c[1], c[2])
-                                    : pareto_period(own, c[3], c[4]);
-                    if (period < 0)
-                        ERR3(period, node, 0, 0);
-                    ck->ss_remaining[node] = period;
+    while (done < max_cycles) {
+        if (!ck->body_pending) {
+            if ((birth_budget >= 0 && created + n > birth_budget) ||
+                (need_measured >= 0 && ck->log_measured >= need_measured))
+                break;
+            i64 opens = 0;
+            for (i64 node = 0; node < n; node++) {
+                if (inj_kind == INJ_BERNOULLI) {
+                    if (!(mt_random(rng) < rate))
+                        continue;
+                } else {
+                    uint32_t *own = ck->node_rng + node * MT_WORDS;
+                    const double *c = ck->src_f64 + 1 + 5 * node;
+                    if (ck->ss_remaining[node] <= 0) {
+                        i64 on = ck->ss_on[node] = !ck->ss_on[node];
+                        i64 period = on ? pareto_period(own, c[1], c[2])
+                                        : pareto_period(own, c[3], c[4]);
+                        if (period < 0)
+                            ERR3(period, node, 0, 0);
+                        ck->ss_remaining[node] = period;
+                    }
+                    ck->ss_remaining[node]--;
+                    if (!(ck->ss_on[node] && mt_random(own) < c[0]))
+                        continue;
                 }
-                ck->ss_remaining[node]--;
-                if (!(ck->ss_on[node] && mt_random(own) < c[0]))
-                    continue;
+                i64 dst;
+                if (pat_kind == PAT_UNIFORM) {
+                    dst = mt_randbelow(rng, n - 1);
+                    if (dst >= node)
+                        dst++;
+                } else {
+                    const i64 *row = ck->dst_tab + ck->dst_off[node];
+                    dst = pat_kind == PAT_FIXED
+                              ? row[0]
+                              : row[mt_randbelow(rng,
+                                                 ck->dst_off[node + 1] -
+                                                     ck->dst_off[node])];
+                }
+                i64 h = ck_handle_new(ck);
+                if (h < 0 || ring_push(&ck->srcq[node], h))
+                    ERR3(E_NOMEM, node, 0, 0);
+                i64 measured = measure_from >= 0 && created >= measure_from;
+                ck_set_packet(ck, h, next_pid++, node, dst, nflits, -1, -1, 0,
+                              ck->cycle, measured);
+                ck->srcw[node >> 6] |= 1ull << (node & 63);
+                ck->born++;
+                created++;
+                opens |= measured && !measuring;
             }
-            i64 dst;
-            if (pat_kind == PAT_UNIFORM) {
-                dst = mt_randbelow(rng, n - 1);
-                if (dst >= node)
-                    dst++;
-            } else {
-                const i64 *row = ck->dst_tab + ck->dst_off[node];
-                dst = pat_kind == PAT_FIXED
-                          ? row[0]
-                          : row[mt_randbelow(rng, ck->dst_off[node + 1] -
-                                                      ck->dst_off[node])];
+            if (opens) {
+                ck->body_pending = 1;
+                return done;
             }
-            i64 h = ck_handle_new(ck);
-            if (h < 0 || ring_push(&ck->srcq[node], h))
-                ERR3(E_NOMEM, node, 0, 0);
-            ck_set_packet(ck, h, next_pid++, node, dst, nflits, -1, -1, 0,
-                          ck->cycle, births_measured);
-            ck->srcw[node >> 6] |= 1ull << (node & 63);
-            ck->born++;
         }
+        ck->body_pending = 0;
         i64 rc = cycle_body(ck, measuring);
         if (rc < 0)
             return rc;

@@ -34,12 +34,21 @@ runs over a flat integer arena; this module owns everything around it:
   :class:`~repro.noc.stats.RouterActivity` objects the C counters are
   added onto at measurement boundaries and on sync.
 * **spans** -- :meth:`CKernel.run` advances a whole :class:`Span` of
-  cycles in one FFI call with the open-loop traffic source inside the C
-  loop (``ck_run``): the run's ``random.Random`` state is *handed over*
-  (``getstate()`` in, ``setstate()`` out, likewise the per-node Pareto
-  streams and the network's next packet id), so the stream continues
-  draw for draw and everything outside the span keeps using ordinary
-  Python objects.  A load-time self-check compares the C twin of
+  cycles with the open-loop traffic source inside the C loop
+  (``ck_run``), the opening of the measurement window included: C marks
+  the births that fall in the window and comes back to Python between
+  the injections and the body of the cycle that opens it.  A span ends
+  before a cycle that could overshoot its birth budget, so the last
+  packets of a run's target are born on the per-cycle loop.  The run's
+  ``random.Random``, the per-node Pareto streams and the ON/OFF machines
+  are *lent* to C at the first span (``getstate()`` in) and stay there,
+  so every stream continues draw for draw across spans; they are handed
+  back (``setstate()`` out) when Python next needs them --
+  :meth:`CKernel.sync`, hence snapshots and every kernel switch or
+  teardown, and :meth:`Network.reclaim_span_source` before a run falls
+  to the per-cycle loop and at its end.  While they are lent,
+  :meth:`CKernel.step` and :meth:`CKernel.enqueue_packet` refuse to run.
+  A load-time self-check compares the C twin of
   ``random()``/``randrange``/``choice``/the Pareto period against
   ``random.Random``; a mismatch disables spans (one warning) and the
   per-cycle loop carries every run.
@@ -60,7 +69,7 @@ materialises the in-flight ones as :class:`~repro.noc.flit.Packet`
 objects.  Per-cycle stepping flushes the log through
 ``Network._complete_packet``, so latency records, callbacks and
 ``packets_in_flight`` behave exactly as under the other kernels; a span
-turns its rows into latency records in bulk.
+reduces its rows, as columns, straight into the stats' latency sample.
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ import threading
 import warnings
 import weakref
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -186,7 +196,7 @@ def _bind(lib: ctypes.CDLL) -> None:
     sig("ck_get", i64, void_p, i64)
     sig("ck_set", None, void_p, i64, i64)
     sig("ck_step", i64, void_p, i64)
-    sig("ck_run", i64, void_p, *([i64] * 9))
+    sig("ck_run", i64, void_p, *([i64] * 10))
     sig("ck_rng_words", void_p, void_p, i64)
     sig("ck_source_f64", ctypes.POINTER(ctypes.c_double), void_p)
     sig("ck_span_reserve", i64, void_p, i64, i64)
@@ -348,14 +358,23 @@ def warn_unavailable(reason: str) -> None:
 
 (
     S_CYCLE, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NLOG, S_PEND, S_PK_TOP,
-    S_BORN,
-) = range(9)
+    S_BORN, S_BODY_PENDING,
+) = range(10)
 
-#: ints per completion-log row: handle, id, src, dst, flits, hops,
-#: created_at, injected_at, min_lanes, measured, received_at.
-LOG_WIDTH = 11
-#: ints read from the log per ctypes slice (a whole number of rows).
-_LOG_CHUNK = 256 * LOG_WIDTH
+#: ints per completion-log row, in this order (the C ``LOG_*`` enum).
+(
+    LOG_HANDLE, LOG_ID, LOG_SRC, LOG_DST, LOG_NFLITS, LOG_HOPS, LOG_CREATED,
+    LOG_INJ, LOG_MINLANES, LOG_MEASURED, LOG_RECEIVED, LOG_WIDTH,
+) = range(12)
+#: the log fields :meth:`NetworkStats.record_completions` takes, in its
+#: argument order (the class names follow them).
+_SAMPLE_FIELDS = (
+    LOG_ID, LOG_SRC, LOG_DST, LOG_NFLITS, LOG_HOPS, LOG_CREATED, LOG_INJ,
+    LOG_MINLANES, LOG_RECEIVED,
+)
+#: rows a span reduces per ctypes slice: bounds the transient list of
+#: Python ints a 100,000-packet drain would otherwise build in one go.
+_SPAN_LOG_ROWS = 8192
 
 #: every code ``ck_step``/``ck_run`` can return (the C ``E_*`` enum, walked
 #: by a test): exception type and message over the three error operands.
@@ -420,7 +439,13 @@ class SpanSource:
     """A run's open-loop traffic source in the plain-data form ``ck_run``
     replays: ``pattern`` from :func:`repro.traffic.patterns.span_twin`,
     ``injector`` from :func:`repro.traffic.selfsimilar.span_twin`, and
-    the run's own ``random.Random`` (handed over and back every span)."""
+    the run's own ``random.Random``.
+
+    The first span lends ``rng`` and the injector's per-node streams and
+    ON/OFF machines to the compiled kernel, which keeps drawing from its
+    own copy span after span; the Python objects are stale until
+    :meth:`Network.reclaim_span_source` (or anything that syncs or tears
+    the kernel down) hands the advanced state back."""
 
     pattern: tuple
     injector: tuple
@@ -432,14 +457,18 @@ class Span:
     """What :meth:`Network.step` takes to advance whole cycles in C.
 
     Cycles run until ``max_cycles`` have passed, or the next cycle could
-    create more than ``birth_budget`` packets in total (every node
-    firing), or ``need_measured`` measured packets have finished --
-    whichever comes first; ``None`` lifts either of the last two."""
+    take the packet count past ``birth_budget`` (every node firing), or
+    ``need_measured`` measured packets have finished -- whichever comes
+    first; ``None`` lifts either of the last two.  ``created`` packets
+    exist when the span starts; births from creation index
+    ``measure_from`` on are measured (``None``: none are), and the first
+    of them opens the network's measurement window between its cycle's
+    injections and that cycle's body."""
 
     source: SpanSource
     max_cycles: int
-    #: whether packets born in this span fall in the measurement window
-    births_measured: bool
+    created: int = 0
+    measure_from: Optional[int] = None
     birth_budget: Optional[int] = None
     need_measured: Optional[int] = None
 
@@ -518,6 +547,11 @@ class CKernel:
         #: True while net._arrivals/_credits hold a sync() mirror of the
         #: C calendars; the next step() drops it (C stays authoritative).
         self._mirrored = False
+        #: while a :class:`SpanSource` is lent to the C side: the source,
+        #: each stream as ``(address of its C words, random.Random,
+        #: getstate() when lent)``, and the ``(injector, pattern)`` ids
+        #: ``ck_run`` takes for it.
+        self._lent: Optional[Tuple[SpanSource, list, Tuple[int, int]]] = None
         try:
             self._fill_static()
             self._pack()
@@ -538,9 +572,11 @@ class CKernel:
         ).contents
 
     def free(self) -> None:
-        """Release the C arena now (idempotent)."""
+        """Release the C arena now (idempotent); streams still lent to
+        it (no :meth:`sync` came first) are lost with it."""
         self._finalizer()
         self._ck = None
+        self._lent = None
 
     # -- packet handles ---------------------------------------------------
     def _handle(self, packet: Packet) -> int:
@@ -770,19 +806,15 @@ class CKernel:
             self._mirrored = False
 
     def _take_log(self, rows: int):
-        """Empty the completion log, yielding one ``LOG_WIDTH``-int row
-        per finished packet (read in chunks: a drain span can leave
-        thousands of rows, and one slice of them all would be the run's
-        largest transient allocation)."""
-        log = self.lib.ck_arr(self._ck, A_LOG)
-        end = rows * LOG_WIDTH
-        for start in range(0, end, _LOG_CHUNK):
-            chunk = log[start:min(start + _LOG_CHUNK, end)]
-            for at in range(0, len(chunk), LOG_WIDTH):
-                yield chunk[at:at + LOG_WIDTH]
+        """Empty the completion log one cycle left, yielding one
+        ``LOG_WIDTH``-int row per finished packet."""
+        flat = self.lib.ck_arr(self._ck, A_LOG)[0:rows * LOG_WIDTH]
         self.lib.ck_set(self._ck, S_NLOG, 0)
+        for at in range(0, len(flat), LOG_WIDTH):
+            yield flat[at:at + LOG_WIDTH]
 
     def step(self) -> None:
+        self._refuse_while_lent("step()")
         net = self.net
         cycle = net.cycle
         self._drop_mirror()
@@ -806,8 +838,8 @@ class CKernel:
         net.cycle = cycle + 1
 
     def run(self, span: Span) -> Tuple[int, int]:
-        """Advance a whole :class:`Span` in one ``ck_run`` call; returns
-        ``(cycles run, packets created)``.
+        """Advance a whole :class:`Span`; returns ``(cycles run, packets
+        created)``.
 
         Only valid while nothing needs a per-packet Python callback
         (:meth:`Network.span_blocker` is the gate)."""
@@ -815,64 +847,103 @@ class CKernel:
         lib = self.lib
         ck = self._ck
         self._drop_mirror()
-        kinds, hand_back = self._hand_over(span.source)
-        measuring = net.measuring
-        next_id = net.next_packet_id
-        ran = lib.ck_run(
-            ck, span.max_cycles, measuring, span.births_measured,
-            -1 if span.birth_budget is None else span.birth_budget,
-            -1 if span.need_measured is None else span.need_measured,
-            next_id, net._default_packet_flits, *kinds,
-        )
-        if ran < 0:
-            self._raise_error(ran)
-        born = lib.ck_get(ck, S_BORN)
-        net.next_packet_id = next_id + born
-        hand_back()
+        kinds = self._lend(span.source)
         stats = net._stats
-        net.cycle += ran
-        net.packets_in_flight += born
-        if span.births_measured:
-            stats.packets_offered += born
-        if measuring:
-            stats.measured_cycles += ran
-
-        rows = lib.ck_get(ck, S_NLOG)
-        if rows:
-            record = stats.record_packet
-            latency_record = net._latency_record_of
-            flits_done = 0
-            for (h, pid, src, dst, flits, hops, created, injected, lanes,
-                 measured, received) in self._take_log(rows):
-                flits_done += flits
-                # A held packet always finishes before its handle can be
-                # reissued to a span-born one, and rows are in finishing
-                # order, so a Packet found here is this row's packet.
-                packet = self._held(h)
-                packet_class = "data"
-                if packet is not None:
-                    self._let_go(h, packet)
-                    _mirror(packet, hops, lanes, injected)
-                    packet.received_at = received
-                    packet_class = packet.packet_class
-                if measured:
-                    record(latency_record(
-                        pid, src, dst, flits, hops, created, injected,
-                        lanes if lanes > 0 else None, received,
-                        packet_class,
-                    ))
-            net.packets_in_flight -= rows
-            net.total_delivered += rows
+        first, measure_from = span.created, span.measure_from
+        limits = [
+            -1 if limit is None else limit
+            for limit in (measure_from, span.birth_budget, span.need_measured)
+        ]
+        ran = born = 0
+        while True:
+            measuring = net.measuring
+            cycles = lib.ck_run(
+                ck, span.max_cycles - ran, measuring, first + born, *limits,
+                net.next_packet_id, net._default_packet_flits, *kinds,
+            )
+            if cycles < 0:
+                self._raise_error(cycles)
+            new = lib.ck_get(ck, S_BORN)
+            net.next_packet_id += new
+            net.packets_in_flight += new
+            net.cycle += cycles
             if measuring:
-                stats.window_packet_deliveries += rows
-                stats.window_flit_deliveries += flits_done
+                stats.measured_cycles += cycles
+            ran += cycles
+            born += new
+            self._reduce_log(measuring)
+            if not lib.ck_get(ck, S_BODY_PENDING):
+                break
+            # The first measured packet was just born: the window opens
+            # before the body of its cycle, which the next call runs.
+            net.begin_measurement()
+        if measure_from is not None:
+            stats.packets_offered += max(
+                0, first + born - max(first, measure_from)
+            )
         return ran, born
 
-    def _hand_over(self, source: SpanSource):
-        """Load ``source`` into the C side -- tables, constants, ON/OFF
-        machines and every RNG stream as it stands -- and return the
-        ``(injector kind, pattern kind)`` ids plus the closure that hands
-        the advanced streams back to the Python objects."""
+    def _reduce_log(self, measuring: bool) -> None:
+        """Empty the completion log a span left: counters by arithmetic
+        over whole columns, the measured rows into the latency sample."""
+        lib = self.lib
+        ck = self._ck
+        rows = lib.ck_get(ck, S_NLOG)
+        if not rows:
+            return
+        net = self.net
+        stats = net._stats
+        log = lib.ck_arr(ck, A_LOG)
+        stages = net.config.router_pipeline_stages
+        link_delay = net.config.link_delay
+        flits_done = 0
+        for start in range(0, rows, _SPAN_LOG_ROWS):
+            count = min(_SPAN_LOG_ROWS, rows - start)
+            flat = log[start * LOG_WIDTH:(start + count) * LOG_WIDTH]
+            columns = [flat[field::LOG_WIDTH] for field in range(LOG_WIDTH)]
+            flits_done += sum(columns[LOG_NFLITS])
+            classes = ["data"] * count
+            if self._hmap:
+                self._release_held(columns, classes)
+            measured = columns[LOG_MEASURED]
+            wanted = sum(measured)
+            if not wanted:
+                continue
+            fields = [columns[field] for field in _SAMPLE_FIELDS] + [classes]
+            if wanted < count:
+                fields = [list(compress(field, measured)) for field in fields]
+            stats.record_completions(*fields, stages, link_delay)
+        lib.ck_set(ck, S_NLOG, 0)
+        net.packets_in_flight -= rows
+        net.total_delivered += rows
+        if measuring:
+            stats.window_packet_deliveries += rows
+            stats.window_flit_deliveries += flits_done
+
+    def _release_held(self, columns: List[list], classes: List[str]) -> None:
+        """Finish the Packet objects among a chunk of completion-log rows
+        (packets Python enqueued), noting each one's class by row."""
+        # A held packet always finishes before its handle can be reissued
+        # to a span-born one, and rows are in finishing order, so a Packet
+        # found here is its row's packet.
+        for row, h in enumerate(columns[LOG_HANDLE]):
+            packet = self._held(h)
+            if packet is not None:
+                self._let_go(h, packet)
+                _mirror(packet, columns[LOG_HOPS][row],
+                        columns[LOG_MINLANES][row], columns[LOG_INJ][row])
+                packet.received_at = columns[LOG_RECEIVED][row]
+                classes[row] = packet.packet_class
+
+    def _lend(self, source: SpanSource) -> Tuple[int, int]:
+        """Make ``source`` the one the C side draws from -- tables,
+        constants, ON/OFF machines and every RNG stream as it stands --
+        unless it already is; returns its ``(injector kind, pattern kind)``
+        ids.  :meth:`hand_back` returns the advanced streams."""
+        if self._lent is not None:
+            if self._lent[0] is source:
+                return self._lent[2]
+            self.hand_back()
         lib = self.lib
         ck = self._ck
         nnodes = self.nnodes
@@ -915,28 +986,47 @@ class CKernel:
             lib.ck_source_f64(ck),
             ctypes.POINTER(ctypes.c_double * len(constants)),
         ).contents[:] = constants
-        states = []
+        lent = []
         for address, rng in streams:
             state = rng.getstate()
-            states.append(state)
             ctypes.memmove(address, _MT_STATE.pack(*state[1]),
                            _MT_STATE.size)
-
-        def hand_back() -> None:
-            for (address, rng), state in zip(streams, states):
-                words = _MT_STATE.unpack(
-                    ctypes.string_at(address, _MT_STATE.size)
-                )
-                rng.setstate((state[0], words, state[2]))
-            if sources:
-                on = self._arr(A_SS_ON)[0:nnodes]
-                remaining = self._arr(A_SS_REMAINING)[0:nnodes]
-                for src, src_on, src_left in zip(sources, on, remaining):
-                    src.on = bool(src_on)
-                    src.remaining = src_left
-
+            lent.append((address, rng, state))
         kinds = (_INJECTOR_KINDS[injector_kind], _PATTERN_KINDS[pattern_kind])
-        return kinds, hand_back
+        self._lent = (source, lent, kinds)
+        return kinds
+
+    def hand_back(self) -> None:
+        """Return a lent :class:`SpanSource` to its Python objects: every
+        RNG stream and ON/OFF machine where the C side's last draw left
+        it.  No-op when nothing is lent."""
+        if self._lent is None:
+            return
+        source, streams, _ = self._lent
+        self._lent = None
+        for address, rng, state in streams:
+            words = _MT_STATE.unpack(
+                ctypes.string_at(address, _MT_STATE.size)
+            )
+            rng.setstate((state[0], words, state[2]))
+        sources = source.injector[2]
+        if sources:
+            nnodes = self.nnodes
+            on = self._arr(A_SS_ON)[0:nnodes]
+            remaining = self._arr(A_SS_REMAINING)[0:nnodes]
+            for src, src_on, src_left in zip(sources, on, remaining):
+                src.on = bool(src_on)
+                src.remaining = src_left
+
+    def _refuse_while_lent(self, what: str) -> None:
+        """Per-cycle driving draws from the Python streams, which are
+        stale while a span's source is lent: say so instead of letting a
+        run silently diverge."""
+        if self._lent is not None:
+            raise RuntimeError(
+                f"{what} while a span's traffic source is lent to the "
+                "compiled kernel: call Network.reclaim_span_source() first"
+            )
 
     def _raise_error(self, code: int) -> None:
         lib, ck = self.lib, self._ck
@@ -949,6 +1039,7 @@ class CKernel:
     # -- network-facing helpers -------------------------------------------
     def enqueue_packet(self, packet: Packet) -> None:
         """Append ``packet`` to its node's C-side source queue."""
+        self._refuse_while_lent("enqueue()")
         if self.lib.ck_source_push(
             self._ck, packet.src, self._handle(packet)
         ):
@@ -980,20 +1071,20 @@ class CKernel:
         activities = self._activities
         for aid, field in _ACTIVITY_FIELDS:
             counts = self._view(aid, R)
-            for rid, count in enumerate(counts):
+            for rid, count in enumerate(counts[:]):
                 if count:
                     activity = activities[rid]
                     setattr(activity, field, getattr(activity, field) + count)
-            counts[:] = [0] * R
+            ctypes.memset(counts, 0, ctypes.sizeof(counts))
         stats = self.net._stats
         for aid, dest in ((A_LF, stats.link_flits),
                           (A_LB, stats.link_busy_cycles)):
             counts = self._view(aid, RP)
-            for rp, count in enumerate(counts):
+            for rp, count in enumerate(counts[:]):
                 if count:
                     key = (rp // P, rp % P)
                     dest[key] = dest.get(key, 0) + count
-            counts[:] = [0] * RP
+            ctypes.memset(counts, 0, ctypes.sizeof(counts))
 
     def reload_activities(self) -> None:
         """Drop pending counts after ``reset_stats`` replaced the
@@ -1154,4 +1245,5 @@ class CKernel:
                 ]
 
         self.flush_activity()
+        self.hand_back()
         self._mirrored = True

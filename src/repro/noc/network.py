@@ -52,7 +52,6 @@ carries the whole run after one ``RuntimeWarning`` naming the reason.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from time import perf_counter
@@ -63,7 +62,7 @@ from repro.noc.flit import Flit, Packet, flits_per_packet
 from repro.noc.link import Link, link_width_between
 from repro.noc.router import Grant, Router
 from repro.noc.routing import Routing, minimal_routing_for
-from repro.noc.stats import LatencyRecord, NetworkStats
+from repro.noc.stats import LatencyRecord, NetworkStats, decompose_latency
 from repro.noc.topology import Topology
 
 
@@ -389,6 +388,20 @@ class Network:
         if self._ck is not None:
             self._ck.sync()
 
+    def reclaim_span_source(self) -> None:
+        """Hand the traffic source the spans borrowed back to its Python
+        objects (see :class:`~repro.noc.ckernel.SpanSource`): the run's
+        ``random.Random``, the injector's streams and ON/OFF machines.
+
+        No-op unless the compiled kernel holds a lent source; callers
+        that drove :meth:`step` with spans call this before they read or
+        draw from those objects again or go back to stepping per cycle
+        (bare :meth:`step` and :meth:`enqueue` raise while a source is
+        lent).
+        """
+        if self._ck is not None:
+            self._ck.hand_back()
+
     def wake_router(self, router_id: int) -> None:
         """Mark a router active (for callers that write flits directly)."""
         self._active_routers.add(router_id)
@@ -585,8 +598,10 @@ class Network:
         full-scan reference (:meth:`_step_naive`).
 
         With a :class:`~repro.noc.ckernel.Span` the compiled kernel
-        advances the whole span in one call and ``(cycles run, packets
-        created)`` comes back; callers check :meth:`span_blocker` first.
+        advances the whole span -- calling :meth:`begin_measurement` when
+        the span's first measured packet is born -- and ``(cycles run,
+        packets created)`` comes back; callers check :meth:`span_blocker`
+        first.
         """
         if span is not None:
             blocker = self.span_blocker()
@@ -1030,61 +1045,16 @@ class Network:
             self.on_delivery(packet, cycle)
 
     def _latency_record(self, packet: Packet) -> LatencyRecord:
-        return self._latency_record_of(
-            packet.packet_id, packet.src, packet.dst, packet.num_flits,
-            packet.hops, packet.created_at, packet.injected_at,
-            packet.min_lanes, packet.received_at, packet.packet_class,
-        )
-
-    def _latency_record_of(
-        self,
-        packet_id: int,
-        src: int,
-        dst: int,
-        num_flits: int,
-        hops: int,
-        created_at: int,
-        injected_at: int,
-        min_lanes: Optional[int],
-        received_at: int,
-        packet_class: str,
-    ) -> LatencyRecord:
-        """The latency decomposition from a packet's plain fields (the
-        compiled kernel's completion log has no Packet objects)."""
-        stages = self.config.router_pipeline_stages
-        hop_cost = (stages - 1) + self.config.link_delay
-        lanes = min_lanes or 1
-        serialization = math.ceil((num_flits - 1) / lanes)
-        transfer = hop_cost * hops + (stages - 1) + serialization
-        total = received_at - created_at
-        queuing = injected_at - created_at
-        blocking = total - queuing - transfer
-        if blocking < 0:
-            # A packet can (slightly) beat the analytic zero-load bound:
-            # when contention delays the head, trailing flits bunch up and
-            # later wide links carry them two per cycle, recovering
-            # serialization the bound charged to the narrowest link.
-            # Attribute the whole in-network time to transfer then.
-            minimum = hop_cost * hops + (stages - 1)
-            if total - queuing < minimum:
-                raise RuntimeError(
-                    f"packet {packet_id} beat the per-hop pipeline "
-                    f"bound ({total - queuing} < {minimum} cycles); the "
-                    "router model violated its own timing"
-                )
-            transfer = total - queuing
-            blocking = 0
         return LatencyRecord(
-            packet_id=packet_id,
-            src=src,
-            dst=dst,
-            num_flits=num_flits,
-            hops=hops,
-            total=total,
-            queuing=queuing,
-            transfer=transfer,
-            blocking=blocking,
-            packet_class=packet_class,
+            packet.packet_id, packet.src, packet.dst, packet.num_flits,
+            packet.hops,
+            *decompose_latency(
+                packet.packet_id, packet.num_flits, packet.hops,
+                packet.created_at, packet.injected_at, packet.min_lanes,
+                packet.received_at, self.config.router_pipeline_stages,
+                self.config.link_delay,
+            ),
+            packet.packet_class,
         )
 
     # -- fault recovery ------------------------------------------------------------

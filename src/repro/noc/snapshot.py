@@ -44,8 +44,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 #: bump when the container layout or the pickled payload schema changes
-#: (v3: the pickled ``Network`` carries its next packet id).
-SNAPSHOT_VERSION = 3
+#: (v3: the pickled ``Network`` carries its next packet id; v4: the
+#: pickled ``NetworkStats`` holds its latency sample as columns).
+SNAPSHOT_VERSION = 4
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)
@@ -107,6 +108,8 @@ def capture(
     transitions are bit-identical, pinned by the differential tests).
     Deactivation is equally bit-identical for the network being
     captured, so taking a checkpoint never perturbs the ongoing run.
+    It also hands back the RNG streams a span-driven run lent to the
+    kernel, which is why ``rng`` and ``injector`` are read after it.
     """
     if network.obs is not None or network.profiler is not None:
         raise SnapshotError(

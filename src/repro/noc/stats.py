@@ -20,7 +20,8 @@ the power model (:mod:`repro.core.power`) converts into Watts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 
@@ -45,6 +46,140 @@ class LatencyRecord:
                 "latency components must sum to the total "
                 f"({self.queuing}+{self.transfer}+{self.blocking} != {self.total})"
             )
+
+
+def _in_network_floor(packet_id: int, in_network: int, minimum: int) -> int:
+    """``in_network`` cycles, checked against the per-hop pipeline bound."""
+    if in_network < minimum:
+        raise RuntimeError(
+            f"packet {packet_id} beat the per-hop pipeline "
+            f"bound ({in_network} < {minimum} cycles); the "
+            "router model violated its own timing"
+        )
+    return in_network
+
+
+def decompose_latency(
+    packet_id: int,
+    num_flits: int,
+    hops: int,
+    created_at: int,
+    injected_at: int,
+    min_lanes: Optional[int],
+    received_at: int,
+    stages: int,
+    link_delay: int,
+) -> Tuple[int, int, int, int]:
+    """``(total, queuing, transfer, blocking)`` of one delivered packet
+    from its plain fields, on routers of ``stages`` pipeline stages and
+    links of ``link_delay`` cycles; ``min_lanes`` below 1 (or ``None``)
+    means the narrowest link is unknown and counts as one lane."""
+    base = stages - 1
+    hop_cost = base + link_delay
+    lanes = min_lanes if min_lanes and min_lanes > 0 else 1
+    total = received_at - created_at
+    queuing = injected_at - created_at
+    transfer = hop_cost * hops + base - (1 - num_flits) // lanes
+    blocking = total - queuing - transfer
+    if blocking < 0:
+        # A packet can (slightly) beat the analytic zero-load bound:
+        # when contention delays the head, trailing flits bunch up and
+        # later wide links carry them two per cycle, recovering
+        # serialization the bound charged to the narrowest link.
+        # Attribute the whole in-network time to transfer then.
+        transfer = _in_network_floor(
+            packet_id, total - queuing, hop_cost * hops + base
+        )
+        blocking = 0
+    return total, queuing, transfer, blocking
+
+
+def decompose_latency_columns(
+    packet_id: List[int],
+    num_flits: List[int],
+    hops: List[int],
+    created_at: List[int],
+    injected_at: List[int],
+    min_lanes: List[int],
+    received_at: List[int],
+    stages: int,
+    link_delay: int,
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """:func:`decompose_latency` over whole columns (one packet per row),
+    the form a completion log of the compiled kernel is reduced in."""
+    base = stages - 1
+    hop_cost = base + link_delay
+    total = [r - c for r, c in zip(received_at, created_at)]
+    queuing = [i - c for i, c in zip(injected_at, created_at)]
+    transfer = [
+        hop_cost * h + base - (1 - f) // (l if l > 0 else 1)
+        for h, f, l in zip(hops, num_flits, min_lanes)
+    ]
+    blocking = [t - q - x for t, q, x in zip(total, queuing, transfer)]
+    if blocking and min(blocking) < 0:
+        for row, slack in enumerate(blocking):
+            if slack < 0:
+                transfer[row] = _in_network_floor(
+                    packet_id[row], total[row] - queuing[row],
+                    hop_cost * hops[row] + base,
+                )
+                blocking[row] = 0
+    return total, queuing, transfer, blocking
+
+
+class LatencySample(Sequence):
+    """The measured packets, one column per :class:`LatencyRecord` field
+    (integers, plus the class names), a row per packet in finishing order.
+
+    Reads as a sequence of :class:`LatencyRecord` objects, each built --
+    ``__post_init__`` check included -- when it is asked for; the
+    aggregate metrics of :class:`NetworkStats` reduce the columns and
+    never build one.
+    """
+
+    COLUMNS = tuple(f.name for f in fields(LatencyRecord))
+
+    def __init__(self) -> None:
+        for name in self.COLUMNS:
+            setattr(self, name, [])
+
+    def _columns(self) -> List[list]:
+        return [getattr(self, name) for name in self.COLUMNS]
+
+    def __len__(self) -> int:
+        return len(self.total)
+
+    def __iter__(self):
+        return map(LatencyRecord, *self._columns())
+
+    def __getitem__(self, index):
+        picked = (column[index] for column in self._columns())
+        if isinstance(index, slice):
+            return list(map(LatencyRecord, *picked))
+        return LatencyRecord(*picked)
+
+    def _append(self, record: LatencyRecord) -> None:
+        for name in self.COLUMNS:
+            getattr(self, name).append(getattr(record, name))
+
+    def _extend(self, *columns: list) -> None:
+        """Append whole columns, given in :attr:`COLUMNS` order."""
+        for column, rows in zip(self._columns(), columns):
+            column.extend(rows)
+
+
+def _nearest_rank(ordered: List[int], fraction: float) -> float:
+    """The value of sorted ``ordered`` below which ``fraction`` of it falls
+    (nearest rank; ``fraction == 0.0`` is the minimum, rather than the
+    rank -1 that ``ceil(fraction * n) - 1`` would index)."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    if not ordered:
+        raise ValueError("no packets were measured")
+    if fraction == 0.0:
+        return float(ordered[0])
+    index = min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1)
+    return float(ordered[index])
 
 
 @dataclass
@@ -107,7 +242,9 @@ class NetworkStats:
     def __init__(self, num_routers: int, num_nodes: int) -> None:
         self.num_routers = num_routers
         self.num_nodes = num_nodes
-        self.records: List[LatencyRecord] = []
+        #: the measured packets: column lists (``records.total``, ...) and
+        #: a sequence of :class:`LatencyRecord` (see :class:`LatencySample`).
+        self.records = LatencySample()
         self.router_activity = [RouterActivity() for _ in range(num_routers)]
         # (src_router, src_port) -> flits carried
         self.link_flits: Dict[Tuple[int, int], int] = {}
@@ -132,9 +269,37 @@ class NetworkStats:
 
     # -- recording ----------------------------------------------------------
     def record_packet(self, record: LatencyRecord) -> None:
-        self.records.append(record)
+        self.records._append(record)
         self.packets_delivered += 1
         self.flits_delivered += record.num_flits
+
+    def record_completions(
+        self,
+        packet_id: List[int],
+        src: List[int],
+        dst: List[int],
+        num_flits: List[int],
+        hops: List[int],
+        created_at: List[int],
+        injected_at: List[int],
+        min_lanes: List[int],
+        received_at: List[int],
+        packet_class: List[str],
+        stages: int,
+        link_delay: int,
+    ) -> None:
+        """:meth:`record_packet` for many measured packets at once, given
+        as columns of their plain fields (a row per packet)."""
+        total, queuing, transfer, blocking = decompose_latency_columns(
+            packet_id, num_flits, hops, created_at, injected_at, min_lanes,
+            received_at, stages, link_delay,
+        )
+        self.records._extend(
+            packet_id, src, dst, num_flits, hops, total, queuing, transfer,
+            blocking, packet_class,
+        )
+        self.packets_delivered += len(total)
+        self.flits_delivered += sum(num_flits)
 
     def record_link_use(
         self, src_router: int, src_port: int, num_flits: int
@@ -144,60 +309,51 @@ class NetworkStats:
         self.link_busy_cycles[key] = self.link_busy_cycles.get(key, 0) + 1
 
     # -- aggregate latency metrics -------------------------------------------
-    def _mean(self, values: List[float]) -> float:
-        if not values:
+    def _mean(self, column: List[int]) -> float:
+        if not column:
             raise ValueError("no packets were measured")
-        return sum(values) / len(values)
+        return sum(column) / len(column)
 
     @property
     def avg_latency_cycles(self) -> float:
-        return self._mean([r.total for r in self.records])
+        return self._mean(self.records.total)
 
     @property
     def avg_network_latency_cycles(self) -> float:
         """Mean latency excluding source queuing (in-network time only)."""
-        return self._mean([r.total - r.queuing for r in self.records])
+        records = self.records
+        return self._mean(
+            [t - q for t, q in zip(records.total, records.queuing)]
+        )
 
     @property
     def avg_queuing_cycles(self) -> float:
-        return self._mean([r.queuing for r in self.records])
+        return self._mean(self.records.queuing)
 
     @property
     def avg_blocking_cycles(self) -> float:
-        return self._mean([r.blocking for r in self.records])
+        return self._mean(self.records.blocking)
 
     @property
     def avg_transfer_cycles(self) -> float:
-        return self._mean([r.transfer for r in self.records])
+        return self._mean(self.records.transfer)
 
     @property
     def avg_hops(self) -> float:
-        return self._mean([r.hops for r in self.records])
+        return self._mean(self.records.hops)
 
     def avg_latency_ns(self, frequency_ghz: float) -> float:
         """Mean end-to-end latency in nanoseconds at a given clock."""
         return self.avg_latency_cycles / frequency_ghz
 
     def latency_percentile(self, fraction: float) -> float:
-        """Latency below which ``fraction`` of measured packets fall.
-
-        Uses the nearest-rank definition; ``fraction == 0.0`` is defined as
-        the minimum observed latency (rather than falling through the
-        ``ceil(fraction * n) - 1`` rank, which would index rank -1).
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        ordered = sorted(r.total for r in self.records)
-        if not ordered:
-            raise ValueError("no packets were measured")
-        if fraction == 0.0:
-            return float(ordered[0])
-        index = min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1)
-        return float(ordered[index])
+        """Latency below which ``fraction`` of measured packets fall
+        (nearest rank, see :func:`_nearest_rank`)."""
+        return _nearest_rank(sorted(self.records.total), fraction)
 
     def latency_std_cycles(self) -> float:
         """Standard deviation of packet latency (Figure 13b's jitter)."""
-        totals = [r.total for r in self.records]
+        totals = self.records.total
         mean = self._mean(totals)
         return math.sqrt(sum((t - mean) ** 2 for t in totals) / len(totals))
 
@@ -261,9 +417,10 @@ class NetworkStats:
             except ValueError:
                 return math.nan
 
+        ordered = sorted(self.records.total)
         return {
             "packets": float(self.packets_delivered),
-            "measured_packets": float(len(self.records)),
+            "measured_packets": float(len(ordered)),
             "saturated": self.saturated,
             "avg_latency_cycles": _safe(lambda: self.avg_latency_cycles),
             "avg_latency_ns": _safe(lambda: self.avg_latency_ns(frequency_ghz)),
@@ -271,8 +428,8 @@ class NetworkStats:
             "avg_blocking_cycles": _safe(lambda: self.avg_blocking_cycles),
             "avg_transfer_cycles": _safe(lambda: self.avg_transfer_cycles),
             "avg_hops": _safe(lambda: self.avg_hops),
-            "p95_latency_cycles": _safe(lambda: self.latency_percentile(0.95)),
-            "p99_latency_cycles": _safe(lambda: self.latency_percentile(0.99)),
+            "p95_latency_cycles": _safe(lambda: _nearest_rank(ordered, 0.95)),
+            "p99_latency_cycles": _safe(lambda: _nearest_rank(ordered, 0.99)),
             "throughput_packets_per_node_cycle": _safe(
                 lambda: self.accepted_packets_per_node_per_cycle
             ),

@@ -71,8 +71,8 @@ class SyntheticRunResult:
     total_cycles: int
     saturated: bool
     #: measured packets still in flight when the drain hit its cycle cap
-    #: (0 unless ``saturated``); their latency records are missing from
-    #: ``stats.records``, so the recorded population is survivorship-biased.
+    #: (0 unless ``saturated``); their rows are missing from the latency
+    #: sample, so the recorded population is survivorship-biased.
     unfinished_measured_packets: int = 0
     #: measured packets declared lost by the NI recovery layer (only
     #: possible under a fault schedule with bounded retries).
@@ -83,7 +83,9 @@ class SyntheticRunResult:
     #: simulated cycles by what drove them: ``c_span`` (whole spans inside
     #: the compiled kernel, traffic source included), ``c`` (compiled
     #: kernel, one cycle per call), ``event``, ``naive``.  Sums to
-    #: ``total_cycles`` for a run that started at cycle 0.
+    #: ``total_cycles`` for a run that started at cycle 0; a run that can
+    #: use spans at all splits into ``c_span`` and the ``c`` cycles that
+    #: create the last packets of the target.
     kernel_cycles: Dict[str, int] = field(default_factory=dict)
     #: why no cycle of the run was driven as a span (the first reason
     #: found); ``None`` when spans were used.
@@ -234,11 +236,14 @@ def run_synthetic(
     per cycle, packet or delivery (no NI, observer, profiler, watchdog or
     ``on_delivery``; built-in pattern and injector classes), the load and
     drain loops advance in *spans*: ``network.step(Span(...))`` runs whole
-    cycles, injection included, inside the kernel, and only the few
-    cycles around each phase boundary, checkpoint and heartbeat go
-    through :func:`_offer_load`.  Results are bit-identical either way;
-    ``kernel_cycles`` / ``span_fallback`` on the result say which way a
-    run went and why.
+    cycles inside the kernel -- injection and the opening of the
+    measurement window included -- and comes back only for checkpoints
+    and heartbeats and at the end of a phase.  A span ends before a cycle
+    that could overshoot the packet target (every node firing), so the
+    last packets of the target, fewer than there are nodes, are born
+    through :func:`_offer_load`; the drain is spans again.  Results are
+    bit-identical either way; ``kernel_cycles`` / ``span_fallback`` on
+    the result say which way a run went and why.
 
     Returns a :class:`SyntheticRunResult`; ``saturated`` is set when the
     drain phase hit its cycle cap, meaning the offered load exceeded the
@@ -460,92 +465,98 @@ def run_synthetic(
         network.step()
         kernel_cycles[network.active_kernel] += 1
 
-    while created < target:
-        if next_checkpoint is not None and network.cycle >= next_checkpoint:
-            next_checkpoint = network.cycle + checkpoint_every
-            _save_checkpoint("load")
-        # A span must not cross a phase boundary: the cycle that creates
-        # packet number warmup_packets opens the window mid-cycle, the one
-        # that reaches the target stops drawing destinations mid-cycle, and
-        # both stay with _offer_load.  Short of those, every node may fire.
-        warming = created < warmup_packets
-        bound = warmup_packets if warming else target
-        if (
-            span_source is not None
-            and warming != network.measuring
-            and created + num_nodes <= bound
-        ):
-            ran, born = network.step(Span(
-                span_source, _span_room(), births_measured=not warming,
-                birth_budget=bound - created,
-            ))
-            created += born
-            kernel_cycles["c_span"] += ran
-        else:
-            if ni is not None:
-                ni.tick(network.cycle)
-            _offer_load(
-                network,
-                pattern,
-                injector,
-                rng,
-                budget=target - created,
-                on_create=_mark_measured,
-                send=send,
-            )
-            _step_once()
-        if progress is not None and network.cycle % progress_every == 0:
-            phase = "measure" if network.measuring else "warmup"
-            _heartbeat(phase, created, target)
+    try:
+        while created < target:
+            if (
+                next_checkpoint is not None
+                and network.cycle >= next_checkpoint
+            ):
+                next_checkpoint = network.cycle + checkpoint_every
+                _save_checkpoint("load")
+            if span_source is not None and created + num_nodes <= target:
+                # One span carries the load phase across the opening of
+                # the window, up to the cycle that could overshoot the
+                # target: that one stops drawing destinations mid-cycle
+                # and stays with _offer_load.
+                ran, born = network.step(Span(
+                    span_source, _span_room(), created=created,
+                    measure_from=warmup_packets, birth_budget=target,
+                ))
+                created += born
+                kernel_cycles["c_span"] += ran
+            else:
+                if span_source is not None:
+                    network.reclaim_span_source()
+                if ni is not None:
+                    ni.tick(network.cycle)
+                _offer_load(
+                    network,
+                    pattern,
+                    injector,
+                    rng,
+                    budget=target - created,
+                    on_create=_mark_measured,
+                    send=send,
+                )
+                _step_once()
+            if progress is not None and network.cycle % progress_every == 0:
+                phase = "measure" if network.measuring else "warmup"
+                _heartbeat(phase, created, target)
 
-    # Measurement window closes once the last measured packet is created.
-    # (Unless this run resumed from a drain-phase checkpoint, in which
-    # case the window already closed before the snapshot was taken --
-    # closing it again would recompute the activity deltas over drain
-    # cycles they must not cover.)
-    if not resumed_in_drain:
-        network.end_measurement()
+        # Measurement window closes once the last measured packet is
+        # created.  (Unless this run resumed from a drain-phase checkpoint,
+        # in which case the window already closed before the snapshot was
+        # taken -- closing it again would recompute the activity deltas
+        # over drain cycles they must not cover.)
+        if not resumed_in_drain:
+            network.end_measurement()
 
-    # Drain: keep offering load so measured packets experience steady-state
-    # contention on their way out.
-    if profiler is not None:
-        profiler.enter_run_phase("drain")
-    drain_deadline = network.cycle + drain_cycle_cap
-    saturated = False
-    if resumed_in_drain:
-        drain_deadline = runner_state["drain_deadline"]
-    while _accounted() < measure_packets:
-        if network.cycle >= drain_deadline:
-            saturated = True
-            break
-        if next_checkpoint is not None and network.cycle >= next_checkpoint:
-            next_checkpoint = network.cycle + checkpoint_every
-            _save_checkpoint("drain", drain_deadline=drain_deadline)
-        if span_source is not None:
-            # No phase boundary left: the span ends itself on the cycle
-            # the last measured packet is accounted for.
-            ran, _ = network.step(Span(
-                span_source, _span_room(drain_deadline),
-                births_measured=False,
-                need_measured=measure_packets - _accounted(),
-            ))
-            kernel_cycles["c_span"] += ran
-        else:
-            if ni is not None:
-                ni.tick(network.cycle)
-            _offer_load(network, pattern, injector, rng, send=send)
-            _step_once()
-        if progress is not None and network.cycle % progress_every == 0:
-            _heartbeat("drain", _accounted(), measure_packets)
-
+        # Drain: keep offering load so measured packets experience
+        # steady-state contention on their way out.
+        if profiler is not None:
+            profiler.enter_run_phase("drain")
+        drain_deadline = network.cycle + drain_cycle_cap
+        saturated = False
+        if resumed_in_drain:
+            drain_deadline = runner_state["drain_deadline"]
+        while _accounted() < measure_packets:
+            if network.cycle >= drain_deadline:
+                saturated = True
+                break
+            if (
+                next_checkpoint is not None
+                and network.cycle >= next_checkpoint
+            ):
+                next_checkpoint = network.cycle + checkpoint_every
+                _save_checkpoint("drain", drain_deadline=drain_deadline)
+            if span_source is not None:
+                # No phase boundary left: the span ends itself on the
+                # cycle the last measured packet is accounted for.
+                ran, _ = network.step(Span(
+                    span_source, _span_room(drain_deadline),
+                    need_measured=measure_packets - _accounted(),
+                ))
+                kernel_cycles["c_span"] += ran
+            else:
+                if ni is not None:
+                    ni.tick(network.cycle)
+                _offer_load(network, pattern, injector, rng, send=send)
+                _step_once()
+            if progress is not None and network.cycle % progress_every == 0:
+                _heartbeat("drain", _accounted(), measure_packets)
+    finally:
+        # Whatever ended the loops, the streams the spans borrowed go
+        # back to rng and the injector.
+        network.reclaim_span_source()
     stats = network.stats
+    recorded = len(stats.records)
     lost_measured = ni.lost_measured if ni is not None else 0
     unfinished = 0
     if saturated:
         # The drain gave up with measured packets still inside the network
         # (or its source queues); report how many records are missing
         # instead of silently truncating the latency sample.
-        unfinished = stats.packets_offered - len(stats.records) - lost_measured
+        unfinished = stats.packets_offered - recorded - lost_measured
         stats.saturated = True
         if network.obs is not None:
             network.obs.on_drain_truncated(unfinished, network.cycle)
@@ -555,11 +566,11 @@ def run_synthetic(
         # loss -- anything else is silent truncation, which used to
         # corrupt the recorded sample without a trace.
         outstanding = ni.outstanding_measured() if ni is not None else 0
-        missing = stats.packets_offered - len(stats.records) - lost_measured
+        missing = stats.packets_offered - recorded - lost_measured
         if missing != 0 or outstanding != 0:
             raise DrainAccountingError(
                 f"{stats.packets_offered} measured packets offered but "
-                f"{len(stats.records)} recorded + {lost_measured} lost "
+                f"{recorded} recorded + {lost_measured} lost "
                 f"({outstanding} still tracked by the NI) after a clean "
                 "drain"
             )
@@ -573,14 +584,11 @@ def run_synthetic(
         resilience["fault_events"] = len(network.faults.events)
         resilience["retransmit_timeout"] = retransmit_timeout
 
-    if span_source is not None and not kernel_cycles["c_span"]:
-        span_fallback = "no whole span fits between the phase boundaries"
-
     return SyntheticRunResult(
         stats=stats,
         offered_rate=rate,
         warmup_packets=warmup_packets,
-        measured_packets=len(stats.records),
+        measured_packets=recorded,
         total_cycles=network.cycle,
         saturated=saturated,
         unfinished_measured_packets=unfinished,

@@ -118,8 +118,10 @@ def span_twin(injector, num_nodes: int):
     ``(kind, rate, sources)``: ``"bernoulli"`` fires on
     ``rng.random() < rate``; ``"pareto"`` steps the ``num_nodes``
     :class:`ParetoOnOffSource` machines in ``sources``, whose ``on`` /
-    ``remaining`` / ``rng`` the driver reads before a span and writes
-    back after it.  Only the exact built-in classes on plain
+    ``remaining`` / ``rng`` the driver borrows at its first span and
+    writes back when the kernel syncs or the run ends (see
+    :class:`repro.noc.ckernel.SpanSource`).  Only the exact built-in
+    classes on plain
     ``random.Random`` streams have a twin, and only while the longest
     possible Pareto period (a 53-bit draw of 2**-53) fits an int64;
     anything else stays on the per-cycle loop.

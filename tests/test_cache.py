@@ -119,7 +119,7 @@ class TestSetAssociativeCache:
             cache.insert(address, SHARED)
         assert cache.occupancy <= 8
         # Each set respects its associativity.
-        for cache_set in cache._sets:
+        for cache_set in cache._sets.values():
             assert len(cache_set) <= 2
 
 

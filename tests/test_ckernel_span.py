@@ -12,7 +12,9 @@ Two things make that safe, and this file pins both:
 * **span == per-cycle c == event**: every observable of a run (state
   digest, RNG and injector state, next packet id, in-flight count,
   stats, latency records in order) is identical whether the cycles ran
-  as spans, one ``ck_step`` at a time, or on the event kernel.
+  as spans, one ``ck_step`` at a time, or on the event kernel -- and a
+  run that can use spans leaves them only to create the last packets of
+  its target, fewer than there are nodes.
 """
 
 import random
@@ -36,6 +38,7 @@ from repro.noc.ckernel import (
     load_kernel_library,
     unavailable_reason,
 )
+from repro.noc.network import Network
 from repro.noc.snapshot import load_snapshot
 from repro.traffic import patterns, selfsimilar
 from repro.traffic.patterns import TrafficPattern, UniformRandom, pattern_by_name
@@ -236,6 +239,15 @@ def _observe(point, mode, **knobs):
     runner.random = recorder
     if mode == "c" and ckernel._SPANS_OFF is None:
         ckernel._SPANS_OFF = "spans forced off by the test"
+    python_born = []
+    make_packet = Network.make_packet
+
+    def noting_make_packet(self, *args, **kwargs):
+        packet = make_packet(self, *args, **kwargs)
+        python_born.append(packet.packet_id)
+        return packet
+
+    Network.make_packet = noting_make_packet
     try:
         result = run_synthetic(
             net,
@@ -250,6 +262,7 @@ def _observe(point, mode, **knobs):
         )
     finally:
         runner.random, ckernel._SPANS_OFF = saved_random, saved_off
+        Network.make_packet = make_packet
     stats = result.stats
     return {
         "digest": _digest(net),
@@ -271,10 +284,13 @@ def _observe(point, mode, **knobs):
         "unfinished": result.unfinished_measured_packets,
         "kernel_cycles": result.kernel_cycles,
         "span_fallback": result.span_fallback,
+        "python_born": python_born,
+        "shape": (net.topology.num_nodes,
+                  point.warmup_packets + point.measure_packets),
     }
 
 
-_HOW_IT_RAN = ("kernel_cycles", "span_fallback")
+_HOW_IT_RAN = ("kernel_cycles", "span_fallback", "python_born")
 
 
 def _same_run(a, b):
@@ -284,9 +300,26 @@ def _same_run(a, b):
     return True
 
 
+def _span_driven(run):
+    """The whole-run invariant of a span-eligible run: the compiled kernel
+    drives every cycle, and only the packets a last load span could have
+    overshot the target with -- the last of the target, fewer than there
+    are nodes -- are born in Python."""
+    assert run["span_fallback"] is None
+    cycles = run["kernel_cycles"]
+    assert cycles["event"] == cycles["naive"] == 0
+    assert cycles["c_span"] > 0
+    assert cycles["c_span"] + cycles["c"] == run["total_cycles"]
+    num_nodes, target = run["shape"]
+    born = run["python_born"]
+    assert len(born) < num_nodes
+    assert born == list(range(target - len(born), target))
+    return True
+
+
 def _three_way(point, **knobs):
     span = _observe(point, "span", **knobs)
-    assert sum(span["kernel_cycles"].values()) == span["total_cycles"]
+    _span_driven(span)
     _same_run(span, _observe(point, "c", **knobs))
     _same_run(span, _observe(point, "event", **knobs))
     return span
@@ -312,35 +345,35 @@ class TestSpanDifferential:
             layout=layout, injector=injector, pattern=pattern, rate=rate,
             seed=seed,
         ))
-        assert span["span_fallback"] is None
-        assert span["kernel_cycles"]["c_span"] >= 0.5 * span["total_cycles"]
-        assert span["kernel_cycles"]["event"] == 0
+        assert span["stats"][0] == 200  # packets_offered
 
     def test_8x8_point_is_span_driven(self):
         span = _three_way(_point(
             layout="center+BL", mesh_size=8, rate=0.04, seed=3,
             warmup_packets=300, measure_packets=1500,
         ))
-        assert span["kernel_cycles"]["c_span"] >= 0.9 * span["total_cycles"]
+        assert len(span["records"]) == 1500
 
     def test_no_warmup(self):
-        """``warmup_packets=0``: the first packet opens the window
-        mid-cycle, so the cycles up to it stay on the per-cycle loop."""
+        """``warmup_packets=0``: the first packet born opens the window,
+        inside the span that carries the cycles before it too."""
         span = _three_way(_point(rate=0.05, seed=2, warmup_packets=0))
-        assert span["kernel_cycles"]["c"] >= 1
-        assert span["kernel_cycles"]["c_span"] > 0
+        assert span["records"][0][0] == 0  # packet id 0 is measured
 
     def test_one_measured_packet(self):
         span = _three_way(_point(rate=0.05, seed=3, measure_packets=1))
         assert len(span["records"]) == 1
 
     def test_target_below_node_count(self):
-        """Fewer packets than nodes: no load-phase cycle is safely inside
-        a phase, so only the drain may run as a span."""
+        """Fewer packets than nodes: any cycle could overrun the target,
+        so the whole load phase stays per-cycle and only the drain is
+        spans."""
         span = _three_way(_point(
             rate=0.05, seed=4, warmup_packets=3, measure_packets=9,
         ))
         assert len(span["records"]) == 9
+        assert span["python_born"] == list(range(12))
+        assert span["next_packet_id"] >= 12
 
     def test_saturated_point_hits_the_drain_cap(self):
         span = _three_way(_point(
@@ -348,7 +381,58 @@ class TestSpanDifferential:
             drain_cycle_cap=100,
         ))
         assert span["saturated"] and span["unfinished"] > 0
-        assert span["kernel_cycles"]["c_span"] > 0
+
+    @pytest.mark.parametrize("injector", ["bernoulli", "self_similar"])
+    @pytest.mark.parametrize("measure", [1, 15, 3000])
+    @pytest.mark.parametrize("warmup", [0, 1, 15, 16, 300])
+    def test_phase_boundaries(self, warmup, measure, injector):
+        """Creation-index boundaries at, just under and far from the node
+        count (16), at a rate where nearly every node fires every cycle:
+        the window opens mid-cycle -- inside a span, or in the per-cycle
+        tail when the target is that close, often in the cycle that
+        reaches it -- and the run still equals the per-cycle loop on the
+        event kernel in every observable."""
+        point = _point(
+            rate=0.9, seed=7 + warmup + measure, injector=injector,
+            warmup_packets=warmup, measure_packets=measure,
+            drain_cycle_cap=300,
+        )
+        span = _observe(point, "span")
+        _span_driven(span)
+        _same_run(span, _observe(point, "event"))
+        assert span["next_packet_id"] >= warmup + measure
+        assert span["stats"][0] == measure  # packets_offered: exact target
+
+    def test_only_the_tail_of_the_target_is_born_in_python(
+        self, monkeypatch
+    ):
+        """On the 8x8 the window opens around packet 300 inside a span:
+        no packet near it is made by Python, ``_offer_load`` runs only on
+        the per-cycle tail and ``enqueue`` only for the packets made
+        there."""
+        calls = {"offer": 0, "enqueue": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(runner, "_offer_load",
+                            counted("offer", runner._offer_load))
+        monkeypatch.setattr(Network, "enqueue",
+                            counted("enqueue", Network.enqueue))
+        span = _observe(
+            _point(mesh_size=8, rate=0.04, seed=3, warmup_packets=300,
+                   measure_packets=1500),
+            "span",
+        )
+        _span_driven(span)
+        assert len(span["records"]) == 1500
+        assert 0 < len(span["python_born"]) < 64
+        assert min(span["python_born"]) > 1800 - 64
+        assert calls["enqueue"] == len(span["python_born"])
+        assert calls["offer"] == span["kernel_cycles"]["c"]
 
     def test_heartbeats_bound_the_spans(self):
         beats = {}
@@ -380,8 +464,9 @@ class TestSpanDifferential:
                     patterns.span_twin(pattern),
                     selfsimilar.span_twin(injector, 16), rng,
                 )
-                assert net.step(Span(source, 60, births_measured=False)) \
+                assert net.step(Span(source, 60)) \
                     == (60, net.packets_in_flight + net.total_delivered - 1)
+                net.reclaim_span_source()
             else:
                 for _ in range(60):
                     _offer_load(net, pattern, injector, rng)
@@ -404,7 +489,7 @@ class TestSpanDifferential:
         source = SpanSource(("uniform", None), ("bernoulli", 0.1, None),
                             random.Random(1))
         with pytest.raises(RuntimeError, match="cannot step a span"):
-            net.step(Span(source, 5, births_measured=False))
+            net.step(Span(source, 5))
 
     def test_malformed_pattern_rows_are_rejected_before_c_sees_them(self):
         net = build_network(layout_by_name("baseline", 2))
@@ -413,7 +498,7 @@ class TestSpanDifferential:
             source = SpanSource(("choice", rows), ("bernoulli", 0.1, None),
                                 random.Random(1))
             with pytest.raises(ValueError, match="span pattern rows"):
-                net.step(Span(source, 5, births_measured=False))
+                net.step(Span(source, 5))
 
 
 class TestSpanEligibility:
@@ -537,6 +622,116 @@ class TestSpansAndSnapshots:
         assert snapshot.network.next_packet_id == plain["next_packet_id"]
         assert sum(resumed["kernel_cycles"].values()) == plain["total_cycles"]
 
+    def test_mid_measure_checkpoint_carries_the_lent_streams(self, tmp_path):
+        """The streams are in C when the checkpoint falls due; capture
+        takes them back first, so the file holds where they really are."""
+        plain = _observe(self.POINT, "span")
+        path = tmp_path / "run.ckpt"
+
+        class Killed(Exception):
+            pass
+
+        beats = []
+
+        def die_mid_measure(progress):
+            # The checkpoint on disk is the one taken right after the
+            # previous heartbeat: die once that one was well into the
+            # measure phase.
+            beats.append(progress.phase)
+            if beats[-3:] == ["measure"] * 3:
+                raise Killed
+
+        with pytest.raises(Killed):
+            _observe(self.POINT, "span", checkpoint_every=20,
+                     checkpoint_path=path, progress=die_mid_measure,
+                     progress_every=20)
+        snapshot = load_snapshot(path)
+        assert snapshot.network.measuring
+        assert 0 < len(snapshot.network.stats.records) < 200
+        resumed = _observe(self.POINT, "span", resume_from=snapshot)
+        for key in ("records", "stats", "total_cycles", "rng"):
+            assert resumed[key] == plain[key], key
+        # The network and injector that drove the resumed run are the
+        # snapshot's, not the ones _observe built.
+        assert _digest(snapshot.network) == plain["digest"]
+        assert snapshot.network.next_packet_id == plain["next_packet_id"]
+        assert _injector_state(snapshot.injector) == plain["injector"]
+
+    def test_lent_streams_are_back_after_kernel_teardown(self):
+        """Two spans lend the streams once; attaching an observer tears
+        the kernel down, and ``_offer_load`` then continues every stream
+        draw for draw on the per-cycle loop."""
+        def run(spans):
+            net = build_network(layout_by_name("diagonal+BL", 4))
+            net.use_kernel("c" if spans else "event")
+            pattern = pattern_by_name("uniform_random", net.topology)
+            injector = SelfSimilarInjector(16, 0.1, seed=2)
+            rng = random.Random(21)
+            if spans:
+                source = SpanSource(
+                    patterns.span_twin(pattern),
+                    selfsimilar.span_twin(injector, 16), rng,
+                )
+                untouched = rng.getstate()
+                assert net.step(Span(source, 30))[0] == 30
+                assert net.step(Span(source, 30, created=99))[0] == 30
+                assert rng.getstate() == untouched  # still lent
+            else:
+                for _ in range(60):
+                    _offer_load(net, pattern, injector, rng)
+                    net.step()
+            from repro.obs.hooks import Observer
+
+            net.attach_observer(Observer())
+            state = (rng.getstate(), _injector_state(injector))
+            for _ in range(40):
+                _offer_load(net, pattern, injector, rng)
+                net.step()
+            assert net.active_kernel == "event"
+            return (state, rng.getstate(), _injector_state(injector),
+                    _digest(net), net.next_packet_id)
+
+        assert run(True) == run(False)
+
+    def test_per_cycle_driving_is_refused_while_the_source_is_lent(self):
+        net = build_network(layout_by_name("baseline", 4))
+        net.use_kernel("c")
+        source = SpanSource(("uniform", None), ("bernoulli", 0.1, None),
+                            random.Random(3))
+        assert net.step(Span(source, 10))[0] == 10
+        with pytest.raises(RuntimeError, match="reclaim_span_source"):
+            net.step()
+        with pytest.raises(RuntimeError, match="reclaim_span_source"):
+            net.enqueue(net.make_packet(0, 5))
+        net.reclaim_span_source()
+        net.enqueue(net.make_packet(0, 5))
+        net.step()
+        assert net.cycle == 11
+
+    def test_a_run_that_dies_mid_span_loop_returns_the_streams(
+        self, monkeypatch
+    ):
+        class Killed(Exception):
+            pass
+
+        def die(progress):
+            raise Killed
+
+        def run(kernel):
+            net = build_network(layout_by_name("baseline", 4))
+            net.use_kernel(kernel)
+            injector = SelfSimilarInjector(16, 0.05, seed=4)
+            recorder = _RecordingRandom()
+            monkeypatch.setattr(runner, "random", recorder)
+            with pytest.raises(Killed):
+                run_synthetic(net, UniformRandom(16), 0.05, seed=6,
+                              injector=injector, progress=die,
+                              progress_every=16)
+            assert net.cycle == 16
+            return recorder.made[0].getstate(), _injector_state(injector)
+
+        assert run("c") == run("event")
+
     def test_execute_point_checkpointing_under_kernel_c(self, tmp_path):
         point = replace(self.POINT, kernel="c")
         expected = execute_point(point).to_dict()
@@ -560,7 +755,7 @@ class TestSpansAndSnapshots:
                     patterns.span_twin(pattern),
                     selfsimilar.span_twin(injector, 16), rng,
                 )
-                ran, born = net.step(Span(source, 80, births_measured=False))
+                ran, born = net.step(Span(source, 80))
                 assert ran == 80 and born > 20
                 assert net.packets_in_flight > 0
                 net.use_kernel("event")
@@ -587,7 +782,4 @@ class TestSpansAndSnapshots:
 @needs_ckernel
 @pytest.mark.parametrize("name", list(GOLDEN_POINTS))
 def test_golden_points_are_span_driven(name):
-    span = _observe(GOLDEN_POINTS[name], "span")
-    assert span["span_fallback"] is None
-    assert span["kernel_cycles"]["c_span"] > 0.8 * span["total_cycles"]
-    assert span["kernel_cycles"]["event"] == 0
+    assert _span_driven(_observe(GOLDEN_POINTS[name], "span"))

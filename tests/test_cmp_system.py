@@ -168,6 +168,26 @@ class TestEndToEnd:
             system.run(max_cycles=5)
 
 
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="MESI deadlock: the home acks a PUTX at once, the WB_ACK "
+        "overtakes the FWD_GETS of the transaction it has open towards "
+        "that owner, and the late forward is parked on a fill that never "
+        "comes (trace and proposed repair: ROADMAP item 3, EXPERIMENTS "
+        "Fig 11/12)",
+    )
+    @pytest.mark.parametrize("layout", ["baseline", "diagonal+BL"])
+    def test_canl_at_fig11_scale_and_seed_finishes(self, layout):
+        """``canl``, fig11's default seed (7) and records/core (400):
+        other seeds finish in about 3,000 cycles; this one leaves two
+        cores waiting with the network empty and no event pending."""
+        from repro.experiments.fig11_applications import run_one
+
+        run_one(layout, "canl", 400, seed=7, max_cycles=6_000)
+
+
 class TestPlacements:
     def test_mc_placement_nodes(self):
         system = _system(config=_small_cmp_config())

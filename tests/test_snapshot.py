@@ -119,11 +119,12 @@ class TestContainer:
         with pytest.raises(SnapshotCorrupt, match="magic"):
             loads(b"NOTASNAP" + blob[8:])
 
-    @pytest.mark.parametrize("version", [1, 2, SNAPSHOT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, SNAPSHOT_VERSION + 1])
     def test_version_skew_detected(self, version):
         """Newer *and* older containers refuse before unpickling: a v1
         payload holds a ``Network`` with the pre-v2 kernel fields, a v2
-        one a ``Network`` that does not know its next packet id."""
+        one a ``Network`` that does not know its next packet id, a v3
+        one a ``NetworkStats`` holding a list of record objects."""
         blob = _restamp(dumps(self._snapshot()), version)
         with pytest.raises(SnapshotVersionMismatch, match=f"v{version}"):
             loads(blob)
@@ -349,7 +350,9 @@ class TestExecutePointCheckpointing:
         assert not checkpoint.exists()
 
     @pytest.mark.parametrize(
-        "damage", ["bit-flips", "v1-container", "v2-container", "v1-runner-state"]
+        "damage",
+        ["bit-flips", "v1-container", "v2-container", "v3-container",
+         "v1-runner-state"],
     )
     def test_corrupt_checkpoint_falls_back_to_scratch(
         self, tmp_path, monkeypatch, damage
@@ -382,7 +385,7 @@ class TestExecutePointCheckpointing:
             save_snapshot(snapshot, checkpoint)
         else:
             # What a checkpoint left behind by an earlier format looks
-            # like to this build: intact, but stamped v1 or v2.
+            # like to this build: intact, but stamped v1, v2 or v3.
             checkpoint.write_bytes(_restamp(checkpoint.read_bytes(), int(damage[1])))
             with pytest.raises(SnapshotVersionMismatch):
                 load_snapshot(checkpoint)

@@ -1,13 +1,20 @@
 """Unit tests for statistics collection."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.layouts import baseline_layout, build_network
-from repro.noc.stats import LatencyRecord, NetworkStats, RouterActivity
+from repro.noc.stats import (
+    LatencyRecord,
+    NetworkStats,
+    RouterActivity,
+    decompose_latency,
+    decompose_latency_columns,
+)
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.runner import run_synthetic
 
@@ -190,6 +197,117 @@ class TestNetworkStats:
         summary = result.stats.summary()
         assert summary["saturated"] is True
         assert summary["measured_packets"] == float(len(result.stats.records))
+
+
+#: one delivered packet: id, src, dst, flits, hops, created_at, cycles
+#: queued, min_lanes (below 1: unknown), cycles beyond the per-hop pipeline
+#: minimum, class.
+_DELIVERED = st.tuples(
+    st.integers(0, 10**6), st.integers(0, 63), st.integers(0, 63),
+    st.integers(1, 12), st.integers(0, 14), st.integers(0, 10**5),
+    st.integers(0, 200), st.integers(-1, 4), st.integers(0, 400),
+    st.sampled_from(["data", "control", "probe"]),
+)
+
+
+class TestColumnarSample:
+    """The sample is stored as columns; the per-packet path, the bulk
+    path and the ``records`` view must be three readings of one thing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delivered=st.lists(_DELIVERED, max_size=40),
+        stages=st.integers(1, 5),
+        link_delay=st.integers(1, 3),
+    )
+    def test_bulk_path_equals_per_packet_path(
+        self, delivered, stages, link_delay
+    ):
+        rows = []
+        for pid, src, dst, flits, hops, created, wait, lanes, extra, cls in (
+            delivered
+        ):
+            injected = created + wait
+            minimum = (stages - 1 + link_delay) * hops + stages - 1
+            rows.append((pid, src, dst, flits, hops, created, injected,
+                         lanes, injected + minimum + extra, cls))
+        columns = [list(column) for column in zip(*rows)] or [[]] * 10
+        ids, srcs, dsts, flits, hops, created, injected, lanes, received, _ = (
+            columns
+        )
+
+        scalar = [
+            decompose_latency(r[0], r[3], r[4], r[5], r[6], r[7], r[8],
+                              stages, link_delay)
+            for r in rows
+        ]
+        by_column = decompose_latency_columns(
+            ids, flits, hops, created, injected, lanes, received,
+            stages, link_delay,
+        )
+        assert list(zip(*by_column)) == scalar
+        # min_lanes of None reads as any other unknown width
+        assert scalar == [
+            decompose_latency(r[0], r[3], r[4], r[5], r[6],
+                              r[7] if r[7] > 0 else None, r[8],
+                              stages, link_delay)
+            for r in rows
+        ]
+
+        per_packet, bulk = NetworkStats(4, 64), NetworkStats(4, 64)
+        for row, parts in zip(rows, scalar):
+            per_packet.record_packet(LatencyRecord(*row[:5], *parts, row[9]))
+        bulk.record_completions(*columns, stages, link_delay)
+        expected = list(per_packet.records)
+        assert list(bulk.records) == expected
+        assert [bulk.records[i] for i in range(len(rows))] == expected
+        assert bulk.records[1:] == expected[1:]
+        assert len(bulk.records) == len(rows)
+        assert bool(bulk.records) == bool(rows)
+        # NaN != NaN on an empty sample: compare the printed form
+        assert repr(bulk.summary()) == repr(per_packet.summary())
+        assert (bulk.packets_delivered, bulk.flits_delivered) == (
+            per_packet.packets_delivered, per_packet.flits_delivered,
+        )
+        restored = pickle.loads(pickle.dumps(bulk))
+        assert list(restored.records) == expected
+        assert repr(restored.summary()) == repr(bulk.summary())
+
+    def test_view_checks_a_doctored_column(self):
+        stats = NetworkStats(4, 4)
+        for i, total in enumerate([20, 30]):
+            stats.record_packet(_record(packet_id=i, total=total))
+        stats.records.total[1] += 1
+        assert stats.records[0].total == 20
+        with pytest.raises(ValueError, match="must sum to the total"):
+            stats.records[1]
+        with pytest.raises(ValueError, match="must sum to the total"):
+            list(stats.records)
+
+    def test_view_has_no_sequence_mutators(self):
+        stats = NetworkStats(4, 4)
+        stats.record_packet(_record())
+        with pytest.raises(TypeError):
+            stats.records[0] = _record(packet_id=9)
+        assert not hasattr(stats.records, "append")
+        assert stats.records[-1] == _record()
+
+    def test_both_forms_refuse_a_packet_faster_than_the_pipeline(self):
+        # 4 hops of 3-stage routers and 1-cycle links: 14 cycles at least
+        fields = dict(packet_id=7, num_flits=6, hops=4, created_at=0,
+                      injected_at=2, min_lanes=1, received_at=2 + 13)
+        with pytest.raises(RuntimeError, match="packet 7 beat the per-hop"):
+            decompose_latency(**fields, stages=3, link_delay=1)
+        with pytest.raises(RuntimeError, match="packet 7 beat the per-hop"):
+            decompose_latency_columns(
+                **{name: [value] for name, value in fields.items()},
+                stages=3, link_delay=1,
+            )
+        # at the bound the whole in-network time is transfer
+        fields["received_at"] += 1
+        assert decompose_latency(**fields, stages=3, link_delay=1) == (
+            16, 2, 14, 0
+        )
 
 
 class TestStatisticalProperties:
