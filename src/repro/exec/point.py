@@ -331,69 +331,54 @@ def execute_point(
     """
     from repro.core.merging import merge_report
     from repro.core.power import network_power_breakdown
-    from repro.noc.snapshot import SnapshotError, load_snapshot
+    from repro.noc.snapshot import SnapshotError
     from repro.traffic.patterns import pattern_by_name
-    from repro.traffic.runner import run_synthetic
+    from repro.traffic.runner import load_checkpoint, run_synthetic
 
+    spec = dict(
+        rate=point.rate,
+        seed=point.seed,
+        warmup_packets=point.warmup_packets,
+        measure_packets=point.measure_packets,
+    )
     checkpoint_path = None
-    resume_snapshot = None
+    checkpoint = None
     if checkpoint_every is None or checkpoint_dir is None:
         checkpoint_every = None
     else:
         checkpoint_path = checkpoint_path_for(point, checkpoint_dir)
         checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            resume_snapshot = load_snapshot(checkpoint_path)
-        except FileNotFoundError:
-            pass
+            checkpoint = load_checkpoint(checkpoint_path, **spec)
         except (SnapshotError, OSError):
-            # Damaged checkpoint: recompute from cycle 0, never crash.
-            resume_snapshot = None
-
-    result = None
-    if resume_snapshot is not None:
-        network = resume_snapshot.network
-        pattern = pattern_by_name(point.pattern, network.topology)
-        try:
-            result = run_synthetic(
-                network,
-                pattern,
-                point.rate,
-                warmup_packets=point.warmup_packets,
-                measure_packets=point.measure_packets,
-                seed=point.seed,
-                injector=point.build_injector(network.topology.num_nodes),
-                drain_cycle_cap=point.drain_cycle_cap,
-                faults=point.faults,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                resume_from=resume_snapshot,
-            )
-        except SnapshotError:
-            # The checkpoint decoded but does not belong to this run
-            # (format drift): fall through to a from-scratch execution.
-            result = None
-    if result is None:
-        network = point.build_network()
-        pattern = pattern_by_name(point.pattern, network.topology)
-        result = run_synthetic(
-            network,
-            pattern,
-            point.rate,
-            warmup_packets=point.warmup_packets,
-            measure_packets=point.measure_packets,
-            seed=point.seed,
-            injector=point.build_injector(network.topology.num_nodes),
-            drain_cycle_cap=point.drain_cycle_cap,
-            faults=point.faults,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-        )
-    if checkpoint_path is not None:
-        try:
-            checkpoint_path.unlink()
-        except OSError:
+            # No checkpoint, a damaged one, one of another format or of
+            # another run: compute from cycle 0, never crash.
             pass
+
+    # The summary below reads run-time counts from the result's stats and
+    # only static configuration from this network, so a resumed run (which
+    # carries on with the checkpoint's own network) needs no other.
+    network = point.build_network()
+    result = run_synthetic(
+        network,
+        pattern_by_name(point.pattern, network.topology),
+        injector=point.build_injector(network.topology.num_nodes),
+        drain_cycle_cap=point.drain_cycle_cap,
+        faults=point.faults,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume_from=checkpoint,
+        **spec,
+    )
+    if checkpoint_path is not None:
+        # The point is done: drop its checkpoint, and the temp files of
+        # writers that were killed between ``open`` and ``os.replace``.
+        stale = checkpoint_path.parent.glob(f"{checkpoint_path.name}.*.tmp")
+        for leftover in (checkpoint_path, *stale):
+            try:
+                leftover.unlink()
+            except OSError:
+                pass
     stats = result.stats
     power = network_power_breakdown(network, stats)
     summary = stats.summary(network.config.frequency_ghz)

@@ -198,9 +198,10 @@ class NetworkConfig:
         escape_vc: index of the virtual channel reserved for deadlock-free
             escape routing when table-based routing is in use (``None``
             disables the reservation).
-        source_queue_limit: maximum packets buffered at a source before
-            :meth:`Network.try_inject` refuses new traffic (``None`` means
-            unbounded, the synthetic open-loop setting).
+        source_queue_limit: maximum packets buffered at a source;
+            :meth:`Network.enqueue` returns ``False`` and drops the packet
+            beyond it (``None`` means unbounded, the synthetic open-loop
+            setting).
         flit_merging: enable the Section 3.2/3.3 wide-link flit
             combining.  Disabling it is an ablation: wide links then move
             a single flit per cycle like narrow ones.

@@ -210,9 +210,10 @@ class TorusXYRouting(Routing):
             return topo.direction_port(WEST), wraps, False
         down = (dst_row - row) % height
         up = (row - dst_row) % height
-        turning = col == dst_col and row != dst_row
-        # "turning" marks entry into the Y dimension; the caller resets the
-        # dateline class when the packet makes this turn.
+        # "turning" marks entry into the Y dimension -- the Y-phase router in
+        # the packet's source row; the caller resets the dateline class
+        # there and nowhere else, so class 1 survives past the Y wrap link.
+        turning = topo.coords(topo.router_of_node(packet.src))[0] == row
         if down <= up:
             wraps = row == height - 1
             return topo.direction_port(SOUTH), wraps, turning

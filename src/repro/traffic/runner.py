@@ -27,7 +27,6 @@ from typing import Callable, Dict, Optional
 from repro.noc.ckernel import Span, SpanSource
 from repro.noc.network import Network
 from repro.noc.snapshot import (
-    SimSnapshot,
     SnapshotError,
     capture,
     load_snapshot,
@@ -38,12 +37,6 @@ from repro.obs.profiler import Progress, RunProfiler
 from repro.traffic import patterns, selfsimilar
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.selfsimilar import BernoulliInjector
-
-#: bump when the runner's checkpoint bookkeeping changes shape; restores
-#: refuse (and restart from cycle 0) on mismatch rather than guessing.
-#: (2: the state carries ``kernel_cycles``.)
-CHECKPOINT_FORMAT = 2
-
 
 #: span length when no checkpoint, heartbeat or deadline bounds it; the
 #: packet budget or the drain's own stop condition ends the span long
@@ -101,6 +94,71 @@ class SyntheticRunResult:
     @property
     def throughput_packets_per_node_cycle(self) -> float:
         return self.stats.accepted_packets_per_node_per_cycle
+
+
+def _no_cycles() -> Dict[str, int]:
+    return dict.fromkeys(("c_span", "c", "event", "naive"), 0)
+
+
+@dataclass
+class RunState:
+    """What :func:`run_synthetic` carries from one cycle to the next.
+
+    The load and drain loops read and write these fields in place, so a
+    checkpoint is this object pickled whole -- one payload, shared
+    references (the NI holds the network, ``network.on_delivery`` points
+    back at the NI) intact -- and a resume is the loops continuing from
+    the fields they find.  A local that a resumed run needs becomes a
+    field here and costs no protocol.  The traffic pattern is not here:
+    patterns are stateless and come from the caller on resume too.
+    """
+
+    #: rate / seed / warmup_packets / measure_packets; a resume under any
+    #: other values is refused.
+    spec: Dict[str, object]
+    network: Network
+    rng: random.Random
+    injector: object
+    #: NI retransmission layer and its timeout (fault-schedule runs only).
+    ni: Optional[object] = None
+    retransmit_timeout: Optional[int] = None
+    #: packets created so far, i.e. the creation index of the next one.
+    created: int = 0
+    kernel_cycles: Dict[str, int] = field(default_factory=_no_cycles)
+    #: cycle the next checkpoint falls due; ``None`` when not checkpointing.
+    next_checkpoint: Optional[int] = None
+    #: cycle the drain gives up at; ``None`` until the drain starts.
+    drain_deadline: Optional[int] = None
+
+
+def load_checkpoint(
+    source, rate: float, seed: int, warmup_packets: int, measure_packets: int
+) -> RunState:
+    """The :class:`RunState` in ``source`` (a path, or an already loaded
+    checkpoint), checked to belong to the run these knobs describe.
+
+    Raises :class:`~repro.noc.snapshot.SnapshotError` for a damaged file,
+    for a payload that is not a run state, and for another run's state;
+    ``OSError`` for an unreadable path.
+    """
+    run = source if isinstance(source, RunState) else load_snapshot(source)
+    if not isinstance(run, RunState):
+        raise SnapshotError(
+            f"snapshot holds a {type(run).__name__}, not a run_synthetic "
+            "checkpoint"
+        )
+    spec = dict(
+        rate=rate,
+        seed=seed,
+        warmup_packets=warmup_packets,
+        measure_packets=measure_packets,
+    )
+    if run.spec != spec:
+        raise SnapshotError(
+            f"snapshot spec {run.spec} does not match this run's {spec}; "
+            "refusing to splice different runs"
+        )
+    return run
 
 
 def _offer_load(
@@ -222,12 +280,14 @@ def run_synthetic(
             uncheckpointed one (pinned by ``tests/test_snapshot.py``).
         checkpoint_path: where the (single, atomically overwritten)
             checkpoint file lives.
-        resume_from: a :class:`~repro.noc.snapshot.SimSnapshot` or a
-            path to one.  The restored network/RNG/injector/NI state
-            *replaces* the corresponding arguments and the run continues
-            from the captured cycle, producing a result bit-identical to
-            an uninterrupted run.  The snapshot must have been taken by
-            this runner with the same rate/seed/measurement knobs.
+        resume_from: a checkpoint of this runner -- a path, or the
+            :class:`RunState` :func:`load_checkpoint` returned.  The
+            restored network/RNG/injector/NI state *replaces* the
+            corresponding arguments and the run continues from the
+            captured cycle, producing a result bit-identical to an
+            uninterrupted run.  The checkpoint must have been taken with
+            the same rate/seed/measurement knobs (``SnapshotError``
+            otherwise); ``pattern`` still comes from the caller.
 
     Checkpointing and observers/profilers are mutually exclusive (a
     snapshot cannot carry live file handles).
@@ -268,104 +328,77 @@ def run_synthetic(
             "checkpointing does not support observers or profilers "
             "(snapshots cannot carry live file handles)"
         )
-    rng = random.Random(seed)
-    injector = injector or BernoulliInjector(rate)
-    created = 0
-    kernel_cycles = dict.fromkeys(("c_span", "c", "event", "naive"), 0)
     target = warmup_packets + measure_packets
     started_at = time.perf_counter()
+    spec = dict(
+        rate=rate,
+        seed=seed,
+        warmup_packets=warmup_packets,
+        measure_packets=measure_packets,
+    )
 
-    runner_state = None
     if resume_from is not None:
-        snapshot = (
-            resume_from
-            if isinstance(resume_from, SimSnapshot)
-            else load_snapshot(resume_from)
+        # The restored network, RNG, injector, NI (wired to each other as
+        # they were: one pickle) and counters replace the arguments.
+        run = load_checkpoint(resume_from, **spec)
+        network = run.network
+    else:
+        run = RunState(
+            spec=spec,
+            network=network,
+            rng=random.Random(seed),
+            injector=injector or BernoulliInjector(rate),
         )
-        runner_state = snapshot.extra.get("runner")
-        if (
-            not isinstance(runner_state, dict)
-            or runner_state.get("format") != CHECKPOINT_FORMAT
-        ):
-            raise SnapshotError(
-                "snapshot was not taken by run_synthetic (or by an "
-                "incompatible checkpoint format)"
+        if observer is not None:
+            network.attach_observer(observer)
+        if faults is not None:
+            from repro.faults.injector import FaultInjector
+            from repro.faults.retransmit import (
+                RetransmissionManager,
+                default_timeout,
             )
-        spec = {
-            "rate": rate,
-            "seed": seed,
-            "warmup_packets": warmup_packets,
-            "measure_packets": measure_packets,
-        }
-        if runner_state.get("spec") != spec:
-            raise SnapshotError(
-                f"snapshot spec {runner_state.get('spec')} does not match "
-                f"this run's {spec}; refusing to splice different runs"
+            from repro.faults.routing import FaultAwareRouting
+
+            fault_injector = FaultInjector(faults, network.topology)
+            fault_routing = FaultAwareRouting(network.routing, fault_injector)
+            fault_injector.set_routing(fault_routing)
+            network.routing = fault_routing
+            network.attach_faults(fault_injector)
+            run.retransmit_timeout = (
+                faults.retransmit_timeout or default_timeout(network)
             )
-        network = snapshot.network
-        if snapshot.rng_state is not None:
-            rng.setstate(snapshot.rng_state)
-        if snapshot.injector is not None:
-            injector = snapshot.injector
-        created = runner_state["created"]
-        kernel_cycles = runner_state["kernel_cycles"]
-
-    if observer is not None:
-        network.attach_observer(observer)
-
-    ni = None
-    retransmit_timeout = None
-    if runner_state is not None:
-        # The NI (and the whole fault stack it belongs to) was pickled in
-        # the same payload as the network, so its references -- including
-        # ``network.on_delivery`` pointing back at it -- are already wired.
-        ni = runner_state.get("ni")
-        retransmit_timeout = runner_state.get("retransmit_timeout")
-    elif faults is not None:
-        from repro.faults.injector import FaultInjector
-        from repro.faults.retransmit import (
-            RetransmissionManager,
-            default_timeout,
-        )
-        from repro.faults.routing import FaultAwareRouting
-
-        fault_injector = FaultInjector(faults, network.topology)
-        fault_routing = FaultAwareRouting(network.routing, fault_injector)
-        fault_injector.set_routing(fault_routing)
-        network.routing = fault_routing
-        network.attach_faults(fault_injector)
-        retransmit_timeout = faults.retransmit_timeout or default_timeout(
-            network
-        )
-        ni = RetransmissionManager(
-            network,
-            retransmit_timeout,
-            max_retries=faults.max_retries,
-            backoff_factor=faults.backoff_factor,
-        )
-        network.on_delivery = ni.on_delivery
-        network.on_loss = ni.on_loss
-
-    repro_check = os.environ.get("REPRO_CHECK") == "1"
-    if runner_state is not None:
-        # A resumed run keeps the watchdog that was pickled attached.
-        watchdog = network.watchdog
-    elif watchdog == "auto":
-        watchdog = None
-        if faults is not None or repro_check:
-            from repro.faults.watchdog import Watchdog
-
-            # The stall window must outlast a full NI retransmission
-            # timeout, or a legitimately wedged-then-recovered packet
-            # would be misdiagnosed as deadlock.
-            stall = 2_000
-            if retransmit_timeout is not None:
-                stall = max(stall, 2 * retransmit_timeout)
-            watchdog = Watchdog(
-                stall_window=stall, check_invariants=repro_check
+            run.ni = RetransmissionManager(
+                network,
+                run.retransmit_timeout,
+                max_retries=faults.max_retries,
+                backoff_factor=faults.backoff_factor,
             )
-    if watchdog is not None:
-        network.attach_watchdog(watchdog)
+            network.on_delivery = run.ni.on_delivery
+            network.on_loss = run.ni.on_loss
+        if watchdog == "auto":
+            watchdog = None
+            repro_check = os.environ.get("REPRO_CHECK") == "1"
+            if faults is not None or repro_check:
+                from repro.faults.watchdog import Watchdog
+
+                # The stall window must outlast a full NI retransmission
+                # timeout, or a legitimately wedged-then-recovered packet
+                # would be misdiagnosed as deadlock.
+                stall = 2_000
+                if run.retransmit_timeout is not None:
+                    stall = max(stall, 2 * run.retransmit_timeout)
+                watchdog = Watchdog(
+                    stall_window=stall, check_invariants=repro_check
+                )
+        if watchdog is not None:
+            network.attach_watchdog(watchdog)
+        network.reset_stats()
+    if checkpoint_every is None:
+        run.next_checkpoint = None
+    elif run.next_checkpoint is None:
+        run.next_checkpoint = network.cycle + checkpoint_every
+    rng, injector, ni = run.rng, run.injector, run.ni
+    kernel_cycles = run.kernel_cycles
 
     if profiler is not None:
         network.profiler = profiler
@@ -387,14 +420,13 @@ def run_synthetic(
         # ``created`` is the packet's creation index: the first
         # ``warmup_packets`` packets warm the network, the rest are
         # measured (the callback runs before the count is bumped).
-        nonlocal created
-        if created >= warmup_packets:
+        if run.created >= warmup_packets:
             packet.measured = True
             if not network.measuring:
                 network.begin_measurement()
                 if profiler is not None:
                     profiler.enter_run_phase("measure")
-        created += 1
+        run.created += 1
 
     send = ni.send if ni is not None else None
 
@@ -403,60 +435,33 @@ def run_synthetic(
         lost = ni.lost_measured if ni is not None else 0
         return len(network.stats.records) + lost
 
-    next_checkpoint = None
-    if checkpoint_every is not None:
-        if runner_state is not None:
-            next_checkpoint = runner_state["next_checkpoint"]
-        else:
-            next_checkpoint = network.cycle + checkpoint_every
-
-    def _save_checkpoint(phase: str, **phase_state) -> None:
-        state = {
-            "format": CHECKPOINT_FORMAT,
-            "spec": {
-                "rate": rate,
-                "seed": seed,
-                "warmup_packets": warmup_packets,
-                "measure_packets": measure_packets,
-            },
-            "phase": phase,
-            "created": created,
-            "kernel_cycles": kernel_cycles,
-            "next_checkpoint": next_checkpoint,
-            "ni": ni,
-            "retransmit_timeout": retransmit_timeout,
-        }
-        state.update(phase_state)
-        save_snapshot(
-            capture(network, rng=rng, injector=injector,
-                    extra={"runner": state}),
-            checkpoint_path,
-        )
+    def _checkpoint_if_due() -> None:
+        if run.next_checkpoint is None or network.cycle < run.next_checkpoint:
+            return
+        run.next_checkpoint = network.cycle + checkpoint_every
+        # Sync and free a live compiled kernel and take back the streams
+        # it borrowed: the object model and ``run.rng`` are then current.
+        capture(network)
+        save_snapshot(run, checkpoint_path)
         if os.environ.get("REPRO_CHAOS_PLAN"):
             from repro.chaos.sites import chaos_site
 
             chaos_site("runner.checkpoint")
-
-    resumed_in_drain = (
-        runner_state is not None and runner_state["phase"] == "drain"
-    )
-    if runner_state is None:
-        network.reset_stats()
 
     span_source, span_fallback = _span_source(
         network, pattern, injector, rng, ni
     )
     num_nodes = network.topology.num_nodes
 
-    def _span_room(deadline: Optional[int] = None) -> int:
+    def _span_room() -> int:
         """Cycles a span starting now may cover: up to the next cycle the
         loop itself must see (checkpoint, heartbeat, drain deadline)."""
         cycle = network.cycle
         stops = [cycle + _UNBOUNDED_SPAN]
-        if deadline is not None:
-            stops.append(deadline)
-        if next_checkpoint is not None:
-            stops.append(next_checkpoint)
+        if run.drain_deadline is not None:
+            stops.append(run.drain_deadline)
+        if run.next_checkpoint is not None:
+            stops.append(run.next_checkpoint)
         if progress is not None:
             stops.append(cycle + progress_every - cycle % progress_every)
         return min(stops) - cycle
@@ -465,24 +470,20 @@ def run_synthetic(
         network.step()
         kernel_cycles[network.active_kernel] += 1
 
+    saturated = False
     try:
-        while created < target:
-            if (
-                next_checkpoint is not None
-                and network.cycle >= next_checkpoint
-            ):
-                next_checkpoint = network.cycle + checkpoint_every
-                _save_checkpoint("load")
-            if span_source is not None and created + num_nodes <= target:
+        while run.created < target:
+            _checkpoint_if_due()
+            if span_source is not None and run.created + num_nodes <= target:
                 # One span carries the load phase across the opening of
                 # the window, up to the cycle that could overshoot the
                 # target: that one stops drawing destinations mid-cycle
                 # and stays with _offer_load.
                 ran, born = network.step(Span(
-                    span_source, _span_room(), created=created,
+                    span_source, _span_room(), created=run.created,
                     measure_from=warmup_packets, birth_budget=target,
                 ))
-                created += born
+                run.created += born
                 kernel_cycles["c_span"] += ran
             else:
                 if span_source is not None:
@@ -494,46 +495,38 @@ def run_synthetic(
                     pattern,
                     injector,
                     rng,
-                    budget=target - created,
+                    budget=target - run.created,
                     on_create=_mark_measured,
                     send=send,
                 )
                 _step_once()
             if progress is not None and network.cycle % progress_every == 0:
                 phase = "measure" if network.measuring else "warmup"
-                _heartbeat(phase, created, target)
+                _heartbeat(phase, run.created, target)
 
-        # Measurement window closes once the last measured packet is
-        # created.  (Unless this run resumed from a drain-phase checkpoint,
-        # in which case the window already closed before the snapshot was
-        # taken -- closing it again would recompute the activity deltas
-        # over drain cycles they must not cover.)
-        if not resumed_in_drain:
+        if run.drain_deadline is None:
+            # The measurement window closes once the last measured packet
+            # is created, and the drain's clock starts.  (A run resumed
+            # from a drain-phase checkpoint finds both already done:
+            # closing the window again would recompute the activity
+            # deltas over drain cycles they must not cover.)
             network.end_measurement()
+            run.drain_deadline = network.cycle + drain_cycle_cap
 
         # Drain: keep offering load so measured packets experience
         # steady-state contention on their way out.
         if profiler is not None:
             profiler.enter_run_phase("drain")
-        drain_deadline = network.cycle + drain_cycle_cap
-        saturated = False
-        if resumed_in_drain:
-            drain_deadline = runner_state["drain_deadline"]
         while _accounted() < measure_packets:
-            if network.cycle >= drain_deadline:
+            if network.cycle >= run.drain_deadline:
                 saturated = True
                 break
-            if (
-                next_checkpoint is not None
-                and network.cycle >= next_checkpoint
-            ):
-                next_checkpoint = network.cycle + checkpoint_every
-                _save_checkpoint("drain", drain_deadline=drain_deadline)
+            _checkpoint_if_due()
             if span_source is not None:
                 # No phase boundary left: the span ends itself on the
                 # cycle the last measured packet is accounted for.
                 ran, _ = network.step(Span(
-                    span_source, _span_room(drain_deadline),
+                    span_source, _span_room(),
                     need_measured=measure_packets - _accounted(),
                 ))
                 kernel_cycles["c_span"] += ran
@@ -582,7 +575,7 @@ def run_synthetic(
     if ni is not None:
         resilience = ni.summary()
         resilience["fault_events"] = len(network.faults.events)
-        resilience["retransmit_timeout"] = retransmit_timeout
+        resilience["retransmit_timeout"] = run.retransmit_timeout
 
     return SyntheticRunResult(
         stats=stats,

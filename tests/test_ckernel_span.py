@@ -264,9 +264,11 @@ def _observe(point, mode, **knobs):
         runner.random, ckernel._SPANS_OFF = saved_random, saved_off
         Network.make_packet = make_packet
     stats = result.stats
+    # A resumed run seeds nothing: its RNG is the checkpoint's own.
+    rng = recorder.made[0] if recorder.made else knobs["resume_from"].rng
     return {
         "digest": _digest(net),
-        "rng": recorder.made[0].getstate(),
+        "rng": rng.getstate(),
         "injector": _injector_state(injector),
         "next_packet_id": net.next_packet_id,
         "packets_in_flight": net.packets_in_flight,
@@ -613,8 +615,9 @@ class TestSpansAndSnapshots:
         )
         assert checkpointed["kernel_cycles"]["c_span"] > 0
         _same_run(plain, checkpointed)
-        # The file left behind is a mid-run checkpoint; resume from it
-        # (the network, RNG and injector then come out of the snapshot).
+        # The file left behind is a mid-run checkpoint -- the pickled
+        # run state; resume from it (the network, RNG and injector then
+        # come out of the checkpoint).
         snapshot = load_snapshot(path)
         resumed = _observe(self.POINT, "span", resume_from=snapshot)
         for key in ("records", "stats", "total_cycles"):
@@ -780,6 +783,9 @@ class TestSpansAndSnapshots:
 
 # -- (d) golden points really are span-driven under kernel="c" ---------------------
 @needs_ckernel
-@pytest.mark.parametrize("name", list(GOLDEN_POINTS))
+@pytest.mark.parametrize(
+    # the torus fixture runs on event until its routing is a table column
+    "name", [n for n, p in GOLDEN_POINTS.items() if p.topology == "mesh"]
+)
 def test_golden_points_are_span_driven(name):
     assert _span_driven(_observe(GOLDEN_POINTS[name], "span"))

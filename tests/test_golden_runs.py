@@ -1,9 +1,10 @@
 """Golden-run regression tests: fixed-seed reference results, exact match.
 
 ``tests/golden/golden_runs.json`` commits the complete
-:class:`repro.exec.PointResult` payloads of four small fixed-seed runs --
+:class:`repro.exec.PointResult` payloads of five small fixed-seed runs --
 homogeneous and HeteroNoC (Diagonal+BL) 4x4 meshes under uniform-random
-and nearest-neighbour traffic.  The tests assert today's simulator
+and nearest-neighbour traffic, and the 8x8 Diagonal+BL torus point that
+used to wedge.  The tests assert today's simulator
 reproduces them *exactly* (integer checksums and floats alike), through
 both the serial and the process backends, which pins three things at
 once:
@@ -33,7 +34,8 @@ from repro.exec import SweepPoint, execute_point, run_sweep
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "golden_runs.json"
 
-#: the four reference configurations (kept tiny: a 4x4 mesh, 350 packets).
+#: the reference configurations (kept tiny: a 4x4 mesh, 350 packets; one
+#: 8x8 torus, 360 packets).
 GOLDEN_POINTS = {
     "homogeneous-4x4-UR": SweepPoint(
         layout="baseline", mesh_size=4, pattern="uniform_random",
@@ -50,6 +52,15 @@ GOLDEN_POINTS = {
     "heteronoc-4x4-NN": SweepPoint(
         layout="diagonal+BL", mesh_size=4, pattern="nearest_neighbor",
         rate=0.08, seed=7, warmup_packets=50, measure_packets=300,
+    ),
+    # The torus wedge (ROADMAP item 1): while the dateline class was
+    # dropped one hop after the Y wrap link, this point never drained --
+    # 28 measured packets still in flight at the drain cap (seeds 10, 13
+    # and 19 left 2, 21 and 14).  It finishes in ~200 cycles.
+    "heteronoc-8x8-torus-UR": SweepPoint(
+        layout="diagonal+BL", mesh_size=8, topology="torus",
+        pattern="uniform_random", rate=0.04, seed=14, warmup_packets=60,
+        measure_packets=300, drain_cycle_cap=5000,
     ),
 }
 
@@ -89,6 +100,7 @@ class TestGoldenReferences:
         would pin drain-truncation artefacts instead of steady state."""
         for name, payload in golden.items():
             assert payload["result"]["saturated"] is False, name
+            assert payload["result"]["unfinished_measured_packets"] == 0, name
             assert payload["result"]["measured_packets"] == 300, name
 
     def test_measured_window_is_exact_packet_id_range(self, serial_results):

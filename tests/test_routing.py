@@ -116,6 +116,25 @@ class TestTorusXYRouting:
         _walk(torus, routing, packet)
         assert packet.vc_class == 0
 
+    @pytest.mark.parametrize("size, src, dst", [(8, 48, 8), (4, 13, 5)])
+    def test_class_survives_past_the_y_wrap_link(self, size, src, dst):
+        """Class 1 from the Y wrap link to the destination: falling back
+        to class 0 on the far side closes the ring's dependency cycle."""
+        torus = Torus(size)
+        routing = TorusXYRouting(torus)
+        packet = Packet(src=src, dst=dst, num_flits=1, created_at=0)
+        router, classes = torus.router_of_node(src), []
+        while not torus.is_local_port(
+            router, port := routing.output_port(router, packet)
+        ):
+            classes.append(packet.vc_class)
+            router = torus.neighbor(router, port)[0]
+        # south from the source row, over the wrap, then on: 0* 1 1+
+        wrap = classes.index(1)
+        assert classes[:wrap] == [0] * wrap
+        assert classes[wrap:] == [1] * (len(classes) - wrap)
+        assert len(classes) - wrap >= 2
+
     def test_allowed_vcs_split(self):
         torus = Torus(4)
         routing = TorusXYRouting(torus)

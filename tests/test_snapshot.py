@@ -6,17 +6,18 @@ The crash-safety contract of :mod:`repro.noc.snapshot`:
   *exactly* -- same deep per-cycle state digests (the differential
   harness from ``test_kernel_differential``), same delivered-packet
   records, for all three cycle kernels;
-* the binary container detects truncation, bit flips, bad magic and
-  format-version skew loudly (``SnapshotCorrupt`` /
-  ``SnapshotVersionMismatch``) instead of half-restoring;
+* the binary container carries any picklable payload and detects
+  truncation, bit flips, bad magic and format-version skew loudly
+  (``SnapshotCorrupt`` / ``SnapshotVersionMismatch``) instead of
+  half-restoring;
 * the runner integration (``run_synthetic(checkpoint_every=...)``)
-  perturbs nothing, resumes bit-identically mid-run, and refuses
-  snapshots taken under different run parameters;
+  perturbs nothing, resumes bit-identically mid-run -- its checkpoint is
+  its pickled ``RunState`` -- and refuses payloads that are not one, or
+  that were taken under different run parameters;
 * ``execute_point`` auto-resumes from its checkpoint and falls back to
   scratch -- still bit-identically -- when the checkpoint is damaged.
 """
 
-import os
 import random
 
 import pytest
@@ -28,7 +29,6 @@ from repro.exec.point import SweepPoint, checkpoint_path_for, execute_point
 from repro.noc.config import NetworkConfig
 from repro.noc.snapshot import (
     SNAPSHOT_VERSION,
-    SimSnapshot,
     SnapshotCorrupt,
     SnapshotError,
     SnapshotVersionMismatch,
@@ -39,7 +39,7 @@ from repro.noc.snapshot import (
     save_snapshot,
 )
 from repro.traffic.patterns import pattern_by_name
-from repro.traffic.runner import run_synthetic
+from repro.traffic.runner import RunState, load_checkpoint, run_synthetic
 from tests.test_kernel_differential import _digest
 
 KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
@@ -77,22 +77,24 @@ def _drive(net, rng, cycles, rate, record=None):
 
 class TestContainer:
     def _snapshot(self):
+        """A payload of the caller's own making: the container does not
+        care what it carries."""
         net = _fresh_network("event")
         rng = random.Random(3)
         _drive(net, rng, 20, 0.1)
-        return capture(net, rng=rng, extra={"phase": "load"})
+        return {"network": capture(net), "rng": rng, "phase": "load"}
 
     def test_dumps_loads_round_trip(self):
-        blob = dumps(self._snapshot())
-        snapshot = loads(blob)
-        assert isinstance(snapshot, SimSnapshot)
-        assert snapshot.extra == {"phase": "load"}
-        assert snapshot.network.cycle == 20
+        original = self._snapshot()
+        restored = loads(dumps(original))
+        assert restored["phase"] == "load"
+        assert restored["network"].cycle == 20
+        assert restored["rng"].getstate() == original["rng"].getstate()
 
     def test_save_load_file_round_trip(self, tmp_path):
         path = tmp_path / "sim.ckpt"
         save_snapshot(self._snapshot(), path)
-        assert load_snapshot(path).network.cycle == 20
+        assert load_snapshot(path)["network"].cycle == 20
         # No temp files left behind by the atomic write.
         assert [p.name for p in tmp_path.iterdir()] == ["sim.ckpt"]
 
@@ -119,34 +121,31 @@ class TestContainer:
         with pytest.raises(SnapshotCorrupt, match="magic"):
             loads(b"NOTASNAP" + blob[8:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3, SNAPSHOT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, SNAPSHOT_VERSION + 1])
     def test_version_skew_detected(self, version):
         """Newer *and* older containers refuse before unpickling: a v1
         payload holds a ``Network`` with the pre-v2 kernel fields, a v2
         one a ``Network`` that does not know its next packet id, a v3
-        one a ``NetworkStats`` holding a list of record objects."""
+        one a ``NetworkStats`` holding a list of record objects, a v4
+        one a ``SimSnapshot`` wrapper class that no longer exists."""
         blob = _restamp(dumps(self._snapshot()), version)
         with pytest.raises(SnapshotVersionMismatch, match=f"v{version}"):
             loads(blob)
 
-    def test_wrong_payload_type_detected(self):
-        import hashlib
-        import pickle
-        import struct
-
-        payload = pickle.dumps({"not": "a snapshot"}, protocol=4)
-        blob = (
-            struct.pack(
-                ">8sIQ32s",
-                b"RNOCSNAP",
-                SNAPSHOT_VERSION,
-                len(payload),
-                hashlib.sha256(payload).digest(),
+    def test_wrong_payload_type_detected(self, tmp_path):
+        """The container carries anything; it is the runner that refuses
+        a valid snapshot holding something other than its run state."""
+        path = tmp_path / "foreign.ckpt"
+        save_snapshot({"not": "a run state"}, path)
+        assert load_snapshot(path) == {"not": "a run state"}
+        net = _fresh_network("event")
+        with pytest.raises(SnapshotError, match="not a run_synthetic"):
+            run_synthetic(
+                net,
+                pattern_by_name("uniform_random", net.topology),
+                0.05,
+                resume_from=path,
             )
-            + payload
-        )
-        with pytest.raises(SnapshotCorrupt, match="SimSnapshot"):
-            loads(blob)
 
     def test_observer_refused(self):
         from repro.obs.hooks import Observer
@@ -193,13 +192,10 @@ class TestBitIdenticalResume:
         head2 = _drive(net, rng, split, rate)
         assert head2 == head
         path = tmp_path / f"{kernel}.ckpt"
-        save_snapshot(capture(net, rng=rng), path)
+        save_snapshot((capture(net), rng), path)
         del net, rng
 
-        snapshot = load_snapshot(path)
-        restored_tail = _drive(
-            snapshot.network, snapshot.make_rng(), tail_cycles, rate
-        )
+        restored_tail = _drive(*load_snapshot(path), tail_cycles, rate)
         assert restored_tail == expected_tail
 
     def test_capture_does_not_perturb_the_captured_run(self):
@@ -211,7 +207,7 @@ class TestBitIdenticalResume:
             net = _fresh_network(kernel)
             rng = random.Random(5)
             first = _drive(net, rng, 25, 0.1)
-            dumps(capture(net, rng=rng))  # snapshot mid-run, keep going
+            dumps((capture(net), rng))  # snapshot mid-run, keep going
             second = _drive(net, rng, 25, 0.1)
             assert first + second == plain, kernel
 
@@ -272,6 +268,56 @@ class TestRunnerCheckpointing:
         )
         assert self._summary(resumed) == self._summary(plain)
 
+    @pytest.mark.parametrize("case", [*KERNELS, "faults"])
+    def test_resume_from_every_checkpoint_matches(self, monkeypatch, case):
+        """Whichever checkpoint a killed run left behind -- warmup,
+        mid-measure, drain; span-driven under ``c``; with the NI and a
+        fault schedule in the payload -- the resumed run ends where the
+        uninterrupted one does."""
+        from repro.faults import FaultSchedule, FaultSpec, mesh_link_channels
+        from repro.traffic import runner
+
+        knobs = dict(rate=0.1, warmup_packets=30, measure_packets=120, seed=3)
+        kernel = "event" if case == "faults" else case
+
+        def run(**more):
+            net = self._network(kernel)
+            if case == "faults":
+                router, port = next(
+                    (r, p) for r, p in mesh_link_channels(net.topology)
+                    if r == 5
+                )
+                more["faults"] = FaultSchedule(specs=(FaultSpec(
+                    kind="bit_flip", router=router, port=port,
+                    mode="transient", at=20, repair_after=200,
+                ),))
+            pattern = pattern_by_name("uniform_random", net.topology)
+            result = run_synthetic(net, pattern, **knobs, **more)
+            return self._summary(result) + (
+                result.resilience,
+                result.lost_measured_packets,
+                sum(result.kernel_cycles.values()),
+            )
+
+        plain = run()
+        if case == "faults":
+            assert plain[-3]["retransmissions"] > 0
+        blobs = []
+        monkeypatch.setattr(
+            runner, "save_snapshot", lambda run, path: blobs.append(dumps(run))
+        )
+        assert run(checkpoint_every=15, checkpoint_path="unused") == plain
+        phases = set()
+        for blob in blobs:
+            state = loads(blob)
+            assert isinstance(state, RunState)
+            phases.add((
+                state.network.measuring, state.drain_deadline is not None
+            ))
+            assert run(resume_from=state) == plain
+        # before the window, inside it, and in the drain
+        assert phases == {(False, False), (True, False), (False, True)}
+
     def test_resume_rejects_mismatched_spec(self, tmp_path):
         path = tmp_path / "run.ckpt"
         net = self._network()
@@ -318,11 +364,18 @@ class TestExecutePointCheckpointing:
 
     def test_checkpointed_execution_matches_and_cleans_up(self, tmp_path):
         expected = execute_point(self.POINT).to_dict()
+        # What a writer killed between ``open`` and ``os.replace`` leaves
+        # behind, under some long-dead pid -- and a neighbour's checkpoint.
+        checkpoint = checkpoint_path_for(self.POINT, tmp_path)
+        stale = tmp_path / f"{checkpoint.name}.4242.tmp"
+        stale.write_bytes(b"half a checkpoint")
+        neighbour = tmp_path / f"{'0' * 64}.ckpt"
+        neighbour.write_bytes(b"someone else's")
         got = execute_point(
             self.POINT, checkpoint_every=20, checkpoint_dir=tmp_path
         ).to_dict()
         assert got == expected
-        assert not checkpoint_path_for(self.POINT, tmp_path).exists()
+        assert [p.name for p in tmp_path.iterdir()] == [neighbour.name]
 
     def test_interrupted_point_resumes_bit_identically(
         self, tmp_path, monkeypatch
@@ -352,7 +405,7 @@ class TestExecutePointCheckpointing:
     @pytest.mark.parametrize(
         "damage",
         ["bit-flips", "v1-container", "v2-container", "v3-container",
-         "v1-runner-state"],
+         "v4-container", "foreign-payload", "other-run"],
     )
     def test_corrupt_checkpoint_falls_back_to_scratch(
         self, tmp_path, monkeypatch, damage
@@ -373,23 +426,30 @@ class TestExecutePointCheckpointing:
             )
         monkeypatch.delenv("REPRO_CHAOS_PLAN")
         checkpoint = checkpoint_path_for(self.POINT, tmp_path)
+        spec = dict(rate=0.08, seed=7, warmup_packets=15, measure_packets=40)
+        assert isinstance(load_checkpoint(checkpoint, **spec), RunState)
         if damage == "bit-flips":
             flip_bits(checkpoint, seed=1, flips=3)
-        elif damage == "v1-runner-state":
-            # A valid container whose runner bookkeeping predates
-            # ``kernel_cycles`` (CHECKPOINT_FORMAT 1): refused, recomputed.
-            snapshot = load_snapshot(checkpoint)
-            state = snapshot.extra["runner"]
-            del state["kernel_cycles"]
-            state["format"] = 1
-            save_snapshot(snapshot, checkpoint)
+        elif damage == "foreign-payload":
+            # A valid container of this very version that holds something
+            # other than a run state: refused, recomputed.
+            save_snapshot({"network": None, "created": 3}, checkpoint)
+        elif damage == "other-run":
+            # Intact, a run state, but of a run with other knobs.
+            run = load_snapshot(checkpoint)
+            run.spec = dict(run.spec, seed=8)
+            save_snapshot(run, checkpoint)
         else:
             # What a checkpoint left behind by an earlier format looks
-            # like to this build: intact, but stamped v1, v2 or v3.
+            # like to this build: intact, but stamped v1 ... v4 (v4: what
+            # the parent commit wrote, a ``SimSnapshot`` around a dict).
             checkpoint.write_bytes(_restamp(checkpoint.read_bytes(), int(damage[1])))
             with pytest.raises(SnapshotVersionMismatch):
                 load_snapshot(checkpoint)
+        with pytest.raises(SnapshotError):
+            load_checkpoint(checkpoint, **spec)
         recovered = execute_point(
             self.POINT, checkpoint_every=20, checkpoint_dir=tmp_path
         ).to_dict()
         assert recovered == expected
+        assert not checkpoint.exists()
