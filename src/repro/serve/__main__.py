@@ -6,9 +6,10 @@ Usage::
     python -m repro.serve --store results.sqlite --port 0 --workers 4
 
 ``--port 0`` binds an ephemeral port (printed on stderr at startup).
-SIGTERM/SIGINT stop the server; a job caught mid-run is left in the
-``running`` state, which the next start requeues -- committed points
-replay from the store, so stopping is always safe.
+SIGTERM/SIGINT stop the server: open ``/events`` streams end with an
+``end`` line, and a job caught mid-run is left in the ``running`` state,
+which the next start requeues -- committed points replay from the store,
+so stopping is always safe.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     def _shutdown(signum, frame):
-        server._stop.set()
+        server.request_stop()
 
     signal.signal(signal.SIGTERM, _shutdown)
     signal.signal(signal.SIGINT, _shutdown)

@@ -8,7 +8,9 @@ closes connections after each response anyway).
 The high-level call is :meth:`ServeClient.run_sweep`: submit, wait,
 fetch -- a drop-in for :func:`repro.exec.engine.run_sweep` that returns
 :class:`~repro.exec.point.PointResult` objects bit-identical to local
-serial execution.  :func:`install_submit` wires exactly that into the
+serial execution.  Waiting is pushed, not polled: :meth:`ServeClient.wait`
+follows the job's ``/events`` stream, which the server ends the moment
+the job does.  :func:`install_submit` wires ``run_sweep`` into the
 engine's remote-submission hook, which is how ``run_all --submit <url>``
 redirects every harness's sweeps to a shared server.
 """
@@ -17,12 +19,20 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import time
 from typing import Dict, Iterator, List, Optional, Sequence
 from urllib.parse import urlsplit
 
 from repro.exec.engine import _failed_result
 from repro.exec.point import PointResult, SweepPoint
+
+
+#: first and longest pause before :meth:`ServeClient.wait` reconnects to
+#: an event stream that was cut or ended early (it doubles in between).
+RECONNECT_MIN_S, RECONNECT_MAX_S = 0.05, 1.0
+
+_TERMINAL = ("done", "failed", "cancelled")
 
 
 class ServeError(RuntimeError):
@@ -109,23 +119,41 @@ class ServeClient:
     def cancel(self, job_id: str) -> Dict[str, object]:
         return self._request("POST", f"/jobs/{job_id}/cancel")
 
-    def wait(
-        self, job_id: str, timeout: float = 600.0, poll_s: float = 0.2
-    ) -> Dict[str, object]:
-        """Poll until the job reaches a terminal state; returns its dict."""
+    def wait(self, job_id: str, timeout: float = 600.0) -> Dict[str, object]:
+        """Block until the job reaches a terminal state; returns its dict.
+
+        Follows the job's event stream to its ``end`` line -- the server
+        writes it the moment the job finishes, and blank keep-alives
+        until then -- and fetches the job once.  A stream that is cut or
+        ends early (the server stopping, or killed and restarted) is
+        reopened after a short, doubling pause until ``timeout`` runs
+        out, which raises :class:`TimeoutError`.
+        """
         deadline = time.monotonic() + timeout
+        pause = RECONNECT_MIN_S
         while True:
-            job = self.job(job_id)
-            if job["state"] in ("done", "failed", "cancelled"):
-                return job
-            if time.monotonic() >= deadline:
+            state = None
+            try:
+                for event in self._follow(job_id, self.timeout, deadline):
+                    if event["event"] == "end":
+                        state = event["state"]
+            except (OSError, http.client.HTTPException, ValueError):
+                pass  # reset, timed out or cut mid-line: reconnect
+            if state in _TERMINAL:
+                return self.job(job_id)
+            left = deadline - time.monotonic()
+            if left <= 0:
+                job = self.job(job_id)
+                if job["state"] in _TERMINAL:
+                    return job  # it finished while the stream was down
                 raise TimeoutError(
                     f"job {job_id[:12]}... still {job['state']} after "
                     f"{timeout:g}s "
                     f"({job['progress']['committed']}"
                     f"/{job['progress']['total']} committed)"
                 )
-            time.sleep(poll_s)
+            time.sleep(min(pause, left))
+            pause = min(2 * pause, RECONNECT_MAX_S)
 
     def results(
         self, job_id: str, points: Optional[Sequence[SweepPoint]] = None
@@ -158,19 +186,46 @@ class ServeClient:
     def stream_events(
         self, job_id: str, timeout: Optional[float] = None
     ) -> Iterator[dict]:
-        """Follow the job's chunked NDJSON event feed until it ends."""
+        """Follow the job's chunked NDJSON event feed until it ends.
+
+        The server keeps a quiet stream alive with blank lines (skipped
+        here), so ``timeout`` -- per socket read -- bounds how long a
+        dead server goes unnoticed, not how long a point may run.
+        """
+        return self._follow(
+            job_id, self.timeout if timeout is None else timeout, math.inf
+        )
+
+    def _follow(
+        self, job_id: str, timeout: float, deadline: float
+    ) -> Iterator[dict]:
+        """:meth:`stream_events`, each socket wait also capped by the
+        time left to ``deadline`` (a ``time.monotonic()`` value); past
+        it the stream is simply abandoned."""
+
+        def budget() -> float:
+            return min(timeout, deadline - time.monotonic())
+
+        if budget() <= 0:
+            return
         conn = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=self.timeout if timeout is None else timeout,
+            self.host, self.port, timeout=budget()
         )
         try:
             conn.request("GET", f"/jobs/{job_id}/events")
+            # "Connection: close" hands the socket to the response and
+            # clears conn.sock; keep it to re-arm the timeout per read.
+            sock = conn.sock
             response = conn.getresponse()
             if response.status >= 400:
                 raise ServeError(
                     f"events for {job_id[:12]}...: HTTP {response.status}"
                 )
             while True:
+                left = budget()
+                if left <= 0:
+                    return
+                sock.settimeout(left)
                 line = response.readline()
                 if not line:
                     return
@@ -187,19 +242,19 @@ class ServeClient:
         tag: Optional[str] = None,
         client: Optional[str] = None,
         timeout: float = 3600.0,
-        poll_s: float = 0.2,
     ) -> List[PointResult]:
         """Submit, wait, fetch: the remote twin of engine ``run_sweep``.
 
-        A ``failed`` job still returns per-point results (captured
-        failures included), matching ``on_error="capture"`` locally; a
-        ``cancelled`` job raises.
+        Four requests and no timer: a sweep the store already holds
+        costs its round trips.  A ``failed`` job still returns per-point
+        results (captured failures included), matching
+        ``on_error="capture"`` locally; a ``cancelled`` job raises.
         """
         points = list(points)
         submitted = self.submit(
             points, priority=priority, tag=tag, client=client
         )
-        job = self.wait(submitted["job_id"], timeout=timeout, poll_s=poll_s)
+        job = self.wait(submitted["job_id"], timeout=timeout)
         if job["state"] == "cancelled":
             raise ServeError(f"job {submitted['job_id'][:12]}... cancelled")
         return self.results(submitted["job_id"], points=points)

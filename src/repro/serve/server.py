@@ -5,7 +5,8 @@ One process, three kinds of thread:
 * the **asyncio loop thread** -- a hand-rolled HTTP/1.1 server on
   ``asyncio`` streams (stdlib only), answering the JSON API below and
   streaming job events as chunked NDJSON;
-* **worker threads** -- each claims jobs from the persistent
+* **worker threads** -- each waits idle until a submission (or a stop)
+  wakes it, claims jobs from the persistent
   :class:`~repro.serve.jobs.JobQueue` and executes their points through
   :func:`repro.exec.engine.run_sweep` (serial backend, per-point
   timeout/retry hardening, chaos sites live), committing every result to
@@ -25,6 +26,16 @@ API::
     GET  /jobs/<id>/result     results in point order (terminal jobs)
     GET  /jobs/<id>/events     chunked NDJSON event stream (live-follow)
     POST /jobs/<id>/cancel     cancel queued, or signal a running job
+
+Nothing between ``POST /jobs`` and the results waits on a timer: a
+submission wakes the workers, and every event a worker publishes (and a
+cancel, and a stop) wakes the ``/events`` followers, whose stream ends
+with an ``end`` line the moment the job does -- which is what
+:meth:`ServeClient.wait <repro.serve.client.ServeClient.wait>` follows.
+A stream that has nothing to say writes a blank keep-alive line every
+:data:`KEEPALIVE_S`, so a point that outlasts the follower's socket
+timeout does not cut it.  ``poll_s`` is only how often an idle worker
+looks for rows *another process* queued on the same store.
 
 Guarantees:
 
@@ -47,7 +58,8 @@ import asyncio
 import json
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.exec.engine import run_sweep
@@ -59,7 +71,19 @@ from repro.serve.jobs import JOB_STATES, JobQueue, points_from_specs
 #: request-body ceiling (a --full sweep of specs is ~1 MB; 16 MB is safe).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: seconds of silence after which an ``/events`` stream writes a blank
+#: line, so a follower's socket timeout measures a dead server, not a
+#: long point.
+KEEPALIVE_S = 5.0
+
+#: event buffers kept for finished jobs (most recent first to go last):
+#: a late ``/events`` on a just-finished job still narrates it, an
+#: always-on server does not grow with every job it has ever run.
+KEPT_EVENT_BUFFERS = 64
+
 _TERMINAL = ("done", "failed", "cancelled")
+#: the event a job's buffer ends with once its row is terminal.
+_JOB_OVER = tuple(f"job_{state}" for state in _TERMINAL)
 
 
 class _StreamingTelemetry(SweepTelemetry):
@@ -105,8 +129,18 @@ class SweepServer:
         self._worker_threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._stopped_loop: Optional[asyncio.Event] = None
-        # Per-job event buffers + cancel flags; guarded by _state_lock.
+        # Idle workers wait here; _queue_changes counts the wake-ups so
+        # one that lands between a claim and the wait is not lost.
+        self._wake = threading.Condition()
+        self._queue_changes = 0
+        # Loop-side twin: one event per open /events stream, set when
+        # there may be something new to write (loop thread only).
+        self._followers: Set[asyncio.Event] = set()
+        self._connections: Set[asyncio.Task] = set()
+        # Per-job event buffers + cancel flags, and the finished jobs
+        # whose buffers are still kept; guarded by _state_lock.
         self._events: Dict[str, List[dict]] = {}
+        self._finished: Deque[str] = deque()
         self._cancel_flags: Dict[str, threading.Event] = {}
         self._state_lock = threading.Lock()
         # In-flight point registry: point key -> done event (leader sets).
@@ -147,6 +181,17 @@ class SweepServer:
         )
         return self
 
+    def request_stop(self) -> None:
+        """Ask the server to stop, without waiting for it (signal-safe).
+
+        Idle workers wake and exit, busy ones stop after their current
+        point, and every open ``/events`` stream ends with an ``end``
+        line; :meth:`stop` (or :meth:`serve_forever`) does the joining.
+        """
+        self._stop.set()
+        self._wake_workers()
+        self._wake_followers()
+
     def stop(self) -> None:
         """Stop accepting work and wind the threads down.
 
@@ -154,7 +199,7 @@ class SweepServer:
         deliberately the same state a crash leaves, so the next start
         requeues it and its committed points replay from the store.
         """
-        self._stop.set()
+        self.request_stop()
         loop = self._loop
         if loop is not None and self._stopped_loop is not None:
             try:
@@ -209,9 +254,16 @@ class SweepServer:
         finally:
             server.close()
             await server.wait_closed()
+            # Let the open streams write the ``end`` line request_stop()
+            # woke them for, rather than resetting them.
+            if self._connections:
+                await asyncio.wait(self._connections, timeout=5)
             self._api_queue.store.close()
 
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         try:
             request = await self._read_request(reader)
             if request is None:
@@ -362,16 +414,26 @@ class SweepServer:
                 writer, 400, {"error": f"invalid job: {exc}"}
             )
             return
-        job_id, deduped = self._api_queue.submit(
-            points,
-            priority=priority,
-            tag=body.get("tag"),
-            client=body.get("client"),
-        )
+        # Under the lock, so a worker that claims the row at once cannot
+        # publish into a buffer this is about to drop.
+        with self._state_lock:
+            job_id, deduped = self._api_queue.submit(
+                points,
+                priority=priority,
+                tag=body.get("tag"),
+                client=body.get("client"),
+            )
+            if not deduped:
+                # A failed/cancelled twin requeued in place starts a new
+                # attempt: its stream must not open with the old one's.
+                self._events.pop(job_id, None)
+                if job_id in self._finished:
+                    self._finished.remove(job_id)
         if deduped:
             self.metrics.jobs_deduped.inc()
         else:
             self.metrics.jobs_submitted.inc()
+            self._wake_workers()
         job = self._api_queue.get(job_id)
         await self._respond(writer, 200, {
             "job_id": job_id,
@@ -427,21 +489,22 @@ class SweepServer:
         if job is None:
             await self._respond(writer, 404, {"error": f"no job {job_id}"})
             return
-        if job["state"] == "running":
+        state = self._api_queue.cancel(job_id)  # flips a queued row only
+        if state == "running":
             with self._state_lock:
                 flag = self._cancel_flags.setdefault(
                     job_id, threading.Event()
                 )
             flag.set()
-            await self._respond(
-                writer, 200, {"job_id": job_id, "state": "running",
-                              "cancelling": True}
-            )
-            return
-        state = self._api_queue.cancel(job_id)
+        elif state == "cancelled" and job["state"] == "queued":
+            self._publish(job_id, {
+                "event": "job_cancelled", "job_id": job_id,
+                "after_points": 0,
+            })
+            self._retire_job(job_id)
         await self._respond(
             writer, 200, {"job_id": job_id, "state": state,
-                          "cancelling": state == "cancelled"}
+                          "cancelling": state in ("running", "cancelled")}
         )
 
     async def _handle_events(self, writer, job_id) -> None:
@@ -466,25 +529,36 @@ class SweepServer:
 
         await emit({"event": "snapshot", "job": job})
         cursor = 0
-        while True:
-            with self._state_lock:
-                buffered = list(self._events.get(job_id, ()))
-            while cursor < len(buffered):
-                await emit(buffered[cursor])
-                cursor += 1
-            job = self._api_queue.get(job_id)
-            if job["state"] in _TERMINAL:
+        wake = asyncio.Event()
+        self._followers.add(wake)
+        try:
+            while True:
+                # Cleared before looking, so whatever is published while
+                # the lines below are written leaves it set.
+                wake.clear()
                 with self._state_lock:
-                    buffered = list(self._events.get(job_id, ()))
-                while cursor < len(buffered):
-                    await emit(buffered[cursor])
-                    cursor += 1
-                await emit({"event": "end", "state": job["state"]})
-                break
-            if self._stop.is_set():
-                await emit({"event": "end", "state": job["state"]})
-                break
-            await asyncio.sleep(0.05)
+                    fresh = self._events.get(job_id, [])[cursor:]
+                for event in fresh:
+                    await emit(event)
+                cursor += len(fresh)
+                stopping = self._stop.is_set()
+                if stopping or (fresh and fresh[-1]["event"] in _JOB_OVER):
+                    # A worker moves the row before it publishes
+                    # job_<state>.
+                    job = self._api_queue.get(job_id)
+                if stopping or job["state"] in _TERMINAL:
+                    break
+                try:
+                    await asyncio.wait_for(wake.wait(), KEEPALIVE_S)
+                except asyncio.TimeoutError:
+                    writer.write(b"1\r\n\n\r\n")
+                    await writer.drain()
+                    # Silence is also when to look for a transition some
+                    # other process on the store made.
+                    job = self._api_queue.get(job_id)
+        finally:
+            self._followers.discard(wake)
+        await emit({"event": "end", "state": job["state"]})
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 
@@ -492,14 +566,40 @@ class SweepServer:
     def _publish(self, job_id: str, event: dict) -> None:
         with self._state_lock:
             self._events.setdefault(job_id, []).append(event)
+        self._wake_followers()
+
+    def _wake_followers(self) -> None:
+        """Tell every ``/events`` stream to look again (any thread)."""
+        loop = self._loop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(self._set_followers)
+            except RuntimeError:
+                pass  # the loop is already closed: nobody is following
+
+    def _set_followers(self) -> None:
+        for wake in self._followers:
+            wake.set()
+
+    def _wake_workers(self) -> None:
+        with self._wake:
+            self._queue_changes += 1
+            self._wake.notify_all()
 
     def _worker_main(self, index: int) -> None:
         queue = JobQueue(self.store_path)
         try:
             while not self._stop.is_set():
+                with self._wake:
+                    seen = self._queue_changes
                 job = queue.claim(f"worker-{index}")
                 if job is None:
-                    self._stop.wait(self.poll_s)
+                    # poll_s only finds rows another process queued.
+                    with self._wake:
+                        self._wake.wait_for(
+                            lambda: self._queue_changes != seen,
+                            timeout=self.poll_s,
+                        )
                     continue
                 busy_start = time.monotonic()
                 try:
@@ -535,7 +635,7 @@ class SweepServer:
                 self.metrics.job_finished(
                     "cancelled", time.monotonic() - started
                 )
-                self._clear_job(job_id)
+                self._retire_job(job_id)
                 return
             if self._stop.is_set():
                 # Shutdown mid-job: leave the row 'running' so the next
@@ -568,11 +668,16 @@ class SweepServer:
             "points": len(points), "errors": len(errors),
         })
         self.metrics.job_finished(state, time.monotonic() - started)
-        self._clear_job(job_id)
+        self._retire_job(job_id)
 
-    def _clear_job(self, job_id: str) -> None:
+    def _retire_job(self, job_id: str) -> None:
+        """A job reached a terminal state: drop its cancel flag, keep its
+        event buffer while it is among the most recent."""
         with self._state_lock:
             self._cancel_flags.pop(job_id, None)
+            self._finished.append(job_id)
+            while len(self._finished) > KEPT_EVENT_BUFFERS:
+                self._events.pop(self._finished.popleft(), None)
 
     def _run_point(
         self, store: ResultStore, point, telemetry

@@ -18,7 +18,12 @@ Steps (all deterministic; the kill is a one-shot
 4. fetch the results through the client and compare to the baseline
    byte for byte;
 5. resubmit the identical sweep: it must dedup onto the finished job
-   (zero recomputation) and return the same bytes again.
+   (zero recomputation) and return the same bytes again;
+6. push: a three-point subset under a new tag goes through
+   ``run_sweep`` -- stored rows, one ``job()`` fetch, an event stream
+   that closes with a clean ``end`` line -- and the final SIGTERM ends
+   the open ``/events`` stream of a job still running with an ``end``
+   line rather than a reset.
 
 Used by the CI ``serve-smoke`` job (``python -m repro.serve.smoke``)
 and by ``tests/test_serve_chaos.py``.
@@ -26,6 +31,7 @@ and by ``tests/test_serve_chaos.py``.
 
 from __future__ import annotations
 
+import http.client
 import os
 import pathlib
 import signal
@@ -33,6 +39,7 @@ import socket
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import repro
@@ -200,14 +207,57 @@ def run_serve_smoke(
             raise SmokeFailure("deduped results differ from baseline")
         report["dedup"] = "ok"
         log("serve-smoke: resubmission deduped, zero recomputation")
+
+        fetches = []
+        fetch_job = client.job
+        client.job = lambda job_id: fetches.append(job_id) or fetch_job(job_id)
+        try:
+            replayed = client.run_sweep(points[:3], tag="serve-smoke-push")
+        finally:
+            client.job = fetch_job
+        if _comparable(replayed) != baseline[:3]:
+            raise SmokeFailure("replayed subset differs from the baseline")
+        if len(fetches) != 1:
+            raise SmokeFailure(
+                f"run_sweep fetched the job {len(fetches)} times, not once"
+            )
+        narrated = list(client.stream_events(fetches[0]))
+        if narrated[-1] != {"event": "end", "state": "done"}:
+            raise SmokeFailure(f"event stream ended with {narrated[-1]}")
+        sources = [e["source"] for e in narrated if e["event"] == "point"]
+        if sources != ["cached"] * 3:
+            raise SmokeFailure(f"replayed subset was not served from "
+                               f"stored rows: {sources}")
+
+        # A job long enough to still be running at SIGTERM: its stream
+        # must be told the server is going, not cut.
+        long_job = client.submit(
+            [replace(point, mesh_size=8, measure_packets=400, seed=seed + i)
+             for i, point in enumerate(points * 4)],
+            tag="serve-smoke-sigterm",
+        )
+        last = None
+        try:
+            for event in client.stream_events(long_job["job_id"]):
+                if event["event"] == "job_started":
+                    proc.terminate()
+                last = event
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise SmokeFailure(
+                f"SIGTERM cut the event stream: {type(exc).__name__}: {exc}"
+            )
+        if last != {"event": "end", "state": "running"}:
+            raise SmokeFailure(f"stream at SIGTERM ended with {last}")
+        report["push"] = "ok"
+        log("serve-smoke: one fetch per pushed wait, SIGTERM ends streams")
     finally:
         if proc.poll() is None:
             proc.terminate()
-            try:
-                proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
     report["shutdown"] = "ok"
     return report
 

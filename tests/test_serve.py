@@ -14,18 +14,27 @@ What must hold:
   the client reconstructs engine-style NaN results;
 * the engine's server-facing hooks work standalone: ``cancel_event``
   aborts between points, a ``submit`` hook reroutes whole sweeps, and
-  the per-point timeout degrades safely off the main thread.
+  the per-point timeout degrades safely off the main thread;
+* nothing on the served-job path waits on a timer: a submission wakes
+  the workers, ``/events`` is pushed (with keep-alives through silence)
+  and ``ServeClient.wait`` follows it -- one ``job()`` fetch, no sleep.
 
 The SIGKILL/restart scenario lives in ``tests/test_serve_chaos.py``
 (driving ``repro.serve.smoke``); this file stays in-process.
 """
 
+import statistics
+import sys
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
+
+import repro.serve.client as client_mod
+import repro.serve.server as server_mod
 
 from repro.exec.engine import SweepCancelled, run_sweep, sweep_points
 from repro.exec.store import ResultStore
@@ -37,6 +46,7 @@ from repro.serve import (
     install_submit,
     job_id_for,
 )
+from repro.serve.smoke import _free_port
 
 
 def _points(n=2, seed=7):
@@ -190,6 +200,39 @@ def server(tmp_path):
 @pytest.fixture
 def client(server):
     return ServeClient(f"http://127.0.0.1:{server.port}")
+
+
+def _count_calls(monkeypatch, obj, name):
+    """Wrap ``obj.name`` so the returned list grows by one per call."""
+    calls, real = [], getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Block every ``execute_point`` until ``gate.release`` is set;
+    ``gate.entered`` says a worker is inside one."""
+    import repro.exec.engine as engine_mod
+
+    state = types.SimpleNamespace(
+        entered=threading.Event(), release=threading.Event()
+    )
+    real = engine_mod.execute_point
+
+    def gated(point, *args, **kwargs):
+        state.entered.set()
+        state.release.wait(timeout=60)
+        return real(point, *args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "execute_point", gated)
+    yield state
+    state.release.set()
 
 
 class TestServerAPI:
@@ -371,35 +414,22 @@ class TestServerAPI:
         assert store.get(points[0]) is None
         assert store.get(points[1]) is not None
 
-    def test_inflight_point_joined_not_raced(
-        self, server, client, monkeypatch
-    ):
+    def test_inflight_point_joined_not_raced(self, server, client, gate):
         """Two jobs (different tags) sharing one point, two workers:
         the second worker joins the first's in-flight simulation
         instead of racing it -- the point executes exactly once."""
-        import repro.exec.engine as engine_mod
-
-        entered, release = threading.Event(), threading.Event()
-        real = engine_mod.execute_point
-
-        def gated(point, *args, **kwargs):
-            entered.set()
-            release.wait(timeout=60)
-            return real(point, *args, **kwargs)
-
-        monkeypatch.setattr(engine_mod, "execute_point", gated)
         points = _points(1)
         first = client.submit(points, tag="a")
         # The leader registers the in-flight key before execute_point
         # runs, so once we are inside it the follower can only join.
-        assert entered.wait(timeout=60)
+        assert gate.entered.wait(timeout=60)
         second = client.submit(points, tag="b")
         assert second["job_id"] != first["job_id"]
         deadline = time.monotonic() + 60
         while server.metrics.point_inflight_joins.value < 1:
             assert time.monotonic() < deadline, "follower never joined"
             time.sleep(0.02)
-        release.set()
+        gate.release.set()
         assert client.wait(first["job_id"], timeout=120)["state"] == "done"
         assert client.wait(second["job_id"], timeout=120)["state"] == "done"
         assert server.metrics.points_executed.value == 1
@@ -412,6 +442,169 @@ class TestServerAPI:
         points = _points(2)
         expected = _comparable(run_sweep(points, cache=None))
         assert _comparable(client.run_sweep(points)) == expected
+
+
+class TestPushedWait:
+    """The served-job path is driven by notifications, not timers."""
+
+    def test_wait_is_one_fetch_and_no_sleep(self, server, client, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"wait slept {seconds}s on the success path")
+
+        monkeypatch.setattr(client_mod, "time", types.SimpleNamespace(
+            monotonic=time.monotonic, sleep=no_sleep,
+        ))
+        fetches = _count_calls(monkeypatch, client, "job")
+        submitted = client.submit(_points(2))
+        job = client.wait(submitted["job_id"], timeout=120)
+        assert job["state"] == "done"
+        assert job["progress"]["committed"] == 2
+        assert len(fetches) == 1
+        # An already-finished job costs the same: one stream, one fetch.
+        assert client.wait(submitted["job_id"])["state"] == "done"
+        assert len(fetches) == 2
+
+    def test_submission_wakes_idle_workers(self, tmp_path):
+        """``poll_s`` only finds rows other processes queued: with it at
+        30 s, a job submitted to idle workers still starts at once."""
+        server = SweepServer(
+            tmp_path / "idle.sqlite", port=0, workers=2, poll_s=30.0
+        )
+        server.start()
+        try:
+            client = ServeClient(f"http://127.0.0.1:{server.port}")
+            # After the first job both workers have found the queue empty
+            # and are waiting; the second can only start by being woken.
+            for seed in (1, 2):
+                submitted = client.submit(_points(1, seed=seed))
+                assert client.wait(
+                    submitted["job_id"], timeout=5
+                )["state"] == "done"
+        finally:
+            server.stop()
+
+    def test_no_wakeup_is_lost_under_contention(self, tmp_path):
+        """More workers and clients than cores, a tiny switch interval,
+        and a fallback poll far beyond the timeout: a wake-up lost
+        between a worker's claim and its wait would strand a job."""
+        server = SweepServer(
+            tmp_path / "stress.sqlite", port=0, workers=4, poll_s=300.0
+        )
+        server.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            url = f"http://127.0.0.1:{server.port}"
+            points = _points(1)
+            ServeClient(url).run_sweep(points, tag="seed-the-store")
+
+            def replay(index):
+                results = ServeClient(url).run_sweep(
+                    points, tag=f"replay-{index}", timeout=30
+                )
+                return results[0].to_dict()["latency_cycles"]
+
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                latencies = set(pool.map(replay, range(36)))
+            assert len(latencies) == 1
+            assert server.metrics.points_executed.value == 1
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+
+    def test_keepalives_outlast_the_socket_timeout(
+        self, server, gate, monkeypatch
+    ):
+        """A point blocked four socket timeouts long does not cut the
+        stream: the blank keep-alive lines carry it, on one connection."""
+        monkeypatch.setattr(server_mod, "KEEPALIVE_S", 0.1)
+        client = ServeClient(f"http://127.0.0.1:{server.port}", timeout=0.5)
+        streams = _count_calls(monkeypatch, client, "_follow")
+        submitted = client.submit(_points(1))
+        assert gate.entered.wait(timeout=60)
+        threading.Timer(2.0, gate.release.set).start()
+        job = client.wait(submitted["job_id"], timeout=120)
+        assert job["state"] == "done"
+        assert len(streams) == 1
+
+    def test_wait_timeout_names_progress(self, server, client, gate):
+        submitted = client.submit(_points(1))
+        assert gate.entered.wait(timeout=60)
+        with pytest.raises(TimeoutError, match=r"still running.*0/1 committed"):
+            client.wait(submitted["job_id"], timeout=0.5)
+        # A stop ends the open stream with an `end` line for the state
+        # the job is left in, instead of resetting it.
+        events = client.stream_events(submitted["job_id"])
+        assert next(events)["event"] == "snapshot"
+        server.request_stop()
+        assert list(events)[-1] == {"event": "end", "state": "running"}
+
+    def test_follower_sees_queued_job_cancelled(self, tmp_path, gate):
+        server = SweepServer(tmp_path / "c.sqlite", port=0, workers=1)
+        server.start()
+        try:
+            client = ServeClient(f"http://127.0.0.1:{server.port}")
+            client.submit(_points(1, seed=11), priority=5)
+            assert gate.entered.wait(timeout=60)  # the one worker is pinned
+            victim = client.submit(_points(1, seed=12))["job_id"]
+            events = client.stream_events(victim)
+            assert next(events)["job"]["state"] == "queued"
+            assert client.cancel(victim)["state"] == "cancelled"
+            assert [event["event"] for event in events] == [
+                "job_cancelled", "end",
+            ]
+            assert client.wait(victim)["state"] == "cancelled"
+        finally:
+            gate.release.set()
+            server.stop()
+
+    def test_requeued_job_streams_only_its_new_attempt(
+        self, server, client, monkeypatch
+    ):
+        import repro.exec.engine as engine_mod
+
+        def explode(point, *args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        points = _points(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_mod, "execute_point", explode)
+            first = client.submit(points)
+            assert client.wait(first["job_id"], timeout=120)["state"] == "failed"
+        again = client.submit(points)
+        assert again["job_id"] == first["job_id"] and not again["deduped"]
+        assert client.wait(again["job_id"], timeout=120)["state"] == "done"
+        kinds = [e["event"] for e in client.stream_events(again["job_id"])]
+        assert kinds.count("job_started") == 1
+        assert "job_failed" not in kinds and "job_done" in kinds
+
+    def test_event_buffers_of_old_jobs_are_dropped(
+        self, server, client, monkeypatch
+    ):
+        monkeypatch.setattr(server_mod, "KEPT_EVENT_BUFFERS", 3)
+        points = _points(1)
+        for index in range(3 + 5):
+            client.run_sweep(points, tag=f"job-{index}")
+        assert len(server._events) <= 3
+        # The most recent job is still narrated in full.
+        last = job_id_for(points, "job-7")
+        kinds = [e["event"] for e in client.stream_events(last)]
+        assert kinds[0] == "snapshot" and kinds[-1] == "end"
+        assert "job_started" in kinds and "job_done" in kinds
+
+    def test_replayed_sweep_costs_milliseconds(self, server, client):
+        """The floor under the claim: three stored 4x4 points through
+        ``run_sweep`` took a fixed 0.2 s sleep when ``wait`` polled;
+        pushed, they take four round trips (~10 ms)."""
+        points = _points(3)
+        client.run_sweep(points, tag="compute")
+        elapsed = []
+        for index in range(5):
+            started = time.perf_counter()
+            results = client.run_sweep(points, tag=f"replay-{index}")
+            elapsed.append(time.perf_counter() - started)
+            assert all(result.error is None for result in results)
+        assert statistics.median(elapsed) < 0.1
 
 
 class TestCrashRecovery:
@@ -450,6 +643,43 @@ class TestCrashRecovery:
             assert instruments["serve.point_cache_hits"]["value"] == 1
         finally:
             server.stop()
+
+    def test_wait_survives_stop_and_restart(self, tmp_path, gate):
+        """A client already waiting when the server stops mid-job keeps
+        waiting: its stream ends, it reconnects with a back-off, and the
+        restarted server on the same store finishes the job for it."""
+        store_path = tmp_path / "restart.sqlite"
+        port = _free_port()
+        points = _points(3)
+        first = SweepServer(store_path, port=port, workers=1).start()
+        client = ServeClient(f"http://127.0.0.1:{port}")
+        job_id = client.submit(points, tag="restart")["job_id"]
+        assert gate.entered.wait(timeout=60)
+        box = {}
+        waiter = threading.Thread(
+            target=lambda: box.update(job=client.wait(job_id, timeout=120))
+        )
+        waiter.start()
+        # Stop joins the worker, which is inside the gated point: let it
+        # finish that point and find the stop flag before the next one.
+        first.request_stop()
+        gate.release.set()
+        first.stop()
+        assert JobQueue(store_path).get(job_id)["state"] == "running"
+        second = SweepServer(store_path, port=port, workers=1).start()
+        try:
+            waiter.join(timeout=120)
+            assert not waiter.is_alive()
+            assert box["job"]["state"] == "done"
+            assert box["job"]["progress"]["committed"] == 3
+            assert _comparable(client.results(job_id)) == _comparable(
+                run_sweep(points, cache=None)
+            )
+            # Only what the first server had not committed was computed.
+            assert second.metrics.point_cache_hits.value == 1
+            assert second.metrics.points_executed.value == 2
+        finally:
+            second.stop()
 
 
 class TestRunAllFlags:

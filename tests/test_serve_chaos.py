@@ -8,7 +8,9 @@ the CI ``serve-smoke`` job runs -- against real server subprocesses:
 * a restarted server on the same store requeues the orphaned job,
   replays the committed points, and finishes the rest;
 * the results fetched through the client are byte-identical to a serial
-  local run, and a resubmission dedups onto the finished job.
+  local run, and a resubmission dedups onto the finished job;
+* a pushed ``run_sweep`` fetches the job once, and the final SIGTERM
+  ends an open event stream with an ``end`` line.
 
 The assertions live inside the smoke module (it must fail CI on its
 own); this test pins that the scenario passes under pytest too and that
@@ -25,5 +27,6 @@ def test_sigkill_resume_bit_identical(tmp_path):
         "sigkill": "ok",
         "resume_bit_identical": "ok",
         "dedup": "ok",
+        "push": "ok",
         "shutdown": "ok",
     }
