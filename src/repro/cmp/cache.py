@@ -55,7 +55,7 @@ class CacheConfig:
         return address - (address % self.block_bytes)
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """One resident block."""
 
@@ -69,6 +69,11 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
+        # The geometry every operation needs, read once.
+        self._block_bytes = config.block_bytes
+        self._interleave_shift = config.interleave_shift
+        self._num_sets = config.num_sets
+        self._associativity = config.associativity
         # One LRU-ordered map per set, by set index: block address ->
         # CacheLine.  A set exists from its first touch on: a run reaches
         # a small fraction of the sets a bank has.
@@ -76,19 +81,22 @@ class SetAssociativeCache:
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, block: int) -> OrderedDict:
-        index = self.config.set_index(block)
+    def _locate(self, address: int) -> Tuple[int, OrderedDict]:
+        """Block address of ``address`` and the set it maps to."""
+        block_bytes = self._block_bytes
+        number = address // block_bytes
+        index = (number >> self._interleave_shift) % self._num_sets
         cache_set = self._sets.get(index)
         if cache_set is None:
             cache_set = self._sets[index] = OrderedDict()
-        return cache_set
+        return number * block_bytes, cache_set
 
     def lookup(self, address: int, touch: bool = True) -> Optional[CacheLine]:
         """Line holding ``address`` (in any valid state), or None."""
-        block = self.config.block_address(address)
-        entry = self._set_for(block).get(block)
+        block, cache_set = self._locate(address)
+        entry = cache_set.get(block)
         if entry is not None and touch:
-            self._set_for(block).move_to_end(block)
+            cache_set.move_to_end(block)
         return entry
 
     def probe(self, address: int) -> Optional[CacheLine]:
@@ -106,9 +114,8 @@ class SetAssociativeCache:
 
     def victim_for(self, address: int) -> Optional[CacheLine]:
         """Line that :meth:`insert` would evict for ``address``."""
-        block = self.config.block_address(address)
-        cache_set = self._set_for(block)
-        if block in cache_set or len(cache_set) < self.config.associativity:
+        block, cache_set = self._locate(address)
+        if block in cache_set or len(cache_set) < self._associativity:
             return None
         return next(iter(cache_set.values()))
 
@@ -118,23 +125,22 @@ class SetAssociativeCache:
         Inserting a block that is already resident updates its state
         instead of evicting.
         """
-        block = self.config.block_address(address)
-        cache_set = self._set_for(block)
-        if block in cache_set:
-            line = cache_set[block]
+        block, cache_set = self._locate(address)
+        line = cache_set.get(block)
+        if line is not None:
             line.state = state
             cache_set.move_to_end(block)
             return None
         victim = None
-        if len(cache_set) >= self.config.associativity:
+        if len(cache_set) >= self._associativity:
             _, victim = cache_set.popitem(last=False)
         cache_set[block] = CacheLine(block=block, state=state)
         return victim
 
     def invalidate(self, address: int) -> Optional[CacheLine]:
         """Drop a block; returns the removed line, if it was present."""
-        block = self.config.block_address(address)
-        return self._set_for(block).pop(block, None)
+        block, cache_set = self._locate(address)
+        return cache_set.pop(block, None)
 
     def lines(self) -> Iterator[CacheLine]:
         """Every resident line, sets in ascending index order."""

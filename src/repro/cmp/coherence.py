@@ -79,6 +79,9 @@ class Message:
         return DATA_MESSAGE_BITS if self.mtype in DATA_MESSAGES else ADDRESS_MESSAGE_BITS
 
 
+#: the line state each kind of grant installs.
+_FILL_STATE = {"DATA": SHARED, "DATA_E": EXCLUSIVE, "DATA_X": MODIFIED}
+
 SendFn = Callable[[Message], None]
 ScheduleFn = Callable[[int, Callable[[], None]], None]
 
@@ -170,24 +173,13 @@ class L1Controller:
 
     # -- network-facing interface ----------------------------------------------
     def handle(self, msg: Message) -> None:
-        handler = {
-            "DATA": self._on_data,
-            "DATA_E": self._on_data,
-            "DATA_X": self._on_data,
-            "INV": self._on_inv,
-            "FWD_GETS": self._on_fwd_gets,
-            "FWD_GETX": self._on_fwd_getx,
-            "WB_ACK": self._on_wb_ack,
-        }.get(msg.mtype)
+        handler = self._HANDLERS.get(msg.mtype)
         if handler is None:
             raise ValueError(f"L1 at node {self.node} got unexpected {msg.mtype}")
-        handler(msg)
-
-    def _fill_state(self, mtype: str) -> str:
-        return {"DATA": SHARED, "DATA_E": EXCLUSIVE, "DATA_X": MODIFIED}[mtype]
+        handler(self, msg)
 
     def _on_data(self, msg: Message) -> None:
-        state = self._fill_state(msg.mtype)
+        state = _FILL_STATE[msg.mtype]
         victim = self.cache.insert(msg.block, state)
         line = self.cache.lookup(msg.block)
         if state == MODIFIED:
@@ -303,13 +295,23 @@ class L1Controller:
     def _on_wb_ack(self, msg: Message) -> None:
         self.writeback_buffer.pop(msg.block, None)
 
+    _HANDLERS = {
+        "DATA": _on_data,
+        "DATA_E": _on_data,
+        "DATA_X": _on_data,
+        "INV": _on_inv,
+        "FWD_GETS": _on_fwd_gets,
+        "FWD_GETX": _on_fwd_getx,
+        "WB_ACK": _on_wb_ack,
+    }
+
     # -- invariants (used by tests) ---------------------------------------------
     def state_of(self, block: int) -> str:
         line = self.cache.probe(block)
         return line.state if line is not None else INVALID
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Directory state for one block with L1 copies."""
 
@@ -351,17 +353,10 @@ class L2DirectoryController:
 
     # -- dispatch ------------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        handler = {
-            "GETS": self._on_request,
-            "GETX": self._on_request,
-            "PUTX": self._on_putx,
-            "INV_ACK": self._on_inv_ack,
-            "OWNER_DATA": self._on_owner_data,
-            "MEM_DATA": self._on_mem_data,
-        }.get(msg.mtype)
+        handler = self._HANDLERS.get(msg.mtype)
         if handler is None:
             raise ValueError(f"L2 at node {self.node} got unexpected {msg.mtype}")
-        handler(msg)
+        handler(self, msg)
 
     # -- requests ---------------------------------------------------------------
     def _on_request(self, msg: Message) -> None:
@@ -550,3 +545,12 @@ class L2DirectoryController:
                     dst=self.mc_of(victim.block),
                 )
             )
+
+    _HANDLERS = {
+        "GETS": _on_request,
+        "GETX": _on_request,
+        "PUTX": _on_putx,
+        "INV_ACK": _on_inv_ack,
+        "OWNER_DATA": _on_owner_data,
+        "MEM_DATA": _on_mem_data,
+    }

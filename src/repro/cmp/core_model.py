@@ -17,9 +17,10 @@ separated by counted non-memory instruction gaps
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.cmp.coherence import L1Controller
 from repro.traffic.trace import TraceRecord
@@ -60,8 +61,23 @@ def small_core_config() -> CoreConfig:
     )
 
 
+#: ``wake_at`` of a core that only a completion can wake.
+NEVER = math.inf
+
+
 class TraceCore:
-    """One core replaying a memory trace through its L1 controller."""
+    """One core replaying a memory trace through its L1 controller.
+
+    :meth:`step` defines what the core does in a cycle, and calling it
+    every cycle is always valid.  A driver that would rather not can skip
+    the cycles whose outcome is known in advance -- asleep before
+    ``start_cycle``, a pure stall, full-width consumption of an
+    instruction gap, draining after the last record: it calls
+    :meth:`advance` only when ``wake_at <= cycle``, sets :attr:`clock` so
+    a completion can account for the skipped cycles before it changes
+    what they would have done (and plan again from the state it leaves),
+    and calls :meth:`catch_up` before it reads the counters.
+    """
 
     def __init__(
         self,
@@ -88,6 +104,14 @@ class TraceCore:
         self.started_at: Optional[int] = None
         self.finished_at: Optional[int] = None
         self.stall_cycles = 0
+        #: optional hook a skipping driver sets: () -> the current cycle.
+        self.clock: Optional[Callable[[], int]] = None
+        # Cycles before ``_synced`` are in the counters.  The plan covers the
+        # ones from there on: ``wake_at`` is the first that :meth:`step` has
+        # to run, each one before it adds ``_quiet_stall`` stall cycles and
+        # retires ``_quiet_retire`` gap instructions.
+        self._synced = 0
+        self._plan()
 
     @property
     def trace_exhausted(self) -> bool:
@@ -145,6 +169,68 @@ class TraceCore:
         if self.trace_exhausted and self.outstanding == 0:
             self.finished_at = cycle
 
+    # -- skipping the predictable cycles ----------------------------------------
+    def _quiet_cycles(self) -> Tuple[float, int, int]:
+        """``(n, stall, retire)``: each of the next ``n`` cycles from
+        ``_synced`` on would add ``stall`` to ``stall_cycles``, retire
+        ``retire`` gap instructions and do nothing else -- the cases of
+        :meth:`step` that never reach the L1.  ``n`` is 0 when the next
+        cycle has to be stepped and :data:`NEVER` when only a completion
+        ends the quiet."""
+        exhausted = self._index >= len(self.trace)
+        if exhausted and self.outstanding == 0:
+            # Finished; the one empty step this asks for is where a driver
+            # that skips sees it ``done``.
+            return 0, 0, 0
+        if self.started_at is None:
+            return max(0, self.start_cycle - self._synced), 0, 0
+        if self._blocked_until_response:
+            return NEVER, 1, 0
+        if exhausted:
+            return NEVER, 0, 0  # draining
+        headroom = self._window_headroom()
+        if headroom == 0:
+            return NEVER, 1, 0
+        if self._gap_remaining > 0:
+            # A cycle takes the whole issue width while the gap -- and,
+            # behind an outstanding miss, the window -- still holds one.
+            room = self._gap_remaining
+            if self._issue_marks:
+                room = min(room, headroom)
+            width = self.config.issue_width
+            return room // width, 0, width
+        if self.outstanding >= self.config.max_outstanding:
+            return NEVER, 1, 0
+        # The next record goes to the L1; a "blocked" answer keeps the core
+        # polled, because every retry counts in the L1 and touches its LRU.
+        return 0, 0, 0
+
+    def _plan(self) -> None:
+        """Fix what the cycles from ``_synced`` up to ``wake_at`` do.  Must
+        follow every change of state, which is to say :meth:`step` and a
+        completion."""
+        quiet, self._quiet_stall, self._quiet_retire = self._quiet_cycles()
+        self.wake_at = self._synced + quiet
+
+    def catch_up(self, cycle: int) -> None:
+        """Put the skipped cycles before ``cycle`` into the counters
+        (``cycle <= wake_at``: the plan covers no more)."""
+        skipped = cycle - self._synced
+        if skipped > 0:
+            self.stall_cycles += skipped * self._quiet_stall
+            retired = skipped * self._quiet_retire
+            self._gap_remaining -= retired
+            self.instructions_retired += retired
+            self._synced = cycle
+
+    def advance(self, cycle: int) -> None:
+        """:meth:`step` for a driver that skips: run ``cycle`` on top of
+        the cycles skipped since the last call, then plan the next ones."""
+        self.catch_up(cycle)
+        self.step(cycle)
+        self._synced = cycle + 1
+        self._plan()
+
     def _advance_trace(self) -> None:
         self._index += 1
         if not self.trace_exhausted:
@@ -161,6 +247,11 @@ class TraceCore:
 
     def _make_completion(self, record: TraceRecord, cycle: int) -> Callable[[], None]:
         def on_complete() -> None:
+            skipping = self.clock is not None
+            if skipping:
+                # What the skipped cycles did depends on the state this
+                # completion is about to change.
+                self.catch_up(self.clock())
             self.outstanding -= 1
             if self._issue_marks:
                 self._issue_marks.popleft()
@@ -169,6 +260,8 @@ class TraceCore:
                 raise RuntimeError(
                     f"core {self.core_id} completed more memory ops than issued"
                 )
+            if skipping:
+                self._plan()
 
         return on_complete
 

@@ -11,8 +11,10 @@ flow control.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -88,7 +90,29 @@ class CmpSystem:
         self.layout = layout
         self.config = config or CmpConfig()
         self.network = build_network(layout, routing=routing, flit_mode=flit_mode)
-        self.network.on_delivery = self._on_packet
+        # The system owns the network, the controllers and the cores; what
+        # they hold of it -- the delivery callback, the send / schedule
+        # ports, the miss hook -- is this one weak reference, so the last
+        # reference to a system frees all of it without the cycle collector.
+        system = weakref.ref(self)
+        network = self.network
+
+        def send(msg: Message) -> None:
+            system().send_message(msg)
+
+        def schedule(delay: int, fn: Callable[[], None]) -> None:
+            system().schedule(delay, fn)
+
+        def on_delivery(packet, cycle: int) -> None:
+            system()._on_packet(packet, cycle)
+
+        def record_miss(node: int, *miss) -> None:
+            system()._record_miss(node, *miss)
+
+        def clock() -> int:
+            return network.cycle
+
+        network.on_delivery = on_delivery
         num_nodes = self.network.topology.num_nodes
         if set(traces) - set(range(num_nodes)):
             raise ValueError("trace map names cores outside the mesh")
@@ -129,16 +153,16 @@ class CmpSystem:
                 self.config.l1,
                 self.config.mshr_per_core,
                 home_of,
-                self.send_message,
-                self.schedule,
+                send,
+                schedule,
             )
-            l1.on_miss_complete = self._record_miss_factory(node)
+            l1.on_miss_complete = functools.partial(record_miss, node)
             self.l1s[node] = l1
             self.l2s[node] = L2DirectoryController(
-                node, self.config.l2_bank, home_of, mc_of, self.send_message
+                node, self.config.l2_bank, home_of, mc_of, send
             )
         self.mcs: Dict[int, MemoryController] = {
-            node: MemoryController(node, self.config.memory, self.send_message)
+            node: MemoryController(node, self.config.memory, send)
             for node in mc_nodes
         }
         core_configs = core_configs or {}
@@ -152,6 +176,12 @@ class CmpSystem:
                 self.l1s[node],
                 start_cycle=(node * 37) % window,
             )
+            self.cores[node].clock = clock
+        # Cores still running, in stepping order (which fixes packet ids
+        # and event sequence numbers).
+        self._live: List[TraceCore] = [
+            core for core in self.cores.values() if not core.done
+        ]
 
         self.miss_records: List[MissRecord] = []
         self.messages_sent = 0
@@ -164,17 +194,23 @@ class CmpSystem:
     def schedule(self, delay: int, fn: Callable[[], None]) -> None:
         """Run ``fn`` after ``delay`` cycles (component processing time)."""
         heapq.heappush(
-            self._events, (self.cycle + max(0, delay), next(self._event_seq), fn)
+            self._events,
+            (self.cycle + max(0, delay), next(self._event_seq), fn, None),
+        )
+
+    def _dispatch_after(self, delay: int, msg: Message) -> None:
+        # The message rides in the event itself: a pending event must not
+        # hold the system, or an unfinished protocol tail would keep it alive.
+        heapq.heappush(
+            self._events,
+            (self.cycle + max(0, delay), next(self._event_seq), None, msg),
         )
 
     def send_message(self, msg: Message) -> None:
         """Inject a coherence message into the network (or deliver locally)."""
         self.messages_sent += 1
         if msg.src == msg.dst:
-            self.schedule(
-                self.config.local_delivery_latency,
-                lambda: self._dispatch(msg),
-            )
+            self._dispatch_after(self.config.local_delivery_latency, msg)
             return
         packet = self.network.make_packet(
             msg.src,
@@ -196,7 +232,7 @@ class CmpSystem:
             delay = 1
         else:
             delay = 0
-        self.schedule(delay, lambda: self._dispatch(msg))
+        self._dispatch_after(delay, msg)
 
     def _dispatch(self, msg: Message) -> None:
         if msg.mtype in _L1_MESSAGES:
@@ -215,19 +251,18 @@ class CmpSystem:
         else:
             raise ValueError(f"unroutable message type {msg.mtype}")
 
-    def _record_miss_factory(self, node: int):
-        def record(block: int, issued_at: int, via_memory: bool, is_write: bool) -> None:
-            self.miss_records.append(
-                MissRecord(
-                    core=node,
-                    block=block,
-                    latency=self.cycle - issued_at,
-                    via_memory=via_memory,
-                    is_write=is_write,
-                )
+    def _record_miss(
+        self, node: int, block: int, issued_at: int, via_memory: bool, is_write: bool
+    ) -> None:
+        self.miss_records.append(
+            MissRecord(
+                core=node,
+                block=block,
+                latency=self.cycle - issued_at,
+                via_memory=via_memory,
+                is_write=is_write,
             )
-
-        return record
+        )
 
     # -- functional warmup ------------------------------------------------------
     def warm_caches(self) -> None:
@@ -273,19 +308,18 @@ class CmpSystem:
         entry = directory.get(block)
         if is_write:
             if entry is not None:
-                for other in set(entry.sharers) | (
-                    {entry.owner} if entry.owner is not None else set()
-                ):
+                for other in entry.sharers:
                     if other != core:
                         self.l1s[other].cache.invalidate(block)
+                if entry.owner is not None and entry.owner != core:
+                    self.l1s[entry.owner].cache.invalidate(block)
             directory[block] = DirectoryEntry(state=MODIFIED, owner=core)
             victim = l1.cache.insert(block, MODIFIED)
             l1.cache.lookup(block).dirty = True
         else:
-            existing = l1.cache.probe(block)
-            if existing is not None:
-                # Already coherent from an earlier warm access; just touch.
-                l1.cache.lookup(block)
+            if l1.cache.lookup(block) is not None:
+                # Already coherent from an earlier warm access; the lookup
+                # was the LRU touch.
                 return
             if entry is None:
                 directory[block] = DirectoryEntry(state=MODIFIED, owner=core)
@@ -340,15 +374,37 @@ class CmpSystem:
     # -- simulation loop -----------------------------------------------------------
     def tick(self) -> None:
         """Advance the whole platform by one clock cycle."""
+        self._tick()
+        self._sync_cores()
+
+    def _tick(self) -> None:
         cycle = self.cycle
-        while self._events and self._events[0][0] <= cycle:
-            _, _, fn = heapq.heappop(self._events)
-            fn()
-        for core in self.cores.values():
-            core.step(cycle)
+        events = self._events
+        while events and events[0][0] <= cycle:
+            _, _, fn, msg = heapq.heappop(events)
+            if fn is None:
+                self._dispatch(msg)
+            else:
+                fn()
+        # Only the cores whose cycle is not known in advance are stepped
+        # (see TraceCore.advance); the rest are brought up to date when a
+        # completion reaches them or somebody reads their counters.
+        finished = False
+        for core in self._live:
+            if core.wake_at <= cycle:
+                core.advance(cycle)
+                finished = finished or core.done
+        if finished:
+            self._live = [core for core in self._live if not core.done]
         for mc in self.mcs.values():
             mc.tick(cycle)
         self.network.step()
+
+    def _sync_cores(self) -> None:
+        """Make every core's counters exact for ``self.cycle``."""
+        cycle = self.cycle
+        for core in self._live:
+            core.catch_up(cycle)
 
     def run(
         self,
@@ -362,11 +418,14 @@ class CmpSystem:
         protocol or network deadlock.
         """
         deadline = self.cycle + max_cycles
-        while self.cycle < deadline:
-            if until_done and all(core.done for core in self.cores.values()):
-                return self.cycle
-            self.tick()
-        if until_done and not all(core.done for core in self.cores.values()):
+        try:
+            while self.cycle < deadline:
+                if until_done and not self._live:
+                    return self.cycle
+                self._tick()
+        finally:
+            self._sync_cores()
+        if until_done and self._live:
             stuck = [c for c, core in self.cores.items() if not core.done]
             raise RuntimeError(
                 f"CMP failed to finish within {max_cycles} cycles; "

@@ -43,10 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict
-
-import numpy as np
-from scipy.optimize import lsq_linear
+from typing import TYPE_CHECKING, Dict
 
 from repro.noc.config import (
     BASELINE_FREQUENCY_GHZ,
@@ -60,6 +57,9 @@ from repro.noc.config import (
     big_router,
     small_router,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TABLE1_POWER_W = {"baseline": 0.67, "small": 0.30, "big": 1.19}
 TABLE1_AREA_MM2 = {"baseline": 0.290, "small": 0.235, "big": 0.425}
@@ -106,6 +106,10 @@ def heteronoc_frequency_ghz() -> float:
 def _area_coefficients() -> np.ndarray:
     """Solve area = c0 + c_bits*buffer_bits + c_alloc*(P*V)^2 through the
     three Table 1 areas (an exact 3x3 linear solve; all terms positive)."""
+    # Imported here, like scipy below: a CMP run, a job client or a store
+    # replay loads this module and never asks for an area or a Watt.
+    import numpy as np
+
     rows = []
     targets = []
     for cfg, kind in (
@@ -160,6 +164,9 @@ def _calibrated_weights() -> Dict[str, float]:
     weighted) pin the three router power anchors; soft constraints keep
     the component shares near the paper's reported breakdown.
     """
+    import numpy as np
+    from scipy.optimize import lsq_linear
+
     base = _component_raw_values(baseline_router(), BASELINE_FREQUENCY_GHZ)
     small = _component_raw_values(small_router(), SMALL_FREQUENCY_GHZ)
     big = _component_raw_values(big_router(), BIG_FREQUENCY_GHZ)

@@ -37,13 +37,17 @@ class RoutingError(Exception):
     """Raised when no legal output port exists for a packet."""
 
 
+#: shape -> route tables, filled by :meth:`Routing._probe_tables`.
+_PROBED_TABLES: Dict[tuple, Tuple[Tuple[int, ...], ...]] = {}
+
+
 class Routing:
     """Base class for routing disciplines."""
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
 
-    def build_route_tables(self) -> Optional[List[List[int]]]:
+    def build_route_tables(self) -> Optional[Sequence[Sequence[int]]]:
         """Precomputed ``tables[router][dst_node] -> out_port``, or ``None``.
 
         A discipline may return full (router, destination) -> output-port
@@ -72,24 +76,34 @@ class Routing:
             and cls.va_candidates is Routing.va_candidates
         )
 
-    def _probe_tables(self) -> List[List[int]]:
+    def _probe_tables(self) -> Tuple[Tuple[int, ...], ...]:
         """Build full route tables by probing :meth:`output_port`.
 
         One probe packet per destination serves every router (only
         disciplines whose :meth:`output_port` leaves the packet untouched
         may build tables at all).  Probes carry ``packet_id=-1``: they
         are no network's packets.
+
+        A pure discipline gives every network of one shape the same
+        tables, so they are probed once per (discipline, topology class,
+        dimensions) and shared, as tuples nobody can edit.
         """
         topo = self.topology
-        probes = [
-            Packet(src=0, dst=dst, num_flits=1, created_at=0, packet_id=-1)
-            for dst in range(topo.num_nodes)
-        ]
-        output_port = self.output_port
-        return [
-            [output_port(router, probe) for probe in probes]
-            for router in range(topo.num_routers)
-        ]
+        shape = (type(self), type(topo), topo.width, topo.height, topo.num_nodes)
+        tables = _PROBED_TABLES.get(shape)
+        if tables is None:
+            probes = [
+                Packet(src=0, dst=dst, num_flits=1, created_at=0, packet_id=-1)
+                for dst in range(topo.num_nodes)
+            ]
+            output_port = self.output_port
+            tables = tuple(
+                tuple(output_port(router, probe) for probe in probes)
+                for router in range(topo.num_routers)
+            )
+            # Threads that probed the same shape at once keep one result.
+            tables = _PROBED_TABLES.setdefault(shape, tables)
+        return tables
 
     def output_port(self, router: int, packet: Packet) -> int:
         """Output port the packet requests at ``router``.
@@ -152,7 +166,7 @@ class XYRouting(Routing):
             raise TypeError("use TorusXYRouting for torus topologies")
         super().__init__(topology)
 
-    def build_route_tables(self) -> List[List[int]]:
+    def build_route_tables(self) -> Sequence[Sequence[int]]:
         # X-Y is a pure function of (router, destination): precomputable.
         return self._probe_tables()
 
@@ -264,7 +278,7 @@ class FlattenedButterflyRouting(Routing):
             )
         super().__init__(topology)
 
-    def build_route_tables(self) -> List[List[int]]:
+    def build_route_tables(self) -> Sequence[Sequence[int]]:
         # Row-then-column is a pure function of (router, destination).
         return self._probe_tables()
 

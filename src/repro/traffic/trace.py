@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, List, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One memory operation and the instruction gap preceding it.
 

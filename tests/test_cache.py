@@ -122,6 +122,25 @@ class TestSetAssociativeCache:
         for cache_set in cache._sets.values():
             assert len(cache_set) <= 2
 
+    @given(
+        address=st.integers(min_value=0, max_value=2**40),
+        shift=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lines_land_where_the_config_says(self, address, shift):
+        """The tag store reads its geometry once at construction; it must
+        stay the geometry ``CacheConfig`` defines."""
+        config = CacheConfig(
+            size_bytes=8 * 2 * 128, associativity=2, block_bytes=128,
+            interleave_shift=shift,
+        )
+        cache = SetAssociativeCache(config)
+        cache.insert(address, SHARED)
+        ((index, cache_set),) = cache._sets.items()
+        assert index == config.set_index(address)
+        assert list(cache_set) == [config.block_address(address)]
+        assert cache.probe(address).block == config.block_address(address)
+
 
 class TestMSHRFile:
     def test_allocate_and_release(self):

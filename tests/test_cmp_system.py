@@ -1,8 +1,12 @@
 """Integration tests for the full CMP (cores + caches + MESI + NoC)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cmp.cache import EXCLUSIVE, MODIFIED, SHARED, CacheConfig
+from repro.cmp.core_model import TraceCore, small_core_config
 from repro.cmp.system import CmpConfig, CmpSystem
 from repro.core.layouts import layout_by_name
 from repro.traffic.trace import TraceRecord
@@ -168,6 +172,146 @@ class TestEndToEnd:
             system.run(max_cycles=5)
 
 
+def _counters(system):
+    """Everything a reader of a (possibly mid-run) system can see."""
+    stats = system.network.stats
+    return (
+        system.cycle,
+        [
+            (core.stall_cycles, core.instructions_retired, core.started_at,
+             core.outstanding, core.done)
+            for core in system.cores.values()
+        ],
+        [
+            (l1.loads, l1.stores, l1.cache.hits, l1.cache.misses)
+            for l1 in system.l1s.values()
+        ],
+        system.per_core_ipc(),
+        stats.packets_delivered,
+        system.messages_sent,
+        len(system.miss_records),
+    )
+
+
+class TestEventScheduledCores:
+    """Cores are stepped when their cycle cannot be predicted and caught
+    up otherwise; nobody outside can tell."""
+
+    def _mixed_system(self):
+        """Large and small (blocking) cores, so every kind of quiet cycle
+        occurs: start stagger, gaps, window and blocking stalls, drain."""
+        small = {node: small_core_config() for node in range(16) if node % 2}
+        return _system(core_configs=small)
+
+    def test_polling_every_core_every_cycle_is_the_same_run(self):
+        """The degenerate schedule -- every live core stepped every cycle
+        -- against the real one, compared after every ``tick()``: counters
+        read mid-run are exact."""
+        polled, scheduled = self._mixed_system(), self._mixed_system()
+        for system in (polled, scheduled):
+            system.warm_caches()
+            system.network.begin_measurement()
+        while not all(core.done for core in polled.cores.values()):
+            for core in polled.cores.values():
+                core.wake_at = 0
+            polled.tick()
+            scheduled.tick()
+            assert _counters(scheduled) == _counters(polled)
+            assert polled.cycle < 100_000
+        assert all(core.done for core in scheduled.cores.values())
+
+    def test_tick_by_tick_equals_run(self):
+        ran, ticked = self._mixed_system(), self._mixed_system()
+        cycles = ran.run(max_cycles=200_000)
+        while not all(core.done for core in ticked.cores.values()):
+            ticked.tick()
+        assert ticked.cycle == cycles
+        assert _counters(ticked) == _counters(ran)
+
+    def test_run_in_slices_equals_run(self):
+        """``run`` leaves exact counters behind whenever it returns, the
+        deadline included, and carries on from there."""
+        whole, sliced = self._mixed_system(), self._mixed_system()
+        whole.run(max_cycles=200_000)
+        reference = self._mixed_system()
+        for _ in range(3):
+            sliced.run(max_cycles=97, until_done=False)
+            for _ in range(97):
+                for core in reference.cores.values():
+                    core.wake_at = 0
+                reference.tick()
+            assert _counters(sliced) == _counters(reference)
+        sliced.run(max_cycles=200_000)
+        assert _counters(sliced) == _counters(whole)
+
+    def test_cores_are_stepped_about_once_per_record(self, monkeypatch):
+        calls = []
+        step = TraceCore.step
+        monkeypatch.setattr(
+            TraceCore, "step", lambda core, cycle: (calls.append(1), step(core, cycle))[1]
+        )
+        system = _system()
+        system.warm_caches()
+        cycles = system.run(max_cycles=200_000)
+        records = sum(len(core.trace) for core in system.cores.values())
+        retries = sum(l1.loads + l1.stores for l1 in system.l1s.values()) - records
+        # One step per record (fewer when a cycle issues several), one per
+        # refused retry, one to start and one to be seen done.
+        assert len(calls) <= records + retries + 2 * len(system.cores)
+        assert len(calls) < 0.5 * cycles * len(system.cores)  # polled: all of them
+
+    def test_core_without_a_trace_is_never_live(self):
+        traces = {0: [], 1: [TraceRecord(gap=5, is_write=False, address=1 << 20)]}
+        system = _system(traces=traces)
+        system.run(max_cycles=10_000)
+        assert system.cores[1].done and system.cores[0].started_at is None
+        idle = _system(traces={0: []})
+        assert idle.run(max_cycles=100) == 0
+
+
+class TestFreedByReferenceCount:
+    def test_finished_system_dies_with_its_last_reference(self):
+        """The network, the controllers and the cores reach the system
+        through one weak reference, so nothing waits for a gen-2 pass."""
+        # A run whose protocol tail outlives the cores: pending events and
+        # a packet in flight must not hold the system either.
+        traces = {
+            core: generate_core_trace(WORKLOADS["canl"], core, 60, seed=3)
+            for core in range(16)
+        }
+        system = _system(traces=traces)
+        system.warm_caches()
+        system.network.begin_measurement()
+        system.run(max_cycles=200_000)
+        assert system._events and system.network.packets_in_flight
+        system_ref = weakref.ref(system)
+        network_ref = weakref.ref(system.network)
+        core_ref = weakref.ref(system.cores[0])
+        gc.collect()
+        gc.disable()
+        try:
+            del system
+            assert system_ref() is None
+            assert network_ref() is None and core_ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_systems_do_not_pile_up(self):
+        gc.collect()
+        gc.disable()
+        try:
+            sizes = []
+            for _ in range(3):
+                system = _system()
+                system.run(max_cycles=200_000)
+                del system
+                sizes.append(len(gc.get_objects()))
+        finally:
+            gc.enable()
+        assert sizes[2] - sizes[1] < 200
+
+
 class TestKnownDefects:
     @pytest.mark.xfail(
         strict=True,
@@ -175,7 +319,7 @@ class TestKnownDefects:
         reason="MESI deadlock: the home acks a PUTX at once, the WB_ACK "
         "overtakes the FWD_GETS of the transaction it has open towards "
         "that owner, and the late forward is parked on a fill that never "
-        "comes (trace and proposed repair: ROADMAP item 3, EXPERIMENTS "
+        "comes (trace and proposed repair: ROADMAP item 2, EXPERIMENTS "
         "Fig 11/12)",
     )
     @pytest.mark.parametrize("layout", ["baseline", "diagonal+BL"])
@@ -186,6 +330,36 @@ class TestKnownDefects:
         from repro.experiments.fig11_applications import run_one
 
         run_one(layout, "canl", 400, seed=7, max_cycles=6_000)
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="TraceCore.finished_at is never set: step returns at "
+        "`if self.done` before it reaches the assignment, so every core's "
+        "IPC is retired / (system end - its start) and the slowest core's "
+        "tail is in all of them.  The fix is one line where a completion "
+        "leaves the core done; it moves every cmp digest, so it goes with "
+        "ROADMAP item 2's re-record (EXPERIMENTS Fig 11/12)",
+    )
+    def test_finished_core_reports_when_it_finished(self):
+        """A core that finished at cycle *c* reports ``finished_at == c``
+        and an IPC that does not move while other cores run on."""
+        quick = [TraceRecord(gap=3, is_write=False, address=1 << 20)]
+        slow = [
+            TraceRecord(gap=50, is_write=False, address=(2 << 20) + 4096 * i)
+            for i in range(40)
+        ]
+        system = _system(traces={0: quick, 5: slow})
+        core = system.cores[0]
+        while not core.done:
+            system.tick()
+        finished, ipc = system.cycle, core.ipc(system.cycle)
+        system.run(max_cycles=100_000)
+        assert system.cycle > finished + 100
+        assert core.finished_at is not None
+        assert finished - 1 <= core.finished_at <= finished
+        assert core.ipc(system.cycle) == ipc
 
 
 class TestPlacements:

@@ -1,5 +1,11 @@
 """Tests for the calibrated power/area/frequency models."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.layouts import layout_by_name, build_network
@@ -15,6 +21,72 @@ from repro.core.power import (
 from repro.noc.config import baseline_router, big_router, small_router
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.runner import run_synthetic
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_CALIBRATION = (
+    "from repro.core.power import RouterPowerModel, router_area_mm2\n"
+    "from repro.noc.config import baseline_router, big_router, small_router\n"
+    "model = RouterPowerModel()\n"
+    "routers = [baseline_router(), small_router(), big_router()]\n"
+    "numbers = [value.hex() for _name, value in sorted(model._coeff.items())]\n"
+    "numbers += [router_area_mm2(r).hex() for r in routers]\n"
+    "numbers += [model.table1_power(r).hex() for r in routers]\n"
+)
+
+
+def _python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestSolversAreLoadedOnDemand:
+    """numpy and scipy serve one 3x3 solve and one bounded least-squares
+    fit; a CMP run, a job client and a store replay never ask for either."""
+
+    def test_cmp_exec_and_client_import_neither(self):
+        _python(
+            "import repro.cmp, repro.exec, repro.serve.client, sys\n"
+            "loaded = {'numpy', 'scipy'} & {m.split('.')[0] for m in sys.modules}\n"
+            "assert not loaded, loaded\n"
+        )
+
+    def test_a_full_system_run_imports_neither(self):
+        _python(
+            "import sys\n"
+            "from repro.cmp import CmpSystem\n"
+            "from repro.core.layouts import baseline_layout\n"
+            "from repro.traffic.workloads import WORKLOADS, generate_core_trace\n"
+            "traces = {c: generate_core_trace(WORKLOADS['SAP'], c, 5, seed=1)\n"
+            "          for c in range(16)}\n"
+            "system = CmpSystem(baseline_layout(4), traces)\n"
+            "system.warm_caches()\n"
+            "system.run(max_cycles=100_000)\n"
+            "loaded = {'numpy', 'scipy'} & {m.split('.')[0] for m in sys.modules}\n"
+            "assert not loaded, loaded\n"
+        )
+
+    def test_calibration_does_not_depend_on_when_they_load(self):
+        """Same solver, same bits: loaded by the first call that needs
+        them, or long before it."""
+        report = "import json; print(json.dumps(numbers))\n"
+        late = json.loads(_python(
+            "import sys, repro.cmp\n"
+            "assert 'scipy' not in sys.modules\n" + _CALIBRATION + report
+        ))
+        early = json.loads(_python(
+            "import numpy, scipy.optimize\n" + _CALIBRATION + report
+        ))
+        scope = {}
+        exec(_CALIBRATION, scope)
+        assert late == early == scope["numbers"]
+        assert len(late) == 12
 
 
 class TestFrequencyModel:

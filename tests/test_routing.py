@@ -352,6 +352,69 @@ class TestRouteTables:
         )
         assert table.build_route_tables() is None
 
+    def test_one_table_per_shape_shared_and_immutable(self):
+        """Every network of a shape gets the same tuple of tuples; another
+        size, topology class or discipline gets its own."""
+        tables = XYRouting(Mesh(4)).build_route_tables()
+        assert XYRouting(Mesh(4)).build_route_tables() is tables
+        assert isinstance(tables, tuple)
+        assert all(isinstance(row, tuple) for row in tables)
+        others = [
+            XYRouting(Mesh(5)).build_route_tables(),
+            XYRouting(Mesh(4, 2)).build_route_tables(),
+            XYRouting(ConcentratedMesh(4, concentration=1)).build_route_tables(),
+            XYRouting(ConcentratedMesh(4, concentration=4)).build_route_tables(),
+            FlattenedButterflyRouting(
+                FlattenedButterfly(4, concentration=4)
+            ).build_route_tables(),
+        ]
+        assert len({id(t) for t in others + [tables]}) == 6
+
+    def test_networks_share_tables_unless_faults_rule_them_out(self):
+        from repro.core.layouts import baseline_layout, build_network
+        from repro.faults.injector import FaultInjector
+        from repro.faults.schedule import FaultSchedule, FaultSpec
+
+        first = build_network(baseline_layout(4))
+        second = build_network(baseline_layout(4))
+        for a, b in zip(first.routers, second.routers):
+            assert a._route_table is b._route_table
+        assert first.routers[0]._route_table is not first.routers[1]._route_table
+        schedule = FaultSchedule(
+            specs=(FaultSpec(kind="link", router=5, port=2, mode="transient",
+                             at=50, repair_after=100),),
+            seed=3,
+        )
+        second.attach_faults(FaultInjector(schedule, second.topology))
+        assert all(router._route_table is None for router in second.routers)
+        assert first.routers[5]._route_table is not None
+        second.detach_faults()
+        assert second.routers[5]._route_table is first.routers[5]._route_table
+
+    def test_threads_probing_one_shape_end_with_one_table(self):
+        """The job server builds networks on several worker threads."""
+        import threading
+
+        from repro.noc import routing as routing_module
+
+        shape = Mesh(7)
+        barrier = threading.Barrier(4)
+        results = []
+
+        def build():
+            barrier.wait(timeout=30)
+            results.append(XYRouting(shape).build_route_tables())
+
+        before = len(routing_module._PROBED_TABLES)
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 and all(t is results[0] for t in results)
+        assert len(routing_module._PROBED_TABLES) == before + 1
+
     def test_probe_does_not_consume_packet_ids(self):
         before = Packet(src=0, dst=1, num_flits=1, created_at=0)
         XYRouting(Mesh(4)).build_route_tables()
