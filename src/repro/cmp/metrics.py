@@ -11,7 +11,7 @@ its IPC running alone on the same platform:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 
 def weighted_speedup(
@@ -37,21 +37,3 @@ def _check(shared: Sequence[float], alone: Sequence[float]) -> None:
     if any(v <= 0 for v in shared) or any(v <= 0 for v in alone):
         raise ValueError("IPC values must be positive")
 
-
-def ipc_improvement_pct(new_ipc: float, base_ipc: float) -> float:
-    """Percent IPC improvement of ``new`` over ``base``."""
-    if base_ipc <= 0:
-        raise ValueError("baseline IPC must be positive")
-    return 100.0 * (new_ipc - base_ipc) / base_ipc
-
-
-def summarize_ipc(per_core_ipc: Dict[int, float]) -> Dict[str, float]:
-    values = list(per_core_ipc.values())
-    if not values:
-        raise ValueError("no cores to summarize")
-    return {
-        "mean": sum(values) / len(values),
-        "min": min(values),
-        "max": max(values),
-        "total": sum(values),
-    }

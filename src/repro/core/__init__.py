@@ -8,9 +8,11 @@
   big-router count.
 * :mod:`repro.core.power` -- router power/area/frequency models calibrated
   to the paper's Table 1.
-* :mod:`repro.core.design_space` -- the exhaustive small-network placement
-  exploration of footnote 4.
 * :mod:`repro.core.merging` -- flit-combining statistics (Section 3.3).
+
+The footnote-4 placement search (every 4x4 placement, then the winning
+shapes at 8x8) is :func:`repro.search.exhaustive_search` over a
+:class:`repro.search.PlacementEvaluator`.
 """
 
 from repro.core.hetero import (

@@ -36,7 +36,7 @@ from repro.noc.config import (
     small_router_paper_mode,
 )
 from repro.noc.network import Network
-from repro.noc.routing import Routing
+from repro.noc.routing import Routing, router_traversal_counts
 from repro.noc.topology import Mesh, Topology
 
 LAYOUT_NAMES = (
@@ -256,14 +256,11 @@ def extended_diagonal_positions(n: int, num_big: int) -> Set[int]:
     Generalizes the paper's diagonal placement to other big-router
     budgets: the 2n diagonal seats fill first (fewest-first for budgets
     under 2n, ordered by centrality), then additional routers are added
-    in decreasing order of the analytic traversal count used by
-    :mod:`repro.core.design_space`.
+    in decreasing order of the X-Y traversal count
+    (:func:`repro.noc.routing.router_traversal_counts`).
     """
     if not 0 <= num_big <= n * n:
         raise ValueError(f"num_big must be in [0, {n * n}], got {num_big}")
-    from repro.core.design_space import router_traversal_counts
-    from repro.noc.topology import Mesh
-
     counts = router_traversal_counts(Mesh(n))
     diagonal = sorted(
         diagonal_positions(n), key=lambda r: (-counts[r], r)

@@ -40,13 +40,17 @@ configuration go to stderr so stdout stays byte-comparable across
 Each harness prints the paper-shaped rows/series; EXPERIMENTS.md holds
 the recorded measured-vs-paper comparison.  After each harness a progress
 line reports elapsed wall-clock and the ETA for the remaining harnesses
-(estimated from the mean harness duration so far).
+(estimated from the mean harness duration so far).  A harness that
+raises is reported -- ``[<name> FAILED: <error>]`` and its traceback on
+stderr -- and the rest still run; the exit code is then 1, with the
+failed harnesses named last.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+import traceback
 
 from repro.experiments import (
     ablation_mechanisms,
@@ -326,6 +330,25 @@ def _list_harnesses() -> int:
     return 0
 
 
+def _run_harness(name: str, fast: bool, csv_dir) -> None:
+    """Run one harness, then export its CSVs when ``csv_dir`` is set."""
+    from repro.exec import configure
+
+    # Tag this harness's sweeps in the store journal, so a later
+    # --resume reports progress per figure.
+    configure(sweep_tag=name)
+    try:
+        HARNESSES[name](fast)
+    finally:
+        configure(sweep_tag=None)
+    if csv_dir and name in _EXPORTABLE:
+        from repro.experiments.export import export_experiment
+
+        written = export_experiment(name, _EXPORTABLE[name](fast), csv_dir)
+        for path in written:
+            print(f"  wrote {path}")
+
+
 def main(argv: list) -> int:
     fast = "--full" not in argv
     if "--kernel" in argv:
@@ -379,31 +402,30 @@ def main(argv: list) -> int:
         resume_report = _report_resume(resume_store, names)
         _write_resume_manifest(resume_store, resume_report)
     suite_start = time.time()
+    failed = []
     for done, name in enumerate(names):
         print("=" * 72)
         print(f"{name}  ({'fast' if fast else 'full'} scale)")
         print("=" * 72)
         start = time.time()
-        from repro.exec import configure
-
-        # Tag this harness's sweeps in the store journal, so a later
-        # --resume reports progress per figure.
-        configure(sweep_tag=name)
+        outcome = "done"
         try:
-            HARNESSES[name](fast)
-        finally:
-            configure(sweep_tag=None)
-        if csv_dir and name in _EXPORTABLE:
-            from repro.experiments.export import export_experiment
-
-            written = export_experiment(name, _EXPORTABLE[name](fast), csv_dir)
-            for path in written:
-                print(f"  wrote {path}")
+            _run_harness(name, fast, csv_dir)
+        except Exception as exc:
+            # One harness raising must not cost the rest of the suite.
+            failed.append(name)
+            outcome = "FAILED"
+            sys.stdout.flush()
+            print(
+                f"[{name} FAILED: {type(exc).__name__}: {exc}]",
+                file=sys.stderr,
+            )
+            traceback.print_exc(file=sys.stderr)
         elapsed = time.time() - suite_start
         remaining = len(names) - (done + 1)
         eta = elapsed / (done + 1) * remaining
         print(
-            f"[{name} done in {time.time() - start:.1f} s; "
+            f"[{name} {outcome} in {time.time() - start:.1f} s; "
             f"{done + 1}/{len(names)} harnesses, {elapsed:.1f} s elapsed, "
             f"ETA {eta:.0f} s]\n"
         )
@@ -412,6 +434,13 @@ def main(argv: list) -> int:
         print("observability export")
         print("=" * 72)
         _export_observability(obs_dir, fast)
+    if failed:
+        print(
+            f"[run_all] {len(failed)} of {len(names)} harnesses failed: "
+            f"{' '.join(failed)}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

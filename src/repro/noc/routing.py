@@ -306,6 +306,36 @@ def minimal_routing_for(topology: Topology) -> Routing:
     raise TypeError(f"no minimal routing known for {type(topology).__name__}")
 
 
+def xy_path_routers(mesh: Mesh, src: int, dst: int) -> List[int]:
+    """Routers an X-Y-routed packet traverses from src to dst (inclusive)."""
+    src_row, src_col = mesh.coords(src)
+    dst_row, dst_col = mesh.coords(dst)
+    path = []
+    col_step = 1 if dst_col >= src_col else -1
+    for col in range(src_col, dst_col + col_step, col_step):
+        path.append(mesh.router_at(src_row, col))
+    row_step = 1 if dst_row >= src_row else -1
+    for row in range(src_row + row_step, dst_row + row_step, row_step) if src_row != dst_row else []:
+        path.append(mesh.router_at(row, dst_col))
+    return path
+
+
+def router_traversal_counts(mesh: Mesh) -> Dict[int, int]:
+    """How many uniform-random flows traverse each router under X-Y.
+
+    This is the analytic version of the Figure 1 heat map: central routers
+    are crossed by far more (src, dst) pairs than peripheral ones.
+    """
+    counts = {rid: 0 for rid in range(mesh.num_routers)}
+    for src in range(mesh.num_routers):
+        for dst in range(mesh.num_routers):
+            if src == dst:
+                continue
+            for router in xy_path_routers(mesh, src, dst):
+                counts[router] += 1
+    return counts
+
+
 def max_big_router_path(
     mesh: Mesh, src_router: int, dst_router: int, big_routers: Set[int]
 ) -> List[int]:

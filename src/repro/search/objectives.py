@@ -8,9 +8,9 @@ physically-motivated axes (plus caller-supplied extras), so the search
 can trade them off the way the paper's cycle simulations implicitly did:
 
 ``analytic``
-    The existing :mod:`repro.core.design_space` score -- load coverage
-    plus flow-coverage and row/column-spread tie-breakers -- computed
-    under the evaluator's traffic weighting.
+    The footnote-4 score -- load coverage plus flow-coverage and
+    row/column-spread tie-breakers -- computed under the evaluator's
+    traffic weighting.
 ``fairness``
     Worst-source covered-traffic fraction.  The paper's stated rationale
     for the diagonal ("big routers in every row and column") is exactly
@@ -103,7 +103,7 @@ class FlowModel:
             raise ValueError(
                 f"hotspot_factor must be >= 1, got {hotspot_factor}"
             )
-        from repro.core.design_space import xy_path_routers
+        from repro.noc.routing import xy_path_routers
         from repro.noc.topology import Mesh
 
         self.mesh_size = mesh_size

@@ -91,7 +91,10 @@ def refine_placements(
     (a :class:`~repro.search.objectives.PlacementEvaluator`) supplies
     the analytic score; omitted, a default uniform-random evaluator of
     the right mesh size is built.  Extra keyword arguments reach
-    :func:`repro.exec.run_sweep` (``jobs``, ``cache``, ...).
+    :func:`repro.exec.run_sweep` (``jobs``, ``cache``, ...); pass
+    ``submit=ServeClient(url).run_sweep`` to run the candidates on a
+    :mod:`repro.serve` job server instead, where a repeated shoot-out
+    dedups onto the first job.
     """
     from repro.exec.engine import run_sweep
     from repro.search.objectives import PlacementEvaluator
@@ -135,90 +138,3 @@ def _latency_rank(record: Dict[str, object]) -> Tuple[float, Tuple[int, ...]]:
     key = latency if latency == latency else float("inf")
     return (key, tuple(sorted(record["big_positions"])))
 
-
-def submit_refinement(
-    server,
-    placements: Sequence[Iterable[int]],
-    mesh_size: int,
-    rate: float = 0.08,
-    seed: int = 5,
-    measure_packets: int = 400,
-    warmup_packets: Optional[int] = None,
-    redistribute_links: bool = True,
-    faults=None,
-    kernel: Optional[str] = None,
-    priority: int = 0,
-    tag: str = "refine",
-    client: Optional[str] = None,
-) -> Dict[str, object]:
-    """Enqueue a refinement shoot-out on a sweep job server.
-
-    ``server`` is a :class:`repro.serve.ServeClient` or a URL string.
-    The survivors of an SA/GA search become one content-addressed job:
-    a second submission of the same candidates (same seed and scale)
-    dedups onto the first -- the queue-side twin of the engine cache.
-    Returns the server's submission record (``job_id``, ``deduped``,
-    ``state``).  Collect the ranked records later with
-    :func:`collect_refinement`.
-    """
-    from repro.serve.client import ServeClient
-
-    if isinstance(server, str):
-        server = ServeClient(server)
-    points = placement_points(
-        placements,
-        mesh_size,
-        rate=rate,
-        seed=seed,
-        warmup_packets=warmup_packets,
-        measure_packets=measure_packets,
-        redistribute_links=redistribute_links,
-        faults=faults,
-        kernel=kernel,
-    )
-    return server.submit(points, priority=priority, tag=tag, client=client)
-
-
-def collect_refinement(
-    server,
-    job_id: str,
-    placements: Sequence[Iterable[int]],
-    mesh_size: Optional[int] = None,
-    evaluator=None,
-    timeout: float = 3600.0,
-) -> List[Dict[str, object]]:
-    """Wait for a :func:`submit_refinement` job; return ranked records.
-
-    Output matches :func:`refine_placements` row for row (the server
-    executes each point with the same serial engine), so the two paths
-    are interchangeable in analysis code.  Pass ``mesh_size`` (or a
-    ready ``evaluator``) to score the analytic columns.
-    """
-    from repro.search.objectives import PlacementEvaluator
-    from repro.serve.client import ServeClient
-
-    if isinstance(server, str):
-        server = ServeClient(server)
-    placements = [tuple(sorted(set(p))) for p in placements]
-    if evaluator is None:
-        if mesh_size is None:
-            raise ValueError("collect_refinement needs mesh_size or evaluator")
-        evaluator = PlacementEvaluator(mesh_size)
-    server.wait(job_id, timeout=timeout)
-    results = server.results(job_id)
-    records: List[Dict[str, object]] = []
-    for positions, result in zip(placements, results):
-        records.append(
-            {
-                "big_positions": frozenset(positions),
-                "latency_cycles": result.latency_cycles,
-                "latency_ns": result.latency_ns,
-                "throughput": result.throughput,
-                "saturated": result.saturated,
-                "from_cache": result.from_cache,
-                "analytic_score": evaluator.evaluate(positions).analytic,
-                "scalar_score": evaluator.evaluate(positions).scalar,
-            }
-        )
-    records.sort(key=_latency_rank)
-    return records

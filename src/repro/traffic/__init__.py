@@ -13,7 +13,7 @@ from repro.traffic.patterns import (
 )
 from repro.traffic.runner import SyntheticRunResult, run_synthetic
 from repro.traffic.selfsimilar import SelfSimilarInjector
-from repro.traffic.trace import TraceReader, TraceRecord, TraceWriter
+from repro.traffic.trace import TraceRecord
 from repro.traffic.workloads import (
     WORKLOADS,
     WorkloadProfile,
@@ -28,9 +28,7 @@ __all__ = [
     "SelfSimilarInjector",
     "SyntheticRunResult",
     "Tornado",
-    "TraceReader",
     "TraceRecord",
-    "TraceWriter",
     "TrafficPattern",
     "Transpose",
     "UniformRandom",

@@ -331,6 +331,23 @@ class TestKnownDefects:
 
         run_one(layout, "canl", 400, seed=7, max_cycles=6_000)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="MESI deadlock inside fig11's own grid, reached without a "
+        "WB_ACK: owner 44 drops a clean Exclusive line silently (no PUTX), "
+        "so home 41 still forwards 46's GETS to it; 44 re-requests, the "
+        "FWD_GETS finds that MSHR and is parked on a fill queued behind "
+        "the forward's own transaction (ROADMAP item 2, EXPERIMENTS "
+        "Fig 11/12)",
+    )
+    def test_ddup_center_bl_at_fig11_scale_and_seed_finishes(self):
+        """``ddup`` on ``center+BL`` at seed 7 and 400 records/core -- a
+        cell of fig11's default grid -- leaves cores 44 and 46 waiting;
+        seeds 1-3 finish in about 1,900-2,300 cycles."""
+        from repro.experiments.fig11_applications import run_one
+
+        run_one("center+BL", "ddup", 400, seed=7, max_cycles=6_000)
 
     @pytest.mark.xfail(
         strict=True,

@@ -13,12 +13,7 @@ from repro.cmp.core_model import (
     small_core_config,
 )
 from repro.cmp.memory import MemoryConfig, MemoryController
-from repro.cmp.metrics import (
-    harmonic_speedup,
-    ipc_improvement_pct,
-    summarize_ipc,
-    weighted_speedup,
-)
+from repro.cmp.metrics import harmonic_speedup, weighted_speedup
 from repro.traffic.trace import TraceRecord
 
 
@@ -364,15 +359,3 @@ class TestMetrics:
             harmonic_speedup([], [])
         with pytest.raises(ValueError):
             weighted_speedup([0.0], [1.0])
-
-    def test_ipc_improvement(self):
-        assert ipc_improvement_pct(1.12, 1.0) == pytest.approx(12.0)
-        with pytest.raises(ValueError):
-            ipc_improvement_pct(1.0, 0.0)
-
-    def test_summarize(self):
-        summary = summarize_ipc({0: 1.0, 1: 3.0})
-        assert summary["mean"] == pytest.approx(2.0)
-        assert summary["min"] == 1.0 and summary["max"] == 3.0
-        with pytest.raises(ValueError):
-            summarize_ipc({})

@@ -53,7 +53,8 @@ GOLDEN_POINTS = {
         layout="diagonal+BL", mesh_size=4, pattern="nearest_neighbor",
         rate=0.08, seed=7, warmup_packets=50, measure_packets=300,
     ),
-    # The torus wedge (ROADMAP item 1): while the dateline class was
+    # The torus wedge, since fixed (tests/test_deadlock_freedom.py proves
+    # the dateline rule statically): while the dateline class was
     # dropped one hop after the Y wrap link, this point never drained --
     # 28 measured packets still in flight at the drain cap (seeds 10, 13
     # and 19 left 2, 21 and 14).  It finishes in ~200 cycles.

@@ -195,3 +195,27 @@ class TestRunAllCli:
     def test_resume_without_cache_rejected(self, capsys):
         assert run_all.main(["--resume", "--no-cache", "table1"]) == 2
         assert "--resume needs the cache" in capsys.readouterr().out
+
+    def test_a_raising_harness_does_not_stop_the_rest(
+        self, capsys, monkeypatch
+    ):
+        ran = []
+
+        def _raises(fast):
+            ran.append("broken")
+            raise RuntimeError("cores still running: [44, 46]")
+
+        monkeypatch.setitem(run_all.HARNESSES, "broken", _raises)
+        monkeypatch.setitem(
+            run_all.HARNESSES, "after", lambda fast: ran.append("after")
+        )
+        assert run_all.main(["broken", "table1", "after"]) == 1
+        assert ran == ["broken", "after"]
+        captured = capsys.readouterr()
+        assert "Table 1" in captured.out
+        assert (
+            "[broken FAILED: RuntimeError: cores still running: [44, 46]]"
+            in captured.err
+        )
+        assert "Traceback (most recent call last)" in captured.err
+        assert "harnesses failed: broken" in captured.err

@@ -12,6 +12,7 @@ from repro.noc.routing import (
     XYRouting,
     max_big_router_path,
     minimal_routing_for,
+    xy_path_routers,
 )
 from repro.noc.topology import (
     ConcentratedMesh,
@@ -212,8 +213,6 @@ class TestMaxBigRouterPath:
     def test_visits_at_least_as_many_big_as_xy(self):
         mesh = Mesh(8)
         big = diagonal_positions(8)
-        from repro.core.design_space import xy_path_routers
-
         for src, dst in ((0, 62), (8, 55), (16, 31), (1, 62)):
             staircase = max_big_router_path(mesh, src, dst, big)
             xy = xy_path_routers(mesh, src, dst)
@@ -255,8 +254,6 @@ class TestTableRouting:
         mesh, routing = self._routing()
         big = diagonal_positions(8)
         path = routing.path_routers(0, 62)
-        from repro.core.design_space import xy_path_routers
-
         xy = xy_path_routers(mesh, 0, 62)
         assert sum(r in big for r in path) >= sum(r in big for r in xy)
 

@@ -38,7 +38,7 @@ class TestFlowModel:
     def test_offered_load_matches_traversal_counts(self):
         """Uniform-random offered load is the footnote-4 traversal count,
         normalized."""
-        from repro.core.design_space import router_traversal_counts
+        from repro.noc.routing import router_traversal_counts
         from repro.noc.topology import Mesh
 
         model = FlowModel(4)

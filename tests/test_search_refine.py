@@ -105,38 +105,41 @@ class TestRefinePlacements:
 
 
 class TestSubmitRefinement:
-    def test_server_refinement_matches_local(self, tmp_path):
-        """submit_refinement -> collect_refinement returns the same
-        ranked records as a local refine_placements of the same
-        candidates, and a resubmission dedups onto the finished job."""
-        from repro.search.refine import collect_refinement, submit_refinement
+    @pytest.fixture
+    def url(self, tmp_path):
         from repro.serve import SweepServer
+
+        server = SweepServer(tmp_path / "s.sqlite", port=0, workers=2)
+        server.start()
+        try:
+            yield f"http://127.0.0.1:{server.port}"
+        finally:
+            server.stop()
+
+    def test_server_refinement_matches_local(self, url):
+        """A refinement shipped to a job server through the engine's
+        ``submit`` hook returns the same ranked records as a local run."""
+        from repro.serve.client import ServeClient
 
         local = refine_placements(
             CANDIDATES, 4, rate=0.05, measure_packets=120, cache=None
         )
-        server = SweepServer(tmp_path / "s.sqlite", port=0, workers=2)
-        server.start()
-        try:
-            url = f"http://127.0.0.1:{server.port}"
-            submitted = submit_refinement(
-                url, CANDIDATES, 4, rate=0.05, measure_packets=120
-            )
-            assert not submitted["deduped"]
-            records = collect_refinement(
-                url, submitted["job_id"], CANDIDATES, mesh_size=4
-            )
-            assert _strip_cache_flag(records) == _strip_cache_flag(local)
-            again = submit_refinement(
-                url, CANDIDATES, 4, rate=0.05, measure_packets=120
-            )
-            assert again["deduped"]
-            assert again["job_id"] == submitted["job_id"]
-        finally:
-            server.stop()
+        served = refine_placements(
+            CANDIDATES, 4, rate=0.05, measure_packets=120,
+            submit=ServeClient(url).run_sweep,
+        )
+        assert _strip_cache_flag(served) == _strip_cache_flag(local)
 
-    def test_collect_needs_mesh_size_or_evaluator(self):
-        from repro.search.refine import collect_refinement
+    def test_resubmitted_candidates_dedup_onto_first_job(self, url):
+        from repro.serve.client import ServeClient
 
-        with pytest.raises(ValueError, match="mesh_size or evaluator"):
-            collect_refinement("http://127.0.0.1:1", "job", CANDIDATES)
+        client = ServeClient(url)
+        points = placement_points(CANDIDATES, 4, rate=0.05, measure_packets=120)
+        first = client.submit(points)
+        assert not first["deduped"]
+        client.wait(first["job_id"], timeout=120)
+        again = client.submit(
+            placement_points(CANDIDATES, 4, rate=0.05, measure_packets=120)
+        )
+        assert again["deduped"]
+        assert again["job_id"] == first["job_id"]

@@ -1,11 +1,8 @@
-"""Tests for the trace format and synthetic workload profiles."""
-
-import io
+"""Tests for the trace record and synthetic workload profiles."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.traffic.trace import TraceReader, TraceRecord, TraceWriter, roundtrip
+from repro.traffic.trace import TraceRecord
 from repro.traffic.workloads import (
     BLOCK_BYTES,
     FAR_REGION_BASE,
@@ -29,47 +26,6 @@ class TestTraceFormat:
 
     def test_instructions_property(self):
         assert TraceRecord(gap=5, is_write=True, address=0).instructions == 6
-
-    def test_write_read_roundtrip(self):
-        records = [
-            TraceRecord(gap=3, is_write=False, address=0x1000),
-            TraceRecord(gap=0, is_write=True, address=0xDEADBEEF),
-        ]
-        assert roundtrip(records) == records
-
-    def test_reader_skips_comments_and_blanks(self):
-        text = "# header\n\n2 L 40\n"
-        records = TraceReader(text).read_all()
-        assert records == [TraceRecord(gap=2, is_write=False, address=0x40)]
-
-    def test_reader_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            TraceReader("2 X 40\n").read_all()
-        with pytest.raises(ValueError):
-            TraceReader("2 L\n").read_all()
-
-    def test_writer_counts(self):
-        buffer = io.StringIO()
-        writer = TraceWriter(buffer)
-        writer.write_all(
-            TraceRecord(gap=i, is_write=False, address=i * 64) for i in range(5)
-        )
-        assert writer.records_written == 5
-
-    @given(
-        st.lists(
-            st.builds(
-                TraceRecord,
-                gap=st.integers(min_value=0, max_value=1000),
-                is_write=st.booleans(),
-                address=st.integers(min_value=0, max_value=2**48),
-            ),
-            max_size=50,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_property(self, records):
-        assert roundtrip(records) == records
 
 
 class TestWorkloadProfiles:
