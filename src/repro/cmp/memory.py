@@ -84,7 +84,3 @@ class MemoryController:
             else:
                 still_waiting.append((done_at, msg))
         self._in_flight = still_waiting
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue) + len(self._in_flight)

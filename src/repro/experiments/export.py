@@ -1,42 +1,25 @@
 """CSV export for experiment results.
 
 Every harness returns plain dict/list structures; these helpers flatten
-them into CSV files so the figures can be re-plotted outside Python.
+them into CSV files (through :func:`repro.obs.replay.write_rows`, the one
+CSV writer) so the figures can be re-plotted outside Python.
 ``python -m repro.experiments.run_all --csv <dir>`` writes one file per
 experiment.
 
-:func:`export_observation` extends the same treatment to observability
-artifacts (see :mod:`repro.obs`): sampler time series become long-format
+:func:`export_observation` writes an observation bundle's artifacts, each
+through the object that owns it: sampler time series become long-format
 CSVs, packet traces become JSONL plus a Chrome ``trace_event`` document,
-and profiler reports become JSON.
+and profiler and metrics reports become JSON.
 """
 
 from __future__ import annotations
 
-import csv
 import pathlib
 from typing import Dict, List, Mapping, Sequence, Union
 
+from repro.obs.replay import write_rows
+
 Scalar = Union[int, float, str, bool, None]
-
-
-def write_rows(
-    path: Union[str, pathlib.Path],
-    rows: Sequence[Mapping[str, Scalar]],
-    fieldnames: Sequence[str] = None,
-) -> pathlib.Path:
-    """Write a list of flat dicts as CSV; returns the path written."""
-    if not rows:
-        raise ValueError("nothing to export: rows is empty")
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fieldnames = list(fieldnames) if fieldnames else list(rows[0].keys())
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k) for k in fieldnames})
-    return path
 
 
 def flatten_grid(
@@ -115,35 +98,36 @@ def export_observation(
     _pairs.csv}`` for the kernel metrics.  Returns the list of paths
     written.
     """
-    from repro.obs.exporters import (
-        write_attribution,
-        write_chrome_trace,
-        write_metrics_json,
-        write_profile_json,
-        write_sampler_csv,
-        write_trace_jsonl,
-    )
+    from repro.obs.attribution import attribute_metrics
+    from repro.obs.replay import write_events, write_json
 
     directory = pathlib.Path(directory)
     written: List[pathlib.Path] = []
-    sampler = getattr(observation, "sampler", None)
+    sampler = observation.sampler
     if sampler is not None and sampler.windows:
-        written.extend(write_sampler_csv(sampler, directory, prefix=name))
-    tracer = getattr(observation, "tracer", None)
+        written.extend(sampler.write_csv(directory, prefix=name))
+    tracer = observation.tracer
     if tracer is not None and tracer.traces:
-        written.append(write_trace_jsonl(tracer, directory / f"{name}_trace.jsonl"))
         written.append(
-            write_chrome_trace(tracer, directory / f"{name}_trace_chrome.json")
+            write_events(directory / f"{name}_trace.jsonl", tracer.iter_events())
         )
-    profiler = getattr(observation, "profiler", None)
+        written.append(
+            tracer.write_chrome_trace(directory / f"{name}_trace_chrome.json")
+        )
+    profiler = observation.profiler
     if profiler is not None and profiler.steps:
         written.append(
-            write_profile_json(profiler, directory / f"{name}_profile.json")
+            write_json(directory / f"{name}_profile.json", profiler.report())
         )
-    metrics = getattr(observation, "metrics", None)
+    metrics = observation.metrics
     if metrics is not None and metrics.cycles:
+        written.append(metrics.write_json(directory / f"{name}_metrics.json"))
+        report = attribute_metrics(metrics)
         written.append(
-            write_metrics_json(metrics, directory / f"{name}_metrics.json")
+            report.write_json(directory / f"{name}_attribution.json")
         )
-        written.extend(write_attribution(metrics, directory, prefix=name))
+        links = directory / f"{name}_attribution_links.csv"
+        pairs = directory / f"{name}_attribution_pairs.csv"
+        report.write_csv(links, pairs)
+        written += [links, pairs]
     return written

@@ -116,7 +116,6 @@ def _export_observability(directory: str, fast: bool) -> None:
     -- the quickest way to get trace/span files for
     ``python -m repro.obs.replay``.
     """
-    import json
     import pathlib
 
     from repro.exec import run_sweep, sweep_points
@@ -124,13 +123,8 @@ def _export_observability(directory: str, fast: bool) -> None:
     from repro.experiments.export import export_observation
     from repro.obs.attribution import attribute_metrics
     from repro.obs.heatmap import render_report
-    from repro.obs.manifest import (
-        RunManifest,
-        SearchTrace,
-        SweepTelemetry,
-        merge_chrome_events,
-        write_spans_jsonl,
-    )
+    from repro.obs.manifest import RunManifest, SearchTrace, SweepTelemetry
+    from repro.obs.replay import write_events, write_json
     from repro.search.objectives import PlacementEvaluator
     from repro.search.optimize import simulated_annealing
 
@@ -170,20 +164,21 @@ def _export_observability(directory: str, fast: bool) -> None:
         PlacementEvaluator(4), num_big=4, steps=200, restarts=1,
         polish_top=1, telemetry=trace,
     )
-    spans_path = directory / "obs_demo_spans.jsonl"
-    write_spans_jsonl(spans_path, telemetry.spans + trace.records)
+    spans_path = write_events(
+        directory / "obs_demo_spans.jsonl", telemetry.spans + trace.records
+    )
     print(f"  wrote {spans_path}")
 
-    merged = merge_chrome_events(
-        observation.tracer.chrome_trace_events() if observation.tracer else [],
-        telemetry.chrome_trace_events(),
+    # Packet events tick in simulated cycles and span events in wall-clock
+    # microseconds: two process-separated tracks, not one shared clock.
+    chrome_path = write_json(
+        directory / "obs_demo_chrome_merged.json",
+        {
+            "traceEvents": observation.tracer.chrome_trace_events()
+            + telemetry.chrome_trace_events(),
+            "otherData": {"time_unit": "mixed"},
+        },
     )
-    chrome_path = directory / "obs_demo_chrome_merged.json"
-    with chrome_path.open("w") as handle:
-        json.dump(
-            {"traceEvents": merged, "otherData": {"time_unit": "mixed"}},
-            handle,
-        )
     print(f"  wrote {chrome_path}")
 
     manifest = RunManifest.collect(
@@ -321,12 +316,15 @@ def _list_harnesses() -> int:
     """
     import os
 
+    from repro.noc.config import NetworkConfig
+
     width = max(len(name) for name in HARNESSES)
     print(f"{'harness':<{width}}  {'sweep tag':<{width}}  csv")
     for name in HARNESSES:
         csv = "yes" if name in _EXPORTABLE else "-"
         print(f"{name:<{width}}  {name:<{width}}  {csv}")
-    print(f"cycle kernel: {os.environ.get('REPRO_KERNEL', 'event')}")
+    kernel = os.environ.get("REPRO_KERNEL") or NetworkConfig.kernel
+    print(f"cycle kernel: {kernel}")
     return 0
 
 

@@ -1048,9 +1048,6 @@ class CKernel:
     def source_queue_len(self, node: int) -> int:
         return self.lib.ck_source_len(self._ck, node)
 
-    def wake(self, router_id: int) -> None:
-        self.lib.ck_wake(self._ck, router_id)
-
     def wake_source(self, node: int) -> None:
         self.lib.ck_src_wake(self._ck, node)
 

@@ -195,9 +195,6 @@ class NetworkConfig:
         frequency_ghz: network clock; a heterogeneous network runs at the
             worst-case (big-router) frequency per Section 3.4.
         data_packet_bits: payload of a data packet.
-        escape_vc: index of the virtual channel reserved for deadlock-free
-            escape routing when table-based routing is in use (``None``
-            disables the reservation).
         source_queue_limit: maximum packets buffered at a source;
             :meth:`Network.enqueue` returns ``False`` and drops the packet
             beyond it (``None`` means unbounded, the synthetic open-loop
@@ -225,7 +222,6 @@ class NetworkConfig:
     credit_delay: int = 1
     frequency_ghz: float = BASELINE_FREQUENCY_GHZ
     data_packet_bits: int = 1024
-    escape_vc: Optional[int] = None
     source_queue_limit: Optional[int] = None
     flit_merging: bool = True
     kernel: str = "event"

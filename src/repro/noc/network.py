@@ -402,12 +402,6 @@ class Network:
         if self._ck is not None:
             self._ck.hand_back()
 
-    def wake_router(self, router_id: int) -> None:
-        """Mark a router active (for callers that write flits directly)."""
-        self._active_routers.add(router_id)
-        if self._ck is not None:
-            self._ck.wake(router_id)
-
     def wake_source(self, node: int) -> None:
         """Mark a source node active (for callers that bypass enqueue)."""
         self._active_sources.add(node)

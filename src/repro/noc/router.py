@@ -311,42 +311,14 @@ class Router:
             return False
         return True
 
-    def _eligible_vcs(self, port: int, cycle: int) -> List[int]:
-        """VCs of ``port`` whose head flit could traverse the switch now.
+    def _eligible_vcs_faulty(self, port: int, cycle: int) -> List[int]:
+        """VCs of ``port`` whose head flit could traverse the switch now,
+        on a faulty router (the fault-free scan is inlined in
+        :meth:`allocate_switch`).
 
         VC ascending order is load-bearing: ``_pick_second_flit`` scans the
-        returned list in order when choosing a same-port companion flit.
+        eligible list in order when choosing a same-port companion flit.
         """
-        if self.faults is not None:
-            return self._eligible_vcs_faulty(port, cycle)
-        eligible = []
-        states = self._vc_states[port]
-        is_ejection = self.is_ejection
-        out_credits = self.out_credits
-        for vc in range(self.num_vcs):
-            state = states[vc]
-            queue = state.queue
-            if not queue:
-                continue
-            flit = queue[0]
-            if flit.ready_at > cycle:
-                continue
-            out_vc = state.out_vc
-            if out_vc is None:
-                continue
-            if state.packet_id != flit.packet.packet_id:
-                continue  # new packet still needs RC/VA
-            out_port = state.route_port
-            if is_ejection[out_port]:
-                eligible.append(vc)
-            elif out_credits[out_port][out_vc] > 0:
-                eligible.append(vc)
-            else:
-                self.activity.credit_stalls += 1
-        return eligible
-
-    def _eligible_vcs_faulty(self, port: int, cycle: int) -> List[int]:
-        """Fault-aware variant of ``_eligible_vcs`` (off the fast path)."""
         eligible = []
         faults = self.faults
         for vc in range(self.num_vcs):
@@ -407,8 +379,8 @@ class Router:
             if faulty:
                 eligible = self._eligible_vcs_faulty(port, cycle)
             else:
-                # _eligible_vcs inlined: one method call per active port
-                # per cycle is measurable at mesh scale.
+                # The fault-free scan, inlined: one method call per active
+                # port per cycle is measurable at mesh scale.
                 eligible = []
                 states = vc_states[port]
                 for vc in range(num_vcs):

@@ -301,13 +301,6 @@ class NetworkStats:
         self.packets_delivered += len(total)
         self.flits_delivered += sum(num_flits)
 
-    def record_link_use(
-        self, src_router: int, src_port: int, num_flits: int
-    ) -> None:
-        key = (src_router, src_port)
-        self.link_flits[key] = self.link_flits.get(key, 0) + num_flits
-        self.link_busy_cycles[key] = self.link_busy_cycles.get(key, 0) + 1
-
     # -- aggregate latency metrics -------------------------------------------
     def _mean(self, column: List[int]) -> float:
         if not column:

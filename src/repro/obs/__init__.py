@@ -20,17 +20,20 @@ The package instruments the simulator through lightweight hook points (see
   spans, search telemetry, and run manifests;
 * :class:`~repro.obs.profiler.RunProfiler` -- wall-clock phase profiling
   plus :class:`~repro.obs.profiler.Progress` / ETA callbacks;
-* :mod:`repro.obs.exporters` -- CSV/JSON writers;
-* ``python -m repro.obs.replay trace.jsonl`` -- trace/span summaries.
+* :mod:`repro.obs.replay` -- the one writer per file format (JSONL
+  records, JSON documents, CSV rows), the Chrome renderings and span
+  summary, and ``python -m repro.obs.replay trace.jsonl`` to read them
+  back.
 
 Typical use::
 
     from repro.obs import observe
+    from repro.obs.replay import write_events
     obs = observe(network, sample_window=200, trace=True, profile=True)
     result = run_synthetic(network, pattern, rate, profiler=obs.profiler)
     obs.finalize()
     obs.sampler.buffer_utilization_series(27)   # hot center router
-    obs.tracer.write_jsonl("trace.jsonl")
+    write_events("trace.jsonl", obs.tracer.iter_events())
     print(obs.profiler.format_report())
 """
 

@@ -22,10 +22,12 @@ measurement-window accounting, conservation unchecked).  Render with
 
 from __future__ import annotations
 
-import csv
 import json
+import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.replay import write_json, write_rows
 
 __all__ = [
     "AttributionReport",
@@ -155,26 +157,8 @@ class AttributionReport:
             "link_flits_total": self.link_flits_total,
             "expected_link_flits": self.expected_link_flits,
             "conserved": self.conserved,
-            "links": [
-                {
-                    "router": r,
-                    "port": p,
-                    "direction": port_name(p),
-                    "flits": flits,
-                    "busy_cycles": self.link_busy.get((r, p), 0),
-                    "utilization": self.link_utilization((r, p)),
-                }
-                for (r, p), flits in sorted(self.link_flits.items())
-            ],
-            "pairs": [
-                {
-                    "src": s,
-                    "dst": d,
-                    "flits": flits,
-                    "packets": self.pair_packets.get((s, d), 0),
-                }
-                for (s, d), flits in sorted(self.pair_flits.items())
-            ],
+            "links": self.link_rows(),
+            "pairs": self.pair_rows(),
             "routers": [
                 {
                     "router": r,
@@ -220,10 +204,8 @@ class AttributionReport:
             )
         return report
 
-    def write_json(self, path, top_k: int = 10) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(top_k), fh, indent=1)
-            fh.write("\n")
+    def write_json(self, path, top_k: int = 10) -> pathlib.Path:
+        return write_json(path, self.to_json_dict(top_k), indent=1)
 
     @classmethod
     def read_json(cls, path) -> "AttributionReport":
@@ -231,19 +213,21 @@ class AttributionReport:
             return cls.from_json_dict(json.load(fh))
 
     def link_rows(self) -> List[dict]:
+        """One row per link, sorted by (router, port)."""
         return [
             {
-                "src_router": r,
-                "src_port": p,
+                "router": r,
+                "port": p,
                 "direction": port_name(p),
                 "flits": flits,
                 "busy_cycles": self.link_busy.get((r, p), 0),
-                "utilization": f"{self.link_utilization((r, p)):.6f}",
+                "utilization": self.link_utilization((r, p)),
             }
             for (r, p), flits in sorted(self.link_flits.items())
         ]
 
     def pair_rows(self) -> List[dict]:
+        """One row per (src, dst) pair, sorted."""
         return [
             {
                 "src": s,
@@ -255,20 +239,22 @@ class AttributionReport:
         ]
 
     def write_csv(self, links_path, pairs_path=None) -> None:
-        """Write the per-link table (and optionally the per-pair table)."""
-        _write_rows(links_path, self.link_rows(),
-                    ["src_router", "src_port", "direction", "flits",
-                     "busy_cycles", "utilization"])
+        """Write the ``links`` table (and optionally ``pairs``) of
+        :meth:`to_json_dict` as CSV; a link's columns name its source
+        router and port, and its utilization is printed to six places."""
+        write_rows(
+            links_path,
+            [
+                dict(row, src_router=row["router"], src_port=row["port"],
+                     utilization=f"{row['utilization']:.6f}")
+                for row in self.link_rows()
+            ],
+            ["src_router", "src_port", "direction", "flits", "busy_cycles",
+             "utilization"],
+        )
         if pairs_path is not None:
-            _write_rows(pairs_path, self.pair_rows(),
-                        ["src", "dst", "flits", "packets"])
-
-
-def _write_rows(path, rows: List[dict], fieldnames: List[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+            write_rows(pairs_path, self.pair_rows(),
+                       ["src", "dst", "flits", "packets"])
 
 
 def _mesh_shape(network) -> Tuple[int, int]:

@@ -7,9 +7,9 @@ Three pieces, all engine-side (wall-clock) rather than kernel-side
   structured spans recorded by :func:`repro.exec.engine.run_sweep` when a
   telemetry object is passed (or configured): queue wait, simulation wall
   time, worker pid, cache hit/miss, attempt count, config digest.  Spans
-  export as JSONL (``type: "span"`` records the replay CLI understands)
-  and as Chrome ``trace_event`` complete ("X") events that merge with the
-  packet tracer's output.
+  are ``type: "span"`` records: :func:`repro.obs.replay.write_events`
+  writes them as JSONL, and the replay module renders them as Chrome
+  ``trace_event`` complete ("X") events and summarizes them.
 * :class:`SearchTrace` -- per-step / per-generation best-score telemetry
   from :mod:`repro.search.optimize`.  Purely additive: the optimizers
   never let telemetry touch their RNG, so traced and untraced runs are
@@ -27,11 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 import platform as _platform
 import subprocess
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from repro.obs.replay import spans_to_chrome, summarize_spans, write_json
 
 __all__ = [
     "SweepTelemetry",
@@ -39,8 +42,6 @@ __all__ = [
     "RunManifest",
     "git_sha",
     "config_digest",
-    "merge_chrome_events",
-    "write_spans_jsonl",
 ]
 
 
@@ -66,26 +67,6 @@ def config_digest(config: object) -> str:
     """Stable sha256 of any JSON-serializable configuration object."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def write_spans_jsonl(path, spans: List[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            fh.write(json.dumps(span) + "\n")
-
-
-def merge_chrome_events(*event_lists: List[dict]) -> List[dict]:
-    """Concatenate Chrome ``trace_event`` lists into one timeline.
-
-    The packet tracer's events tick in simulated cycles while span events
-    tick in microseconds of wall clock, so the merged file is two
-    process-separated tracks, not one shared clock; ``chrome://tracing``
-    renders them as separate rows.
-    """
-    merged: List[dict] = []
-    for events in event_lists:
-        merged.extend(events)
-    return merged
 
 
 class SweepTelemetry:
@@ -130,53 +111,12 @@ class SweepTelemetry:
 
     # -- views ----------------------------------------------------------------
     def summary(self) -> dict:
-        spans = self.spans
-        return {
-            "points": len(spans),
-            "cache_hits": sum(1 for s in spans if s["cache_hit"]),
-            "errors": sum(1 for s in spans if s["error"]),
-            "retried_points": sum(1 for s in spans if s["attempts"] > 1),
-            "total_sim_s": round(sum(s["sim_s"] for s in spans), 6),
-            "total_queue_wait_s": round(
-                sum(s["queue_wait_s"] for s in spans), 6
-            ),
-            "workers": sorted({s["worker"] for s in spans}),
-        }
+        """See :func:`repro.obs.replay.summarize_spans`."""
+        return summarize_spans(self.spans)
 
     def chrome_trace_events(self) -> List[dict]:
-        """Spans as Chrome complete ("X") events, one track per worker.
-
-        ``ts`` is microseconds since the earliest span start; spans with
-        no recorded start (cache hits recorded parent-side) sit at 0.
-        """
-        starts = [
-            s["start_s"] for s in self.spans if s["start_s"] is not None
-        ]
-        origin = min(starts) if starts else 0.0
-        events = []
-        for span in self.spans:
-            start = span["start_s"]
-            ts = 0.0 if start is None else (start - origin) * 1e6
-            events.append({
-                "name": span["name"],
-                "cat": "sweep",
-                "ph": "X",
-                "ts": ts,
-                "dur": span["sim_s"] * 1e6,
-                "pid": "sweep",
-                "tid": f"worker-{span['worker']}",
-                "args": {
-                    "queue_wait_s": span["queue_wait_s"],
-                    "cache_hit": span["cache_hit"],
-                    "attempts": span["attempts"],
-                    "error": span["error"],
-                    "config_digest": span["config_digest"][:12],
-                },
-            })
-        return events
-
-    def write_jsonl(self, path) -> None:
-        write_spans_jsonl(path, self.spans)
+        """See :func:`repro.obs.replay.spans_to_chrome`."""
+        return spans_to_chrome(self.spans)
 
 
 class SearchTrace:
@@ -228,9 +168,6 @@ class SearchTrace:
     def best_curve(self) -> List[float]:
         """The best-so-far trajectory across all records, in order."""
         return [r["best"] for r in self.records]
-
-    def write_jsonl(self, path) -> None:
-        write_spans_jsonl(path, self.records)
 
 
 @dataclass
@@ -301,10 +238,8 @@ class RunManifest:
             "extra": self.extra,
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+    def write_json(self, path) -> pathlib.Path:
+        return write_json(path, self.to_json_dict(), indent=1)
 
     @classmethod
     def read_json(cls, path) -> "RunManifest":

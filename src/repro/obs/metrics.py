@@ -26,7 +26,7 @@ and :meth:`KernelMetrics.snapshot` reads the delta since attach.
 
 from __future__ import annotations
 
-import json
+import pathlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.hooks import Observer
@@ -181,10 +181,11 @@ class MetricsRegistry:
             rows.append(row)
         return rows
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=1)
-            fh.write("\n")
+    def write_json(self, path) -> pathlib.Path:
+        # Deferred import: see the note in repro.obs.replay.
+        from repro.obs.replay import write_json
+
+        return write_json(path, self.snapshot(), indent=1)
 
 
 _OCCUPANCY_BUCKETS = (0.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
@@ -482,7 +483,8 @@ class KernelMetrics(Observer):
             "active_routers_hist": self._active_hist.to_dict(),
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=1)
-            fh.write("\n")
+    def write_json(self, path) -> pathlib.Path:
+        # Deferred import: see the note in repro.obs.replay.
+        from repro.obs.replay import write_json
+
+        return write_json(path, self.snapshot(), indent=1)

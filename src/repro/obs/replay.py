@@ -1,4 +1,4 @@
-"""Summarize (and convert) packet trace and engine span files.
+"""The file formats of :mod:`repro.obs`, and a CLI that reads them back.
 
 Usage::
 
@@ -7,27 +7,88 @@ Usage::
     python -m repro.obs.replay trace.jsonl --packet 42  # one packet's hops
     python -m repro.obs.replay spans.jsonl              # engine spans
 
-Two record families share the JSONL format:
+Every artifact the package writes goes through one of three writers
+here: :func:`write_events` (JSONL records, read back by
+:func:`load_events`), :func:`write_json` (one JSON document) and
+:func:`write_rows` (a CSV table).  Two record families share the JSONL
+format:
 
-* packet trace events written by
-  :meth:`repro.obs.tracer.PacketTracer.write_jsonl` -- one event object
-  per line, each carrying at least ``type``, ``cycle`` and ``packet_id``;
-* engine records (``"type": "span"``) written by
+* packet trace events (:meth:`repro.obs.tracer.PacketTracer.iter_events`)
+  -- each carrying at least ``type``, ``cycle`` and ``packet_id``;
+* engine records (``"type": "span"``) from
   :class:`repro.obs.manifest.SweepTelemetry` /
   :class:`~repro.obs.manifest.SearchTrace` -- per-sweep-point wall-clock
   spans and per-step search telemetry.
 
-A file may mix both; the summary reports each family separately and
-``--chrome`` renders packet events as B/E pairs and sweep spans as
-complete ("X") events on per-worker tracks.
+A file may mix both.  The Chrome renderings (:func:`packets_to_chrome`,
+:func:`spans_to_chrome`, :func:`to_chrome`) and the span summary
+(:func:`summarize_spans`) work on these records, so ``--chrome`` on a
+trace file rewrites the tracer's own Chrome document byte for byte.
+
+The modules ``import repro.obs`` loads (tracer, sampler, metrics) import
+from here inside their functions: were this module imported with the
+package, ``python -m repro.obs.replay`` would find itself already loaded
+and warn.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import pathlib
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
+
+
+def _create(path) -> pathlib.Path:
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def write_events(path, records: Iterable[dict]) -> pathlib.Path:
+    """Write one compact JSON object per line; returns the path written."""
+    path = _create(path)
+    with path.open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, separators=(",", ":")))
+            handle.write("\n")
+    return path
+
+
+def write_json(path, document, indent: Optional[int] = None) -> pathlib.Path:
+    """Write one JSON document; returns the path written.
+
+    Chrome traces stay on one line (``indent=None``); reports meant for
+    reading pass ``indent=1`` and end with a newline.
+    """
+    text = json.dumps(document, indent=indent)
+    if indent is not None:
+        text += "\n"
+    path = _create(path)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def write_rows(
+    path, rows: Sequence[dict], fieldnames: Optional[Sequence[str]] = None
+) -> pathlib.Path:
+    """Write flat dicts as CSV; returns the path written.
+
+    ``fieldnames`` picks and orders the columns (default: the first
+    row's keys); without it an empty ``rows`` is a ``ValueError``.
+    """
+    if fieldnames is None:
+        if not rows:
+            raise ValueError("nothing to export: rows is empty")
+        fieldnames = list(rows[0])
+    path = _create(path)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: row.get(k) for k in fieldnames})
+    return path
 
 
 def load_events(path) -> List[dict]:
@@ -54,93 +115,134 @@ def split_records(events: List[dict]):
     return trace, spans
 
 
-def summarize_spans(spans: List[dict]) -> Dict[str, object]:
-    """Aggregate engine span records into headline numbers."""
-    sweep = [s for s in spans if s.get("kind") == "sweep_point"]
-    search = [s for s in spans if s.get("kind", "").startswith("search")]
-    other = len(spans) - len(sweep) - len(search)
-    summary: Dict[str, object] = {
-        "spans": len(spans),
-        "sweep_points": len(sweep),
-        "search_records": len(search),
-        "other_spans": other,
-    }
-    if sweep:
-        sims = [s.get("sim_s", 0.0) for s in sweep]
-        waits = [s.get("queue_wait_s", 0.0) for s in sweep]
-        slowest = max(sweep, key=lambda s: s.get("sim_s", 0.0))
-        summary.update({
-            "cache_hits": sum(1 for s in sweep if s.get("cache_hit")),
-            "errors": sum(1 for s in sweep if s.get("error")),
-            "retried_points": sum(
-                1 for s in sweep if s.get("attempts", 1) > 1
-            ),
-            "total_sim_s": sum(sims),
-            "total_queue_wait_s": sum(waits),
-            "workers": sorted({
-                s.get("worker") for s in sweep if s.get("worker") is not None
-            }),
-            "slowest_point": (slowest.get("name"), slowest.get("sim_s")),
+def packets_to_chrome(records: Iterable[dict]) -> List[dict]:
+    """Packet trace events in Chrome ``trace_event`` form (``ts`` = cycle).
+
+    Each packet becomes one timeline row (``tid`` = packet id): a
+    ``B``/``E`` duration pair spanning its first event to its delivery,
+    with instant events for every VC allocation and link traversal in
+    between.
+    """
+    by_packet: Dict[int, List[dict]] = {}
+    for record in records:
+        by_packet.setdefault(record["packet_id"], []).append(record)
+    out: List[dict] = []
+    for pid in sorted(by_packet):
+        events = by_packet[pid]
+        first = events[0]
+        name = f"pkt{pid}"
+        if first["type"] == "enqueue":
+            name = f"pkt{pid} {first['src']}->{first['dst']}"
+        out.append({
+            "name": name, "cat": "packet", "ph": "B", "ts": first["cycle"],
+            "pid": 0, "tid": pid,
+            "args": {k: v for k, v in first.items() if k != "type"},
         })
-    if search:
-        bests = [s["best"] for s in search if "best" in s]
-        summary["search_best"] = max(bests) if bests else None
-    return summary
+        end_cycle = events[-1]["cycle"]
+        for event in events:
+            kind = event["type"]
+            if kind == "link":
+                label = f"r{event['src_router']}->r{event['dst_router']}"
+                cat = "hop"
+            elif kind == "vc_alloc":
+                label = (f"VA r{event['router']} "
+                         f"p{event['out_port']}v{event['out_vc']}")
+                cat = "va"
+            else:
+                if kind == "delivered":
+                    end_cycle = event["cycle"]
+                continue
+            out.append({  # an instant event on the packet's row
+                "name": label, "cat": cat, "ph": "i", "s": "t",
+                "ts": event["cycle"], "pid": 0, "tid": pid,
+            })
+        out.append({
+            "name": name, "cat": "packet", "ph": "E", "ts": end_cycle,
+            "pid": 0, "tid": pid,
+        })
+    return out
 
 
-def format_span_summary(summary: Dict[str, object]) -> str:
-    """Render :func:`summarize_spans` output as printable text."""
-    lines = [
-        f"spans            {summary['spans']} "
-        f"({summary['sweep_points']} sweep points, "
-        f"{summary['search_records']} search records)",
+def spans_to_chrome(spans: Iterable[dict]) -> List[dict]:
+    """Sweep-point spans as Chrome complete ("X") events, one track per
+    worker.
+
+    ``ts`` is microseconds since the earliest span start; spans with no
+    recorded start (cache hits recorded parent-side) sit at 0.
+    """
+    sweep = [s for s in spans if s["kind"] == "sweep_point"]
+    starts = [s["start_s"] for s in sweep if s["start_s"] is not None]
+    origin = min(starts) if starts else 0.0
+    return [
+        {
+            "name": span["name"],
+            "cat": "sweep",
+            "ph": "X",
+            "ts": 0.0 if span["start_s"] is None
+            else (span["start_s"] - origin) * 1e6,
+            "dur": span["sim_s"] * 1e6,
+            "pid": "sweep",
+            "tid": f"worker-{span['worker']}",
+            "args": {
+                "queue_wait_s": span["queue_wait_s"],
+                "cache_hit": span["cache_hit"],
+                "attempts": span["attempts"],
+                "error": span["error"],
+                "config_digest": span["config_digest"][:12],
+            },
+        }
+        for span in sweep
     ]
-    if summary.get("sweep_points"):
+
+
+def to_chrome(records: Iterable[dict]) -> Dict[str, object]:
+    """The Chrome ``trace_event`` document of a JSONL record stream:
+    packet rows (:func:`packets_to_chrome`) then sweep spans
+    (:func:`spans_to_chrome`)."""
+    trace, spans = split_records(list(records))
+    return {
+        "traceEvents": packets_to_chrome(trace) + spans_to_chrome(spans),
+        "displayTimeUnit": "ns",
+        "otherData": {"time_unit": "cycle"},
+    }
+
+
+def summarize_spans(spans: Iterable[dict]) -> Dict[str, object]:
+    """Headline numbers of the sweep-point spans among ``spans`` (the
+    run manifest's ``sweep_summary``)."""
+    sweep = [s for s in spans if s["kind"] == "sweep_point"]
+    return {
+        "points": len(sweep),
+        "cache_hits": sum(1 for s in sweep if s["cache_hit"]),
+        "errors": sum(1 for s in sweep if s["error"]),
+        "retried_points": sum(1 for s in sweep if s["attempts"] > 1),
+        "total_sim_s": round(sum(s["sim_s"] for s in sweep), 6),
+        "total_queue_wait_s": round(
+            sum(s["queue_wait_s"] for s in sweep), 6
+        ),
+        "workers": sorted({s["worker"] for s in sweep}),
+    }
+
+
+def format_span_summary(spans: List[dict]) -> str:
+    """Printable summary of engine span records."""
+    summary = summarize_spans(spans)
+    lines = [
+        f"sweep points     {summary['points']} "
+        f"({summary['cache_hits']} cache hits, "
+        f"{summary['retried_points']} retried, {summary['errors']} errors)"
+    ]
+    if summary["points"]:
         lines.append(
             f"sweep wall time  sim {summary['total_sim_s']:.3f}s, "
             f"queue wait {summary['total_queue_wait_s']:.3f}s"
         )
-        lines.append(
-            f"cache/retry/err  {summary['cache_hits']} hits, "
-            f"{summary['retried_points']} retried, "
-            f"{summary['errors']} errors"
-        )
         workers = ", ".join(str(w) for w in summary["workers"])
         lines.append(f"workers          {workers}")
-        name, sim_s = summary["slowest_point"]
-        lines.append(f"slowest point    {name} ({sim_s:.3f}s)")
-    if summary.get("search_best") is not None:
-        lines.append(f"search best      {summary['search_best']:.6f}")
+    bests = [s["best"] for s in spans if s["kind"].startswith("search")]
+    if bests:
+        lines.append(f"search records   {len(bests)} (best {max(bests):.6f})")
     return "\n".join(lines)
-
-
-def spans_to_chrome(spans: List[dict]) -> List[dict]:
-    """Sweep spans as Chrome complete ("X") events (per-worker tracks)."""
-    sweep = [s for s in spans if s.get("kind") == "sweep_point"]
-    starts = [
-        s["start_s"] for s in sweep if s.get("start_s") is not None
-    ]
-    origin = min(starts) if starts else 0.0
-    events = []
-    for span in sweep:
-        start = span.get("start_s")
-        ts = 0.0 if start is None else (start - origin) * 1e6
-        events.append({
-            "name": span.get("name", "?"),
-            "cat": "sweep",
-            "ph": "X",
-            "ts": ts,
-            "dur": span.get("sim_s", 0.0) * 1e6,
-            "pid": "sweep",
-            "tid": f"worker-{span.get('worker', '?')}",
-            "args": {
-                "queue_wait_s": span.get("queue_wait_s"),
-                "cache_hit": span.get("cache_hit"),
-                "attempts": span.get("attempts"),
-                "error": span.get("error"),
-            },
-        })
-    return events
 
 
 def summarize(events: List[dict]) -> Dict[str, object]:
@@ -234,55 +336,6 @@ def format_packet(events: List[dict], packet_id: int) -> str:
     return "\n".join(lines)
 
 
-def to_chrome(events: List[dict]) -> Dict[str, object]:
-    """Convert JSONL events into a Chrome ``trace_event`` document."""
-    by_packet: Dict[int, List[dict]] = {}
-    for event in events:
-        pid = event.get("packet_id")
-        if pid is not None:
-            by_packet.setdefault(pid, []).append(event)
-    trace_events: List[dict] = []
-    for pid in sorted(by_packet):
-        mine = sorted(by_packet[pid], key=lambda e: e.get("cycle", 0))
-        trace_events.append(
-            {
-                "name": f"pkt{pid}",
-                "cat": "packet",
-                "ph": "B",
-                "ts": mine[0].get("cycle", 0),
-                "pid": 0,
-                "tid": pid,
-            }
-        )
-        for event in mine:
-            if event.get("type") == "link":
-                trace_events.append(
-                    {
-                        "name": (
-                            f"r{event.get('src_router')}"
-                            f"->r{event.get('dst_router')}"
-                        ),
-                        "cat": "hop",
-                        "ph": "i",
-                        "s": "t",
-                        "ts": event.get("cycle", 0),
-                        "pid": 0,
-                        "tid": pid,
-                    }
-                )
-        trace_events.append(
-            {
-                "name": f"pkt{pid}",
-                "cat": "packet",
-                "ph": "E",
-                "ts": mine[-1].get("cycle", 0),
-                "pid": 0,
-                "tid": pid,
-            }
-        )
-    return {"traceEvents": trace_events, "otherData": {"time_unit": "cycle"}}
-
-
 def main(argv: List[str]) -> int:
     args = list(argv)
     chrome_out = None
@@ -326,17 +379,11 @@ def main(argv: List[str]) -> int:
         if spans:
             if trace_events:
                 print()
-            print(format_span_summary(summarize_spans(spans)))
+            print(format_span_summary(spans))
         if not trace_events and not spans:
             print("empty trace")
     if chrome_out is not None:
-        path = pathlib.Path(chrome_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        document = to_chrome(trace_events)
-        document["traceEvents"].extend(spans_to_chrome(spans))
-        with path.open("w") as handle:
-            json.dump(document, handle)
-        print(f"wrote {path}")
+        print(f"wrote {write_json(chrome_out, to_chrome(events))}")
     return 0
 
 

@@ -17,6 +17,7 @@ knee, the per-window latency series diverges while throughput flattens.
 from __future__ import annotations
 
 import math
+import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -224,6 +225,77 @@ class TimeSeriesSampler(Observer):
         for w in self.windows:
             keys.update(w.link_busy)
         return sorted(keys)
+
+    # -- tables ---------------------------------------------------------------
+    def summary_rows(self) -> List[dict]:
+        """One row per window: deliveries, throughput, mean latency."""
+        return [
+            {
+                "window": w.index,
+                "start_cycle": w.start_cycle,
+                "end_cycle": w.end_cycle,
+                "cycles": w.cycles,
+                "deliveries": w.deliveries,
+                "flits_delivered": w.flits_delivered,
+                "throughput_packets_per_node_cycle": throughput,
+                "avg_latency_cycles": w.avg_latency_cycles,
+                "measured_deliveries": w.latency_count,
+            }
+            for w, (_, throughput) in zip(
+                self.windows, self.throughput_series()
+            )
+        ]
+
+    def buffer_rows(self) -> List[dict]:
+        """One row per (window, router): buffer utilization time series."""
+        capacities = [
+            self.buffer_capacity(r) for r in range(self._num_routers)
+        ]
+        return [
+            {
+                "window": w.index,
+                "start_cycle": w.start_cycle,
+                "router": router,
+                "occupancy_integral": w.occupancy[router],
+                "buffer_utilization": w.buffer_utilization(router, capacity),
+            }
+            for w in self.windows
+            for router, capacity in enumerate(capacities)
+        ]
+
+    def link_rows(self) -> List[dict]:
+        """One row per (window, channel): link utilization time series."""
+        keys = self.link_keys()
+        return [
+            {
+                "window": w.index,
+                "start_cycle": w.start_cycle,
+                "router": router,
+                "port": port,
+                "busy_cycles": w.link_busy.get((router, port), 0),
+                "link_utilization": w.link_utilization(router, port),
+            }
+            for w in self.windows
+            for router, port in keys
+        ]
+
+    def write_csv(self, directory, prefix: str = "obs") -> List[pathlib.Path]:
+        """Write the three tables as ``<prefix>_timeseries.csv``,
+        ``_buffer_series.csv`` and ``_link_series.csv`` (an empty table is
+        skipped); returns the paths written."""
+        # Deferred import: see the note in repro.obs.replay.
+        from repro.obs.replay import write_rows
+
+        directory = pathlib.Path(directory)
+        return [
+            write_rows(directory / f"{prefix}_{suffix}.csv", rows)
+            for suffix, rows in (
+                ("timeseries", self.summary_rows()),
+                ("buffer_series", self.buffer_rows()),
+                ("link_series", self.link_rows()),
+            )
+            if rows
+        ]
 
     # -- diagnostics --------------------------------------------------------
     def saturation_onset(

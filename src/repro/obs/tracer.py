@@ -4,10 +4,11 @@
 simulator fires and keeps an ordered event list per packet.  Traces export
 two ways:
 
-* **JSONL** (:meth:`PacketTracer.write_jsonl`): one JSON object per line,
-  each carrying ``packet_id``, ``type`` and ``cycle`` plus event-specific
-  fields.  The ``delivered`` record per packet summarizes hop count and the
-  latency decomposition endpoints, so a trace file is self-contained --
+* **JSONL** (``write_events(path, tracer.iter_events())`` from
+  :mod:`repro.obs.replay`): one JSON object per line, each carrying
+  ``packet_id``, ``type`` and ``cycle`` plus event-specific fields.  The
+  ``delivered`` record per packet summarizes hop count and the latency
+  decomposition endpoints, so a trace file is self-contained --
   ``python -m repro.obs.replay trace.jsonl`` summarizes one.
 * **Chrome trace_event** (:meth:`PacketTracer.write_chrome_trace`): a JSON
   document loadable in ``chrome://tracing`` / Perfetto, one timeline row
@@ -16,7 +17,6 @@ two ways:
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
@@ -257,99 +257,19 @@ class PacketTracer(Observer):
             yield from self.traces[pid]
 
     # -- export -------------------------------------------------------------
-    def write_jsonl(self, path) -> pathlib.Path:
-        """Write one JSON object per line; returns the path written."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            for event in self.iter_events():
-                handle.write(json.dumps(event, separators=(",", ":")))
-                handle.write("\n")
-        return path
-
     def chrome_trace_events(self) -> List[dict]:
-        """Trace in Chrome ``trace_event`` form (``ts`` = simulated cycle).
+        """The trace in Chrome ``trace_event`` form (see
+        :func:`repro.obs.replay.packets_to_chrome`)."""
+        # Deferred import: see the note in repro.obs.replay.
+        from repro.obs.replay import packets_to_chrome
 
-        Each packet becomes one timeline row: a ``B``/``E`` duration pair
-        spanning enqueue to delivery, with instant events for every VC
-        allocation and link traversal in between.
-        """
-        out: List[dict] = []
-        for pid in sorted(self.traces):
-            events = self.traces[pid]
-            if not events:
-                continue
-            first = events[0]
-            name = f"pkt{pid}"
-            if first["type"] == "enqueue":
-                name = f"pkt{pid} {first['src']}->{first['dst']}"
-            out.append(
-                {
-                    "name": name,
-                    "cat": "packet",
-                    "ph": "B",
-                    "ts": events[0]["cycle"],
-                    "pid": 0,
-                    "tid": pid,
-                    "args": {k: v for k, v in first.items() if k != "type"},
-                }
-            )
-            end_cycle = events[-1]["cycle"]
-            for event in events:
-                kind = event["type"]
-                if kind == "link":
-                    out.append(
-                        {
-                            "name": (
-                                f"r{event['src_router']}"
-                                f"->r{event['dst_router']}"
-                            ),
-                            "cat": "hop",
-                            "ph": "i",
-                            "s": "t",
-                            "ts": event["cycle"],
-                            "pid": 0,
-                            "tid": pid,
-                        }
-                    )
-                elif kind == "vc_alloc":
-                    out.append(
-                        {
-                            "name": (
-                                f"VA r{event['router']} "
-                                f"p{event['out_port']}v{event['out_vc']}"
-                            ),
-                            "cat": "va",
-                            "ph": "i",
-                            "s": "t",
-                            "ts": event["cycle"],
-                            "pid": 0,
-                            "tid": pid,
-                        }
-                    )
-                elif kind == "delivered":
-                    end_cycle = event["cycle"]
-            out.append(
-                {
-                    "name": name,
-                    "cat": "packet",
-                    "ph": "E",
-                    "ts": end_cycle,
-                    "pid": 0,
-                    "tid": pid,
-                }
-            )
-        return out
+        return packets_to_chrome(self.iter_events())
 
     def write_chrome_trace(self, path) -> pathlib.Path:
-        """Write a ``chrome://tracing``-loadable JSON document."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        document = {
-            "traceEvents": self.chrome_trace_events(),
-            "displayTimeUnit": "ns",
-            "otherData": {"time_unit": "cycle"},
-        }
-        with path.open("w") as handle:
-            json.dump(document, handle)
-        return path
+        """Write a ``chrome://tracing``-loadable JSON document -- the one
+        ``python -m repro.obs.replay <jsonl> --chrome`` rebuilds from
+        :meth:`iter_events` written by :func:`~repro.obs.replay.write_events`."""
+        # Deferred import: see the note in repro.obs.replay.
+        from repro.obs.replay import to_chrome, write_json
+
+        return write_json(path, to_chrome(self.iter_events()))

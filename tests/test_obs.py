@@ -5,7 +5,7 @@ tracing enabled, (a) the time-average of the per-router utilization series
 equals the end-of-run ``NetworkStats`` aggregates to within 1e-6, and
 (b) the JSONL packet trace reproduces each measured packet's hop count and
 total latency exactly -- plus the event bus, profiler, progress, drain
-truncation accounting, exporters and the replay CLI.
+truncation accounting, the artifact writers and the replay CLI.
 """
 
 import json
@@ -25,12 +25,6 @@ from repro.obs import (
     observe,
 )
 from repro.obs import replay
-from repro.obs.exporters import (
-    sampler_buffer_rows,
-    sampler_summary_rows,
-    write_sampler_csv,
-    write_sampler_json,
-)
 from repro.obs.profiler import Progress
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.runner import run_synthetic
@@ -119,7 +113,9 @@ class TestAcceptanceTracerMatchesRecords:
 
     def test_jsonl_matches_records(self, observed, tmp_path):
         _, obs, result = observed
-        path = obs.tracer.write_jsonl(tmp_path / "trace.jsonl")
+        path = replay.write_events(
+            tmp_path / "trace.jsonl", obs.tracer.iter_events()
+        )
         hops = {}
         enqueue_cycle = {}
         deliver_cycle = {}
@@ -394,23 +390,20 @@ class TestExportersAndReplay:
 
     def test_sampler_rows_and_csv(self, observed, tmp_path):
         _, obs, _ = observed
-        rows = sampler_summary_rows(obs.sampler)
+        rows = obs.sampler.summary_rows()
         assert len(rows) == len(obs.sampler.windows)
         assert {"window", "cycles", "deliveries"} <= set(rows[0])
-        buffer_rows = sampler_buffer_rows(obs.sampler)
+        assert [r["throughput_packets_per_node_cycle"] for r in rows] == [
+            v for _, v in obs.sampler.throughput_series()
+        ]
+        buffer_rows = obs.sampler.buffer_rows()
         assert len(buffer_rows) == len(obs.sampler.windows) * 16
-        paths = write_sampler_csv(obs.sampler, tmp_path, prefix="t")
-        assert len(paths) == 3
+        paths = obs.sampler.write_csv(tmp_path, prefix="t")
+        assert [p.name for p in paths] == [
+            "t_timeseries.csv", "t_buffer_series.csv", "t_link_series.csv",
+        ]
         for path in paths:
-            assert path.exists()
             assert len(path.read_text().splitlines()) > 1
-
-    def test_sampler_json(self, observed, tmp_path):
-        _, obs, _ = observed
-        path = write_sampler_json(obs.sampler, tmp_path / "sampler.json")
-        document = json.loads(path.read_text())
-        assert len(document["windows"]) == len(obs.sampler.windows)
-        assert document["sampled_cycles"] == obs.sampler.sampled_cycles()
 
     def test_export_observation_bundle(self, observed, tmp_path):
         _, obs, _ = observed
@@ -427,7 +420,9 @@ class TestExportersAndReplay:
 
     def test_replay_summarize(self, observed, tmp_path):
         _, obs, result = observed
-        path = obs.tracer.write_jsonl(tmp_path / "trace.jsonl")
+        path = replay.write_events(
+            tmp_path / "trace.jsonl", obs.tracer.iter_events()
+        )
         events = replay.load_events(path)
         summary = replay.summarize(events)
         assert summary["packets"] == len(obs.tracer.traces)
@@ -441,13 +436,20 @@ class TestExportersAndReplay:
 
     def test_replay_cli(self, observed, tmp_path, capsys):
         _, obs, _ = observed
-        trace = obs.tracer.write_jsonl(tmp_path / "trace.jsonl")
+        export_observation("demo", obs, tmp_path)
+        trace = tmp_path / "demo_trace.jsonl"
         chrome = tmp_path / "chrome.json"
         assert replay.main([str(trace), "--chrome", str(chrome)]) == 0
         out = capsys.readouterr().out
         assert "events" in out and "delivered" in out
-        document = json.loads(chrome.read_text())
-        assert document["traceEvents"]
+        # The JSONL trace holds everything the tracer rendered: replay
+        # rebuilds the tracer's own Chrome document byte for byte.
+        written = (tmp_path / "demo_trace_chrome.json").read_bytes()
+        assert chrome.read_bytes() == written
+        document = json.loads(written)
+        assert {e["cat"] for e in document["traceEvents"]} == {
+            "packet", "hop", "va",
+        }
         pid = next(iter(obs.tracer.traces))
         assert replay.main([str(trace), "--packet", str(pid)]) == 0
         assert f"packet {pid}" in capsys.readouterr().out

@@ -19,14 +19,14 @@ from repro.obs.manifest import (
     SweepTelemetry,
     config_digest,
     git_sha,
-    merge_chrome_events,
-    write_spans_jsonl,
 )
 from repro.obs.replay import (
+    format_span_summary,
     load_events,
     spans_to_chrome,
     split_records,
     summarize_spans,
+    write_events,
 )
 from repro.search.objectives import PlacementEvaluator
 from repro.search.optimize import evolutionary_search, simulated_annealing
@@ -163,19 +163,27 @@ class TestReplayIntegration:
             PlacementEvaluator(4), num_big=4, seed=3, steps=40,
             restarts=1, polish_top=1, telemetry=trace,
         )
-        path = tmp_path / "spans.jsonl"
-        write_spans_jsonl(path, telemetry.spans + trace.records)
+        path = write_events(
+            tmp_path / "spans.jsonl", telemetry.spans + trace.records
+        )
         events = load_events(path)
         trace_events, spans = split_records(events)
         assert trace_events == []
         assert len(spans) == len(telemetry.spans) + len(trace.records)
+        # Replay reads back exactly what the run recorded: the manifest's
+        # sweep summary and the Chrome spans, config digests included.
         summary = summarize_spans(spans)
-        assert summary["sweep_points"] == 3
-        assert summary["search_records"] == len(trace.records)
-        assert summary["errors"] == 0
+        assert summary == telemetry.summary()
+        assert summary["points"] == 3 and summary["errors"] == 0
         chrome = spans_to_chrome(spans)
+        assert chrome == telemetry.chrome_trace_events()
         assert len(chrome) == 3  # sweep spans only
-        assert merge_chrome_events(chrome, []) == chrome
+        assert [e["args"]["config_digest"] for e in chrome] == [
+            s["config_digest"][:12] for s in telemetry.spans
+        ]
+        text = format_span_summary(spans)
+        assert "sweep points     3" in text
+        assert f"search records   {len(trace.records)}" in text
 
 
 class TestRunManifest:

@@ -683,14 +683,22 @@ class TestCrashRecovery:
 
 
 class TestRunAllFlags:
-    def test_list_enumerates_harnesses_and_tags(self, capsys):
+    def test_list_enumerates_harnesses_and_tags(self, capsys, monkeypatch):
         from repro.experiments.run_all import HARNESSES, main
+        from repro.noc.config import NetworkConfig
 
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "sweep tag" in out
         for name in HARNESSES:
             assert name in out
+        # The kernel line reports the config default, not a copy of it...
+        assert out.splitlines()[-1] == f"cycle kernel: {NetworkConfig.kernel}"
+        # ...and REPRO_KERNEL when that overrides it.
+        monkeypatch.setenv("REPRO_KERNEL", "naive")
+        assert main(["--list"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "cycle kernel: naive"
 
     def test_submit_requires_reachable_server(self, capsys):
         from repro.experiments.run_all import main

@@ -106,8 +106,9 @@ def surfaces(work: Path, harnesses: List[str]) -> List[Tuple[str, List[str]]]:
         ("run_all --obs", run_all + ["fig01", "--obs", str(obs)]),
         ("obs.replay spans", [py, "-m", "repro.obs.replay",
                               str(obs / "obs_demo_spans.jsonl")]),
-        ("obs.replay trace", [py, "-m", "repro.obs.replay",
-                              str(obs / "obs_demo_trace.jsonl")]),
+        ("obs.replay trace --chrome", [py, "-m", "repro.obs.replay",
+                                       str(obs / "obs_demo_trace.jsonl"),
+                                       "--chrome", str(obs / "replayed.json")]),
         ("obs.heatmap --demo", [py, "-m", "repro.obs.heatmap", "--demo"]),
         ("exec info", [py, "-m", "repro.exec", str(store), "info"]),
         ("serve smoke", [py, "-m", "repro.serve.smoke",
