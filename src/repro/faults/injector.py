@@ -157,15 +157,11 @@ class FaultInjector:
             if action == "apply":
                 topo_changed |= self._apply(spec)
                 self.events.append((cycle, "apply", spec))
-                if network.obs is not None:
-                    network.obs.on_fault_applied(spec, cycle)
                 if spec.mode == "intermittent":
                     self._push(when + spec.duration, "repair", index)
             else:
                 topo_changed |= self._repair(spec, revived)
                 self.events.append((cycle, "repair", spec))
-                if network.obs is not None:
-                    network.obs.on_fault_repaired(spec, cycle)
                 if spec.mode == "intermittent":
                     rng = self._rngs[index]
                     self._push(when + self._gap(rng, spec), "apply", index)

@@ -84,12 +84,9 @@ class RetransmissionManager:
         self.losses: List[Tuple[int, str, int]] = []
 
     # -- send path -------------------------------------------------------------
-    def send(self, packet) -> bool:
+    def send(self, packet) -> None:
         """Enqueue ``packet`` and start tracking it."""
-        accepted = self.network.enqueue(packet)
-        if not accepted:
-            # Source queue full (closed-loop drop): nothing to track.
-            return False
+        self.network.enqueue(packet)
         entry = _Outstanding(
             packet, self.network.cycle + self.timeout, self.timeout
         )
@@ -107,7 +104,6 @@ class RetransmissionManager:
                 self.network.purge_packet(packet)
                 packet.retry_timeout = self.timeout
                 packet.retry_attempts = 1
-        return True
 
     def outstanding(self) -> int:
         return len(self._outstanding) + len(self._retry_queue)
@@ -201,16 +197,7 @@ class RetransmissionManager:
         entry.attempts = packet.retry_attempts
         self._outstanding[packet.packet_id] = entry
         self.retransmissions += 1
-        if not self.network.enqueue(packet, retransmit=True):
-            # Source queue full: try again next cycle.
-            del self._outstanding[packet.packet_id]
-            self._retry_queue.append(packet)
-            self.retransmissions -= 1
-            return
-        if self.network.obs is not None:
-            self.network.obs.on_packet_retransmitted(
-                packet, entry.attempts, cycle
-            )
+        self.network.enqueue(packet, retransmit=True)
 
     @staticmethod
     def _reset_for_retransmit(packet) -> None:
@@ -229,8 +216,6 @@ class RetransmissionManager:
         if packet.measured:
             self.lost_measured += 1
         self.losses.append((packet.packet_id, reason, cycle))
-        if self.network.obs is not None:
-            self.network.obs.on_packet_lost(packet, reason, cycle)
 
     def summary(self) -> Dict[str, int]:
         return {

@@ -217,6 +217,4 @@ class Watchdog:
                 if source.queue or source.mid_packet
             ],
         )
-        if network.obs is not None:
-            network.obs.on_stall_diagnosed(diagnosis, cycle)
         raise SimulationStalled(diagnosis)

@@ -479,10 +479,10 @@ class CKernel:
     Constructed by :meth:`Network._activate_ck` when ``kernel="c"`` is
     requested and eligible; raises :class:`CKernelUnavailable` when the
     library cannot load or the network shape breaks a kernel
-    precondition (credit/link delays below 1 cycle, more than 62 ports
-    or VCs per router).  The C arena lives exactly as long as this
-    object: :meth:`free` releases it eagerly, and dropping the kernel
-    (or the network holding it) releases it at collection.
+    precondition (more than 62 ports or VCs per router).  The C arena
+    lives exactly as long as this object: :meth:`free` releases it
+    eagerly, and dropping the kernel (or the network holding it)
+    releases it at collection.
     """
 
     def __init__(self, net) -> None:
@@ -503,10 +503,6 @@ class CKernel:
             link.delay
             for r in routers for link in r.out_links if link is not None
         ]
-        if cd < 1 or (delays and min(delays) < 1):
-            raise CKernelUnavailable(
-                "credit/link delays below 1 cycle break the calendar ring"
-            )
         #: weak: the network owns this kernel, and a strong reference
         #: back would leave every dropped network (and its C arena)
         #: waiting for the cycle collector.
@@ -1044,9 +1040,6 @@ class CKernel:
             self._ck, packet.src, self._handle(packet)
         ):
             raise MemoryError("ck_source_push failed")
-
-    def source_queue_len(self, node: int) -> int:
-        return self.lib.ck_source_len(self._ck, node)
 
     def wake_source(self, node: int) -> None:
         self.lib.ck_src_wake(self._ck, node)

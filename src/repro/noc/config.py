@@ -195,10 +195,6 @@ class NetworkConfig:
         frequency_ghz: network clock; a heterogeneous network runs at the
             worst-case (big-router) frequency per Section 3.4.
         data_packet_bits: payload of a data packet.
-        source_queue_limit: maximum packets buffered at a source;
-            :meth:`Network.enqueue` returns ``False`` and drops the packet
-            beyond it (``None`` means unbounded, the synthetic open-loop
-            setting).
         flit_merging: enable the Section 3.2/3.3 wide-link flit
             combining.  Disabling it is an ablation: wide links then move
             a single flit per cycle like narrow ones.
@@ -222,7 +218,6 @@ class NetworkConfig:
     credit_delay: int = 1
     frequency_ghz: float = BASELINE_FREQUENCY_GHZ
     data_packet_bits: int = 1024
-    source_queue_limit: Optional[int] = None
     flit_merging: bool = True
     kernel: str = "event"
 
@@ -231,8 +226,8 @@ class NetworkConfig:
             raise ValueError("router_pipeline_stages must be >= 1")
         if self.link_delay < 1:
             raise ValueError("link_delay must be >= 1")
-        if self.credit_delay < 0:
-            raise ValueError("credit_delay must be >= 0")
+        if self.credit_delay < 1:
+            raise ValueError("credit_delay must be >= 1")
         if self.frequency_ghz <= 0:
             raise ValueError("frequency_ghz must be positive")
         self.check_kernel(self.kernel)

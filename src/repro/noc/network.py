@@ -46,7 +46,7 @@ require the per-flit object datapath; the fallback is re-evaluated every
 cycle, so attaching or detaching such a subsystem mid-run simply switches
 kernels at the next step.  When the
 compiled kernel cannot be built or does not support the network shape
-(no C compiler, credit/link delay below one cycle) the event kernel
+(no C compiler, a router wider than 62 ports or VCs) the event kernel
 carries the whole run after one ``RuntimeWarning`` naming the reason.
 """
 
@@ -324,10 +324,6 @@ class Network:
         """
         return self._kernel
 
-    @kernel.setter
-    def kernel(self, name: str) -> None:
-        self.use_kernel(name)
-
     def use_kernel(self, name: str) -> None:
         """Switch the cycle kernel mid-run (bit-identical hand-off)."""
         NetworkConfig.check_kernel(name)
@@ -512,40 +508,26 @@ class Network:
             payload=payload,
         )
 
-    def enqueue(self, packet: Packet, retransmit: bool = False) -> bool:
-        """Queue ``packet`` at its source node.
+    def enqueue(self, packet: Packet, retransmit: bool = False) -> None:
+        """Queue ``packet`` at its source node (source queues are
+        unbounded).
 
-        Returns ``False`` (and drops the packet) when the source queue is
-        at its configured limit -- the closed-loop/back-pressured setting.
         ``retransmit`` re-queues a previously offered packet (the NI
         recovery path) without double-counting it in ``packets_offered``.
         """
-        source = self.sources[packet.src]
-        limit = self.config.source_queue_limit
-        ck = self._ck
-        if limit is not None:
-            queued = (
-                ck.source_queue_len(packet.src)
-                if ck is not None
-                else len(source.queue)
-            )
-            if queued >= limit:
-                if self.obs is not None:
-                    self.obs.on_packet_dropped(packet, self.cycle)
-                return False
         if packet.measured and not retransmit:
             self._stats.packets_offered += 1
+        ck = self._ck
         if ck is not None:
             # The compiled kernel owns the source queues while active; the
             # Python deques are rebuilt from it on sync().
             ck.enqueue_packet(packet)
         else:
-            source.queue.append(packet)
+            self.sources[packet.src].queue.append(packet)
             self._active_sources.add(packet.src)
         self.packets_in_flight += 1
         if self.obs is not None:
             self.obs.on_packet_enqueued(packet, self.cycle)
-        return True
 
     def idle(self) -> bool:
         """True when no packet is queued, buffered or on a link."""
@@ -570,8 +552,6 @@ class Network:
         ):
             if attached is not None:
                 return f"{what} is attached"
-        if self.config.source_queue_limit is not None:
-            return "source_queue_limit is set"
         if not self._route_tables_ok:
             return "routing is dynamic (no precomputed route tables)"
         if self._ck is None and not self._ck_blocked:
@@ -639,7 +619,7 @@ class Network:
             self._deliver_arrival_events(arrivals, cycle)
         credits = self._credits.pop(cycle, None)
         if credits:
-            self._deliver_credit_events(credits, cycle)
+            self._deliver_credit_events(credits)
         if self._active_sources:
             self._inject(cycle, None)
         active = self._active_routers
@@ -687,7 +667,7 @@ class Network:
             self._deliver_arrival_events(arrivals, cycle)
         credits = self._credits.pop(cycle, None)
         if credits:
-            self._deliver_credit_events(credits, cycle)
+            self._deliver_credit_events(credits)
         self._inject(cycle, self._all_nodes)
         routing = self._routing
         for router in self.routers:
@@ -727,7 +707,7 @@ class Network:
         t1 = perf_counter()
         credits = self._credits.pop(cycle, None)
         if credits:
-            self._deliver_credit_events(credits, cycle)
+            self._deliver_credit_events(credits)
         t2 = perf_counter()
         naive = self._kernel == "naive"
         if naive:
@@ -816,20 +796,17 @@ class Network:
             wake(router_id)
 
     def _deliver_credit_events(
-        self, events: List[Tuple[int, int, int, bool]], cycle: int
+        self, events: List[Tuple[int, int, int, bool]]
     ) -> None:
         # No router wake-up needed here: credits and VC releases only
         # change the eligibility of flits the receiving router already
         # buffers, and a router holding flits is active by invariant.
-        obs = self.obs if self._tracing else None
         routers = self.routers
         for router_id, port, vc, release in events:
             router = routers[router_id]
             router.return_credit(port, vc)
             if release:
                 router.out_vc_owner[port][vc] = None
-            if obs is not None:
-                obs.on_credit_return(router_id, port, vc, cycle)
 
     def _inject(self, cycle: int, nodes: Optional[Iterable[int]]) -> None:
         """Inject source-queue flits into local input buffers.
@@ -1210,9 +1187,7 @@ class Network:
                 )
 
     def report_packet_lost(self, packet: Packet, reason: str, cycle: int) -> None:
-        """Tell the recovery/observation layers a fault purged ``packet``."""
-        if self.obs is not None:
-            self.obs.on_packet_lost(packet, reason, cycle)
+        """Tell the recovery layer a fault purged ``packet``."""
         if self.on_loss is not None:
             self.on_loss(packet, reason, cycle)
 

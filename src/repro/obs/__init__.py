@@ -4,12 +4,12 @@ The package instruments the simulator through lightweight hook points (see
 :mod:`repro.obs.hooks`); with no observer attached the core pays only a
 ``None`` check per tap point.  The pieces:
 
-* :class:`~repro.obs.hooks.Observer` / ``CompositeObserver`` / ``EventLog``
-  -- the event bus;
+* :class:`~repro.obs.hooks.Observer` / ``CompositeObserver`` -- the
+  event bus;
 * :class:`~repro.obs.sampler.TimeSeriesSampler` -- windowed utilization /
   latency / throughput series (Figure 1 heat maps as timelines);
-* :class:`~repro.obs.tracer.PacketTracer` -- hop-by-hop packet traces with
-  JSONL and Chrome ``trace_event`` export;
+* :class:`~repro.obs.tracer.PacketTracer` -- hop-by-hop traces of the
+  measured packets with JSONL and Chrome ``trace_event`` export;
 * :class:`~repro.obs.metrics.KernelMetrics` -- counter/gauge/histogram
   registry over kernel events (per-link/per-VC flit counts, per-pair
   traffic matrices, occupancy and active-set samples);
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.hooks import CompositeObserver, EventLog, Observer
+from repro.obs.hooks import CompositeObserver, Observer
 from repro.obs.metrics import KernelMetrics, MetricsRegistry
 from repro.obs.profiler import (
     Progress,
@@ -55,7 +55,6 @@ from repro.obs.tracer import PacketTracer
 __all__ = [
     "Observer",
     "CompositeObserver",
-    "EventLog",
     "TimeSeriesSampler",
     "WindowSample",
     "PacketTracer",
@@ -99,51 +98,36 @@ def observe(
     network,
     sample_window: Optional[int] = 100,
     trace: bool = False,
-    trace_select="measured",
-    trace_max_packets: Optional[int] = None,
     profile: bool = False,
-    only_measured: bool = True,
     metrics: bool = False,
-    metrics_sample_every: int = 32,
 ) -> Observation:
     """Attach a ready-made observer stack to ``network``.
 
     Args:
         network: a :class:`~repro.noc.network.Network`.
-        sample_window: window width (cycles) for the time-series sampler;
-            ``None`` disables sampling.
-        trace: enable the packet tracer.
-        trace_select: tracer selection (see :class:`PacketTracer`).
-        trace_max_packets: cap on concurrently traced packets.
+        sample_window: window width (cycles) for the time-series sampler,
+            which samples the measurement window only; ``None`` disables
+            sampling.
+        trace: enable the packet tracer (every measured packet).
         profile: enable step-phase wall-clock profiling (the profiler is
             created and attached; pass it to ``run_synthetic`` as
             ``profiler=`` so run phases and total wall time are recorded).
-        only_measured: restrict sampling to the measurement window so the
-            series aggregate exactly to ``NetworkStats`` utilization.
         metrics: attach a :class:`~repro.obs.metrics.KernelMetrics`
             (whole-run counters: per-link/per-VC flits, per-pair traffic,
             occupancy and active-set samples).
-        metrics_sample_every: cycle stride for the metrics occupancy /
-            active-set samples.
     """
     composite = CompositeObserver()
     sampler = None
     if sample_window is not None:
-        sampler = TimeSeriesSampler(
-            network, window=sample_window, only_measured=only_measured
-        )
+        sampler = TimeSeriesSampler(network, window=sample_window)
         composite.add(sampler)
     tracer = None
     if trace:
-        tracer = PacketTracer(
-            select=trace_select, max_packets=trace_max_packets
-        )
+        tracer = PacketTracer()
         composite.add(tracer)
     kernel_metrics = None
     if metrics:
-        kernel_metrics = KernelMetrics(
-            network, sample_every=metrics_sample_every
-        )
+        kernel_metrics = KernelMetrics(network)
         composite.add(kernel_metrics)
     profiler = RunProfiler() if profile else None
     network.attach_observer(composite)

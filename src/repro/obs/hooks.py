@@ -10,7 +10,6 @@ fine-grained callbacks for every interesting micro-event:
 hook                      fired when
 ========================  =====================================================
 ``on_packet_enqueued``    a packet enters its source queue
-``on_packet_dropped``     the source queue was full (closed-loop setting)
 ``on_flit_injected``      a flit moves source queue -> local input buffer
 ``on_vc_allocated``       a head flit wins a downstream virtual channel
 ``on_switch_grant``       a flit wins switch allocation (one per grant)
@@ -18,15 +17,14 @@ hook                      fired when
 ``on_link_busy``          an output channel carried >= 1 flit this cycle
 ``on_flit_ejected``       a flit leaves the network at its destination
 ``on_packet_delivered``   a tail flit ejects; the packet is complete
-``on_credit_return``      an upstream router receives a credit back
 ``on_cycle_end``          the network finished one clock cycle
-``on_drain_truncated``    the run driver gave up draining measured packets
-``on_fault_applied``      the fault injector activated a fault
-``on_fault_repaired``     the fault injector repaired a fault
-``on_packet_lost``        a packet was declared lost (purged or retries out)
-``on_packet_retransmitted``  the NI re-sent a lost/corrupted/timed-out packet
-``on_stall_diagnosed``    the watchdog detected deadlock/livelock
 ========================  =====================================================
+
+Each hook has a listener among the product observers
+(:class:`~repro.obs.sampler.TimeSeriesSampler`,
+:class:`~repro.obs.tracer.PacketTracer`,
+:class:`~repro.obs.metrics.KernelMetrics`); ``tests/test_obs.py`` keeps
+it that way.
 
 Hooks fire regardless of the measurement window; observers that want to
 mirror :class:`~repro.noc.stats.NetworkStats` exactly (the time-series
@@ -38,7 +36,7 @@ allocated -- so an attached observer costs one method call per event.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 
 class Observer:
@@ -51,9 +49,6 @@ class Observer:
 
     def on_packet_enqueued(self, packet, cycle: int) -> None:
         """``packet`` was appended to its source queue at ``cycle``."""
-
-    def on_packet_dropped(self, packet, cycle: int) -> None:
-        """``packet`` was rejected by a full source queue at ``cycle``."""
 
     def on_flit_injected(
         self, node: int, router_id: int, port: int, vc: int, flit, cycle: int
@@ -103,37 +98,9 @@ class Observer:
         """``packet``'s tail flit ejected; timestamps on the packet are
         final (``received_at`` == ``cycle``)."""
 
-    def on_credit_return(
-        self, router_id: int, port: int, vc: int, cycle: int
-    ) -> None:
-        """Router ``router_id`` received a credit back for ``(port, vc)``."""
-
     def on_cycle_end(self, cycle: int, measuring: bool) -> None:
         """The network completed ``cycle``; ``measuring`` is the state of
         the measurement window during that cycle."""
-
-    def on_drain_truncated(self, in_flight_measured: int, cycle: int) -> None:
-        """The run driver hit its drain-cycle cap with
-        ``in_flight_measured`` measured packets still undelivered."""
-
-    def on_fault_applied(self, spec, cycle: int) -> None:
-        """The fault injector activated ``spec``
-        (a :class:`repro.faults.schedule.FaultSpec`)."""
-
-    def on_fault_repaired(self, spec, cycle: int) -> None:
-        """The fault injector repaired ``spec``."""
-
-    def on_packet_lost(self, packet, reason: str, cycle: int) -> None:
-        """``packet`` was declared lost (``reason`` in ``{"fault",
-        "unreachable", "retries_exhausted"}``)."""
-
-    def on_packet_retransmitted(self, packet, attempt: int, cycle: int) -> None:
-        """The NI re-sent ``packet`` (``attempt`` counts sends so far)."""
-
-    def on_stall_diagnosed(self, diagnosis, cycle: int) -> None:
-        """The watchdog built a
-        :class:`repro.faults.watchdog.StallDiagnosis`; a
-        :class:`~repro.faults.watchdog.SimulationStalled` follows."""
 
 
 class CompositeObserver(Observer):
@@ -150,10 +117,6 @@ class CompositeObserver(Observer):
     def on_packet_enqueued(self, packet, cycle: int) -> None:
         for child in self.children:
             child.on_packet_enqueued(packet, cycle)
-
-    def on_packet_dropped(self, packet, cycle: int) -> None:
-        for child in self.children:
-            child.on_packet_dropped(packet, cycle)
 
     def on_flit_injected(
         self, node: int, router_id: int, port: int, vc: int, flit, cycle: int
@@ -208,146 +171,6 @@ class CompositeObserver(Observer):
         for child in self.children:
             child.on_packet_delivered(packet, cycle)
 
-    def on_credit_return(
-        self, router_id: int, port: int, vc: int, cycle: int
-    ) -> None:
-        for child in self.children:
-            child.on_credit_return(router_id, port, vc, cycle)
-
     def on_cycle_end(self, cycle: int, measuring: bool) -> None:
         for child in self.children:
             child.on_cycle_end(cycle, measuring)
-
-    def on_drain_truncated(self, in_flight_measured: int, cycle: int) -> None:
-        for child in self.children:
-            child.on_drain_truncated(in_flight_measured, cycle)
-
-    def on_fault_applied(self, spec, cycle: int) -> None:
-        for child in self.children:
-            child.on_fault_applied(spec, cycle)
-
-    def on_fault_repaired(self, spec, cycle: int) -> None:
-        for child in self.children:
-            child.on_fault_repaired(spec, cycle)
-
-    def on_packet_lost(self, packet, reason: str, cycle: int) -> None:
-        for child in self.children:
-            child.on_packet_lost(packet, reason, cycle)
-
-    def on_packet_retransmitted(self, packet, attempt: int, cycle: int) -> None:
-        for child in self.children:
-            child.on_packet_retransmitted(packet, attempt, cycle)
-
-    def on_stall_diagnosed(self, diagnosis, cycle: int) -> None:
-        for child in self.children:
-            child.on_stall_diagnosed(diagnosis, cycle)
-
-
-class EventLog(Observer):
-    """Debug observer: records every event as a small tuple.
-
-    Tuples start with the event kind (the hook name without the ``on_``
-    prefix) followed by the cycle and the event's identifying fields.  A
-    ``max_events`` cap guards against runaway memory on long runs; counts
-    keep accumulating past the cap.
-    """
-
-    def __init__(self, max_events: int = 100_000) -> None:
-        self.max_events = max_events
-        self.events: List[Tuple] = []
-        self.counts: dict = {}
-
-    def _log(self, kind: str, *fields) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if len(self.events) < self.max_events:
-            self.events.append((kind, *fields))
-
-    def on_packet_enqueued(self, packet, cycle: int) -> None:
-        self._log("packet_enqueued", cycle, packet.packet_id)
-
-    def on_packet_dropped(self, packet, cycle: int) -> None:
-        self._log("packet_dropped", cycle, packet.packet_id)
-
-    def on_flit_injected(
-        self, node: int, router_id: int, port: int, vc: int, flit, cycle: int
-    ) -> None:
-        self._log(
-            "flit_injected", cycle, flit.packet.packet_id, flit.index,
-            node, router_id, port, vc,
-        )
-
-    def on_vc_allocated(
-        self,
-        router_id: int,
-        in_port: int,
-        in_vc: int,
-        out_port: int,
-        out_vc: int,
-        packet,
-        cycle: int,
-    ) -> None:
-        self._log(
-            "vc_allocated", cycle, packet.packet_id,
-            router_id, in_port, in_vc, out_port, out_vc,
-        )
-
-    def on_switch_grant(self, router_id: int, grant, cycle: int) -> None:
-        self._log(
-            "switch_grant", cycle, grant.flit.packet.packet_id,
-            grant.flit.index, router_id, grant.in_port, grant.in_vc,
-            grant.out_port,
-        )
-
-    def on_link_traversal(
-        self,
-        src_router: int,
-        src_port: int,
-        dst_router: int,
-        dst_port: int,
-        flit,
-        cycle: int,
-    ) -> None:
-        self._log(
-            "link_traversal", cycle, flit.packet.packet_id, flit.index,
-            src_router, src_port, dst_router, dst_port,
-        )
-
-    def on_link_busy(self, router_id: int, port: int, cycle: int) -> None:
-        self._log("link_busy", cycle, router_id, port)
-
-    def on_flit_ejected(
-        self, router_id: int, port: int, flit, cycle: int
-    ) -> None:
-        self._log(
-            "flit_ejected", cycle, flit.packet.packet_id, flit.index,
-            router_id, port,
-        )
-
-    def on_packet_delivered(self, packet, cycle: int) -> None:
-        self._log("packet_delivered", cycle, packet.packet_id)
-
-    def on_credit_return(
-        self, router_id: int, port: int, vc: int, cycle: int
-    ) -> None:
-        self._log("credit_return", cycle, router_id, port, vc)
-
-    def on_cycle_end(self, cycle: int, measuring: bool) -> None:
-        self.counts["cycle_end"] = self.counts.get("cycle_end", 0) + 1
-
-    def on_drain_truncated(self, in_flight_measured: int, cycle: int) -> None:
-        self._log("drain_truncated", cycle, in_flight_measured)
-
-    def on_fault_applied(self, spec, cycle: int) -> None:
-        self._log("fault_applied", cycle, spec.kind, spec.router, spec.port)
-
-    def on_fault_repaired(self, spec, cycle: int) -> None:
-        self._log("fault_repaired", cycle, spec.kind, spec.router, spec.port)
-
-    def on_packet_lost(self, packet, reason: str, cycle: int) -> None:
-        self._log("packet_lost", cycle, packet.packet_id, reason)
-
-    def on_packet_retransmitted(self, packet, attempt: int, cycle: int) -> None:
-        self._log("packet_retransmitted", cycle, packet.packet_id, attempt)
-
-    def on_stall_diagnosed(self, diagnosis, cycle: int) -> None:
-        self._log("stall_diagnosed", cycle, diagnosis.kind, len(diagnosis.blocked))

@@ -283,22 +283,20 @@ class KernelMetrics(Observer):
     ``total link flits == sum(num_flits * hops)`` once the network is idle
     (fault-free runs; corrupted deliveries skip ``on_packet_delivered``).
 
-    Args:
-        network: the :class:`~repro.noc.network.Network` to instrument.
-        sample_every: cycle stride for the occupancy / active-set samples.
+    Buffer occupancy and the active-set size are sampled every
+    :attr:`sample_every` cycles.
     """
 
-    def __init__(self, network, sample_every: int = 32) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    #: cycle stride of the occupancy / active-set samples
+    sample_every = 32
+
+    def __init__(self, network) -> None:
         self.network = network
         self.registry = MetricsRegistry()
-        self.sample_every = sample_every
         self.cycles = 0
         reg = self.registry
         self._injected = reg.counter("kernel.flits_injected")
         self._enqueued = reg.counter("kernel.packets_offered")
-        self._dropped = reg.counter("kernel.packets_dropped")
         self._delivered_packets = reg.counter("kernel.packets_delivered")
         self._delivered_flits = reg.counter("kernel.flits_delivered")
         self._expected_link_flits = reg.counter("kernel.expected_link_flits")
@@ -329,9 +327,6 @@ class KernelMetrics(Observer):
     # -- hot hooks -----------------------------------------------------------
     def on_packet_enqueued(self, packet, cycle: int) -> None:
         self._enqueued.value += 1
-
-    def on_packet_dropped(self, packet, cycle: int) -> None:
-        self._dropped.value += 1
 
     def on_flit_injected(
         self, node: int, router_id: int, port: int, vc: int, flit, cycle: int
@@ -455,7 +450,6 @@ class KernelMetrics(Observer):
             "cycles": self.cycles,
             "sample_every": self.sample_every,
             "packets_offered": self._enqueued.value,
-            "packets_dropped": self._dropped.value,
             "packets_delivered": self._delivered_packets.value,
             "flits_injected": self._injected.value,
             "flits_delivered": self._delivered_flits.value,

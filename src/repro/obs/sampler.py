@@ -3,9 +3,9 @@
 :class:`TimeSeriesSampler` turns the Figure 1 heat maps into *timelines*:
 it integrates per-router buffer occupancy and per-channel busy cycles over
 fixed-width windows of simulated cycles and records one
-:class:`WindowSample` per window.  In the default ``only_measured`` mode it
-accumulates exactly when :class:`~repro.noc.stats.NetworkStats` does (cycles
-with the measurement window open), so the time-average of its series equals
+:class:`WindowSample` per window.  It accumulates exactly when
+:class:`~repro.noc.stats.NetworkStats` does (cycles with the measurement
+window open), so the time-average of its series equals
 the end-of-run ``buffer_utilization`` / ``link_utilization`` aggregates bit
 for bit -- the property the acceptance tests assert.
 
@@ -68,21 +68,16 @@ class TimeSeriesSampler(Observer):
 
     Args:
         network: the network being observed (read-only access to routers).
-        window: sampling window width in cycles.
-        only_measured: when True (default), accumulate only while the
-            network's measurement window is open, mirroring
-            :class:`~repro.noc.stats.NetworkStats` exactly; when False,
-            sample every cycle from attach onward.
+        window: sampling window width in cycles.  Only cycles with the
+            network's measurement window open are sampled, mirroring
+            :class:`~repro.noc.stats.NetworkStats` exactly.
     """
 
-    def __init__(
-        self, network, window: int = 100, only_measured: bool = True
-    ) -> None:
+    def __init__(self, network, window: int = 100) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.network = network
         self.window = int(window)
-        self.only_measured = bool(only_measured)
         self.windows: List[WindowSample] = []
         self._num_routers = len(network.routers)
         self._reset_accumulator()
@@ -125,13 +120,13 @@ class TimeSeriesSampler(Observer):
 
     # -- hooks --------------------------------------------------------------
     def on_link_busy(self, router_id: int, port: int, cycle: int) -> None:
-        if self.only_measured and not self.network.measuring:
+        if not self.network.measuring:
             return
         key = (router_id, port)
         self._busy[key] = self._busy.get(key, 0) + 1
 
     def on_packet_delivered(self, packet, cycle: int) -> None:
-        if self.only_measured and not self.network.measuring:
+        if not self.network.measuring:
             return
         self._deliveries += 1
         self._flits += packet.num_flits
@@ -140,7 +135,7 @@ class TimeSeriesSampler(Observer):
             self._latency_count += 1
 
     def on_cycle_end(self, cycle: int, measuring: bool) -> None:
-        if self.only_measured and not measuring:
+        if not measuring:
             # Close the final partial window when measurement ends.
             if self._cycles:
                 self._flush()
@@ -199,10 +194,10 @@ class TimeSeriesSampler(Observer):
             for w in self.windows
         ]
 
-    # -- whole-run averages (must equal NetworkStats in only_measured mode) --
+    # -- whole-run averages (equal to NetworkStats) ---------------------------
     def time_average_buffer_utilization(self, router: int) -> float:
         """Occupancy integral over all windows; equals
-        ``NetworkStats.buffer_utilization`` in ``only_measured`` mode."""
+        ``NetworkStats.buffer_utilization``."""
         cycles = self.sampled_cycles()
         cap = self.buffer_capacity(router)
         if cycles == 0 or cap == 0:
@@ -212,7 +207,7 @@ class TimeSeriesSampler(Observer):
 
     def time_average_link_utilization(self, router: int, port: int) -> float:
         """Busy fraction over all windows; equals
-        ``NetworkStats.link_utilization`` in ``only_measured`` mode."""
+        ``NetworkStats.link_utilization``."""
         cycles = self.sampled_cycles()
         if cycles == 0:
             return 0.0

@@ -1,6 +1,6 @@
 """Hop-by-hop packet tracing with JSONL and Chrome trace output.
 
-:class:`PacketTracer` follows selected packets through every hook the
+:class:`PacketTracer` follows every measured packet through every hook the
 simulator fires and keeps an ordered event list per packet.  Traces export
 two ways:
 
@@ -18,77 +18,27 @@ two ways:
 from __future__ import annotations
 
 import pathlib
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.obs.hooks import Observer
 
-Selector = Union[str, Iterable[int], Callable[[object], bool]]
-
 
 class PacketTracer(Observer):
-    """Observer recording per-packet hop-by-hop event streams.
+    """Observer recording the hop-by-hop event stream of every packet
+    that is measured when it enters its source queue."""
 
-    Args:
-        select: which packets to trace --
-
-            * ``"measured"`` (default): packets inside the measurement
-              window;
-            * ``"all"``: every packet offered to the network;
-            * an iterable of packet ids;
-            * a callable ``(packet) -> bool``.
-        max_packets: stop admitting *new* packets once this many are being
-            traced (already-admitted packets keep tracing to completion).
-    """
-
-    def __init__(
-        self, select: Selector = "measured", max_packets: Optional[int] = None
-    ) -> None:
-        if isinstance(select, str):
-            if select not in ("measured", "all"):
-                raise ValueError(
-                    f"select must be 'measured', 'all', ids or a callable; "
-                    f"got {select!r}"
-                )
-            self._select = select
-        elif callable(select):
-            self._select = select
-        else:
-            self._select = frozenset(int(p) for p in select)
-        self.max_packets = max_packets
+    def __init__(self) -> None:
         self.traces: Dict[int, List[dict]] = {}
         self.delivered: Dict[int, dict] = {}
-
-    # -- admission ----------------------------------------------------------
-    def _admit(self, packet) -> Optional[List[dict]]:
-        pid = packet.packet_id
-        events = self.traces.get(pid)
-        if events is not None:
-            return events
-        if self.max_packets is not None and len(self.traces) >= self.max_packets:
-            return None
-        select = self._select
-        if select == "measured":
-            wanted = packet.measured
-        elif select == "all":
-            wanted = True
-        elif callable(select):
-            wanted = bool(select(packet))
-        else:
-            wanted = pid in select
-        if not wanted:
-            return None
-        events = []
-        self.traces[pid] = events
-        return events
 
     def _events_for(self, packet) -> Optional[List[dict]]:
         return self.traces.get(packet.packet_id)
 
     # -- hooks --------------------------------------------------------------
     def on_packet_enqueued(self, packet, cycle: int) -> None:
-        events = self._admit(packet)
-        if events is None:
+        if not packet.measured:
             return
+        events = self.traces.setdefault(packet.packet_id, [])
         events.append(
             {
                 "type": "enqueue",

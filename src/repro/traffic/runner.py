@@ -168,7 +168,7 @@ def _offer_load(
     rng: random.Random,
     budget: Optional[int] = None,
     on_create: Optional[Callable[..., None]] = None,
-    send: Optional[Callable[..., bool]] = None,
+    send: Optional[Callable[..., None]] = None,
 ) -> int:
     """Offer one cycle of load at every node; returns packets created.
 
@@ -551,8 +551,6 @@ def run_synthetic(
         # instead of silently truncating the latency sample.
         unfinished = stats.packets_offered - recorded - lost_measured
         stats.saturated = True
-        if network.obs is not None:
-            network.obs.on_drain_truncated(unfinished, network.cycle)
     else:
         # Satellite accounting guarantee: every measured packet the
         # network accepted must now be a latency record or an explicit

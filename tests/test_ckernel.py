@@ -11,8 +11,8 @@ kernel:
   and a transparent, bit-identical fall back to the event kernel; hooks
   or faults -> per-step fall back to the event kernel (differential
   file);
-* unsupported shapes (sub-cycle credit/link delays, too-wide routers)
-  refuse cleanly instead of simulating wrongly;
+* unsupported shapes (routers wider than 62 ports or VCs) refuse
+  cleanly instead of simulating wrongly;
 * the C arena's lifetime: every ``ck_new`` is matched by a ``ck_free``
   once the owning network is dropped;
 * ``python -m repro.noc.bench --kernel c`` skips loudly (exit 0, clear
@@ -165,23 +165,24 @@ class TestFallbackLadder:
         _assert_same(reference, degraded, "c-degraded-to-event")
 
     @needs_ckernel
-    def test_sub_cycle_delays_refuse_cleanly(self, monkeypatch):
-        """credit_delay=0 breaks the C calendar ring; the kernel must
-        refuse (and the network degrade to event, warning once, digest
-        for digest equal to a plain event run) rather than mis-simulate."""
+    def test_too_wide_router_refuses_cleanly(self, monkeypatch):
+        """63 VCs overflow the C kernel's 62-lane bitmasks; the kernel
+        must refuse (and the network degrade to event, warning once,
+        digest for digest equal to a plain event run) rather than
+        mis-simulate."""
         from repro.noc.ckernel import CKernel
 
         def run(kernel):
             topo = Mesh(3)
-            configs = {r: RouterConfig() for r in range(topo.num_routers)}
-            net = Network(
-                topo, configs, NetworkConfig(credit_delay=0, kernel=kernel)
-            )
+            configs = {
+                r: RouterConfig(num_vcs=63) for r in range(topo.num_routers)
+            }
+            net = Network(topo, configs, NetworkConfig(kernel=kernel))
             digests = []
             _drive(net, digests=digests)
             return net, digests
 
-        with pytest.raises(CKernelUnavailable, match="calendar"):
+        with pytest.raises(CKernelUnavailable, match="too wide"):
             CKernel(run("event")[0])
         monkeypatch.setattr(ckernel, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="event kernel") as caught:
@@ -193,34 +194,39 @@ class TestFallbackLadder:
 
     @needs_ckernel
     def test_each_fallback_reason_is_warned_and_reported(self, monkeypatch):
-        """Two networks blocked for two different reasons in one process:
-        each cause gets its own RuntimeWarning (a repeat of either stays
-        silent), and both ``span_blocker()`` and the run result name the
-        cause that kept the network off the compiled kernel."""
+        """Two networks blocked for two different reasons in one process
+        (a router too wide for the kernel, then no compiler): each cause
+        gets its own RuntimeWarning (a repeat of either stays silent), and
+        both ``span_blocker()`` and the run result name the cause that
+        kept the network off the compiled kernel."""
         from repro.traffic import UniformRandom, run_synthetic
 
-        def blocked(router, **config):
+        def blocked(router):
             topo = Mesh(2)
             configs = {r: router for r in range(topo.num_routers)}
-            return Network(
-                topo, configs, NetworkConfig(kernel="c", **config)
-            )
+            return Network(topo, configs, NetworkConfig(kernel="c"))
 
         monkeypatch.setattr(ckernel, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="event kernel") as caught:
             wide = blocked(RouterConfig(num_vcs=63))
             wide.step()
+            blocked(RouterConfig(num_vcs=63)).step()  # known cause: silent
+            # The compiler goes away; the build memo is reset so that
+            # discovery really re-runs (monkeypatch restores it after).
+            monkeypatch.setattr(ckernel, "_LIB", None)
+            monkeypatch.setattr(ckernel, "_FAILED", None)
+            monkeypatch.setattr(ckernel, "find_compiler", lambda: None)
             result = run_synthetic(
-                blocked(RouterConfig(), credit_delay=0), UniformRandom(4),
+                blocked(RouterConfig()), UniformRandom(4),
                 0.05, warmup_packets=10, measure_packets=40,
             )
-            blocked(RouterConfig(num_vcs=63)).step()  # known cause: silent
+            blocked(RouterConfig()).step()  # known cause: silent
         messages = [str(warning.message) for warning in caught]
         assert len(messages) == 2, messages
         assert "too wide" in messages[0]
-        assert "calendar" in messages[1]
+        assert "no C compiler" in messages[1]
         assert "too wide" in wide.span_blocker()
-        assert "calendar" in result.span_fallback
+        assert "no C compiler" in result.span_fallback
         assert result.kernel_cycles["c"] == result.kernel_cycles["c_span"] == 0
 
     @needs_ckernel

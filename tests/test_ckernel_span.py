@@ -513,8 +513,8 @@ class TestSpanEligibility:
             injector=injector, **knobs,
         )
 
-    def _c_network(self, **config):
-        net = build_network(layout_by_name("baseline", 3), **config)
+    def _c_network(self):
+        net = build_network(layout_by_name("baseline", 3))
         net.use_kernel("c")
         return net
 
@@ -557,20 +557,18 @@ class TestSpanEligibility:
         assert selfsimilar.span_twin(injector, 9) is None
 
     @needs_ckernel
-    @pytest.mark.parametrize("what", ["watchdog", "queue-limit", "faults"])
+    @pytest.mark.parametrize("what", ["watchdog", "faults"])
     def test_watchers_keep_the_per_cycle_loop(self, what):
-        knobs, config = {}, {}
+        knobs = {}
         if what == "watchdog":
             from repro.faults import Watchdog
 
             knobs["watchdog"] = Watchdog(stall_window=10_000)
-        elif what == "queue-limit":
-            config["source_queue_limit"] = 50
         else:
             from repro.faults.schedule import FaultSchedule
 
             knobs["faults"] = FaultSchedule(specs=())
-        result = self._run(self._c_network(**config), **knobs)
+        result = self._run(self._c_network(), **knobs)
         assert result.kernel_cycles["c_span"] == 0
         assert result.span_fallback is not None
         assert sum(result.kernel_cycles.values()) == result.total_cycles

@@ -115,4 +115,6 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(credit_delay=-1)
         with pytest.raises(ValueError):
+            NetworkConfig(credit_delay=0)  # every credit would be lost
+        with pytest.raises(ValueError):
             NetworkConfig(frequency_ghz=0.0)

@@ -119,12 +119,6 @@ class TestWormholeOrdering:
 
 
 class TestBackpressure:
-    def test_source_queue_limit(self):
-        network = _uniform_network(source_queue_limit=2)
-        assert network.enqueue(network.make_packet(0, 5))
-        assert network.enqueue(network.make_packet(0, 5))
-        assert not network.enqueue(network.make_packet(0, 5))
-
     def test_drain_detects_stuck_network(self):
         network = _uniform_network()
         network.enqueue(network.make_packet(0, 15))

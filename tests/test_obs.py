@@ -17,7 +17,7 @@ from repro.core.layouts import baseline_layout, build_network
 from repro.experiments.export import export_observation
 from repro.obs import (
     CompositeObserver,
-    EventLog,
+    KernelMetrics,
     Observer,
     PacketTracer,
     RunProfiler,
@@ -28,6 +28,7 @@ from repro.obs import replay
 from repro.obs.profiler import Progress
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.runner import run_synthetic
+from tests.test_obs_fastpath import _make_counting_observer
 
 
 def _run_observed(
@@ -105,6 +106,11 @@ class TestAcceptanceTracerMatchesRecords:
             assert record.packet_id in obs.tracer.traces
             assert record.packet_id in obs.tracer.delivered
 
+    def test_traces_exactly_the_measured_packets(self, observed):
+        _, obs, result = observed
+        measured = {record.packet_id for record in result.stats.records}
+        assert set(obs.tracer.traces) == measured
+
     def test_trace_object_matches_records(self, observed):
         _, obs, result = observed
         for record in result.stats.records:
@@ -154,25 +160,38 @@ class TestAcceptanceTracerMatchesRecords:
 
 
 class TestEventBus:
+    def test_every_hook_has_a_product_listener(self):
+        """A hook no product observer overrides is a tap on the simulator
+        path that nothing listens to; the composite forwards every hook."""
+        hooks = sorted(n for n in vars(Observer) if n.startswith("on_"))
+        products = (TimeSeriesSampler, PacketTracer, KernelMetrics)
+        unheard = [
+            hook for hook in hooks
+            if not any(hook in vars(cls) for cls in products)
+        ]
+        assert unheard == []
+        assert len(hooks) == 9
+        assert [h for h in hooks if h not in vars(CompositeObserver)] == []
+
     def test_event_counts_are_consistent(self):
-        log = EventLog()
+        counter = _make_counting_observer()
         network = build_network(baseline_layout(4))
-        network.attach_observer(log)
+        network.attach_observer(counter)
         result = run_synthetic(
             network, UniformRandom(16), rate=0.05,
             warmup_packets=20, measure_packets=100, seed=5,
         )
-        counts = log.counts
+        calls = counter.calls
         # Warmup + measured packets, plus background load during the drain.
-        assert counts["packet_enqueued"] >= 120
-        assert counts["packet_delivered"] <= counts["packet_enqueued"]
+        assert calls["on_packet_enqueued"] >= 120
+        assert calls["on_packet_delivered"] <= calls["on_packet_enqueued"]
         # Ejections never exceed injections (drain may leave flits inside).
-        assert counts["flit_ejected"] <= counts["flit_injected"]
+        assert calls["on_flit_ejected"] <= calls["on_flit_injected"]
         # A flit traverses the switch once per hop plus once to eject.
-        assert counts["switch_grant"] == (
-            counts["link_traversal"] + counts["flit_ejected"]
+        assert calls["on_switch_grant"] == (
+            calls["on_link_traversal"] + calls["on_flit_ejected"]
         )
-        assert counts["cycle_end"] == network.cycle
+        assert calls["on_cycle_end"] == network.cycle
         assert not result.saturated
 
     def test_observer_does_not_perturb_simulation(self):
@@ -180,7 +199,7 @@ class TestEventBus:
         for attach in (False, True):
             network = build_network(baseline_layout(4))
             if attach:
-                network.attach_observer(EventLog())
+                network.attach_observer(_make_counting_observer())
             result = run_synthetic(
                 network, UniformRandom(16), rate=0.06,
                 warmup_packets=20, measure_packets=120, seed=9,
@@ -193,23 +212,27 @@ class TestEventBus:
 
     def test_detach_restores_fast_path(self):
         network = build_network(baseline_layout(4))
-        network.attach_observer(EventLog())
+        network.attach_observer(_make_counting_observer())
         network.detach_observer()
         assert network.obs is None
         assert all(router.obs is None for router in network.routers)
 
     def test_composite_fans_out(self):
-        log_a, log_b = EventLog(), EventLog()
-        composite = CompositeObserver([log_a])
-        composite.add(log_b)
+        count_a = _make_counting_observer()
+        count_b = _make_counting_observer()
+        composite = CompositeObserver([count_a])
+        composite.add(count_b)
         network = build_network(baseline_layout(4))
         network.attach_observer(composite)
         run_synthetic(
             network, UniformRandom(16), rate=0.05,
             warmup_packets=10, measure_packets=40, seed=2,
         )
-        assert log_a.counts == log_b.counts
-        assert log_a.counts["packet_enqueued"] >= 50
+        assert count_a.calls == count_b.calls
+        assert set(count_a.calls) == {
+            name for name in vars(Observer) if name.startswith("on_")
+        }
+        assert count_a.calls["on_packet_enqueued"] >= 50
 
     def test_base_observer_is_noop(self):
         network = build_network(baseline_layout(4))
@@ -224,8 +247,6 @@ class TestEventBus:
 class TestDrainTruncation:
     def test_unfinished_measured_packets_reported(self):
         network = build_network(baseline_layout(4))
-        log = EventLog()
-        network.attach_observer(log)
         result = run_synthetic(
             network, UniformRandom(16), rate=0.5,
             warmup_packets=20, measure_packets=300, seed=3,
@@ -237,9 +258,6 @@ class TestDrainTruncation:
             result.stats.packets_offered - len(result.stats.records)
         )
         assert result.stats.saturated
-        assert log.counts.get("drain_truncated") == 1
-        truncations = [e for e in log.events if e[0] == "drain_truncated"]
-        assert truncations[0][2] == result.unfinished_measured_packets
 
     def test_clean_run_has_no_unfinished_packets(self):
         network = build_network(baseline_layout(4))
@@ -350,37 +368,6 @@ class TestSamplerDetails:
     def test_saturation_onset_none_below_knee(self):
         _, obs, _ = _run_observed(sample_window=25, rate=0.03)
         assert obs.sampler.saturation_onset(factor=50.0) is None
-
-
-class TestTracerSelection:
-    def test_select_all_traces_warmup_packets(self):
-        _, obs, result = _run_observed(
-            sample_window=None, trace=True, trace_select="all",
-            warmup=10, measure=40,
-        )
-        assert len(obs.tracer.traces) >= 50
-
-    def test_max_packets_cap(self):
-        _, obs, _ = _run_observed(
-            sample_window=None, trace=True, trace_max_packets=5,
-        )
-        assert len(obs.tracer.traces) == 5
-
-    def test_select_by_callable(self):
-        tracer = PacketTracer(select=lambda p: p.dst == 0)
-        network = build_network(baseline_layout(4))
-        network.attach_observer(tracer)
-        run_synthetic(
-            network, UniformRandom(16), rate=0.05,
-            warmup_packets=10, measure_packets=60, seed=8,
-        )
-        assert tracer.traces
-        for events in tracer.traces.values():
-            assert events[0]["dst"] == 0
-
-    def test_rejects_unknown_selector_string(self):
-        with pytest.raises(ValueError):
-            PacketTracer(select="bogus")
 
 
 class TestExportersAndReplay:

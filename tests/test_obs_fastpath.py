@@ -66,7 +66,6 @@ def test_attached_observer_sees_the_event_stream():
         "on_vc_allocated",
         "on_switch_grant",
         "on_link_traversal",
-        "on_credit_return",
         "on_packet_delivered",
         "on_cycle_end",
     ):

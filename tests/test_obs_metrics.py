@@ -101,15 +101,10 @@ class TestHistogram:
 class TestKernelMetrics:
     def _run(self, size=3, **drive):
         net = build_network(layout_by_name("baseline", size))
-        metrics = KernelMetrics(net, sample_every=8)
+        metrics = KernelMetrics(net)
         net.attach_observer(metrics)
         _drive(net, **drive)
         return net, metrics
-
-    def test_sample_every_validated(self):
-        net = build_network(layout_by_name("baseline", 2))
-        with pytest.raises(ValueError):
-            KernelMetrics(net, sample_every=0)
 
     def test_whole_run_accounting(self):
         net, metrics = self._run()
