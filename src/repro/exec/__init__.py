@@ -10,11 +10,11 @@ first-class operation:
   ``process`` backend, replaying whatever the :class:`ResultStore`
   already holds (crash-safe WAL-mode SQLite with a sweep journal and
   corrupt-row quarantine -- the only durable backend; ``python -m
-  repro.exec <store> info|quarantine|import`` inspects and migrates);
+  repro.exec <store> info|quarantine`` inspects it);
 * :func:`configure` -- process-wide :class:`ExecDefaults`
   (``--jobs``/``--no-cache`` in ``run_all``), seeded once from
-  ``REPRO_JOBS`` / ``REPRO_SWEEP_CACHE`` / ``REPRO_CHECKPOINT_EVERY`` /
-  ``REPRO_CHECKPOINT_DIR`` by :meth:`ExecDefaults.from_env`.
+  ``REPRO_JOBS`` / ``REPRO_SWEEP_CACHE`` by
+  :meth:`ExecDefaults.from_env`.
 
 The contract the test suite pins: for a given spec, serial execution,
 process execution and a store replay all yield the same
@@ -23,8 +23,6 @@ process execution and a store replay all yield the same
 
 from repro.exec.engine import (
     ExecDefaults,
-    PointTimeout,
-    SweepCancelled,
     configure,
     run_sweep,
     sweep_points,
@@ -41,9 +39,7 @@ __all__ = [
     "SPEC_VERSION",
     "ExecDefaults",
     "PointResult",
-    "PointTimeout",
     "ResultStore",
-    "SweepCancelled",
     "SweepPoint",
     "configure",
     "default_store_path",

@@ -23,27 +23,18 @@ per point *in input order*.  Three orthogonal choices:
   as points complete; :func:`repro.obs.profiler.make_progress_printer`
   plugs in directly.
 
-Long points can additionally auto-checkpoint: ``checkpoint_every=N``
-snapshots the live simulation every ``N`` cycles via
-:mod:`repro.noc.snapshot` (into ``checkpoint_dir``, by default
-``<store path>.ckpt/`` beside the store), and a retried or re-run point
-resumes bit-identically from its last checkpoint instead of cycle 0.
-
 Every setting resolves the same way: an argument passed to
 :func:`run_sweep` wins, else the process-wide :class:`ExecDefaults` that
 :func:`configure` edits, which start out as
 :meth:`ExecDefaults.from_env` -- the one place this package reads
-``REPRO_JOBS``, ``REPRO_SWEEP_CACHE``, ``REPRO_CHECKPOINT_EVERY`` and
-``REPRO_CHECKPOINT_DIR``.  Harnesses can therefore stay ignorant of
-parallelism while ``run_all --jobs N`` turns it on globally.
+``REPRO_JOBS`` and ``REPRO_SWEEP_CACHE``.  Harnesses can therefore stay
+ignorant of parallelism while ``run_all --jobs N`` turns it on globally.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import signal
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -55,22 +46,12 @@ from repro.obs.profiler import Progress
 
 _UNSET = object()
 
-
-class PointTimeout(RuntimeError):
-    """A sweep point exceeded its per-point wall-clock budget."""
-
-
-class SweepCancelled(RuntimeError):
-    """A sweep was cancelled (via ``cancel_event``) before completing."""
+#: sleep before retry attempt *n* is ``_RETRY_BACKOFF_S * 2**(n-1)`` seconds.
+_RETRY_BACKOFF_S = 0.25
 
 
-def _execute_point_guarded(
-    point: SweepPoint,
-    timeout_s: Optional[float],
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> Tuple[PointResult, dict]:
-    """Run one point, optionally under a wall-clock alarm.
+def _execute_point_guarded(point: SweepPoint) -> Tuple[PointResult, dict]:
+    """Run one point behind the chaos kill gate.
 
     Returns ``(result, info)`` where ``info`` carries the worker pid, the
     ``perf_counter`` at execution start (CLOCK_MONOTONIC on Linux, so the
@@ -78,73 +59,22 @@ def _execute_point_guarded(
     spent simulating -- what a telemetry span records; with telemetry off
     the caller just drops it.
 
-    Module-level so the process backend can pickle it.  The alarm uses
-    ``SIGALRM`` where the platform has it (POSIX); elsewhere the timeout
-    degrades to unenforced rather than failing.  ``execute_point`` is
-    resolved through the module global at call time, so tests that
-    monkeypatch it keep working through this wrapper (the checkpoint
-    kwargs are only passed when checkpointing is actually on, for the
-    same reason).
-
-    Alarms nest correctly: the previous ``ITIMER_REAL`` (not just the
-    previous handler) is saved before arming and re-armed with its
-    remaining time afterwards, so a caller's outer deadline keeps
-    counting down across a guarded inner call.
+    Module-level so the process backend can pickle it.  ``execute_point``
+    is resolved through the module global at call time, so wrappers
+    installed on ``repro.exec.engine.execute_point`` (tests, perf's
+    span tracer) see every point.
     """
     start_s = time.perf_counter()
     if os.environ.get("REPRO_CHAOS_KILL"):
         from repro.chaos.kill import maybe_kill_self
 
         maybe_kill_self(point)
-
-    def _run() -> Tuple[PointResult, dict]:
-        if checkpoint_every is not None:
-            result = execute_point(
-                point,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-            )
-        else:
-            result = execute_point(point)
-        return result, {
-            "worker": os.getpid(),
-            "start_s": start_s,
-            "sim_s": time.perf_counter() - start_s,
-        }
-
-    if (
-        timeout_s is not None
-        and timeout_s > 0
-        and hasattr(signal, "SIGALRM")
-        # signal handlers can only be installed from the main thread; in
-        # a worker thread (the repro.serve job server) the budget
-        # degrades to unenforced, exactly like platforms without SIGALRM.
-        and threading.current_thread() is threading.main_thread()
-    ):
-
-        def _alarm(signum, frame):
-            raise PointTimeout(
-                f"point {point.label} exceeded {timeout_s:g}s wall-clock budget"
-            )
-
-        previous = signal.signal(signal.SIGALRM, _alarm)
-        outer_delay, outer_interval = signal.getitimer(signal.ITIMER_REAL)
-        armed_at = time.monotonic()
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
-        try:
-            return _run()
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-            if outer_delay > 0:
-                # Re-arm the outer timer with whatever budget it has
-                # left; if it expired while we ran, fire it (almost)
-                # immediately under its own restored handler.
-                remaining = outer_delay - (time.monotonic() - armed_at)
-                signal.setitimer(
-                    signal.ITIMER_REAL, max(remaining, 1e-6), outer_interval
-                )
-    return _run()
+    result = execute_point(point)
+    return result, {
+        "worker": os.getpid(),
+        "start_s": start_s,
+        "sim_s": time.perf_counter() - start_s,
+    }
 
 
 def _failed_result(point: SweepPoint, error: str) -> PointResult:
@@ -208,10 +138,6 @@ class ExecDefaults:
     #: a :class:`repro.obs.manifest.SweepTelemetry` (or anything with its
     #: ``record_point`` signature); ``None`` records nothing.
     telemetry: Optional[object] = None
-    #: auto-checkpoint period in cycles.
-    checkpoint_every: Optional[int] = None
-    #: where checkpoints go; ``None`` means ``<store path>.ckpt/``.
-    checkpoint_dir: Union[str, os.PathLike, None] = None
     #: journal tag recorded with each sweep, so ``run_all --resume`` can
     #: report progress per figure.
     sweep_tag: Optional[str] = None
@@ -224,10 +150,6 @@ class ExecDefaults:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
 
     @classmethod
     def from_env(cls) -> "ExecDefaults":
@@ -237,8 +159,6 @@ class ExecDefaults:
         return cls(
             jobs=_positive_int(env.get("REPRO_JOBS")) or 1,
             cache_dir=env.get("REPRO_SWEEP_CACHE") or None,
-            checkpoint_every=_positive_int(env.get("REPRO_CHECKPOINT_EVERY")),
-            checkpoint_dir=env.get("REPRO_CHECKPOINT_DIR") or None,
         )
 
 
@@ -275,14 +195,9 @@ def run_sweep(
     backend: Optional[str] = None,
     cache: Union[ResultStore, str, None, object] = _UNSET,
     progress: object = _UNSET,
-    timeout: Optional[float] = None,
     retries: int = 0,
-    retry_backoff_s: float = 0.25,
     on_error: Optional[str] = None,
     telemetry: object = _UNSET,
-    checkpoint_every: object = _UNSET,
-    checkpoint_dir: object = _UNSET,
-    cancel_event: Optional[object] = None,
     submit: object = _UNSET,
 ) -> List[PointResult]:
     """Execute every point, returning results in input order.
@@ -299,14 +214,9 @@ def run_sweep(
         progress: callback for :class:`Progress` heartbeats (one per
             completed point; ``done`` counts points, and cached hits are
             counted immediately).
-        timeout: per-point wall-clock budget in seconds, enforced with
-            ``SIGALRM`` inside whichever process runs the point (worker
-            or this one); ``None`` disables it.  On platforms without
-            ``SIGALRM`` the budget is not enforced.
-        retries: extra attempts per failing point (timeouts, crashes and
-            dead pool workers included) before the failure is final.
-        retry_backoff_s: sleep before retry attempt *n* is
-            ``retry_backoff_s * 2**(n-1)`` seconds.
+        retries: extra attempts per failing point (crashes and dead pool
+            workers included) before the failure is final; retry *n*
+            first sleeps ``_RETRY_BACKOFF_S * 2**(n-1)`` seconds.
         on_error: what to do with a point whose attempts are exhausted --
             ``"raise"`` aborts the sweep (the first error propagates);
             ``"capture"`` records a placeholder :class:`PointResult` with
@@ -319,22 +229,6 @@ def run_sweep(
             worker pid, cache hit, attempts, config digest); defaults to
             the configured telemetry, and ``None`` records nothing (the
             points run through the same code either way).
-        checkpoint_every: auto-checkpoint period in simulated cycles
-            (default: the configured value / ``REPRO_CHECKPOINT_EVERY``;
-            ``None`` disables).  Every executing point snapshots its full
-            simulation state that often and resumes from the last
-            snapshot on retry or re-run, bit-identically.
-        checkpoint_dir: where the snapshots go (default: the configured
-            value / ``REPRO_CHECKPOINT_DIR``, else ``<store path>.ckpt/``
-            beside the store).  Checkpointing with neither a directory
-            nor a store is a :class:`ValueError`.
-        cancel_event: anything with an ``is_set()`` method (a
-            ``threading.Event``); when it reports set, the sweep raises
-            :class:`SweepCancelled` instead of starting the next point
-            (serial backend) or the next retry round (process backend).
-            Results already computed and cached stay cached, so a
-            cancelled sweep resumed later recomputes nothing -- this is
-            how the :mod:`repro.serve` job server aborts a running job.
         submit: remote-submission hook ``(points, tag=...) -> results``;
             defaults to the configured one (``configure(submit=...)``),
             ``None`` forces local execution.  When active, the *entire*
@@ -358,8 +252,6 @@ def run_sweep(
         cache_dir=cache,
         progress=progress,
         telemetry=telemetry,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
         submit=submit,
     )
     heartbeat, spans = settings.progress, settings.telemetry
@@ -399,16 +291,6 @@ def run_sweep(
     store = settings.cache_dir
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
-    ckpt_every, ckpt_dir = settings.checkpoint_every, settings.checkpoint_dir
-    if ckpt_every is not None and ckpt_dir is None:
-        if store is None:
-            raise ValueError(
-                f"checkpoint_every={ckpt_every} has nowhere to write: give "
-                "a checkpoint_dir (REPRO_CHECKPOINT_DIR) or enable the "
-                "result store (cache= / REPRO_SWEEP_CACHE), which keeps "
-                "checkpoints in <store path>.ckpt/"
-            )
-        ckpt_dir = f"{store.path}.ckpt"
 
     journal_id: Optional[str] = None
     if store is not None and points:
@@ -455,14 +337,7 @@ def run_sweep(
         _tick()
 
     def _backoff(attempt: int) -> None:
-        if retry_backoff_s > 0:
-            time.sleep(retry_backoff_s * (2 ** (attempt - 1)))
-
-    def _check_cancelled() -> None:
-        if cancel_event is not None and cancel_event.is_set():
-            raise SweepCancelled(
-                f"sweep cancelled after {done}/{len(points)} points"
-            )
+        time.sleep(_RETRY_BACKOFF_S * (2 ** (attempt - 1)))
 
     results: List[Optional[PointResult]] = [None] * len(points)
     pending: List[int] = []
@@ -478,18 +353,14 @@ def run_sweep(
         else:
             pending.append(index)
 
-    run_args = (timeout, ckpt_every, ckpt_dir)
     if backend == "serial" or len(pending) <= 1:
         for index in pending:
-            _check_cancelled()
             attempts = 0
             while True:
                 attempts += 1
                 submitted_s = time.perf_counter()
                 try:
-                    result, info = _execute_point_guarded(
-                        points[index], *run_args
-                    )
+                    result, info = _execute_point_guarded(points[index])
                 except Exception as exc:
                     if attempts <= retries:
                         _backoff(attempts)
@@ -504,14 +375,13 @@ def run_sweep(
             _record(index, attempts, info, submitted_s, error=result.error)
             _finish(index, result)
     else:
-        # Failures (worker exceptions, timeouts, even a worker process
+        # Failures (worker exceptions, even a worker process
         # dying and breaking the whole pool) are retried for `retries`
         # rounds; the pool is rebuilt each round so a poisoned worker
         # cannot take the rest of the sweep down with it.
         remaining = pending
         round_no = 0
         while remaining:
-            _check_cancelled()
             errors: Dict[int, str] = {}
             failed: List[int] = []
             workers = min(jobs, len(remaining))
@@ -522,9 +392,7 @@ def run_sweep(
                 for index in remaining:
                     submitted[index] = time.perf_counter()
                     futures[
-                        pool.submit(
-                            _execute_point_guarded, points[index], *run_args
-                        )
+                        pool.submit(_execute_point_guarded, points[index])
                     ] = index
                 for future in as_completed(futures):
                     index = futures[future]

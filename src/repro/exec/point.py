@@ -322,12 +322,12 @@ def execute_point(
 
     With ``checkpoint_every`` and ``checkpoint_dir`` set, the run
     auto-checkpoints every N cycles to ``<dir>/<spec-key>.ckpt`` and, if
-    such a checkpoint already exists (a previous attempt was killed or
-    timed out mid-run), *resumes* from it instead of restarting at cycle
-    0 -- with a result bit-identical to an uninterrupted run.  A corrupt,
-    truncated or incompatible checkpoint is discarded and the point
-    restarts from scratch; the checkpoint is removed once the point
-    completes.
+    such a checkpoint already exists (a previous attempt was killed
+    mid-run), *resumes* from it instead of restarting at cycle 0 -- with
+    a result bit-identical to an uninterrupted run.  A corrupt, truncated
+    or incompatible checkpoint is discarded and the point restarts from
+    scratch; the checkpoint is removed once the point completes.  Giving
+    only one of the two is a :class:`ValueError`.
     """
     from repro.core.merging import merge_report
     from repro.core.power import network_power_breakdown
@@ -341,11 +341,14 @@ def execute_point(
         warmup_packets=point.warmup_packets,
         measure_packets=point.measure_packets,
     )
+    if (checkpoint_every is None) != (checkpoint_dir is None):
+        raise ValueError(
+            "checkpoint_every and checkpoint_dir go together: give both "
+            "or neither"
+        )
     checkpoint_path = None
     checkpoint = None
-    if checkpoint_every is None or checkpoint_dir is None:
-        checkpoint_every = None
-    else:
+    if checkpoint_every is not None:
         checkpoint_path = checkpoint_path_for(point, checkpoint_dir)
         checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
         try:

@@ -29,10 +29,10 @@ existing directory means ``<dir>/sweeps.sqlite``, anything else is the
 database file itself.  ``run_all`` defaults to
 :func:`default_store_path`.
 
-Before the store, results were cached as one loose ``<key>.json`` file
-per point; migrate such a directory (one way) with::
+Inspect a store with::
 
-    python -m repro.exec sweeps.sqlite import ~/.cache/repro-heteronoc/sweeps
+    python -m repro.exec sweeps.sqlite info        # rows, journal, jobs
+    python -m repro.exec sweeps.sqlite quarantine  # quarantined rows
 """
 
 from __future__ import annotations
@@ -156,8 +156,7 @@ class ResultStore:
     of ``get``/``put``.
 
     ``path`` is the database file, or an existing directory holding it
-    as ``sweeps.sqlite`` (so a directory of old loose-file cache entries
-    keeps working as the cache location, entries untouched).
+    as ``sweeps.sqlite``.
     """
 
     def __init__(self, path: Union[str, pathlib.Path]) -> None:
@@ -545,75 +544,14 @@ class ResultStore:
             return {}
         return dict(rows)
 
-    # -- migration ------------------------------------------------------------
-    def import_cache(
-        self, directory: Union[str, pathlib.Path]
-    ) -> Dict[str, int]:
-        """Import a legacy loose-file cache directory (what the retired
-        ``ResultCache`` wrote: ``<key>.json`` files holding
-        ``{"version", "spec", "result"}``).
-
-        Every ``*.json`` entry that validates (filename matches the
-        spec's content hash, payload parses as a result) becomes one
-        store row; invalid files are counted and skipped, never fatal.
-        Existing rows win -- the store may already hold fresher results.
-        """
-        directory = pathlib.Path(directory).expanduser()
-        imported = skipped = existing = 0
-        for path in sorted(directory.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-                version = payload["version"]
-                spec = payload["spec"]
-                result = PointResult.from_dict(payload["result"])
-                canonical = json.dumps(
-                    {"version": version, "spec": spec},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-                if key != path.stem:
-                    raise ValueError("filename does not match spec hash")
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                warnings.warn(f"skipping cache entry {path.name}: {exc}")
-                skipped += 1
-                continue
-            spec_json = json.dumps(spec, sort_keys=True)
-            result_json = json.dumps(result.to_dict(), sort_keys=True)
-            conn = self._connect()
-            with conn:
-                cursor = conn.execute(
-                    "INSERT OR IGNORE INTO results "
-                    "(key, version, spec, result, checksum, created_at) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        key,
-                        version,
-                        spec_json,
-                        result_json,
-                        _checksum(version, spec_json, result_json),
-                        _now(),
-                    ),
-                )
-            if cursor.rowcount:
-                imported += 1
-            else:
-                existing += 1
-        return {
-            "imported": imported,
-            "skipped": skipped,
-            "existing": existing,
-        }
-
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.exec`` -- inspect and migrate stores."""
+    """``python -m repro.exec`` -- inspect a store."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec",
-        description="Inspect a sweep result store or import a legacy "
-        "loose-file cache directory into it.",
+        description="Inspect a sweep result store.",
     )
     parser.add_argument("store", help="path to the SQLite store (created "
                         "when missing), or a directory holding it as "
@@ -621,22 +559,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="row counts and journal progress")
     sub.add_parser("quarantine", help="list quarantined rows")
-    import_parser = sub.add_parser(
-        "import", help="import a legacy loose-file cache directory"
-    )
-    import_parser.add_argument("cache_dir", help="directory of *.json "
-                               "cache entries")
     args = parser.parse_args(argv)
 
     store = ResultStore(args.store)
-    if args.command == "import":
-        report = store.import_cache(args.cache_dir)
-        print(
-            f"imported {report['imported']} entries from {args.cache_dir} "
-            f"({report['existing']} already present, "
-            f"{report['skipped']} skipped)"
-        )
-        return 0
     if args.command == "quarantine":
         rows = store.quarantined()
         if not rows:

@@ -237,15 +237,6 @@ def _configure_exec(argv: list):
             ExecDefaults.from_env().cache_dir or default_store_path()
         ).path
         cache_label = str(store_path)
-        # Entries the retired loose-file cache left beside the store
-        # (<sha256>.json) are not read any more; say how to keep them.
-        loose = len(list(store_path.parent.glob("?" * 64 + ".json")))
-        if loose:
-            cache_label += (
-                f" ({loose} legacy loose-file entries beside it are not "
-                f"read; import them once with: python -m repro.exec "
-                f"{store_path} import {store_path.parent})"
-            )
     resume = "--resume" in argv
     if resume:
         argv = [a for a in argv if a != "--resume"]

@@ -37,11 +37,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="listen port (0 = ephemeral)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker threads executing jobs (default 2)")
-    parser.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point wall-clock budget (unenforced in worker "
-             "threads on platforms without SIGALRM)",
-    )
     parser.add_argument("--retries", type=int, default=1,
                         help="extra attempts per failing point (default 1)")
     args = parser.parse_args(argv)
@@ -51,7 +46,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        point_timeout=args.point_timeout,
         retries=args.retries,
     )
 

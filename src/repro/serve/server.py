@@ -9,7 +9,7 @@ One process, three kinds of thread:
   wakes it, claims jobs from the persistent
   :class:`~repro.serve.jobs.JobQueue` and executes their points through
   :func:`repro.exec.engine.run_sweep` (serial backend, per-point
-  timeout/retry hardening, chaos sites live), committing every result to
+  retries and error capture, chaos sites live), committing every result to
   the shared :class:`~repro.exec.store.ResultStore`;
 * the caller's thread -- :meth:`SweepServer.start` / :meth:`stop` for
   embedding (tests), or :meth:`serve_forever` under ``python -m
@@ -108,7 +108,6 @@ class SweepServer:
         host: str = "127.0.0.1",
         port: int = 8923,
         workers: int = 2,
-        point_timeout: Optional[float] = None,
         retries: int = 1,
         poll_s: float = 0.1,
     ) -> None:
@@ -119,7 +118,6 @@ class SweepServer:
         self.requested_port = port
         self.port: Optional[int] = None
         self.workers = workers
-        self.point_timeout = point_timeout
         self.retries = retries
         self.poll_s = poll_s
         self.metrics = ServeMetrics()
@@ -715,7 +713,6 @@ class SweepServer:
                 backend="serial",
                 cache=None,
                 progress=None,
-                timeout=self.point_timeout,
                 retries=self.retries,
                 on_error="capture",
                 telemetry=telemetry,

@@ -17,4 +17,4 @@ def test_readme_environment_table_matches_the_source():
     section = readme.split("## Environment", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
     assert documented == in_source
-    assert len(documented) == 9
+    assert len(documented) == 7

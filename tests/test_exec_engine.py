@@ -8,8 +8,11 @@ exception.  That combination is what lets an interrupted
 ``run_all --full`` sweep resume from where it crashed.
 """
 
+import ast
 import dataclasses
+import inspect
 import json
+import pathlib
 
 import pytest
 
@@ -223,8 +226,7 @@ class TestEngineConfiguration:
         assert defaults.cache_dir == str(tmp_path / "env-cache")
 
     def test_env_unset_means_no_store(self, monkeypatch):
-        for name in ("REPRO_JOBS", "REPRO_SWEEP_CACHE",
-                     "REPRO_CHECKPOINT_EVERY", "REPRO_CHECKPOINT_DIR"):
+        for name in ("REPRO_JOBS", "REPRO_SWEEP_CACHE"):
             monkeypatch.delenv(name, raising=False)
         assert ExecDefaults.from_env() == ExecDefaults()
 
@@ -260,48 +262,59 @@ class TestProgressHeartbeats:
 
 
 class TestCheckpointDefaults:
-    def test_checkpoint_every_alone_checkpoints_beside_the_store(
-        self, tmp_path, monkeypatch
-    ):
-        """``REPRO_CHECKPOINT_EVERY`` needs no second variable: the
-        checkpoints go to ``<store path>.ckpt/``."""
-        from repro.chaos.sites import reset_chaos_sites, write_site_plan
-        from repro.exec.point import checkpoint_path_for
+    """Point-level checkpointing is on only when ``execute_point`` gets
+    both its period and its directory; half the pair is an error rather
+    than a silent run without checkpoints."""
 
-        store_path = tmp_path / "sweeps.sqlite"
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(store_path))
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "20")
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-        monkeypatch.setattr(engine_mod, "_defaults", ExecDefaults.from_env())
-        expected = execute_point(POINT).to_dict()
-        # Interrupt the point right after its first checkpoint lands.
-        plan = write_site_plan(
-            tmp_path / "plan.json",
-            {"runner.checkpoint": {"exc": "OSError", "calls": [1]}},
-        )
-        monkeypatch.setenv("REPRO_CHAOS_PLAN", str(plan))
-        reset_chaos_sites()
-        with pytest.raises(OSError):
-            run_sweep([POINT])
-        monkeypatch.delenv("REPRO_CHAOS_PLAN")
-        checkpoint = checkpoint_path_for(POINT, f"{store_path}.ckpt")
-        assert checkpoint.exists()
-        [resumed] = run_sweep([POINT])
-        assert resumed.to_dict() == expected
-        assert not checkpoint.exists()  # deleted once the point commits
-        assert len(ResultStore(store_path)) == 1
-
-    def test_checkpoint_every_with_nowhere_to_write_is_an_error(self):
-        with pytest.raises(
-            ValueError, match="REPRO_CHECKPOINT_DIR.*REPRO_SWEEP_CACHE"
-        ):
-            run_sweep([POINT], cache=None, checkpoint_every=20)
+    def test_checkpoint_every_with_nowhere_to_write_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError, match="give both or neither"):
+            execute_point(POINT, checkpoint_every=20)
+        with pytest.raises(ValueError, match="give both or neither"):
+            execute_point(POINT, checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
 
     def test_explicit_checkpoint_dir_needs_no_store(self, tmp_path):
         expected = execute_point(POINT).to_dict()
-        [result] = run_sweep(
-            [POINT], cache=None, checkpoint_every=20,
-            checkpoint_dir=tmp_path / "ckpt",
+        result = execute_point(
+            POINT, checkpoint_every=20, checkpoint_dir=tmp_path / "ckpt"
         )
         assert result.to_dict() == expected
         assert (tmp_path / "ckpt").is_dir()
+
+
+#: where a keyword passed to ``run_sweep`` / ``configure`` counts as used
+PRODUCT_DIRS = ("src", "perf", "tools", "examples")
+
+
+def _product_keywords() -> set:
+    """Keyword names passed at ``run_sweep(...)`` / ``configure(...)``
+    call sites outside ``tests/`` (``run_sweep``'s ``cache`` is the
+    ``cache_dir`` default it overrides)."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    names = set()
+    for top in PRODUCT_DIRS:
+        for path in (root / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called in ("run_sweep", "configure"):
+                    names.update(kw.arg for kw in node.keywords if kw.arg)
+    if "cache" in names:
+        names.add("cache_dir")
+    return names
+
+
+def test_every_engine_option_has_a_product_caller():
+    """A ``run_sweep`` keyword or an :class:`ExecDefaults` field that only
+    tests set is a knob to retire, not one to keep."""
+    used = _product_keywords()
+    params = [
+        name
+        for name, param in inspect.signature(run_sweep).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    ]
+    fields = [field.name for field in dataclasses.fields(ExecDefaults)]
+    unused = sorted({*params, *fields} - used)
+    assert unused == [], f"engine options no product path sets: {unused}"

@@ -180,18 +180,6 @@ class TestRunAllCli:
         assert "[resume] tiny: 2/2 points committed, 0 pending" in resumed.err
         assert tables(resumed.out) == tables(plain.out)
 
-    def test_loose_cache_entries_get_an_import_hint(self, tmp_path, capsys):
-        sweeps = tmp_path / "xdg" / "repro-heteronoc" / "sweeps"
-        sweeps.mkdir(parents=True)
-        (sweeps / ("ab" * 32 + ".json")).write_text("{}")
-        assert run_all.main(["table1"]) == 0
-        err = capsys.readouterr().err
-        assert "1 legacy loose-file entries" in err
-        command = (
-            f"python -m repro.exec {sweeps / 'sweeps.sqlite'} import {sweeps}"
-        )
-        assert err.count(command) == 1
-
     def test_resume_without_cache_rejected(self, capsys):
         assert run_all.main(["--resume", "--no-cache", "table1"]) == 2
         assert "--resume needs the cache" in capsys.readouterr().out

@@ -12,9 +12,8 @@ What must hold:
   crash recovery requeues ``running`` rows without duplicating work;
 * failures are captured per point (job ``failed``, error recorded) and
   the client reconstructs engine-style NaN results;
-* the engine's server-facing hooks work standalone: ``cancel_event``
-  aborts between points, a ``submit`` hook reroutes whole sweeps, and
-  the per-point timeout degrades safely off the main thread;
+* the engine's server-facing hook works standalone: a ``submit`` hook
+  reroutes whole sweeps;
 * nothing on the served-job path waits on a timer: a submission wakes
   the workers, ``/events`` is pushed (with keep-alives through silence)
   and ``ServeClient.wait`` follows it -- one ``job()`` fetch, no sleep.
@@ -36,7 +35,7 @@ import pytest
 import repro.serve.client as client_mod
 import repro.serve.server as server_mod
 
-from repro.exec.engine import SweepCancelled, run_sweep, sweep_points
+from repro.exec.engine import run_sweep, sweep_points
 from repro.exec.store import ResultStore
 from repro.serve import (
     JobQueue,
@@ -714,23 +713,6 @@ class TestRunAllFlags:
 
 
 class TestEngineHooks:
-    def test_cancel_event_aborts_between_points(self):
-        points = _points(3)
-        seen = []
-
-        class TripAfterOne:
-            def is_set(self):
-                return len(seen) >= 1
-
-        with pytest.raises(SweepCancelled, match="after 1/3"):
-            run_sweep(
-                points,
-                cache=None,
-                progress=lambda p: seen.append(p.done),
-                cancel_event=TripAfterOne(),
-            )
-        assert seen == [1]  # exactly one point ran before the abort
-
     def test_submit_hook_reroutes_whole_sweep(self):
         points = _points(2)
         expected = run_sweep(points, cache=None)
@@ -764,19 +746,3 @@ class TestEngineHooks:
             configure(submit=None)
         assert _comparable(results) == _comparable(expected)
         assert captured == {"tag": None, "client": "test"}
-
-    def test_timeout_degrades_off_main_thread(self):
-        # SIGALRM only works on the main thread; a worker thread must
-        # run the point unenforced instead of crashing on signal().
-        points = _points(1)
-        box = {}
-
-        def worker():
-            box["results"] = run_sweep(points, cache=None, timeout=60.0)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-        expected = _comparable(run_sweep(points, cache=None))
-        assert _comparable(box["results"]) == expected

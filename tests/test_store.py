@@ -9,18 +9,15 @@ What must hold:
   crash; a corrupt *file* is moved aside and the store starts fresh;
 * the sweep journal tracks committed/pending points across interrupted
   sweeps, keyed deterministically so a relaunch re-attaches;
-* the migration CLI imports legacy loose-file cache entries, skipping
-  damaged ones.
+* the ``python -m repro.exec`` CLI reports rows, journal and quarantine.
 """
 
-import json
 import sqlite3
 import warnings
 
 import pytest
 
 from repro.exec.engine import configure, run_sweep, sweep_points
-from repro.exec.point import SPEC_VERSION
 from repro.exec.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
@@ -269,60 +266,23 @@ class TestJournal:
         assert store.sweep_progress(sweep_id_for(points))["pending"] == 0
 
 
-def _write_legacy_cache(directory, points):
-    """A loose-file cache as the retired ``ResultCache`` wrote it: one
-    ``<key>.json`` per point holding ``{version, spec, result}`` -- the
-    format :meth:`ResultStore.import_cache` must keep reading."""
-    directory.mkdir()
-    results = run_sweep(points, cache=None)
-    for point, result in zip(points, results):
-        payload = {
-            "version": SPEC_VERSION,
-            "spec": point.spec_dict(),
-            "result": result.to_dict(),
-        }
-        (directory / f"{point.key()}.json").write_text(
-            json.dumps(payload, sort_keys=True)
-        )
-    return results
-
-
 class TestMigration:
-    def test_import_cache_directory(self, tmp_path):
-        points = _points(2)
-        cache_dir = tmp_path / "loose"
-        expected = _comparable(_write_legacy_cache(cache_dir, points))
-        # A torn entry and a valid payload under the wrong hash must
-        # both be skipped.
-        (cache_dir / "not-a-hash.json").write_text("{'torn")
-        (cache_dir / ("0" * 64 + ".json")).write_text(
-            (cache_dir / f"{points[0].key()}.json").read_text()
-        )
-        store_path = tmp_path / "s.sqlite"
-        store = ResultStore(store_path)
-        with pytest.warns(UserWarning, match="skipping cache entry"):
-            report = store.import_cache(cache_dir)
-        assert report["imported"] == 2
-        assert report["skipped"] == 2
-        # Imported rows serve as hits, bit-identically.
-        results = run_sweep(points, cache=str(store_path))
-        assert all(r.from_cache for r in results)
-        assert _comparable(results) == expected
-        # Re-import is a no-op.
-        report = store.import_cache(cache_dir)
-        assert report["imported"] == 0 and report["existing"] == 2
-
     def test_cli_info_and_import(self, tmp_path, capsys):
+        """``info`` and ``quarantine`` are the whole CLI: the loose-file
+        ``import`` is gone, so pre-store results cannot be replayed as
+        current ones."""
         from repro.exec.store import main
 
-        cache_dir = tmp_path / "loose"
-        _write_legacy_cache(cache_dir, _points(1))
         store_path = tmp_path / "s.sqlite"
-        assert main([str(store_path), "import", str(cache_dir)]) == 0
-        assert "imported 1 entries" in capsys.readouterr().out
+        run_sweep(_points(1), cache=str(store_path))
+        with pytest.raises(SystemExit):
+            main([str(store_path), "import", str(tmp_path)])
+        assert "invalid choice: 'import'" in capsys.readouterr().err
         # A directory argument names the store inside it.
-        assert main([str(cache_dir), "info"]) == 0
-        assert f"store: {cache_dir / 'sweeps.sqlite'}" in capsys.readouterr().out
+        loose = tmp_path / "loose"
+        loose.mkdir()
+        assert main([str(loose), "info"]) == 0
+        assert f"store: {loose / 'sweeps.sqlite'}" in capsys.readouterr().out
         assert main([str(store_path), "info"]) == 0
         out = capsys.readouterr().out
         assert "results: 1" in out
