@@ -195,6 +195,10 @@ class MSHRFile:
     def outstanding(self) -> int:
         return len(self._entries)
 
+    def blocks(self) -> List[int]:
+        """The blocks with an outstanding miss, oldest first."""
+        return list(self._entries)
+
     def allocate(self, block: int, is_write: bool, cycle: int) -> MSHREntry:
         if block in self._entries:
             raise ValueError(f"MSHR already holds block {block:#x}")

@@ -427,11 +427,29 @@ class CmpSystem:
             self._sync_cores()
         if until_done and self._live:
             stuck = [c for c, core in self.cores.items() if not core.done]
+            waits = [self._mshr_waits(core) for core in stuck[:8]]
             raise RuntimeError(
                 f"CMP failed to finish within {max_cycles} cycles; "
-                f"cores still running: {stuck[:8]}{'...' if len(stuck) > 8 else ''}"
+                f"cores still running: {stuck[:8]}"
+                f"{'...' if len(stuck) > 8 else ''}; MSHR waits: "
+                + ("; ".join(filter(None, waits)) or "none")
             )
         return self.cycle
+
+    def _mshr_waits(self, core: int) -> str:
+        """Each block ``core`` has a miss outstanding on, with its home
+        and the transaction open there (a deadlock report's evidence);
+        empty when the core waits on no miss."""
+        blocks = []
+        for block in self.l1s[core].mshrs.blocks():
+            home = self.home_of(block)
+            txn = self.l2s[home].busy.get(block)
+            held = (
+                "no open transaction" if txn is None
+                else f"{txn.kind} for core {txn.requester}"
+            )
+            blocks.append(f"{block:#x} (home {home}: {held})")
+        return f"core {core}: " + ", ".join(blocks) if blocks else ""
 
     # -- results ---------------------------------------------------------------------
     def per_core_ipc(self) -> Dict[int, float]:

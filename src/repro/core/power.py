@@ -325,19 +325,17 @@ def network_power_breakdown(network, stats) -> Dict[str, float]:
     model = RouterPowerModel()
     frequency = network.config.frequency_ghz
     totals = {"buffers": 0.0, "crossbar": 0.0, "arbiters_logic": 0.0, "links": 0.0}
-    for rid, router in enumerate(network.routers):
-        activity = stats.router_activity[rid]
-        link_flits = sum(
-            count
-            for (src, _port), count in stats.link_flits.items()
-            if src == rid
-        )
+    configs = network.router_configs
+    link_flits = [0] * len(configs)
+    for (src, _port), count in stats.link_flits.items():
+        link_flits[src] += count
+    for rid, activity in enumerate(stats.router_activity):
         power = model.power_from_counts(
-            config=router.config,
+            config=configs[rid],
             frequency_ghz=frequency,
             cycles=cycles,
             flit_traversals=activity.buffer_reads,
-            link_flits=link_flits,
+            link_flits=link_flits[rid],
         )
         totals["buffers"] += power.buffers
         totals["crossbar"] += power.crossbar

@@ -305,8 +305,6 @@ def _list_harnesses() -> int:
     (that is what ``--resume`` reports against and what shows up in
     ``python -m repro.exec <store> info`` and in job-server tags).
     """
-    import os
-
     from repro.noc.config import NetworkConfig
 
     width = max(len(name) for name in HARNESSES)
@@ -314,8 +312,7 @@ def _list_harnesses() -> int:
     for name in HARNESSES:
         csv = "yes" if name in _EXPORTABLE else "-"
         print(f"{name:<{width}}  {name:<{width}}  {csv}")
-    kernel = os.environ.get("REPRO_KERNEL") or NetworkConfig.kernel
-    print(f"cycle kernel: {kernel}")
+    print(f"cycle kernel: {NetworkConfig().kernel_in_force()}")
     return 0
 
 

@@ -312,35 +312,32 @@ CK *ck_new(i64 R, i64 P, i64 V, i64 nnodes, i64 po, i64 cd, i64 merging,
     ck->nw_n = (nnodes + 63) / 64;
 
     i64 L = ck->L, RP = ck->RP;
-    ck->nports = zalloc(R);
-    ck->nvcs = zalloc(R);
-    ck->depth = zalloc(R);
-    ck->ej_pmask = zalloc(R);
-    ck->ej_lanes = zalloc(R);
-    ck->has_wide = zalloc(R);
-    ck->route_tab = zalloc(R * nnodes);
-    ck->ovc_cnt = zalloc(RP);
-    ck->ceil_ = zalloc(RP);
-    ck->slanes = zalloc(RP);
-    ck->link_r = zalloc(RP);
-    ck->link_p = zalloc(RP);
-    ck->link_delay = zalloc(RP);
-    ck->link_lanes = zalloc(RP);
-    ck->up_r = zalloc(RP);
-    ck->up_p = zalloc(RP);
-    ck->node_rid = zalloc(nnodes);
-    ck->node_port = zalloc(nnodes);
-    ck->node_lanes = zalloc(nnodes);
-
-    ck->st_pid = zalloc(L);
-    ck->st_route = zalloc(L);
-    ck->st_outvc = zalloc(L);
-    ck->need = zalloc(L);
-    ck->cred = zalloc(L);
-    ck->owner = zalloc(L);
-    ck->occ = zalloc(RP);
-    ck->am = zalloc(RP);
-    ck->credok = zalloc(RP);
+    /* A_NPORTS through A_CREDOK, in enum order, are one block: the shape
+     * tensors and the per-lane state of a fresh network, which
+     * repro.noc.ckernel writes with one memmove of its shape image. */
+    i64 *blk = zalloc(6 * R + R * nnodes + 9 * RP + 3 * nnodes + 6 * L +
+                      3 * RP);
+    if (!blk) {
+        free(ck);
+        return NULL;
+    }
+    i64 **carve[] = {
+        &ck->nports, &ck->nvcs, &ck->depth, &ck->ej_pmask, &ck->ej_lanes,
+        &ck->has_wide, &ck->route_tab, &ck->ovc_cnt, &ck->ceil_,
+        &ck->slanes, &ck->link_r, &ck->link_p, &ck->link_delay,
+        &ck->link_lanes, &ck->up_r, &ck->up_p, &ck->node_rid,
+        &ck->node_port, &ck->node_lanes, &ck->st_pid, &ck->st_route,
+        &ck->st_outvc, &ck->need, &ck->cred, &ck->owner, &ck->occ, &ck->am,
+        &ck->credok,
+    };
+    const i64 sizes[] = {
+        R, R, R, R, R, R, R * nnodes, RP, RP, RP, RP, RP, RP, RP, RP, RP,
+        nnodes, nnodes, nnodes, L, L, L, L, L, L, RP, RP, RP,
+    };
+    for (size_t i = 0; i < sizeof sizes / sizeof sizes[0]; i++) {
+        *carve[i] = blk;
+        blk += sizes[i];
+    }
     ck->in_next = zalloc(RP);
     ck->out_next = zalloc(RP);
     ck->sec_next = zalloc(RP);
@@ -412,15 +409,7 @@ CK *ck_new(i64 R, i64 P, i64 V, i64 nnodes, i64 po, i64 cd, i64 merging,
 void ck_free(CK *ck) {
     if (!ck)
         return;
-    free(ck->nports); free(ck->nvcs); free(ck->depth); free(ck->ej_pmask);
-    free(ck->ej_lanes); free(ck->has_wide); free(ck->route_tab);
-    free(ck->ovc_cnt); free(ck->ceil_); free(ck->slanes);
-    free(ck->link_r); free(ck->link_p); free(ck->link_delay);
-    free(ck->link_lanes); free(ck->up_r); free(ck->up_p);
-    free(ck->node_rid); free(ck->node_port); free(ck->node_lanes);
-    free(ck->st_pid); free(ck->st_route); free(ck->st_outvc);
-    free(ck->need); free(ck->cred); free(ck->owner);
-    free(ck->occ); free(ck->am); free(ck->credok);
+    free(ck->nports); /* the block A_NPORTS .. A_CREDOK */
     free(ck->in_next); free(ck->out_next); free(ck->sec_next);
     free(ck->nva); free(ck->occupied); free(ck->va_off);
     free(ck->actw); free(ck->srcw); free(ck->scratch_w);

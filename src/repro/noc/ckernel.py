@@ -15,13 +15,15 @@ runs over a flat integer arena; this module owns everything around it:
   build-and-memoise), concurrent processes race benignly through an
   atomic ``os.replace``.  No build-time dependency, no wheel machinery.
 * **bridge** -- :class:`CKernel` is the one codec between the object
-  model and the arena, one hop each way.  Packing walks the
-  :class:`~repro.noc.router.Router` objects once and writes the arena:
-  static tensors (shapes, link/upstream/node maps, route tables), then
-  the live state -- per-lane scalars indexed ``(router * P + port) * V +
-  vc``, per-port VC bitmasks and arbiter pointers, the active sets,
-  queues as packet-handle/flit-index rings, calendars of pending
-  arrival/credit events, per-node source queues, packet records.
+  model and the arena, one hop each way.  Packing copies the shape's
+  arena image (static tensors -- shapes, link/upstream/node maps, route
+  tables -- and a fresh network's per-lane state) in one memmove, then,
+  if the network has built its :class:`~repro.noc.router.Router`
+  objects, walks them once for the live state: per-lane scalars indexed
+  ``(router * P + port) * V + vc``, per-port VC bitmasks and arbiter
+  pointers, the active sets, queues as packet-handle/flit-index rings,
+  calendars of pending arrival/credit events; then per-node source
+  queues and packet records.
   :meth:`CKernel.sync` reads the arena and writes the same fields of the
   ``Router`` / ``_VCState`` / allocator / source objects back --
   including rebuilding the shared :class:`~repro.noc.flit.Flit` deques
@@ -85,6 +87,7 @@ import sysconfig
 import threading
 import warnings
 import weakref
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -407,6 +410,57 @@ _ACTIVITY_FIELDS = (
 )
 
 
+def _arena_image(shape, tables, P: int, V: int) -> bytes:
+    """The arena's first block (``A_NPORTS`` .. ``A_CREDOK``, in the order
+    ``ck_new`` carves it) for a fresh network of ``shape`` routed by
+    ``tables``: router shapes, link / upstream / node maps, route tables
+    -- facts of the topology and the router configs, not of the run --
+    then per-lane state with no packet anywhere and every credit home."""
+    configs = shape.configs
+    R = len(configs)
+    RP, L = R * P, R * P * V
+    ej_pmask, has_wide = [0] * R, [0] * R
+    ovc_cnt, ceil, slanes = [0] * RP, [0] * RP, [0] * RP
+    link_r, link_p = [-1] * RP, [0] * RP  # -1: no link on this port
+    link_delay, link_lanes = [0] * RP, [0] * RP
+    up_r, up_p = [-1] * RP, [0] * RP      # -1: local or edge port
+    cred, credok = [0] * L, [0] * RP
+    for rid, links in enumerate(shape.out_links):
+        locals_ = shape.local_ports[rid]
+        for port, link in enumerate(links):
+            rp = rid * P + port
+            vcs = ovc_cnt[rp] = shape.out_vcs[rid][port]
+            depth = ceil[rp] = shape.out_depth[rid][port]
+            cred[rp * V:rp * V + vcs] = [depth] * vcs
+            if depth:
+                credok[rp] = (1 << vcs) - 1
+            if link is not None:
+                slanes[rp] = link_lanes[rp] = link.lanes
+                link_r[rp], link_p[rp] = link.dst_router, link.dst_port
+                link_delay[rp] = link.delay
+                if shape.merging and link.lanes >= 2:
+                    has_wide[rid] = 1
+                up_r[rp], up_p[rp] = shape.upstream[rid][port]
+            elif port in locals_:
+                ej_pmask[rid] |= 1 << port
+                slanes[rp] = configs[rid].lanes
+    image = array("q", shape.num_ports)
+    for values in (
+        [cfg.num_vcs for cfg in configs],
+        [cfg.buffer_depth for cfg in configs],
+        ej_pmask, shape.local_lanes, has_wide,
+        *tables,
+        ovc_cnt, ceil, slanes, link_r, link_p, link_delay, link_lanes,
+        up_r, up_p,
+        shape.node_router_id, shape.node_port, shape.node_lanes,
+        [-1] * L, [-1] * L, [-2] * L,  # st_pid, st_route: None; st_outvc
+        [0] * L, cred, [-1] * L,       # need; cred; owner: None
+        [0] * RP, [0] * RP, credok,    # occ; am; credok
+    ):
+        image.extend(values)
+    return image.tobytes()
+
+
 def _to_i64(word: int) -> int:
     """Reinterpret an unsigned 64-bit word as ctypes' signed int64."""
     word &= _MASK64
@@ -487,22 +541,18 @@ class CKernel:
 
     def __init__(self, net) -> None:
         lib = load_kernel_library()
-        routers = net.routers
-        R = len(routers)
+        shape = net._shape
+        R = len(shape.configs)
         #: uniform strides: max ports / max VCs over the routers (lanes
         #: for ports or VCs a router does not have are never touched).
-        P = max(r.num_ports for r in routers)
-        V = max(r.num_vcs for r in routers)
+        P = max(shape.num_ports)
+        V = max(cfg.num_vcs for cfg in shape.configs)
         if P > 62 or V > 62:
             raise CKernelUnavailable(
                 f"router shape too wide for the bitmask kernel "
                 f"(ports={P}, vcs={V}, limit 62)"
             )
         cd = net._credit_delay
-        delays = [
-            link.delay
-            for r in routers for link in r.out_links if link is not None
-        ]
         #: weak: the network owns this kernel, and a strong reference
         #: back would leave every dropped network (and its C arena)
         #: waiting for the cycle collector.
@@ -511,9 +561,9 @@ class CKernel:
         self.R, self.P, self.V = R, P, V
         self.L = R * P * V
         self.RP = R * P
-        self.D = max(r.config.buffer_depth for r in routers)
+        self.D = max(cfg.buffer_depth for cfg in shape.configs)
         self.nnodes = net.topology.num_nodes
-        self.cal_sz = max([cd] + delays) + 1
+        self.cal_sz = max(cd, shape.max_link_delay) + 1
         po = net.config.router_pipeline_stages - 1
         ck = lib.ck_new(
             R, P, V, self.nnodes, po, cd,
@@ -529,17 +579,9 @@ class CKernel:
         #: exist only as C records.  The allocator itself lives in C.
         self._handles: List[Optional[Packet]] = []
         self._hmap: Dict[int, int] = {}  # id(packet) -> handle
-        #: the routers' own flit deques by lane (``None`` where a router
-        #: has no such port/VC): the C rings hold the contents while the
-        #: kernel is live, sync() refills these very objects.
-        self._queues: List[Optional[object]] = [None] * self.L
-        for rid, r in enumerate(routers):
-            for port, states in enumerate(r._vc_states):
-                lane = (rid * P + port) * V
-                for vc, state in enumerate(states):
-                    self._queues[lane + vc] = state.queue
-        #: the objects the C activity counters are flushed onto.
-        self._activities = [r.activity for r in routers]
+        #: the routers' own flit deques by lane, once :meth:`_lane_queues`
+        #: has gathered them from the built routers.
+        self._queues: Optional[List[Optional[object]]] = None
         #: True while net._arrivals/_credits hold a sync() mirror of the
         #: C calendars; the next step() drops it (C stays authoritative).
         self._mirrored = False
@@ -617,61 +659,99 @@ class CKernel:
         self._view(aid, len(values))[:] = values
 
     def _fill_static(self) -> None:
-        """Write the tensors that never change while the kernel lives:
-        router shapes, link / upstream / node maps and the route tables
-        -- facts of the topology and the router configs, not of the run."""
+        """Write the static tensors and a fresh network's per-lane state:
+        one memmove of the shape's arena image (built by the shape's
+        first kernel under these route tables)."""
         net = self.net
-        routers = net.routers
-        R, P, RP, nnodes = self.R, self.P, self.RP, self.nnodes
-        merging = net._merging
-        self._put(A_NPORTS, [r.num_ports for r in routers])
-        self._put(A_NVCS, [r.num_vcs for r in routers])
-        self._put(A_DEPTH, [r.config.buffer_depth for r in routers])
-        self._put(A_EJ_LANES, [r._local_lanes for r in routers])
-        route_tab = self._view(A_ROUTE_TAB, R * nnodes)
-        ej_pmask, has_wide = [0] * R, [0] * R
-        ovc_cnt, ceil, slanes = [0] * RP, [0] * RP, [0] * RP
-        link_r, link_p = [-1] * RP, [0] * RP  # -1: no link on this port
-        link_delay, link_lanes = [0] * RP, [0] * RP
-        up_r, up_p = [-1] * RP, [0] * RP      # -1: local or edge port
-        for rid, r in enumerate(routers):
-            route_tab[rid * nnodes:(rid + 1) * nnodes] = r._route_table
-            for port in range(r.num_ports):
-                rp = rid * P + port
-                if r.is_ejection[port]:
-                    ej_pmask[rid] |= 1 << port
-                ovc_cnt[rp] = r.out_vc_count[port]
-                ceil[rp] = r._credit_ceiling[port]
-                slanes[rp] = r._static_lanes[port]
-                link = r.out_links[port]
-                if link is not None:
-                    link_r[rp], link_p[rp] = link.dst_router, link.dst_port
-                    link_delay[rp], link_lanes[rp] = link.delay, link.lanes
-                    if merging and link.lanes >= 2:
-                        has_wide[rid] = 1
-                upstream = net._upstream[rid][port]
-                if upstream is not None:
-                    up_r[rp], up_p[rp] = upstream
-        for aid, values in (
-            (A_EJ_PMASK, ej_pmask), (A_HAS_WIDE, has_wide),
-            (A_OVC_CNT, ovc_cnt), (A_CEIL, ceil), (A_SLANES, slanes),
-            (A_LINK_R, link_r), (A_LINK_P, link_p),
-            (A_LINK_DELAY, link_delay), (A_LINK_LANES, link_lanes),
-            (A_UP_R, up_r), (A_UP_P, up_p),
-            (A_NODE_RID, net._node_router_id), (A_NODE_PORT, net._node_port),
-            (A_NODE_LANES, net._node_lanes),
-        ):
-            self._put(aid, values)
+        shape, tables = net._shape, net._route_tables
+        arena = shape.arena
+        if arena is None or arena[0] is not tables:
+            arena = shape.arena = (
+                tables, _arena_image(shape, tables, self.P, self.V)
+            )
+        ctypes.memmove(self._arr(A_NPORTS), arena[1], len(arena[1]))
+
+    def _lane_queues(self) -> List[Optional[object]]:
+        """The routers' own flit deques by lane (``None`` where a router
+        has no such port/VC): the C rings hold the contents while the
+        kernel is live, sync() refills these very objects."""
+        if self._queues is None:
+            P, V = self.P, self.V
+            queues: List[Optional[object]] = [None] * self.L
+            for rid, r in enumerate(self.net.routers):
+                for port, states in enumerate(r._vc_states):
+                    lane = (rid * P + port) * V
+                    for vc, state in enumerate(states):
+                        queues[lane + vc] = state.queue
+            self._queues = queues
+        return self._queues
 
     def _pack(self) -> None:
-        """Write the live state of the object model into the (fresh, all
-        zero) arena, which then owns it until :meth:`sync`."""
+        """Write the live state of the object model over the fresh state
+        :meth:`_fill_static` left; the arena owns it until :meth:`sync`.
+        Routers a network never built are in that fresh state already."""
+        net = self.net
+        lib = self.lib
+        ck = self._ck
+        lib.ck_set(ck, S_CYCLE, net.cycle)
+        if net._routers is not None:
+            self._pack_routers()
+
+        # sources: queued packets, mid-injection state, active-set bits
+        src_pkt = self._arr(A_SRC_PKT)
+        src_next = self._arr(A_SRC_NEXT)
+        src_vc = self._arr(A_SRC_VC)
+        for node, source in enumerate(net.sources):
+            for packet in source.queue:
+                if lib.ck_source_push(ck, node, self._handle(packet)):
+                    raise MemoryError("ck_source_push failed")
+            if source.next_flit < len(source.flits):
+                src_pkt[node] = self._handle(source.flits[0].packet)
+                src_next[node] = source.next_flit
+                src_vc[node] = source.vc
+        # srcw already has bits for queued nodes; add the conservative
+        # active-source superset so pruning matches the event kernel.
+        for node in net._active_sources:
+            lib.ck_src_wake(ck, node)
+
+        # pending events -> calendars (then C owns them)
+        for when, events in net._arrivals.items():
+            for rid, port, vc, flit in events:
+                rc = lib.ck_sched_arrival(
+                    ck, when, rid, port, vc, self._handle(flit.packet),
+                    flit.index,
+                )
+                if rc:
+                    raise CKernelUnavailable(
+                        f"arrival event at cycle {when} outside the "
+                        "calendar ring"
+                    )
+        for when, events in net._credits.items():
+            for rid, port, vc, release in events:
+                rc = lib.ck_sched_credit(
+                    ck, when, rid, port, vc, 1 if release else 0
+                )
+                if rc:
+                    raise CKernelUnavailable(
+                        f"credit event at cycle {when} outside the "
+                        "calendar ring"
+                    )
+        net._arrivals.clear()
+        net._credits.clear()
+
+        # cache stable array pointers for the hot step/sync paths
+        self._qs_pkt = self._arr(A_QS_PKT)
+        self._qs_seq = self._arr(A_QS_SEQ)
+        self._qs_ready = self._arr(A_QS_READY)
+        self._qhead = self._arr(A_QHEAD)
+        self._qlen = self._arr(A_QLEN)
+
+    def _pack_routers(self) -> None:
+        """The routers' part of :meth:`_pack`."""
         net = self.net
         lib = self.lib
         ck = self._ck
         R, P, V, L, RP = self.R, self.P, self.V, self.L, self.RP
-        lib.ck_set(ck, S_CYCLE, net.cycle)
-
         # per-lane scalars, per-port masks and arbiter pointers
         st_pid, st_route = [-1] * L, [-1] * L  # -1: None
         st_outvc = [-2] * L                    # -2: None, -1: ejection
@@ -728,7 +808,7 @@ class CKernel:
             self._put(aid, values)
 
         # flit queues (shared deques -> handle/index/ready rings)
-        for lane, q in enumerate(self._queues):
+        for lane, q in enumerate(self._lane_queues()):
             if not q:
                 continue
             for flit in q:
@@ -739,55 +819,6 @@ class CKernel:
                     raise CKernelUnavailable(
                         "flit queue deeper than the configured buffer"
                     )
-
-        # sources: queued packets, mid-injection state, active-set bits
-        src_pkt = self._arr(A_SRC_PKT)
-        src_next = self._arr(A_SRC_NEXT)
-        src_vc = self._arr(A_SRC_VC)
-        for node, source in enumerate(net.sources):
-            for packet in source.queue:
-                if lib.ck_source_push(ck, node, self._handle(packet)):
-                    raise MemoryError("ck_source_push failed")
-            if source.next_flit < len(source.flits):
-                src_pkt[node] = self._handle(source.flits[0].packet)
-                src_next[node] = source.next_flit
-                src_vc[node] = source.vc
-        # srcw already has bits for queued nodes; add the conservative
-        # active-source superset so pruning matches the event kernel.
-        for node in net._active_sources:
-            lib.ck_src_wake(ck, node)
-
-        # pending events -> calendars (then C owns them)
-        for when, events in net._arrivals.items():
-            for rid, port, vc, flit in events:
-                rc = lib.ck_sched_arrival(
-                    ck, when, rid, port, vc, self._handle(flit.packet),
-                    flit.index,
-                )
-                if rc:
-                    raise CKernelUnavailable(
-                        f"arrival event at cycle {when} outside the "
-                        "calendar ring"
-                    )
-        for when, events in net._credits.items():
-            for rid, port, vc, release in events:
-                rc = lib.ck_sched_credit(
-                    ck, when, rid, port, vc, 1 if release else 0
-                )
-                if rc:
-                    raise CKernelUnavailable(
-                        f"credit event at cycle {when} outside the "
-                        "calendar ring"
-                    )
-        net._arrivals.clear()
-        net._credits.clear()
-
-        # cache stable array pointers for the hot step/sync paths
-        self._qs_pkt = self._arr(A_QS_PKT)
-        self._qs_seq = self._arr(A_QS_SEQ)
-        self._qs_ready = self._arr(A_QS_READY)
-        self._qhead = self._arr(A_QHEAD)
-        self._qlen = self._arr(A_QLEN)
 
     # -- stepping ---------------------------------------------------------
     def _drop_mirror(self) -> None:
@@ -1058,7 +1089,7 @@ class CKernel:
         RouterActivity objects and the stats dictionaries, zeroing the C
         side (measurement boundaries call this)."""
         R, P, RP = self.R, self.P, self.RP
-        activities = self._activities
+        activities = self.net._activities
         for aid, field in _ACTIVITY_FIELDS:
             counts = self._view(aid, R)
             for rid, count in enumerate(counts[:]):
@@ -1076,14 +1107,13 @@ class CKernel:
                     dest[key] = dest.get(key, 0) + count
             ctypes.memset(counts, 0, ctypes.sizeof(counts))
 
-    def reload_activities(self) -> None:
+    def drop_activity(self) -> None:
         """Drop pending counts after ``reset_stats`` replaced the
         RouterActivity objects."""
         for aid, _ in _ACTIVITY_FIELDS:
             self._put(aid, [0] * self.R)
         self._put(A_LF, [0] * self.RP)
         self._put(A_LB, [0] * self.RP)
-        self._activities = [r.activity for r in self.net.routers]
 
     # -- sync: C -> Python -------------------------------------------------
     def _make_flit(self, packet: Packet, index: int) -> Flit:
@@ -1170,7 +1200,7 @@ class CKernel:
         qs_pkt, qs_seq, qs_ready = self._qs_pkt, self._qs_seq, self._qs_ready
         qhead, qlen = self._qhead, self._qlen
         handles = self._handles
-        for lane, q in enumerate(self._queues):
+        for lane, q in enumerate(self._lane_queues()):
             if q is None:
                 continue
             n = qlen[lane]

@@ -20,6 +20,7 @@ router (pipeline depth, routing discipline, clock).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
@@ -245,6 +246,14 @@ class NetworkConfig:
             raise ValueError(
                 f"unknown kernel {name!r}; expected one of {cls.KERNELS}"
             )
+
+    def kernel_in_force(self) -> str:
+        """The kernel a network of this config runs: ``REPRO_KERNEL`` when
+        it is set, else :attr:`kernel` -- the one reader of that variable,
+        checked like every other kernel name."""
+        kernel = os.environ.get("REPRO_KERNEL") or self.kernel
+        self.check_kernel(kernel)
+        return kernel
 
     @property
     def cycle_time_ns(self) -> float:

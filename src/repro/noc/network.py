@@ -48,12 +48,18 @@ kernels at the next step.  When the
 compiled kernel cannot be built or does not support the network shape
 (no C compiler, a router wider than 62 ports or VCs) the event kernel
 carries the whole run after one ``RuntimeWarning`` naming the reason.
+
+Construction is paid once per :class:`NetworkShape` (memoised by
+:func:`network_shape`), and the :class:`~repro.noc.router.Router` objects
+are built from it only when something first reads :attr:`Network.routers`
+(an object-model step, a kernel sync, an observer or fault injector), so a
+span-driven run on the compiled kernel never builds them.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from time import perf_counter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -62,7 +68,12 @@ from repro.noc.flit import Flit, Packet, flits_per_packet
 from repro.noc.link import Link, link_width_between
 from repro.noc.router import Grant, Router
 from repro.noc.routing import Routing, minimal_routing_for
-from repro.noc.stats import LatencyRecord, NetworkStats, decompose_latency
+from repro.noc.stats import (
+    LatencyRecord,
+    NetworkStats,
+    RouterActivity,
+    decompose_latency,
+)
 from repro.noc.topology import Topology
 
 
@@ -80,6 +91,136 @@ class _SourceState:
     @property
     def mid_packet(self) -> bool:
         return self.next_flit < len(self.flits)
+
+
+class NetworkShape:
+    """What (topology, router configs, link delay, flit merging) fix for
+    every run of a network: the frozen links with their downstream VC
+    counts and credit ceilings, the upstream and node maps, the link-lane
+    template and the default VA candidates.  Every :class:`Network` of the
+    shape shares one instance, read-only; the compiled kernel keeps its
+    arena image for the shape in :attr:`arena`."""
+
+    def __init__(
+        self,
+        topology: Topology,
+        configs: Tuple[RouterConfig, ...],
+        config: NetworkConfig,
+    ) -> None:
+        widths = {cfg.flit_width for cfg in configs}
+        if len(widths) != 1:
+            raise ValueError(
+                f"all routers must share one flit width, got {sorted(widths)}"
+            )
+        self.flit_width = widths.pop()
+        self.configs = configs
+        self.merging = merging = config.flit_merging
+        routers = range(topology.num_routers)
+        self.num_ports = [topology.num_ports(rid) for rid in routers]
+        self.local_ports = [
+            [p for p in range(n) if topology.is_local_port(rid, p)]
+            for rid, n in enumerate(self.num_ports)
+        ]
+        #: lanes usable on injection/ejection at each router's local ports
+        self.local_lanes = [cfg.lanes if merging else 1 for cfg in configs]
+        self.capacity = [
+            cfg.num_vcs * n * cfg.buffer_depth
+            for cfg, n in zip(configs, self.num_ports)
+        ]
+        #: per router and port: the Link (``None`` on local and edge
+        #: ports), the downstream VC count and buffer depth, and the
+        #: ``(neighbor, its port)`` upstream of a network port.
+        self.out_links: List[List[Optional[Link]]] = []
+        self.out_vcs: List[List[int]] = []
+        self.out_depth: List[List[int]] = []
+        self.upstream: List[List[Optional[Tuple[int, int]]]] = []
+        self.link_lanes: Dict[Tuple[int, int], int] = {}
+        for rid, cfg in enumerate(configs):
+            links, vcs, depths, ups = [], [], [], []
+            for port in range(self.num_ports[rid]):
+                neighbor = (
+                    None if topology.is_local_port(rid, port)
+                    else topology.neighbor(rid, port)
+                )
+                link = None
+                if neighbor is not None:
+                    other_cfg = configs[neighbor[0]]
+                    link = Link(
+                        src_router=rid,
+                        src_port=port,
+                        dst_router=neighbor[0],
+                        dst_port=neighbor[1],
+                        width_bits=link_width_between(cfg, other_cfg),
+                        flit_width_bits=self.flit_width,
+                        delay=config.link_delay,
+                    )
+                    self.link_lanes[(rid, port)] = link.lanes
+                links.append(link)
+                vcs.append(0 if link is None else other_cfg.num_vcs)
+                depths.append(0 if link is None else other_cfg.buffer_depth)
+                ups.append(neighbor)
+            self.out_links.append(links)
+            self.out_vcs.append(vcs)
+            self.out_depth.append(depths)
+            self.upstream.append(ups)
+        self.max_link_delay = config.link_delay if self.link_lanes else 0
+        self.node_router_id = [
+            topology.router_of_node(node) for node in range(topology.num_nodes)
+        ]
+        self.node_port = [
+            topology.local_port_of_node(node)
+            for node in range(topology.num_nodes)
+        ]
+        self.node_lanes = [self.local_lanes[rid] for rid in self.node_router_id]
+        #: VA candidates per router and output port when the routing
+        #: keeps the default (every downstream VC, in order)
+        self.va_tables = [
+            [tuple((port, vc, False) for vc in range(n))
+             for port, n in enumerate(vcs)]
+            for vcs in self.out_vcs
+        ]
+        #: ``(route tables, bytes)``: the compiled kernel's arena image for
+        #: this shape under those tables (see ``CKernel._fill_static``).
+        self.arena: Optional[Tuple[object, bytes]] = None
+
+
+#: how many shapes :func:`network_shape` keeps: the least recently used
+#: goes first, so a server or a placement search that sees many custom
+#: layouts holds at most this many.
+SHAPE_MEMO_SIZE = 8
+_SHAPES: "OrderedDict[tuple, NetworkShape]" = OrderedDict()
+_SHAPES_LOCK = threading.Lock()
+
+
+def network_shape(
+    topology: Topology,
+    router_configs: Dict[int, RouterConfig],
+    config: NetworkConfig,
+) -> NetworkShape:
+    """The :class:`NetworkShape` of a network, built once per process.
+
+    A topology is known by its class and attributes, so two ``Mesh(8)``
+    share a shape.  Construction errors (mixed flit widths, a link
+    narrower than the flit) raise here, on the first build of a shape.
+    """
+    configs = tuple(router_configs[rid] for rid in range(topology.num_routers))
+    key = (
+        type(topology), tuple(sorted(vars(topology).items())), configs,
+        config.link_delay, config.flit_merging,
+    )
+    with _SHAPES_LOCK:
+        shape = _SHAPES.get(key)
+        if shape is not None:
+            _SHAPES.move_to_end(key)
+            return shape
+    shape = NetworkShape(topology, configs, config)
+    with _SHAPES_LOCK:
+        # Threads that built the same shape at once keep one.
+        shape = _SHAPES.setdefault(key, shape)
+        _SHAPES.move_to_end(key)
+        while len(_SHAPES) > SHAPE_MEMO_SIZE:
+            _SHAPES.popitem(last=False)
+    return shape
 
 
 class Network:
@@ -100,25 +241,22 @@ class Network:
         self.router_configs = dict(router_configs)
         self.config = network_config or NetworkConfig()
         # Set the backing attribute directly: the ``routing`` property
-        # setter rebuilds routing tables, which needs the routers to exist.
+        # setter reinstalls routing tables, which needs the rest of the
+        # network to exist.
         self._routing = routing or minimal_routing_for(topology)
-        widths = {cfg.flit_width for cfg in router_configs.values()}
-        if len(widths) != 1:
-            raise ValueError(
-                f"all routers must share one flit width, got {sorted(widths)}"
-            )
-        self.flit_width = widths.pop()
-
-        self.routers: List[Router] = []
-        for rid in range(topology.num_routers):
-            n_ports = topology.num_ports(rid)
-            locals_ = [
-                p for p in range(n_ports) if topology.is_local_port(rid, p)
-            ]
-            self.routers.append(
-                Router(rid, router_configs[rid], n_ports, locals_, self.config)
-            )
-        self._wire_links()
+        shape = self._shape = network_shape(
+            topology, self.router_configs, self.config
+        )
+        self.flit_width = shape.flit_width
+        #: the routers' activity counters, owned here from construction so
+        #: that measurement windows, stats and the compiled kernel's
+        #: flushes never need a :class:`Router`.
+        self._activities = [
+            RouterActivity(buffer_capacity_flits=capacity)
+            for capacity in shape.capacity
+        ]
+        #: the object model; :attr:`routers` builds it on first access.
+        self._routers: Optional[List[Router]] = None
 
         self.sources = [_SourceState() for _ in range(topology.num_nodes)]
         self.cycle = 0
@@ -126,8 +264,9 @@ class Network:
         # credit events: (router, port, vc, release_vc_too)
         self._credits: Dict[int, List[Tuple[int, int, int, bool]]] = {}
         self._stats = NetworkStats(topology.num_routers, topology.num_nodes)
-        # The stats object aggregates the *routers'* live activity counters.
-        self._stats.router_activity = [r.activity for r in self.routers]
+        # The stats object aggregates the routers' live activity counters.
+        self._stats.router_activity = list(self._activities)
+        self._stats.link_lanes.update(shape.link_lanes)
         self.measuring = False
         self.packets_in_flight = 0
         #: id of the next packet this network creates (:meth:`make_packet`,
@@ -161,9 +300,7 @@ class Network:
         #: zero hook calls and zero per-event attribute probes).
         self._tracing = False
         # -- kernel selection --------------------------------------------
-        # REPRO_KERNEL takes precedence over the config field.
-        kernel = os.environ.get("REPRO_KERNEL") or self.config.kernel
-        NetworkConfig.check_kernel(kernel)
+        kernel = self.config.kernel_in_force()
         #: the requested kernel name (see :attr:`kernel`); for ``"c"``,
         #: eligibility is (re)checked every step so faults/obs/watchdog/
         #: profiler attachment falls back to the event kernel.
@@ -178,43 +315,14 @@ class Network:
         #: whether precomputed route tables *and* default-VA tables are
         #: installed (the compiled kernel's routing precondition).
         self._route_tables_ok = False
+        #: the routing's precomputed route tables (``None``: dynamic RC).
+        self._route_tables = None
 
-        # -- prebuilt hot-path structures (hoisted out of the cycle loop) --
-        # Per-channel lane map, built once from the wired links; both the
-        # initial stats object and every reset_stats() copy this template
-        # instead of re-walking topology.channels().
-        self._link_lanes_template: Dict[Tuple[int, int], int] = {}
-        for rid, router in enumerate(self.routers):
-            for port, link in enumerate(router.out_links):
-                if link is not None:
-                    self._link_lanes_template[(rid, port)] = link.lanes
-        self._stats.link_lanes.update(self._link_lanes_template)
-        # Upstream adjacency: _upstream[rid][port] = (neighbor, its port)
-        # for network ports, None for local/edge ports.
-        self._upstream: List[List[Optional[Tuple[int, int]]]] = [
-            [
-                None
-                if topology.is_local_port(rid, port)
-                else topology.neighbor(rid, port)
-                for port in range(topology.num_ports(rid))
-            ]
-            for rid in range(topology.num_routers)
-        ]
-        # Injection-side per-node lookups.
-        self._node_router_id: List[int] = [
-            topology.router_of_node(node)
-            for node in range(topology.num_nodes)
-        ]
-        self._node_router: List[Router] = [
-            self.routers[rid] for rid in self._node_router_id
-        ]
-        self._node_port: List[int] = [
-            topology.local_port_of_node(node)
-            for node in range(topology.num_nodes)
-        ]
-        self._node_lanes: List[int] = [
-            router._local_lanes for router in self._node_router
-        ]
+        # -- hot-path lookups, shared with every network of the shape --
+        self._upstream = shape.upstream
+        self._node_router_id = shape.node_router_id
+        self._node_port = shape.node_port
+        self._node_lanes = shape.node_lanes
         self._all_nodes = range(topology.num_nodes)
         self._credit_delay = self.config.credit_delay
         self._merging = self.config.flit_merging
@@ -231,39 +339,48 @@ class Network:
 
         self._install_routing_tables()
 
+    def __getstate__(self) -> dict:
+        # The shape is the process's memo entry: a restored network
+        # fetches (or rebuilds) its own instead of pickling a copy.
+        state = self.__dict__.copy()
+        del state["_shape"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._shape = network_shape(
+            self.topology, self.router_configs, self.config
+        )
+
     # -- construction ---------------------------------------------------------
-    def _wire_links(self) -> None:
-        topo = self.topology
-        for rid, router in enumerate(self.routers):
-            for port in range(router.num_ports):
-                if topo.is_local_port(rid, port):
-                    # Ejection: no downstream credits; lanes follow the
-                    # router's own link width.
-                    router.attach_output(port, None, 0, 0)
-                    continue
-                neighbor = topo.neighbor(rid, port)
-                if neighbor is None:
-                    router.attach_output(port, None, 0, 0)
-                    continue
-                other, other_port = neighbor
-                other_cfg = self.router_configs[other]
-                link = Link(
-                    src_router=rid,
-                    src_port=port,
-                    dst_router=other,
-                    dst_port=other_port,
-                    width_bits=link_width_between(
-                        self.router_configs[rid], other_cfg
-                    ),
-                    flit_width_bits=self.flit_width,
-                    delay=self.config.link_delay,
+    @property
+    def routers(self) -> List[Router]:
+        """The :class:`Router` object model, built from the shape on first
+        access (a span-driven run on the compiled kernel never reads it)."""
+        routers = self._routers
+        if routers is None:
+            shape = self._shape
+            routers = []
+            for rid, activity in enumerate(self._activities):
+                router = Router(
+                    rid, self.router_configs[rid], shape.num_ports[rid],
+                    shape.local_ports[rid], self.config, activity,
                 )
-                router.attach_output(
-                    port, link, other_cfg.num_vcs, other_cfg.buffer_depth
-                )
+                for port, link in enumerate(shape.out_links[rid]):
+                    router.attach_output(
+                        port, link, shape.out_vcs[rid][port],
+                        shape.out_depth[rid][port],
+                    )
+                router.obs = self.obs
+                router.faults = self.faults
+                routers.append(router)
+            self._routers = routers
+            self._set_router_tables()
+        return routers
 
     def _install_routing_tables(self) -> None:
-        """(Re)install precomputed RC/VA tables on every router.
+        """(Re)compute the precomputed RC/VA tables and install them on
+        the routers, if built.
 
         Tables are only valid when the routing discipline is a pure
         function of (router, destination) *and* no fault injector can
@@ -272,31 +389,25 @@ class Network:
         also runs table-free so it exercises the original code path
         end-to-end.
         """
-        routers = getattr(self, "routers", None)
-        if not routers:
-            return
         self._deactivate_ck()
         tables = None
         if self._kernel != "naive" and self.faults is None:
             tables = self._routing.build_route_tables()
-        if tables is None:
-            self._route_tables_ok = False
-            for router in routers:
-                router.set_routing_tables(None, None)
-            return
-        default_va = self._routing.uses_default_va()
-        self._route_tables_ok = default_va
-        for rid, router in enumerate(routers):
-            va_table = None
-            if default_va:
-                va_table = [
-                    [
-                        (port, vc, False)
-                        for vc in range(router.out_vc_count[port])
-                    ]
-                    for port in range(router.num_ports)
-                ]
-            router.set_routing_tables(tables[rid], va_table)
+        self._route_tables = tables
+        self._route_tables_ok = (
+            tables is not None and self._routing.uses_default_va()
+        )
+        if self._routers is not None:
+            self._set_router_tables()
+
+    def _set_router_tables(self) -> None:
+        tables = self._route_tables
+        va_tables = self._shape.va_tables if self._route_tables_ok else None
+        for rid, router in enumerate(self._routers):
+            router.set_routing_tables(
+                None if tables is None else tables[rid],
+                None if va_tables is None else va_tables[rid],
+            )
 
     # -- public API -------------------------------------------------------------
     @property
@@ -417,7 +528,7 @@ class Network:
         """Remove the observation hooks; tap points revert to no-ops."""
         self.obs = None
         self._tracing = False
-        for router in self.routers:
+        for router in self._routers or ():
             router.obs = None
 
     def attach_faults(self, injector) -> None:
@@ -435,7 +546,7 @@ class Network:
     def detach_faults(self) -> None:
         """Remove the fault injector; fault taps revert to no-ops."""
         self.faults = None
-        for router in self.routers:
+        for router in self._routers or ():
             router.faults = None
         self._install_routing_tables()
 
@@ -453,7 +564,7 @@ class Network:
         utilization and power cover exactly the window."""
         if self._ck is not None:
             self._ck.flush_activity()
-        self._activity_snapshot = [r.activity.snapshot() for r in self.routers]
+        self._activity_snapshot = [a.snapshot() for a in self._activities]
         self.measuring = True
 
     def end_measurement(self) -> None:
@@ -465,8 +576,8 @@ class Network:
         if snapshot is None:
             raise RuntimeError("end_measurement() without begin_measurement()")
         self._stats.router_activity = [
-            router.activity.delta_since(start)
-            for router, start in zip(self.routers, snapshot)
+            activity.delta_since(start)
+            for activity, start in zip(self._activities, snapshot)
         ]
 
     def reset_stats(self) -> None:
@@ -474,14 +585,16 @@ class Network:
         self._stats = NetworkStats(
             self.topology.num_routers, self.topology.num_nodes
         )
-        self._stats.link_lanes.update(self._link_lanes_template)
-        for router in self.routers:
-            router.activity = type(router.activity)(
-                buffer_capacity_flits=router.activity.buffer_capacity_flits
-            )
-        self._stats.router_activity = [r.activity for r in self.routers]
+        self._stats.link_lanes.update(self._shape.link_lanes)
+        self._activities = [
+            RouterActivity(buffer_capacity_flits=capacity)
+            for capacity in self._shape.capacity
+        ]
+        for router, activity in zip(self._routers or (), self._activities):
+            router.activity = activity
+        self._stats.router_activity = list(self._activities)
         if self._ck is not None:
-            self._ck.reload_activities()
+            self._ck.drop_activity()
 
     def make_packet(
         self,
@@ -612,6 +725,7 @@ class Network:
             else:
                 self._deactivate_ck()
         cycle = self.cycle
+        routers = self.routers
         if self.faults is not None:
             self.faults.tick(self, cycle)
         arrivals = self._arrivals.pop(cycle, None)
@@ -625,7 +739,6 @@ class Network:
         active = self._active_routers
         live: List[Router] = []
         if active:
-            routers = self.routers
             routing = self._routing
             for rid in sorted(active):
                 router = routers[rid]
@@ -823,7 +936,8 @@ class Network:
         sources = self.sources
         obs = self.obs if self._tracing else None
         faults = self.faults
-        node_router = self._node_router
+        routers = self.routers
+        node_router_id = self._node_router_id
         node_port = self._node_port
         node_lanes = self._node_lanes
         wake = self._active_routers.add
@@ -834,12 +948,10 @@ class Network:
                 if prune:
                     active_sources.discard(node)
                 continue
-            if (
-                faults is not None
-                and self._node_router_id[node] in faults.dead_routers
-            ):
+            rid = node_router_id[node]
+            if faults is not None and rid in faults.dead_routers:
                 continue  # the node fell off the network with its router
-            router = node_router[node]
+            router = routers[rid]
             port = node_port[node]
             lanes = node_lanes[node]
             budget = lanes
@@ -860,12 +972,12 @@ class Network:
                     break
                 flit = source.flits[source.next_flit]
                 router.write_flit(port, source.vc, flit, cycle)
-                wake(router.router_id)
+                wake(rid)
                 source.next_flit += 1
                 budget -= 1
                 if obs is not None:
                     obs.on_flit_injected(
-                        node, router.router_id, port, source.vc, flit, cycle
+                        node, rid, port, source.vc, flit, cycle
                     )
                 if source.next_flit >= len(source.flits):
                     source.flits = []
@@ -1195,7 +1307,7 @@ class Network:
     def total_buffered_flits(self) -> int:
         if self._ck is not None:
             return self._ck.total_buffered_flits()
-        return sum(router.occupied_flits for router in self.routers)
+        return sum(router.occupied_flits for router in self._routers or ())
 
     def describe(self) -> str:
         """One-line human description of the network build."""

@@ -106,6 +106,7 @@ class Router:
         num_ports: int,
         local_ports: Sequence[int],
         network_config: NetworkConfig,
+        activity: Optional[RouterActivity] = None,
     ) -> None:
         self.router_id = router_id
         self.config = config
@@ -127,9 +128,12 @@ class Router:
             port in self.local_ports for port in range(num_ports)
         ]
         self.allocator = TwoStageAllocator(num_ports, [vcs] * num_ports)
-        self.activity = RouterActivity(
-            buffer_capacity_flits=vcs * num_ports * config.buffer_depth
-        )
+        # A network passes the counters it owns (see Network.routers).
+        if activity is None:
+            activity = RouterActivity(
+                buffer_capacity_flits=vcs * num_ports * config.buffer_depth
+            )
+        self.activity = activity
         # Hot-path constants hoisted out of the per-cycle loops.
         self.num_vcs = vcs
         self._pipeline_offset = network_config.router_pipeline_stages - 1

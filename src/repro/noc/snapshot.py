@@ -45,8 +45,10 @@ import struct
 #: the shape of anything a checkpoint pickles changes (v3: the pickled
 #: ``Network`` carries its next packet id; v4: the pickled
 #: ``NetworkStats`` holds its latency sample as columns; v5: the payload
-#: is the runner's state object itself, not a wrapper around a dict).
-SNAPSHOT_VERSION = 5
+#: is the runner's state object itself, not a wrapper around a dict; v6:
+#: the pickled ``Network`` holds its routers as ``_routers``, built on
+#: demand, and its activity counters, and leaves its shape to the memo).
+SNAPSHOT_VERSION = 6
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)

@@ -171,6 +171,34 @@ class TestEndToEnd:
         with pytest.raises(RuntimeError):
             system.run(max_cycles=5)
 
+    @pytest.mark.parametrize("cycles, open_txn", [(5, False), (40, True)])
+    def test_run_deadline_names_each_waiting_miss(self, cycles, open_txn):
+        """The deadline error is a deadlock report: each stuck core's MSHR
+        blocks, with their home and the transaction open there."""
+        system = _system()
+        with pytest.raises(RuntimeError, match="failed to finish") as raised:
+            system.run(max_cycles=cycles)
+        message = str(raised.value)
+        waiting = [
+            core for core in sorted(system.cores)[:8]
+            if system.l1s[core].mshrs.outstanding
+        ]
+        assert waiting
+        opened = []
+        for core in waiting:
+            blocks = system.l1s[core].mshrs.blocks()
+            home = system.home_of(blocks[0])
+            txn = system.l2s[home].busy.get(blocks[0])
+            opened.append(txn is not None)
+            held = (
+                f"{txn.kind} for core {txn.requester}" if txn
+                else "no open transaction"
+            )
+            assert f"core {core}: {blocks[0]:#x} (home {home}: {held})" in (
+                message
+            )
+        assert any(opened) == open_txn
+
 
 def _counters(system):
     """Everything a reader of a (possibly mid-run) system can see."""

@@ -481,3 +481,183 @@ def test_va_tables_follow_routing_kind(layout):
     for port in range(router.num_ports):
         expected = [(port, vc, False) for vc in range(router.out_vc_count[port])]
         assert list(router._va_table[port]) == expected
+
+
+# -- network shapes: built once per process, routers only on demand -------------
+def _count_routers(monkeypatch):
+    """Count Router constructions from here on (a one-element list)."""
+    from repro.noc.router import Router
+
+    built = [0]
+    init = Router.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Router, "__init__", counting_init)
+    return built
+
+
+def _shape_point(kernel, **fields):
+    from repro.exec import SweepPoint
+
+    fields.setdefault("layout", "diagonal+BL")
+    fields.setdefault("mesh_size", 8)
+    fields.setdefault("rate", 0.05)
+    return SweepPoint(
+        kernel=kernel, seed=3, warmup_packets=100, measure_packets=600,
+        **fields,
+    )
+
+
+def _shape_result(kernel):
+    """``execute_point`` of the shape test point, minus the spec key (the
+    kernel is part of it)."""
+    from repro.exec import execute_point
+
+    result = execute_point(_shape_point(kernel)).to_dict()
+    del result["key"]
+    return result
+
+
+def _handed_off_run(switch, span_cycles):
+    """A loaded 8x8 run: ``span_cycles`` cycles as c spans, then
+    ``switch`` (``"event"``, ``"observer"`` or ``None`` for an event-only
+    reference) and per-cycle load and a drain on the object model."""
+    from repro.noc.ckernel import Span, SpanSource
+    from repro.obs.hooks import Observer
+    from repro.traffic import patterns, selfsimilar
+    from repro.traffic.patterns import pattern_by_name
+    from repro.traffic.runner import _offer_load
+    from repro.traffic.selfsimilar import BernoulliInjector
+
+    net = build_network(layout_by_name("diagonal+BL", 8))
+    net.use_kernel("event" if switch is None else "c")
+    pattern = pattern_by_name("uniform_random", net.topology)
+    injector = BernoulliInjector(0.05)
+    rng = random.Random(12)
+    if switch is None:
+        for _ in range(span_cycles):
+            _offer_load(net, pattern, injector, rng)
+            net.step()
+    else:
+        if span_cycles:
+            source = SpanSource(
+                patterns.span_twin(pattern),
+                selfsimilar.span_twin(injector, 64), rng,
+            )
+            assert net.step(Span(source, span_cycles))[0] == span_cycles
+        else:
+            assert net.span_blocker() is None  # a live kernel, no cycle
+        assert net._routers is None
+        if switch == "event":
+            net.use_kernel("event")
+        else:
+            net.attach_observer(Observer())
+        assert net._routers is not None
+    delivered = []
+    net.on_delivery = lambda packet, cycle: delivered.append(
+        (packet.packet_id, packet.src, packet.dst, packet.created_at,
+         packet.injected_at, packet.hops, packet.min_lanes, cycle)
+    )
+    for _ in range(60):
+        _offer_load(net, pattern, injector, rng)
+        net.step()
+    net.drain()
+    assert net.active_kernel == "event"
+    return (delivered, _digest(net), rng.getstate(), net.next_packet_id,
+            net.stats.packets_offered)
+
+
+@needs_ckernel
+class TestNetworkShape:
+    def test_span_driven_point_builds_no_router(self, monkeypatch):
+        built = _count_routers(monkeypatch)
+        result = _shape_result("c")
+        assert built[0] == 0
+        assert result == _shape_result("event")
+        assert built[0] == 64  # the event kernel builds them at its first step
+
+    def test_networks_of_one_shape_are_independent(self):
+        import pickle
+
+        first = _shape_point("c").build_network()
+        second = _shape_point("event").build_network()
+        shape = first._shape
+        assert second._shape is shape
+        expected = _shape_result("event")
+        assert _shape_result("c") == expected
+        before = pickle.dumps(vars(shape))
+        assert shape.arena is not None
+        assert _shape_result("event") == expected
+        assert _shape_result("c") == expected
+        assert pickle.dumps(vars(shape)) == before
+
+    def test_arena_image_fills_the_first_block_exactly(self):
+        """The image ends where ``ck_new``'s block does: after the last
+        of its arrays, ``A_CREDOK`` (one int64 per router port)."""
+        import ctypes
+
+        from repro.noc.ckernel import A_CREDOK, A_NPORTS
+
+        net = build_network(layout_by_name("diagonal+BL", 8))
+        net.use_kernel("c")
+        assert net.span_blocker() is None
+        ck = net._ck
+        start = ctypes.addressof(ck._arr(A_NPORTS).contents)
+        last = ctypes.addressof(ck._arr(A_CREDOK).contents)
+        assert start + len(net._shape.arena[1]) == last + 8 * ck.RP
+
+    @pytest.mark.parametrize("switch", ["event", "observer"])
+    @pytest.mark.parametrize("span_cycles", [0, 150], ids=["fresh", "loaded"])
+    def test_routers_built_mid_run_are_exact(self, switch, span_cycles):
+        assert _handed_off_run(switch, span_cycles) == _handed_off_run(
+            None, span_cycles
+        )
+
+    def test_memo_stays_at_its_bound_under_a_placement_search(self):
+        from repro.noc import network
+        from repro.search.refine import refine_placements
+
+        placements = [(a, b) for a in range(4) for b in range(12, 16)]
+        assert len(placements) > network.SHAPE_MEMO_SIZE
+        records = refine_placements(
+            placements, 4, rate=0.05, measure_packets=20, warmup_packets=5,
+            kernel="c", cache=None,
+        )
+        assert len(records) == len(placements)
+        assert len(network._SHAPES) == network.SHAPE_MEMO_SIZE
+
+    def test_memo_under_concurrent_builds(self):
+        """Threads building networks at once share one shape per layout
+        and leave the memo within its bound."""
+        import sys
+        import threading
+
+        from repro.noc import network
+
+        layouts = ("baseline", "center+BL", "diagonal+BL")
+        shapes = {name: set() for name in layouts}
+
+        def build(offset):
+            for i in range(12):
+                name = layouts[(offset + i) % len(layouts)]
+                net = build_network(layout_by_name(name, 4))
+                shapes[name].add(id(net._shape))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=build, args=(k,)) for k in range(4)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(len(ids) == 1 for ids in shapes.values())
+        assert len(network._SHAPES) <= network.SHAPE_MEMO_SIZE

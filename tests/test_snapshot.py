@@ -121,13 +121,16 @@ class TestContainer:
         with pytest.raises(SnapshotCorrupt, match="magic"):
             loads(b"NOTASNAP" + blob[8:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, SNAPSHOT_VERSION + 1])
+    @pytest.mark.parametrize(
+        "version", [1, 2, 3, 4, 5, SNAPSHOT_VERSION + 1]
+    )
     def test_version_skew_detected(self, version):
         """Newer *and* older containers refuse before unpickling: a v1
         payload holds a ``Network`` with the pre-v2 kernel fields, a v2
         one a ``Network`` that does not know its next packet id, a v3
         one a ``NetworkStats`` holding a list of record objects, a v4
-        one a ``SimSnapshot`` wrapper class that no longer exists."""
+        one a ``SimSnapshot`` wrapper class that no longer exists, a v5
+        one a ``Network`` whose routers are a plain attribute."""
         blob = _restamp(dumps(self._snapshot()), version)
         with pytest.raises(SnapshotVersionMismatch, match=f"v{version}"):
             loads(blob)
