@@ -19,7 +19,10 @@ The scenario (all seeded, fully deterministic):
 4. *Checkpoint interruption* -- a point runs with auto-checkpointing
    while an injected ``OSError`` aborts it mid-run; the resumed
    execution must be bit-identical.  Then the checkpoint is bit-flipped
-   and the fall-back-to-scratch path must also be bit-identical.
+   and the fall-back-to-scratch path must also be bit-identical.  Both
+   again for the point's ``kernel="c"`` twin, whose checkpoints are the
+   compiled kernel's arena image: its results must equal the event
+   point's.
 5. *Store I/O faults* -- injected ``OSError`` / ``MemoryError`` at the
    ``store.put`` / ``store.get`` sites; the sweep must complete with
    correct results anyway (a failed cache write degrades to uncached).
@@ -29,6 +32,7 @@ Used by ``python -m repro.chaos --smoke`` (CI) and the chaos tests.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pathlib
 from contextlib import contextmanager
@@ -71,6 +75,13 @@ def _comparable(results) -> List[dict]:
         row.pop("from_cache", None)
         rows.append(row)
     return rows
+
+
+def _payload(result) -> dict:
+    """A point's result without its spec key (which names the kernel)."""
+    row = result.to_dict()
+    row.pop("key")
+    return row
 
 
 def _check(step: str, got, expected, report: Dict[str, str]) -> None:
@@ -141,9 +152,8 @@ def run_chaos_scenario(
             f"mangled rows {mangled} not quarantined (got {quarantined})"
         )
 
-    log("chaos: interrupt a checkpointed point, resume bit-identically")
     point = points[1]
-    expected = execute_point(point).to_dict()
+    expected = _payload(execute_point(point))
     ckpt_dir = workdir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     site_plan = write_site_plan(
@@ -151,34 +161,38 @@ def run_chaos_scenario(
         {"runner.checkpoint": {"exc": "OSError", "calls": [1],
                                "message": "chaos: torn write"}},
     )
-    with _env(REPRO_CHAOS_PLAN=site_plan):
-        reset_chaos_sites()
-        try:
-            execute_point(point, checkpoint_every=25, checkpoint_dir=ckpt_dir)
-            raise ChaosMismatch("injected checkpoint fault never fired")
-        except OSError:
-            pass
-    checkpoint = checkpoint_path_for(point, ckpt_dir)
-    if not checkpoint.exists():
-        raise ChaosMismatch("no checkpoint survived the interruption")
-    resumed = execute_point(
-        point, checkpoint_every=25, checkpoint_dir=ckpt_dir
-    ).to_dict()
-    _check("checkpoint-resume", resumed, expected, report)
 
-    log("chaos: bit-flip a checkpoint, expect detected + scratch fallback")
-    with _env(REPRO_CHAOS_PLAN=site_plan):
-        reset_chaos_sites()
-        try:
-            execute_point(point, checkpoint_every=25, checkpoint_dir=ckpt_dir)
-            raise ChaosMismatch("injected checkpoint fault never fired")
-        except OSError:
-            pass
-    flip_bits(checkpoint, seed=seed, flips=4)
-    recovered = execute_point(
-        point, checkpoint_every=25, checkpoint_dir=ckpt_dir
-    ).to_dict()
-    _check("checkpoint-corruption", recovered, expected, report)
+    def interrupt(twin) -> pathlib.Path:
+        with _env(REPRO_CHAOS_PLAN=site_plan):
+            reset_chaos_sites()
+            try:
+                execute_point(twin, checkpoint_every=25, checkpoint_dir=ckpt_dir)
+                raise ChaosMismatch("injected checkpoint fault never fired")
+            except OSError:
+                pass
+        checkpoint = checkpoint_path_for(twin, ckpt_dir)
+        if not checkpoint.exists():
+            raise ChaosMismatch("no checkpoint survived the interruption")
+        return checkpoint
+
+    def finish(twin) -> dict:
+        return _payload(execute_point(
+            twin, checkpoint_every=25, checkpoint_dir=ckpt_dir
+        ))
+
+    for twin, suffix in (
+        (point, ""), (dataclasses.replace(point, kernel="c"), "-c"),
+    ):
+        log(f"chaos: interrupt a checkpointed point{suffix}, resume "
+            "bit-identically")
+        interrupt(twin)
+        _check(f"checkpoint-resume{suffix}", finish(twin), expected, report)
+
+        log(f"chaos: bit-flip a checkpoint{suffix}, expect detected + "
+            "scratch fallback")
+        flip_bits(interrupt(twin), seed=seed, flips=4)
+        _check(f"checkpoint-corruption{suffix}", finish(twin), expected,
+               report)
 
     log("chaos: inject store I/O faults, sweep must still complete")
     faulty_store = workdir / "faulty.sqlite"

@@ -5,7 +5,7 @@
  * through ctypes; keep it C99 + libm with an int64 FFI surface (the span
  * driver's RNG words and Pareto constants cross as uint32/double buffers).
  *
- * The kernel owns a full copy of the dynamic simulation state -- per-lane
+ * The kernel owns the whole dynamic simulation state of a run -- per-lane
  * scalars and bitmasks (repro.noc.ckernel), flit queues as fixed rings
  * of (packet handle, flit index, ready_at), per-node source queues,
  * arrival/credit calendars, activity-counter deltas, packet records and a
@@ -22,10 +22,11 @@
  * Packets and flits cross the FFI as integer handles/indices.  Handles
  * come from one allocator here, whether the packet was born in Python
  * (ck_handle_new + ck_set_packet) or in ck_run; the Python wrapper keeps
- * Packet objects for the former, materialises the latter on sync(), and
- * reads finished packets as rows of the completion log.  All arrays are
- * exposed through ck_arr()/ck_get()/ck_set() accessors so no struct
- * layout is shared with ctypes.
+ * Packet objects for the former and reads finished packets as rows of the
+ * completion log.  All arrays are exposed through ck_arr()/ck_get()/
+ * ck_set() accessors so no struct layout is shared with ctypes, and the
+ * state moves in and out of the arena only as the image of ck_dump() /
+ * ck_load() (a checkpoint).
  */
 
 #include <math.h>
@@ -125,6 +126,7 @@ enum {
     E_NOMEM = -6,
     E_CALENDAR = -7,
     E_PARETO_ZERO = -8,
+    E_IMAGE = -9, /* ck_load: the image is not one of this arena */
 };
 
 /* completion-log row: one finished packet */
@@ -229,11 +231,13 @@ typedef struct CK {
     i64 *link_r, *link_p, *link_delay, *link_lanes, *up_r, *up_p;
     i64 *node_rid, *node_port, *node_lanes;
 
-    /* dynamic scalar state */
+    /* fixed-size dynamic state: st_pid .. lb are dyn_len contiguous ints
+     * (the bulk of the arena image) */
+    i64 *dyn, dyn_len;
     i64 *st_pid, *st_route, *st_outvc, *need, *cred, *owner;
     i64 *occ, *am, *credok, *in_next, *out_next, *sec_next;
     i64 *nva, *occupied, *va_off;
-    u64 *actw, *srcw, *scratch_w;
+    u64 *actw, *srcw;
 
     /* insertion-ordered active-lane lists, one row per router */
     i64 *act_arr; /* R * (P*V) */
@@ -282,13 +286,10 @@ typedef struct CK {
     i64 *dst_tab, dst_cap; /* candidate destinations per source node */
 
     /* per-cycle scratch */
+    u64 *scratch_w;
     i64 *bid_vc, *obid, *elig, *bid_ports, *out_order;
     i64 *grants; /* 2*P rows of 6: ip, ivc, op, gov, pkt, seq */
 } CK;
-
-static i64 *zalloc(i64 n) {
-    return (i64 *)calloc((size_t)(n > 0 ? n : 1), sizeof(i64));
-}
 
 void ck_free(CK *ck);
 
@@ -311,16 +312,14 @@ CK *ck_new(i64 R, i64 P, i64 V, i64 nnodes, i64 po, i64 cd, i64 merging,
     ck->nw_r = (R + 63) / 64;
     ck->nw_n = (nnodes + 63) / 64;
 
-    i64 L = ck->L, RP = ck->RP;
-    /* A_NPORTS through A_CREDOK, in enum order, are one block: the shape
-     * tensors and the per-lane state of a fresh network, which
-     * repro.noc.ckernel writes with one memmove of its shape image. */
-    i64 *blk = zalloc(6 * R + R * nnodes + 9 * RP + 3 * nnodes + 6 * L +
-                      3 * RP);
-    if (!blk) {
-        free(ck);
-        return NULL;
-    }
+    i64 L = ck->L, RP = ck->RP, LD = L * maxdepth;
+    i64 *actw, *srcw, *scratch_w;
+    /* Every fixed-size array is carved from one block, in this order:
+     * A_NPORTS .. A_CREDOK (the shape tensors and the per-lane state of
+     * a fresh network, which repro.noc.ckernel writes with one memmove
+     * of its shape image), then the rest of the dynamic state up to
+     * A_LB (with st_pid .. credok, the dyn_len ints of the arena image),
+     * then the span source's fixed arrays and the per-cycle scratch. */
     i64 **carve[] = {
         &ck->nports, &ck->nvcs, &ck->depth, &ck->ej_pmask, &ck->ej_lanes,
         &ck->has_wide, &ck->route_tab, &ck->ovc_cnt, &ck->ceil_,
@@ -328,123 +327,84 @@ CK *ck_new(i64 R, i64 P, i64 V, i64 nnodes, i64 po, i64 cd, i64 merging,
         &ck->link_lanes, &ck->up_r, &ck->up_p, &ck->node_rid,
         &ck->node_port, &ck->node_lanes, &ck->st_pid, &ck->st_route,
         &ck->st_outvc, &ck->need, &ck->cred, &ck->owner, &ck->occ, &ck->am,
-        &ck->credok,
+        &ck->credok, &ck->in_next, &ck->out_next, &ck->sec_next, &ck->nva,
+        &ck->occupied, &ck->va_off, &actw, &srcw, &ck->act_arr,
+        &ck->act_len, &ck->act_pos, &ck->qs_pkt, &ck->qs_seq, &ck->qs_ready,
+        &ck->qhead, &ck->qlen, &ck->src_pkt, &ck->src_next, &ck->src_vc,
+        &ck->a_bw, &ck->a_br, &ck->a_xb, &ck->a_rc, &ck->a_va, &ck->a_arb,
+        &ck->a_cf, &ck->a_cs, &ck->a_mg, &ck->a_oc, &ck->lf, &ck->lb,
+        &ck->ss_on, &ck->ss_remaining, &ck->dst_off, &scratch_w,
+        &ck->bid_vc, &ck->obid, &ck->elig, &ck->bid_ports, &ck->out_order,
+        &ck->grants,
     };
     const i64 sizes[] = {
         R, R, R, R, R, R, R * nnodes, RP, RP, RP, RP, RP, RP, RP, RP, RP,
         nnodes, nnodes, nnodes, L, L, L, L, L, L, RP, RP, RP,
+        RP, RP, RP, R, R, R, ck->nw_r, ck->nw_n, L, R, L, LD, LD, LD, L, L,
+        nnodes, nnodes, nnodes, R, R, R, R, R, R, R, R, R, R, RP, RP,
+        nnodes, nnodes, nnodes + 1, ck->nw_r, P, P, P, P, P, 2 * P * 6,
     };
+    i64 total = 0;
+    for (size_t i = 0; i < sizeof sizes / sizeof sizes[0]; i++)
+        total += sizes[i];
+    i64 *blk = (i64 *)calloc((size_t)total, sizeof(i64));
+    if (!blk) {
+        free(ck);
+        return NULL;
+    }
     for (size_t i = 0; i < sizeof sizes / sizeof sizes[0]; i++) {
         *carve[i] = blk;
         blk += sizes[i];
     }
-    ck->in_next = zalloc(RP);
-    ck->out_next = zalloc(RP);
-    ck->sec_next = zalloc(RP);
-    ck->nva = zalloc(R);
-    ck->occupied = zalloc(R);
-    ck->va_off = zalloc(R);
-    ck->actw = (u64 *)zalloc(ck->nw_r);
-    ck->srcw = (u64 *)zalloc(ck->nw_n);
-    ck->scratch_w = (u64 *)zalloc(ck->nw_r);
-
-    ck->act_arr = zalloc(R * P * V);
-    ck->act_len = zalloc(R);
-    ck->act_pos = zalloc(L);
+    ck->actw = (u64 *)actw;
+    ck->srcw = (u64 *)srcw;
+    ck->scratch_w = (u64 *)scratch_w;
+    ck->dyn = ck->st_pid;
+    ck->dyn_len = (ck->lb + RP) - ck->st_pid;
     for (i64 i = 0; i < L; i++)
         ck->act_pos[i] = -1;
-
-    ck->qs_pkt = zalloc(L * maxdepth);
-    ck->qs_seq = zalloc(L * maxdepth);
-    ck->qs_ready = zalloc(L * maxdepth);
-    ck->qhead = zalloc(L);
-    ck->qlen = zalloc(L);
-
-    ck->srcq = (Ring *)calloc((size_t)(nnodes > 0 ? nnodes : 1),
-                              sizeof(Ring));
-    ck->src_pkt = zalloc(nnodes);
-    ck->src_next = zalloc(nnodes);
-    ck->src_vc = zalloc(nnodes);
     for (i64 i = 0; i < nnodes; i++) {
         ck->src_pkt[i] = -1;
         ck->src_vc[i] = -1;
     }
 
+    ck->srcq = (Ring *)calloc((size_t)(nnodes > 0 ? nnodes : 1),
+                              sizeof(Ring));
     ck->arr_b = (Vec *)calloc((size_t)cal_sz, sizeof(Vec));
     ck->cred_b = (Vec *)calloc((size_t)cal_sz, sizeof(Vec));
-
-    ck->a_bw = zalloc(R);
-    ck->a_br = zalloc(R);
-    ck->a_xb = zalloc(R);
-    ck->a_rc = zalloc(R);
-    ck->a_va = zalloc(R);
-    ck->a_arb = zalloc(R);
-    ck->a_cf = zalloc(R);
-    ck->a_cs = zalloc(R);
-    ck->a_mg = zalloc(R);
-    ck->a_oc = zalloc(R);
-    ck->lf = zalloc(RP);
-    ck->lb = zalloc(RP);
-
     ck->rng = (uint32_t *)calloc(MT_WORDS, sizeof(uint32_t));
     ck->src_f64 = (double *)calloc((size_t)(1 + 5 * nnodes), sizeof(double));
-    ck->ss_on = zalloc(nnodes);
-    ck->ss_remaining = zalloc(nnodes);
-    ck->dst_off = zalloc(nnodes + 1);
-    if (!ck->rng || !ck->src_f64 || !ck->ss_on || !ck->ss_remaining ||
-        !ck->dst_off) {
+    if (!ck->srcq || !ck->arr_b || !ck->cred_b || !ck->rng || !ck->src_f64) {
         ck_free(ck);
         return NULL;
     }
-
-    ck->bid_vc = zalloc(P);
-    ck->obid = zalloc(P);
-    ck->elig = zalloc(P);
-    ck->bid_ports = zalloc(P);
-    ck->out_order = zalloc(P);
-    ck->grants = zalloc(2 * P * 6);
     return ck;
 }
 
 void ck_free(CK *ck) {
     if (!ck)
         return;
-    free(ck->nports); /* the block A_NPORTS .. A_CREDOK */
-    free(ck->in_next); free(ck->out_next); free(ck->sec_next);
-    free(ck->nva); free(ck->occupied); free(ck->va_off);
-    free(ck->actw); free(ck->srcw); free(ck->scratch_w);
-    free(ck->act_arr); free(ck->act_len); free(ck->act_pos);
-    free(ck->qs_pkt); free(ck->qs_seq); free(ck->qs_ready);
-    free(ck->qhead); free(ck->qlen);
+    free(ck->nports); /* the block of every fixed-size array */
     if (ck->srcq) {
         for (i64 i = 0; i < ck->nnodes; i++)
             free(ck->srcq[i].buf);
         free(ck->srcq);
     }
-    free(ck->src_pkt); free(ck->src_next); free(ck->src_vc);
-    if (ck->arr_b) {
-        for (i64 i = 0; i < ck->cal_sz; i++)
+    for (i64 i = 0; i < ck->cal_sz; i++) {
+        if (ck->arr_b)
             free(ck->arr_b[i].buf);
-        free(ck->arr_b);
-    }
-    if (ck->cred_b) {
-        for (i64 i = 0; i < ck->cal_sz; i++)
+        if (ck->cred_b)
             free(ck->cred_b[i].buf);
-        free(ck->cred_b);
     }
-    free(ck->a_bw); free(ck->a_br); free(ck->a_xb); free(ck->a_rc);
-    free(ck->a_va); free(ck->a_arb); free(ck->a_cf); free(ck->a_cs);
-    free(ck->a_mg); free(ck->a_oc); free(ck->lf); free(ck->lb);
+    free(ck->arr_b);
+    free(ck->cred_b);
     free(ck->pk_id); free(ck->pk_src); free(ck->pk_dst);
     free(ck->pk_nflits); free(ck->pk_minlanes); free(ck->pk_hops);
     free(ck->pk_inj); free(ck->pk_created); free(ck->pk_measured);
     free(ck->pk_live); free(ck->hfree);
     free(ck->log.buf);
     free(ck->rng); free(ck->node_rng); free(ck->src_f64);
-    free(ck->ss_on); free(ck->ss_remaining);
-    free(ck->dst_off); free(ck->dst_tab);
-    free(ck->bid_vc); free(ck->obid); free(ck->elig);
-    free(ck->bid_ports); free(ck->out_order); free(ck->grants);
+    free(ck->dst_tab);
     free(ck);
 }
 
@@ -683,49 +643,13 @@ i64 ck_source_push(CK *ck, i64 node, i64 h) {
     return 0;
 }
 
-i64 ck_source_len(CK *ck, i64 node) { return ck->srcq[node].len; }
-
-i64 ck_source_at(CK *ck, i64 node, i64 i) {
-    Ring *r = &ck->srcq[node];
-    return r->buf[(r->head + i) % r->cap];
-}
-
-void ck_src_wake(CK *ck, i64 node) {
-    ck->srcw[node >> 6] |= 1ull << (node & 63);
-}
-
-/* ---- flit queues (pack-side writes; step uses inline ring ops) ---------- */
-i64 ck_queue_push(CK *ck, i64 lane, i64 pkt, i64 seq, i64 ready) {
-    if (ck->qlen[lane] >= ck->D)
-        return -1;
-    i64 slot = lane * ck->D + (ck->qhead[lane] + ck->qlen[lane]) % ck->D;
-    ck->qs_pkt[slot] = pkt;
-    ck->qs_seq[slot] = seq;
-    ck->qs_ready[slot] = ready;
-    ck->qlen[lane]++;
-    return 0;
-}
-
 /* ---- active-lane insertion-ordered lists -------------------------------- */
-void ck_act_clear(CK *ck, i64 rid) {
-    i64 *row = ck->act_arr + rid * ck->P * ck->V;
-    for (i64 i = 0; i < ck->act_len[rid]; i++)
-        ck->act_pos[row[i]] = -1;
-    ck->act_len[rid] = 0;
-}
-
-void ck_act_push(CK *ck, i64 rid, i64 lane) {
+static void act_push(CK *ck, i64 rid, i64 lane) {
     if (ck->act_pos[lane] >= 0)
         return;
     i64 *row = ck->act_arr + rid * ck->P * ck->V;
     row[ck->act_len[rid]] = lane;
     ck->act_pos[lane] = ck->act_len[rid]++;
-}
-
-i64 ck_act_len(CK *ck, i64 rid) { return ck->act_len[rid]; }
-
-i64 ck_act_at(CK *ck, i64 rid, i64 i) {
-    return ck->act_arr[rid * ck->P * ck->V + i];
 }
 
 static void act_del(CK *ck, i64 rid, i64 lane) {
@@ -741,8 +665,8 @@ static void act_del(CK *ck, i64 rid, i64 lane) {
 }
 
 /* ---- calendars ---------------------------------------------------------- */
-i64 ck_sched_arrival(CK *ck, i64 when, i64 rid, i64 port, i64 vc, i64 pkt,
-                     i64 seq) {
+static i64 sched_arrival(CK *ck, i64 when, i64 rid, i64 port, i64 vc,
+                         i64 pkt, i64 seq) {
     if (when < ck->cycle || when - ck->cycle >= ck->cal_sz)
         return E_CALENDAR;
     Vec *b = &ck->arr_b[when % ck->cal_sz];
@@ -753,8 +677,8 @@ i64 ck_sched_arrival(CK *ck, i64 when, i64 rid, i64 port, i64 vc, i64 pkt,
     return 0;
 }
 
-i64 ck_sched_credit(CK *ck, i64 when, i64 rid, i64 port, i64 vc,
-                    i64 release) {
+static i64 sched_credit(CK *ck, i64 when, i64 rid, i64 port, i64 vc,
+                        i64 release) {
     if (when < ck->cycle || when - ck->cycle >= ck->cal_sz)
         return E_CALENDAR;
     Vec *b = &ck->cred_b[when % ck->cal_sz];
@@ -763,16 +687,6 @@ i64 ck_sched_credit(CK *ck, i64 when, i64 rid, i64 port, i64 vc,
         return E_NOMEM;
     ck->pend++;
     return 0;
-}
-
-i64 ck_bucket_len(CK *ck, i64 kind, i64 idx) {
-    Vec *b = kind ? &ck->cred_b[idx] : &ck->arr_b[idx];
-    return b->len;
-}
-
-i64 *ck_bucket_ptr(CK *ck, i64 kind, i64 idx) {
-    Vec *b = kind ? &ck->cred_b[idx] : &ck->arr_b[idx];
-    return b->buf;
 }
 
 /* ---- misc --------------------------------------------------------------- */
@@ -835,7 +749,7 @@ static i64 cycle_body(CK *ck, i64 measuring) {
                 ERR3(E_BUF_OVERFLOW, rid, port, vc);
             if (qlen[lane] == 0) {
                 occ[rp] |= 1ll << vc;
-                ck_act_push(ck, rid, lane);
+                act_push(ck, rid, lane);
                 if (st_pid[lane] != pk_id[pkt] || st_outvc[lane] == -2) {
                     if (!need[lane]) {
                         need[lane] = 1;
@@ -939,7 +853,7 @@ static i64 cycle_body(CK *ck, i64 measuring) {
                     i64 seq = src_next[node];
                     if (qlen[lane] == 0) {
                         occ[rp] |= 1ll << vc;
-                        ck_act_push(ck, rid, lane);
+                        act_push(ck, rid, lane);
                         if (st_pid[lane] != pk_id[h] ||
                             st_outvc[lane] == -2) {
                             if (!need[lane]) {
@@ -1290,7 +1204,7 @@ static i64 cycle_body(CK *ck, i64 measuring) {
                                     pk_minlanes[pkt] = width;
                             }
                         }
-                        i64 rc = ck_sched_arrival(
+                        i64 rc = sched_arrival(
                             ck, cycle + ck->link_delay[rpo2],
                             ck->link_r[rpo2], ck->link_p[rpo2], gov, pkt,
                             seq);
@@ -1313,7 +1227,7 @@ static i64 cycle_body(CK *ck, i64 measuring) {
                     }
                     if (!((ejp >> ip) & 1)) {
                         if (ck->up_r[rp_in] != -1) {
-                            i64 rc = ck_sched_credit(
+                            i64 rc = sched_credit(
                                 ck, cycle + cd, ck->up_r[rp_in],
                                 ck->up_p[rp_in], ivc, is_tail);
                             if (rc)
@@ -1429,4 +1343,125 @@ i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 created,
         done++;
     }
     return done;
+}
+
+/* ---- arena image: the whole dynamic state as one int64 buffer ----------- */
+/* Layout: the header (key, R, P, V, nnodes, D, cal_sz), the scalars
+ * (cycle, pend, pk_top, hfree_len), the dyn_len ints st_pid .. lb, each
+ * source ring (length, then its handles oldest first), each calendar
+ * bucket (arrival length and ints, then credit length and ints), the
+ * PK_FIELDS packet-record arrays up to pk_top, the free-handle stack.
+ * The static tensors are not in it (ck_load expects the shape's image
+ * to be written already); neither is the span source, which is handed
+ * back to Python before an image is taken, nor the completion log,
+ * which the wrapper empties after every call. */
+enum { IMG_HEADER = 7, IMG_SCALARS = 4, PK_FIELDS = 10 };
+
+/* memcpy of n ints that may come from (or go to) a buffer never grown */
+static void copy_ints(i64 *dst, const i64 *src, i64 n) {
+    if (n)
+        memcpy(dst, src, (size_t)n * sizeof(i64));
+}
+
+static void pk_fields(CK *ck, i64 **f) {
+    f[0] = ck->pk_id; f[1] = ck->pk_src; f[2] = ck->pk_dst;
+    f[3] = ck->pk_nflits; f[4] = ck->pk_minlanes; f[5] = ck->pk_hops;
+    f[6] = ck->pk_inj; f[7] = ck->pk_created; f[8] = ck->pk_measured;
+    f[9] = ck->pk_live;
+}
+
+i64 ck_image_size(CK *ck) {
+    i64 n = IMG_HEADER + IMG_SCALARS + ck->dyn_len + ck->nnodes +
+            2 * ck->cal_sz + PK_FIELDS * ck->pk_top + ck->hfree_len;
+    for (i64 i = 0; i < ck->nnodes; i++)
+        n += ck->srcq[i].len;
+    for (i64 i = 0; i < ck->cal_sz; i++)
+        n += ck->arr_b[i].len + ck->cred_b[i].len;
+    return n;
+}
+
+/* Writes ck_image_size() ints to out; key names the kernel source. */
+void ck_dump(CK *ck, i64 key, i64 *out) {
+    const i64 head[] = {key, ck->R, ck->P, ck->V, ck->nnodes, ck->D,
+                        ck->cal_sz, ck->cycle, ck->pend, ck->pk_top,
+                        ck->hfree_len};
+    memcpy(out, head, sizeof head);
+    out += IMG_HEADER + IMG_SCALARS;
+    copy_ints(out, ck->dyn, ck->dyn_len);
+    out += ck->dyn_len;
+    for (i64 i = 0; i < ck->nnodes; i++) {
+        Ring *r = &ck->srcq[i];
+        *out++ = r->len;
+        for (i64 k = 0; k < r->len; k++)
+            *out++ = r->buf[(r->head + k) % r->cap];
+    }
+    for (i64 i = 0; i < 2 * ck->cal_sz; i++) {
+        Vec *b = i % 2 ? &ck->cred_b[i / 2] : &ck->arr_b[i / 2];
+        *out++ = b->len;
+        copy_ints(out, b->buf, b->len);
+        out += b->len;
+    }
+    i64 *f[PK_FIELDS];
+    pk_fields(ck, f);
+    for (int k = 0; k < PK_FIELDS; k++, out += ck->pk_top)
+        copy_ints(out, f[k], ck->pk_top);
+    copy_ints(out, ck->hfree, ck->hfree_len);
+}
+
+/* Restores what ck_dump wrote into a fresh arena of the same shape;
+ * E_IMAGE (word index, value read or ints left, value or ints expected)
+ * when the header does not match this arena and key, or the n ints end
+ * early or run over. */
+i64 ck_load(CK *ck, i64 key, const i64 *in, i64 n) {
+    const i64 want[] = {key, ck->R, ck->P, ck->V, ck->nnodes, ck->D,
+                        ck->cal_sz};
+    const i64 *at = in, *end = in + n;
+#define TAKE(count)                                                          \
+    do {                                                                     \
+        if ((count) < 0 || end - at < (count))                               \
+            ERR3(E_IMAGE, at - in, end - at, (count));                       \
+    } while (0)
+    TAKE(IMG_HEADER + IMG_SCALARS);
+    for (int k = 0; k < IMG_HEADER; k++)
+        if (at[k] != want[k])
+            ERR3(E_IMAGE, k, at[k], want[k]);
+    at += IMG_HEADER;
+    ck->cycle = at[0];
+    ck->pend = at[1];
+    i64 top = at[2], nfree = at[3];
+    at += IMG_SCALARS;
+    TAKE(ck->dyn_len);
+    copy_ints(ck->dyn, at, ck->dyn_len);
+    at += ck->dyn_len;
+    for (i64 i = 0; i < ck->nnodes; i++) {
+        TAKE(1);
+        i64 len = *at++;
+        TAKE(len);
+        for (i64 k = 0; k < len; k++)
+            if (ring_push(&ck->srcq[i], *at++))
+                ERR3(E_NOMEM, 0, 0, 0);
+    }
+    for (i64 i = 0; i < 2 * ck->cal_sz; i++) {
+        Vec *b = i % 2 ? &ck->cred_b[i / 2] : &ck->arr_b[i / 2];
+        TAKE(1);
+        i64 len = *at++;
+        TAKE(len);
+        for (i64 k = 0; k < len; k++)
+            if (vec_push(b, *at++))
+                ERR3(E_NOMEM, 0, 0, 0);
+    }
+    if (top < 0 || nfree < 0 || nfree > top ||
+        end - at != PK_FIELDS * top + nfree)
+        ERR3(E_IMAGE, at - in, end - at, PK_FIELDS * top + nfree);
+#undef TAKE
+    if (ensure_packets(ck, top))
+        ERR3(E_NOMEM, 0, 0, 0);
+    ck->pk_top = top;
+    ck->hfree_len = nfree;
+    i64 *f[PK_FIELDS];
+    pk_fields(ck, f);
+    for (int k = 0; k < PK_FIELDS; k++, at += top)
+        copy_ints(f[k], at, top);
+    copy_ints(ck->hfree, at, nfree);
+    return 0;
 }

@@ -14,27 +14,22 @@ runs over a flat integer arena; this module owns everything around it:
   rebuilds automatically; threads build once (a lock around
   build-and-memoise), concurrent processes race benignly through an
   atomic ``os.replace``.  No build-time dependency, no wheel machinery.
-* **bridge** -- :class:`CKernel` is the one codec between the object
-  model and the arena, one hop each way.  Packing copies the shape's
-  arena image (static tensors -- shapes, link/upstream/node maps, route
-  tables -- and a fresh network's per-lane state) in one memmove, then,
-  if the network has built its :class:`~repro.noc.router.Router`
-  objects, walks them once for the live state: per-lane scalars indexed
-  ``(router * P + port) * V + vc``, per-port VC bitmasks and arbiter
-  pointers, the active sets, queues as packet-handle/flit-index rings,
-  calendars of pending arrival/credit events; then per-node source
-  queues and packet records.
-  :meth:`CKernel.sync` reads the arena and writes the same fields of the
-  ``Router`` / ``_VCState`` / allocator / source objects back --
-  including rebuilding the shared :class:`~repro.noc.flit.Flit` deques
-  and the event buckets -- so mid-run kernel switches, snapshots and the
-  differential digests stay bit-identical.  Nothing on the Python side
-  mirrors an arena array; what stays here is what the arena cannot
-  hold: the packet handle table (C knows packets as integers), the
-  routers' own flit deques (sync refills them in place, so every
-  reference to them stays valid) and the
+* **arena** -- the kernel is chosen once, before a network's first
+  step, and from then on the arena is the whole state of the run:
+  nothing is handed to or from the :class:`~repro.noc.router.Router`
+  object model.  :class:`CKernel` starts a network that has not stepped
+  from the shape's arena image (static tensors -- shapes, link/upstream/
+  node maps, route tables -- and a fresh network's per-lane state) in
+  one memmove, and takes over the packets already queued at its
+  sources.  Per-lane state is indexed ``(router * P + port) * V + vc``;
+  queues are packet-handle/flit-index rings.  A pickled kernel is its
+  arena image (``ck_dump``: everything but the static tensors, which
+  ``ck_load`` finds rewritten from the shape) plus the handle table, so
+  a checkpoint of a ``"c"`` run never builds a router.  What stays on
+  the Python side is what the arena cannot hold: the handle table (C
+  knows packets as integers) and the
   :class:`~repro.noc.stats.RouterActivity` objects the C counters are
-  added onto at measurement boundaries and on sync.
+  added onto at measurement boundaries.
 * **spans** -- :meth:`CKernel.run` advances a whole :class:`Span` of
   cycles with the open-loop traffic source inside the C loop
   (``ck_run``), the opening of the measurement window included: C marks
@@ -46,10 +41,10 @@ runs over a flat integer arena; this module owns everything around it:
   are *lent* to C at the first span (``getstate()`` in) and stay there,
   so every stream continues draw for draw across spans; they are handed
   back (``setstate()`` out) when Python next needs them --
-  :meth:`CKernel.sync`, hence snapshots and every kernel switch or
-  teardown, and :meth:`Network.reclaim_span_source` before a run falls
-  to the per-cycle loop and at its end.  While they are lent,
-  :meth:`CKernel.step` and :meth:`CKernel.enqueue_packet` refuse to run.
+  :meth:`Network.reclaim_span_source` before a run falls to the
+  per-cycle loop, at its end and in every snapshot capture.  While they
+  are lent, :meth:`CKernel.step`, :meth:`CKernel.enqueue_packet` and
+  pickling refuse to run.
   A load-time self-check compares the C twin of
   ``random()``/``randrange``/``choice``/the Pareto period against
   ``random.Random``; a mismatch disables spans (one warning) and the
@@ -59,19 +54,19 @@ runs over a flat integer arena; this module owns everything around it:
   :class:`CKernel` constructor raises :class:`CKernelUnavailable`; the
   network warns once per process *and reason*, keeps the reason for
   :meth:`Network.span_blocker`, and the ``event`` kernel carries the
-  run, as it does whenever faults/observers/watchdogs attach.  The ladder is ``c -> event`` and
+  run, as it does when faults/observers/watchdogs attach before the
+  first step (after it they raise).  The ladder is ``c -> event`` and
   both rungs are bit-identical, so a compiler-less host asking for
   ``"c"`` runs at event speed (EXPERIMENTS.md, "Fallback rules").
 
 Packets cross the FFI as integer handles from one C-side allocator.
 Packets handed to :meth:`Network.enqueue` keep their Python object in a
 handle table; packets born inside a span exist only as C records until
-they finish (a row of the completion log) or until :meth:`CKernel.sync`
-materialises the in-flight ones as :class:`~repro.noc.flit.Packet`
-objects.  Per-cycle stepping flushes the log through
-``Network._complete_packet``, so latency records, callbacks and
-``packets_in_flight`` behave exactly as under the other kernels; a span
-reduces its rows, as columns, straight into the stats' latency sample.
+they finish (a row of the completion log).  Per-cycle stepping flushes
+the log through ``Network._complete_packet``, so latency records,
+callbacks and ``packets_in_flight`` behave exactly as under the other
+kernels; a span reduces its rows, as columns, straight into the stats'
+latency sample.
 """
 
 from __future__ import annotations
@@ -93,7 +88,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.noc.flit import Flit, FlitType, Packet
+from repro.noc.flit import Packet
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 #: ``-ffp-contract=off``: the Pareto twin must round exactly as CPython's
@@ -111,9 +106,6 @@ _LOAD_LOCK = threading.Lock()
 _WARNED: set = set()
 #: why spans are off although the library loaded (RNG twin mismatch).
 _SPANS_OFF: Optional[str] = None
-
-_MASK64 = (1 << 64) - 1
-
 
 class CKernelUnavailable(RuntimeError):
     """The compiled kernel cannot be built or used here; fall back."""
@@ -180,6 +172,11 @@ def _build_library() -> ctypes.CDLL:
     except OSError as exc:
         raise CKernelUnavailable(f"cannot load {so_path.name}: {exc}")
     _bind(lib)
+    #: stamped into every arena image: an image is only ever loaded by
+    #: a kernel built from the same source.
+    lib.source_key = int.from_bytes(
+        hashlib.sha256(source).digest()[:8], "little", signed=True
+    )
     return lib
 
 
@@ -208,19 +205,11 @@ def _bind(lib: ctypes.CDLL) -> None:
     sig("ck_handle_new", i64, void_p)
     sig("ck_set_packet", None, void_p, *([i64] * 10))
     sig("ck_source_push", i64, void_p, i64, i64)
-    sig("ck_source_len", i64, void_p, i64)
-    sig("ck_source_at", i64, void_p, i64, i64)
-    sig("ck_src_wake", None, void_p, i64)
-    sig("ck_queue_push", i64, void_p, i64, i64, i64, i64)
-    sig("ck_act_push", None, void_p, i64, i64)
-    sig("ck_act_len", i64, void_p, i64)
-    sig("ck_act_at", i64, void_p, i64, i64)
-    sig("ck_sched_arrival", i64, void_p, *([i64] * 6))
-    sig("ck_sched_credit", i64, void_p, *([i64] * 5))
-    sig("ck_bucket_len", i64, void_p, i64, i64)
-    sig("ck_bucket_ptr", p_i64, void_p, i64, i64)
     sig("ck_wake", None, void_p, i64)
     sig("ck_total_buffered", i64, void_p)
+    sig("ck_image_size", i64, void_p)
+    sig("ck_dump", None, void_p, i64, ctypes.c_char_p)
+    sig("ck_load", i64, void_p, i64, ctypes.c_char_p, i64)
 
 
 def load_kernel_library() -> ctypes.CDLL:
@@ -395,6 +384,9 @@ _ERRORS = {
                        "the calendar ring"),
     # what ParetoOnOffSource._pareto raises on a draw of exactly 0.0
     -8: (ZeroDivisionError, "float division by zero"),
+    -9: (ValueError, "arena image refused at word {a} (read {b}, expected "
+                     "{c}): another kernel source, network shape or a "
+                     "truncated image"),
 }
 
 _INJECTOR_KINDS = {"bernoulli": 0, "pareto": 1}
@@ -461,18 +453,6 @@ def _arena_image(shape, tables, P: int, V: int) -> bytes:
     return image.tobytes()
 
 
-def _to_i64(word: int) -> int:
-    """Reinterpret an unsigned 64-bit word as ctypes' signed int64."""
-    word &= _MASK64
-    return word - (1 << 64) if word >= (1 << 63) else word
-
-
-def _set_bits(words, n: int) -> set:
-    """The indices below ``n`` whose bit is set in the (signed) 64-bit
-    ``words`` of a C bitset."""
-    return {i for i in range(n) if words[i >> 6] >> (i & 63) & 1}
-
-
 def _span_born(pid: int, src: int, dst: int, flits: int, created: int,
                measured: int) -> Packet:
     """The Packet ``Network.make_packet`` would have built for a packet
@@ -498,8 +478,8 @@ class SpanSource:
     The first span lends ``rng`` and the injector's per-node streams and
     ON/OFF machines to the compiled kernel, which keeps drawing from its
     own copy span after span; the Python objects are stale until
-    :meth:`Network.reclaim_span_source` (or anything that syncs or tears
-    the kernel down) hands the advanced state back."""
+    :meth:`Network.reclaim_span_source` (or a snapshot capture) hands the
+    advanced state back."""
 
     pattern: tuple
     injector: tuple
@@ -530,16 +510,44 @@ class Span:
 class CKernel:
     """The live compiled kernel bound to one network.
 
-    Constructed by :meth:`Network._activate_ck` when ``kernel="c"`` is
-    requested and eligible; raises :class:`CKernelUnavailable` when the
-    library cannot load or the network shape breaks a kernel
-    precondition (more than 62 ports or VCs per router).  The C arena
-    lives exactly as long as this object: :meth:`free` releases it
-    eagerly, and dropping the kernel (or the network holding it)
-    releases it at collection.
+    Constructed by :meth:`Network._activate_ck` before the network's
+    first step, when ``kernel="c"`` is requested and eligible; raises
+    :class:`CKernelUnavailable` when the library cannot load or the
+    network shape breaks a kernel precondition (more than 62 ports or
+    VCs per router).  The C arena lives exactly as long as this object:
+    dropping the kernel (or the network holding it) releases it at
+    collection.  Pickled, the kernel is its arena image and handle
+    table; the unpickled network calls :meth:`reopen` to rebuild it.
     """
 
     def __init__(self, net) -> None:
+        #: handle -> Packet for the packets Python holds an object for
+        #: (the ones handed to :meth:`Network.enqueue`); ``None`` for free
+        #: handles and for packets born in a span, which exist only as C
+        #: records.  The allocator itself lives in C.
+        self._handles: List[Optional[Packet]] = []
+        self._open(net, self._pack)
+
+    def __getstate__(self) -> Tuple[bytes, List[Optional[Packet]]]:
+        # The handle table's Packets pickle with the rest of the graph,
+        # so a packet the caller also holds stays one object.
+        self._refuse_while_lent("pickling the compiled kernel")
+        return self.image(), self._handles
+
+    def __setstate__(self, state) -> None:
+        self._image, self._handles = state
+
+    def reopen(self, net) -> None:
+        """Rebuild the arena of an unpickled kernel for ``net``, the
+        network it was pickled with (raises :class:`CKernelUnavailable`
+        without a compiler, ``ValueError`` for an image of another
+        kernel source or shape)."""
+        image = self.__dict__.pop("_image")
+        self._open(net, lambda: self._load(image))
+
+    def _open(self, net, fill) -> None:
+        """Allocate the arena for ``net``, write the shape's image, then
+        the dynamic state ``fill`` brings."""
         lib = load_kernel_library()
         shape = net._shape
         R = len(shape.configs)
@@ -573,18 +581,10 @@ class CKernel:
             raise CKernelUnavailable("ck_new returned NULL (out of memory)")
         self._ck = ck
         self._finalizer = weakref.finalize(self, lib.ck_free, ck)
-        #: handle -> Packet for the packets Python holds an object for
-        #: (enqueued ones, and span-born ones once sync() materialised
-        #: them); ``None`` for free handles and for packets that so far
-        #: exist only as C records.  The allocator itself lives in C.
-        self._handles: List[Optional[Packet]] = []
-        self._hmap: Dict[int, int] = {}  # id(packet) -> handle
-        #: the routers' own flit deques by lane, once :meth:`_lane_queues`
-        #: has gathered them from the built routers.
-        self._queues: Optional[List[Optional[object]]] = None
-        #: True while net._arrivals/_credits hold a sync() mirror of the
-        #: C calendars; the next step() drops it (C stays authoritative).
-        self._mirrored = False
+        self._hmap: Dict[int, int] = {  # id(packet) -> handle
+            id(packet): h for h, packet in enumerate(self._handles)
+            if packet is not None
+        }
         #: while a :class:`SpanSource` is lent to the C side: the source,
         #: each stream as ``(address of its C words, random.Random,
         #: getstate() when lent)``, and the ``(injector, pattern)`` ids
@@ -592,9 +592,9 @@ class CKernel:
         self._lent: Optional[Tuple[SpanSource, list, Tuple[int, int]]] = None
         try:
             self._fill_static()
-            self._pack()
+            fill()
         except Exception:
-            self.free()
+            self._finalizer()
             raise
 
     # -- raw accessors ----------------------------------------------------
@@ -609,13 +609,6 @@ class CKernel:
             ptr, ctypes.POINTER(ctypes.c_int64 * n)
         ).contents
 
-    def free(self) -> None:
-        """Release the C arena now (idempotent); streams still lent to
-        it (no :meth:`sync` came first) are lost with it."""
-        self._finalizer()
-        self._ck = None
-        self._lent = None
-
     # -- packet handles ---------------------------------------------------
     def _handle(self, packet: Packet) -> int:
         h = self._hmap.get(id(packet))
@@ -624,7 +617,11 @@ class CKernel:
         h = self.lib.ck_handle_new(self._ck)
         if h < 0:
             self._raise_error(h)
-        self._hold(h, packet)
+        handles = self._handles
+        if h >= len(handles):
+            handles.extend([None] * (h + 1 - len(handles)))
+        handles[h] = packet
+        self._hmap[id(packet)] = h
         self.lib.ck_set_packet(
             self._ck, h, packet.packet_id, packet.src, packet.dst,
             packet.num_flits,
@@ -633,13 +630,6 @@ class CKernel:
             packet.hops, packet.created_at, 1 if packet.measured else 0,
         )
         return h
-
-    def _hold(self, h: int, packet: Packet) -> None:
-        handles = self._handles
-        if h >= len(handles):
-            handles.extend([None] * (h + 1 - len(handles)))
-        handles[h] = packet
-        self._hmap[id(packet)] = h
 
     def _held(self, h: int) -> Optional[Packet]:
         """The Packet object behind handle ``h``; ``None`` for a packet
@@ -652,12 +642,7 @@ class CKernel:
         del self._hmap[id(packet)]
         self._handles[h] = None
 
-    # -- pack: Python -> C ------------------------------------------------
-    def _put(self, aid: int, values: list) -> None:
-        """Write ``values`` over the first ``len(values)`` ints of array
-        ``aid``."""
-        self._view(aid, len(values))[:] = values
-
+    # -- the arena's state --------------------------------------------------
     def _fill_static(self) -> None:
         """Write the static tensors and a fresh network's per-lane state:
         one memmove of the shape's arena image (built by the shape's
@@ -671,167 +656,32 @@ class CKernel:
             )
         ctypes.memmove(self._arr(A_NPORTS), arena[1], len(arena[1]))
 
-    def _lane_queues(self) -> List[Optional[object]]:
-        """The routers' own flit deques by lane (``None`` where a router
-        has no such port/VC): the C rings hold the contents while the
-        kernel is live, sync() refills these very objects."""
-        if self._queues is None:
-            P, V = self.P, self.V
-            queues: List[Optional[object]] = [None] * self.L
-            for rid, r in enumerate(self.net.routers):
-                for port, states in enumerate(r._vc_states):
-                    lane = (rid * P + port) * V
-                    for vc, state in enumerate(states):
-                        queues[lane + vc] = state.queue
-            self._queues = queues
-        return self._queues
-
     def _pack(self) -> None:
-        """Write the live state of the object model over the fresh state
-        :meth:`_fill_static` left; the arena owns it until :meth:`sync`.
-        Routers a network never built are in that fresh state already."""
+        """Take over the packets queued at the sources of a network that
+        has not stepped; the rest of its state is the fresh state
+        :meth:`_fill_static` wrote."""
         net = self.net
-        lib = self.lib
-        ck = self._ck
-        lib.ck_set(ck, S_CYCLE, net.cycle)
-        if net._routers is not None:
-            self._pack_routers()
-
-        # sources: queued packets, mid-injection state, active-set bits
-        src_pkt = self._arr(A_SRC_PKT)
-        src_next = self._arr(A_SRC_NEXT)
-        src_vc = self._arr(A_SRC_VC)
-        for node, source in enumerate(net.sources):
+        for source in net.sources:
             for packet in source.queue:
-                if lib.ck_source_push(ck, node, self._handle(packet)):
-                    raise MemoryError("ck_source_push failed")
-            if source.next_flit < len(source.flits):
-                src_pkt[node] = self._handle(source.flits[0].packet)
-                src_next[node] = source.next_flit
-                src_vc[node] = source.vc
-        # srcw already has bits for queued nodes; add the conservative
-        # active-source superset so pruning matches the event kernel.
-        for node in net._active_sources:
-            lib.ck_src_wake(ck, node)
+                self.enqueue_packet(packet)
+            source.queue.clear()
+        net._active_sources.clear()
 
-        # pending events -> calendars (then C owns them)
-        for when, events in net._arrivals.items():
-            for rid, port, vc, flit in events:
-                rc = lib.ck_sched_arrival(
-                    ck, when, rid, port, vc, self._handle(flit.packet),
-                    flit.index,
-                )
-                if rc:
-                    raise CKernelUnavailable(
-                        f"arrival event at cycle {when} outside the "
-                        "calendar ring"
-                    )
-        for when, events in net._credits.items():
-            for rid, port, vc, release in events:
-                rc = lib.ck_sched_credit(
-                    ck, when, rid, port, vc, 1 if release else 0
-                )
-                if rc:
-                    raise CKernelUnavailable(
-                        f"credit event at cycle {when} outside the "
-                        "calendar ring"
-                    )
-        net._arrivals.clear()
-        net._credits.clear()
+    def image(self) -> bytes:
+        """The arena's dynamic state, as ``ck_dump`` lays it out (see
+        ``_ckernel.c``)."""
+        lib, ck = self.lib, self._ck
+        buffer = ctypes.create_string_buffer(8 * lib.ck_image_size(ck))
+        lib.ck_dump(ck, lib.source_key, buffer)
+        return buffer.raw
 
-        # cache stable array pointers for the hot step/sync paths
-        self._qs_pkt = self._arr(A_QS_PKT)
-        self._qs_seq = self._arr(A_QS_SEQ)
-        self._qs_ready = self._arr(A_QS_READY)
-        self._qhead = self._arr(A_QHEAD)
-        self._qlen = self._arr(A_QLEN)
-
-    def _pack_routers(self) -> None:
-        """The routers' part of :meth:`_pack`."""
-        net = self.net
+    def _load(self, image: bytes) -> None:
         lib = self.lib
-        ck = self._ck
-        R, P, V, L, RP = self.R, self.P, self.V, self.L, self.RP
-        # per-lane scalars, per-port masks and arbiter pointers
-        st_pid, st_route = [-1] * L, [-1] * L  # -1: None
-        st_outvc = [-2] * L                    # -2: None, -1: ejection
-        need = [0] * L                         # lane needs RC/VA
-        cred, owner = [0] * L, [-1] * L        # owner -1: None
-        occ, am, credok = [0] * RP, [0] * RP, [0] * RP
-        in_next, out_next, sec_next = [0] * RP, [0] * RP, [0] * RP
-        nva = [0] * R                          # needy lanes per router
-        for rid, r in enumerate(net.routers):
-            allocator = r.allocator
-            for port in range(r.num_ports):
-                rp = rid * P + port
-                lane = rp * V
-                in_next[rp] = allocator.input_stage[port]._next
-                out_next[rp] = allocator.output_stage[port]._next
-                sec_next[rp] = allocator.second_output_stage[port]._next
-                owners = r.out_vc_owner[port]
-                for vc, credits in enumerate(r.out_credits[port]):
-                    cred[lane + vc] = credits
-                    if credits > 0:
-                        credok[rp] |= 1 << vc
-                    if owners[vc] is not None:
-                        owner[lane + vc] = owners[vc]
-                for vc, state in enumerate(r._vc_states[port]):
-                    pid, out_vc = state.packet_id, state.out_vc
-                    if pid is not None:
-                        st_pid[lane + vc] = pid
-                    if state.route_port is not None:
-                        st_route[lane + vc] = state.route_port
-                    if out_vc is not None:
-                        st_outvc[lane + vc] = out_vc
-                        am[rp] |= 1 << vc
-                    queue = state.queue
-                    if queue:
-                        occ[rp] |= 1 << vc
-                        if out_vc is None or pid != queue[0].packet.packet_id:
-                            need[lane + vc] = 1
-                            nva[rid] += 1
-            for port, vc in r._active:
-                lib.ck_act_push(ck, rid, (rid * P + port) * V + vc)
-        actw = [0] * ((R + 63) // 64)
-        for rid in net._active_routers:
-            actw[rid >> 6] |= 1 << (rid & 63)
-        for aid, values in (
-            (A_ST_PID, st_pid), (A_ST_ROUTE, st_route),
-            (A_ST_OUTVC, st_outvc), (A_NEED, need), (A_CRED, cred),
-            (A_OWNER, owner), (A_OCC, occ), (A_AM, am), (A_CREDOK, credok),
-            (A_IN_NEXT, in_next), (A_OUT_NEXT, out_next),
-            (A_SEC_NEXT, sec_next), (A_NVA, nva),
-            (A_OCCUPIED, [r.occupied_flits for r in net.routers]),
-            (A_VA_OFF, [r._va_offset for r in net.routers]),
-            (A_ACTW, [_to_i64(word) for word in actw]),
-        ):
-            self._put(aid, values)
-
-        # flit queues (shared deques -> handle/index/ready rings)
-        for lane, q in enumerate(self._lane_queues()):
-            if not q:
-                continue
-            for flit in q:
-                if lib.ck_queue_push(
-                    ck, lane, self._handle(flit.packet), flit.index,
-                    flit.ready_at,
-                ):
-                    raise CKernelUnavailable(
-                        "flit queue deeper than the configured buffer"
-                    )
+        rc = lib.ck_load(self._ck, lib.source_key, image, len(image) // 8)
+        if rc:
+            self._raise_error(rc)
 
     # -- stepping ---------------------------------------------------------
-    def _drop_mirror(self) -> None:
-        if self._mirrored:
-            # sync() left a read-only mirror of the C calendars in the
-            # event dicts (for digests / snapshots / kernel hand-off).
-            # C stays authoritative while we keep stepping, so drop the
-            # mirror -- a stale copy would make idle()/drain() spin
-            # forever on events the C side has long consumed.
-            self.net._arrivals.clear()
-            self.net._credits.clear()
-            self._mirrored = False
-
     def _take_log(self, rows: int):
         """Empty the completion log one cycle left, yielding one
         ``LOG_WIDTH``-int row per finished packet."""
@@ -844,7 +694,6 @@ class CKernel:
         self._refuse_while_lent("step()")
         net = self.net
         cycle = net.cycle
-        self._drop_mirror()
         rows = self.lib.ck_step(self._ck, 1 if net.measuring else 0)
         if rows < 0:
             self._raise_error(rows)
@@ -873,7 +722,6 @@ class CKernel:
         net = self.net
         lib = self.lib
         ck = self._ck
-        self._drop_mirror()
         kinds = self._lend(span.source)
         stats = net._stats
         first, measure_from = span.created, span.measure_from
@@ -1072,9 +920,6 @@ class CKernel:
         ):
             raise MemoryError("ck_source_push failed")
 
-    def wake_source(self, node: int) -> None:
-        self.lib.ck_src_wake(self._ck, node)
-
     def pending_events(self) -> bool:
         """True while scheduled arrival/credit events remain undelivered
         (the drain-loop quiesce condition)."""
@@ -1087,7 +932,7 @@ class CKernel:
     def flush_activity(self) -> None:
         """Add the C-side activity and link counters onto the shared
         RouterActivity objects and the stats dictionaries, zeroing the C
-        side (measurement boundaries call this)."""
+        side (measurement boundaries and ``reset_stats`` call this)."""
         R, P, RP = self.R, self.P, self.RP
         activities = self.net._activities
         for aid, field in _ACTIVITY_FIELDS:
@@ -1106,164 +951,3 @@ class CKernel:
                     key = (rp // P, rp % P)
                     dest[key] = dest.get(key, 0) + count
             ctypes.memset(counts, 0, ctypes.sizeof(counts))
-
-    def drop_activity(self) -> None:
-        """Drop pending counts after ``reset_stats`` replaced the
-        RouterActivity objects."""
-        for aid, _ in _ACTIVITY_FIELDS:
-            self._put(aid, [0] * self.R)
-        self._put(A_LF, [0] * self.RP)
-        self._put(A_LB, [0] * self.RP)
-
-    # -- sync: C -> Python -------------------------------------------------
-    def _make_flit(self, packet: Packet, index: int) -> Flit:
-        if packet.num_flits == 1:
-            ftype = FlitType.HEAD_TAIL
-        elif index == 0:
-            ftype = FlitType.HEAD
-        elif index == packet.num_flits - 1:
-            ftype = FlitType.TAIL
-        else:
-            ftype = FlitType.BODY
-        return Flit(packet=packet, index=index, flit_type=ftype)
-
-    def sync(self) -> None:
-        """Mirror the C state back into the object model (non-destructive:
-        the C side stays live and authoritative until :meth:`free`)."""
-        net = self.net
-        lib = self.lib
-        ck = self._ck
-        R, P, V, D = self.R, self.P, self.V, self.D
-
-        # per-lane scalars, per-port masks and arbiter pointers -> the
-        # Router / _VCState / allocator fields they were packed from
-        # (need, nva, am and credok are derived state: nothing to write)
-        st_pid, st_route = self._arr(A_ST_PID), self._arr(A_ST_ROUTE)
-        st_outvc = self._arr(A_ST_OUTVC)
-        cred, owner = self._arr(A_CRED), self._arr(A_OWNER)
-        occ = self._arr(A_OCC)
-        in_next, out_next = self._arr(A_IN_NEXT), self._arr(A_OUT_NEXT)
-        sec_next = self._arr(A_SEC_NEXT)
-        occupied, va_off = self._arr(A_OCCUPIED), self._arr(A_VA_OFF)
-        for rid, r in enumerate(net.routers):
-            r.occupied_flits = occupied[rid]
-            r._va_offset = va_off[rid]
-            allocator = r.allocator
-            for port in range(r.num_ports):
-                rp = rid * P + port
-                lane = rp * V
-                allocator.input_stage[port]._next = in_next[rp]
-                allocator.output_stage[port]._next = out_next[rp]
-                allocator.second_output_stage[port]._next = sec_next[rp]
-                r._port_active[port] = occ[rp].bit_count()
-                credits = r.out_credits[port]
-                owners = r.out_vc_owner[port]
-                for vc in range(len(credits)):
-                    credits[vc] = cred[lane + vc]
-                    ow = owner[lane + vc]
-                    owners[vc] = None if ow == -1 else ow
-                for vc, state in enumerate(r._vc_states[port]):
-                    pid = st_pid[lane + vc]
-                    state.packet_id = None if pid == -1 else pid
-                    route = st_route[lane + vc]
-                    state.route_port = None if route == -1 else route
-                    out_vc = st_outvc[lane + vc]
-                    state.out_vc = None if out_vc == -2 else out_vc
-            r._active = {}
-            for i in range(lib.ck_act_len(ck, rid)):
-                lane = lib.ck_act_at(ck, rid, i)
-                r._active[(lane // V) % P, lane % V] = True
-        net._active_routers = _set_bits(self._arr(A_ACTW), R)
-
-        # live packet records -> Packet attributes; packets born in a
-        # span get their Packet object here
-        top = lib.ck_get(ck, S_PK_TOP)
-        if top:
-            fields = [
-                self._arr(aid)[0:top]
-                for aid in (A_PK_LIVE, A_PK_ID, A_PK_SRC, A_PK_DST,
-                            A_PK_NFLITS, A_PK_CREATED, A_PK_MEASURED,
-                            A_PK_HOPS, A_PK_MINLANES, A_PK_INJ)
-            ]
-            for h, (live, pid, src, dst, flits, created, measured, hops,
-                    lanes, injected) in enumerate(zip(*fields)):
-                if not live:
-                    continue
-                packet = self._held(h)
-                if packet is None:
-                    packet = _span_born(pid, src, dst, flits, created,
-                                        measured)
-                    self._hold(h, packet)
-                _mirror(packet, hops, lanes, injected)
-
-        # queue rings -> the shared Flit deques, rebuilt in place
-        qs_pkt, qs_seq, qs_ready = self._qs_pkt, self._qs_seq, self._qs_ready
-        qhead, qlen = self._qhead, self._qlen
-        handles = self._handles
-        for lane, q in enumerate(self._lane_queues()):
-            if q is None:
-                continue
-            n = qlen[lane]
-            if not n and not q:
-                continue
-            q.clear()
-            head = qhead[lane]
-            base = lane * D
-            for i in range(n):
-                slot = base + (head + i) % D
-                flit = self._make_flit(handles[qs_pkt[slot]], qs_seq[slot])
-                flit.ready_at = qs_ready[slot]
-                q.append(flit)
-
-        # sources
-        src_pkt = self._arr(A_SRC_PKT)
-        src_next = self._arr(A_SRC_NEXT)
-        src_vc = self._arr(A_SRC_VC)
-        for node, source in enumerate(net.sources):
-            nq = lib.ck_source_len(ck, node)
-            if nq or source.queue:
-                source.queue.clear()
-                for i in range(nq):
-                    source.queue.append(
-                        handles[lib.ck_source_at(ck, node, i)]
-                    )
-            h = src_pkt[node]
-            if h >= 0:
-                packet = handles[h]
-                source.flits = packet.make_flits()
-                source.next_flit = src_next[node]
-                source.vc = src_vc[node]
-            else:
-                source.flits = []
-                source.next_flit = 0
-                source.vc = None
-        net._active_sources = _set_bits(self._arr(A_SRCW), self.nnodes)
-
-        # calendars -> the event dicts
-        cycle = lib.ck_get(ck, S_CYCLE)
-        cal_sz = self.cal_sz
-        net._arrivals.clear()
-        net._credits.clear()
-        for idx in range(cal_sz):
-            when = cycle + (idx - cycle) % cal_sz
-            n = lib.ck_bucket_len(ck, 0, idx)
-            if n:
-                ptr = lib.ck_bucket_ptr(ck, 0, idx)
-                raw = ptr[0:n]
-                events = []
-                for e in range(0, n, 5):
-                    flit = self._make_flit(handles[raw[e + 3]], raw[e + 4])
-                    events.append((raw[e], raw[e + 1], raw[e + 2], flit))
-                net._arrivals[when] = events
-            n = lib.ck_bucket_len(ck, 1, idx)
-            if n:
-                ptr = lib.ck_bucket_ptr(ck, 1, idx)
-                raw = ptr[0:n]
-                net._credits[when] = [
-                    (raw[e], raw[e + 1], raw[e + 2], bool(raw[e + 3]))
-                    for e in range(0, n, 4)
-                ]
-
-        self.flush_activity()
-        self.hand_back()
-        self._mirrored = True

@@ -39,21 +39,24 @@ reference for the event kernel.
 The fast path -- the compiled kernel of :mod:`repro.noc.ckernel` -- is
 selected with ``NetworkConfig(kernel="c")``, ``REPRO_KERNEL=c`` or
 ``network.use_kernel("c")``.  It simulates the same microarchitecture
-over flat integer arrays, is bit-identical to both object-model kernels,
-and *hands the cycle to the event kernel automatically* whenever faults,
-observation hooks, a watchdog, a profiler or a dynamic routing discipline
-require the per-flit object datapath; the fallback is re-evaluated every
-cycle, so attaching or detaching such a subsystem mid-run simply switches
-kernels at the next step.  When the
-compiled kernel cannot be built or does not support the network shape
-(no C compiler, a router wider than 62 ports or VCs) the event kernel
-carries the whole run after one ``RuntimeWarning`` naming the reason.
+over flat integer arrays and is bit-identical to both object-model
+kernels.  The kernel is chosen once, before the first step: faults,
+observation hooks, a watchdog, a profiler or a dynamic routing
+discipline given by then need the per-flit object datapath, so the event
+kernel carries the run (:meth:`Network.span_blocker` says why); once the
+compiled kernel is live its arena is the whole state of the run, and
+attaching any of them, or switching kernels, raises.  When the compiled
+kernel cannot be built or does not support the network shape (no C
+compiler, a router wider than 62 ports or VCs) the event kernel carries
+the whole run after one ``RuntimeWarning`` naming the reason.  Event and
+naive share the object model and switch freely mid-run.
 
 Construction is paid once per :class:`NetworkShape` (memoised by
 :func:`network_shape`), and the :class:`~repro.noc.router.Router` objects
 are built from it only when something first reads :attr:`Network.routers`
-(an object-model step, a kernel sync, an observer or fault injector), so a
-span-driven run on the compiled kernel never builds them.
+(an object-model step, an observer or fault injector), so a run on the
+compiled kernel -- its checkpoints and their restores included -- never
+builds them.
 """
 
 from __future__ import annotations
@@ -301,16 +304,16 @@ class Network:
         self._tracing = False
         # -- kernel selection --------------------------------------------
         kernel = self.config.kernel_in_force()
-        #: the requested kernel name (see :attr:`kernel`); for ``"c"``,
-        #: eligibility is (re)checked every step so faults/obs/watchdog/
-        #: profiler attachment falls back to the event kernel.
+        #: the requested kernel name (see :attr:`kernel`); a ``"c"``
+        #: request is settled before the first step.
         self._kernel = kernel
         #: the live :class:`repro.noc.ckernel.CKernel`, or ``None`` when
-        #: the object-model kernels are driving.
+        #: the object-model kernels are driving; once live it holds the
+        #: run's whole state until the network is dropped.
         self._ck = None
         #: why the last compiled-kernel activation failed (``None``: it
         #: has not), so the (warned) event fallback does not retry the
-        #: build every cycle and :meth:`span_blocker` can name the cause.
+        #: build and :meth:`span_blocker` can name the cause.
         self._ck_blocked: Optional[str] = None
         #: whether precomputed route tables *and* default-VA tables are
         #: installed (the compiled kernel's routing precondition).
@@ -341,7 +344,8 @@ class Network:
 
     def __getstate__(self) -> dict:
         # The shape is the process's memo entry: a restored network
-        # fetches (or rebuilds) its own instead of pickling a copy.
+        # fetches (or rebuilds) its own instead of pickling a copy.  A
+        # live compiled kernel pickles as its arena image.
         state = self.__dict__.copy()
         del state["_shape"]
         return state
@@ -351,6 +355,8 @@ class Network:
         self._shape = network_shape(
             self.topology, self.router_configs, self.config
         )
+        if self._ck is not None:
+            self._ck.reopen(self)
 
     # -- construction ---------------------------------------------------------
     @property
@@ -389,7 +395,6 @@ class Network:
         also runs table-free so it exercises the original code path
         end-to-end.
         """
-        self._deactivate_ck()
         tables = None
         if self._kernel != "naive" and self.faults is None:
             tables = self._routing.build_route_tables()
@@ -420,6 +425,7 @@ class Network:
 
     @routing.setter
     def routing(self, routing: Routing) -> None:
+        self._refuse_under_ck("setting routing")
         self._routing = routing
         self._install_routing_tables()
 
@@ -427,18 +433,27 @@ class Network:
     def kernel(self) -> str:
         """The selected cycle kernel: ``"event"``, ``"naive"`` or ``"c"``.
 
-        Note this is the *requested* kernel; a requested ``"c"`` still
-        steps through the event kernel whenever faults, observation
-        hooks, a watchdog, a profiler or dynamic routing are attached,
+        Note this is the *requested* kernel; a requested ``"c"`` runs on
+        the event kernel when faults, observation hooks, a watchdog, a
+        profiler or dynamic routing were attached before the first step,
         or when the compiled kernel is unavailable (see
-        :attr:`active_kernel`).
+        :attr:`active_kernel` and :meth:`span_blocker`).
         """
         return self._kernel
 
     def use_kernel(self, name: str) -> None:
-        """Switch the cycle kernel mid-run (bit-identical hand-off)."""
+        """Choose the cycle kernel: any of the three before the first
+        step, then only ``"event"`` / ``"naive"`` (they share the object
+        model, so a switch mid-run is bit-identical).  Raises
+        ``RuntimeError`` while the compiled kernel is live, and for
+        ``"c"`` once an object-model kernel has stepped."""
         NetworkConfig.check_kernel(name)
-        self._deactivate_ck()
+        self._refuse_under_ck("use_kernel()")
+        if name == "c" and self.cycle:
+            raise RuntimeError(
+                "use_kernel('c') after an object-model kernel has "
+                "stepped: the c kernel is chosen before the first step"
+            )
         previous, self._kernel = self._kernel, name
         # An explicit re-request gets a fresh activation attempt (e.g. a
         # compiler appeared on PATH since the last failure).
@@ -452,8 +467,9 @@ class Network:
         """The kernel *actually driving* the cycle right now.
 
         Unlike :attr:`kernel` (the request), this reflects the fallback
-        ladder: ``"c"`` while the compiled kernel is live, otherwise the
-        object-model kernel that would step (``"naive"`` or ``"event"``).
+        ladder: ``"c"`` once the compiled kernel is live (from the first
+        step, or the first :meth:`span_blocker` call, on), otherwise the
+        object-model kernel that steps (``"naive"`` or ``"event"``).
         """
         if self._ck is not None:
             return "c"
@@ -478,22 +494,39 @@ class Network:
         self._ck = kernel
         return kernel
 
-    def _deactivate_ck(self) -> None:
-        kernel = getattr(self, "_ck", None)
-        if kernel is not None:
-            kernel.sync()
-            kernel.free()
-            self._ck = None
-
-    def sync_kernel(self) -> None:
-        """Mirror compiled-kernel state back into the object model.
-
-        No-op unless the compiled kernel is live.  Callers that inspect
-        router internals, flit queues, sources or event buckets mid-run
-        (tests, diagnostics) should call this first.
-        """
+    def _start_c(self) -> Optional[str]:
+        """Settle a ``"c"`` request: bring the compiled kernel up unless
+        the network has stepped or something given before the first step
+        needs the object model; returns why the event kernel carries the
+        run instead, or ``None`` with the kernel live."""
         if self._ck is not None:
-            self._ck.sync()
+            return None
+        for attached, what in (
+            (self.profiler, "a profiler"),
+            (self.faults, "a fault injector"),
+            (self.obs, "an observer"),
+            (self.watchdog, "a watchdog"),
+        ):
+            if attached is not None:
+                return f"{what} is attached"
+        if not self._route_tables_ok:
+            return "routing is dynamic (no precomputed route tables)"
+        if not self._ck_blocked and not self.cycle:
+            self._activate_ck()
+        if self._ck is not None:
+            return None
+        if self._ck_blocked:
+            return f"the compiled kernel is unavailable ({self._ck_blocked})"
+        return "the event kernel has carried this run since its first step"
+
+    def _refuse_under_ck(self, call: str) -> None:
+        """A live compiled kernel holds the run's whole state in its
+        arena, which is never handed to the object model."""
+        if self._ck is not None:
+            raise RuntimeError(
+                f"{call} while the c kernel is live: the kernel is chosen "
+                "before the first step, so attach or switch before it"
+            )
 
     def reclaim_span_source(self) -> None:
         """Hand the traffic source the spans borrowed back to its Python
@@ -509,16 +542,10 @@ class Network:
         if self._ck is not None:
             self._ck.hand_back()
 
-    def wake_source(self, node: int) -> None:
-        """Mark a source node active (for callers that bypass enqueue)."""
-        self._active_sources.add(node)
-        if self._ck is not None:
-            self._ck.wake_source(node)
-
     def attach_observer(self, observer) -> None:
         """Attach observation hooks (an :class:`repro.obs.hooks.Observer`)
         to the network and all its routers."""
-        self._deactivate_ck()
+        self._refuse_under_ck("attach_observer()")
         self.obs = observer
         self._tracing = observer is not None
         for router in self.routers:
@@ -538,6 +565,7 @@ class Network:
         computation must stay dynamic so rerouting around dead channels
         can take effect.
         """
+        self._refuse_under_ck("attach_faults()")
         self.faults = injector
         for router in self.routers:
             router.faults = injector
@@ -553,7 +581,7 @@ class Network:
     def attach_watchdog(self, watchdog) -> None:
         """Attach a deadlock/livelock watchdog (read-only: cannot change
         simulation results)."""
-        self._deactivate_ck()
+        self._refuse_under_ck("attach_watchdog()")
         self.watchdog = watchdog
 
     def detach_watchdog(self) -> None:
@@ -582,6 +610,9 @@ class Network:
 
     def reset_stats(self) -> None:
         """Start a fresh measurement window (counters and records only)."""
+        if self._ck is not None:
+            # onto the activities and stats discarded below
+            self._ck.flush_activity()
         self._stats = NetworkStats(
             self.topology.num_routers, self.topology.num_nodes
         )
@@ -593,8 +624,6 @@ class Network:
         for router, activity in zip(self._routers or (), self._activities):
             router.activity = activity
         self._stats.router_activity = list(self._activities)
-        if self._ck is not None:
-            self._ck.drop_activity()
 
     def make_packet(
         self,
@@ -632,8 +661,7 @@ class Network:
             self._stats.packets_offered += 1
         ck = self._ck
         if ck is not None:
-            # The compiled kernel owns the source queues while active; the
-            # Python deques are rebuilt from it on sync().
+            # The compiled kernel owns the source queues while live.
             ck.enqueue_packet(packet)
         else:
             self.sources[packet.src].queue.append(packet)
@@ -652,28 +680,19 @@ class Network:
         Spans run cycles and traffic source inside the compiled kernel
         without returning to Python, so anything that must see each
         cycle, packet or delivery keeps the run on the per-cycle loop.
-        Brings the compiled kernel up if it is requested and not live.
+        On a network that asks for ``"c"`` and has not stepped, this
+        settles the kernel as the first step would.
         """
         if self._kernel != "c":
             return f"the {self._kernel} kernel drives this network"
-        for attached, what in (
-            (self.profiler, "a profiler"),
-            (self.faults, "a fault injector"),
-            (self.obs, "an observer"),
-            (self.watchdog, "a watchdog"),
-            (self.on_delivery, "an on_delivery callback"),
-        ):
-            if attached is not None:
-                return f"{what} is attached"
-        if not self._route_tables_ok:
-            return "routing is dynamic (no precomputed route tables)"
-        if self._ck is None and not self._ck_blocked:
-            self._activate_ck()
-        if self._ck is None:
-            return f"the compiled kernel is unavailable ({self._ck_blocked})"
-        from repro.noc.ckernel import spans_disabled_reason
+        blocker = self._start_c()
+        if blocker is None and self.on_delivery is not None:
+            blocker = "an on_delivery callback is attached"
+        if blocker is None:
+            from repro.noc.ckernel import spans_disabled_reason
 
-        return spans_disabled_reason()
+            blocker = spans_disabled_reason()
+        return blocker
 
     def step(self, span=None) -> Optional[Tuple[int, int]]:
         """Advance the network by one clock cycle (event-driven kernel).
@@ -695,35 +714,21 @@ class Network:
             if blocker is not None:
                 raise RuntimeError(f"cannot step a span: {blocker}")
             return self._ck.run(span)
+        ck = self._ck
+        if (ck is None and self._kernel == "c" and not self.cycle
+                and self._start_c() is None):
+            ck = self._ck
+        if ck is not None:
+            if self.profiler is not None:
+                self._refuse_under_ck("a profiler found by step()")
+            ck.step()
+            return
         if self.profiler is not None:
-            self._deactivate_ck()
             self._step_profiled()
             return
-        requested = self._kernel
-        if requested != "event":
-            if requested == "naive":
-                self._step_naive()
-                return
-            # Per-step eligibility: the compiled kernel needs precomputed
-            # route/VA tables and steps aside for any subsystem that needs
-            # the per-flit object datapath (faults, obs, watchdog).
-            if (
-                self.faults is None
-                and self.obs is None
-                and self.watchdog is None
-                and self._route_tables_ok
-                and not self._ck_blocked
-            ):
-                kernel = self._ck
-                if kernel is None:
-                    kernel = self._activate_ck()
-                if kernel is not None:
-                    kernel.step()
-                    return
-                # Activation failed (no compiler, bad shape): warned,
-                # _ck_blocked says why -- the event kernel steps below.
-            else:
-                self._deactivate_ck()
+        if self._kernel == "naive":
+            self._step_naive()
+            return
         cycle = self.cycle
         routers = self.routers
         if self.faults is not None:
@@ -1165,7 +1170,7 @@ class Network:
         packet was therefore retired); a second purge of the same packet
         is a no-op.
         """
-        self._deactivate_ck()
+        self._refuse_under_ck("purge_packet()")
         pid = packet.packet_id
         topo = self.topology
         found = False

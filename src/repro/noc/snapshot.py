@@ -5,24 +5,27 @@ continue, pickled *whole* so that shared references (an NI holding the
 network, a packet present both in a source queue and in the NI's
 outstanding table) survive the round trip as shared references.
 :func:`repro.traffic.runner.run_synthetic` pickles its run state (the
-:class:`~repro.noc.network.Network` object graph with routers, VC
-states, in-flight flits, arbiter pointers, activity counters, event
-buckets, sources, stats and the next packet id, plus the driver's RNG,
-the injection process, the NI and the loop counters); a restored run
-continues exactly where the original left off.  "Exactly" is literal: the
+:class:`~repro.noc.network.Network` object graph -- on the object-model
+kernels its routers, VC states, in-flight flits, arbiter pointers and
+event buckets, on the ``"c"`` kernel the byte image of its C arena --
+with activity counters, sources, stats and the next packet id, plus the
+driver's RNG, the injection process, the NI and the loop counters); a
+restored run continues exactly where the original left off.  "Exactly" is literal: the
 differential state digests of a restored run match an uninterrupted one
 cycle for cycle, for all three cycle kernels (pinned by
 ``tests/test_snapshot.py``).
 
 This module knows nothing about what is inside the payload.  It provides:
 
-* :func:`capture` -- bring a live network to rest so that it pickles: a
-  live compiled kernel is synced back into the object model and freed
-  (the hand-off is bit-identical, see :mod:`repro.noc.ckernel`), so
-  snapshots never contain C state and a restored ``"c"`` network simply
-  re-packs on its next step.  Networks with an observer or profiler
-  attached (both may hold open file handles) are refused loudly rather
-  than producing a snapshot that cannot restore.
+* :func:`capture` -- bring a live network to rest so that it pickles:
+  the RNG streams a span-driven run lent to the compiled kernel go back
+  to their Python objects.  A live compiled kernel stays live and
+  pickles as its arena image (see :mod:`repro.noc.ckernel`); restoring
+  one needs the compiled kernel of the same source, and raises inside
+  unpickling -- :class:`SnapshotCorrupt` here -- where it cannot load.
+  Networks with an observer or profiler attached (both may hold open
+  file handles) are refused loudly rather than producing a snapshot
+  that cannot restore.
 * :func:`save_snapshot` / :func:`load_snapshot` -- the versioned binary
   container: an 8-byte magic, a format version, the payload length, the
   sha256 of the pickle payload, then the payload.  Writes are atomic
@@ -47,8 +50,10 @@ import struct
 #: ``NetworkStats`` holds its latency sample as columns; v5: the payload
 #: is the runner's state object itself, not a wrapper around a dict; v6:
 #: the pickled ``Network`` holds its routers as ``_routers``, built on
-#: demand, and its activity counters, and leaves its shape to the memo).
-SNAPSHOT_VERSION = 6
+#: demand, and its activity counters, and leaves its shape to the memo;
+#: v7: a ``"c"`` network holds its live kernel, pickled as its arena
+#: image and packet-handle table, instead of routers synced from it).
+SNAPSHOT_VERSION = 7
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)
@@ -74,21 +79,18 @@ class SnapshotVersionMismatch(SnapshotError):
 def capture(network):
     """Bring a live network to rest so it can be pickled; returns it.
 
-    The compiled (C) kernel, if active, is synced and deactivated: the
-    object model then holds the authoritative state, and the restored
-    network re-activates the kernel on the next step (both transitions
-    are bit-identical, pinned by the differential tests).  Deactivation
-    is equally bit-identical for the network being captured, so taking a
-    checkpoint never perturbs the ongoing run.  It also hands back the
-    RNG streams a span-driven run lent to the kernel, which is why the
-    driver's ``random.Random`` and injector must be pickled after it.
+    Hands back the RNG streams a span-driven run lent to the compiled
+    kernel, which is why the driver's ``random.Random`` and injector must
+    be pickled after it.  Nothing else moves: a live compiled kernel
+    stays live and pickles as its arena image, so taking a checkpoint
+    never perturbs the ongoing run and never builds a router.
     """
     if network.obs is not None or network.profiler is not None:
         raise SnapshotError(
             "cannot snapshot a network with an observer or profiler "
             "attached (live file handles); detach it first"
         )
-    network._deactivate_ck()
+    network.reclaim_span_source()
     return network
 
 

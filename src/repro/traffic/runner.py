@@ -439,8 +439,9 @@ def run_synthetic(
         if run.next_checkpoint is None or network.cycle < run.next_checkpoint:
             return
         run.next_checkpoint = network.cycle + checkpoint_every
-        # Sync and free a live compiled kernel and take back the streams
-        # it borrowed: the object model and ``run.rng`` are then current.
+        # Take back the streams a live compiled kernel borrowed, so that
+        # ``run.rng`` and the injector are current (the kernel itself
+        # pickles as its arena image).
         capture(network)
         save_snapshot(run, checkpoint_path)
         if os.environ.get("REPRO_CHAOS_PLAN"):

@@ -216,6 +216,8 @@ class TestScenario:
             "store-corruption": "ok",
             "checkpoint-resume": "ok",
             "checkpoint-corruption": "ok",
+            "checkpoint-resume-c": "ok",
+            "checkpoint-corruption-c": "ok",
             "store-io-faults": "ok",
         }
 

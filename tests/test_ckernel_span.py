@@ -597,7 +597,7 @@ class TestSpanEligibility:
         assert degraded == reference
 
 
-# -- (c) checkpoints and kernel hand-off around spans -----------------------------
+# -- (c) checkpoints around spans -------------------------------------------------
 @needs_ckernel
 class TestSpansAndSnapshots:
     POINT = _point(layout="diagonal+BL", injector="self_similar", rate=0.06,
@@ -659,9 +659,12 @@ class TestSpansAndSnapshots:
         assert _injector_state(snapshot.injector) == plain["injector"]
 
     def test_lent_streams_are_back_after_kernel_teardown(self):
-        """Two spans lend the streams once; attaching an observer tears
-        the kernel down, and ``_offer_load`` then continues every stream
-        draw for draw on the per-cycle loop."""
+        """Two spans lend the streams once; a checkpoint round trip
+        (capture, pickle, restore, the original kernel dropped) hands
+        them back, and ``_offer_load`` then continues every stream draw
+        for draw on the restored network's per-cycle loop."""
+        from repro.noc.snapshot import capture, dumps, loads
+
         def run(spans):
             net = build_network(layout_by_name("diagonal+BL", 4))
             net.use_kernel("c" if spans else "event")
@@ -681,14 +684,12 @@ class TestSpansAndSnapshots:
                 for _ in range(60):
                     _offer_load(net, pattern, injector, rng)
                     net.step()
-            from repro.obs.hooks import Observer
-
-            net.attach_observer(Observer())
+            net, rng, injector = loads(dumps((capture(net), rng, injector)))
             state = (rng.getstate(), _injector_state(injector))
             for _ in range(40):
                 _offer_load(net, pattern, injector, rng)
                 net.step()
-            assert net.active_kernel == "event"
+            assert net.active_kernel == ("c" if spans else "event")
             return (state, rng.getstate(), _injector_state(injector),
                     _digest(net), net.next_packet_id)
 
@@ -740,43 +741,6 @@ class TestSpansAndSnapshots:
             point, checkpoint_every=17, checkpoint_dir=tmp_path
         ).to_dict()
         assert got == expected
-
-    def test_hand_off_to_event_after_a_span(self):
-        """Packets born in C are materialised as Packet objects when the
-        kernel is swapped out; the event kernel then finishes them."""
-        def run(handoff):
-            net = build_network(layout_by_name("diagonal+BL", 4))
-            net.use_kernel("c" if handoff else "event")
-            pattern = pattern_by_name("nearest_neighbor", net.topology)
-            injector = SelfSimilarInjector(16, 0.2, seed=5)
-            rng = random.Random(12)
-            delivered = []
-            if handoff:
-                source = SpanSource(
-                    patterns.span_twin(pattern),
-                    selfsimilar.span_twin(injector, 16), rng,
-                )
-                ran, born = net.step(Span(source, 80))
-                assert ran == 80 and born > 20
-                assert net.packets_in_flight > 0
-                net.use_kernel("event")
-            else:
-                for _ in range(80):
-                    _offer_load(net, pattern, injector, rng)
-                    net.step()
-            net.on_delivery = lambda packet, cycle: delivered.append(
-                (packet.packet_id, packet.src, packet.dst, packet.created_at,
-                 packet.injected_at, packet.hops, packet.min_lanes, cycle)
-            )
-            for _ in range(40):
-                _offer_load(net, pattern, injector, rng)
-                net.step()
-            net.drain()
-            assert len(delivered) > 20
-            return (delivered, _digest(net), rng.getstate(),
-                    _injector_state(injector), net.next_packet_id)
-
-        assert run(True) == run(False)
 
 
 # -- (d) golden points really are span-driven under kernel="c" ---------------------

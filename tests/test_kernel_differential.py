@@ -12,12 +12,14 @@ observed configurations, which exercise the c kernel's automatic
 fallback) and compare a deep per-cycle digest of the complete
 simulation state.  Concentrated meshes and flattened butterflies ride
 along: several local ports per router, 8 and 10 ports instead of 5, so
-the compiled kernel's pack/sync codec sees multi-bit ejection masks and
-non-trivial node -> (router, port) maps.  Mid-run kernel
-switches mirror ``tests/test_active_set.py``: flipping kernels while
+the compiled kernel's arena image sees multi-bit ejection masks and
+non-trivial node -> (router, port) maps.  Mid-run hand-offs mirror
+``tests/test_active_set.py``: flipping between the object-model
+kernels, or passing a compiled run through its arena image, while
 wormholes are in flight must not perturb a single bit.
 """
 
+import io
 import os
 import random
 
@@ -42,8 +44,10 @@ needs_ckernel = pytest.mark.skipif(
 
 
 def _digest(net):
-    """Deep per-cycle state digest: anything that can diverge shows here."""
-    net.sync_kernel()
+    """Deep per-cycle state digest: anything that can diverge shows here.
+    A network on the compiled kernel is read from its arena image."""
+    if net._ck is not None:
+        return _arena_digest(net)
     routers = []
     for router in net.routers:
         allocator = router.allocator
@@ -81,6 +85,128 @@ def _digest(net):
     )
     credits = tuple(
         (when, tuple(evs)) for when, evs in sorted(net._credits.items())
+    )
+    return (
+        net.cycle,
+        net.packets_in_flight,
+        net.total_delivered,
+        tuple(routers),
+        events,
+        credits,
+    )
+
+
+def _arena_digest(net):
+    """:func:`_digest` of a network on the compiled kernel, decoded from
+    ``CKernel.image()`` (the layout ``ck_dump`` documents in
+    ``_ckernel.c``) into the same tuple the object model gives."""
+    import ctypes
+    from array import array
+
+    from repro.noc import ckernel
+
+    ck = net._ck
+    words = array("q", ck.image())
+    R, P, V, nnodes, D, cal_sz = words[1:7]
+    cycle, _, pk_top, _ = words[7:11]
+    assert (R, P, V, nnodes, D, cal_sz, cycle) == (
+        ck.R, ck.P, ck.V, ck.nnodes, ck.D, ck.cal_sz, net.cycle
+    )
+    RP, L = R * P, R * P * V
+
+    def address(aid):
+        return ctypes.addressof(ck._arr(aid).contents)
+
+    def offset(aid):
+        """Where array ``aid`` sits in the image's copy of the dynamic
+        block (it starts at ``A_ST_PID`` and ends with ``A_LB``)."""
+        return 11 + (address(aid) - address(ckernel.A_ST_PID)) // 8
+
+    def arr(aid, n):
+        return words[offset(aid):offset(aid) + n]
+
+    at = offset(ckernel.A_LB) + RP
+    for _ in range(nnodes):  # source rings: not part of the digest
+        at += 1 + words[at]
+    buckets = ({}, {})  # when -> arrival / credit ints
+    for index in range(2 * cal_sz):
+        n = words[at]
+        if n:
+            when = cycle + (index // 2 - cycle) % cal_sz
+            buckets[index % 2][when] = words[at + 1:at + 1 + n]
+        at += 1 + n
+    pk_id = words[at:at + pk_top]
+
+    st_pid, st_route = arr(ckernel.A_ST_PID, L), arr(ckernel.A_ST_ROUTE, L)
+    st_outvc = arr(ckernel.A_ST_OUTVC, L)
+    cred, owner = arr(ckernel.A_CRED, L), arr(ckernel.A_OWNER, L)
+    occ = arr(ckernel.A_OCC, RP)
+    arbiters = [arr(aid, RP) for aid in (
+        ckernel.A_IN_NEXT, ckernel.A_OUT_NEXT, ckernel.A_SEC_NEXT
+    )]
+    occupied, va_off = arr(ckernel.A_OCCUPIED, R), arr(ckernel.A_VA_OFF, R)
+    qs_pkt, qs_seq = arr(ckernel.A_QS_PKT, L * D), arr(ckernel.A_QS_SEQ, L * D)
+    qs_ready = arr(ckernel.A_QS_READY, L * D)
+    qhead, qlen = arr(ckernel.A_QHEAD, L), arr(ckernel.A_QLEN, L)
+    pending = {field: arr(aid, R) for aid, field in ckernel._ACTIVITY_FIELDS}
+    shape = net._shape
+    routers = []
+    for rid, activity in enumerate(net._activities):
+        ports = range(shape.num_ports[rid])
+        lanes = []
+        for port in ports:
+            for vc in range(shape.configs[rid].num_vcs):
+                lane = (rid * P + port) * V + vc
+                queue = tuple(
+                    (pk_id[qs_pkt[slot]], qs_seq[slot], qs_ready[slot])
+                    for slot in (
+                        lane * D + (qhead[lane] + i) % D
+                        for i in range(qlen[lane])
+                    )
+                )
+                if queue or st_pid[lane] != -1:
+                    lanes.append((
+                        port, vc,
+                        None if st_pid[lane] == -1 else st_pid[lane],
+                        None if st_route[lane] == -1 else st_route[lane],
+                        None if st_outvc[lane] == -2 else st_outvc[lane],
+                        queue,
+                    ))
+        downstream = [
+            range((rid * P + port) * V,
+                  (rid * P + port) * V + shape.out_vcs[rid][port])
+            for port in ports
+        ]
+        routers.append((
+            occupied[rid],
+            va_off[rid],
+            tuple(occ[rid * P + port].bit_count() for port in ports),
+            tuple(tuple(cred[i] for i in vcs) for vcs in downstream),
+            tuple(
+                tuple(None if owner[i] == -1 else owner[i] for i in vcs)
+                for vcs in downstream
+            ),
+            *(tuple(stage[rid * P + port] for port in ports)
+              for stage in arbiters),
+            tuple(
+                value + pending[field][rid] if field in pending else value
+                for field, value in vars(activity).items()
+            ),
+            tuple(lanes),
+        ))
+    events = tuple(
+        (when, tuple(
+            (raw[e], raw[e + 1], raw[e + 2], pk_id[raw[e + 3]], raw[e + 4])
+            for e in range(0, len(raw), 5)
+        ))
+        for when, raw in sorted(buckets[0].items())
+    )
+    credits = tuple(
+        (when, tuple(
+            (raw[e], raw[e + 1], raw[e + 2], bool(raw[e + 3]))
+            for e in range(0, len(raw), 4)
+        ))
+        for when, raw in sorted(buckets[1].items())
     )
     return (
         net.cycle,
@@ -258,14 +384,14 @@ def test_kernels_match_event_under_faults(kernel):
 
 
 def test_switching_kernels_mid_run_is_safe():
-    """Active sets and packed state are maintained by every kernel, so
-    flipping mid-run (e.g. to bisect a divergence) must not lose any
-    traffic."""
+    """Active sets are maintained by both object-model kernels, so
+    flipping between them mid-run (e.g. to bisect a divergence) must not
+    lose any traffic."""
     net = build_network(layout_by_name("baseline", 3))
     rng = random.Random(7)
     num_nodes = net.topology.num_nodes
     offered = 0
-    schedule = {60: "c", 120: "naive", 180: "c", 240: "event"}
+    schedule = {60: "naive", 120: "event", 180: "naive", 240: "event"}
     for step_index in range(300):
         if step_index in schedule:
             net.use_kernel(schedule[step_index])
@@ -295,9 +421,15 @@ def test_switching_kernels_mid_run_is_safe():
     ],
 )
 def test_mid_run_switch_is_bit_identical(pivot, concentrated):
-    """A kernel hand-off mid-wormhole must not perturb a single bit:
-    event-for-the-whole-run == switch-away-and-back (and, on the
-    concentrated shapes, away again: event -> c -> event -> c)."""
+    """A hand-off mid-wormhole must not perturb a single bit: the event
+    kernel for the whole run == switching to naive and back.  The c
+    kernel is chosen before the first step and never hands its run to
+    the object model, so its legs hand the run over the way a c run
+    can: at the same cycles the network goes through its arena image
+    (captured, pickled and restored), and the c run must still equal
+    the event one (on the concentrated shapes three times over)."""
+    from repro.noc.snapshot import capture, dumps, loads
+
     schedule = {80: pivot, 160: "event"}
     if concentrated:
         schedule = {60: pivot, 120: "event", 180: pivot}
@@ -307,11 +439,17 @@ def test_mid_run_switch_is_bit_identical(pivot, concentrated):
             net = _concentrated(*concentrated)
         else:
             net = build_network(layout_by_name("diagonal+BL", 4))
+        if switch and pivot == "c":
+            net.use_kernel("c")
         rng = random.Random(99)
         num_nodes = net.topology.num_nodes
         for step_index in range(240):
             if switch and step_index in schedule:
-                net.use_kernel(schedule[step_index])
+                if pivot == "c":
+                    assert net.active_kernel == "c"
+                    net = loads(dumps(capture(net)))
+                else:
+                    net.use_kernel(schedule[step_index])
             for node in range(num_nodes):
                 if rng.random() < 0.15:
                     dst = rng.randrange(num_nodes)
@@ -401,14 +539,12 @@ def _attach_watchdog(net):
     from repro.faults import Watchdog
 
     net.attach_watchdog(Watchdog(stall_window=10_000, check_interval=64))
-    return net.detach_watchdog
 
 
 def _attach_observer(net):
     from repro.obs.hooks import Observer
 
     net.attach_observer(Observer())
-    return net.detach_observer
 
 
 def _attach_faults(net):
@@ -416,35 +552,72 @@ def _attach_faults(net):
     from repro.faults.schedule import FaultSchedule
 
     net.attach_faults(FaultInjector(FaultSchedule(specs=()), net.topology))
-    return net.detach_faults
+
+
+def _set_dynamic_routing(net):
+    from repro.noc.routing import XYRouting
+
+    class DynamicXY(XYRouting):
+        def build_route_tables(self):
+            return None
+
+    net.routing = DynamicXY(net.topology)
+
+
+def _attach_profiler(net):
+    from repro.obs.profiler import RunProfiler
+
+    net.profiler = RunProfiler()
+
+
+def _use_event_kernel(net):
+    net.use_kernel("event")
 
 
 @needs_ckernel
 @pytest.mark.parametrize(
-    "attach", [_attach_watchdog, _attach_observer, _attach_faults],
-    ids=["watchdog", "observer", "faults"],
+    "attach, cause",
+    [
+        (_attach_watchdog, "a watchdog"),
+        (_attach_observer, "an observer"),
+        (_attach_faults, "a fault injector"),
+        (_set_dynamic_routing, "routing is dynamic"),
+        (_attach_profiler, "a profiler"),
+        (_use_event_kernel, "the event kernel drives"),
+    ],
+    ids=["watchdog", "observer", "faults", "routing", "profiler",
+         "use_kernel"],
 )
-def test_ckernel_falls_back_when_hooks_attached(attach):
-    """Watchdogs, observation hooks and fault injectors need the
-    per-flit object datapath: a requested c kernel hands the cycle to
-    the event kernel while one is attached (mid-run, with a wormhole in
-    flight), and resumes compiled stepping when it is detached."""
+def test_ckernel_falls_back_when_hooks_attached(attach, cause):
+    """Watchdogs, observation hooks, fault injectors, dynamic routing
+    and profilers need the per-flit object datapath, and the kernel is
+    chosen before the first step: given then, a requested c kernel falls
+    back to event for the whole run, ``span_blocker()`` names the cause
+    and c cannot be started later; once the c arena is live, the same
+    call (for the profiler, the next ``step()``) raises instead of
+    evicting the kernel."""
+    net = build_network(layout_by_name("baseline", 3))
+    net.use_kernel("c")
+    attach(net)
+    net.enqueue(net.make_packet(0, 8))
+    net.step()
+    assert net.active_kernel == "event", "must run the event kernel"
+    assert cause in net.span_blocker()
+    with pytest.raises(RuntimeError, match="before the first step"):
+        net.use_kernel("c")  # the object model has stepped
+    net.drain()
+    assert net.total_delivered == 1
+
     net = build_network(layout_by_name("baseline", 3))
     net.use_kernel("c")
     net.enqueue(net.make_packet(0, 8))
     net.step()
     assert net.active_kernel == "c"
-
-    detach = attach(net)
-    net.step()
-    assert net.active_kernel == "event", "must force the event kernel"
+    with pytest.raises(RuntimeError, match="c kernel is live"):
+        attach(net)
+        net.step()
+    assert net.active_kernel == "c"
     assert net.kernel == "c", "the *requested* kernel is unchanged"
-    detach()
-    net.step()
-    assert net.active_kernel == "c", "fallback must lift on detach"
-    net.drain()
-    assert net.total_delivered == 1
-    assert net.total_buffered_flits() == 0
 
 
 def test_route_tables_match_dynamic_routing():
@@ -521,55 +694,6 @@ def _shape_result(kernel):
     return result
 
 
-def _handed_off_run(switch, span_cycles):
-    """A loaded 8x8 run: ``span_cycles`` cycles as c spans, then
-    ``switch`` (``"event"``, ``"observer"`` or ``None`` for an event-only
-    reference) and per-cycle load and a drain on the object model."""
-    from repro.noc.ckernel import Span, SpanSource
-    from repro.obs.hooks import Observer
-    from repro.traffic import patterns, selfsimilar
-    from repro.traffic.patterns import pattern_by_name
-    from repro.traffic.runner import _offer_load
-    from repro.traffic.selfsimilar import BernoulliInjector
-
-    net = build_network(layout_by_name("diagonal+BL", 8))
-    net.use_kernel("event" if switch is None else "c")
-    pattern = pattern_by_name("uniform_random", net.topology)
-    injector = BernoulliInjector(0.05)
-    rng = random.Random(12)
-    if switch is None:
-        for _ in range(span_cycles):
-            _offer_load(net, pattern, injector, rng)
-            net.step()
-    else:
-        if span_cycles:
-            source = SpanSource(
-                patterns.span_twin(pattern),
-                selfsimilar.span_twin(injector, 64), rng,
-            )
-            assert net.step(Span(source, span_cycles))[0] == span_cycles
-        else:
-            assert net.span_blocker() is None  # a live kernel, no cycle
-        assert net._routers is None
-        if switch == "event":
-            net.use_kernel("event")
-        else:
-            net.attach_observer(Observer())
-        assert net._routers is not None
-    delivered = []
-    net.on_delivery = lambda packet, cycle: delivered.append(
-        (packet.packet_id, packet.src, packet.dst, packet.created_at,
-         packet.injected_at, packet.hops, packet.min_lanes, cycle)
-    )
-    for _ in range(60):
-        _offer_load(net, pattern, injector, rng)
-        net.step()
-    net.drain()
-    assert net.active_kernel == "event"
-    return (delivered, _digest(net), rng.getstate(), net.next_packet_id,
-            net.stats.packets_offered)
-
-
 @needs_ckernel
 class TestNetworkShape:
     def test_span_driven_point_builds_no_router(self, monkeypatch):
@@ -609,12 +733,54 @@ class TestNetworkShape:
         last = ctypes.addressof(ck._arr(A_CREDOK).contents)
         assert start + len(net._shape.arena[1]) == last + 8 * ck.RP
 
-    @pytest.mark.parametrize("switch", ["event", "observer"])
-    @pytest.mark.parametrize("span_cycles", [0, 150], ids=["fresh", "loaded"])
-    def test_routers_built_mid_run_are_exact(self, switch, span_cycles):
-        assert _handed_off_run(switch, span_cycles) == _handed_off_run(
-            None, span_cycles
+    def test_c_checkpoint_and_restore_build_no_router(
+        self, monkeypatch, tmp_path
+    ):
+        """A checkpoint of a c run pickles the arena image, not an object
+        model: taking it, restoring it and resuming from it construct no
+        Router, the payload holds no Router or Flit, and the resumed
+        point equals the uninterrupted one."""
+        import pickle
+        import shutil
+
+        from repro.exec import execute_point
+        from repro.exec.point import checkpoint_path_for
+        from repro.noc.snapshot import load_snapshot
+        from repro.traffic.patterns import pattern_by_name
+        from repro.traffic.runner import run_synthetic
+
+        built = _count_routers(monkeypatch)
+        point = _shape_point("c")
+        net = point.build_network()
+        path = tmp_path / "run.ckpt"
+        run_synthetic(
+            net, pattern_by_name(point.pattern, net.topology), point.rate,
+            warmup_packets=point.warmup_packets,
+            measure_packets=point.measure_packets, seed=point.seed,
+            checkpoint_every=25, checkpoint_path=path,
         )
+        run = load_snapshot(path)  # the run's last checkpoint
+        assert run.network.active_kernel == "c"
+        pickled = set()
+
+        class Recording(pickle.Pickler):
+            def reducer_override(self, obj):
+                pickled.add(type(obj).__name__)
+                return NotImplemented
+
+        Recording(io.BytesIO()).dump(run)
+        assert "CKernel" in pickled and "Packet" in pickled
+        assert not pickled & {"Router", "Flit", "_VCState"}, pickled
+
+        expected = execute_point(point).to_dict()
+        checkpoints = tmp_path / "checkpoints"
+        checkpoints.mkdir()
+        shutil.copy(path, checkpoint_path_for(point, checkpoints))
+        resumed = execute_point(
+            point, checkpoint_every=10_000, checkpoint_dir=checkpoints
+        ).to_dict()
+        assert resumed == expected
+        assert built[0] == 0
 
     def test_memo_stays_at_its_bound_under_a_placement_search(self):
         from repro.noc import network

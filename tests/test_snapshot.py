@@ -19,6 +19,7 @@ The crash-safety contract of :mod:`repro.noc.snapshot`:
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,7 +41,7 @@ from repro.noc.snapshot import (
 )
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.runner import RunState, load_checkpoint, run_synthetic
-from tests.test_kernel_differential import _digest
+from tests.test_kernel_differential import _digest, needs_ckernel
 
 KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
 
@@ -122,7 +123,7 @@ class TestContainer:
             loads(b"NOTASNAP" + blob[8:])
 
     @pytest.mark.parametrize(
-        "version", [1, 2, 3, 4, 5, SNAPSHOT_VERSION + 1]
+        "version", [1, 2, 3, 4, 5, 6, SNAPSHOT_VERSION + 1]
     )
     def test_version_skew_detected(self, version):
         """Newer *and* older containers refuse before unpickling: a v1
@@ -130,7 +131,8 @@ class TestContainer:
         one a ``Network`` that does not know its next packet id, a v3
         one a ``NetworkStats`` holding a list of record objects, a v4
         one a ``SimSnapshot`` wrapper class that no longer exists, a v5
-        one a ``Network`` whose routers are a plain attribute."""
+        one a ``Network`` whose routers are a plain attribute, a v6 one a
+        ``"c"`` network synced into routers, with no kernel to restore."""
         blob = _restamp(dumps(self._snapshot()), version)
         with pytest.raises(SnapshotVersionMismatch, match=f"v{version}"):
             loads(blob)
@@ -403,6 +405,67 @@ class TestExecutePointCheckpointing:
             self.POINT, checkpoint_every=20, checkpoint_dir=tmp_path
         ).to_dict()
         assert resumed == expected
+        assert not checkpoint.exists()
+
+    @needs_ckernel
+    @pytest.mark.parametrize(
+        "damage", ["source-key", "shape", "truncated", "no-compiler"]
+    )
+    def test_refused_arena_image_falls_back_to_scratch(
+        self, tmp_path, monkeypatch, damage
+    ):
+        """A ``"c"`` checkpoint whose arena image names another kernel
+        source or network shape in its header, or ends early, is refused
+        by ``ck_load`` inside unpickling -- a corrupt snapshot -- and the
+        point restarts from scratch, bit-identically.  So is an intact
+        one on a host that cannot build the kernel (the restart then
+        runs on the event kernel)."""
+        import warnings
+        from array import array
+
+        import repro.noc.ckernel as ckernel
+        from repro.chaos.sites import reset_chaos_sites, write_site_plan
+        from repro.noc.ckernel import CKernel
+
+        point = replace(self.POINT, kernel="c")
+        expected = execute_point(point).to_dict()
+        image = CKernel.image
+
+        def damaged(kernel):
+            words = array("q", image(kernel))
+            if damage == "no-compiler":
+                return words.tobytes()
+            if damage == "truncated":
+                return words[:-1].tobytes()
+            words[0 if damage == "source-key" else 1] += 1
+            return words.tobytes()
+
+        monkeypatch.setattr(CKernel, "image", damaged)
+        plan = write_site_plan(
+            tmp_path / "plan.json",
+            {"runner.checkpoint": {"exc": "OSError", "calls": [1]}},
+        )
+        monkeypatch.setenv("REPRO_CHAOS_PLAN", str(plan))
+        reset_chaos_sites()
+        with pytest.raises(OSError):
+            execute_point(point, checkpoint_every=20, checkpoint_dir=tmp_path)
+        monkeypatch.delenv("REPRO_CHAOS_PLAN")
+        monkeypatch.setattr(CKernel, "image", image)
+        checkpoint = checkpoint_path_for(point, tmp_path)
+        refusal = "arena image refused"
+        if damage == "no-compiler":
+            refusal = "no C compiler"
+            for memo in ("_LIB", "_FAILED"):
+                monkeypatch.setattr(ckernel, memo, None)
+            monkeypatch.setattr(ckernel, "find_compiler", lambda: None)
+        with pytest.raises(SnapshotCorrupt, match=refusal):
+            load_snapshot(checkpoint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            recovered = execute_point(
+                point, checkpoint_every=20, checkpoint_dir=tmp_path
+            ).to_dict()
+        assert recovered == expected
         assert not checkpoint.exists()
 
     @pytest.mark.parametrize(
