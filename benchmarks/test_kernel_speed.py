@@ -36,17 +36,6 @@ def test_kernel_speed(benchmark, name):
     assert cycles > 0
 
 
-def test_naive_kernel_still_runs(benchmark):
-    """The retained full-scan reference stepper stays exercised."""
-    kind, params = _CASES["ur-4x4-r0.05"]
-    cycles, _wall = benchmark.pedantic(
-        lambda: run_case("ur-4x4-r0.05", kind, params, kernel="naive"),
-        rounds=1,
-        iterations=1,
-    )
-    assert cycles > 0
-
-
 def test_c_kernel_speedup_floor():
     """``kernel="c"`` must stay >= 10x faster than event on a loaded 8x8
     point.

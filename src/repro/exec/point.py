@@ -67,8 +67,8 @@ class SweepPoint:
     #: serialization entirely, so fault-free specs hash exactly as they
     #: did before the fault subsystem existed (golden-run stability).
     faults: Optional[object] = None
-    #: cycle-kernel override (``"event"``, ``"naive"`` or ``"c"``, the
-    #: compiled kernel);
+    #: cycle-kernel override (``"event"`` or ``"c"``, the compiled
+    #: kernel);
     #: ``None`` -- the default -- leaves the network's own selection
     #: (config / ``REPRO_KERNEL``) in force and is omitted from the spec
     #: serialization, so kernel-free specs hash exactly as before.  All

@@ -115,7 +115,7 @@ def export_observation(
             tracer.write_chrome_trace(directory / f"{name}_trace_chrome.json")
         )
     profiler = observation.profiler
-    if profiler is not None and profiler.steps:
+    if profiler is not None and profiler.cycles:
         written.append(
             write_json(directory / f"{name}_profile.json", profiler.report())
         )

@@ -18,9 +18,9 @@ Usage::
     python -m repro.experiments.run_all --list        # enumerate harnesses
                                                       #   and their sweep tags
     python -m repro.experiments.run_all --kernel c    # force a cycle kernel
-                                        # (event, naive or c) for every
-                                        # harness via REPRO_KERNEL; all
-                                        # kernels are bit-identical, so this
+                                        # (event or c) for every harness
+                                        # via REPRO_KERNEL; the kernels
+                                        # are bit-identical, so this
                                         # changes wall-clock only
     python -m repro.experiments.run_all --submit http://host:8923 fig07
                                         # ship sweeps to a repro.serve
@@ -110,7 +110,7 @@ def _export_observability(directory: str, fast: bool) -> None:
     """Run one instrumented Figure-1-style run and export its artifacts.
 
     Demonstrates the full observability stack end to end: time-series
-    sampling, packet tracing, step-phase profiling, kernel metrics with
+    sampling, packet tracing, run-phase profiling, kernel metrics with
     bottleneck attribution (ASCII heatmap printed below), engine span
     telemetry for a tiny sweep, a search-trace sample and a run manifest
     -- the quickest way to get trace/span files for
@@ -350,7 +350,7 @@ def main(argv: list) -> int:
             return 2
         # REPRO_KERNEL reaches every network the harnesses (and any
         # --jobs worker processes) construct; the harness tables stay
-        # byte-identical because all kernels are bit-identical.
+        # byte-identical because the kernels are bit-identical.
         os.environ["REPRO_KERNEL"] = value
     if "--list" in argv:
         return _list_harnesses()

@@ -133,8 +133,7 @@ def check_network_invariants(network) -> List[str]:
     # -- event-kernel active-set coverage --------------------------------------
     # The active sets are conservative supersets: every router holding
     # flits and every source with pending work must be a member, or the
-    # event-driven stepper would skip them forever.  (Maintained in naive
-    # mode too, so the kernels can be switched mid-run.)
+    # event-driven stepper would skip them forever.
     active_routers = network._active_routers
     for router in network.routers:
         if router.occupied_flits > 0 and router.router_id not in active_routers:

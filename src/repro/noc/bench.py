@@ -4,12 +4,11 @@ Runs a fixed matrix of simulator workloads -- empty meshes, uniform-random
 sweeps at low/mid/saturation rates on 4x4 and 8x8, the fig07 operating
 points for both the baseline and the HeteroNoC diagonal layout, and one
 faulty point -- and reports cycles-per-second for the event-driven
-kernel, the compiled C kernel (``repro.noc.ckernel``; timed only when a
-C compiler is available) and (optionally) the retained naive full-scan
-kernel.  Each case gets one untimed warmup run before the timed
-best-of-N repetitions, so one-time costs (route-table build, kernel
-pack, shared-object load, allocator warmup) never pollute the recorded
-figures.
+kernel and the compiled C kernel (``repro.noc.ckernel``; timed only when
+a C compiler is available).  Each case gets one untimed warmup run
+before the timed best-of-N repetitions, so one-time costs (route-table
+build, kernel pack, shared-object load, allocator warmup) never pollute
+the recorded figures.
 
 Usage::
 
@@ -205,7 +204,6 @@ def _group_summary(
 
 def build_report(
     event: Dict[str, Dict],
-    naive: Optional[Dict[str, Dict]],
     seed_baseline: Optional[Dict[str, Dict]],
     repeat: int,
     c: Optional[Dict[str, Dict]] = None,
@@ -223,13 +221,6 @@ def build_report(
         },
         "event": event,
     }
-    if naive:
-        report["naive"] = naive
-        report["speedup_event_vs_naive"] = {
-            name: round(naive[name]["wall_s"] / event[name]["wall_s"], 3)
-            for name in event
-            if name in naive and event[name]["wall_s"] > 0
-        }
     if c:
         report["c"] = c
         report["speedup_c_vs_event"] = {
@@ -397,13 +388,12 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--kernel",
-        choices=("event", "naive", "c", "both", "all"),
+        choices=("event", "c", "all"),
         default="all",
-        help="which kernel(s) to time: a single kernel, 'both' "
-             "(event + naive) or 'all' "
-             "(event + c + naive, default; c is skipped when no "
-             "C compiler is available); in --check mode a single "
-             "kernel name selects which baseline figures to compare",
+        help="which kernel(s) to time: a single kernel or 'all' "
+             "(event + c, default; c is skipped when no C compiler is "
+             "available); in --check mode a single kernel name selects "
+             "which baseline figures to compare",
     )
     parser.add_argument(
         "--seed-baseline", default=None,
@@ -459,15 +449,11 @@ def main(argv: Optional[list] = None) -> int:
                 )
                 return 0
             print(f"note: compiled kernel unavailable ({c_reason}); "
-                  "timing event + naive only")
+                  "timing event only")
             want_c = False
 
     if args.check:
-        check_kernel = (
-            args.kernel
-            if args.kernel in ("event", "naive", "c")
-            else "event"
-        )
+        check_kernel = "event" if args.kernel == "all" else args.kernel
         return run_check(
             args.check, args.tolerance, max(1, args.repeat), check_kernel
         )
@@ -479,12 +465,6 @@ def main(argv: Optional[list] = None) -> int:
         if want_c:
             print("benchmarking compiled (C) kernel:")
             c = run_suite(repeat=args.repeat, kernel="c", only=args.only)
-        naive = None
-        if args.kernel in ("naive", "both", "all"):
-            print("benchmarking naive full-scan kernel:")
-            naive = run_suite(
-                repeat=args.repeat, kernel="naive", only=args.only
-            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -499,7 +479,7 @@ def main(argv: Optional[list] = None) -> int:
         ):
             seed_baseline = seed_baseline["event"]
 
-    report = build_report(event, naive, seed_baseline, args.repeat, c=c)
+    report = build_report(event, seed_baseline, args.repeat, c=c)
     fig07 = report["groups"]["fig07_low"]
     if "speedup_vs_baseline" in fig07:
         print(

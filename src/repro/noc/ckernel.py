@@ -64,8 +64,8 @@ Packets handed to :meth:`Network.enqueue` keep their Python object in a
 handle table; packets born inside a span exist only as C records until
 they finish (a row of the completion log).  Per-cycle stepping flushes
 the log through ``Network._complete_packet``, so latency records,
-callbacks and ``packets_in_flight`` behave exactly as under the other
-kernels; a span reduces its rows, as columns, straight into the stats'
+callbacks and ``packets_in_flight`` behave exactly as under the event
+kernel; a span reduces its rows, as columns, straight into the stats'
 latency sample.
 """
 

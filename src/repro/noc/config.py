@@ -200,19 +200,19 @@ class NetworkConfig:
             combining.  Disabling it is an ablation: wide links then move
             a single flit per cycle like narrow ones.
         kernel: which cycle kernel drives :meth:`Network.step` --
-            ``"event"`` (the event-driven active-set kernel, default),
-            ``"c"`` (the compiled kernel of ``repro.noc.ckernel``: the
-            router state packed into flat integer arrays and stepped by
-            an on-demand-built C shared object; hands the cycle to
-            ``event`` whenever faults, observation hooks, a watchdog or
-            dynamic routing require the per-flit object datapath, and
-            for the whole run -- with one ``RuntimeWarning`` -- when no
-            C compiler is available) or ``"naive"`` (the retained
-            full-scan reference stepper).  All three are bit-identical.
-            Overridable per process with ``REPRO_KERNEL``.
+            ``"event"`` (the event-driven active-set kernel over the
+            object model, default) or ``"c"`` (the compiled kernel of
+            ``repro.noc.ckernel``: the router state packed into flat
+            integer arrays and stepped by an on-demand-built C shared
+            object; ``event`` carries the whole run instead when faults,
+            observation hooks, a watchdog or dynamic routing given before
+            the first step need the per-flit object datapath, and --
+            with one ``RuntimeWarning`` -- when no C compiler is
+            available).  Both are bit-identical.  Overridable per
+            process with ``REPRO_KERNEL``.
     """
 
-    KERNELS = ("event", "naive", "c")
+    KERNELS = ("event", "c")
 
     router_pipeline_stages: int = 2
     link_delay: int = 1

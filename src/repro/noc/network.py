@@ -22,34 +22,31 @@ cycle it is produced):
    ejections are consumed;
 5. occupancy sampling (measurement window only).
 
-The cycle kernel is *event-driven*: the network keeps an **active set** of
-router ids (routers holding at least one buffered flit) and of source nodes
-(nodes with queued or mid-injection packets), and each cycle walks only
-those, so per-cycle cost scales with traffic rather than mesh size.  The
-active sets are conservative supersets maintained lazily -- membership is
-added on every ``write_flit``/``enqueue`` and pruned when a drained member
-is next visited -- and they are always iterated in ascending id order with
-the same per-element guards as a full scan, which makes the kernel
-bit-identical to the naive all-routers walk.  That naive walk is retained
-as :meth:`Network._step_naive` (select it with
-``NetworkConfig(kernel="naive")``, ``REPRO_KERNEL=naive`` or
-``network.use_kernel("naive")``) and serves as the differential-testing
-reference for the event kernel.
+The object-model cycle loop is *event-driven*: the network keeps an
+**active set** of router ids (routers holding at least one buffered flit)
+and of source nodes (nodes with queued or mid-injection packets), and each
+cycle walks only those, so per-cycle cost scales with traffic rather than
+mesh size.  The active sets are conservative supersets maintained lazily
+-- membership is added on every ``write_flit``/``enqueue`` and pruned when
+a drained member is next visited -- and they are always iterated in
+ascending id order with the same per-element guards as a full scan, which
+makes the loop bit-identical to a walk over every router and source with
+dynamic route computation.  That full-scan walk is the differential tests'
+reference (``tests/full_scan.py``).
 
 The fast path -- the compiled kernel of :mod:`repro.noc.ckernel` -- is
 selected with ``NetworkConfig(kernel="c")``, ``REPRO_KERNEL=c`` or
 ``network.use_kernel("c")``.  It simulates the same microarchitecture
-over flat integer arrays and is bit-identical to both object-model
-kernels.  The kernel is chosen once, before the first step: faults,
-observation hooks, a watchdog, a profiler or a dynamic routing
-discipline given by then need the per-flit object datapath, so the event
-kernel carries the run (:meth:`Network.span_blocker` says why); once the
-compiled kernel is live its arena is the whole state of the run, and
-attaching any of them, or switching kernels, raises.  When the compiled
-kernel cannot be built or does not support the network shape (no C
-compiler, a router wider than 62 ports or VCs) the event kernel carries
-the whole run after one ``RuntimeWarning`` naming the reason.  Event and
-naive share the object model and switch freely mid-run.
+over flat integer arrays and is bit-identical to the event kernel.  The
+kernel is chosen once, before the first step: faults, observation hooks,
+a watchdog or a dynamic routing discipline given by then need the
+per-flit object datapath, so the event kernel carries the run
+(:meth:`Network.span_blocker` says why); once the compiled kernel is live
+its arena is the whole state of the run, and attaching any of them, or
+switching kernels, raises.  When the compiled kernel cannot be built or
+does not support the network shape (no C compiler, a router wider than
+62 ports or VCs) the event kernel carries the whole run after one
+``RuntimeWarning`` naming the reason.
 
 Construction is paid once per :class:`NetworkShape` (memoised by
 :func:`network_shape`), and the :class:`~repro.noc.router.Router` objects
@@ -63,8 +60,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict, deque
-from time import perf_counter
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import Flit, Packet, flits_per_packet
@@ -280,9 +276,6 @@ class Network:
         #: optional observation hooks (see :mod:`repro.obs.hooks`); ``None``
         #: keeps every tap point on its single-attribute-check fast path.
         self.obs = None
-        #: optional :class:`repro.obs.profiler.RunProfiler`; when set,
-        #: :meth:`step` switches to the phase-timed variant.
-        self.profiler = None
         #: optional :class:`repro.faults.injector.FaultInjector`; ``None``
         #: (the default) keeps every fault tap on a single attribute check,
         #: so a fault-free build is byte-identical to one without the
@@ -308,7 +301,7 @@ class Network:
         #: request is settled before the first step.
         self._kernel = kernel
         #: the live :class:`repro.noc.ckernel.CKernel`, or ``None`` when
-        #: the object-model kernels are driving; once live it holds the
+        #: the event kernel is driving; once live it holds the
         #: run's whole state until the network is dropped.
         self._ck = None
         #: why the last compiled-kernel activation failed (``None``: it
@@ -326,7 +319,6 @@ class Network:
         self._node_router_id = shape.node_router_id
         self._node_port = shape.node_port
         self._node_lanes = shape.node_lanes
-        self._all_nodes = range(topology.num_nodes)
         self._credit_delay = self.config.credit_delay
         self._merging = self.config.flit_merging
         self._default_packet_flits = flits_per_packet(
@@ -391,12 +383,10 @@ class Network:
         Tables are only valid when the routing discipline is a pure
         function of (router, destination) *and* no fault injector can
         reroute around dead channels mid-run; otherwise every router falls
-        back to dynamic per-packet lookups.  The naive reference stepper
-        also runs table-free so it exercises the original code path
-        end-to-end.
+        back to dynamic per-packet lookups.
         """
         tables = None
-        if self._kernel != "naive" and self.faults is None:
+        if self.faults is None:
             tables = self._routing.build_route_tables()
         self._route_tables = tables
         self._route_tables_ok = (
@@ -431,36 +421,32 @@ class Network:
 
     @property
     def kernel(self) -> str:
-        """The selected cycle kernel: ``"event"``, ``"naive"`` or ``"c"``.
+        """The selected cycle kernel: ``"event"`` or ``"c"``.
 
         Note this is the *requested* kernel; a requested ``"c"`` runs on
-        the event kernel when faults, observation hooks, a watchdog, a
-        profiler or dynamic routing were attached before the first step,
-        or when the compiled kernel is unavailable (see
-        :attr:`active_kernel` and :meth:`span_blocker`).
+        the event kernel when faults, observation hooks, a watchdog or
+        dynamic routing were attached before the first step, or when the
+        compiled kernel is unavailable (see :attr:`active_kernel` and
+        :meth:`span_blocker`).
         """
         return self._kernel
 
     def use_kernel(self, name: str) -> None:
-        """Choose the cycle kernel: any of the three before the first
-        step, then only ``"event"`` / ``"naive"`` (they share the object
-        model, so a switch mid-run is bit-identical).  Raises
-        ``RuntimeError`` while the compiled kernel is live, and for
-        ``"c"`` once an object-model kernel has stepped."""
+        """Choose the cycle kernel before the first step.  Once a kernel
+        has stepped (or the compiled kernel is live), any name other
+        than :attr:`active_kernel` raises ``RuntimeError``."""
         NetworkConfig.check_kernel(name)
-        self._refuse_under_ck("use_kernel()")
-        if name == "c" and self.cycle:
+        running = self.active_kernel
+        if name != running and (self.cycle or self._ck is not None):
+            self._refuse_under_ck("use_kernel()")
             raise RuntimeError(
-                "use_kernel('c') after an object-model kernel has "
-                "stepped: the c kernel is chosen before the first step"
+                f"use_kernel({name!r}) after the {running} kernel has "
+                "stepped: the kernel is chosen before the first step"
             )
-        previous, self._kernel = self._kernel, name
+        self._kernel = name
         # An explicit re-request gets a fresh activation attempt (e.g. a
         # compiler appeared on PATH since the last failure).
         self._ck_blocked = None
-        if (previous == "naive") != (name == "naive"):
-            # naive <-> table-driven changes the routers' RC/VA tables.
-            self._install_routing_tables()
 
     @property
     def active_kernel(self) -> str:
@@ -468,12 +454,10 @@ class Network:
 
         Unlike :attr:`kernel` (the request), this reflects the fallback
         ladder: ``"c"`` once the compiled kernel is live (from the first
-        step, or the first :meth:`span_blocker` call, on), otherwise the
-        object-model kernel that steps (``"naive"`` or ``"event"``).
+        step, or the first :meth:`span_blocker` call, on), otherwise
+        ``"event"``.
         """
-        if self._ck is not None:
-            return "c"
-        return "naive" if self._kernel == "naive" else "event"
+        return "event" if self._ck is None else "c"
 
     def _activate_ck(self):
         """Try to bring up the compiled kernel; on failure warn (once per
@@ -502,7 +486,6 @@ class Network:
         if self._ck is not None:
             return None
         for attached, what in (
-            (self.profiler, "a profiler"),
             (self.faults, "a fault injector"),
             (self.obs, "an observer"),
             (self.watchdog, "a watchdog"),
@@ -700,8 +683,8 @@ class Network:
         Only routers in the active set are visited; the set is pruned of
         drained routers as they are encountered and iterated in ascending
         router-id order, which keeps arbitration state evolution -- and
-        therefore every simulation result -- bit-identical to the retained
-        full-scan reference (:meth:`_step_naive`).
+        therefore every simulation result -- bit-identical to a full scan
+        of every router and source.
 
         With a :class:`~repro.noc.ckernel.Span` the compiled kernel
         advances the whole span -- calling :meth:`begin_measurement` when
@@ -719,15 +702,7 @@ class Network:
                 and self._start_c() is None):
             ck = self._ck
         if ck is not None:
-            if self.profiler is not None:
-                self._refuse_under_ck("a profiler found by step()")
             ck.step()
-            return
-        if self.profiler is not None:
-            self._step_profiled()
-            return
-        if self._kernel == "naive":
-            self._step_naive()
             return
         cycle = self.cycle
         routers = self.routers
@@ -740,7 +715,7 @@ class Network:
         if credits:
             self._deliver_credit_events(credits)
         if self._active_sources:
-            self._inject(cycle, None)
+            self._inject(cycle)
         active = self._active_routers
         live: List[Router] = []
         if active:
@@ -766,108 +741,6 @@ class Network:
             self.obs.on_cycle_end(cycle, self.measuring)
         if self.watchdog is not None:
             self.watchdog.check(self, cycle)
-        self.cycle = cycle + 1
-
-    def _step_naive(self) -> None:
-        """The original full-scan cycle kernel, kept as the differential
-        reference for the event-driven :meth:`step`.
-
-        Visits every router and every source each cycle and performs
-        dynamic route computation (no precomputed tables).  Active-set
-        bookkeeping is still maintained so the kernels can be switched
-        mid-run.
-        """
-        cycle = self.cycle
-        if self.faults is not None:
-            self.faults.tick(self, cycle)
-        arrivals = self._arrivals.pop(cycle, None)
-        if arrivals:
-            self._deliver_arrival_events(arrivals, cycle)
-        credits = self._credits.pop(cycle, None)
-        if credits:
-            self._deliver_credit_events(credits)
-        self._inject(cycle, self._all_nodes)
-        routing = self._routing
-        for router in self.routers:
-            if router.occupied_flits:
-                router.allocate_vcs(routing, cycle)
-        for router in self.routers:
-            if not router.occupied_flits:
-                continue
-            grants = router.allocate_switch(cycle)
-            if grants:
-                self._transport(router, grants, cycle)
-        if self.measuring:
-            self._stats.measured_cycles += 1
-            for router in self.routers:
-                router.sample_occupancy()
-        if self.obs is not None:
-            self.obs.on_cycle_end(cycle, self.measuring)
-        if self.watchdog is not None:
-            self.watchdog.check(self, cycle)
-        self.cycle = cycle + 1
-
-    def _step_profiled(self) -> None:
-        """One clock cycle with per-phase wall-clock timing.
-
-        Mirrors the event-driven :meth:`step` exactly (same phase order,
-        same hook firing) but brackets each phase with ``perf_counter``
-        and reports the six durations to the attached profiler.  Kept
-        separate so the default path stays free of timing overhead.
-        """
-        cycle = self.cycle
-        if self.faults is not None:
-            self.faults.tick(self, cycle)
-        t0 = perf_counter()
-        arrivals = self._arrivals.pop(cycle, None)
-        if arrivals:
-            self._deliver_arrival_events(arrivals, cycle)
-        t1 = perf_counter()
-        credits = self._credits.pop(cycle, None)
-        if credits:
-            self._deliver_credit_events(credits)
-        t2 = perf_counter()
-        naive = self._kernel == "naive"
-        if naive:
-            self._inject(cycle, self._all_nodes)
-        elif self._active_sources:
-            self._inject(cycle, None)
-        t3 = perf_counter()
-        routing = self._routing
-        live: List[Router] = []
-        if naive:
-            for router in self.routers:
-                if router.occupied_flits:
-                    live.append(router)
-                    router.allocate_vcs(routing, cycle)
-        else:
-            active = self._active_routers
-            routers = self.routers
-            for rid in sorted(active):
-                router = routers[rid]
-                if router.occupied_flits:
-                    live.append(router)
-                    router.allocate_vcs(routing, cycle)
-                else:
-                    active.discard(rid)
-        t4 = perf_counter()
-        for router in live:
-            grants = router.allocate_switch(cycle)
-            if grants:
-                self._transport(router, grants, cycle)
-        t5 = perf_counter()
-        if self.measuring:
-            self._stats.measured_cycles += 1
-            for router in live:
-                router.activity.occupancy_integral += router.occupied_flits
-        if self.obs is not None:
-            self.obs.on_cycle_end(cycle, self.measuring)
-        if self.watchdog is not None:
-            self.watchdog.check(self, cycle)
-        t6 = perf_counter()
-        self.profiler.record_step(
-            t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5
-        )
         self.cycle = cycle + 1
 
     def run_cycles(self, n: int) -> None:
@@ -926,18 +799,13 @@ class Network:
             if release:
                 router.out_vc_owner[port][vc] = None
 
-    def _inject(self, cycle: int, nodes: Optional[Iterable[int]]) -> None:
+    def _inject(self, cycle: int) -> None:
         """Inject source-queue flits into local input buffers.
 
-        ``nodes=None`` is the event-driven mode: only active sources are
-        visited (in ascending node order, matching a full scan) and
-        drained ones are pruned.  Passing an explicit node range is the
-        naive mode -- every node is visited, nothing is pruned.
+        Only active sources are visited (in ascending node order, matching
+        a full scan) and drained ones are pruned.
         """
         active_sources = self._active_sources
-        prune = nodes is None
-        if prune:
-            nodes = sorted(active_sources)
         sources = self.sources
         obs = self.obs if self._tracing else None
         faults = self.faults
@@ -946,12 +814,11 @@ class Network:
         node_port = self._node_port
         node_lanes = self._node_lanes
         wake = self._active_routers.add
-        for node in nodes:
+        for node in sorted(active_sources):
             source = sources[node]
             # ``mid_packet`` inlined (next_flit < len(flits)) on this path.
             if source.next_flit >= len(source.flits) and not source.queue:
-                if prune:
-                    active_sources.discard(node)
+                active_sources.discard(node)
                 continue
             rid = node_router_id[node]
             if faults is not None and rid in faults.dead_routers:

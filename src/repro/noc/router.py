@@ -610,7 +610,3 @@ class Router:
     def buffered_flits(self) -> int:
         """Flits currently buffered in this router (all ports, all VCs)."""
         return self.occupied_flits
-
-    def sample_occupancy(self) -> None:
-        """Accumulate one cycle of buffer-occupancy integral."""
-        self.activity.occupancy_integral += self.occupied_flits

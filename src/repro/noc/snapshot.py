@@ -12,8 +12,8 @@ with activity counters, sources, stats and the next packet id, plus the
 driver's RNG, the injection process, the NI and the loop counters); a
 restored run continues exactly where the original left off.  "Exactly" is literal: the
 differential state digests of a restored run match an uninterrupted one
-cycle for cycle, for all three cycle kernels (pinned by
-``tests/test_snapshot.py``).
+cycle for cycle, on both cycle kernels and the tests' full-scan
+reference (pinned by ``tests/test_snapshot.py``).
 
 This module knows nothing about what is inside the payload.  It provides:
 
@@ -23,9 +23,9 @@ This module knows nothing about what is inside the payload.  It provides:
   pickles as its arena image (see :mod:`repro.noc.ckernel`); restoring
   one needs the compiled kernel of the same source, and raises inside
   unpickling -- :class:`SnapshotCorrupt` here -- where it cannot load.
-  Networks with an observer or profiler attached (both may hold open
-  file handles) are refused loudly rather than producing a snapshot
-  that cannot restore.
+  Networks with an observer attached (it may hold open file handles)
+  are refused loudly rather than producing a snapshot that cannot
+  restore.
 * :func:`save_snapshot` / :func:`load_snapshot` -- the versioned binary
   container: an 8-byte magic, a format version, the payload length, the
   sha256 of the pickle payload, then the payload.  Writes are atomic
@@ -85,10 +85,10 @@ def capture(network):
     stays live and pickles as its arena image, so taking a checkpoint
     never perturbs the ongoing run and never builds a router.
     """
-    if network.obs is not None or network.profiler is not None:
+    if network.obs is not None:
         raise SnapshotError(
-            "cannot snapshot a network with an observer or profiler "
-            "attached (live file handles); detach it first"
+            "cannot snapshot a network with an observer attached (live "
+            "file handles); detach it first"
         )
     network.reclaim_span_source()
     return network

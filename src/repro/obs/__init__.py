@@ -18,8 +18,9 @@ The package instruments the simulator through lightweight hook points (see
   utilization heatmaps;
 * :mod:`repro.obs.manifest` -- engine-side provenance: per-sweep-point
   spans, search telemetry, and run manifests;
-* :class:`~repro.obs.profiler.RunProfiler` -- wall-clock phase profiling
-  plus :class:`~repro.obs.profiler.Progress` / ETA callbacks;
+* :class:`~repro.obs.profiler.RunProfiler` -- a run's wall clock,
+  cycles/second and warmup / measure / drain split, plus
+  :class:`~repro.obs.profiler.Progress` / ETA callbacks;
 * :mod:`repro.obs.replay` -- the one writer per file format (JSONL
   records, JSON documents, CSV rows), the Chrome renderings and span
   summary, and ``python -m repro.obs.replay trace.jsonl`` to read them
@@ -70,7 +71,8 @@ __all__ = [
 
 @dataclass
 class Observation:
-    """The bundle of observers :func:`observe` attached to a network."""
+    """The bundle of observers :func:`observe` attached to a network
+    (``observer`` is attached only when it has a child)."""
 
     network: object
     observer: CompositeObserver
@@ -88,9 +90,8 @@ class Observation:
         return self
 
     def detach(self) -> "Observation":
-        """Detach every observer (and the profiler) from the network."""
+        """Detach the observers from the network."""
         self.network.detach_observer()
-        self.network.profiler = None
         return self
 
 
@@ -109,9 +110,11 @@ def observe(
             which samples the measurement window only; ``None`` disables
             sampling.
         trace: enable the packet tracer (every measured packet).
-        profile: enable step-phase wall-clock profiling (the profiler is
-            created and attached; pass it to ``run_synthetic`` as
-            ``profiler=`` so run phases and total wall time are recorded).
+        profile: create a :class:`~repro.obs.profiler.RunProfiler`; pass
+            it to ``run_synthetic`` as ``profiler=`` so the run's wall
+            clock, cycles and phases are recorded.  It attaches nothing
+            to the network, so on its own it leaves a ``"c"`` run on the
+            compiled kernel.
         metrics: attach a :class:`~repro.obs.metrics.KernelMetrics`
             (whole-run counters: per-link/per-VC flits, per-pair traffic,
             occupancy and active-set samples).
@@ -129,15 +132,13 @@ def observe(
     if metrics:
         kernel_metrics = KernelMetrics(network)
         composite.add(kernel_metrics)
-    profiler = RunProfiler() if profile else None
-    network.attach_observer(composite)
-    if profiler is not None:
-        network.profiler = profiler
+    if composite.children:
+        network.attach_observer(composite)
     return Observation(
         network=network,
         observer=composite,
         sampler=sampler,
         tracer=tracer,
-        profiler=profiler,
+        profiler=RunProfiler() if profile else None,
         metrics=kernel_metrics,
     )

@@ -1,12 +1,10 @@
 """Wall-clock profiling and progress reporting for simulation runs.
 
-:class:`RunProfiler` answers "where does the wall-clock go?" for the
-pure-Python cycle loop: attach one to a network (``network.profiler =
-profiler`` or via :func:`repro.obs.observe`) and ``Network.step`` switches
-to an instrumented variant that times each per-cycle phase (arrival
-delivery, credit delivery, injection, VC allocation, switch allocation +
-traversal, occupancy sampling).  The run driver additionally tracks the
-warmup / measure / drain phases and the overall cycles-per-second rate.
+:class:`RunProfiler` answers "where does the wall-clock go?" from the
+runner's side: pass one to :func:`repro.traffic.runner.run_synthetic` as
+``profiler=`` (or create it via :func:`repro.obs.observe`) and the runner
+records the run's wall-clock time, the simulated cycles, their rate and
+the warmup / measure / drain split, on whichever kernel steps the run.
 
 :class:`Progress` is the payload handed to the ``progress`` callback of
 :func:`repro.traffic.runner.run_synthetic`; :func:`make_progress_printer`
@@ -21,23 +19,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-#: step-loop phases timed by ``Network._step_profiled`` (in order).
-STEP_PHASES = (
-    "arrivals",
-    "credits",
-    "inject",
-    "vc_alloc",
-    "switch",
-    "sample",
-)
-
 
 class RunProfiler:
     """Accumulates wall-clock timings for a simulation run."""
 
     def __init__(self) -> None:
-        self.phase_seconds: Dict[str, float] = {p: 0.0 for p in STEP_PHASES}
-        self.steps = 0
+        #: simulated cycles the runner stepped while profiling
+        self.cycles = 0
         self.wall_seconds = 0.0
         self.run_phase_seconds: Dict[str, float] = {}
         self._started_at: Optional[float] = None
@@ -69,66 +57,29 @@ class RunProfiler:
         self._run_phase = name
         self._run_phase_started = now
 
-    # -- called by Network._step_profiled ------------------------------------
-    def record_step(
-        self,
-        arrivals: float,
-        credits: float,
-        inject: float,
-        vc_alloc: float,
-        switch: float,
-        sample: float,
-    ) -> None:
-        phase_seconds = self.phase_seconds
-        phase_seconds["arrivals"] += arrivals
-        phase_seconds["credits"] += credits
-        phase_seconds["inject"] += inject
-        phase_seconds["vc_alloc"] += vc_alloc
-        phase_seconds["switch"] += switch
-        phase_seconds["sample"] += sample
-        self.steps += 1
-
     # -- reporting ----------------------------------------------------------
-    @property
-    def step_seconds(self) -> float:
-        """Total time spent inside timed step phases."""
-        return sum(self.phase_seconds.values())
-
     def cycles_per_second(self) -> float:
         """Simulated cycles per wall-clock second."""
-        wall = self.wall_seconds or self.step_seconds
-        if wall <= 0.0 or self.steps == 0:
+        if self.wall_seconds <= 0.0:
             return 0.0
-        return self.steps / wall
+        return self.cycles / self.wall_seconds
 
     def report(self) -> Dict[str, object]:
         """Everything as a plain JSON-serializable dict."""
-        step_total = self.step_seconds
         return {
             "wall_seconds": self.wall_seconds,
-            "cycles": self.steps,
+            "cycles": self.cycles,
             "cycles_per_second": self.cycles_per_second(),
-            "phase_seconds": dict(self.phase_seconds),
-            "phase_fraction": {
-                phase: (seconds / step_total if step_total > 0 else 0.0)
-                for phase, seconds in self.phase_seconds.items()
-            },
             "run_phase_seconds": dict(self.run_phase_seconds),
         }
 
     def format_report(self) -> str:
         """Human-readable multi-line timing summary."""
-        report = self.report()
         lines = [
-            f"cycles            {report['cycles']}",
-            f"wall clock        {report['wall_seconds']:.3f} s",
-            f"cycles/second     {report['cycles_per_second']:.0f}",
-            "step-phase breakdown:",
+            f"cycles            {self.cycles}",
+            f"wall clock        {self.wall_seconds:.3f} s",
+            f"cycles/second     {self.cycles_per_second():.0f}",
         ]
-        for phase in STEP_PHASES:
-            seconds = self.phase_seconds[phase]
-            fraction = report["phase_fraction"][phase]
-            lines.append(f"  {phase:<10} {seconds:8.3f} s  {100 * fraction:5.1f}%")
         if self.run_phase_seconds:
             lines.append("run-phase breakdown:")
             for name, seconds in self.run_phase_seconds.items():

@@ -11,9 +11,10 @@ cycle simulator makes that expensive, so the defaults here are smaller and
 every experiment harness exposes the knobs.
 
 Observability (see :mod:`repro.obs`): pass ``observer=`` to attach event
-hooks for the duration of the run, ``profiler=`` to collect wall-clock
-phase timings and cycles/second, and ``progress=`` to receive periodic
-:class:`~repro.obs.profiler.Progress` heartbeats with ETA estimates.
+hooks for the duration of the run, ``profiler=`` to record the run's wall
+clock, cycles/second and warmup / measure / drain split, and
+``progress=`` to receive periodic :class:`~repro.obs.profiler.Progress`
+heartbeats with ETA estimates.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class SyntheticRunResult:
     resilience: Dict[str, int] = field(default_factory=dict)
     #: simulated cycles by what drove them: ``c_span`` (whole spans inside
     #: the compiled kernel, traffic source included), ``c`` (compiled
-    #: kernel, one cycle per call), ``event``, ``naive``.  Sums to
+    #: kernel, one cycle per call), ``event``.  Sums to
     #: ``total_cycles`` for a run that started at cycle 0; a run that can
     #: use spans at all splits into ``c_span`` and the ``c`` cycles that
     #: create the last packets of the target.
@@ -97,7 +98,7 @@ class SyntheticRunResult:
 
 
 def _no_cycles() -> Dict[str, int]:
-    return dict.fromkeys(("c_span", "c", "event", "naive"), 0)
+    return dict.fromkeys(("c_span", "c", "event"), 0)
 
 
 @dataclass
@@ -201,7 +202,7 @@ def _offer_load(
 
 
 def _span_source(
-    network: Network, pattern, injector, rng: random.Random, ni
+    network: Network, pattern, injector, rng: random.Random, ni, profiler
 ):
     """``(source, None)`` when the compiled span driver can carry this
     run's load and drain loops, else ``(None, why not)``."""
@@ -210,6 +211,9 @@ def _span_source(
     blocker = network.span_blocker()
     if blocker is not None:
         return None, blocker
+    if profiler is not None:
+        # The measure phase opens on the cycle its first packet is born.
+        return None, "a profiler times the run phases"
     num_nodes = network.topology.num_nodes
     pattern_twin = patterns.span_twin(pattern)
     if pattern_twin is None or pattern.num_nodes != num_nodes:
@@ -255,8 +259,9 @@ def run_synthetic(
         observer: optional :class:`repro.obs.hooks.Observer` attached to
             the network for the duration of the run (left attached after).
         profiler: optional :class:`repro.obs.profiler.RunProfiler`;
-            attaches phase timing to the step loop and records the
-            warmup/measure/drain wall-clock split.
+            records the run's wall clock, simulated cycles and
+            warmup/measure/drain split.  It keeps the run on the
+            per-cycle loop of whichever kernel steps it.
         progress: optional callback receiving a
             :class:`~repro.obs.profiler.Progress` heartbeat every
             ``progress_every`` cycles.
@@ -401,7 +406,7 @@ def run_synthetic(
     kernel_cycles = run.kernel_cycles
 
     if profiler is not None:
-        network.profiler = profiler
+        first_cycle = network.cycle
         profiler.start()
         profiler.enter_run_phase("warmup")
 
@@ -450,7 +455,7 @@ def run_synthetic(
             chaos_site("runner.checkpoint")
 
     span_source, span_fallback = _span_source(
-        network, pattern, injector, rng, ni
+        network, pattern, injector, rng, ni, profiler
     )
     num_nodes = network.topology.num_nodes
 
@@ -568,6 +573,7 @@ def run_synthetic(
             )
 
     if profiler is not None:
+        profiler.cycles += network.cycle - first_cycle
         profiler.stop()
 
     resilience: Dict[str, int] = {}

@@ -330,7 +330,7 @@ class TestCompiledStepping:
     def test_active_kernel_reports_c(self):
         net = build_network(layout_by_name("diagonal+BL", 3))
         net.use_kernel("c")
-        assert net.active_kernel in ("naive", "event")  # not yet stepped
+        assert net.active_kernel == "event"  # not yet stepped
         _drive(net, cycles=40)
         assert net.active_kernel == "c"
         net.drain()

@@ -309,7 +309,7 @@ def _span_driven(run):
     are nodes -- are born in Python."""
     assert run["span_fallback"] is None
     cycles = run["kernel_cycles"]
-    assert cycles["event"] == cycles["naive"] == 0
+    assert cycles["event"] == 0
     assert cycles["c_span"] > 0
     assert cycles["c_span"] + cycles["c"] == run["total_cycles"]
     num_nodes, target = run["shape"]
@@ -572,6 +572,32 @@ class TestSpanEligibility:
         assert result.kernel_cycles["c_span"] == 0
         assert result.span_fallback is not None
         assert sum(result.kernel_cycles.values()) == result.total_cycles
+
+    @needs_ckernel
+    def test_profiled_c_run_steps_c_per_cycle(self):
+        """A profiler times the runner's phases, not the step: a profiled c
+        run stays on the compiled kernel, one cycle per call, so the
+        warmup/measure boundary it times is exact, and it equals the
+        unprofiled c and event runs."""
+        from repro.obs import RunProfiler
+
+        point = _point(layout="diagonal+BL", rate=0.08, seed=4)
+        profiler = RunProfiler()
+        profiled = _observe(point, "span", profiler=profiler)
+        cycles = profiled["kernel_cycles"]
+        assert cycles["c"] == profiled["total_cycles"]
+        assert "profiler" in profiled["span_fallback"]
+        _same_run(profiled, _observe(point, "span"))
+        _same_run(profiled, _observe(point, "event"))
+        report = profiler.report()
+        assert report["cycles"] == profiled["total_cycles"]
+        assert set(report) == {
+            "wall_seconds", "cycles", "cycles_per_second",
+            "run_phase_seconds",
+        }
+        assert set(report["run_phase_seconds"]) == {
+            "warmup", "measure", "drain",
+        }
 
     def test_no_compiler_runs_identically_without_spans(self, monkeypatch):
         """The compiler-less leg: ``kernel="c"`` degrades to event, no

@@ -139,7 +139,7 @@ class TestNetworkConstruction:
         assert PINNED_POINT.kernel is None
         assert network.kernel == "event"
 
-    @pytest.mark.parametrize("kernel", ["naive", "event", "c"])
+    @pytest.mark.parametrize("kernel", ["event", "c"])
     def test_kernel_override_reaches_network(self, kernel):
         point = dataclasses.replace(PINNED_POINT, kernel=kernel)
         network = point.build_network()
@@ -150,11 +150,10 @@ class TestNetworkConstruction:
         positions) must route through the kernel override."""
         point = SweepPoint(
             layout=None, big_positions=(0, 5, 10, 15), mesh_size=4,
-            kernel="naive",
+            kernel="c",
         )
         network = point.build_network()
-        assert network.kernel == "naive"
-        assert network.active_kernel == "naive"
+        assert network.kernel == "c"
 
 
 class TestPointResult:

@@ -13,9 +13,10 @@ once:
   change to injection order, routing, arbitration or stats shows up as a
   golden diff, deliberately);
 * ``process`` backend == ``serial`` backend, bit for bit;
-* ``naive`` == ``event`` == ``c`` cycle kernels, bit for
-  bit, via the :class:`SweepPoint` ``kernel`` override (only the spec
-  hash may differ -- the override is part of the cache key);
+* ``event`` == ``c`` cycle kernels == the full-scan reference of
+  ``tests/full_scan.py``, bit for bit, via the :class:`SweepPoint`
+  ``kernel`` override (only the spec hash may differ -- the override is
+  part of the cache key);
 * the ``_offer_load`` injection path: packet ids are creation-ordered,
   so the measured window is exactly ids ``[warmup, warmup + measure)``.
 
@@ -31,6 +32,7 @@ from dataclasses import replace
 import pytest
 
 from repro.exec import SweepPoint, execute_point, run_sweep
+from tests.full_scan import full_scan
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "golden_runs.json"
 
@@ -116,7 +118,8 @@ class TestGoldenReferences:
 
 
 class TestKernelsMatchGolden:
-    """All three cycle kernels reproduce the golden payloads exactly.
+    """Both cycle kernels and the full-scan reference reproduce the
+    golden payloads exactly.
 
     The ``kernel`` field is part of the spec (and hence the cache key)
     whenever it is set, so only the ``key`` field of the payload may
@@ -130,11 +133,23 @@ class TestKernelsMatchGolden:
         del payload["key"]
         return payload
 
-    @pytest.mark.parametrize("kernel", ["naive", "event", "c"])
+    @pytest.mark.parametrize("kernel", ["full_scan", "event", "c"])
     @pytest.mark.parametrize("name", list(GOLDEN_POINTS))
-    def test_kernel_override_reproduces_golden(self, golden, name, kernel):
-        point = replace(GOLDEN_POINTS[name], kernel=kernel)
-        assert point.spec_dict()["kernel"] == kernel
+    def test_kernel_override_reproduces_golden(
+        self, golden, name, kernel, monkeypatch
+    ):
+        if kernel == "full_scan":
+            # No kernel override: every network the point builds steps
+            # as the full-scan reference.
+            point = GOLDEN_POINTS[name]
+            build = SweepPoint.build_network
+            monkeypatch.setattr(
+                SweepPoint, "build_network",
+                lambda self: full_scan(build(self)),
+            )
+        else:
+            point = replace(GOLDEN_POINTS[name], kernel=kernel)
+            assert point.spec_dict()["kernel"] == kernel
         result = execute_point(point).to_dict()
         assert result["key"] == point.key()
         assert self._without_key(result) == self._without_key(

@@ -1,11 +1,12 @@
-"""Differential testing: the three cycle kernels against each other.
+"""Differential testing: the cycle kernels against a full-scan reference.
 
-:meth:`Network.step` can be driven by three kernels -- the event-driven
-active-set kernel (default), the compiled C kernel
-(``repro.noc.ckernel``, skipped here only when no C compiler exists)
-and the retained full-scan reference stepper -- and they must be
-*bit-identical*: same flit movements, same arbitration pointer
-evolution, same activity counters, same delivered packets, every cycle.
+:meth:`Network.step` can be driven by two kernels -- the event-driven
+active-set kernel (default) and the compiled C kernel
+(``repro.noc.ckernel``, skipped here only when no C compiler exists) --
+and both must be *bit-identical* to the full-scan reference of
+``tests/full_scan.py`` and to each other: same flit movements, same
+arbitration pointer evolution, same activity counters, same delivered
+packets, every cycle.
 These tests drive all three over a randomized matrix of mesh sizes,
 layouts, injection rates, payload sizes and seeds (plus faulty and
 observed configurations, which exercise the c kernel's automatic
@@ -14,9 +15,9 @@ simulation state.  Concentrated meshes and flattened butterflies ride
 along: several local ports per router, 8 and 10 ports instead of 5, so
 the compiled kernel's arena image sees multi-bit ejection masks and
 non-trivial node -> (router, port) maps.  Mid-run hand-offs mirror
-``tests/test_active_set.py``: flipping between the object-model
-kernels, or passing a compiled run through its arena image, while
-wormholes are in flight must not perturb a single bit.
+``tests/test_active_set.py``: flipping between the full-scan reference
+and the event kernel, or passing a compiled run through its arena
+image, while wormholes are in flight must not perturb a single bit.
 """
 
 import io
@@ -31,8 +32,21 @@ from repro.core.layouts import build_network, layout_by_name
 from repro.exec import SweepPoint
 from repro.noc.ckernel import ckernel_available, unavailable_reason
 from repro.noc.config import NetworkConfig
+from repro.noc.network import Network
+from tests.full_scan import full_scan, full_scan_step
 
-KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
+KERNELS = NetworkConfig.KERNELS  # ("event", "c")
+#: what a differential leg can run: a kernel, or the full-scan reference
+LEGS = ("event", "full_scan", "c")
+
+
+def _use_leg(net, leg):
+    """Make ``net`` run ``leg`` (a kernel name or ``"full_scan"``)."""
+    if leg == "full_scan":
+        full_scan(net)
+    else:
+        net.use_kernel(leg)
+    return net
 
 #: skip-or-run marker for tests that *require* the compiled kernel: on a
 #: compilerless host they skip (the fallback ladder has its own tests in
@@ -235,14 +249,13 @@ CONCENTRATED = [
 ]
 
 
-def _run_one(kernel, mesh_size, layout, rate, seed, cycles, payload_bits,
+def _run_one(leg, mesh_size, layout, rate, seed, cycles, payload_bits,
              net=None):
-    """Drive one kernel with deterministic traffic; return digests.
+    """Drive one leg with deterministic traffic; return digests.
     A freshly built ``net`` replaces the ``layout`` mesh."""
     if net is None:
         net = build_network(layout_by_name(layout, mesh_size))
-    net.use_kernel(kernel)
-    assert net.kernel == kernel
+    _use_leg(net, leg)
     rng = random.Random(seed)
     num_nodes = net.topology.num_nodes
     digests = []
@@ -318,7 +331,7 @@ def test_kernels_bit_identical(
         )
 
     event = run("event")
-    others = ["naive"]
+    others = ["full_scan"]
     if ckernel_available():
         others.append("c")
     for name in others:
@@ -327,30 +340,29 @@ def test_kernels_bit_identical(
 
 @pytest.mark.parametrize("layout", ["baseline", "diagonal+B", "diagonal+BL"])
 def test_kernels_loaded_smoke(layout):
-    """One fixed loaded point per layout, all kernels (fast determinism
+    """One fixed loaded point per layout, every leg (fast determinism
     check that runs without hypothesis -- the CI ckernel-smoke subset).
     On a compilerless host the ``"c"`` run transparently degrades to
     event, which must *still* be bit-identical."""
     runs = {
         name: _run_one(name, 4, layout, 0.20, 1234, 150, 1024)
-        for name in KERNELS
+        for name in LEGS
     }
-    _assert_same(runs["event"], runs["naive"], "naive")
+    _assert_same(runs["event"], runs["full_scan"], "full_scan")
     _assert_same(runs["event"], runs["c"], "c")
 
 
-@pytest.mark.parametrize("kernel", ["naive", "c"])
-def test_kernels_match_event_under_faults(kernel):
-    """Faulty runs: naive really steps, a requested c kernel
-    transparently falls back to the event kernel -- both must match it
-    bit-for-bit."""
+@pytest.mark.parametrize("leg", ["full_scan", "c"])
+def test_kernels_match_event_under_faults(leg):
+    """Faulty runs: the full-scan reference really steps, a requested c
+    kernel transparently falls back to the event kernel -- both must
+    match it bit-for-bit."""
     from repro.faults.schedule import FaultSchedule, FaultSpec
     from repro.traffic.patterns import pattern_by_name
     from repro.traffic.runner import run_synthetic
 
     def run(name):
-        net = build_network(layout_by_name("baseline", 4))
-        net.use_kernel(name)
+        net = _use_leg(build_network(layout_by_name("baseline", 4)), name)
         faults = FaultSchedule(
             specs=(
                 FaultSpec(kind="link", router=5, port=2, mode="transient",
@@ -380,28 +392,31 @@ def test_kernels_match_event_under_faults(kernel):
             _digest(net),
         )
 
-    assert run("event") == run(kernel)
+    assert run("event") == run(leg)
 
 
 def test_switching_kernels_mid_run_is_safe():
-    """Active sets are maintained by both object-model kernels, so
-    flipping between them mid-run (e.g. to bisect a divergence) must not
-    lose any traffic."""
+    """The full-scan reference and plain ``step()`` share one network's
+    state, so alternating between them mid-run (e.g. to bisect a
+    divergence) must not lose any traffic."""
     net = build_network(layout_by_name("baseline", 3))
     rng = random.Random(7)
     num_nodes = net.topology.num_nodes
     offered = 0
-    schedule = {60: "naive", 120: "event", 180: "naive", 240: "event"}
+    scanning = False
     for step_index in range(300):
-        if step_index in schedule:
-            net.use_kernel(schedule[step_index])
+        if step_index in (60, 120, 180, 240):
+            scanning = not scanning
         for node in range(num_nodes):
             if rng.random() < 0.1:
                 dst = rng.randrange(num_nodes)
                 if dst != node:
                     net.enqueue(net.make_packet(node, dst))
                     offered += 1
-        net.step()
+        if scanning:
+            full_scan_step(net)
+        else:
+            net.step()
     net.drain()
     assert net.total_delivered == offered
     assert net.total_buffered_flits() == 0
@@ -410,7 +425,7 @@ def test_switching_kernels_mid_run_is_safe():
 @pytest.mark.parametrize(
     "pivot, concentrated",
     [
-        pytest.param("naive", None, id="naive"),
+        pytest.param("full_scan", None, id="full_scan"),
         pytest.param("c", None, id="c", marks=needs_ckernel),
     ] + [
         pytest.param(
@@ -422,12 +437,13 @@ def test_switching_kernels_mid_run_is_safe():
 )
 def test_mid_run_switch_is_bit_identical(pivot, concentrated):
     """A hand-off mid-wormhole must not perturb a single bit: the event
-    kernel for the whole run == switching to naive and back.  The c
-    kernel is chosen before the first step and never hands its run to
-    the object model, so its legs hand the run over the way a c run
-    can: at the same cycles the network goes through its arena image
-    (captured, pickled and restored), and the c run must still equal
-    the event one (on the concentrated shapes three times over)."""
+    kernel for the whole run == switching to the full-scan reference
+    and back.  The c kernel is chosen before the first step and never
+    hands its run to the object model, so its legs hand the run over
+    the way a c run can: at the same cycles the network goes through
+    its arena image (captured, pickled and restored), and the c run
+    must still equal the event one (on the concentrated shapes three
+    times over)."""
     from repro.noc.snapshot import capture, dumps, loads
 
     schedule = {80: pivot, 160: "event"}
@@ -443,19 +459,22 @@ def test_mid_run_switch_is_bit_identical(pivot, concentrated):
             net.use_kernel("c")
         rng = random.Random(99)
         num_nodes = net.topology.num_nodes
+        leg = "event"
         for step_index in range(240):
             if switch and step_index in schedule:
+                leg = schedule[step_index]
                 if pivot == "c":
                     assert net.active_kernel == "c"
                     net = loads(dumps(capture(net)))
-                else:
-                    net.use_kernel(schedule[step_index])
             for node in range(num_nodes):
                 if rng.random() < 0.15:
                     dst = rng.randrange(num_nodes)
                     if dst != node:
                         net.enqueue(net.make_packet(node, dst))
-            net.step()
+            if leg == "full_scan":
+                full_scan_step(net)
+            else:
+                net.step()
         net.drain()
         return _digest(net)
 
@@ -469,15 +488,36 @@ def test_kernel_env_overrides():
         os.environ["REPRO_KERNEL"] = "c"
         net = build_network(layout_by_name("baseline", 2))
         assert net.kernel == "c"
-        os.environ["REPRO_KERNEL"] = "naive"
-        net = build_network(layout_by_name("baseline", 2))
-        assert net.kernel == "naive"
-        # Dynamic lookups only: no precomputed tables in naive mode.
-        assert all(r._route_table is None for r in net.routers)
     finally:
         del os.environ["REPRO_KERNEL"]
     net = build_network(layout_by_name("baseline", 2))
     assert net.kernel == "event"
+    assert all(r._route_table is not None for r in net.routers)
+
+
+def test_full_scan_reference_scans_everything(monkeypatch):
+    """The reference's own guard: every cycle it steps, every router and
+    every source is in the active sets and no router holds a route or
+    VA table; between its cycles the network's tables are back."""
+    net = full_scan(build_network(layout_by_name("diagonal+BL", 3)))
+    seen = []
+    step = Network.step
+
+    def watching(net, span=None):
+        seen.append((
+            net._active_routers == set(range(len(net.routers))),
+            net._active_sources == set(range(net.topology.num_nodes)),
+            all(r._route_table is None and r._va_table is None
+                for r in net.routers),
+        ))
+        return step(net, span)
+
+    monkeypatch.setattr(Network, "step", watching)
+    net.enqueue(net.make_packet(0, 8))
+    net.drain()
+    assert net.total_delivered == 1
+    assert len(seen) == net.cycle > 0
+    assert all(all(cycle) for cycle in seen), seen
     assert all(r._route_table is not None for r in net.routers)
 
 
@@ -516,7 +556,7 @@ def _via_bench(name, monkeypatch, capsys):
     raise ValueError(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("name", ["soa", "vectorized"])
+@pytest.mark.parametrize("name", ["soa", "vectorized", "naive"])
 @pytest.mark.parametrize(
     "door",
     [_via_config, _via_env, _via_use_kernel, _via_sweep_point, _via_run_all,
@@ -524,7 +564,8 @@ def _via_bench(name, monkeypatch, capsys):
 )
 def test_unknown_kernel_rejected_everywhere(door, name, monkeypatch, capsys):
     """A kernel name outside ``NetworkConfig.KERNELS`` -- the removed
-    ``"soa"`` included, there is no alias -- fails loudly at every door
+    ``"soa"`` and ``"naive"`` included, there is no alias -- fails
+    loudly at every door
     it can arrive through, and the message names the valid kernels.
     (A served job carrying it gets a 400: ``tests/test_serve.py``.)"""
     with pytest.raises(ValueError) as excinfo:
@@ -564,12 +605,6 @@ def _set_dynamic_routing(net):
     net.routing = DynamicXY(net.topology)
 
 
-def _attach_profiler(net):
-    from repro.obs.profiler import RunProfiler
-
-    net.profiler = RunProfiler()
-
-
 def _use_event_kernel(net):
     net.use_kernel("event")
 
@@ -582,20 +617,17 @@ def _use_event_kernel(net):
         (_attach_observer, "an observer"),
         (_attach_faults, "a fault injector"),
         (_set_dynamic_routing, "routing is dynamic"),
-        (_attach_profiler, "a profiler"),
         (_use_event_kernel, "the event kernel drives"),
     ],
-    ids=["watchdog", "observer", "faults", "routing", "profiler",
-         "use_kernel"],
+    ids=["watchdog", "observer", "faults", "routing", "use_kernel"],
 )
 def test_ckernel_falls_back_when_hooks_attached(attach, cause):
-    """Watchdogs, observation hooks, fault injectors, dynamic routing
-    and profilers need the per-flit object datapath, and the kernel is
-    chosen before the first step: given then, a requested c kernel falls
-    back to event for the whole run, ``span_blocker()`` names the cause
-    and c cannot be started later; once the c arena is live, the same
-    call (for the profiler, the next ``step()``) raises instead of
-    evicting the kernel."""
+    """Watchdogs, observation hooks, fault injectors and dynamic routing
+    need the per-flit object datapath, and the kernel is chosen before
+    the first step: given then, a requested c kernel falls back to event
+    for the whole run, ``span_blocker()`` names the cause and c cannot
+    be started later; once the c arena is live, the same call raises
+    instead of evicting the kernel."""
     net = build_network(layout_by_name("baseline", 3))
     net.use_kernel("c")
     attach(net)
@@ -615,7 +647,6 @@ def test_ckernel_falls_back_when_hooks_attached(attach, cause):
     assert net.active_kernel == "c"
     with pytest.raises(RuntimeError, match="c kernel is live"):
         attach(net)
-        net.step()
     assert net.active_kernel == "c"
     assert net.kernel == "c", "the *requested* kernel is unchanged"
 

@@ -279,16 +279,25 @@ class TestProfilerAndProgress:
         assert report["cycles"] == result.total_cycles
         assert report["cycles_per_second"] > 0
         assert report["wall_seconds"] > 0
-        assert set(report["phase_seconds"]) == {
-            "arrivals", "credits", "inject", "vc_alloc", "switch", "sample",
-        }
-        assert sum(report["phase_seconds"].values()) > 0
         assert set(report["run_phase_seconds"]) == {
             "warmup", "measure", "drain",
         }
-        assert abs(sum(report["phase_fraction"].values()) - 1.0) < 1e-9
+        assert sum(report["run_phase_seconds"].values()) > 0
         text = obs.profiler.format_report()
-        assert "cycles/second" in text and "switch" in text
+        assert "cycles/second" in text and "drain" in text
+
+    def test_profile_alone_attaches_nothing(self):
+        """``observe`` attaches only what was asked for: a profiler is
+        not a hook, so a c network keeps its compiled kernel."""
+        from repro.noc.ckernel import ckernel_available
+
+        network = build_network(baseline_layout(4))
+        network.use_kernel("c")
+        obs = observe(network, sample_window=None, profile=True)
+        assert network.obs is None
+        assert obs.profiler is not None
+        if ckernel_available():
+            assert network.span_blocker() is None
 
     def test_profiled_run_matches_unprofiled(self):
         results = []

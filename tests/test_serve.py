@@ -695,9 +695,9 @@ class TestRunAllFlags:
         # The kernel line reports the config default, not a copy of it...
         assert out.splitlines()[-1] == f"cycle kernel: {NetworkConfig.kernel}"
         # ...and REPRO_KERNEL when that overrides it.
-        monkeypatch.setenv("REPRO_KERNEL", "naive")
+        monkeypatch.setenv("REPRO_KERNEL", "c")
         assert main(["--list"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "cycle kernel: naive"
+        assert capsys.readouterr().out.splitlines()[-1] == "cycle kernel: c"
 
     def test_submit_requires_reachable_server(self, capsys):
         from repro.experiments.run_all import main

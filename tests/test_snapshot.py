@@ -5,7 +5,7 @@ The crash-safety contract of :mod:`repro.noc.snapshot`:
 * restoring a snapshot and continuing reproduces an uninterrupted run
   *exactly* -- same deep per-cycle state digests (the differential
   harness from ``test_kernel_differential``), same delivered-packet
-  records, for all three cycle kernels;
+  records, for both cycle kernels and the full-scan reference;
 * the binary container carries any picklable payload and detects
   truncation, bit flips, bad magic and format-version skew loudly
   (``SnapshotCorrupt`` / ``SnapshotVersionMismatch``) instead of
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.core.layouts import build_network, layout_by_name
 from repro.exec.point import SweepPoint, checkpoint_path_for, execute_point
-from repro.noc.config import NetworkConfig
 from repro.noc.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotCorrupt,
@@ -41,15 +40,16 @@ from repro.noc.snapshot import (
 )
 from repro.traffic.patterns import pattern_by_name
 from repro.traffic.runner import RunState, load_checkpoint, run_synthetic
-from tests.test_kernel_differential import _digest, needs_ckernel
+from tests.test_kernel_differential import (
+    LEGS,
+    _digest,
+    _use_leg,
+    needs_ckernel,
+)
 
-KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
 
-
-def _fresh_network(kernel, mesh_size=4, layout="baseline"):
-    net = build_network(layout_by_name(layout, mesh_size))
-    net.use_kernel(kernel)
-    return net
+def _fresh_network(leg, mesh_size=4, layout="baseline"):
+    return _use_leg(build_network(layout_by_name(layout, mesh_size)), leg)
 
 
 def _restamp(blob, version):
@@ -162,7 +162,7 @@ class TestContainer:
 
 
 class TestBitIdenticalResume:
-    """The tentpole property, differentially, across all kernels."""
+    """The tentpole property, differentially, across every leg."""
 
     @settings(
         max_examples=8,
@@ -173,7 +173,7 @@ class TestBitIdenticalResume:
         ],
     )
     @given(
-        kernel=st.sampled_from(KERNELS),
+        kernel=st.sampled_from(LEGS),
         mesh_size=st.sampled_from([3, 4]),
         layout=st.sampled_from(["baseline", "center+BL"]),
         rate=st.sampled_from([0.05, 0.12]),
@@ -204,7 +204,7 @@ class TestBitIdenticalResume:
         assert restored_tail == expected_tail
 
     def test_capture_does_not_perturb_the_captured_run(self):
-        for kernel in KERNELS:
+        for kernel in LEGS:
             net = _fresh_network(kernel)
             rng = random.Random(5)
             plain = _drive(net, rng, 25, 0.1) + _drive(net, rng, 25, 0.1)
@@ -273,7 +273,7 @@ class TestRunnerCheckpointing:
         )
         assert self._summary(resumed) == self._summary(plain)
 
-    @pytest.mark.parametrize("case", [*KERNELS, "faults"])
+    @pytest.mark.parametrize("case", [*LEGS, "faults"])
     def test_resume_from_every_checkpoint_matches(self, monkeypatch, case):
         """Whichever checkpoint a killed run left behind -- warmup,
         mid-measure, drain; span-driven under ``c``; with the NI and a
