@@ -223,6 +223,28 @@ class SweepPoint:
             return SelfSimilarInjector(num_nodes, self.rate, seed=self.seed)
         return None
 
+    def run(self, network, **options):
+        """Run this spec on ``network`` (made by :meth:`build_network`)
+        through :func:`~repro.traffic.runner.run_synthetic`, which takes
+        ``options`` (``profiler=``, ``sampler=``, checkpointing, ...).
+        :func:`execute_point` runs every point this way, so a point run
+        by hand with instruments is the run whose numbers it reports."""
+        from repro.traffic.patterns import pattern_by_name
+        from repro.traffic.runner import run_synthetic
+
+        return run_synthetic(
+            network,
+            pattern_by_name(self.pattern, network.topology),
+            self.rate,
+            warmup_packets=self.warmup_packets,
+            measure_packets=self.measure_packets,
+            seed=self.seed,
+            injector=self.build_injector(network.topology.num_nodes),
+            drain_cycle_cap=self.drain_cycle_cap,
+            faults=self.faults,
+            **options,
+        )
+
 
 @dataclass
 class PointResult:
@@ -332,8 +354,7 @@ def execute_point(
     from repro.core.merging import merge_report
     from repro.core.power import network_power_breakdown
     from repro.noc.snapshot import SnapshotError
-    from repro.traffic.patterns import pattern_by_name
-    from repro.traffic.runner import load_checkpoint, run_synthetic
+    from repro.traffic.runner import load_checkpoint
 
     spec = dict(
         rate=point.rate,
@@ -362,16 +383,11 @@ def execute_point(
     # only static configuration from this network, so a resumed run (which
     # carries on with the checkpoint's own network) needs no other.
     network = point.build_network()
-    result = run_synthetic(
+    result = point.run(
         network,
-        pattern_by_name(point.pattern, network.topology),
-        injector=point.build_injector(network.topology.num_nodes),
-        drain_cycle_cap=point.drain_cycle_cap,
-        faults=point.faults,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,
         resume_from=checkpoint,
-        **spec,
     )
     if checkpoint_path is not None:
         # The point is done: drop its checkpoint, and the temp files of

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
-from repro.core.layouts import build_network, layout_by_name
-from repro.core.power import network_power_breakdown
 from repro.exec import PointResult, run_sweep, sweep_points
-from repro.obs import Observation, observe
-from repro.traffic.patterns import pattern_by_name
-from repro.traffic.runner import run_synthetic
 
 # Default measurement sizes.  The paper warms up with 1,000 packets and
 # measures 100,000; pure-Python simulation scales these down (DESIGN.md's
@@ -23,80 +18,9 @@ def measurement_scale(fast: bool) -> Dict[str, int]:
     return dict(FAST_SCALE if fast else FULL_SCALE)
 
 
-def run_layout_synthetic(
-    layout_name: str,
-    pattern_name: str,
-    rate: float,
-    fast: bool = True,
-    seed: int = 11,
-    flit_mode: str = "paper",
-    observe_window: Optional[int] = None,
-    trace: bool = False,
-    profile: bool = False,
-    metrics: bool = False,
-    progress: Optional[Callable] = None,
-    **overrides,
-) -> Dict[str, object]:
-    """Build a layout network, drive it with a pattern, return key metrics.
-
-    Observability (``repro.obs``) rides along on demand: ``observe_window``
-    enables windowed time-series sampling at that width, ``trace`` records
-    hop-by-hop traces of measured packets, ``profile`` collects step-phase
-    wall-clock timings, ``metrics`` attaches the kernel metrics registry
-    (per-link/per-pair counters feeding bottleneck attribution) and
-    ``progress`` receives ETA heartbeats.  The attached
-    :class:`~repro.obs.Observation` bundle (finalized) is returned under
-    the ``"observation"`` key (``None`` when disabled).
-    """
-    layout = layout_by_name(layout_name)
-    network = build_network(layout, flit_mode=flit_mode)
-    pattern = pattern_by_name(pattern_name, network.topology)
-    scale = measurement_scale(fast)
-    scale.update(overrides)
-    observation: Optional[Observation] = None
-    if observe_window is not None or trace or profile or metrics:
-        observation = observe(
-            network,
-            sample_window=observe_window if observe_window is not None else 100,
-            trace=trace,
-            profile=profile,
-            metrics=metrics,
-        )
-    result = run_synthetic(
-        network,
-        pattern,
-        rate,
-        seed=seed,
-        profiler=observation.profiler if observation is not None else None,
-        progress=progress,
-        **scale,
-    )
-    if observation is not None:
-        observation.finalize()
-    power = network_power_breakdown(network, result.stats)
-    return {
-        "layout": layout_name,
-        "pattern": pattern_name,
-        "rate": rate,
-        "result": result,
-        "network": network,
-        "observation": observation,
-        "latency_cycles": result.stats.avg_latency_cycles,
-        "latency_ns": result.avg_latency_ns(layout.frequency_ghz),
-        "queuing_cycles": result.stats.avg_queuing_cycles,
-        "blocking_cycles": result.stats.avg_blocking_cycles,
-        "transfer_cycles": result.stats.avg_transfer_cycles,
-        "throughput": result.throughput_packets_per_node_cycle,
-        "power_w": power["total"],
-        "power_breakdown": power,
-        "saturated": result.saturated,
-        "summary": result.stats.summary(layout.frequency_ghz),
-    }
-
-
 def point_metrics(result: PointResult) -> Dict[str, object]:
     """A :class:`~repro.exec.PointResult` as the flat dict the harness
-    tables are built from (same keys :func:`run_layout_synthetic` uses)."""
+    tables are built from."""
     return {
         "rate": result.rate,
         "latency_cycles": result.latency_cycles,

@@ -118,9 +118,10 @@ def _export_observability(directory: str, fast: bool) -> None:
     """
     import pathlib
 
-    from repro.exec import run_sweep, sweep_points
-    from repro.experiments.common import measurement_scale, run_layout_synthetic
+    from repro.exec import SweepPoint, run_sweep, sweep_points
+    from repro.experiments.common import measurement_scale
     from repro.experiments.export import export_observation
+    from repro.obs import observe
     from repro.obs.attribution import attribute_metrics
     from repro.obs.heatmap import render_report
     from repro.obs.manifest import RunManifest, SearchTrace, SweepTelemetry
@@ -129,20 +130,19 @@ def _export_observability(directory: str, fast: bool) -> None:
     from repro.search.optimize import simulated_annealing
 
     directory = pathlib.Path(directory)
-    data = run_layout_synthetic(
-        "baseline",
-        "uniform_random",
-        rate=0.05,
-        fast=fast,
-        observe_window=100,
-        trace=True,
-        profile=True,
-        metrics=True,
+    point = SweepPoint(
+        layout="baseline", rate=0.05, seed=11, **measurement_scale(fast)
     )
-    observation = data["observation"]
+    network = point.build_network()
+    observation = observe(
+        network, sample_window=100, trace=True, profile=True, metrics=True
+    )
+    point.run(
+        network, profiler=observation.profiler, sampler=observation.sampler
+    )
     # Drain in-flight background packets so the link-flit conservation
     # check (injected == delivered x hops) in the attribution holds.
-    data["network"].drain(max_cycles=400_000)
+    network.drain(max_cycles=400_000)
     for path in export_observation("obs_demo", observation, directory):
         print(f"  wrote {path}")
     print(render_report(attribute_metrics(observation.metrics), top_k=5))

@@ -127,6 +127,7 @@ enum {
     E_CALENDAR = -7,
     E_PARETO_ZERO = -8,
     E_IMAGE = -9, /* ck_load: the image is not one of this arena */
+    E_BODY_PENDING = -10, /* ck_step: ck_run left a cycle's body pending */
 };
 
 /* completion-log row: one finished packet */
@@ -1251,8 +1252,12 @@ static i64 cycle_body(CK *ck, i64 measuring) {
 }
 
 /* One cycle, traffic offered by the caller; returns the completion-log
- * row count (or a negative error code). */
+ * row count (or a negative error code).  Refused while a ck_run left a
+ * cycle's body pending: only ck_run resumes it, and a body run here
+ * would leave the next ck_run to skip one cycle's injections. */
 i64 ck_step(CK *ck, i64 measuring) {
+    if (ck->body_pending)
+        ERR3(E_BODY_PENDING, ck->cycle, 0, 0);
     i64 rc = cycle_body(ck, measuring);
     return rc < 0 ? rc : ck->log.len / LOG_WIDTH;
 }
@@ -1354,7 +1359,8 @@ i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 created,
  * The static tensors are not in it (ck_load expects the shape's image
  * to be written already); neither is the span source, which is handed
  * back to Python before an image is taken, nor the completion log,
- * which the wrapper empties after every call. */
+ * which the wrapper empties after every call, nor body_pending: the
+ * wrapper refuses an image while a cycle's body is pending. */
 enum { IMG_HEADER = 7, IMG_SCALARS = 4, PK_FIELDS = 10 };
 
 /* memcpy of n ints that may come from (or go to) a buffer never grown */

@@ -29,12 +29,15 @@ runs over a flat integer arena; this module owns everything around it:
   the Python side is what the arena cannot hold: the handle table (C
   knows packets as integers) and the
   :class:`~repro.noc.stats.RouterActivity` objects the C counters are
-  added onto at measurement boundaries.
+  added onto by :meth:`Network.sync_stats`.
 * **spans** -- :meth:`CKernel.run` advances a whole :class:`Span` of
   cycles with the open-loop traffic source inside the C loop
-  (``ck_run``), the opening of the measurement window included: C marks
-  the births that fall in the window and comes back to Python between
-  the injections and the body of the cycle that opens it.  A span ends
+  (``ck_run``): C marks the births that fall in the measurement window
+  and, when the first of them is born before the window is open, the
+  span returns between the injections and the body of that cycle.  The
+  run driver opens the window there, and its next span starts with the
+  pending body (per-cycle stepping and the arena image refuse while a
+  body is pending).  A span ends
   before a cycle that could overshoot its birth budget, so the last
   packets of a run's target are born on the per-cycle loop.  The run's
   ``random.Random``, the per-node Pareto streams and the ON/OFF machines
@@ -387,6 +390,8 @@ _ERRORS = {
     -9: (ValueError, "arena image refused at word {a} (read {b}, expected "
                      "{c}): another kernel source, network shape or a "
                      "truncated image"),
+    -10: (RuntimeError, "cycle {a} stepped per cycle while a span left its "
+                        "body pending: resume it with a span first"),
 }
 
 _INJECTOR_KINDS = {"bernoulli": 0, "pareto": 1}
@@ -495,9 +500,11 @@ class Span:
     ``need_measured`` measured packets have finished -- whichever comes
     first; ``None`` lifts either of the last two.  ``created`` packets
     exist when the span starts; births from creation index
-    ``measure_from`` on are measured (``None``: none are), and the first
-    of them opens the network's measurement window between its cycle's
-    injections and that cycle's body."""
+    ``measure_from`` on are measured (``None``: none are).  When the
+    first of them is born while the network is not measuring, the span
+    returns after that cycle's injections and before its body: the
+    caller opens the measurement window, and the next span runs the
+    pending body first."""
 
     source: SpanSource
     max_cycles: int
@@ -669,7 +676,13 @@ class CKernel:
 
     def image(self) -> bytes:
         """The arena's dynamic state, as ``ck_dump`` lays it out (see
-        ``_ckernel.c``)."""
+        ``_ckernel.c``).  Refused while a span has left a cycle's body
+        pending: the image does not carry it."""
+        if self.lib.ck_get(self._ck, S_BODY_PENDING):
+            raise RuntimeError(
+                f"no arena image while a span has left the body of cycle "
+                f"{self.net.cycle} pending: resume it with a span first"
+            )
         lib, ck = self.lib, self._ck
         buffer = ctypes.create_string_buffer(8 * lib.ck_image_size(ck))
         lib.ck_dump(ck, lib.source_key, buffer)
@@ -729,29 +742,20 @@ class CKernel:
             -1 if limit is None else limit
             for limit in (measure_from, span.birth_budget, span.need_measured)
         ]
-        ran = born = 0
-        while True:
-            measuring = net.measuring
-            cycles = lib.ck_run(
-                ck, span.max_cycles - ran, measuring, first + born, *limits,
-                net.next_packet_id, net._default_packet_flits, *kinds,
-            )
-            if cycles < 0:
-                self._raise_error(cycles)
-            new = lib.ck_get(ck, S_BORN)
-            net.next_packet_id += new
-            net.packets_in_flight += new
-            net.cycle += cycles
-            if measuring:
-                stats.measured_cycles += cycles
-            ran += cycles
-            born += new
-            self._reduce_log(measuring)
-            if not lib.ck_get(ck, S_BODY_PENDING):
-                break
-            # The first measured packet was just born: the window opens
-            # before the body of its cycle, which the next call runs.
-            net.begin_measurement()
+        measuring = net.measuring
+        ran = lib.ck_run(
+            ck, span.max_cycles, measuring, first, *limits,
+            net.next_packet_id, net._default_packet_flits, *kinds,
+        )
+        if ran < 0:
+            self._raise_error(ran)
+        born = lib.ck_get(ck, S_BORN)
+        net.next_packet_id += born
+        net.packets_in_flight += born
+        net.cycle += ran
+        if measuring:
+            stats.measured_cycles += ran
+        self._reduce_log(measuring)
         if measure_from is not None:
             stats.packets_offered += max(
                 0, first + born - max(first, measure_from)
@@ -932,7 +936,7 @@ class CKernel:
     def flush_activity(self) -> None:
         """Add the C-side activity and link counters onto the shared
         RouterActivity objects and the stats dictionaries, zeroing the C
-        side (measurement boundaries and ``reset_stats`` call this)."""
+        side (:meth:`Network.sync_stats` calls this)."""
         R, P, RP = self.R, self.P, self.RP
         activities = self.net._activities
         for aid, field in _ACTIVITY_FIELDS:

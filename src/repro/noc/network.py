@@ -570,18 +570,23 @@ class Network:
     def detach_watchdog(self) -> None:
         self.watchdog = None
 
+    def sync_stats(self) -> None:
+        """Bring the compiled kernel's activity and link counters onto
+        :attr:`stats` (and the routers' activities) so they can be read
+        mid-run; a no-op on the event kernel, which counts there."""
+        if self._ck is not None:
+            self._ck.flush_activity()
+
     def begin_measurement(self) -> None:
         """Open the measurement window: snapshot event counters so that
         utilization and power cover exactly the window."""
-        if self._ck is not None:
-            self._ck.flush_activity()
+        self.sync_stats()
         self._activity_snapshot = [a.snapshot() for a in self._activities]
         self.measuring = True
 
     def end_measurement(self) -> None:
         """Close the window and freeze its activity deltas into the stats."""
-        if self._ck is not None:
-            self._ck.flush_activity()
+        self.sync_stats()
         self.measuring = False
         snapshot = getattr(self, "_activity_snapshot", None)
         if snapshot is None:
@@ -593,9 +598,7 @@ class Network:
 
     def reset_stats(self) -> None:
         """Start a fresh measurement window (counters and records only)."""
-        if self._ck is not None:
-            # onto the activities and stats discarded below
-            self._ck.flush_activity()
+        self.sync_stats()  # onto the activities and stats discarded below
         self._stats = NetworkStats(
             self.topology.num_routers, self.topology.num_nodes
         )
@@ -687,10 +690,12 @@ class Network:
         of every router and source.
 
         With a :class:`~repro.noc.ckernel.Span` the compiled kernel
-        advances the whole span -- calling :meth:`begin_measurement` when
-        the span's first measured packet is born -- and ``(cycles run,
-        packets created)`` comes back; callers check :meth:`span_blocker`
-        first.
+        advances the whole span and ``(cycles run, packets created)``
+        comes back; callers check :meth:`span_blocker` first.  A span
+        that births the first measured packet while the window is closed
+        returns before that cycle's body: the caller opens the window
+        (:meth:`begin_measurement`) and steps a span again, which runs
+        the pending body first.
         """
         if span is not None:
             blocker = self.span_blocker()

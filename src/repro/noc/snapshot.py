@@ -83,7 +83,9 @@ def capture(network):
     kernel, which is why the driver's ``random.Random`` and injector must
     be pickled after it.  Nothing else moves: a live compiled kernel
     stays live and pickles as its arena image, so taking a checkpoint
-    never perturbs the ongoing run and never builds a router.
+    never perturbs the ongoing run and never builds a router.  Pickling a
+    network whose last span left a cycle's body pending raises
+    ``RuntimeError``: the arena image does not carry that body.
     """
     if network.obs is not None:
         raise SnapshotError(

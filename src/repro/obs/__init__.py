@@ -1,13 +1,18 @@
 """Observability for the NoC simulator: tracing, telemetry, profiling.
 
-The package instruments the simulator through lightweight hook points (see
-:mod:`repro.obs.hooks`); with no observer attached the core pays only a
-``None`` check per tap point.  The pieces:
+Per-event instruments tap the simulator through lightweight hook points
+(see :mod:`repro.obs.hooks`); with no observer attached the core pays
+only a ``None`` check per tap point, and an attached one keeps the run on
+the event kernel.  The run driver's instruments -- the sampler and the
+profiler, handed to :func:`~repro.traffic.runner.run_synthetic` -- read
+the run at its phase and window boundaries instead, and leave a ``"c"``
+run on the compiled kernel, spans included.  The pieces:
 
 * :class:`~repro.obs.hooks.Observer` / ``CompositeObserver`` -- the
   event bus;
 * :class:`~repro.obs.sampler.TimeSeriesSampler` -- windowed utilization /
-  latency / throughput series (Figure 1 heat maps as timelines);
+  latency / throughput series (Figure 1 heat maps as timelines), cut
+  from :class:`~repro.noc.stats.NetworkStats` at window boundaries;
 * :class:`~repro.obs.tracer.PacketTracer` -- hop-by-hop traces of the
   measured packets with JSONL and Chrome ``trace_event`` export;
 * :class:`~repro.obs.metrics.KernelMetrics` -- counter/gauge/histogram
@@ -31,8 +36,8 @@ Typical use::
     from repro.obs import observe
     from repro.obs.replay import write_events
     obs = observe(network, sample_window=200, trace=True, profile=True)
-    result = run_synthetic(network, pattern, rate, profiler=obs.profiler)
-    obs.finalize()
+    result = run_synthetic(network, pattern, rate, profiler=obs.profiler,
+                           sampler=obs.sampler)
     obs.sampler.buffer_utilization_series(27)   # hot center router
     write_events("trace.jsonl", obs.tracer.iter_events())
     print(obs.profiler.format_report())
@@ -71,8 +76,9 @@ __all__ = [
 
 @dataclass
 class Observation:
-    """The bundle of observers :func:`observe` attached to a network
-    (``observer`` is attached only when it has a child)."""
+    """The instruments :func:`observe` made for a network: the per-event
+    observers in ``observer`` (attached only when it has a child), and
+    the sampler and profiler the run driver takes."""
 
     network: object
     observer: CompositeObserver
@@ -80,14 +86,6 @@ class Observation:
     tracer: Optional[PacketTracer] = None
     profiler: Optional[RunProfiler] = None
     metrics: Optional[KernelMetrics] = None
-
-    def finalize(self) -> "Observation":
-        """Flush partial sampler windows and stop the profiler."""
-        if self.sampler is not None:
-            self.sampler.finalize()
-        if self.profiler is not None:
-            self.profiler.stop()
-        return self
 
     def detach(self) -> "Observation":
         """Detach the observers from the network."""
@@ -102,28 +100,26 @@ def observe(
     profile: bool = False,
     metrics: bool = False,
 ) -> Observation:
-    """Attach a ready-made observer stack to ``network``.
+    """Make a ready-made instrument stack for ``network``.
+
+    Only the per-event instruments (``trace``, ``metrics``) attach to the
+    network, and only they move a ``"c"`` run onto the event kernel: with
+    its defaults, ``observe(network)`` attaches nothing.
 
     Args:
         network: a :class:`~repro.noc.network.Network`.
-        sample_window: window width (cycles) for the time-series sampler,
-            which samples the measurement window only; ``None`` disables
-            sampling.
-        trace: enable the packet tracer (every measured packet).
+        sample_window: window width (measured cycles) for a
+            :class:`~repro.obs.sampler.TimeSeriesSampler`; pass it to
+            ``run_synthetic`` as ``sampler=``.  ``None`` makes none.
+        trace: attach the packet tracer (every measured packet).
         profile: create a :class:`~repro.obs.profiler.RunProfiler`; pass
             it to ``run_synthetic`` as ``profiler=`` so the run's wall
-            clock, cycles and phases are recorded.  It attaches nothing
-            to the network, so on its own it leaves a ``"c"`` run on the
-            compiled kernel.
+            clock, cycles and phases are recorded.
         metrics: attach a :class:`~repro.obs.metrics.KernelMetrics`
             (whole-run counters: per-link/per-VC flits, per-pair traffic,
             occupancy and active-set samples).
     """
     composite = CompositeObserver()
-    sampler = None
-    if sample_window is not None:
-        sampler = TimeSeriesSampler(network, window=sample_window)
-        composite.add(sampler)
     tracer = None
     if trace:
         tracer = PacketTracer()
@@ -137,7 +133,10 @@ def observe(
     return Observation(
         network=network,
         observer=composite,
-        sampler=sampler,
+        sampler=(
+            None if sample_window is None
+            else TimeSeriesSampler(network, window=sample_window)
+        ),
         tracer=tracer,
         profiler=RunProfiler() if profile else None,
         metrics=kernel_metrics,

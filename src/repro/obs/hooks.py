@@ -21,14 +21,14 @@ hook                      fired when
 ========================  =====================================================
 
 Each hook has a listener among the product observers
-(:class:`~repro.obs.sampler.TimeSeriesSampler`,
-:class:`~repro.obs.tracer.PacketTracer`,
+(:class:`~repro.obs.tracer.PacketTracer`,
 :class:`~repro.obs.metrics.KernelMetrics`); ``tests/test_obs.py`` keeps
 it that way.
 
-Hooks fire regardless of the measurement window; observers that want to
-mirror :class:`~repro.noc.stats.NetworkStats` exactly (the time-series
-sampler does) filter on the ``measuring`` flag themselves.
+Hooks fire regardless of the measurement window; an observer that cares
+filters on the ``measuring`` flag itself.  What
+:class:`~repro.noc.stats.NetworkStats` already counts needs no hook: the
+time-series sampler reads it at window boundaries.
 
 All callbacks take plain positional arguments -- no per-event object is
 allocated -- so an attached observer costs one method call per event.

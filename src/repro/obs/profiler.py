@@ -5,6 +5,9 @@ runner's side: pass one to :func:`repro.traffic.runner.run_synthetic` as
 ``profiler=`` (or create it via :func:`repro.obs.observe`) and the runner
 records the run's wall-clock time, the simulated cycles, their rate and
 the warmup / measure / drain split, on whichever kernel steps the run.
+The profiler attaches nothing to the network and the runner switches its
+phases where it opens and closes the measurement window, on both loops,
+so a profiled ``"c"`` run keeps its spans.
 
 :class:`Progress` is the payload handed to the ``progress`` callback of
 :func:`repro.traffic.runner.run_synthetic`; :func:`make_progress_printer`

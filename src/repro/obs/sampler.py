@@ -1,17 +1,25 @@
 """Windowed time-series telemetry for a running network.
 
 :class:`TimeSeriesSampler` turns the Figure 1 heat maps into *timelines*:
-it integrates per-router buffer occupancy and per-channel busy cycles over
-fixed-width windows of simulated cycles and records one
-:class:`WindowSample` per window.  It accumulates exactly when
-:class:`~repro.noc.stats.NetworkStats` does (cycles with the measurement
-window open), so the time-average of its series equals
-the end-of-run ``buffer_utilization`` / ``link_utilization`` aggregates bit
-for bit -- the property the acceptance tests assert.
+one :class:`WindowSample` per fixed-width window of measured cycles, each
+holding the per-router buffer occupancy integral, the per-channel busy
+cycles, the deliveries and the measured latencies of that window.  It
+counts nothing itself: a window is the difference of the
+:class:`~repro.noc.stats.NetworkStats` counters between its two
+boundaries, so the windows add up to the end-of-run aggregates
+(``buffer_utilization`` / ``link_utilization``, window deliveries) by
+construction, on either kernel.
 
-Each window also carries delivery counts and the mean latency of measured
-packets delivered inside it, which makes saturation onset visible: past the
-knee, the per-window latency series diverges while throughput flattens.
+The run driver owns the boundaries: hand the sampler to
+:func:`repro.traffic.runner.run_synthetic` as ``sampler=`` and it starts
+the first window as the measurement window opens, closes one every
+``window`` measured cycles and closes the last partial one when the
+measurement window closes.  Being no observer, it keeps a ``"c"`` run on
+the compiled kernel, spans included.
+
+Each window's delivery counts and mean latency make saturation onset
+visible: past the knee, the per-window latency series diverges while
+throughput flattens.
 """
 
 from __future__ import annotations
@@ -20,8 +28,6 @@ import math
 import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-from repro.obs.hooks import Observer
 
 LinkKey = Tuple[int, int]  # (src_router, src_port)
 
@@ -63,14 +69,13 @@ class WindowSample:
         return self.latency_sum / self.latency_count
 
 
-class TimeSeriesSampler(Observer):
-    """Observer recording windowed utilization/latency/throughput series.
+class TimeSeriesSampler:
+    """Windowed utilization/latency/throughput series of one network.
 
     Args:
-        network: the network being observed (read-only access to routers).
-        window: sampling window width in cycles.  Only cycles with the
-            network's measurement window open are sampled, mirroring
-            :class:`~repro.noc.stats.NetworkStats` exactly.
+        network: the network whose :class:`~repro.noc.stats.NetworkStats`
+            the windows are cut from.
+        window: sampling window width in measured cycles.
     """
 
     def __init__(self, network, window: int = 100) -> None:
@@ -79,80 +84,68 @@ class TimeSeriesSampler(Observer):
         self.network = network
         self.window = int(window)
         self.windows: List[WindowSample] = []
-        self._num_routers = len(network.routers)
-        self._reset_accumulator()
+        self._num_routers = network.topology.num_routers
+        #: the counters at the last boundary (see :meth:`_read`)
+        self._mark: Optional[tuple] = None
 
-    # -- accumulation -------------------------------------------------------
-    def _reset_accumulator(self) -> None:
-        self._cycles = 0
-        self._start: Optional[int] = None
-        self._last = 0
-        self._occ = [0] * self._num_routers
-        self._busy: Dict[LinkKey, int] = {}
-        self._deliveries = 0
-        self._flits = 0
-        self._latency_sum = 0
-        self._latency_count = 0
+    # -- boundaries (called by the run driver) -------------------------------
+    def _read(self) -> tuple:
+        """``(cycle, measured cycles, occupancy integrals, link busy
+        cycles, window packet and flit deliveries, records)`` now."""
+        network = self.network
+        network.sync_stats()
+        stats = network.stats
+        return (
+            network.cycle,
+            stats.measured_cycles,
+            [a.occupancy_integral for a in stats.router_activity],
+            dict(stats.link_busy_cycles),
+            stats.window_packet_deliveries,
+            stats.window_flit_deliveries,
+            len(stats.records),
+        )
 
-    def _flush(self) -> None:
-        if self._cycles == 0:
+    def start(self) -> None:
+        """Open the first window: the measurement window opens now."""
+        self._mark = self._read()
+
+    def sample(self) -> None:
+        """Close the window since the last boundary (nothing when it holds
+        no measured cycle, or the measurement window never opened) and
+        open the next one."""
+        if self._mark is None:
             return
+        now = self._read()
+        cycle, measured, occupancy, busy, packets, flits, records = now
+        (start, measured0, occupancy0, busy0, packets0, flits0,
+         records0) = self._mark
+        if measured == measured0:
+            return
+        latencies = self.network.stats.records.total[records0:records]
         self.windows.append(
             WindowSample(
                 index=len(self.windows),
-                start_cycle=self._start if self._start is not None else 0,
-                end_cycle=self._last,
-                cycles=self._cycles,
-                occupancy=list(self._occ),
-                link_busy=dict(self._busy),
-                deliveries=self._deliveries,
-                flits_delivered=self._flits,
-                latency_sum=self._latency_sum,
-                latency_count=self._latency_count,
+                start_cycle=start,
+                end_cycle=cycle - 1,
+                cycles=measured - measured0,
+                occupancy=[a - b for a, b in zip(occupancy, occupancy0)],
+                link_busy={
+                    key: count - busy0.get(key, 0)
+                    for key, count in busy.items()
+                    if count > busy0.get(key, 0)
+                },
+                deliveries=packets - packets0,
+                flits_delivered=flits - flits0,
+                latency_sum=sum(latencies),
+                latency_count=len(latencies),
             )
         )
-        self._reset_accumulator()
-
-    def finalize(self) -> "TimeSeriesSampler":
-        """Flush a partially filled window (call once the run is over)."""
-        self._flush()
-        return self
-
-    # -- hooks --------------------------------------------------------------
-    def on_link_busy(self, router_id: int, port: int, cycle: int) -> None:
-        if not self.network.measuring:
-            return
-        key = (router_id, port)
-        self._busy[key] = self._busy.get(key, 0) + 1
-
-    def on_packet_delivered(self, packet, cycle: int) -> None:
-        if not self.network.measuring:
-            return
-        self._deliveries += 1
-        self._flits += packet.num_flits
-        if packet.measured:
-            self._latency_sum += packet.received_at - packet.created_at
-            self._latency_count += 1
-
-    def on_cycle_end(self, cycle: int, measuring: bool) -> None:
-        if not measuring:
-            # Close the final partial window when measurement ends.
-            if self._cycles:
-                self._flush()
-            return
-        if self._start is None:
-            self._start = cycle
-        occ = self._occ
-        for i, router in enumerate(self.network.routers):
-            occ[i] += router.occupied_flits
-        self._cycles += 1
-        self._last = cycle
-        if self._cycles >= self.window:
-            self._flush()
+        self._mark = now
 
     # -- derived series -----------------------------------------------------
     def buffer_capacity(self, router: int) -> int:
-        return self.network.routers[router].activity.buffer_capacity_flits
+        activity = self.network.stats.router_activity[router]
+        return activity.buffer_capacity_flits
 
     def sampled_cycles(self) -> int:
         """Total cycles integrated across all recorded windows."""

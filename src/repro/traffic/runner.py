@@ -12,9 +12,12 @@ every experiment harness exposes the knobs.
 
 Observability (see :mod:`repro.obs`): pass ``observer=`` to attach event
 hooks for the duration of the run, ``profiler=`` to record the run's wall
-clock, cycles/second and warmup / measure / drain split, and
-``progress=`` to receive periodic :class:`~repro.obs.profiler.Progress`
-heartbeats with ETA estimates.
+clock, cycles/second and warmup / measure / drain split, ``sampler=`` to
+cut the measurement window into time-series windows, and ``progress=``
+to receive periodic :class:`~repro.obs.profiler.Progress` heartbeats with
+ETA estimates.  The driver owns the measurement window: it opens and
+closes it, switches the profiler's phases there and cuts the sampler's
+windows, on the per-cycle loop and the span driver alike.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.noc.snapshot import (
 )
 from repro.noc.stats import NetworkStats
 from repro.obs.profiler import Progress, RunProfiler
+from repro.obs.sampler import TimeSeriesSampler
 from repro.traffic import patterns, selfsimilar
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.selfsimilar import BernoulliInjector
@@ -202,7 +206,7 @@ def _offer_load(
 
 
 def _span_source(
-    network: Network, pattern, injector, rng: random.Random, ni, profiler
+    network: Network, pattern, injector, rng: random.Random, ni
 ):
     """``(source, None)`` when the compiled span driver can carry this
     run's load and drain loops, else ``(None, why not)``."""
@@ -211,9 +215,6 @@ def _span_source(
     blocker = network.span_blocker()
     if blocker is not None:
         return None, blocker
-    if profiler is not None:
-        # The measure phase opens on the cycle its first packet is born.
-        return None, "a profiler times the run phases"
     num_nodes = network.topology.num_nodes
     pattern_twin = patterns.span_twin(pattern)
     if pattern_twin is None or pattern.num_nodes != num_nodes:
@@ -235,6 +236,7 @@ def run_synthetic(
     drain_cycle_cap: int = 400_000,
     observer=None,
     profiler: Optional[RunProfiler] = None,
+    sampler: Optional[TimeSeriesSampler] = None,
     progress: Optional[Callable[[Progress], None]] = None,
     progress_every: int = 2000,
     faults=None,
@@ -260,8 +262,13 @@ def run_synthetic(
             the network for the duration of the run (left attached after).
         profiler: optional :class:`repro.obs.profiler.RunProfiler`;
             records the run's wall clock, simulated cycles and
-            warmup/measure/drain split.  It keeps the run on the
-            per-cycle loop of whichever kernel steps it.
+            warmup/measure/drain split.
+        sampler: optional :class:`repro.obs.sampler.TimeSeriesSampler`
+            of ``network``; the run starts its first window as the
+            measurement window opens, closes one every ``sampler.window``
+            measured cycles and the last, partial one as the measurement
+            window closes.  Neither it nor the profiler touches the
+            network, so neither moves a ``"c"`` run off its spans.
         progress: optional callback receiving a
             :class:`~repro.obs.profiler.Progress` heartbeat every
             ``progress_every`` cycles.
@@ -294,19 +301,22 @@ def run_synthetic(
             the same rate/seed/measurement knobs (``SnapshotError``
             otherwise); ``pattern`` still comes from the caller.
 
-    Checkpointing and observers/profilers are mutually exclusive (a
-    snapshot cannot carry live file handles).
+    Checkpointing and observers/profilers/samplers are mutually exclusive
+    (a snapshot cannot carry live file handles).
 
     When the compiled kernel drives the network and nothing needs Python
-    per cycle, packet or delivery (no NI, observer, profiler, watchdog or
+    per cycle, packet or delivery (no NI, observer, watchdog or
     ``on_delivery``; built-in pattern and injector classes), the load and
     drain loops advance in *spans*: ``network.step(Span(...))`` runs whole
-    cycles inside the kernel -- injection and the opening of the
-    measurement window included -- and comes back only for checkpoints
-    and heartbeats and at the end of a phase.  A span ends before a cycle
-    that could overshoot the packet target (every node firing), so the
-    last packets of the target, fewer than there are nodes, are born
-    through :func:`_offer_load`; the drain is spans again.  Results are
+    cycles inside the kernel, injection included, and comes back for
+    checkpoints, heartbeats and sampler windows, at the end of a phase
+    and before the body of the cycle that births the first measured
+    packet -- the driver opens the measurement window there, as the
+    per-cycle loop does while that packet is made, and the next span
+    runs the pending body.  A span ends before a cycle that could
+    overshoot the packet target (every node firing), so the last packets
+    of the target, fewer than there are nodes, are born through
+    :func:`_offer_load`; the drain is spans again.  Results are
     bit-identical either way; ``kernel_cycles`` / ``span_fallback`` on
     the result say which way a run went and why.
 
@@ -327,11 +337,11 @@ def run_synthetic(
         if checkpoint_path is None:
             raise ValueError("checkpoint_every needs a checkpoint_path")
     if (checkpoint_every is not None or resume_from is not None) and (
-        observer is not None or profiler is not None
+        observer is not None or profiler is not None or sampler is not None
     ):
         raise ValueError(
-            "checkpointing does not support observers or profilers "
-            "(snapshots cannot carry live file handles)"
+            "checkpointing does not support observers, profilers or "
+            "samplers (snapshots cannot carry live file handles)"
         )
     target = warmup_packets + measure_packets
     started_at = time.perf_counter()
@@ -421,6 +431,20 @@ def run_synthetic(
             )
         )
 
+    def _open_window() -> None:
+        """The first measured packet is born: the window opens before the
+        body of its cycle."""
+        network.begin_measurement()
+        if profiler is not None:
+            profiler.enter_run_phase("measure")
+        if sampler is not None:
+            sampler.start()
+
+    def _sample_if_due() -> None:
+        if (sampler is not None and network.measuring
+                and network.stats.measured_cycles % sampler.window == 0):
+            sampler.sample()
+
     def _mark_measured(packet) -> None:
         # ``created`` is the packet's creation index: the first
         # ``warmup_packets`` packets warm the network, the rest are
@@ -428,9 +452,7 @@ def run_synthetic(
         if run.created >= warmup_packets:
             packet.measured = True
             if not network.measuring:
-                network.begin_measurement()
-                if profiler is not None:
-                    profiler.enter_run_phase("measure")
+                _open_window()
         run.created += 1
 
     send = ni.send if ni is not None else None
@@ -455,13 +477,14 @@ def run_synthetic(
             chaos_site("runner.checkpoint")
 
     span_source, span_fallback = _span_source(
-        network, pattern, injector, rng, ni, profiler
+        network, pattern, injector, rng, ni
     )
     num_nodes = network.topology.num_nodes
 
     def _span_room() -> int:
         """Cycles a span starting now may cover: up to the next cycle the
-        loop itself must see (checkpoint, heartbeat, drain deadline)."""
+        loop itself must see (checkpoint, heartbeat, sampler window,
+        drain deadline)."""
         cycle = network.cycle
         stops = [cycle + _UNBOUNDED_SPAN]
         if run.drain_deadline is not None:
@@ -470,7 +493,20 @@ def run_synthetic(
             stops.append(run.next_checkpoint)
         if progress is not None:
             stops.append(cycle + progress_every - cycle % progress_every)
+        if sampler is not None and network.measuring:
+            window = sampler.window
+            stops.append(
+                cycle + window - network.stats.measured_cycles % window
+            )
         return min(stops) - cycle
+
+    def _load_span() -> None:
+        ran, born = network.step(Span(
+            span_source, _span_room(), created=run.created,
+            measure_from=warmup_packets, birth_budget=target,
+        ))
+        run.created += born
+        kernel_cycles["c_span"] += ran
 
     def _step_once() -> None:
         network.step()
@@ -481,16 +517,16 @@ def run_synthetic(
         while run.created < target:
             _checkpoint_if_due()
             if span_source is not None and run.created + num_nodes <= target:
-                # One span carries the load phase across the opening of
-                # the window, up to the cycle that could overshoot the
-                # target: that one stops drawing destinations mid-cycle
-                # and stays with _offer_load.
-                ran, born = network.step(Span(
-                    span_source, _span_room(), created=run.created,
-                    measure_from=warmup_packets, birth_budget=target,
-                ))
-                run.created += born
-                kernel_cycles["c_span"] += ran
+                # Spans carry the load phase up to the cycle that could
+                # overshoot the target: that one stops drawing
+                # destinations mid-cycle and stays with _offer_load.
+                _load_span()
+                if run.created > warmup_packets and not network.measuring:
+                    # The span stopped before the body of the cycle that
+                    # birthed the first measured packet: open the window,
+                    # then resume that body (close to the target too).
+                    _open_window()
+                    _load_span()
             else:
                 if span_source is not None:
                     network.reclaim_span_source()
@@ -506,6 +542,7 @@ def run_synthetic(
                     send=send,
                 )
                 _step_once()
+            _sample_if_due()
             if progress is not None and network.cycle % progress_every == 0:
                 phase = "measure" if network.measuring else "warmup"
                 _heartbeat(phase, run.created, target)
@@ -516,6 +553,8 @@ def run_synthetic(
             # from a drain-phase checkpoint finds both already done:
             # closing the window again would recompute the activity
             # deltas over drain cycles they must not cover.)
+            if sampler is not None:
+                sampler.sample()
             network.end_measurement()
             run.drain_deadline = network.cycle + drain_cycle_cap
 

@@ -39,7 +39,8 @@ from repro.noc.ckernel import (
     unavailable_reason,
 )
 from repro.noc.network import Network
-from repro.noc.snapshot import load_snapshot
+from repro.noc.snapshot import capture, dumps, load_snapshot
+from repro.obs import RunProfiler, TimeSeriesSampler
 from repro.traffic import patterns, selfsimilar
 from repro.traffic.patterns import TrafficPattern, UniformRandom, pattern_by_name
 from repro.traffic.runner import _offer_load, run_synthetic
@@ -226,14 +227,19 @@ def _injector_state(injector):
     ]
 
 
-def _observe(point, mode, **knobs):
+def _observe(point, mode, sample_window=None, **knobs):
     """Run ``point`` and return everything that could diverge.
 
     ``mode``: ``"span"`` (kernel c, spans on), ``"c"`` (kernel c, spans
-    forced off) or ``"event"``."""
+    forced off) or ``"event"``.  ``sample_window`` hands the run a
+    :class:`TimeSeriesSampler` of that width, whose windows come back
+    under ``"windows"``."""
     point = replace(point, kernel="event" if mode == "event" else "c")
     net = point.build_network()
     injector = point.build_injector(net.topology.num_nodes)
+    sampler = None
+    if sample_window is not None:
+        sampler = knobs["sampler"] = TimeSeriesSampler(net, sample_window)
     recorder = _RecordingRandom()
     saved_random, saved_off = runner.random, ckernel._SPANS_OFF
     runner.random = recorder
@@ -266,7 +272,7 @@ def _observe(point, mode, **knobs):
     stats = result.stats
     # A resumed run seeds nothing: its RNG is the checkpoint's own.
     rng = recorder.made[0] if recorder.made else knobs["resume_from"].rng
-    return {
+    observed = {
         "digest": _digest(net),
         "rng": rng.getstate(),
         "injector": _injector_state(injector),
@@ -290,12 +296,17 @@ def _observe(point, mode, **knobs):
         "shape": (net.topology.num_nodes,
                   point.warmup_packets + point.measure_packets),
     }
+    if sampler is not None:
+        observed["windows"] = sampler.windows
+    return observed
 
 
 _HOW_IT_RAN = ("kernel_cycles", "span_fallback", "python_born")
 
 
 def _same_run(a, b):
+    """``a`` and ``b`` agree on every observable ``a`` has (a sampled
+    run's windows are compared only with another sampled run's)."""
     for key in a:
         if key not in _HOW_IT_RAN:
             assert a[key] == b[key], f"{key} diverged"
@@ -376,6 +387,18 @@ class TestSpanDifferential:
         assert len(span["records"]) == 9
         assert span["python_born"] == list(range(12))
         assert span["next_packet_id"] >= 12
+
+    def test_window_opens_in_the_tail_of_the_target(self):
+        """``measure_packets`` below the node count: the span that births
+        the first measured packet (100) leaves fewer packets of the
+        target than there are nodes, and the driver still resumes that
+        cycle's pending body with a span."""
+        point = _point(rate=0.9, seed=3, warmup_packets=100,
+                       measure_packets=5)
+        span = _observe(point, "span")
+        _span_driven(span)
+        assert span["python_born"] == [101, 102, 103, 104]
+        _same_run(span, _observe(point, "event"))
 
     def test_saturated_point_hits_the_drain_cap(self):
         span = _three_way(_point(
@@ -574,23 +597,38 @@ class TestSpanEligibility:
         assert sum(result.kernel_cycles.values()) == result.total_cycles
 
     @needs_ckernel
-    def test_profiled_c_run_steps_c_per_cycle(self):
-        """A profiler times the runner's phases, not the step: a profiled c
-        run stays on the compiled kernel, one cycle per call, so the
-        warmup/measure boundary it times is exact, and it equals the
-        unprofiled c and event runs."""
-        from repro.obs import RunProfiler
-
-        point = _point(layout="diagonal+BL", rate=0.08, seed=4)
+    @pytest.mark.parametrize("point", [
+        pytest.param(_point(
+            layout=layout, mesh_size=mesh, injector=injector, rate=0.08,
+            seed=4 + mesh,
+        ), id=f"{layout}-{mesh}x{mesh}-{injector}")
+        for layout in ("baseline", "diagonal+BL")
+        for mesh in (4, 8)
+        for injector in ("bernoulli", "self_similar")
+    ] + [pytest.param(_point(
+        rate=0.5, seed=5, warmup_packets=30, measure_packets=300,
+        drain_cycle_cap=100,
+    ), id="drain-cap")])
+    def test_sampled_profiled_c_run_keeps_its_spans(self, point):
+        """The run driver opens the window, switches the profiler's
+        phases and cuts the sampler's windows on the span path too: a
+        sampled and profiled c run is the unobserved c run -- spans,
+        kernel cycles, stats and records -- and its windows are those of
+        the same run sampled on the event kernel."""
         profiler = RunProfiler()
-        profiled = _observe(point, "span", profiler=profiler)
-        cycles = profiled["kernel_cycles"]
-        assert cycles["c"] == profiled["total_cycles"]
-        assert "profiler" in profiled["span_fallback"]
-        _same_run(profiled, _observe(point, "span"))
-        _same_run(profiled, _observe(point, "event"))
+        observed = _observe(point, "span", sample_window=25,
+                            profiler=profiler)
+        plain = _observe(point, "span")
+        _span_driven(observed)
+        assert observed["kernel_cycles"] == plain["kernel_cycles"]
+        _same_run(plain, observed)
+        on_event = _observe(point, "event", sample_window=25)
+        _same_run(observed, on_event)
+        assert observed["windows"]
+        assert sum(w.cycles for w in observed["windows"]) \
+            == observed["stats"][3]  # measured_cycles
         report = profiler.report()
-        assert report["cycles"] == profiled["total_cycles"]
+        assert report["cycles"] == observed["total_cycles"]
         assert set(report) == {
             "wall_seconds", "cycles", "cycles_per_second",
             "run_phase_seconds",
@@ -720,6 +758,29 @@ class TestSpansAndSnapshots:
                     _digest(net), net.next_packet_id)
 
         assert run(True) == run(False)
+
+    def test_a_pending_body_is_neither_stepped_over_nor_pickled(self):
+        """A span that births the first measured packet while the window
+        is closed returns before that cycle's body.  Until a span runs
+        it, a per-cycle step (whose body would make the next span skip
+        one cycle's injections) and pickling (the arena image does not
+        carry it) refuse."""
+        net = build_network(layout_by_name("baseline", 4))
+        net.use_kernel("c")
+        source = SpanSource(("uniform", None), ("bernoulli", 0.9, None),
+                            random.Random(3))
+        ran, born = net.step(Span(source, 10, measure_from=5))
+        assert ran == 0 and born > 5 and net.cycle == 0
+        with pytest.raises(RuntimeError, match="pending"):
+            dumps(capture(net))
+        with pytest.raises(RuntimeError, match="body pending"):
+            net.step()
+        net.begin_measurement()
+        assert net.step(Span(source, 1, created=born, measure_from=5)) \
+            == (1, 0)
+        dumps(capture(net))
+        net.step()
+        assert net.cycle == 2
 
     def test_per_cycle_driving_is_refused_while_the_source_is_lent(self):
         net = build_network(layout_by_name("baseline", 4))

@@ -217,15 +217,19 @@ class TestNoSharedSimulationState:
         assert together == solo
 
     def test_repeated_traced_library_runs_are_identical(self):
-        from repro.experiments.common import run_layout_synthetic
+        from repro.obs import observe
 
-        first, second = (
-            run_layout_synthetic(
-                "baseline", "uniform_random", 0.02, trace=True,
-                warmup_packets=20, measure_packets=60,
-            )["observation"].tracer.traces
-            for _ in range(2)
-        )
+        point = SweepPoint(layout="baseline", rate=0.02, seed=11,
+                           warmup_packets=20, measure_packets=60)
+
+        def traced():
+            network = point.build_network()
+            observation = observe(network, trace=True)
+            point.run(network, profiler=observation.profiler,
+                      sampler=observation.sampler)
+            return observation.tracer.traces
+
+        first, second = traced(), traced()
         assert first and first == second
 
 

@@ -20,12 +20,13 @@ from repro.experiments import (
     fig13_memctrl,
     table1_router_model,
 )
+from repro.exec import SweepPoint, execute_point
 from repro.experiments.common import (
     format_table,
     measurement_scale,
     percent_change,
     percent_reduction,
-    run_layout_synthetic,
+    point_metrics,
 )
 
 
@@ -47,11 +48,11 @@ class TestCommon:
             False
         )["measure_packets"]
 
-    def test_run_layout_synthetic_keys(self):
-        sample = run_layout_synthetic(
-            "baseline", "uniform_random", 0.02,
+    def test_point_metrics_keys(self):
+        sample = point_metrics(execute_point(SweepPoint(
+            layout="baseline", rate=0.02, seed=11,
             warmup_packets=20, measure_packets=80,
-        )
+        )))
         assert set(sample) >= {
             "latency_ns", "throughput", "power_w", "power_breakdown",
             "blocking_cycles", "queuing_cycles", "transfer_cycles",

@@ -22,6 +22,7 @@ from repro.obs import (
     PacketTracer,
     RunProfiler,
     TimeSeriesSampler,
+    WindowSample,
     observe,
 )
 from repro.obs import replay
@@ -32,9 +33,11 @@ from tests.test_obs_fastpath import _make_counting_observer
 
 
 def _run_observed(
-    mesh=4, rate=0.05, warmup=20, measure=150, seed=11, **observe_kwargs
+    mesh=4, rate=0.05, warmup=20, measure=150, seed=11, kernel="event",
+    **observe_kwargs
 ):
     network = build_network(baseline_layout(mesh))
+    network.use_kernel(kernel)
     obs = observe(network, **observe_kwargs)
     result = run_synthetic(
         network,
@@ -44,13 +47,14 @@ def _run_observed(
         measure_packets=measure,
         seed=seed,
         profiler=obs.profiler,
+        sampler=obs.sampler,
     )
-    obs.finalize()
     return network, obs, result
 
 
 class TestAcceptanceSamplerMatchesStats:
-    """Acceptance (a): series time-averages == NetworkStats aggregates."""
+    """Acceptance (a): series time-averages == NetworkStats aggregates,
+    here on the event kernel beside a tracer."""
 
     @pytest.fixture(scope="class")
     def observed(self):
@@ -91,6 +95,24 @@ class TestAcceptanceSamplerMatchesStats:
         for router, port in obs.sampler.link_keys():
             for _, value in obs.sampler.link_utilization_series(router, port):
                 assert 0.0 <= value <= 1.0
+
+
+class TestAcceptanceSamplerMatchesStatsOnC(TestAcceptanceSamplerMatchesStats):
+    """The same acceptance on the compiled kernel's spans."""
+
+    @pytest.fixture(scope="class")
+    def observed(self):
+        from repro.noc.ckernel import ckernel_available
+
+        if not ckernel_available():
+            pytest.skip("compiled kernel unavailable")
+        network, obs, result = _run_observed(
+            mesh=8, rate=0.05, warmup=50, measure=300, sample_window=50,
+            kernel="c",
+        )
+        assert result.span_fallback is None
+        assert network._routers is None  # never read the object model
+        return network, obs, result
 
 
 class TestAcceptanceTracerMatchesRecords:
@@ -164,7 +186,7 @@ class TestEventBus:
         """A hook no product observer overrides is a tap on the simulator
         path that nothing listens to; the composite forwards every hook."""
         hooks = sorted(n for n in vars(Observer) if n.startswith("on_"))
-        products = (TimeSeriesSampler, PacketTracer, KernelMetrics)
+        products = (PacketTracer, KernelMetrics)
         unheard = [
             hook for hook in hooks
             if not any(hook in vars(cls) for cls in products)
@@ -299,6 +321,21 @@ class TestProfilerAndProgress:
         if ckernel_available():
             assert network.span_blocker() is None
 
+    def test_defaults_attach_nothing(self):
+        """With its defaults ``observe`` makes a sampler, which the run
+        driver cuts windows for: no event hook, so a c network keeps its
+        spans."""
+        from repro.noc.ckernel import ckernel_available
+
+        network = build_network(baseline_layout(4))
+        network.use_kernel("c")
+        obs = observe(network)
+        assert obs.sampler is not None and obs.profiler is None
+        assert not isinstance(obs.sampler, Observer)
+        assert network.obs is None
+        if ckernel_available():
+            assert network.span_blocker() is None
+
     def test_profiled_run_matches_unprofiled(self):
         results = []
         for profile in (False, True):
@@ -341,7 +378,95 @@ class TestProfilerAndProgress:
         assert math.isnan(empty.eta_s)
 
 
+class _Recount(Observer):
+    """The sampler's windows counted again per event (busy channels,
+    deliveries, every router's occupancy at each measured cycle end): the
+    reference its differences of ``NetworkStats`` counters must equal."""
+
+    def __init__(self, network, window):
+        self.network, self.window, self.windows = network, window, []
+        self._open()
+
+    def _open(self):
+        self.cycles, self.start, self.last = 0, None, 0
+        self.occupancy = [0] * self.network.topology.num_routers
+        self.busy, self.packets, self.flits, self.latencies = {}, 0, 0, []
+
+    def close(self):
+        if self.cycles:
+            self.windows.append(WindowSample(
+                len(self.windows), self.start, self.last, self.cycles,
+                self.occupancy, self.busy, self.packets, self.flits,
+                sum(self.latencies), len(self.latencies),
+            ))
+        self._open()
+
+    def on_link_busy(self, router_id, port, cycle):
+        if self.network.measuring:
+            key = (router_id, port)
+            self.busy[key] = self.busy.get(key, 0) + 1
+
+    def on_packet_delivered(self, packet, cycle):
+        if self.network.measuring:
+            self.packets += 1
+            self.flits += packet.num_flits
+            if packet.measured:
+                self.latencies.append(cycle - packet.created_at)
+
+    def on_cycle_end(self, cycle, measuring):
+        if not measuring:
+            self.close()
+            return
+        if self.start is None:
+            self.start = cycle
+        for rid, router in enumerate(self.network.routers):
+            self.occupancy[rid] += router.occupied_flits
+        self.cycles += 1
+        self.last = cycle
+        if self.cycles == self.window:
+            self.close()
+
+
 class TestSamplerDetails:
+    @pytest.mark.parametrize("rate, cap", [(0.05, 400_000), (0.5, 60)])
+    def test_windows_equal_a_per_event_recount(self, rate, cap):
+        """Below saturation and at a drain cap: the windows cut from the
+        stats counters equal the windows counted per event, field for
+        field, the last partial one included."""
+        network = build_network(baseline_layout(4))
+        sampler = TimeSeriesSampler(network, window=10)
+        recount = _Recount(network, 10)
+        result = run_synthetic(
+            network, UniformRandom(16), rate=rate, warmup_packets=20,
+            measure_packets=400, seed=11, drain_cycle_cap=cap,
+            observer=recount, sampler=sampler,
+        )
+        recount.close()
+        assert result.saturated == (rate == 0.5)
+        assert len(sampler.windows) > 2
+        assert sampler.windows == recount.windows
+
+    @pytest.mark.parametrize("kernel", ["event", "c"])
+    def test_a_window_that_never_opens_records_nothing(self, kernel):
+        """``measure_packets=0``: no packet is measured and the
+        measurement window never opens.  Closing the sampler's last
+        window records nothing, so the run fails as an unsampled one
+        does -- on closing a window it never opened."""
+        from repro.noc.ckernel import ckernel_available
+
+        if kernel == "c" and not ckernel_available():
+            pytest.skip("compiled kernel unavailable")
+        network = build_network(baseline_layout(4))
+        network.use_kernel(kernel)
+        sampler = TimeSeriesSampler(network, window=10)
+        with pytest.raises(RuntimeError, match="without begin_measurement"):
+            run_synthetic(
+                network, UniformRandom(16), rate=0.05, warmup_packets=20,
+                measure_packets=0, seed=11, sampler=sampler,
+            )
+        assert network.cycle > 0 and not network.measuring
+        assert sampler.windows == []
+
     def test_rejects_bad_window(self):
         network = build_network(baseline_layout(4))
         with pytest.raises(ValueError):

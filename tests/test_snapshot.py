@@ -353,6 +353,21 @@ class TestRunnerCheckpointing:
                 **self.POINT,
             )
 
+    def test_checkpointing_refuses_a_sampler(self, tmp_path):
+        from repro.obs import TimeSeriesSampler
+
+        net = self._network()
+        with pytest.raises(ValueError, match="samplers"):
+            run_synthetic(
+                net,
+                pattern_by_name("uniform_random", net.topology),
+                checkpoint_every=10,
+                checkpoint_path=tmp_path / "run.ckpt",
+                sampler=TimeSeriesSampler(net, window=10),
+                **self.POINT,
+            )
+        assert not (tmp_path / "run.ckpt").exists()
+
 
 class TestExecutePointCheckpointing:
     POINT = SweepPoint(
