@@ -59,7 +59,8 @@ def _region_mean(grid: List[List[float]], center: bool) -> float:
     return sum(values) / len(values)
 
 
-def main(fast: bool = True) -> None:
+def main(fast: bool = True) -> dict:
+    """Print the tables; returns the :func:`run` data."""
     data = run(fast=fast)
     for key, label in (
         ("buffer_utilization", "Buffer utilization (%)"),
@@ -77,6 +78,7 @@ def main(fast: bool = True) -> None:
         f"{100 * data['edge_buffer_util']:.1f}%  "
         "(paper: ~75% vs ~35%)"
     )
+    return data
 
 
 if __name__ == "__main__":

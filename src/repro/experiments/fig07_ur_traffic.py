@@ -110,7 +110,8 @@ PAPER_SUMMARY = {
 }
 
 
-def main(fast: bool = True) -> None:
+def main(fast: bool = True) -> dict:
+    """Print the tables; returns the :func:`run` data."""
     data = run(fast=fast)
     print("Figure 7(a): load-latency (ns)")
     headers = ["rate"] + list(data["curves"].keys())
@@ -155,6 +156,7 @@ def main(fast: bool = True) -> None:
             row.append(f"{data['curves'][layout][i]['power_w']:.1f}")
         rows.append(row)
     print(format_table(headers, rows))
+    return data
 
 
 if __name__ == "__main__":

@@ -81,7 +81,8 @@ def run(
     return {"rates": list(rates), "curves": curves, "summary": summary}
 
 
-def main(fast: bool = True) -> None:
+def main(fast: bool = True) -> dict:
+    """Print the tables; returns the :func:`run` data."""
     data = run(fast=fast)
     print("Figure 9: nearest-neighbour traffic")
     headers = ["rate"] + [f"{l} lat_ns" for l in data["curves"]]
@@ -110,6 +111,7 @@ def main(fast: bool = True) -> None:
             "vs baseline (paper: +7% latency, -9.5% thpt, ~7% power for hetero)",
         )
     )
+    return data
 
 
 if __name__ == "__main__":

@@ -89,21 +89,8 @@ HARNESSES = {
 }
 
 
-# Harnesses whose run() output export_experiment understands.
-_EXPORTABLE = {
-    "fig01": lambda fast: __import__(
-        "repro.experiments.fig01_utilization", fromlist=["run"]
-    ).run(fast=fast),
-    "fig07": lambda fast: __import__(
-        "repro.experiments.fig07_ur_traffic", fromlist=["run"]
-    ).run(fast=fast),
-    "fig09": lambda fast: __import__(
-        "repro.experiments.fig09_nn_traffic", fromlist=["run"]
-    ).run(fast=fast),
-    "sensitivity": lambda fast: __import__(
-        "repro.experiments.sensitivity_big_routers", fromlist=["run"]
-    ).run(fast=fast),
-}
+# Harnesses whose main() returns run() data export_experiment understands.
+_EXPORTABLE = {"fig01", "fig07", "fig09", "sensitivity"}
 
 
 def _export_observability(directory: str, fast: bool) -> None:
@@ -324,13 +311,13 @@ def _run_harness(name: str, fast: bool, csv_dir) -> None:
     # --resume reports progress per figure.
     configure(sweep_tag=name)
     try:
-        HARNESSES[name](fast)
+        data = HARNESSES[name](fast)
     finally:
         configure(sweep_tag=None)
     if csv_dir and name in _EXPORTABLE:
         from repro.experiments.export import export_experiment
 
-        written = export_experiment(name, _EXPORTABLE[name](fast), csv_dir)
+        written = export_experiment(name, data, csv_dir)
         for path in written:
             print(f"  wrote {path}")
 

@@ -88,7 +88,8 @@ def run(
     }
 
 
-def main(fast: bool = True) -> None:
+def main(fast: bool = True) -> dict:
+    """Print the tables; returns the :func:`run` data."""
     data = run(fast=fast)
     print(
         f"Sensitivity: big-router budget on the 8x8 mesh "
@@ -115,6 +116,7 @@ def main(fast: bool = True) -> None:
             table_rows,
         )
     )
+    return data
 
 
 if __name__ == "__main__":

@@ -127,7 +127,6 @@ enum {
     E_CALENDAR = -7,
     E_PARETO_ZERO = -8,
     E_IMAGE = -9, /* ck_load: the image is not one of this arena */
-    E_BODY_PENDING = -10, /* ck_step: ck_run left a cycle's body pending */
 };
 
 /* completion-log row: one finished packet */
@@ -257,7 +256,8 @@ typedef struct CK {
     Vec *arr_b;  /* (rid, port, vc, pkt, seq) */
     Vec *cred_b; /* (rid, port, vc, release) */
 
-    /* activity + measured-link deltas */
+    /* activity and link counters, always on; the wrapper adds them onto
+     * the network's totals and zeroes them */
     i64 *a_bw, *a_br, *a_xb, *a_rc, *a_va, *a_arb, *a_cf, *a_cs, *a_mg,
         *a_oc;
     i64 *lf, *lb; /* RP */
@@ -716,7 +716,7 @@ static i64 rot_pick(i64 mask, i64 nxt, i64 n) {
         return (code);                                                       \
     } while (0)
 
-static i64 cycle_body(CK *ck, i64 measuring) {
+static i64 cycle_body(CK *ck) {
     const i64 P = ck->P, V = ck->V, D = ck->D;
     const i64 cycle = ck->cycle;
     const i64 po = ck->po, cd = ck->cd, merging = ck->merging;
@@ -1026,8 +1026,7 @@ static i64 cycle_body(CK *ck, i64 measuring) {
                     obid[op] |= 1ll << port;
                 }
                 if (!n_out) {
-                    if (measuring)
-                        ck->a_oc[rid] += occupied[rid];
+                    ck->a_oc[rid] += occupied[rid];
                     continue;
                 }
                 i64 ngr = 0;
@@ -1211,10 +1210,8 @@ static i64 cycle_body(CK *ck, i64 measuring) {
                             seq);
                         if (rc)
                             ERR3(rc, rid, op, 0);
-                        if (measuring) {
-                            used_mask |= 1ll << op;
-                            ck->lf[rpo2]++;
-                        }
+                        used_mask |= 1ll << op;
+                        ck->lf[rpo2]++;
                     }
                     if (is_tail) {
                         st_pid[lane] = -1;
@@ -1241,8 +1238,7 @@ static i64 cycle_body(CK *ck, i64 measuring) {
                     used_mask &= used_mask - 1;
                     ck->lb[base + port]++;
                 }
-                if (measuring)
-                    ck->a_oc[rid] += occupied[rid];
+                ck->a_oc[rid] += occupied[rid];
             }
         }
     }
@@ -1252,13 +1248,9 @@ static i64 cycle_body(CK *ck, i64 measuring) {
 }
 
 /* One cycle, traffic offered by the caller; returns the completion-log
- * row count (or a negative error code).  Refused while a ck_run left a
- * cycle's body pending: only ck_run resumes it, and a body run here
- * would leave the next ck_run to skip one cycle's injections. */
-i64 ck_step(CK *ck, i64 measuring) {
-    if (ck->body_pending)
-        ERR3(E_BODY_PENDING, ck->cycle, 0, 0);
-    i64 rc = cycle_body(ck, measuring);
+ * row count (or a negative error code). */
+i64 ck_step(CK *ck) {
+    i64 rc = cycle_body(ck);
     return rc < 0 ? rc : ck->log.len / LOG_WIDTH;
 }
 
@@ -1273,13 +1265,13 @@ enum { PAT_UNIFORM = 0, PAT_CHOICE = 1, PAT_FIXED = 2 };
  * marked measured (-1: none are).  Per cycle, per node in ascending order
  * -- exactly runner._offer_load: fires, then the destination draw, then the
  * packet record (ids from next_pid up) and the source-queue push; then the
- * cycle itself.  When the first measured packet is born while `measuring`
- * is 0, the call returns after that cycle's injections and before its body
- * with S_BODY_PENDING set, so the caller can open the measurement window;
- * the next call starts with that body.  The RNG streams and the ON/OFF
- * machines are left where the last draw put them.  Returns the whole
- * cycles run (or a negative error code); S_BORN holds the packets made. */
-i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 created,
+ * cycle itself.  The birth of creation index measure_from returns the call
+ * after that cycle's injections and before its body with S_BODY_PENDING
+ * set, so the caller can open the measurement window; the next call
+ * starts with that body.  The RNG streams and the ON/OFF machines are left
+ * where the last draw put them.  Returns the whole cycles run (or a
+ * negative error code); S_BORN holds the packets made. */
+i64 ck_run(CK *ck, i64 max_cycles, i64 created,
            i64 measure_from, i64 birth_budget, i64 need_measured,
            i64 next_pid, i64 nflits, i64 inj_kind, i64 pat_kind) {
     const i64 n = ck->nnodes;
@@ -1332,9 +1324,9 @@ i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 created,
                 ck_set_packet(ck, h, next_pid++, node, dst, nflits, -1, -1, 0,
                               ck->cycle, measured);
                 ck->srcw[node >> 6] |= 1ull << (node & 63);
+                opens |= created == measure_from;
                 ck->born++;
                 created++;
-                opens |= measured && !measuring;
             }
             if (opens) {
                 ck->body_pending = 1;
@@ -1342,7 +1334,7 @@ i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 created,
             }
         }
         ck->body_pending = 0;
-        i64 rc = cycle_body(ck, measuring);
+        i64 rc = cycle_body(ck);
         if (rc < 0)
             return rc;
         done++;
@@ -1359,8 +1351,8 @@ i64 ck_run(CK *ck, i64 max_cycles, i64 measuring, i64 created,
  * The static tensors are not in it (ck_load expects the shape's image
  * to be written already); neither is the span source, which is handed
  * back to Python before an image is taken, nor the completion log,
- * which the wrapper empties after every call, nor body_pending: the
- * wrapper refuses an image while a cycle's body is pending. */
+ * which the wrapper empties after every call, nor body_pending, which
+ * never outlives one CKernel.run. */
 enum { IMG_HEADER = 7, IMG_SCALARS = 4, PK_FIELDS = 10 };
 
 /* memcpy of n ints that may come from (or go to) a buffer never grown */

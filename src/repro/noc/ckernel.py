@@ -27,17 +27,18 @@ runs over a flat integer arena; this module owns everything around it:
   ``ck_load`` finds rewritten from the shape) plus the handle table, so
   a checkpoint of a ``"c"`` run never builds a router.  What stays on
   the Python side is what the arena cannot hold: the handle table (C
-  knows packets as integers) and the
-  :class:`~repro.noc.stats.RouterActivity` objects the C counters are
-  added onto by :meth:`Network.sync_stats`.
+  knows packets as integers) and the network's counter totals the C
+  counters are added onto by :meth:`Network.sync_stats`.  The kernel
+  counts every cycle; it never knows whether a measurement window is
+  open.
 * **spans** -- :meth:`CKernel.run` advances a whole :class:`Span` of
   cycles with the open-loop traffic source inside the C loop
-  (``ck_run``): C marks the births that fall in the measurement window
-  and, when the first of them is born before the window is open, the
-  span returns between the injections and the body of that cycle.  The
-  run driver opens the window there, and its next span starts with the
-  pending body (per-cycle stepping and the arena image refuse while a
-  body is pending).  A span ends
+  (``ck_run``): C marks the births from creation index
+  ``measure_from`` on as measured and stops between the injections and
+  the body of the cycle that births the first of them; there
+  :meth:`CKernel.run` calls the span's ``open_window`` (the run driver
+  opens the measurement window) and resumes with the pending body, so
+  no caller ever sees a half-run cycle.  A span ends
   before a cycle that could overshoot its birth budget, so the last
   packets of a run's target are born on the per-cycle loop.  The run's
   ``random.Random``, the per-node Pareto streams and the ON/OFF machines
@@ -89,7 +90,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.noc.flit import Packet
 
@@ -198,8 +199,8 @@ def _bind(lib: ctypes.CDLL) -> None:
     sig("ck_arr", p_i64, void_p, i64)
     sig("ck_get", i64, void_p, i64)
     sig("ck_set", None, void_p, i64, i64)
-    sig("ck_step", i64, void_p, i64)
-    sig("ck_run", i64, void_p, *([i64] * 10))
+    sig("ck_step", i64, void_p)
+    sig("ck_run", i64, void_p, *([i64] * 9))
     sig("ck_rng_words", void_p, void_p, i64)
     sig("ck_source_f64", ctypes.POINTER(ctypes.c_double), void_p)
     sig("ck_span_reserve", i64, void_p, i64, i64)
@@ -390,8 +391,6 @@ _ERRORS = {
     -9: (ValueError, "arena image refused at word {a} (read {b}, expected "
                      "{c}): another kernel source, network shape or a "
                      "truncated image"),
-    -10: (RuntimeError, "cycle {a} stepped per cycle while a span left its "
-                        "body pending: resume it with a span first"),
 }
 
 _INJECTOR_KINDS = {"bernoulli": 0, "pareto": 1}
@@ -500,11 +499,12 @@ class Span:
     ``need_measured`` measured packets have finished -- whichever comes
     first; ``None`` lifts either of the last two.  ``created`` packets
     exist when the span starts; births from creation index
-    ``measure_from`` on are measured (``None``: none are).  When the
-    first of them is born while the network is not measuring, the span
-    returns after that cycle's injections and before its body: the
-    caller opens the measurement window, and the next span runs the
-    pending body first."""
+    ``measure_from`` on are measured (``None``: none are).  The birth of
+    creation index ``measure_from`` calls ``open_window`` (if given)
+    after that cycle's injections and before its body, with the
+    network's cycle, counters and packet count brought up to there; it
+    returns how many more cycles the span may run (at least 1, the
+    pending cycle), and the span carries on."""
 
     source: SpanSource
     max_cycles: int
@@ -512,6 +512,7 @@ class Span:
     measure_from: Optional[int] = None
     birth_budget: Optional[int] = None
     need_measured: Optional[int] = None
+    open_window: Optional[Callable[[], int]] = None
 
 
 class CKernel:
@@ -676,13 +677,7 @@ class CKernel:
 
     def image(self) -> bytes:
         """The arena's dynamic state, as ``ck_dump`` lays it out (see
-        ``_ckernel.c``).  Refused while a span has left a cycle's body
-        pending: the image does not carry it."""
-        if self.lib.ck_get(self._ck, S_BODY_PENDING):
-            raise RuntimeError(
-                f"no arena image while a span has left the body of cycle "
-                f"{self.net.cycle} pending: resume it with a span first"
-            )
+        ``_ckernel.c``)."""
         lib, ck = self.lib, self._ck
         buffer = ctypes.create_string_buffer(8 * lib.ck_image_size(ck))
         lib.ck_dump(ck, lib.source_key, buffer)
@@ -707,7 +702,7 @@ class CKernel:
         self._refuse_while_lent("step()")
         net = self.net
         cycle = net.cycle
-        rows = self.lib.ck_step(self._ck, 1 if net.measuring else 0)
+        rows = self.lib.ck_step(self._ck)
         if rows < 0:
             self._raise_error(rows)
         if rows:
@@ -722,8 +717,6 @@ class CKernel:
                     self._let_go(h, packet)
                 _mirror(packet, hops, lanes, injected)
                 complete(packet, cycle)
-        if net.measuring:
-            net._stats.measured_cycles += 1
         net.cycle = cycle + 1
 
     def run(self, span: Span) -> Tuple[int, int]:
@@ -732,19 +725,34 @@ class CKernel:
 
         Only valid while nothing needs a per-packet Python callback
         (:meth:`Network.span_blocker` is the gate)."""
+        kinds = self._lend(span.source)
+        ran, born = self._advance(span, span.max_cycles, span.created, kinds)
+        if self.lib.ck_get(self._ck, S_BODY_PENDING):
+            # The birth of creation index measure_from: the window opens
+            # before this cycle's body, which the second call runs first.
+            room = span.max_cycles - ran
+            if span.open_window is not None:
+                room = min(room, span.open_window())
+            more, born_more = self._advance(
+                span, room, span.created + born, kinds
+            )
+            ran, born = ran + more, born + born_more
+        return ran, born
+
+    def _advance(self, span: Span, max_cycles: int, created: int,
+                 kinds: Tuple[int, int]) -> Tuple[int, int]:
+        """One ``ck_run`` of ``span`` from ``created`` packets, its cycles,
+        births and completions brought onto the network."""
         net = self.net
         lib = self.lib
         ck = self._ck
-        kinds = self._lend(span.source)
-        stats = net._stats
-        first, measure_from = span.created, span.measure_from
+        measure_from = span.measure_from
         limits = [
             -1 if limit is None else limit
             for limit in (measure_from, span.birth_budget, span.need_measured)
         ]
-        measuring = net.measuring
         ran = lib.ck_run(
-            ck, span.max_cycles, measuring, first, *limits,
+            ck, max_cycles, created, *limits,
             net.next_packet_id, net._default_packet_flits, *kinds,
         )
         if ran < 0:
@@ -753,16 +761,14 @@ class CKernel:
         net.next_packet_id += born
         net.packets_in_flight += born
         net.cycle += ran
-        if measuring:
-            stats.measured_cycles += ran
-        self._reduce_log(measuring)
+        self._reduce_log()
         if measure_from is not None:
-            stats.packets_offered += max(
-                0, first + born - max(first, measure_from)
+            net._stats.packets_offered += max(
+                0, created + born - max(created, measure_from)
             )
         return ran, born
 
-    def _reduce_log(self, measuring: bool) -> None:
+    def _reduce_log(self) -> None:
         """Empty the completion log a span left: counters by arithmetic
         over whole columns, the measured rows into the latency sample."""
         lib = self.lib
@@ -795,9 +801,8 @@ class CKernel:
         lib.ck_set(ck, S_NLOG, 0)
         net.packets_in_flight -= rows
         net.total_delivered += rows
-        if measuring:
-            stats.window_packet_deliveries += rows
-            stats.window_flit_deliveries += flits_done
+        net._clean_packets += rows
+        net._clean_flits += flits_done
 
     def _release_held(self, columns: List[list], classes: List[str]) -> None:
         """Finish the Packet objects among a chunk of completion-log rows
@@ -934,11 +939,12 @@ class CKernel:
 
     # -- activity & link-stat flushing ------------------------------------
     def flush_activity(self) -> None:
-        """Add the C-side activity and link counters onto the shared
-        RouterActivity objects and the stats dictionaries, zeroing the C
-        side (:meth:`Network.sync_stats` calls this)."""
+        """Add the C-side activity and link counters onto the network's
+        totals -- its RouterActivity objects and per-port link counts --
+        zeroing the C side (:meth:`Network.sync_stats` calls this)."""
         R, P, RP = self.R, self.P, self.RP
-        activities = self.net._activities
+        net = self.net
+        activities = net._activities
         for aid, field in _ACTIVITY_FIELDS:
             counts = self._view(aid, R)
             for rid, count in enumerate(counts[:]):
@@ -946,12 +952,10 @@ class CKernel:
                     activity = activities[rid]
                     setattr(activity, field, getattr(activity, field) + count)
             ctypes.memset(counts, 0, ctypes.sizeof(counts))
-        stats = self.net._stats
-        for aid, dest in ((A_LF, stats.link_flits),
-                          (A_LB, stats.link_busy_cycles)):
+        for aid, totals in ((A_LF, net._link_flits),
+                            (A_LB, net._link_busy)):
             counts = self._view(aid, RP)
             for rp, count in enumerate(counts[:]):
                 if count:
-                    key = (rp // P, rp % P)
-                    dest[key] = dest.get(key, 0) + count
+                    totals[rp // P][rp % P] += count
             ctypes.memset(counts, 0, ctypes.sizeof(counts))

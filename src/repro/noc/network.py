@@ -20,7 +20,14 @@ cycle it is produced):
 3. RC + VC allocation at every router holding flits;
 4. switch allocation + traversal; departures are scheduled onto links and
    ejections are consumed;
-5. occupancy sampling (measurement window only).
+5. occupancy sampling.
+
+Every counter -- the routers' activities, per-channel link flits and busy
+cycles, clean deliveries -- runs from construction on both kernels; the
+kernels never ask whether a measurement window is open.  A window is the
+difference of two :meth:`Network.counters` snapshots, and
+:meth:`Network.begin_measurement` / :meth:`Network.end_measurement` take
+the measurement window's two.
 
 The object-model cycle loop is *event-driven*: the network keeps an
 **active set** of router ids (routers holding at least one buffered flit)
@@ -68,12 +75,24 @@ from repro.noc.link import Link, link_width_between
 from repro.noc.router import Grant, Router
 from repro.noc.routing import Routing, minimal_routing_for
 from repro.noc.stats import (
+    Counters,
     LatencyRecord,
     NetworkStats,
     RouterActivity,
     decompose_latency,
 )
 from repro.noc.topology import Topology
+
+
+def _nonzero_ports(totals: List[List[int]]) -> Dict[Tuple[int, int], int]:
+    """``(router, port) -> count`` over per-router port counts, the ports
+    that counted anything only."""
+    return {
+        (rid, port): count
+        for rid, row in enumerate(totals)
+        for port, count in enumerate(row)
+        if count
+    }
 
 
 class _SourceState:
@@ -247,13 +266,20 @@ class Network:
             topology, self.router_configs, self.config
         )
         self.flit_width = shape.flit_width
-        #: the routers' activity counters, owned here from construction so
-        #: that measurement windows, stats and the compiled kernel's
-        #: flushes never need a :class:`Router`.
+        #: the live counter totals (see :meth:`counters`), owned here from
+        #: construction so that windows, stats and the compiled kernel's
+        #: flushes never need a :class:`Router`: the routers' activities,
+        #: flits and busy cycles per output port, clean deliveries.
         self._activities = [
             RouterActivity(buffer_capacity_flits=capacity)
             for capacity in shape.capacity
         ]
+        self._link_flits = [[0] * ports for ports in shape.num_ports]
+        self._link_busy = [[0] * ports for ports in shape.num_ports]
+        self._clean_packets = 0
+        self._clean_flits = 0
+        #: the counters :meth:`begin_measurement` took, if it has run.
+        self._window_start: Optional[Counters] = None
         #: the object model; :attr:`routers` builds it on first access.
         self._routers: Optional[List[Router]] = None
 
@@ -262,10 +288,9 @@ class Network:
         self._arrivals: Dict[int, List[Tuple[int, int, int, Flit]]] = {}
         # credit events: (router, port, vc, release_vc_too)
         self._credits: Dict[int, List[Tuple[int, int, int, bool]]] = {}
-        self._stats = NetworkStats(topology.num_routers, topology.num_nodes)
-        # The stats object aggregates the routers' live activity counters.
-        self._stats.router_activity = list(self._activities)
-        self._stats.link_lanes.update(shape.link_lanes)
+        self._stats = self._fresh_stats()
+        #: whether the measurement window is open (packets made now are
+        #: measured by closed-loop drivers); no kernel reads it.
         self.measuring = False
         self.packets_in_flight = 0
         #: id of the next packet this network creates (:meth:`make_packet`,
@@ -571,45 +596,61 @@ class Network:
         self.watchdog = None
 
     def sync_stats(self) -> None:
-        """Bring the compiled kernel's activity and link counters onto
-        :attr:`stats` (and the routers' activities) so they can be read
-        mid-run; a no-op on the event kernel, which counts there."""
+        """Bring the compiled kernel's activity and link counters onto the
+        network's totals so they can be read mid-run; a no-op on the
+        event kernel, which counts there."""
         if self._ck is not None:
             self._ck.flush_activity()
 
-    def begin_measurement(self) -> None:
-        """Open the measurement window: snapshot event counters so that
-        utilization and power cover exactly the window."""
+    def counters(self) -> Counters:
+        """A copy of every always-on counter as it stands now; a window is
+        the :meth:`~repro.noc.stats.Counters.since` of two of them."""
         self.sync_stats()
-        self._activity_snapshot = [a.snapshot() for a in self._activities]
+        return Counters(
+            self.cycle,
+            [activity.snapshot() for activity in self._activities],
+            _nonzero_ports(self._link_flits),
+            _nonzero_ports(self._link_busy),
+            self._clean_packets,
+            self._clean_flits,
+        )
+
+    def begin_measurement(self) -> None:
+        """Open the measurement window: record its opening cycle and
+        counters."""
+        self._window_start = self.counters()
+        self._stats.start_cycle = self.cycle
         self.measuring = True
 
     def end_measurement(self) -> None:
-        """Close the window and freeze its activity deltas into the stats."""
-        self.sync_stats()
+        """Close the window and freeze its counters into :attr:`stats`:
+        the cycles, activity deltas, the channels that moved and the
+        clean deliveries since :meth:`begin_measurement`."""
         self.measuring = False
-        snapshot = getattr(self, "_activity_snapshot", None)
-        if snapshot is None:
+        if self._window_start is None:
             raise RuntimeError("end_measurement() without begin_measurement()")
-        self._stats.router_activity = [
-            activity.delta_since(start)
-            for activity, start in zip(self._activities, snapshot)
-        ]
+        window = self.counters().since(self._window_start)
+        stats = self._stats
+        stats.end_cycle = self.cycle
+        stats.measured_cycles = window.cycle
+        stats.router_activity = window.activities
+        stats.link_flits = window.link_flits
+        stats.link_busy_cycles = window.link_busy
+        stats.window_packet_deliveries = window.packets
+        stats.window_flit_deliveries = window.flits
 
     def reset_stats(self) -> None:
-        """Start a fresh measurement window (counters and records only)."""
-        self.sync_stats()  # onto the activities and stats discarded below
-        self._stats = NetworkStats(
-            self.topology.num_routers, self.topology.num_nodes
-        )
-        self._stats.link_lanes.update(self._shape.link_lanes)
-        self._activities = [
-            RouterActivity(buffer_capacity_flits=capacity)
-            for capacity in self._shape.capacity
-        ]
-        for router, activity in zip(self._routers or (), self._activities):
-            router.activity = activity
-        self._stats.router_activity = list(self._activities)
+        """Start a fresh record: new latency records and no measurement
+        window; the counters run on."""
+        self._stats = self._fresh_stats()
+        self._window_start = None
+
+    def _fresh_stats(self) -> NetworkStats:
+        stats = NetworkStats(self.topology.num_routers, self.topology.num_nodes)
+        stats.link_lanes.update(self._shape.link_lanes)
+        # Until a window closes, the activities read live.
+        stats.router_activity = list(self._activities)
+        return stats
 
     def make_packet(
         self,
@@ -691,11 +732,9 @@ class Network:
 
         With a :class:`~repro.noc.ckernel.Span` the compiled kernel
         advances the whole span and ``(cycles run, packets created)``
-        comes back; callers check :meth:`span_blocker` first.  A span
-        that births the first measured packet while the window is closed
-        returns before that cycle's body: the caller opens the window
-        (:meth:`begin_measurement`) and steps a span again, which runs
-        the pending body first.
+        comes back; callers check :meth:`span_blocker` first.  The span's
+        ``open_window`` runs, inside it, where the first measured packet
+        is born; the span returns with every cycle it ran whole.
         """
         if span is not None:
             blocker = self.span_blocker()
@@ -736,12 +775,10 @@ class Network:
                 grants = router.allocate_switch(cycle)
                 if grants:
                     self._transport(router, grants, cycle)
-        if self.measuring:
-            self._stats.measured_cycles += 1
-            # Inactive routers hold zero flits and would add zero to their
-            # occupancy integral; sampling only the live ones is exact.
-            for router in live:
-                router.activity.occupancy_integral += router.occupied_flits
+        # Inactive routers hold zero flits and would add zero to their
+        # occupancy integral; sampling only the live ones is exact.
+        for router in live:
+            router.activity.occupancy_integral += router.occupied_flits
         if self._tracing:
             self.obs.on_cycle_end(cycle, self.measuring)
         if self.watchdog is not None:
@@ -893,8 +930,6 @@ class Network:
     ) -> None:
         rid = router.router_id
         obs = self.obs if self._tracing else None
-        measuring = self.measuring
-        track_links = measuring or obs is not None
         faults = self.faults
         merging = self._merging
         is_ejection = router.is_ejection
@@ -903,8 +938,8 @@ class Network:
         arrivals = self._arrivals
         credits = self._credits
         credit_when = cycle + self._credit_delay
-        stats = self._stats
-        used_ports = set() if track_links else None
+        link_flits = self._link_flits[rid]
+        used_ports = set()
         for grant in grants:
             router.commit_grant(grant)
             if obs is not None:
@@ -951,13 +986,8 @@ class Network:
                         rid, out_port, link.dst_router, link.dst_port,
                         flit, cycle,
                     )
-                if track_links:
-                    used_ports.add(out_port)
-                    if measuring:
-                        key = (rid, out_port)
-                        stats.link_flits[key] = (
-                            stats.link_flits.get(key, 0) + 1
-                        )
+                used_ports.add(out_port)
+                link_flits[out_port] += 1
             # Credit for the freed input slot returns to the upstream router
             # (injection from the local node needs none: the source reads
             # buffer occupancy directly).
@@ -973,14 +1003,9 @@ class Network:
                         (upstream[0], upstream[1], grant.in_vc, flit.is_tail)
                     )
         if used_ports:
+            link_busy = self._link_busy[rid]
             for port in used_ports:
-                if measuring:
-                    key = (rid, port)
-                    stats.link_busy_cycles[key] = (
-                        stats.link_busy_cycles.get(key, 0) + 1
-                    )
-                if obs is not None:
-                    obs.on_link_busy(rid, port, cycle)
+                link_busy[port] += 1
 
     def _complete_packet(self, packet: Packet, cycle: int) -> None:
         packet.received_at = cycle
@@ -994,9 +1019,8 @@ class Network:
             if self.on_delivery is not None:
                 self.on_delivery(packet, cycle)
             return
-        if self.measuring:
-            self._stats.window_packet_deliveries += 1
-            self._stats.window_flit_deliveries += packet.num_flits
+        self._clean_packets += 1
+        self._clean_flits += packet.num_flits
         if packet.measured:
             self._stats.record_packet(self._latency_record(packet))
         if self.obs is not None:

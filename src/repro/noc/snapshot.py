@@ -52,8 +52,10 @@ import struct
 #: the pickled ``Network`` holds its routers as ``_routers``, built on
 #: demand, and its activity counters, and leaves its shape to the memo;
 #: v7: a ``"c"`` network holds its live kernel, pickled as its arena
-#: image and packet-handle table, instead of routers synced from it).
-SNAPSHOT_VERSION = 7
+#: image and packet-handle table, instead of routers synced from it;
+#: v8: the pickled ``Network`` holds its always-on link and delivery
+#: counter totals and the counters its measurement window opened at).
+SNAPSHOT_VERSION = 8
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)
@@ -83,9 +85,7 @@ def capture(network):
     kernel, which is why the driver's ``random.Random`` and injector must
     be pickled after it.  Nothing else moves: a live compiled kernel
     stays live and pickles as its arena image, so taking a checkpoint
-    never perturbs the ongoing run and never builds a router.  Pickling a
-    network whose last span left a cycle's body pending raises
-    ``RuntimeError``: the arena image does not carry that body.
+    never perturbs the ongoing run and never builds a router.
     """
     if network.obs is not None:
         raise SnapshotError(

@@ -15,6 +15,12 @@ The collector also integrates per-router buffer occupancy and per-channel
 link usage (the Figure 1 heat maps) and counts the micro-events (buffer
 reads/writes, crossbar traversals, arbitrations, link flit-traversals) that
 the power model (:mod:`repro.core.power`) converts into Watts.
+
+Those counters run from the moment a network is built, on every kernel;
+a window over them -- the measurement window, a sampler window, a
+:class:`~repro.obs.metrics.KernelMetrics` attachment -- is the
+difference of two :class:`Counters` snapshots
+(:meth:`Network.counters() <repro.noc.network.Network.counters>`).
 """
 
 from __future__ import annotations
@@ -236,8 +242,52 @@ class RouterActivity:
         )
 
 
+def _positive_delta(
+    now: Dict[Tuple[int, int], int], start: Dict[Tuple[int, int], int]
+) -> Dict[Tuple[int, int], int]:
+    return {
+        key: count - start.get(key, 0)
+        for key, count in now.items()
+        if count > start.get(key, 0)
+    }
+
+
+@dataclass
+class Counters:
+    """A network's always-on counters at one cycle.
+
+    ``link_flits`` / ``link_busy`` map ``(src_router, src_port)`` to the
+    flits a channel carried and the cycles it carried at least one;
+    ``packets`` / ``flits`` count the clean (uncorrupted) deliveries.
+    """
+
+    cycle: int
+    activities: List[RouterActivity]
+    link_flits: Dict[Tuple[int, int], int]
+    link_busy: Dict[Tuple[int, int], int]
+    packets: int
+    flits: int
+
+    def since(self, start: "Counters") -> "Counters":
+        """The window from ``start`` to this snapshot: ``cycle`` is its
+        length, the link dicts hold the channels that moved."""
+        return Counters(
+            self.cycle - start.cycle,
+            [
+                now.delta_since(then)
+                for now, then in zip(self.activities, start.activities)
+            ],
+            _positive_delta(self.link_flits, start.link_flits),
+            _positive_delta(self.link_busy, start.link_busy),
+            self.packets - start.packets,
+            self.flits - start.flits,
+        )
+
+
 class NetworkStats:
-    """Accumulates measurements over a simulation's measurement window."""
+    """The measured packets' latency records, and the counters of the
+    measurement window once it has closed (:meth:`Network.end_measurement
+    <repro.noc.network.Network.end_measurement>` freezes them here)."""
 
     def __init__(self, num_routers: int, num_nodes: int) -> None:
         self.num_routers = num_routers
@@ -260,6 +310,8 @@ class NetworkStats:
         # is the "accepted traffic" throughput numerator.
         self.window_packet_deliveries: int = 0
         self.window_flit_deliveries: int = 0
+        # The cycles the measurement window opened and closed at;
+        # ``measured_cycles`` is their difference.
         self.start_cycle: Optional[int] = None
         self.end_cycle: Optional[int] = None
         # Set by the run driver when the drain phase hit its cycle cap

@@ -13,9 +13,8 @@ makes that concentration a measurable artifact.  An
   fault-free run).
 
 Build one from a live :class:`~repro.obs.metrics.KernelMetrics`
-(:func:`attribute_metrics`, whole-run accounting) or from
-:class:`~repro.noc.stats.NetworkStats` (:func:`attribute_stats`,
-measurement-window accounting, conservation unchecked).  Render with
+(:func:`attribute_metrics`, accounting since the metrics were made), or
+read one back with :meth:`AttributionReport.read_json`.  Render with
 ``python -m repro.obs.heatmap`` or export via :meth:`write_json` /
 :meth:`write_csv`.
 """
@@ -32,7 +31,6 @@ from repro.obs.replay import write_json, write_rows
 __all__ = [
     "AttributionReport",
     "attribute_metrics",
-    "attribute_stats",
     "PORT_NAMES",
 ]
 
@@ -52,7 +50,7 @@ class AttributionReport:
     width: int
     height: int
     cycles: int
-    source: str  # "metrics" (whole run) or "stats" (measurement window)
+    source: str  # "metrics": built by attribute_metrics
     # (src_router, src_port) -> flits carried / busy cycles.
     link_flits: Dict[Tuple[int, int], int] = field(default_factory=dict)
     link_busy: Dict[Tuple[int, int], int] = field(default_factory=dict)
@@ -72,7 +70,7 @@ class AttributionReport:
     @property
     def conserved(self) -> Optional[bool]:
         """Flit-conservation verdict; ``None`` when not computable
-        (stats-window reports never are)."""
+        (a report read back without ``expected_link_flits``)."""
         if self.expected_link_flits is None:
             return None
         return self.link_flits_total == self.expected_link_flits
@@ -296,43 +294,4 @@ def attribute_metrics(metrics) -> AttributionReport:
         report.arbitration_conflicts[row["router"]] = (
             row["arbitration_conflicts"]
         )
-    return report
-
-
-def attribute_stats(network) -> AttributionReport:
-    """Measurement-window attribution from ``network.stats``.
-
-    Uses the always-on :class:`~repro.noc.stats.NetworkStats` counters, so
-    it needs no observer -- but it only covers the measurement window and
-    per-pair matrices come from the latency records (measured packets
-    only).  Conservation is not checked (in-flight flits at the window
-    edges make it meaningless).
-    """
-    stats = network.stats
-    width, height = _mesh_shape(network)
-    report = AttributionReport(
-        width=width,
-        height=height,
-        cycles=stats.measured_cycles,
-        source="stats",
-        link_flits=dict(stats.link_flits),
-        link_busy=dict(stats.link_busy_cycles),
-        flits_delivered=stats.flits_delivered,
-        packets_delivered=stats.packets_delivered,
-        link_flits_total=sum(stats.link_flits.values()),
-        expected_link_flits=None,
-    )
-    for record in stats.records:
-        key = (record.src, record.dst)
-        report.pair_flits[key] = (
-            report.pair_flits.get(key, 0) + record.num_flits
-        )
-        report.pair_packets[key] = report.pair_packets.get(key, 0) + 1
-    for router_id, activity in enumerate(stats.router_activity):
-        if activity.credit_stalls:
-            report.credit_stalls[router_id] = activity.credit_stalls
-        if activity.arbitration_conflicts:
-            report.arbitration_conflicts[router_id] = (
-                activity.arbitration_conflicts
-            )
     return report

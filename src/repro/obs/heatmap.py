@@ -70,7 +70,7 @@ def render_report(report: AttributionReport, top_k: int = 10) -> str:
     if report.conserved is None:
         lines.append(
             f"link flits total: {report.link_flits_total} "
-            "(conservation not checked for window reports)"
+            "(conservation not recorded in this report)"
         )
     else:
         verdict = "OK" if report.conserved else "VIOLATED"

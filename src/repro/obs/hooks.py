@@ -14,7 +14,6 @@ hook                      fired when
 ``on_vc_allocated``       a head flit wins a downstream virtual channel
 ``on_switch_grant``       a flit wins switch allocation (one per grant)
 ``on_link_traversal``     a flit departs onto an inter-router link
-``on_link_busy``          an output channel carried >= 1 flit this cycle
 ``on_flit_ejected``       a flit leaves the network at its destination
 ``on_packet_delivered``   a tail flit ejects; the packet is complete
 ``on_cycle_end``          the network finished one clock cycle
@@ -26,9 +25,11 @@ Each hook has a listener among the product observers
 it that way.
 
 Hooks fire regardless of the measurement window; an observer that cares
-filters on the ``measuring`` flag itself.  What
-:class:`~repro.noc.stats.NetworkStats` already counts needs no hook: the
-time-series sampler reads it at window boundaries.
+filters on the ``measuring`` flag itself.  What the network counts on
+every kernel anyway -- router activity, per-channel flits and busy
+cycles, cycles, clean deliveries -- needs no hook: the time-series
+sampler and :class:`~repro.obs.metrics.KernelMetrics` take windows over
+:meth:`Network.counters() <repro.noc.network.Network.counters>`.
 
 All callbacks take plain positional arguments -- no per-event object is
 allocated -- so an attached observer costs one method call per event.
@@ -84,10 +85,6 @@ class Observer:
     ) -> None:
         """``flit`` departed ``(src_router, src_port)`` onto the link toward
         ``(dst_router, dst_port)``."""
-
-    def on_link_busy(self, router_id: int, port: int, cycle: int) -> None:
-        """Output channel ``(router_id, port)`` carried at least one flit
-        during ``cycle`` (at most one event per channel per cycle)."""
 
     def on_flit_ejected(
         self, router_id: int, port: int, flit, cycle: int
@@ -156,10 +153,6 @@ class CompositeObserver(Observer):
             child.on_link_traversal(
                 src_router, src_port, dst_router, dst_port, flit, cycle
             )
-
-    def on_link_busy(self, router_id: int, port: int, cycle: int) -> None:
-        for child in self.children:
-            child.on_link_busy(router_id, port, cycle)
 
     def on_flit_ejected(
         self, router_id: int, port: int, flit, cycle: int

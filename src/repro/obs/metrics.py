@@ -4,8 +4,11 @@ Three primitive instruments -- :class:`Counter`, :class:`Gauge`,
 :class:`Histogram` -- live in a :class:`MetricsRegistry` keyed by
 ``(name, labels)``.  :class:`KernelMetrics` is an
 :class:`~repro.obs.hooks.Observer` that wires the registry into the
-event-driven kernel: per-link and per-VC flit counts, per-pair (src, dst)
-traffic matrices, sampled buffer occupancy, and active-set size.
+event-driven kernel: per-VC flit counts, per-pair (src, dst) traffic
+matrices, sampled buffer occupancy, and active-set size.  What the
+network counts anyway -- per-link flits and busy cycles, cycles, router
+contention -- it does not count again: those are a window over the
+network's counters, opened when the metrics object is made.
 
 The disabled fast path is the simulator's existing null-object discipline:
 metrics are "off" when no observer is attached (``Network.obs is None``),
@@ -18,10 +21,12 @@ Counter bumps on the hot hooks go through cached :class:`Counter` objects
 held in tuple-keyed dicts, so the per-event cost is one dict probe plus one
 attribute increment -- no label hashing or string formatting per event.
 
-Credit stalls and arbitration conflicts are *not* hook-driven: the router
-counts them unconditionally in :class:`~repro.noc.stats.RouterActivity`
-(they live on rare fall-through branches, so the always-on cost is noise),
-and :meth:`KernelMetrics.snapshot` reads the delta since attach.
+The window is the difference of two
+:meth:`~repro.noc.network.Network.counters` snapshots -- the one taken
+in ``__init__`` and the current one -- so it keeps counting after a
+detach, and a network that has run before, or has its stats reset by
+:func:`~repro.traffic.runner.run_synthetic`, reports only the cycles
+since the metrics were made.
 """
 
 from __future__ import annotations
@@ -277,11 +282,12 @@ class KernelMetrics(Observer):
     """Observer that populates a :class:`MetricsRegistry` from kernel events.
 
     Attach with ``network.attach_observer(metrics)`` (or via
-    :func:`repro.obs.observe` with ``metrics=True``).  Counts *all* traffic,
-    not just the measurement window, so flit conservation is exact: every
-    flit of every delivered packet crosses exactly ``hops`` links, hence
-    ``total link flits == sum(num_flits * hops)`` once the network is idle
-    (fault-free runs; corrupted deliveries skip ``on_packet_delivered``).
+    :func:`repro.obs.observe` with ``metrics=True``).  Counts *all* traffic
+    since it was made, not just the measurement window, so flit
+    conservation is exact: every flit of every delivered packet crosses
+    exactly ``hops`` links, hence ``total link flits == sum(num_flits *
+    hops)`` once the network is idle (attached throughout, fault-free
+    runs; corrupted deliveries skip ``on_packet_delivered``).
 
     Buffer occupancy and the active-set size are sampled every
     :attr:`sample_every` cycles.
@@ -293,14 +299,14 @@ class KernelMetrics(Observer):
     def __init__(self, network) -> None:
         self.network = network
         self.registry = MetricsRegistry()
-        self.cycles = 0
+        #: the network's counters when the metrics were made.
+        self._origin = network.counters()
         reg = self.registry
         self._injected = reg.counter("kernel.flits_injected")
         self._enqueued = reg.counter("kernel.packets_offered")
         self._delivered_packets = reg.counter("kernel.packets_delivered")
         self._delivered_flits = reg.counter("kernel.flits_delivered")
         self._expected_link_flits = reg.counter("kernel.expected_link_flits")
-        self._total_link_flits = reg.counter("kernel.link_flits_total")
         self._occupancy_hist = reg.histogram(
             "kernel.buffer_occupancy_flits", _OCCUPANCY_BUCKETS
         )
@@ -314,15 +320,9 @@ class KernelMetrics(Observer):
         self._occupancy_gauge = reg.gauge("kernel.buffer_occupancy_now")
         self._active_gauge = reg.gauge("kernel.active_routers_now")
         # Hot-path caches: tuple key -> Counter, bumped via .value directly.
-        self._link: Dict[Tuple[int, int], Counter] = {}
-        self._link_busy: Dict[Tuple[int, int], Counter] = {}
         self._vc: Dict[Tuple[int, int, int], Counter] = {}
         self._pair_flits: Dict[Tuple[int, int], Counter] = {}
         self._pair_packets: Dict[Tuple[int, int], Counter] = {}
-        # Baseline for the credit-stall / arbitration-conflict deltas.
-        self._activity_base = [
-            r.activity.snapshot() for r in network.routers
-        ]
 
     # -- hot hooks -----------------------------------------------------------
     def on_packet_enqueued(self, packet, cycle: int) -> None:
@@ -344,28 +344,6 @@ class KernelMetrics(Observer):
             )
         counter.value += 1
 
-    def on_link_traversal(
-        self, src_router: int, src_port: int,
-        dst_router: int, dst_port: int, flit, cycle: int,
-    ) -> None:
-        key = (src_router, src_port)
-        counter = self._link.get(key)
-        if counter is None:
-            counter = self._link[key] = self.registry.counter(
-                "kernel.link_flits", router=src_router, port=src_port
-            )
-        counter.value += 1
-        self._total_link_flits.value += 1
-
-    def on_link_busy(self, router_id: int, port: int, cycle: int) -> None:
-        key = (router_id, port)
-        counter = self._link_busy.get(key)
-        if counter is None:
-            counter = self._link_busy[key] = self.registry.counter(
-                "kernel.link_busy_cycles", router=router_id, port=port
-            )
-        counter.value += 1
-
     def on_packet_delivered(self, packet, cycle: int) -> None:
         self._delivered_packets.value += 1
         self._delivered_flits.value += packet.num_flits
@@ -384,7 +362,6 @@ class KernelMetrics(Observer):
         self._pair_packets[key].value += 1
 
     def on_cycle_end(self, cycle: int, measuring: bool) -> None:
-        self.cycles += 1
         if cycle % self.sample_every == 0:
             network = self.network
             occupancy = sum(
@@ -397,13 +374,22 @@ class KernelMetrics(Observer):
             self._active_gauge.value = active
 
     # -- snapshots ------------------------------------------------------------
+    def _window(self):
+        """The network's counters since the metrics were made."""
+        return self.network.counters().since(self._origin)
+
+    @property
+    def cycles(self) -> int:
+        """Cycles simulated since the metrics were made."""
+        return self.network.cycle - self._origin.cycle
+
     def link_flits(self) -> Dict[Tuple[int, int], int]:
-        """``(src_router, src_port) -> flits`` carried since attach."""
-        return {key: c.value for key, c in self._link.items()}
+        """``(src_router, src_port) -> flits`` carried since made."""
+        return self._window().link_flits
 
     def link_busy(self) -> Dict[Tuple[int, int], int]:
         """``(src_router, src_port) -> cycles with >= 1 flit``."""
-        return {key: c.value for key, c in self._link_busy.items()}
+        return self._window().link_busy
 
     def vc_grants(self) -> Dict[Tuple[int, int, int], int]:
         """``(router, out_port, out_vc) -> grants``; ejection is vc ``-1``."""
@@ -417,18 +403,17 @@ class KernelMetrics(Observer):
         return {key: c.value for key, c in self._pair_packets.items()}
 
     def router_contention(self) -> List[dict]:
-        """Per-router credit stalls / arbitration conflicts since attach."""
-        rows = []
-        for router, base in zip(self.network.routers, self._activity_base):
-            delta = router.activity.delta_since(base)
-            rows.append({
-                "router": router.router_id,
+        """Per-router credit stalls / arbitration conflicts since made."""
+        return [
+            {
+                "router": router,
                 "credit_stalls": delta.credit_stalls,
                 "arbitration_conflicts": delta.arbitration_conflicts,
                 "buffer_writes": delta.buffer_writes,
                 "crossbar_traversals": delta.crossbar_traversals,
-            })
-        return rows
+            }
+            for router, delta in enumerate(self._window().activities)
+        ]
 
     @property
     def conserved(self) -> bool:
@@ -439,9 +424,12 @@ class KernelMetrics(Observer):
         only fault-free (corrupted deliveries never fire the delivery
         hook).
         """
-        return (
-            self._total_link_flits.value == self._expected_link_flits.value
-        )
+        return self.link_flits_total == self._expected_link_flits.value
+
+    @property
+    def link_flits_total(self) -> int:
+        """Link crossings since the metrics were made."""
+        return sum(self.link_flits().values())
 
     def snapshot(self) -> dict:
         """Everything as one JSON-ready dict."""
@@ -453,7 +441,7 @@ class KernelMetrics(Observer):
             "packets_delivered": self._delivered_packets.value,
             "flits_injected": self._injected.value,
             "flits_delivered": self._delivered_flits.value,
-            "link_flits_total": self._total_link_flits.value,
+            "link_flits_total": self.link_flits_total,
             "expected_link_flits": self._expected_link_flits.value,
             "conserved": self.conserved,
             "link_flits": [

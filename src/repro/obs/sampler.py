@@ -4,9 +4,10 @@
 one :class:`WindowSample` per fixed-width window of measured cycles, each
 holding the per-router buffer occupancy integral, the per-channel busy
 cycles, the deliveries and the measured latencies of that window.  It
-counts nothing itself: a window is the difference of the
-:class:`~repro.noc.stats.NetworkStats` counters between its two
-boundaries, so the windows add up to the end-of-run aggregates
+counts nothing itself: a window is the difference of the network's
+:meth:`~repro.noc.network.Network.counters` snapshots at its two
+boundaries, the measurement window is the same difference over the
+whole, so the windows add up to the end-of-run aggregates
 (``buffer_utilization`` / ``link_utilization``, window deliveries) by
 construction, on either kernel.
 
@@ -73,8 +74,7 @@ class TimeSeriesSampler:
     """Windowed utilization/latency/throughput series of one network.
 
     Args:
-        network: the network whose :class:`~repro.noc.stats.NetworkStats`
-            the windows are cut from.
+        network: the network whose counters the windows are cut from.
         window: sampling window width in measured cycles.
     """
 
@@ -90,20 +90,9 @@ class TimeSeriesSampler:
 
     # -- boundaries (called by the run driver) -------------------------------
     def _read(self) -> tuple:
-        """``(cycle, measured cycles, occupancy integrals, link busy
-        cycles, window packet and flit deliveries, records)`` now."""
+        """``(counters, latency records)`` now."""
         network = self.network
-        network.sync_stats()
-        stats = network.stats
-        return (
-            network.cycle,
-            stats.measured_cycles,
-            [a.occupancy_integral for a in stats.router_activity],
-            dict(stats.link_busy_cycles),
-            stats.window_packet_deliveries,
-            stats.window_flit_deliveries,
-            len(stats.records),
-        )
+        return network.counters(), len(network.stats.records)
 
     def start(self) -> None:
         """Open the first window: the measurement window opens now."""
@@ -116,26 +105,21 @@ class TimeSeriesSampler:
         if self._mark is None:
             return
         now = self._read()
-        cycle, measured, occupancy, busy, packets, flits, records = now
-        (start, measured0, occupancy0, busy0, packets0, flits0,
-         records0) = self._mark
-        if measured == measured0:
+        (counters, records), (start, records0) = now, self._mark
+        if counters.cycle == start.cycle:
             return
+        window = counters.since(start)
         latencies = self.network.stats.records.total[records0:records]
         self.windows.append(
             WindowSample(
                 index=len(self.windows),
-                start_cycle=start,
-                end_cycle=cycle - 1,
-                cycles=measured - measured0,
-                occupancy=[a - b for a, b in zip(occupancy, occupancy0)],
-                link_busy={
-                    key: count - busy0.get(key, 0)
-                    for key, count in busy.items()
-                    if count > busy0.get(key, 0)
-                },
-                deliveries=packets - packets0,
-                flits_delivered=flits - flits0,
+                start_cycle=start.cycle,
+                end_cycle=counters.cycle - 1,
+                cycles=window.cycle,
+                occupancy=[a.occupancy_integral for a in window.activities],
+                link_busy=window.link_busy,
+                deliveries=window.packets,
+                flits_delivered=window.flits,
                 latency_sum=sum(latencies),
                 latency_count=len(latencies),
             )

@@ -17,7 +17,10 @@ cut the measurement window into time-series windows, and ``progress=``
 to receive periodic :class:`~repro.obs.profiler.Progress` heartbeats with
 ETA estimates.  The driver owns the measurement window: it opens and
 closes it, switches the profiler's phases there and cuts the sampler's
-windows, on the per-cycle loop and the span driver alike.
+windows, on the per-cycle loop and the span driver alike.  The kernels
+only count; every window is the difference of two counter snapshots
+(:meth:`Network.counters() <repro.noc.network.Network.counters>`), and
+the driver finds its place in one from the cycle.
 """
 
 from __future__ import annotations
@@ -311,9 +314,9 @@ def run_synthetic(
     cycles inside the kernel, injection included, and comes back for
     checkpoints, heartbeats and sampler windows, at the end of a phase
     and before the body of the cycle that births the first measured
-    packet -- the driver opens the measurement window there, as the
-    per-cycle loop does while that packet is made, and the next span
-    runs the pending body.  A span ends before a cycle that could
+    packet -- the span calls the driver's window opening there, as the
+    per-cycle loop does while that packet is made, and carries on with
+    that cycle's body.  A span ends before a cycle that could
     overshoot the packet target (every node firing), so the last packets
     of the target, fewer than there are nodes, are born through
     :func:`_offer_load`; the drain is spans again.  Results are
@@ -431,18 +434,24 @@ def run_synthetic(
             )
         )
 
-    def _open_window() -> None:
+    def _open_window() -> int:
         """The first measured packet is born: the window opens before the
-        body of its cycle."""
+        body of its cycle.  Returns the cycles a span may run from here
+        (a span that births the packet carries on for that many)."""
         network.begin_measurement()
         if profiler is not None:
             profiler.enter_run_phase("measure")
         if sampler is not None:
             sampler.start()
+        return _span_room()
+
+    def _window_cycles() -> int:
+        """Cycles the open measurement window has run."""
+        return network.cycle - network.stats.start_cycle
 
     def _sample_if_due() -> None:
         if (sampler is not None and network.measuring
-                and network.stats.measured_cycles % sampler.window == 0):
+                and _window_cycles() % sampler.window == 0):
             sampler.sample()
 
     def _mark_measured(packet) -> None:
@@ -495,15 +504,14 @@ def run_synthetic(
             stops.append(cycle + progress_every - cycle % progress_every)
         if sampler is not None and network.measuring:
             window = sampler.window
-            stops.append(
-                cycle + window - network.stats.measured_cycles % window
-            )
+            stops.append(cycle + window - _window_cycles() % window)
         return min(stops) - cycle
 
     def _load_span() -> None:
         ran, born = network.step(Span(
             span_source, _span_room(), created=run.created,
             measure_from=warmup_packets, birth_budget=target,
+            open_window=_open_window,
         ))
         run.created += born
         kernel_cycles["c_span"] += ran
@@ -521,12 +529,6 @@ def run_synthetic(
                 # overshoot the target: that one stops drawing
                 # destinations mid-cycle and stays with _offer_load.
                 _load_span()
-                if run.created > warmup_packets and not network.measuring:
-                    # The span stopped before the body of the cycle that
-                    # birthed the first measured packet: open the window,
-                    # then resume that body (close to the target too).
-                    _open_window()
-                    _load_span()
             else:
                 if span_source is not None:
                     network.reclaim_span_source()

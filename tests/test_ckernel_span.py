@@ -499,6 +499,7 @@ class TestSpanDifferential:
             assert probe.received_at is not None and probe.hops == 6
             (record,) = net.stats.records
             assert record.packet_class == "probe"
+            net.end_measurement()
             return (vars(probe), vars(record), rng.getstate(), _digest(net),
                     net.next_packet_id, net.stats.window_flit_deliveries)
 
@@ -759,28 +760,58 @@ class TestSpansAndSnapshots:
 
         assert run(True) == run(False)
 
-    def test_a_pending_body_is_neither_stepped_over_nor_pickled(self):
-        """A span that births the first measured packet while the window
-        is closed returns before that cycle's body.  Until a span runs
-        it, a per-cycle step (whose body would make the next span skip
-        one cycle's injections) and pickling (the arena image does not
-        carry it) refuse."""
+    @pytest.mark.parametrize("sample_window", [None, 7])
+    @pytest.mark.parametrize("warmup", [0, 100])
+    def test_no_span_returns_a_half_run_cycle(
+        self, warmup, sample_window, monkeypatch
+    ):
+        """The birth that opens the measurement window calls the span's
+        ``open_window`` inside ``CKernel.run``, which then runs that
+        cycle's body: no ``network.step(Span)`` comes back with the body
+        pending, sampled (the first window boundary caps the rest of the
+        span) or not, and the run still equals the event kernel's."""
+        pending = []
+        step = Network.step
+
+        def checked(net, span=None):
+            out = step(net, span)
+            if span is not None:
+                ck = net._ck
+                pending.append(ck.lib.ck_get(ck._ck, ckernel.S_BODY_PENDING))
+            return out
+
+        monkeypatch.setattr(Network, "step", checked)
+        point = _point(rate=0.9, seed=3, warmup_packets=warmup,
+                       measure_packets=300)
+        span = _observe(point, "span", sample_window=sample_window)
+        _span_driven(span)
+        assert pending and not any(pending)
+        _same_run(span, _observe(point, "event", sample_window=sample_window))
+
+    def test_a_hand_driven_span_runs_the_opening_cycle_whole(self):
+        """``open_window`` runs at the birth of creation index
+        ``measure_from``, before that cycle's body, and its answer caps
+        the rest of the span; the network is whole when the span
+        returns, so it steps per cycle and pickles."""
         net = build_network(layout_by_name("baseline", 4))
         net.use_kernel("c")
         source = SpanSource(("uniform", None), ("bernoulli", 0.9, None),
                             random.Random(3))
-        ran, born = net.step(Span(source, 10, measure_from=5))
-        assert ran == 0 and born > 5 and net.cycle == 0
-        with pytest.raises(RuntimeError, match="pending"):
-            dumps(capture(net))
-        with pytest.raises(RuntimeError, match="body pending"):
-            net.step()
-        net.begin_measurement()
-        assert net.step(Span(source, 1, created=born, measure_from=5)) \
-            == (1, 0)
+        opened = []
+
+        def open_window():
+            opened.append((net.cycle, net.next_packet_id))
+            net.begin_measurement()
+            return 2
+
+        ran, born = net.step(Span(source, 10, measure_from=5,
+                                  open_window=open_window))
+        assert ran == 2 and net.cycle == 2 and net.measuring
+        assert opened[0][0] == 0 and len(opened) == 1 and born > 5
+        net.reclaim_span_source()
         dumps(capture(net))
         net.step()
-        assert net.cycle == 2
+        assert net.cycle == 3
 
     def test_per_cycle_driving_is_refused_while_the_source_is_lent(self):
         net = build_network(layout_by_name("baseline", 4))

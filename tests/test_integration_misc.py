@@ -180,6 +180,28 @@ class TestRunAllCli:
         assert "[resume] tiny: 2/2 points committed, 0 pending" in resumed.err
         assert tables(resumed.out) == tables(plain.out)
 
+    def test_csv_export_runs_the_harness_once(self, tmp_path, monkeypatch):
+        """``--csv`` exports the data the harness's ``main`` returns: its
+        ``run`` -- the simulation -- is called once, not again for the
+        CSVs."""
+        from repro.experiments import fig01_utilization
+
+        calls = []
+
+        def stub_run(fast=True):
+            calls.append(fast)
+            return {
+                "buffer_utilization": [[0.5, 0.25], [0.25, 0.5]],
+                "link_utilization": [[0.1, 0.2], [0.2, 0.1]],
+                "center_buffer_util": 0.5,
+                "edge_buffer_util": 0.25,
+            }
+
+        monkeypatch.setattr(fig01_utilization, "run", stub_run)
+        assert run_all.main(["--csv", str(tmp_path), "fig01"]) == 0
+        assert calls == [True]
+        assert (tmp_path / "fig01_buffer_utilization.csv").exists()
+
     def test_resume_without_cache_rejected(self, capsys):
         assert run_all.main(["--resume", "--no-cache", "table1"]) == 2
         assert "--resume needs the cache" in capsys.readouterr().out

@@ -58,8 +58,11 @@ needs_ckernel = pytest.mark.skipif(
 
 
 def _digest(net):
-    """Deep per-cycle state digest: anything that can diverge shows here.
-    A network on the compiled kernel is read from its arena image."""
+    """Deep per-cycle state digest: anything that can diverge shows here,
+    the always-on counters included (activities, per-port link flits and
+    busy cycles, clean deliveries), which run whether or not a window is
+    open.  A network on the compiled kernel is read from its arena
+    image."""
     if net._ck is not None:
         return _arena_digest(net)
     routers = []
@@ -75,6 +78,8 @@ def _digest(net):
             tuple(arb._next for arb in allocator.output_stage),
             tuple(arb._next for arb in allocator.second_output_stage),
             tuple(vars(router.activity).values()),
+            tuple(net._link_flits[router.router_id]),
+            tuple(net._link_busy[router.router_id]),
             tuple(
                 (
                     port,
@@ -104,6 +109,7 @@ def _digest(net):
         net.cycle,
         net.packets_in_flight,
         net.total_delivered,
+        (net._clean_packets, net._clean_flits),
         tuple(routers),
         events,
         credits,
@@ -163,6 +169,7 @@ def _arena_digest(net):
     qs_ready = arr(ckernel.A_QS_READY, L * D)
     qhead, qlen = arr(ckernel.A_QHEAD, L), arr(ckernel.A_QLEN, L)
     pending = {field: arr(aid, R) for aid, field in ckernel._ACTIVITY_FIELDS}
+    pending_flits, pending_busy = arr(ckernel.A_LF, RP), arr(ckernel.A_LB, RP)
     shape = net._shape
     routers = []
     for rid, activity in enumerate(net._activities):
@@ -206,6 +213,12 @@ def _arena_digest(net):
                 value + pending[field][rid] if field in pending else value
                 for field, value in vars(activity).items()
             ),
+            *(
+                tuple(totals[rid][port] + counts[rid * P + port]
+                      for port in ports)
+                for totals, counts in ((net._link_flits, pending_flits),
+                                       (net._link_busy, pending_busy))
+            ),
             tuple(lanes),
         ))
     events = tuple(
@@ -226,6 +239,7 @@ def _arena_digest(net):
         net.cycle,
         net.packets_in_flight,
         net.total_delivered,
+        (net._clean_packets, net._clean_flits),
         tuple(routers),
         events,
         credits,

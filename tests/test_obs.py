@@ -192,7 +192,7 @@ class TestEventBus:
             if not any(hook in vars(cls) for cls in products)
         ]
         assert unheard == []
-        assert len(hooks) == 9
+        assert len(hooks) == 8
         assert [h for h in hooks if h not in vars(CompositeObserver)] == []
 
     def test_event_counts_are_consistent(self):
@@ -379,12 +379,14 @@ class TestProfilerAndProgress:
 
 
 class _Recount(Observer):
-    """The sampler's windows counted again per event (busy channels,
+    """The sampler's windows counted again per event (busy channels --
+    the distinct (router, port) pairs a flit departed from in a cycle --
     deliveries, every router's occupancy at each measured cycle end): the
-    reference its differences of ``NetworkStats`` counters must equal."""
+    reference its differences of the network's counters must equal."""
 
     def __init__(self, network, window):
         self.network, self.window, self.windows = network, window, []
+        self.used = set()
         self._open()
 
     def _open(self):
@@ -401,10 +403,9 @@ class _Recount(Observer):
             ))
         self._open()
 
-    def on_link_busy(self, router_id, port, cycle):
-        if self.network.measuring:
-            key = (router_id, port)
-            self.busy[key] = self.busy.get(key, 0) + 1
+    def on_link_traversal(self, src_router, src_port, dst_router, dst_port,
+                          flit, cycle):
+        self.used.add((src_router, src_port))
 
     def on_packet_delivered(self, packet, cycle):
         if self.network.measuring:
@@ -414,9 +415,12 @@ class _Recount(Observer):
                 self.latencies.append(cycle - packet.created_at)
 
     def on_cycle_end(self, cycle, measuring):
+        used, self.used = self.used, set()
         if not measuring:
             self.close()
             return
+        for key in used:
+            self.busy[key] = self.busy.get(key, 0) + 1
         if self.start is None:
             self.start = cycle
         for rid, router in enumerate(self.network.routers):

@@ -17,7 +17,6 @@ from repro.noc.topology import manhattan_distance
 from repro.obs.attribution import (
     AttributionReport,
     attribute_metrics,
-    attribute_stats,
     port_name,
 )
 from repro.obs.metrics import KernelMetrics
@@ -133,24 +132,6 @@ class TestSerialization:
         assert header.startswith("src_router,src_port,direction,flits")
         assert len(rows) == len(report.link_flits)
         assert len(pairs.read_text().strip().splitlines()) == 3  # header + 2
-
-
-class TestStatsSource:
-    def test_measurement_window_report(self):
-        net = build_network(layout_by_name("baseline", 4))
-        net.begin_measurement()
-        packet = net.make_packet(0, 3)
-        packet.num_flits = 2
-        packet.measured = True
-        net.enqueue(packet)
-        net.drain()
-        net.end_measurement()
-        report = attribute_stats(net)
-        assert report.source == "stats"
-        assert report.conserved is None  # not computable from a window
-        assert report.link_flits[(0, EAST)] == 2
-        assert report.pair_flits == {(0, 3): 2}
-        assert report.pair_packets == {(0, 3): 1}
 
 
 @given(

@@ -134,7 +134,9 @@ def _make_counting_metrics(net):
 
 def test_detached_metrics_make_zero_calls():
     """Metrics "off" is the same null-object fast path: once detached,
-    the kernel performs zero metric calls and no instrument moves."""
+    the kernel performs zero metric calls and no hook-driven instrument
+    moves.  The link counts are a window over the network's own
+    counters, which run on."""
     net = build_network(layout_by_name("baseline", 3))
     metrics = _make_counting_metrics(net)
     net.attach_observer(metrics)
@@ -144,8 +146,10 @@ def test_detached_metrics_make_zero_calls():
     assert metrics.hook_calls == 0
     snap = metrics.snapshot()
     assert snap["flits_injected"] == 0
-    assert snap["link_flits_total"] == 0
-    assert snap["link_flits"] == [] and snap["pair_flits"] == []
+    assert snap["pair_flits"] == [] and snap["vc_grants"] == []
+    assert snap["link_flits_total"] == sum(
+        count for row in net._link_flits for count in row
+    ) > 0
 
 
 def test_attached_metrics_see_the_event_stream():

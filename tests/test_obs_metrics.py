@@ -14,7 +14,10 @@ import random
 import pytest
 
 from repro.core.layouts import build_network, layout_by_name
+from repro.obs.hooks import CompositeObserver, Observer
 from repro.obs.metrics import Histogram, KernelMetrics, MetricsRegistry
+from repro.traffic.patterns import UniformRandom
+from repro.traffic.runner import run_synthetic
 
 
 def _drive(net, seed=5, cycles=150, rate=0.1):
@@ -98,6 +101,35 @@ class TestHistogram:
         assert json.loads(json.dumps(h.to_dict()))["count"] == 1
 
 
+class _LinkRecount(Observer):
+    """The per-event counting ``KernelMetrics`` used to do: link flits
+    from ``on_link_traversal``, busy channels as the distinct (router,
+    port) pairs a flit departed from in a cycle, cycles from
+    ``on_cycle_end``."""
+
+    def __init__(self):
+        self.flits, self.busy, self.cycles, self.used = {}, {}, 0, set()
+
+    def on_link_traversal(self, src_router, src_port, dst_router, dst_port,
+                          flit, cycle):
+        key = (src_router, src_port)
+        self.flits[key] = self.flits.get(key, 0) + 1
+        self.used.add(key)
+
+    def on_cycle_end(self, cycle, measuring):
+        for key in self.used:
+            self.busy[key] = self.busy.get(key, 0) + 1
+        self.used.clear()
+        self.cycles += 1
+
+
+def _run(net, **knobs):
+    return run_synthetic(
+        net, UniformRandom(net.topology.num_nodes), rate=0.05,
+        warmup_packets=20, measure_packets=100, seed=5, **knobs,
+    )
+
+
 class TestKernelMetrics:
     def _run(self, size=3, **drive):
         net = build_network(layout_by_name("baseline", size))
@@ -157,6 +189,63 @@ class TestKernelMetrics:
         _drive(net, seed=4, cycles=120, rate=0.2)
         rows = metrics.router_contention()
         assert sum(r["buffer_writes"] for r in rows) > 0
+
+    def test_windows_equal_a_per_event_recount(self):
+        """The link counts, busy cycles and cycles ``KernelMetrics``
+        reads off the network's counters equal a per-event recount at
+        every heartbeat of warmup, measurement window and drain, and
+        after a drain to idle."""
+        net = build_network(layout_by_name("baseline", 4))
+        metrics, recount = KernelMetrics(net), _LinkRecount()
+        phases = set()
+
+        def compare(progress=None):
+            if progress is not None:
+                phases.add(progress.phase)
+            assert metrics.link_flits() == recount.flits
+            assert metrics.link_busy() == recount.busy
+            assert metrics.cycles == recount.cycles == net.cycle
+
+        _run(net, observer=CompositeObserver([metrics, recount]),
+             progress=compare, progress_every=8)
+        assert phases == {"warmup", "measure", "drain"}
+        net.drain()
+        compare()
+        assert metrics.conserved and recount.flits
+
+    def test_metrics_made_after_a_run_count_the_next_run(self):
+        """``run_synthetic`` starts a fresh record on a network that has
+        run, and the counters run on: metrics made between two runs
+        report the second run's own counts -- never a negative delta,
+        crossbar traversals equal to that run's switch grants router by
+        router, every field equal to the same run on a twin network."""
+        net, twin = (build_network(layout_by_name("baseline", 4))
+                     for _ in range(2))
+        _run(net)
+        _run(twin)
+        metrics = KernelMetrics(net)
+        before = [activity.snapshot() for activity in twin._activities]
+        _run(net, observer=metrics)
+        _run(twin)
+        rows = metrics.router_contention()
+        assert all(value >= 0 for row in rows for value in row.values())
+        grants = [0] * net.topology.num_routers
+        for (router, _, _), count in metrics.vc_grants().items():
+            grants[router] += count
+        assert [row["crossbar_traversals"] for row in rows] == grants
+        assert sum(grants) > 0
+        own = [now.delta_since(then)
+               for now, then in zip(twin._activities, before)]
+        assert rows == [
+            {
+                "router": router,
+                "credit_stalls": delta.credit_stalls,
+                "arbitration_conflicts": delta.arbitration_conflicts,
+                "buffer_writes": delta.buffer_writes,
+                "crossbar_traversals": delta.crossbar_traversals,
+            }
+            for router, delta in enumerate(own)
+        ]
 
     def test_occupancy_samples_taken(self):
         _, metrics = self._run(seed=1)

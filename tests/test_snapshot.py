@@ -123,7 +123,7 @@ class TestContainer:
             loads(b"NOTASNAP" + blob[8:])
 
     @pytest.mark.parametrize(
-        "version", [1, 2, 3, 4, 5, 6, SNAPSHOT_VERSION + 1]
+        "version", [1, 2, 3, 4, 5, 6, 7, SNAPSHOT_VERSION + 1]
     )
     def test_version_skew_detected(self, version):
         """Newer *and* older containers refuse before unpickling: a v1
@@ -132,7 +132,8 @@ class TestContainer:
         one a ``NetworkStats`` holding a list of record objects, a v4
         one a ``SimSnapshot`` wrapper class that no longer exists, a v5
         one a ``Network`` whose routers are a plain attribute, a v6 one a
-        ``"c"`` network synced into routers, with no kernel to restore."""
+        ``"c"`` network synced into routers, with no kernel to restore, a
+        v7 one a ``Network`` whose link counters live in its stats."""
         blob = _restamp(dumps(self._snapshot()), version)
         with pytest.raises(SnapshotVersionMismatch, match=f"v{version}"):
             loads(blob)
