@@ -27,6 +27,22 @@
  * ck_set() accessors so no struct layout is shared with ctypes, and the
  * state moves in and out of the arena only as the image of ck_dump() /
  * ck_load() (a checkpoint).
+ *
+ * The per-cycle walk does no 64-bit division on its hot paths; every index
+ * that wraps is a sum below twice its modulus, wrapped by one conditional
+ * subtract (wrap_once), because:
+ *   - flit rings: qhead < D always, and a flit is only appended to a lane
+ *     with qlen < depth <= D, so qhead + qlen < 2D and qhead + 1 < 2D;
+ *   - calendars: bslot = cycle % cal_sz is taken once per cycle, and an
+ *     event is only scheduled 0 <= delay < cal_sz cycles ahead (E_CALENDAR
+ *     otherwise), so its bucket bslot + delay < 2 * cal_sz;
+ *   - round-robin picks: every arbiter pointer is stored below its width n
+ *     and the rotated request mask is nonzero within n bits, so
+ *     next + ctz < 2n; the VC-allocation rotation starts below the active
+ *     list's length and walks at most that many lanes.
+ * What still divides runs once per cycle (bslot), once per router with
+ * lanes waiting for a VC (the rotation start va_off % alen) or once per VC
+ * granted (a lane's port and VC, lane / V and lane % V).
  */
 
 #include <math.h>
@@ -37,6 +53,14 @@
 typedef int64_t i64;
 typedef uint64_t u64;
 
+/* the small helpers of the per-cycle walk and the span source are static
+ * inline; their slow paths (growth, the MT19937 twist) and the cycle body
+ * itself stay out of line */
+#define OUT_OF_LINE static __attribute__((noinline))
+
+/* x % n for 0 <= x < 2n (see the index invariants above) */
+static inline i64 wrap_once(i64 x, i64 n) { return x < n ? x : x - n; }
+
 /* ---- growable i64 buffer ------------------------------------------------ */
 typedef struct {
     i64 *buf;
@@ -44,17 +68,26 @@ typedef struct {
     i64 len;
 } Vec;
 
-static int vec_push(Vec *v, i64 x) {
-    if (v->len == v->cap) {
-        i64 nc = v->cap ? v->cap * 2 : 16;
-        i64 *nb = (i64 *)realloc(v->buf, (size_t)nc * sizeof(i64));
-        if (!nb)
-            return -1;
-        v->buf = nb;
-        v->cap = nc;
-    }
-    v->buf[v->len++] = x;
+OUT_OF_LINE int vec_grow(Vec *v, i64 n) {
+    i64 nc = v->cap ? v->cap * 2 : 16;
+    while (nc < v->len + n)
+        nc *= 2;
+    i64 *nb = (i64 *)realloc(v->buf, (size_t)nc * sizeof(i64));
+    if (!nb)
+        return -1;
+    v->buf = nb;
+    v->cap = nc;
     return 0;
+}
+
+/* Appends n >= 1 ints to v with one capacity check; returns where to write
+ * them (NULL when out of memory). */
+static inline i64 *vec_extend(Vec *v, i64 n) {
+    if (v->len + n > v->cap && vec_grow(v, n))
+        return NULL;
+    i64 *at = v->buf + v->len;
+    v->len += n;
+    return at;
 }
 
 /* ---- growable ring of i64 (source queues) ------------------------------- */
@@ -65,27 +98,32 @@ typedef struct {
     i64 len;
 } Ring;
 
-static int ring_push(Ring *r, i64 x) {
-    if (r->len == r->cap) {
-        i64 nc = r->cap ? r->cap * 2 : 16;
-        i64 *nb = (i64 *)malloc((size_t)nc * sizeof(i64));
-        if (!nb)
-            return -1;
-        for (i64 i = 0; i < r->len; i++)
-            nb[i] = r->buf[(r->head + i) % r->cap];
-        free(r->buf);
-        r->buf = nb;
-        r->cap = nc;
-        r->head = 0;
-    }
-    r->buf[(r->head + r->len) % r->cap] = x;
+OUT_OF_LINE int ring_grow(Ring *r) {
+    i64 nc = r->cap ? r->cap * 2 : 16;
+    i64 *nb = (i64 *)malloc((size_t)nc * sizeof(i64));
+    if (!nb)
+        return -1;
+    for (i64 i = 0; i < r->len; i++)
+        nb[i] = r->buf[(r->head + i) % r->cap];
+    free(r->buf);
+    r->buf = nb;
+    r->cap = nc;
+    r->head = 0;
+    return 0;
+}
+
+/* head < cap and len < cap once there is room, so head + len < 2 * cap */
+static inline int ring_push(Ring *r, i64 x) {
+    if (r->len == r->cap && ring_grow(r))
+        return -1;
+    r->buf[wrap_once(r->head + r->len, r->cap)] = x;
     r->len++;
     return 0;
 }
 
 static i64 ring_pop(Ring *r) {
     i64 x = r->buf[r->head];
-    r->head = (r->head + 1) % r->cap;
+    r->head = wrap_once(r->head + 1, r->cap);
     r->len--;
     return x;
 }
@@ -143,7 +181,7 @@ enum {
 
 /* kept out of line: the draw functions below inline mt_uint32 many times
  * over, and a copy of this loop in each would dominate the build time */
-__attribute__((noinline)) static void mt_twist(uint32_t *mt) {
+OUT_OF_LINE void mt_twist(uint32_t *mt) {
     static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
     uint32_t y;
     int kk;
@@ -160,7 +198,7 @@ __attribute__((noinline)) static void mt_twist(uint32_t *mt) {
     mt[MT_N] = 0;
 }
 
-static uint32_t mt_uint32(uint32_t *mt) {
+static inline uint32_t mt_uint32(uint32_t *mt) {
     if (mt[MT_N] >= MT_N)
         mt_twist(mt);
     uint32_t y = mt[mt[MT_N]++];
@@ -172,7 +210,7 @@ static uint32_t mt_uint32(uint32_t *mt) {
 }
 
 /* random.random(): 53 bits from two words */
-static double mt_random(uint32_t *mt) {
+static inline double mt_random(uint32_t *mt) {
     uint32_t a = mt_uint32(mt) >> 5, b = mt_uint32(mt) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
@@ -645,7 +683,7 @@ i64 ck_source_push(CK *ck, i64 node, i64 h) {
 }
 
 /* ---- active-lane insertion-ordered lists -------------------------------- */
-static void act_push(CK *ck, i64 rid, i64 lane) {
+static inline void act_push(CK *ck, i64 rid, i64 lane) {
     if (ck->act_pos[lane] >= 0)
         return;
     i64 *row = ck->act_arr + rid * ck->P * ck->V;
@@ -666,26 +704,37 @@ static void act_del(CK *ck, i64 rid, i64 lane) {
 }
 
 /* ---- calendars ---------------------------------------------------------- */
-static i64 sched_arrival(CK *ck, i64 when, i64 rid, i64 port, i64 vc,
-                         i64 pkt, i64 seq) {
-    if (when < ck->cycle || when - ck->cycle >= ck->cal_sz)
+/* An event `delay` cycles after the running one lands in bucket bslot +
+ * delay wrapped once (bslot: that cycle's own bucket); a delay outside
+ * [0, cal_sz) is E_CALENDAR. */
+static inline i64 sched_arrival(CK *ck, i64 bslot, i64 delay, i64 rid,
+                                i64 port, i64 vc, i64 pkt, i64 seq) {
+    if (delay < 0 || delay >= ck->cal_sz)
         return E_CALENDAR;
-    Vec *b = &ck->arr_b[when % ck->cal_sz];
-    if (vec_push(b, rid) || vec_push(b, port) || vec_push(b, vc) ||
-        vec_push(b, pkt) || vec_push(b, seq))
+    i64 *ev = vec_extend(&ck->arr_b[wrap_once(bslot + delay, ck->cal_sz)], 5);
+    if (!ev)
         return E_NOMEM;
+    ev[0] = rid;
+    ev[1] = port;
+    ev[2] = vc;
+    ev[3] = pkt;
+    ev[4] = seq;
     ck->pend++;
     return 0;
 }
 
-static i64 sched_credit(CK *ck, i64 when, i64 rid, i64 port, i64 vc,
-                        i64 release) {
-    if (when < ck->cycle || when - ck->cycle >= ck->cal_sz)
+static inline i64 sched_credit(CK *ck, i64 bslot, i64 delay, i64 rid,
+                               i64 port, i64 vc, i64 release) {
+    if (delay < 0 || delay >= ck->cal_sz)
         return E_CALENDAR;
-    Vec *b = &ck->cred_b[when % ck->cal_sz];
-    if (vec_push(b, rid) || vec_push(b, port) || vec_push(b, vc) ||
-        vec_push(b, release))
+    i64 *ev = vec_extend(&ck->cred_b[wrap_once(bslot + delay, ck->cal_sz)],
+                         4);
+    if (!ev)
         return E_NOMEM;
+    ev[0] = rid;
+    ev[1] = port;
+    ev[2] = vc;
+    ev[3] = release;
     ck->pend++;
     return 0;
 }
@@ -701,10 +750,12 @@ i64 ck_total_buffered(CK *ck) {
 }
 
 /* ---- one clock cycle ---------------------------------------------------- */
-static i64 rot_pick(i64 mask, i64 nxt, i64 n) {
+/* The first requester at or after nxt, round robin over n: nxt < n and
+ * the rotated mask r is nonzero within n bits, so nxt + ctz(r) < 2n. */
+static inline i64 rot_pick(i64 mask, i64 nxt, i64 n) {
     u64 m = (u64)mask;
     u64 r = ((m >> nxt) | (m << (n - nxt))) & ((1ull << n) - 1);
-    return (nxt + (i64)__builtin_ctzll(r)) % n;
+    return wrap_once(nxt + (i64)__builtin_ctzll(r), n);
 }
 
 #define ERR3(code, a, b, c)                                                  \
@@ -716,10 +767,16 @@ static i64 rot_pick(i64 mask, i64 nxt, i64 n) {
         return (code);                                                       \
     } while (0)
 
-static i64 cycle_body(CK *ck) {
+OUT_OF_LINE i64 cycle_body(CK *ck) {
     const i64 P = ck->P, V = ck->V, D = ck->D;
     const i64 cycle = ck->cycle;
     const i64 po = ck->po, cd = ck->cd, merging = ck->merging;
+    i64 *a_bw = ck->a_bw, *a_br = ck->a_br, *a_xb = ck->a_xb,
+        *a_rc = ck->a_rc, *a_va = ck->a_va, *a_arb = ck->a_arb,
+        *a_cf = ck->a_cf, *a_cs = ck->a_cs, *a_mg = ck->a_mg,
+        *a_oc = ck->a_oc;
+    i64 *lf = ck->lf, *lb = ck->lb;
+    const i64 *ovc_cnt = ck->ovc_cnt, *nvcs = ck->nvcs;
     i64 *st_pid = ck->st_pid, *st_route = ck->st_route,
         *st_outvc = ck->st_outvc;
     i64 *need = ck->need, *nva = ck->nva, *cred = ck->cred,
@@ -758,13 +815,14 @@ static i64 cycle_body(CK *ck) {
                     }
                 }
             }
-            i64 slot = lane * D + (qhead[lane] + qlen[lane]) % D;
+            /* qhead < D, qlen < depth <= D */
+            i64 slot = lane * D + wrap_once(qhead[lane] + qlen[lane], D);
             qs_pkt[slot] = pkt;
             qs_seq[slot] = seq;
             qs_ready[slot] = cycle + po;
             qlen[lane]++;
             occupied[rid]++;
-            ck->a_bw[rid]++;
+            a_bw[rid]++;
             actw[rid >> 6] |= 1ull << (rid & 63);
         }
         ck->pend -= n;
@@ -821,7 +879,7 @@ static i64 cycle_body(CK *ck) {
                         if (sq->len == 0)
                             break;
                         i64 vc = -1, fallback = -1, fallback_free = 0;
-                        for (i64 cand = 0; cand < ck->nvcs[rid]; cand++) {
+                        for (i64 cand = 0; cand < nvcs[rid]; cand++) {
                             i64 l = lane0 + cand;
                             i64 free_ = cap - qlen[l];
                             if (free_ == 0)
@@ -863,13 +921,15 @@ static i64 cycle_body(CK *ck) {
                             }
                         }
                     }
-                    i64 slot = lane * D + (qhead[lane] + qlen[lane]) % D;
+                    /* qhead < D, qlen < cap <= D */
+                    i64 slot =
+                        lane * D + wrap_once(qhead[lane] + qlen[lane], D);
                     qs_pkt[slot] = h;
                     qs_seq[slot] = seq;
                     qs_ready[slot] = ready;
                     qlen[lane]++;
                     occupied[rid]++;
-                    ck->a_bw[rid]++;
+                    a_bw[rid]++;
                     actw[rid >> 6] |= 1ull << (rid & 63);
                     src_next[node]++;
                     budget--;
@@ -926,8 +986,10 @@ static i64 cycle_body(CK *ck) {
                         count = alen;
                     }
                     const i64 *rt = ck->route_tab + rid * ck->nnodes;
+                    /* start < alen and k < count <= alen; the VA loop
+                     * leaves the active list as it is */
                     for (i64 k = 0; k < count; k++) {
-                        i64 lane = aarr[(start + k) % alen];
+                        i64 lane = aarr[wrap_once(start + k, alen)];
                         if (!need[lane])
                             continue;
                         if (qlen[lane] == 0)
@@ -942,7 +1004,7 @@ static i64 cycle_body(CK *ck) {
                             st_pid[lane] = pid;
                             st_route[lane] = rt[pk_dst[pkt]];
                             st_outvc[lane] = -2;
-                            ck->a_rc[rid]++;
+                            a_rc[rid]++;
                         }
                         if (st_outvc[lane] != -2 || qs_ready[hslot] > cycle)
                             continue;
@@ -958,12 +1020,12 @@ static i64 cycle_body(CK *ck) {
                             continue;
                         i64 rp2 = base + op;
                         i64 lane2 = rp2 * V;
-                        for (i64 cvc = 0; cvc < ck->ovc_cnt[rp2]; cvc++) {
+                        for (i64 cvc = 0; cvc < ovc_cnt[rp2]; cvc++) {
                             if (owner[lane2 + cvc] == -1) {
                                 owner[lane2 + cvc] = pid;
                                 st_outvc[lane] = cvc;
                                 am[lane / V] |= 1ll << (lane % V);
-                                ck->a_va[rid]++;
+                                a_va[rid]++;
                                 need[lane] = 0;
                                 nva[rid]--;
                                 break;
@@ -975,7 +1037,7 @@ static i64 cycle_body(CK *ck) {
                 /* ---- switch allocation --------------------------------- */
                 i64 n_out = 0, nbid = 0;
                 i64 np_ = ck->nports[rid];
-                i64 nv = ck->nvcs[rid];
+                i64 nv = nvcs[rid];
                 i64 wide = ck->has_wide[rid];
                 for (i64 port = 0; port < np_; port++) {
                     i64 rp = base + port;
@@ -999,7 +1061,7 @@ static i64 cycle_body(CK *ck) {
                             embit |= 1ll << vc;
                             necount++;
                         } else {
-                            ck->a_cs[rid]++;
+                            a_cs[rid]++;
                         }
                     }
                     if (!embit)
@@ -1013,9 +1075,9 @@ static i64 cycle_body(CK *ck) {
                         bid = rot_pick(embit, in_next[rp], nv);
                         nxt = bid + 1;
                         in_next[rp] = nxt < nv ? nxt : 0;
-                        ck->a_cf[rid] += necount - 1;
+                        a_cf[rid] += necount - 1;
                     }
-                    ck->a_arb[rid]++;
+                    a_arb[rid]++;
                     bid_vc[port] = bid;
                     bid_ports[nbid++] = port;
                     if (wide)
@@ -1026,7 +1088,7 @@ static i64 cycle_body(CK *ck) {
                     obid[op] |= 1ll << port;
                 }
                 if (!n_out) {
-                    ck->a_oc[rid] += occupied[rid];
+                    a_oc[rid] += occupied[rid];
                     continue;
                 }
                 i64 ngr = 0;
@@ -1044,10 +1106,9 @@ static i64 cycle_body(CK *ck) {
                         wp = rot_pick(m2, out_next[rpo], np_);
                         nxt = wp + 1;
                         out_next[rpo] = nxt < np_ ? nxt : 0;
-                        ck->a_cf[rid] += (i64)__builtin_popcountll((u64)m2)
-                                         - 1;
+                        a_cf[rid] += (i64)__builtin_popcountll((u64)m2) - 1;
                     }
-                    ck->a_arb[rid]++;
+                    a_arb[rid]++;
                     i64 wvc = bid_vc[wp];
                     i64 lane = (base + wp) * V + wvc;
                     i64 is_ej = (ejp >> op) & 1;
@@ -1067,7 +1128,8 @@ static i64 cycle_body(CK *ck) {
                     i64 have_second = 0;
                     i64 s_ip = 0, s_ivc = 0, s_gov = 0, s_pkt = 0, s_seq = 0;
                     if (qlen[lane] > 1) {
-                        i64 slot2 = lane * D + (qhead[lane] + 1) % D;
+                        /* qhead < D */
+                        i64 slot2 = lane * D + wrap_once(qhead[lane] + 1, D);
                         if (qs_pkt[slot2] >= 0 &&
                             pk_id[qs_pkt[slot2]] == st_pid[lane] &&
                             qs_ready[slot2] <= cycle) {
@@ -1128,7 +1190,7 @@ static i64 cycle_body(CK *ck) {
                                 nxt = cp + 1;
                                 sec_next[rpo] = nxt < np_ ? nxt : 0;
                             }
-                            ck->a_arb[rid]++;
+                            a_arb[rid]++;
                             i64 cvc = cand_vc[cp];
                             i64 lane2 = (base + cp) * V + cvc;
                             i64 hs2 = lane2 * D + qhead[lane2];
@@ -1149,7 +1211,7 @@ static i64 cycle_body(CK *ck) {
                         g2[4] = s_pkt;
                         g2[5] = s_seq;
                         ngr++;
-                        ck->a_mg[rid]++;
+                        a_mg[rid]++;
                     }
                 }
 
@@ -1165,11 +1227,11 @@ static i64 cycle_body(CK *ck) {
                     i64 seq = qs_seq[hslot];
                     if (pkt != g[4] || seq != g[5])
                         ERR3(E_BAD_POP, rid, ip, ivc);
-                    qhead[lane] = (qhead[lane] + 1) % D;
+                    qhead[lane] = wrap_once(qhead[lane] + 1, D); /* < D */
                     qlen[lane]--;
                     occupied[rid]--;
-                    ck->a_br[rid]++;
-                    ck->a_xb[rid]++;
+                    a_br[rid]++;
+                    a_xb[rid]++;
                     if (qlen[lane] == 0) {
                         occ[rp_in] &= ~(1ll << ivc);
                         act_del(ck, rid, lane);
@@ -1205,13 +1267,13 @@ static i64 cycle_body(CK *ck) {
                             }
                         }
                         i64 rc = sched_arrival(
-                            ck, cycle + ck->link_delay[rpo2],
+                            ck, bslot, ck->link_delay[rpo2],
                             ck->link_r[rpo2], ck->link_p[rpo2], gov, pkt,
                             seq);
                         if (rc)
                             ERR3(rc, rid, op, 0);
                         used_mask |= 1ll << op;
-                        ck->lf[rpo2]++;
+                        lf[rpo2]++;
                     }
                     if (is_tail) {
                         st_pid[lane] = -1;
@@ -1226,7 +1288,7 @@ static i64 cycle_body(CK *ck) {
                     if (!((ejp >> ip) & 1)) {
                         if (ck->up_r[rp_in] != -1) {
                             i64 rc = sched_credit(
-                                ck, cycle + cd, ck->up_r[rp_in],
+                                ck, bslot, cd, ck->up_r[rp_in],
                                 ck->up_p[rp_in], ivc, is_tail);
                             if (rc)
                                 ERR3(rc, rid, ip, ivc);
@@ -1236,9 +1298,9 @@ static i64 cycle_body(CK *ck) {
                 while (used_mask) {
                     i64 port = (i64)__builtin_ctzll((u64)used_mask);
                     used_mask &= used_mask - 1;
-                    ck->lb[base + port]++;
+                    lb[base + port]++;
                 }
-                ck->a_oc[rid] += occupied[rid];
+                a_oc[rid] += occupied[rid];
             }
         }
     }
@@ -1444,9 +1506,13 @@ i64 ck_load(CK *ck, i64 key, const i64 *in, i64 n) {
         TAKE(1);
         i64 len = *at++;
         TAKE(len);
-        for (i64 k = 0; k < len; k++)
-            if (vec_push(b, *at++))
+        if (len) {
+            i64 *ints = vec_extend(b, len);
+            if (!ints)
                 ERR3(E_NOMEM, 0, 0, 0);
+            copy_ints(ints, at, len);
+            at += len;
+        }
     }
     if (top < 0 || nfree < 0 || nfree > top ||
         end - at != PK_FIELDS * top + nfree)

@@ -94,7 +94,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.noc.flit import Packet
 
-_SOURCE = Path(__file__).with_name("_ckernel.c")
+SOURCE = Path(__file__).with_name("_ckernel.c")
 #: ``-ffp-contract=off``: the Pareto twin must round exactly as CPython's
 #: own float arithmetic does, so no fused multiply-add.
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -137,26 +137,35 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-ckernel"
 
 
+def library_name(compiler: str, source: bytes) -> str:
+    """The cached shared object's file name, ``ckernel-<key>.so``: the
+    key is the sha256 of ``source``, ``compiler`` and the flags, so a new
+    source or toolchain builds a new file.  A library built another way
+    under this name in a ``REPRO_CKERNEL_CACHE`` directory (a sanitized
+    build, say) is what the loader picks up."""
+    key = hashlib.sha256(
+        source + compiler.encode() + " ".join(_CFLAGS + _LDLIBS).encode()
+    ).hexdigest()[:20]
+    return f"ckernel-{key}.so"
+
+
 def _build_library() -> ctypes.CDLL:
     compiler = find_compiler()
     if compiler is None:
         raise CKernelUnavailable("no C compiler found on PATH")
     try:
-        source = _SOURCE.read_bytes()
+        source = SOURCE.read_bytes()
     except OSError as exc:
-        raise CKernelUnavailable(f"cannot read {_SOURCE.name}: {exc}")
-    key = hashlib.sha256(
-        source + compiler.encode() + " ".join(_CFLAGS + _LDLIBS).encode()
-    ).hexdigest()[:20]
+        raise CKernelUnavailable(f"cannot read {SOURCE.name}: {exc}")
     directory = cache_dir()
-    so_path = directory / f"ckernel-{key}.so"
+    so_path = directory / library_name(compiler, source)
     if not so_path.exists():
         try:
             directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CKernelUnavailable(f"cannot create {directory}: {exc}")
-        tmp = directory / f"ckernel-{key}.{os.getpid()}.tmp.so"
-        cmd = [compiler, *_CFLAGS, "-o", str(tmp), str(_SOURCE), *_LDLIBS]
+        tmp = so_path.with_suffix(f".{os.getpid()}.tmp.so")
+        cmd = [compiler, *_CFLAGS, "-o", str(tmp), str(SOURCE), *_LDLIBS]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
         except OSError as exc:
@@ -368,8 +377,8 @@ _SAMPLE_FIELDS = (
     LOG_ID, LOG_SRC, LOG_DST, LOG_NFLITS, LOG_HOPS, LOG_CREATED, LOG_INJ,
     LOG_MINLANES, LOG_RECEIVED,
 )
-#: rows a span reduces per ctypes slice: bounds the transient list of
-#: Python ints a 100,000-packet drain would otherwise build in one go.
+#: rows a span reduces per chunk of columns: bounds the transient lists
+#: of Python ints a 100,000-packet drain would otherwise build in one go.
 _SPAN_LOG_ROWS = 8192
 
 #: every code ``ck_step``/``ck_run`` can return (the C ``E_*`` enum, walked
@@ -690,13 +699,13 @@ class CKernel:
             self._raise_error(rc)
 
     # -- stepping ---------------------------------------------------------
-    def _take_log(self, rows: int):
-        """Empty the completion log one cycle left, yielding one
-        ``LOG_WIDTH``-int row per finished packet."""
-        flat = self.lib.ck_arr(self._ck, A_LOG)[0:rows * LOG_WIDTH]
-        self.lib.ck_set(self._ck, S_NLOG, 0)
-        for at in range(0, len(flat), LOG_WIDTH):
-            yield flat[at:at + LOG_WIDTH]
+    def _log(self, rows: int) -> memoryview:
+        """The completion log's first ``rows`` rows, read in place as one
+        flat int64 view: field ``f`` of every row is the strided column
+        ``log[f::LOG_WIDTH]``.  Valid until the next ``ck_step`` /
+        ``ck_run``, which may move the buffer."""
+        log = self._view(A_LOG, rows * LOG_WIDTH)
+        return memoryview(log).cast("B").cast("q")
 
     def step(self) -> None:
         self._refuse_while_lent("step()")
@@ -706,9 +715,12 @@ class CKernel:
         if rows < 0:
             self._raise_error(rows)
         if rows:
+            flat = self._log(rows).tolist()
+            self.lib.ck_set(self._ck, S_NLOG, 0)
             complete = net._complete_packet
-            for (h, pid, src, dst, flits, hops, created, injected, lanes,
-                 measured, _) in self._take_log(rows):
+            for at in range(0, len(flat), LOG_WIDTH):
+                (h, pid, src, dst, flits, hops, created, injected, lanes,
+                 measured, _) = flat[at:at + LOG_WIDTH]
                 packet = self._held(h)
                 if packet is None:
                     packet = _span_born(pid, src, dst, flits, created,
@@ -778,23 +790,24 @@ class CKernel:
             return
         net = self.net
         stats = net._stats
-        log = lib.ck_arr(ck, A_LOG)
+        log = self._log(rows)
         stages = net.config.router_pipeline_stages
         link_delay = net.config.link_delay
         flits_done = 0
         for start in range(0, rows, _SPAN_LOG_ROWS):
             count = min(_SPAN_LOG_ROWS, rows - start)
-            flat = log[start * LOG_WIDTH:(start + count) * LOG_WIDTH]
-            columns = [flat[field::LOG_WIDTH] for field in range(LOG_WIDTH)]
-            flits_done += sum(columns[LOG_NFLITS])
+            chunk = log[start * LOG_WIDTH:(start + count) * LOG_WIDTH]
+            flits_done += sum(chunk[LOG_NFLITS::LOG_WIDTH])
             classes = ["data"] * count
             if self._hmap:
-                self._release_held(columns, classes)
-            measured = columns[LOG_MEASURED]
+                self._release_held(chunk, classes)
+            measured = chunk[LOG_MEASURED::LOG_WIDTH]
             wanted = sum(measured)
             if not wanted:
                 continue
-            fields = [columns[field] for field in _SAMPLE_FIELDS] + [classes]
+            fields = [
+                chunk[field::LOG_WIDTH].tolist() for field in _SAMPLE_FIELDS
+            ] + [classes]
             if wanted < count:
                 fields = [list(compress(field, measured)) for field in fields]
             stats.record_completions(*fields, stages, link_delay)
@@ -804,19 +817,20 @@ class CKernel:
         net._clean_packets += rows
         net._clean_flits += flits_done
 
-    def _release_held(self, columns: List[list], classes: List[str]) -> None:
+    def _release_held(self, chunk: memoryview, classes: List[str]) -> None:
         """Finish the Packet objects among a chunk of completion-log rows
         (packets Python enqueued), noting each one's class by row."""
         # A held packet always finishes before its handle can be reissued
         # to a span-born one, and rows are in finishing order, so a Packet
         # found here is its row's packet.
-        for row, h in enumerate(columns[LOG_HANDLE]):
+        for row, h in enumerate(chunk[LOG_HANDLE::LOG_WIDTH].tolist()):
             packet = self._held(h)
             if packet is not None:
                 self._let_go(h, packet)
-                _mirror(packet, columns[LOG_HOPS][row],
-                        columns[LOG_MINLANES][row], columns[LOG_INJ][row])
-                packet.received_at = columns[LOG_RECEIVED][row]
+                at = row * LOG_WIDTH
+                _mirror(packet, chunk[at + LOG_HOPS],
+                        chunk[at + LOG_MINLANES], chunk[at + LOG_INJ])
+                packet.received_at = chunk[at + LOG_RECEIVED]
                 classes[row] = packet.packet_class
 
     def _lend(self, source: SpanSource) -> Tuple[int, int]:

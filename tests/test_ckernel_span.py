@@ -227,15 +227,22 @@ def _injector_state(injector):
     ]
 
 
-def _observe(point, mode, sample_window=None, **knobs):
+def _observe(point, mode, sample_window=None, config=None, **knobs):
     """Run ``point`` and return everything that could diverge.
 
     ``mode``: ``"span"`` (kernel c, spans on), ``"c"`` (kernel c, spans
     forced off) or ``"event"``.  ``sample_window`` hands the run a
     :class:`TimeSeriesSampler` of that width, whose windows come back
-    under ``"windows"``."""
+    under ``"windows"``.  ``config`` overrides the mesh's
+    ``NetworkConfig`` fields."""
     point = replace(point, kernel="event" if mode == "event" else "c")
-    net = point.build_network()
+    if config:
+        net = build_network(
+            layout_by_name(point.layout, point.mesh_size), **config
+        )
+        net.use_kernel(point.kernel)
+    else:
+        net = point.build_network()
     injector = point.build_injector(net.topology.num_nodes)
     sampler = None
     if sample_window is not None:
@@ -366,6 +373,15 @@ class TestSpanDifferential:
             warmup_packets=300, measure_packets=1500,
         ))
         assert len(span["records"]) == 1500
+
+    def test_link_delay_of_three(self):
+        """A calendar of four buckets: arrivals scheduled three cycles
+        ahead wrap past the end of the ring, span after span."""
+        span = _three_way(
+            _point(layout="diagonal+BL", rate=0.08, seed=6),
+            config={"link_delay": 3, "credit_delay": 2},
+        )
+        assert len(span["records"]) == 200
 
     def test_no_warmup(self):
         """``warmup_packets=0``: the first packet born opens the window,

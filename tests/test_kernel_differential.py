@@ -246,12 +246,16 @@ def _arena_digest(net):
     )
 
 
-def _concentrated(topology, width, concentration):
+def _concentrated(topology, width, concentration, **config):
     """A homogeneous cmesh / fbfly network (``width``^2 routers, each
-    with ``concentration`` local ports)."""
-    return SweepPoint(
+    with ``concentration`` local ports); ``config`` overrides
+    :class:`NetworkConfig` fields."""
+    net = SweepPoint(
         topology=topology, mesh_size=width, concentration=concentration
     ).build_network()
+    if config:
+        net = Network(net.topology, net.router_configs, NetworkConfig(**config))
+    return net
 
 
 #: (topology, width, concentration): 16, 64 and 18 nodes; 8 ports per
@@ -264,11 +268,12 @@ CONCENTRATED = [
 
 
 def _run_one(leg, mesh_size, layout, rate, seed, cycles, payload_bits,
-             net=None):
+             net=None, **config):
     """Drive one leg with deterministic traffic; return digests.
-    A freshly built ``net`` replaces the ``layout`` mesh."""
+    A freshly built ``net`` replaces the ``layout`` mesh; ``config``
+    overrides the mesh's :class:`NetworkConfig` fields."""
     if net is None:
-        net = build_network(layout_by_name(layout, mesh_size))
+        net = build_network(layout_by_name(layout, mesh_size), **config)
     _use_leg(net, leg)
     rng = random.Random(seed)
     num_nodes = net.topology.num_nodes
@@ -308,15 +313,36 @@ def _assert_same(reference, other, name):
         assert a == b, f"state digest diverged at step {cycle_index} ({name})"
 
 
+#: the default link delay, credit delay and router pipeline depth
+DEFAULT_TIMING = {"link_delay": 1, "credit_delay": 1, "router_pipeline_stages": 2}
+
+
 def _every_concentrated_shape(test):
     """Pin one explicit example per concentrated shape, so none depends
     on what hypothesis happens to draw."""
     for shape in CONCENTRATED:
         test = example(
             mesh_size=2, layout="baseline", rate=0.15, seed=2011,
-            payload_bits=1024, concentrated=shape,
+            payload_bits=1024, concentrated=shape, **DEFAULT_TIMING,
         )(test)
     return test
+
+
+def _wrap_edges(test):
+    """Pin the edges of the C kernel's wrapped indices: a calendar of 4
+    buckets (a link delay of 3: arrivals land up to three buckets past
+    the running cycle's and wrap), and a loaded 4x4 mesh of 6-flit
+    packets in 5-deep flit rings, where 188 of the 192 lanes that carry
+    flits see a packet straddle the ring's wrap."""
+    test = example(
+        mesh_size=3, layout="diagonal+BL", rate=0.2, seed=7,
+        payload_bits=1024, concentrated=None,
+        link_delay=3, credit_delay=2, router_pipeline_stages=2,
+    )(test)
+    return example(
+        mesh_size=4, layout="baseline", rate=0.35, seed=2,
+        payload_bits=1024, concentrated=None, **DEFAULT_TIMING,
+    )(test)
 
 
 @settings(
@@ -331,17 +357,25 @@ def _every_concentrated_shape(test):
     seed=st.integers(min_value=0, max_value=2**16),
     payload_bits=st.sampled_from([64, 1024]),
     concentrated=st.sampled_from([None] + CONCENTRATED),
+    link_delay=st.sampled_from([1, 2, 3]),
+    credit_delay=st.sampled_from([1, 2, 3]),
+    router_pipeline_stages=st.sampled_from([1, 2, 3]),
 )
 @_every_concentrated_shape
+@_wrap_edges
 def test_kernels_bit_identical(
-    mesh_size, layout, rate, seed, payload_bits, concentrated
+    mesh_size, layout, rate, seed, payload_bits, concentrated, **timing
 ):
-    """``concentrated`` (a cmesh/fbfly shape) replaces the layout mesh."""
+    """``concentrated`` (a cmesh/fbfly shape) replaces the layout mesh;
+    ``timing`` sets the link and credit delays (the C calendar has
+    ``max(credit delay, link delay) + 1`` buckets) and the pipeline
+    depth."""
 
     def run(name):
-        net = concentrated and _concentrated(*concentrated)
+        net = concentrated and _concentrated(*concentrated, **timing)
         return _run_one(
-            name, mesh_size, layout, rate, seed, 120, payload_bits, net=net
+            name, mesh_size, layout, rate, seed, 120, payload_bits, net=net,
+            **timing,
         )
 
     event = run("event")
