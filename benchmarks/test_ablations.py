@@ -7,7 +7,7 @@ from repro.experiments import ablation_mechanisms, sensitivity_big_routers
 
 def test_ablation_mechanisms(benchmark):
     data = benchmark.pedantic(
-        lambda: ablation_mechanisms.run(fast=True), rounds=1, iterations=1
+        ablation_mechanisms.run, rounds=1, iterations=1
     )
     print_banner("Ablations: merging / flit accounting / placement")
     for name, v in data.items():
@@ -36,7 +36,7 @@ def test_ablation_mechanisms(benchmark):
 
 def test_sensitivity_big_routers(benchmark):
     data = benchmark.pedantic(
-        lambda: sensitivity_big_routers.run(budgets=(0, 8, 16, 24, 32), fast=True),
+        lambda: sensitivity_big_routers.run(budgets=(0, 8, 16, 24, 32)),
         rounds=1,
         iterations=1,
     )

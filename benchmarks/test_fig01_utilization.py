@@ -6,7 +6,7 @@ from repro.experiments import fig01_utilization
 
 def test_fig01_utilization(benchmark):
     data = benchmark.pedantic(
-        lambda: fig01_utilization.run(fast=True), rounds=1, iterations=1
+        fig01_utilization.run, rounds=1, iterations=1
     )
     print_banner("Figure 1: 8x8 mesh utilization under UR (near saturation)")
     print(

@@ -6,7 +6,7 @@ from repro.experiments import fig02_other_topologies
 
 def test_fig02_other_topologies(benchmark):
     data = benchmark.pedantic(
-        lambda: fig02_other_topologies.run(fast=True), rounds=1, iterations=1
+        fig02_other_topologies.run, rounds=1, iterations=1
     )
     print_banner("Figure 2: non-uniform utilization in other topologies")
     cm_hi, cm_lo = data["cmesh_max_min"]

@@ -9,7 +9,6 @@ def test_fig07_ur_traffic(benchmark):
         lambda: fig07_ur_traffic.run(
             rates=(0.02, 0.04, 0.06),
             layouts=("baseline", "center+B", "diagonal+B", "center+BL", "diagonal+BL"),
-            fast=True,
         ),
         rounds=1,
         iterations=1,

@@ -6,7 +6,7 @@ from repro.experiments import fig08_breakdown
 
 def test_fig08_breakdown(benchmark):
     data = benchmark.pedantic(
-        lambda: fig08_breakdown.run(rate=0.045, fast=True), rounds=1, iterations=1
+        lambda: fig08_breakdown.run(rate=0.045), rounds=1, iterations=1
     )
     print_banner("Figure 8: UR breakdowns, normalized to baseline")
     base_lat = data["latency"]["baseline"]["total"]

@@ -6,7 +6,7 @@ from repro.experiments import fig09_nn_traffic
 
 def test_fig09_nn_traffic(benchmark):
     data = benchmark.pedantic(
-        lambda: fig09_nn_traffic.run(rates=(0.04, 0.08, 0.11), fast=True),
+        lambda: fig09_nn_traffic.run(rates=(0.04, 0.08, 0.11)),
         rounds=1,
         iterations=1,
     )

@@ -7,7 +7,7 @@ from repro.experiments import fig10_torus
 def test_fig10_torus(benchmark):
     data = benchmark.pedantic(
         lambda: fig10_torus.run(
-            workloads=("SAP", "SPECjbb", "frrt", "sclst"), fast=True
+            workloads=("SAP", "SPECjbb", "frrt", "sclst")
         ),
         rounds=1,
         iterations=1,
@@ -31,7 +31,7 @@ def test_fig10_torus_ur_crosscheck(benchmark):
     from repro.experiments.fig10_torus import run_uniform_random
 
     ur = benchmark.pedantic(
-        lambda: run_uniform_random(fast=True), rounds=1, iterations=1
+        run_uniform_random, rounds=1, iterations=1
     )
     print_banner("Figure 10 (UR cross-check): mesh vs torus latency reduction")
     print(

@@ -10,7 +10,7 @@ def test_fig11_applications(benchmark):
     layouts = ("baseline", "diagonal+B", "diagonal+BL")
     data = benchmark.pedantic(
         lambda: fig11_applications.run(
-            workloads=workloads, layouts=layouts, fast=True
+            workloads=workloads, layouts=layouts
         ),
         rounds=1,
         iterations=1,

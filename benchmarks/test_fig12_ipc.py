@@ -10,7 +10,6 @@ def test_fig12_ipc(benchmark):
             commercial=("SPECjbb",),
             parsec=("frrt",),
             layouts=("baseline", "diagonal+BL"),
-            fast=True,
         ),
         rounds=1,
         iterations=1,

@@ -6,7 +6,7 @@ from repro.experiments import fig14_asymmetric
 
 def test_fig14_asymmetric(benchmark):
     data = benchmark.pedantic(
-        lambda: fig14_asymmetric.run(fast=True), rounds=1, iterations=1
+        fig14_asymmetric.run, rounds=1, iterations=1
     )
     print_banner("Figure 14: asymmetric CMP (4 large + 60 small cores)")
     for name, result in data["results"].items():

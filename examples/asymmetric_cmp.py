@@ -14,7 +14,7 @@ from repro.experiments.fig14_asymmetric import run
 
 
 def main() -> None:
-    data = run(fast=True)
+    data = run()
     print("asymmetric CMP: 4x libquantum (large cores) + 60x SPECjbb (small cores)\n")
     print(f"{'network':22s} {'weighted spdup':>14s} {'harmonic spdup':>14s} "
           f"{'libquantum IPC':>14s} {'SPECjbb IPC':>12s}")

@@ -16,7 +16,7 @@ per point *in input order*.  Three orthogonal choices:
   or ``None``.  The store is the one durable backend: already-computed
   points replay from it, every sweep registers its points in the store's
   journal and flips them to ``done`` as results commit, so re-running
-  ``run_all`` -- or a crashed ``--full`` sweep -- resumes instead of
+  ``run_all`` -- or a crashed sweep -- resumes instead of
   recomputing, and ``run_all --resume`` reports exactly what survived.
 * **progress** -- a callback receiving
   :class:`~repro.obs.profiler.Progress` heartbeats (phase ``"sweep"``)

@@ -10,7 +10,7 @@ the durability features a long-running sweep needs:
   writer and vice versa.
 * **A sweep journal** -- :meth:`begin_sweep` records every point of a
   sweep as ``pending`` and :meth:`mark_committed` flips them to ``done``
-  as results land, so an interrupted ``run_all --full`` can *report*
+  as results land, so an interrupted ``run_all`` can *report*
   exactly which points survive (``run_all --resume``) and resumes with
   zero recomputation of committed points.
 * **Corrupt-row quarantine** -- a row that fails its sha256 checksum,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.exec import SweepPoint, run_sweep
-from repro.experiments.common import measurement_scale, format_table
+from repro.experiments.common import format_table
 
 
 def _scattered_positions(n: int, num_big: int = None) -> set:
@@ -39,16 +39,16 @@ def _scattered_positions(n: int, num_big: int = None) -> set:
 
 def run(
     rate: float = 0.05,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
 ) -> Dict[str, Dict[str, float]]:
-    scale = measurement_scale(fast)
     common = dict(
         pattern="uniform_random",
         rate=rate,
         seed=seed,
-        warmup_packets=scale["warmup_packets"],
-        measure_packets=scale["measure_packets"],
+        warmup_packets=warmup_packets,
+        measure_packets=measure_packets,
     )
     variant_points = {
         "baseline": SweepPoint(layout="baseline", **common),
@@ -78,8 +78,8 @@ def run(
     }
 
 
-def main(fast: bool = True) -> None:
-    data = run(fast=fast)
+def main() -> None:
+    data = run()
     rows = [
         [
             name,
@@ -97,7 +97,3 @@ def main(fast: bool = True) -> None:
             "Mechanism ablations (UR @ 0.05)",
         )
     )
-
-
-if __name__ == "__main__":
-    main(fast=False)

@@ -6,18 +6,6 @@ from typing import Dict, Iterable, List, Sequence
 
 from repro.exec import PointResult, run_sweep, sweep_points
 
-# Default measurement sizes.  The paper warms up with 1,000 packets and
-# measures 100,000; pure-Python simulation scales these down (DESIGN.md's
-# performance note).  "fast" is used by the test suite and the benchmark
-# defaults, "full" by a patient command-line run.
-FAST_SCALE = {"warmup_packets": 100, "measure_packets": 600}
-FULL_SCALE = {"warmup_packets": 1000, "measure_packets": 10000}
-
-
-def measurement_scale(fast: bool) -> Dict[str, int]:
-    return dict(FAST_SCALE if fast else FULL_SCALE)
-
-
 def point_metrics(result: PointResult) -> Dict[str, object]:
     """A :class:`~repro.exec.PointResult` as the flat dict the harness
     tables are built from."""
@@ -40,7 +28,8 @@ def sweep_layouts(
     layouts: Sequence[str],
     pattern_name: str,
     rates: Sequence[float],
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
     flit_mode: str = "paper",
 ) -> Dict[str, List[Dict[str, object]]]:
@@ -52,15 +41,14 @@ def sweep_layouts(
     --jobs``/``REPRO_JOBS`` say so) and regroups the results into
     per-layout curves ordered like ``rates``.
     """
-    scale = measurement_scale(fast)
     points = sweep_points(
         layouts,
         pattern_name,
         rates,
         seed=seed,
         flit_mode=flit_mode,
-        warmup_packets=scale["warmup_packets"],
-        measure_packets=scale["measure_packets"],
+        warmup_packets=warmup_packets,
+        measure_packets=measure_packets,
     )
     results = run_sweep(points)
     curves: Dict[str, List[Dict[str, object]]] = {}

@@ -11,25 +11,25 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.exec import SweepPoint, run_sweep
-from repro.experiments.common import format_table, measurement_scale
+from repro.experiments.common import format_table
 
 
 def run(
     rate: float = 0.055,
     mesh_size: int = 8,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
 ) -> Dict[str, object]:
     """Returns per-router buffer and link utilization grids (fractions)."""
-    scale = measurement_scale(fast)
     point = SweepPoint(
         layout="baseline",
         mesh_size=mesh_size,
         pattern="uniform_random",
         rate=rate,
         seed=seed,
-        warmup_packets=scale["warmup_packets"],
-        measure_packets=scale["measure_packets"],
+        warmup_packets=warmup_packets,
+        measure_packets=measure_packets,
     )
     result = run_sweep([point])[0]
     n = mesh_size
@@ -59,9 +59,9 @@ def _region_mean(grid: List[List[float]], center: bool) -> float:
     return sum(values) / len(values)
 
 
-def main(fast: bool = True) -> dict:
+def main() -> dict:
     """Print the tables; returns the :func:`run` data."""
-    data = run(fast=fast)
+    data = run()
     for key, label in (
         ("buffer_utilization", "Buffer utilization (%)"),
         ("link_utilization", "Link utilization (%)"),
@@ -79,7 +79,3 @@ def main(fast: bool = True) -> dict:
         "(paper: ~75% vs ~35%)"
     )
     return data
-
-
-if __name__ == "__main__":
-    main(fast=False)

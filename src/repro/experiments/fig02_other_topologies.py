@@ -11,13 +11,14 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.exec import SweepPoint, run_sweep
-from repro.experiments.common import format_table, measurement_scale
+from repro.experiments.common import format_table
 
 
 def run(
     rate_cmesh: float = 0.03,
     rate_fbfly: float = 0.05,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
 ) -> Dict[str, List[List[float]]]:
     """Buffer-utilization grids for the two topologies.
@@ -27,7 +28,6 @@ def run(
     topologies run as independent sweep points (homogeneous generic
     routers, see :class:`repro.exec.SweepPoint`).
     """
-    scale = measurement_scale(fast)
     points = [
         SweepPoint(
             layout=None,
@@ -37,8 +37,8 @@ def run(
             pattern="uniform_random",
             rate=rate,
             seed=seed,
-            warmup_packets=scale["warmup_packets"],
-            measure_packets=scale["measure_packets"],
+            warmup_packets=warmup_packets,
+            measure_packets=measure_packets,
         )
         for topo, rate in (("cmesh", rate_cmesh), ("fbfly", rate_fbfly))
     ]
@@ -67,8 +67,8 @@ def run(
     }
 
 
-def main(fast: bool = True) -> None:
-    data = run(fast=fast)
+def main() -> None:
+    data = run()
     for key, label in (
         ("cmesh_buffer_utilization", "Concentrated mesh buffer utilization (%)"),
         ("fbfly_buffer_utilization", "Flattened butterfly buffer utilization (%)"),
@@ -81,7 +81,3 @@ def main(fast: bool = True) -> None:
     print(f"cmesh spread: {100 * hi:.1f}% max vs {100 * lo:.1f}% min (paper: ~75 vs ~60)")
     hi, lo = data["fbfly_max_min"]
     print(f"fbfly spread: {100 * hi:.1f}% max vs {100 * lo:.1f}% min (paper: ~60 vs ~40)")
-
-
-if __name__ == "__main__":
-    main(fast=False)

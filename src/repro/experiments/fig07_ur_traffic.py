@@ -43,7 +43,8 @@ ALL_HETERO = (
 def run(
     rates: Sequence[float] = DEFAULT_RATES,
     layouts: Sequence[str] = CURVE_LAYOUTS,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
     pattern: str = "uniform_random",
 ) -> Dict[str, object]:
@@ -54,7 +55,10 @@ def run(
     fans it out across processes and a warm result cache skips the
     simulation entirely -- bit-identically either way.
     """
-    samples = sweep_layouts(layouts, pattern, rates, fast=fast, seed=seed)
+    samples = sweep_layouts(
+        layouts, pattern, rates, warmup_packets=warmup_packets,
+        measure_packets=measure_packets, seed=seed,
+    )
     curves: Dict[str, List[Dict[str, float]]] = {}
     for layout in layouts:
         curves[layout] = [
@@ -110,9 +114,9 @@ PAPER_SUMMARY = {
 }
 
 
-def main(fast: bool = True) -> dict:
+def main() -> dict:
     """Print the tables; returns the :func:`run` data."""
-    data = run(fast=fast)
+    data = run()
     print("Figure 7(a): load-latency (ns)")
     headers = ["rate"] + list(data["curves"].keys())
     rows = []
@@ -157,7 +161,3 @@ def main(fast: bool = True) -> dict:
         rows.append(row)
     print(format_table(headers, rows))
     return data
-
-
-if __name__ == "__main__":
-    main(fast=False)

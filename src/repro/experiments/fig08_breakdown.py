@@ -20,10 +20,14 @@ BREAKDOWN_LAYOUTS = ("baseline", "center+BL", "diagonal+BL", "row2_5+BL")
 def run(
     rate: float = 0.045,
     layouts: Sequence[str] = BREAKDOWN_LAYOUTS,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
 ) -> Dict[str, object]:
-    samples = sweep_layouts(layouts, "uniform_random", [rate], fast=fast, seed=seed)
+    samples = sweep_layouts(
+        layouts, "uniform_random", [rate], warmup_packets=warmup_packets,
+        measure_packets=measure_packets, seed=seed,
+    )
     latency = {}
     power = {}
     for layout in layouts:
@@ -45,8 +49,8 @@ def run(
     return {"rate": rate, "latency": latency, "power": power}
 
 
-def main(fast: bool = True) -> None:
-    data = run(fast=fast)
+def main() -> None:
+    data = run()
     base_lat = data["latency"]["baseline"]["total"]
     print("Figure 8(a): latency breakdown, % of baseline total")
     rows = []
@@ -81,7 +85,3 @@ def main(fast: bool = True) -> None:
             ["layout", "links", "xbar", "arb+logic", "buffers", "total"], rows
         )
     )
-
-
-if __name__ == "__main__":
-    main(fast=False)

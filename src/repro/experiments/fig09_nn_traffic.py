@@ -26,7 +26,8 @@ DEFAULT_RATES = (0.02, 0.05, 0.08, 0.11)
 def run(
     rates: Sequence[float] = DEFAULT_RATES,
     layouts: Sequence[str] = NN_LAYOUTS,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
     flit_mode: str = "strict",
 ) -> Dict[str, object]:
@@ -38,8 +39,8 @@ def run(
     EXPERIMENTS.md).
     """
     samples = sweep_layouts(
-        layouts, "nearest_neighbor", rates, fast=fast, seed=seed,
-        flit_mode=flit_mode,
+        layouts, "nearest_neighbor", rates, warmup_packets=warmup_packets,
+        measure_packets=measure_packets, seed=seed, flit_mode=flit_mode,
     )
     curves: Dict[str, List[Dict[str, float]]] = {}
     for layout in layouts:
@@ -81,9 +82,9 @@ def run(
     return {"rates": list(rates), "curves": curves, "summary": summary}
 
 
-def main(fast: bool = True) -> dict:
+def main() -> dict:
     """Print the tables; returns the :func:`run` data."""
-    data = run(fast=fast)
+    data = run()
     print("Figure 9: nearest-neighbour traffic")
     headers = ["rate"] + [f"{l} lat_ns" for l in data["curves"]]
     rows = []
@@ -112,7 +113,3 @@ def main(fast: bool = True) -> dict:
         )
     )
     return data
-
-
-if __name__ == "__main__":
-    main(fast=False)

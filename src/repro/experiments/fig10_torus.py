@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Tuple
 
 from repro.core.layouts import baseline_layout, layout_by_name
 from repro.core.layouts import build_network
-from repro.experiments.common import format_table, measurement_scale, percent_reduction
+from repro.experiments.common import format_table, percent_reduction
 from repro.noc.network import Network
 from repro.noc.topology import Mesh, Torus
 from repro.traffic.workloads import WORKLOADS, app_packet_stream
@@ -86,7 +86,8 @@ def run_app_traffic(
 
 def run_uniform_random(
     rate: float = 0.035,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 17,
 ) -> Dict[str, float]:
     """Mesh-vs-torus comparison under plain UR traffic.
@@ -98,7 +99,6 @@ def run_uniform_random(
     """
     from repro.exec import SweepPoint, run_sweep
 
-    scale = measurement_scale(fast)
     combos = [
         (topo_name, layout_name)
         for topo_name in ("mesh", "torus")
@@ -112,8 +112,8 @@ def run_uniform_random(
                 pattern="uniform_random",
                 rate=rate,
                 seed=seed,
-                warmup_packets=scale["warmup_packets"],
-                measure_packets=scale["measure_packets"],
+                warmup_packets=warmup_packets,
+                measure_packets=measure_packets,
             )
             for topo_name, layout_name in combos
         ]
@@ -134,13 +134,13 @@ def run_uniform_random(
 def run(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     rate: float = 0.05,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
 ) -> Dict[str, object]:
     """Per-workload Diagonal+BL latency reduction on mesh and torus;
     a reduction whose runs left ``unfinished[topology][workload]`` > 0
     measured packets undrained is reported but kept out of the averages."""
-    scale = measurement_scale(fast)
     hetero = layout_by_name("diagonal+BL")
     base = baseline_layout()
     reductions: Dict[str, Dict[str, float]] = {"mesh": {}, "torus": {}}
@@ -157,8 +157,8 @@ def run(
                 )
                 network = build_network(layout, topology=topology)
                 results[layout.name], left = run_app_traffic(
-                    network, workload, rate, scale["warmup_packets"],
-                    scale["measure_packets"], seed,
+                    network, workload, rate, warmup_packets, measure_packets,
+                    seed,
                 )
                 unfinished[topo_name][workload] += left
             reductions[topo_name][workload] = percent_reduction(
@@ -225,15 +225,11 @@ def format_reductions(data: Dict[str, object]) -> str:
     )
 
 
-def main(fast: bool = True) -> None:
-    data = run(fast=fast)
+def main() -> None:
+    data = run()
     print(format_reductions(data))
-    ur = run_uniform_random(fast=fast)
+    ur = run_uniform_random()
     print(
         f"UR cross-check: mesh {ur['mesh_reduction_pct']:+.1f}% vs "
         f"torus {ur['torus_reduction_pct']:+.1f}% latency reduction"
     )
-
-
-if __name__ == "__main__":
-    main(fast=False)

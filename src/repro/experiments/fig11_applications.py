@@ -61,11 +61,8 @@ def run(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     layouts: Sequence[str] = DEFAULT_LAYOUTS,
     records_per_core: int = 400,
-    fast: bool = True,
     seed: int = 7,
 ) -> Dict[str, object]:
-    if fast:
-        records_per_core = min(records_per_core, 400)
     results: Dict[str, Dict[str, Dict[str, object]]] = {}
     for workload in workloads:
         results[workload] = {}
@@ -98,8 +95,8 @@ def run(
     return {"workloads": list(workloads), "results": results, "summary": summary}
 
 
-def main(fast: bool = True) -> None:
-    data = run(fast=fast)
+def main() -> None:
+    data = run()
     layouts = [l for l in DEFAULT_LAYOUTS if l != "baseline"]
     print("Figure 11(a): network latency reduction over baseline (%)")
     rows = []
@@ -145,7 +142,3 @@ def main(fast: bool = True) -> None:
             f"(paper Diagonal+BL: +18.5%), avg power reduction "
             f"{s['avg_power_reduction_pct']:+.1f}% (paper: +18..22%)"
         )
-
-
-if __name__ == "__main__":
-    main(fast=False)

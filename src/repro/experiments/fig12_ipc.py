@@ -21,12 +21,9 @@ def run(
     commercial: Sequence[str] = COMMERCIAL[:2],
     parsec: Sequence[str] = PARSEC[:3],
     layouts: Sequence[str] = DEFAULT_LAYOUTS,
-    records_per_core: int = 600,
-    fast: bool = True,
+    records_per_core: int = 400,
     seed: int = 7,
 ) -> Dict[str, object]:
-    if fast:
-        records_per_core = min(records_per_core, 400)
     workloads = list(commercial) + list(parsec)
     ipc: Dict[str, Dict[str, float]] = {}
     for workload in workloads:
@@ -62,8 +59,8 @@ def run(
     }
 
 
-def main(fast: bool = True) -> None:
-    data = run(fast=fast)
+def main() -> None:
+    data = run()
     layouts = list(data["improvements"].keys())
     rows = []
     for w in data["commercial"] + data["parsec"]:
@@ -86,7 +83,3 @@ def main(fast: bool = True) -> None:
             f"(paper Diagonal+BL: +12%), PARSEC avg {s['parsec_avg_pct']:+.1f}% "
             "(paper: +10%)"
         )
-
-
-if __name__ == "__main__":
-    main(fast=False)

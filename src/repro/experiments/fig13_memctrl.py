@@ -158,11 +158,10 @@ def run_workload(
 
 def run(
     workloads: Sequence[str] = ("SPECjbb", "frrt"),
-    fast: bool = True,
+    num_requests: int = 1500,
+    records_per_core: int = 200,
     seed: int = 13,
 ) -> Dict[str, object]:
-    num_requests = 1500 if fast else 6400
-    records = 200 if fast else 500
     ur: Dict[str, ClosedLoopResult] = {}
     for config_name, (placement, layout_name) in CONFIGURATIONS.items():
         ur[config_name] = run_closed_loop_ur(
@@ -172,7 +171,8 @@ def run(
     for workload in workloads:
         apps[workload] = {
             config_name: run_workload(
-                placement, layout_name, workload, records_per_core=records, seed=seed
+                placement, layout_name, workload,
+                records_per_core=records_per_core, seed=seed,
             )
             for config_name, (placement, layout_name) in CONFIGURATIONS.items()
         }
@@ -185,8 +185,8 @@ def run(
     return {"ur": ur, "apps": apps, "ur_reductions": ur_reductions}
 
 
-def main(fast: bool = True) -> None:
-    data = run(fast=fast)
+def main() -> None:
+    data = run()
     print("Figure 13(a): UR closed-loop request-response latency")
     rows = [
         [
@@ -212,7 +212,3 @@ def main(fast: bool = True) -> None:
                 [workload, name, f"{stats['mean']:.1f}", f"{stats['normalized_std']:.2f}"]
             )
     print(format_table(["workload", "config", "mean", "norm. std"], rows))
-
-
-if __name__ == "__main__":
-    main(fast=False)

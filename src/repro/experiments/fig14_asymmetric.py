@@ -66,14 +66,11 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def run(
-    records_large: int = 400,
-    records_small: int = 250,
-    fast: bool = True,
+    records_large: int = 250,
+    records_small: int = 150,
     seed: int = 17,
     mesh_size: int = 8,
 ) -> Dict[str, object]:
-    if fast:
-        records_large, records_small = 250, 150
     placement = asymmetric_cmp_layout(mesh_size)
     large_nodes, small_nodes = placement["large"], placement["small"]
     libquantum = WORKLOADS["libquantum"]
@@ -145,8 +142,8 @@ def _run_ipc(
     return system.per_core_ipc()
 
 
-def main(fast: bool = True) -> None:
-    data = run(fast=fast)
+def main() -> None:
+    data = run()
     rows = []
     for name, r in data["results"].items():
         s = data["summary"].get(name, {})
@@ -166,7 +163,3 @@ def main(fast: bool = True) -> None:
             "Figure 14: asymmetric CMP (paper: WS +6%/+11%, HS +11.5%)",
         )
     )
-
-
-if __name__ == "__main__":
-    main(fast=False)

@@ -33,8 +33,7 @@ directly with the :mod:`repro.search` metaheuristics:
 
 Usage::
 
-    python -m repro.experiments.placement_search            # fast scale
-    python -m repro.experiments.placement_search --full     # deeper search
+    python -m repro.experiments.placement_search            # = run_all search
     python -m repro.experiments.placement_search --smoke    # CI smoke (4x4 only)
 """
 
@@ -43,7 +42,7 @@ from __future__ import annotations
 import itertools
 import statistics
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.layouts import diagonal_positions
 from repro.experiments.common import format_table
@@ -101,12 +100,10 @@ def family_candidates(n: int, num_big: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _search_budget(fast: bool, smoke: bool) -> Dict[str, int]:
+def _search_budget(smoke: bool) -> Dict[str, int]:
     if smoke:
         return {"steps": 300, "restarts": 3, "generations": 0, "population": 0}
-    if fast:
-        return {"steps": 1200, "restarts": 2, "generations": 12, "population": 20}
-    return {"steps": 5000, "restarts": 4, "generations": 30, "population": 24}
+    return {"steps": 1200, "restarts": 2, "generations": 12, "population": 20}
 
 
 def _record_row(record, n: int) -> List[str]:
@@ -120,10 +117,9 @@ def _record_row(record, n: int) -> List[str]:
 
 
 def run(
-    fast: bool = True,
     seed: int = 0,
     smoke: bool = False,
-    refine_packets: Optional[int] = None,
+    refine_packets: int = 600,
 ) -> Dict[str, object]:
     """Run all stages; returns the full result bundle plus named checks."""
     checks: Dict[str, bool] = {}
@@ -146,14 +142,14 @@ def run(
     )
 
     # -- stage 2: annealer re-finds the exhaustive optimum -------------------
-    budget = _search_budget(fast, smoke)
+    budget = _search_budget(smoke)
     ev4_sa = PlacementEvaluator(SMALL_MESH)
     anneal4 = simulated_annealing(
         ev4_sa,
         NUM_BIG_SMALL,
         seed=seed,
-        steps=budget["steps"] if not smoke else 300,
-        restarts=budget["restarts"] if not smoke else 3,
+        steps=budget["steps"],
+        restarts=budget["restarts"],
     )
     out["anneal_4x4"] = anneal4
     checks["4x4 annealing matches the exhaustive optimum exactly"] = (
@@ -168,7 +164,7 @@ def run(
             [exhaustive.best_placement, anneal4.top[-1].canonical, diag4],
             SMALL_MESH,
             baseline=diag4,
-            measure_packets=refine_packets or 200,
+            measure_packets=refine_packets,
             seeds=REFINE_SEEDS[:2],
             checks=checks,
             label="4x4",
@@ -253,7 +249,7 @@ def run(
         candidates,
         LARGE_MESH,
         baseline=diag8,
-        measure_packets=refine_packets or (600 if fast else 2000),
+        measure_packets=refine_packets,
         seeds=REFINE_SEEDS,
         checks=checks,
         label="8x8",
@@ -334,8 +330,8 @@ def _refine_stage(
     }
 
 
-def main(fast: bool = True, smoke: bool = False, **kwargs) -> None:
-    data = run(fast=fast, smoke=smoke, **kwargs)
+def main(smoke: bool = False, **kwargs) -> None:
+    data = run(smoke=smoke, **kwargs)
     checks: Dict[str, bool] = data["checks"]
 
     exhaustive = data["exhaustive"]
@@ -416,7 +412,10 @@ def main(fast: bool = True, smoke: bool = False, **kwargs) -> None:
 
 if __name__ == "__main__":
     argv = sys.argv[1:]
-    if "--smoke" in argv:
-        main(fast=True, smoke=True)
+    if argv == ["--smoke"]:
+        main(smoke=True, refine_packets=200)
+    elif argv:
+        print(f"usage: python -m repro.experiments.placement_search [--smoke]; got {argv}")
+        sys.exit(2)
     else:
-        main(fast="--full" not in argv)
+        main()

@@ -27,19 +27,18 @@ and parallelize like any other sweep point.
 
 Usage::
 
-    python -m repro.experiments.resilience            # fast scale
-    python -m repro.experiments.resilience --full     # paper scale
+    python -m repro.experiments.resilience            # = run_all resilience
     python -m repro.experiments.resilience --smoke    # CI smoke (tiny)
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.layouts import diagonal_positions
 from repro.exec import SweepPoint, run_sweep
-from repro.experiments.common import format_table, measurement_scale
+from repro.experiments.common import format_table
 from repro.faults import kill_routers
 
 #: the two designs under comparison: homogeneous mesh vs the paper's
@@ -74,14 +73,10 @@ def run(
     fault_counts: Sequence[int] = (0, 1, 2, 3, 4),
     rate: float = 0.08,
     mesh_size: int = 8,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
-    measure_packets: Optional[int] = None,
 ) -> Dict[str, object]:
-    scale = measurement_scale(fast)
-    if measure_packets is not None:
-        scale["measure_packets"] = measure_packets
-        scale["warmup_packets"] = max(50, measure_packets // 6)
     order = kill_order(mesh_size)
     if max(fault_counts) > len(order):
         raise ValueError(
@@ -99,8 +94,8 @@ def run(
                     pattern="uniform_random",
                     rate=rate,
                     seed=seed,
-                    warmup_packets=scale["warmup_packets"],
-                    measure_packets=scale["measure_packets"],
+                    warmup_packets=warmup_packets,
+                    measure_packets=measure_packets,
                     drain_cycle_cap=60_000,
                     faults=faults,
                 )
@@ -139,8 +134,8 @@ def run(
     }
 
 
-def main(fast: bool = True, **kwargs) -> None:
-    data = run(fast=fast, **kwargs)
+def main(**kwargs) -> None:
+    data = run(**kwargs)
     print(
         f"Resilience: permanent router kills on the "
         f"{data['mesh_size']}x{data['mesh_size']} mesh "
@@ -184,7 +179,10 @@ def main(fast: bool = True, **kwargs) -> None:
 
 if __name__ == "__main__":
     argv = sys.argv[1:]
-    if "--smoke" in argv:
-        main(fast=True, fault_counts=(0, 2, 4), measure_packets=200)
+    if argv == ["--smoke"]:
+        main(fault_counts=(0, 2, 4), warmup_packets=50, measure_packets=200)
+    elif argv:
+        print(f"usage: python -m repro.experiments.resilience [--smoke]; got {argv}")
+        sys.exit(2)
     else:
-        main(fast="--full" not in argv)
+        main()

@@ -2,8 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments.run_all          # fast (reduced scale)
-    python -m repro.experiments.run_all --full   # paper-scale (slow)
+    python -m repro.experiments.run_all               # every harness
     python -m repro.experiments.run_all fig07 fig09   # a subset
     python -m repro.experiments.run_all --jobs 4      # parallel sweep points
     python -m repro.experiments.run_all --no-cache    # always resimulate
@@ -27,13 +26,20 @@ Usage::
                                         # job server instead of running
                                         # them locally
 
+This is the one command line for the harnesses, and an argument it does
+not know -- a flag or an experiment name -- exits 2.  Every harness runs
+at its ``run()`` defaults (100 warmup + 600 measured packets per sweep
+point); another scale is a call with explicit sizes, e.g.
+``fig07_ur_traffic.run(warmup_packets=1000, measure_packets=100_000)``
+for the paper's.
+
 Sweep-style harnesses submit their points through :mod:`repro.exec`:
 ``--jobs N`` fans independent points out over N worker processes
 (bit-identical output to serial execution) and completed points land in
 the durable result store (``REPRO_SWEEP_CACHE``, else
 ``repro.exec.default_store_path()``), so a re-run -- or a crashed
-``--full`` sweep restarted -- skips simulation for every point it
-already has.  ``--no-cache`` opts out.  Progress heartbeats and cache
+sweep restarted -- skips simulation for every point it already has.
+``--no-cache`` opts out.  Progress heartbeats and cache
 configuration go to stderr so stdout stays byte-comparable across
 ``--jobs`` settings.
 
@@ -71,7 +77,7 @@ from repro.experiments import (
 )
 
 HARNESSES = {
-    "table1": lambda fast: table1_router_model.main(),
+    "table1": table1_router_model.main,
     "fig01": fig01_utilization.main,
     "fig02": fig02_other_topologies.main,
     "fig07": fig07_ur_traffic.main,
@@ -93,7 +99,7 @@ HARNESSES = {
 _EXPORTABLE = {"fig01", "fig07", "fig09", "sensitivity"}
 
 
-def _export_observability(directory: str, fast: bool) -> None:
+def _export_observability(directory: str) -> None:
     """Run one instrumented Figure-1-style run and export its artifacts.
 
     Demonstrates the full observability stack end to end: time-series
@@ -106,7 +112,6 @@ def _export_observability(directory: str, fast: bool) -> None:
     import pathlib
 
     from repro.exec import SweepPoint, run_sweep, sweep_points
-    from repro.experiments.common import measurement_scale
     from repro.experiments.export import export_observation
     from repro.obs import observe
     from repro.obs.attribution import attribute_metrics
@@ -117,9 +122,8 @@ def _export_observability(directory: str, fast: bool) -> None:
     from repro.search.optimize import simulated_annealing
 
     directory = pathlib.Path(directory)
-    point = SweepPoint(
-        layout="baseline", rate=0.05, seed=11, **measurement_scale(fast)
-    )
+    scale = {"warmup_packets": 100, "measure_packets": 600}
+    point = SweepPoint(layout="baseline", rate=0.05, seed=11, **scale)
     network = point.build_network()
     observation = observe(
         network, sample_window=100, trace=True, profile=True, metrics=True
@@ -137,7 +141,6 @@ def _export_observability(directory: str, fast: bool) -> None:
         print(observation.profiler.format_report())
 
     # Tiny instrumented sweep: engine spans + a merged Chrome trace.
-    scale = measurement_scale(fast=True)
     points = sweep_points(
         ["baseline", "center+BL"], "uniform_random", [0.02, 0.05], **scale
     )
@@ -172,7 +175,7 @@ def _export_observability(directory: str, fast: bool) -> None:
         "obs_demo",
         created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         config={"layout": "baseline", "pattern": "uniform_random",
-                "rate": 0.05, "fast": fast},
+                "rate": 0.05, **scale},
         points=points,
         telemetry=telemetry,
         argv=sys.argv,
@@ -245,7 +248,7 @@ def _report_resume(store_path, names: list) -> dict:
 
     Reads the sweep journal an interrupted run left in the store:
     one line per (tag, sweep) with committed/pending point counts, so
-    the operator sees exactly how much of ``--full`` survives before
+    the operator sees exactly how much of the run survives before
     the suite continues (committed points replay from the store at
     zero simulation cost).
     """
@@ -303,7 +306,7 @@ def _list_harnesses() -> int:
     return 0
 
 
-def _run_harness(name: str, fast: bool, csv_dir) -> None:
+def _run_harness(name: str, csv_dir) -> None:
     """Run one harness, then export its CSVs when ``csv_dir`` is set."""
     from repro.exec import configure
 
@@ -311,7 +314,7 @@ def _run_harness(name: str, fast: bool, csv_dir) -> None:
     # --resume reports progress per figure.
     configure(sweep_tag=name)
     try:
-        data = HARNESSES[name](fast)
+        data = HARNESSES[name]()
     finally:
         configure(sweep_tag=None)
     if csv_dir and name in _EXPORTABLE:
@@ -323,7 +326,6 @@ def _run_harness(name: str, fast: bool, csv_dir) -> None:
 
 
 def main(argv: list) -> int:
-    fast = "--full" not in argv
     if "--kernel" in argv:
         import os
 
@@ -365,8 +367,11 @@ def main(argv: list) -> int:
             return 2
         install_submit(submit_url, client="run_all")
         print(f"[exec] submitting sweeps to {submit_url}", file=sys.stderr)
-    selected = [a for a in argv if not a.startswith("-")]
-    names = selected or list(HARNESSES)
+    flags = [a for a in argv if a.startswith("-")]
+    if flags:
+        print(f"unknown flags: {flags}; see repro.experiments.run_all's usage")
+        return 2
+    names = argv or list(HARNESSES)
     unknown = [n for n in names if n not in HARNESSES]
     if unknown:
         print(f"unknown experiments: {unknown}; choose from {sorted(HARNESSES)}")
@@ -378,12 +383,12 @@ def main(argv: list) -> int:
     failed = []
     for done, name in enumerate(names):
         print("=" * 72)
-        print(f"{name}  ({'fast' if fast else 'full'} scale)")
+        print(name)
         print("=" * 72)
         start = time.time()
         outcome = "done"
         try:
-            _run_harness(name, fast, csv_dir)
+            _run_harness(name, csv_dir)
         except Exception as exc:
             # One harness raising must not cost the rest of the suite.
             failed.append(name)
@@ -406,7 +411,7 @@ def main(argv: list) -> int:
         print("=" * 72)
         print("observability export")
         print("=" * 72)
-        _export_observability(obs_dir, fast)
+        _export_observability(obs_dir)
     if failed:
         print(
             f"[run_all] {len(failed)} of {len(names)} harnesses failed: "

@@ -27,7 +27,7 @@ from repro.core.layouts import (
     extended_diagonal_positions,
 )
 from repro.exec import SweepPoint, run_sweep
-from repro.experiments.common import format_table, measurement_scale
+from repro.experiments.common import format_table
 from repro.noc.topology import Mesh
 
 DEFAULT_BUDGETS = (0, 8, 16, 24, 32)
@@ -37,10 +37,10 @@ def run(
     budgets: Sequence[int] = DEFAULT_BUDGETS,
     rate: float = 0.05,
     mesh_size: int = 8,
-    fast: bool = True,
+    warmup_packets: int = 100,
+    measure_packets: int = 600,
     seed: int = 11,
 ) -> Dict[str, object]:
-    scale = measurement_scale(fast)
     max_big_power_neutral = mesh_size**2 - min_small_routers(mesh_size)
     mesh = Mesh(mesh_size)
     common = dict(
@@ -48,8 +48,8 @@ def run(
         pattern="uniform_random",
         rate=rate,
         seed=seed,
-        warmup_packets=scale["warmup_packets"],
-        measure_packets=scale["measure_packets"],
+        warmup_packets=warmup_packets,
+        measure_packets=measure_packets,
     )
     layouts = {}
     points = []
@@ -88,9 +88,9 @@ def run(
     }
 
 
-def main(fast: bool = True) -> dict:
+def main() -> dict:
     """Print the tables; returns the :func:`run` data."""
-    data = run(fast=fast)
+    data = run()
     print(
         f"Sensitivity: big-router budget on the 8x8 mesh "
         f"(UR @ {data['rate']} packets/node/cycle)"
@@ -117,7 +117,3 @@ def main(fast: bool = True) -> dict:
         )
     )
     return data
-
-
-if __name__ == "__main__":
-    main(fast=False)

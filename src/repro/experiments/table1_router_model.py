@@ -91,7 +91,3 @@ def main() -> None:
     print(f"buffer bits : {acc['baseline_buffer_bits']} -> {acc['hetero_buffer_bits']} (paper: 921600 -> 614400)")
     print(f"total VCs   : {acc['baseline_total_vcs']} -> {acc['hetero_total_vcs']} (constant by construction)")
     print(f"buffer-bit reduction: {100 * acc['buffer_bit_reduction']:.1f}% (paper: 33%)")
-
-
-if __name__ == "__main__":
-    main()

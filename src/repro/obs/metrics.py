@@ -205,7 +205,7 @@ class ServeMetrics:
     Lives on a :class:`MetricsRegistry`, so ``GET /metrics`` is just
     :meth:`MetricsRegistry.snapshot`.  Wall-clock latency histograms use
     log-spaced buckets from 10 ms to 10 min (sweep points span that whole
-    range between fast-scale and ``--full``).
+    range between ``run_all``'s default sizes and the paper's).
 
     Worker utilization is derived, not sampled: each worker accumulates
     busy-seconds into a counter, and :meth:`derived` divides by

@@ -68,7 +68,7 @@ from repro.obs.manifest import SweepTelemetry
 from repro.obs.metrics import ServeMetrics
 from repro.serve.jobs import JOB_STATES, JobQueue, points_from_specs
 
-#: request-body ceiling (a --full sweep of specs is ~1 MB; 16 MB is safe).
+#: request-body ceiling (a large sweep of specs is ~1 MB; 16 MB is safe).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: seconds of silence after which an ``/events`` stream writes a blank

@@ -5,7 +5,7 @@ execute *zero* simulations (proved here by stubbing ``execute_point`` to
 raise), and any damaged row -- torn, corrupt JSON, wrong version, wrong
 spec, wrong field set -- silently degrades to a recompute, never an
 exception.  That combination is what lets an interrupted
-``run_all --full`` sweep resume from where it crashed.
+``run_all`` sweep resume from where it crashed.
 """
 
 import ast

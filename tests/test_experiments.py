@@ -17,13 +17,13 @@ from repro.experiments import (
     fig08_breakdown,
     fig09_nn_traffic,
     fig10_torus,
+    fig12_ipc,
     fig13_memctrl,
     table1_router_model,
 )
 from repro.exec import SweepPoint, execute_point
 from repro.experiments.common import (
     format_table,
-    measurement_scale,
     percent_change,
     percent_reduction,
     point_metrics,
@@ -42,11 +42,6 @@ class TestCommon:
         lines = text.splitlines()
         assert lines[0] == "T"
         assert "333" in text
-
-    def test_measurement_scale(self):
-        assert measurement_scale(True)["measure_packets"] < measurement_scale(
-            False
-        )["measure_packets"]
 
     def test_point_metrics_keys(self):
         sample = point_metrics(execute_point(SweepPoint(
@@ -75,7 +70,7 @@ class TestTable1:
 
 class TestFig01:
     def test_center_hotter_than_edge(self):
-        data = fig01_utilization.run(rate=0.05, fast=True)
+        data = fig01_utilization.run(rate=0.05)
         assert data["center_buffer_util"] > data["edge_buffer_util"]
         assert data["center_link_util"] > data["edge_link_util"]
         grid = data["buffer_utilization"]
@@ -84,7 +79,7 @@ class TestFig01:
 
 class TestFig02:
     def test_nonuniform_in_both_topologies(self):
-        data = fig02_other_topologies.run(fast=True)
+        data = fig02_other_topologies.run()
         hi, lo = data["cmesh_max_min"]
         assert hi > lo
         assert len(data["fbfly_buffer_utilization"]) == 4
@@ -93,7 +88,7 @@ class TestFig02:
 class TestFig07:
     def test_structure_and_power_ordering(self):
         data = fig07_ur_traffic.run(
-            rates=(0.02, 0.05), layouts=("baseline", "diagonal+BL"), fast=True
+            rates=(0.02, 0.05), layouts=("baseline", "diagonal+BL")
         )
         assert set(data["curves"]) == {"baseline", "diagonal+BL"}
         assert len(data["curves"]["baseline"]) == 2
@@ -105,7 +100,7 @@ class TestFig07:
 class TestFig08:
     def test_breakdowns_sum(self):
         data = fig08_breakdown.run(
-            rate=0.04, layouts=("baseline", "diagonal+BL"), fast=True
+            rate=0.04, layouts=("baseline", "diagonal+BL")
         )
         for layout, parts in data["latency"].items():
             assert parts["total"] == pytest.approx(
@@ -120,7 +115,7 @@ class TestFig08:
 class TestFig09:
     def test_nn_anomaly_direction(self):
         data = fig09_nn_traffic.run(
-            rates=(0.04, 0.08), layouts=("baseline", "diagonal+BL"), fast=True
+            rates=(0.04, 0.08), layouts=("baseline", "diagonal+BL")
         )
         # Paper's anomaly: hetero is WORSE under NN (one-hop flows cross
         # the de-provisioned edge routers; strict flit mode).
@@ -173,7 +168,7 @@ class TestFig10Runner:
         assert "*" not in fig10_torus.format_reductions(data)
 
     def test_ur_crosscheck_shape(self):
-        ur = fig10_torus.run_uniform_random(fast=True)
+        ur = fig10_torus.run_uniform_random()
         assert ur["torus_reduction_pct"] < ur["mesh_reduction_pct"]
 
 
@@ -197,19 +192,32 @@ class TestFig12Runner:
             parsec=(),
             layouts=("baseline", "diagonal+BL"),
             records_per_core=100,
-            fast=True,
             seed=3,
         )
         assert "diagonal+BL" in data["improvements"]
         assert "SPECjbb" in data["improvements"]["diagonal+BL"]
         assert data["ipc"]["SPECjbb"]["baseline"] > 0
 
+    def test_records_per_core_passed_through(self, monkeypatch):
+        sizes = []
+
+        def stub_run_one(layout, workload, records_per_core, seed=7):
+            sizes.append(records_per_core)
+            return {"ipc": 1.0}
+
+        monkeypatch.setattr(fig12_ipc, "run_one", stub_run_one)
+        fig12_ipc.run(records_per_core=450)
+        assert sizes and set(sizes) == {450}
+        sizes.clear()
+        fig12_ipc.run()  # the size run_all prints
+        assert sizes and set(sizes) == {400}
+
 
 class TestAblationHarness:
     def test_variants_present(self):
         from repro.experiments.ablation_mechanisms import run
 
-        data = run(rate=0.04, fast=True)
+        data = run(rate=0.04)
         assert set(data) == {
             "baseline",
             "diagonal+BL",
@@ -225,7 +233,7 @@ class TestSensitivityHarness:
     def test_power_monotone_in_big_count(self):
         from repro.experiments.sensitivity_big_routers import run
 
-        data = run(budgets=(8, 24), fast=True)
+        data = run(budgets=(8, 24))
         rows = {row["num_big"]: row for row in data["rows"]}
         assert rows[24]["power_w"] > rows[8]["power_w"]
         assert data["max_big_power_neutral"] == 26

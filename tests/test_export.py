@@ -69,7 +69,7 @@ class TestExportExperiment:
     def test_real_harness_output_exports(self, tmp_path):
         from repro.experiments import fig01_utilization
 
-        data = fig01_utilization.run(fast=True)
+        data = fig01_utilization.run()
         written = export_experiment("fig01", data, tmp_path)
         assert any("buffer_utilization" in p.name for p in written)
         # Each heat-map CSV has 64 data rows for the 8x8 mesh.

@@ -95,10 +95,21 @@ class TestCmpMemoryPlacements:
 
 
 class TestAsymmetricHarnessSmall:
-    def test_fig14_on_4x4(self):
-        from repro.experiments.fig14_asymmetric import run
+    def test_fig14_on_4x4(self, monkeypatch):
+        from repro.experiments import fig14_asymmetric
 
-        data = run(records_large=60, records_small=40, fast=False, mesh_size=4)
+        lengths = {}
+
+        def traced(profile, core_id, num_records, seed=0):
+            trace = generate_core_trace(profile, core_id, num_records, seed)
+            lengths.setdefault(profile.name, set()).add(len(trace))
+            return trace
+
+        monkeypatch.setattr(fig14_asymmetric, "generate_core_trace", traced)
+        data = fig14_asymmetric.run(
+            records_large=60, records_small=40, mesh_size=4
+        )
+        assert lengths == {"libquantum": {60}, "SPECjbb": {40}}
         assert set(data["results"]) == {
             "HomoNoC-XY", "HeteroNoC-XY", "HeteroNoC-Table+XY",
         }
@@ -107,7 +118,7 @@ class TestAsymmetricHarnessSmall:
             assert r["harmonic_speedup"] > 0
 
 
-def _tiny_sweep_harness(fast):
+def _tiny_sweep_harness():
     """A run_all harness small enough for a test: two 4x4 points."""
     from repro.exec import run_sweep, sweep_points
 
@@ -132,6 +143,14 @@ class TestRunAllCli:
 
     def test_dispatch_unknown(self):
         assert run_all.main(["not-an-experiment"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--no-cahce", "--full"])
+    def test_unknown_flag_rejected(self, flag, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(run_all.HARNESSES, "tiny", lambda: ran.append(1))
+        assert run_all.main([flag, "tiny"]) == 2
+        assert ran == []
+        assert f"unknown flags: ['{flag}']" in capsys.readouterr().out
 
     def test_dispatch_single(self, capsys):
         assert run_all.main(["table1"]) == 0
@@ -188,8 +207,8 @@ class TestRunAllCli:
 
         calls = []
 
-        def stub_run(fast=True):
-            calls.append(fast)
+        def stub_run():
+            calls.append("run")
             return {
                 "buffer_utilization": [[0.5, 0.25], [0.25, 0.5]],
                 "link_utilization": [[0.1, 0.2], [0.2, 0.1]],
@@ -199,7 +218,7 @@ class TestRunAllCli:
 
         monkeypatch.setattr(fig01_utilization, "run", stub_run)
         assert run_all.main(["--csv", str(tmp_path), "fig01"]) == 0
-        assert calls == [True]
+        assert calls == ["run"]
         assert (tmp_path / "fig01_buffer_utilization.csv").exists()
 
     def test_resume_without_cache_rejected(self, capsys):
@@ -211,13 +230,13 @@ class TestRunAllCli:
     ):
         ran = []
 
-        def _raises(fast):
+        def _raises():
             ran.append("broken")
             raise RuntimeError("cores still running: [44, 46]")
 
         monkeypatch.setitem(run_all.HARNESSES, "broken", _raises)
         monkeypatch.setitem(
-            run_all.HARNESSES, "after", lambda fast: ran.append("after")
+            run_all.HARNESSES, "after", lambda: ran.append("after")
         )
         assert run_all.main(["broken", "table1", "after"]) == 1
         assert ran == ["broken", "after"]

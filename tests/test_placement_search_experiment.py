@@ -39,7 +39,7 @@ class TestFamilyCandidates:
 class TestSmokeRun:
     @pytest.fixture(scope="class")
     def smoke(self):
-        return placement_search.run(fast=True, smoke=True, refine_packets=120)
+        return placement_search.run(smoke=True, refine_packets=120)
 
     def test_all_checks_pass(self, smoke):
         failed = [n for n, ok in smoke["checks"].items() if not ok]
@@ -67,7 +67,7 @@ class TestSmokeRun:
         )
 
     def test_smoke_is_deterministic(self, smoke):
-        again = placement_search.run(fast=True, smoke=True, refine_packets=120)
+        again = placement_search.run(smoke=True, refine_packets=120)
         assert (
             again["exhaustive"].best_placement
             == smoke["exhaustive"].best_placement

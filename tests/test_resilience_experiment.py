@@ -21,7 +21,7 @@ def test_kill_order_targets_diagonal_big_routers():
 
 def test_throughput_degrades_monotonically_with_router_kills():
     data = resilience.run(
-        fault_counts=(0, 2, 4), fast=True, measure_packets=120
+        fault_counts=(0, 2, 4), warmup_packets=50, measure_packets=120
     )
     for layout, rows in data["curves"].items():
         throughputs = [row["throughput"] for row in rows]

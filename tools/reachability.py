@@ -1,7 +1,7 @@
 """Which functions in ``src/repro`` do the product surfaces reach?
 
-Runs every product surface -- each ``run_all`` harness at fast scale
-(resilience through its ``--smoke`` only), the ``--smoke`` harness CLIs,
+Runs every product surface -- each ``run_all`` harness at its default
+sizes (resilience through its ``--smoke`` only), the ``--smoke`` harness CLIs,
 the ``run_all`` flags, the serve / chaos / perf smokes, the heatmap /
 replay / store CLIs and ``examples/*.py`` -- with the profile hook in ``tools/reachability_hook`` loaded into every
 Python process they start.  The functions those processes entered are
@@ -40,8 +40,8 @@ BASELINE = ROOT / "tools" / "reachability_baseline.txt"
 
 #: harness CLIs with a ``--smoke`` mode, each a surface of its own
 SMOKE_MODULES = ("repro.experiments.resilience", "repro.experiments.placement_search")
-#: the harness that runs only through ``--smoke``: profiled, its fast
-#: scale alone takes minutes
+#: the harness that runs only through ``--smoke``: profiled, its default
+#: sizes alone take minutes
 SMOKE_ONLY = "resilience"
 
 
