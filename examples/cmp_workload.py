@@ -12,7 +12,7 @@ Run:  python examples/cmp_workload.py
 from repro.cmp import CmpSystem
 from repro.core import layout_by_name
 from repro.core.power import network_power_breakdown
-from repro.traffic.workloads import WORKLOADS, generate_core_trace
+from repro.traffic.workloads import WORKLOADS, core_traces
 
 WORKLOAD = "SPECjbb"
 RECORDS_PER_CORE = 400
@@ -26,16 +26,10 @@ def main() -> None:
         f"{profile.write_fraction:.0%} writes, "
         f"{profile.sharing_fraction:.0%} shared accesses\n"
     )
-    traces = {
-        core: generate_core_trace(profile, core, RECORDS_PER_CORE, seed=21)
-        for core in range(64)
-    }
+    traces = core_traces(WORKLOAD, range(64), RECORDS_PER_CORE, seed=21)
     for name in LAYOUTS:
         system = CmpSystem(layout_by_name(name), traces)
-        system.warm_caches()
-        system.network.begin_measurement()
-        cycles = system.run(max_cycles=500_000)
-        system.network.end_measurement()
+        cycles = system.measure()
 
         l1_hits = sum(l1.cache.hits for l1 in system.l1s.values())
         l1_total = sum(

@@ -48,13 +48,16 @@ class MemoryController:
         self.writes_served = 0
 
     def handle(self, msg: Message, cycle: int) -> None:
-        if msg.mtype == "MEM_READ":
-            self._queue.append(msg)
-        elif msg.mtype == "MEM_WRITE":
-            # Posted write: consumes a service slot but needs no reply.
-            self._queue.append(msg)
-        else:
+        handler = self._HANDLERS.get(msg.mtype)
+        if handler is None:
             raise ValueError(f"memory controller got unexpected {msg.mtype}")
+        handler(self, msg)
+
+    def _enqueue(self, msg: Message) -> None:
+        # A posted write consumes a service slot too, but needs no reply.
+        self._queue.append(msg)
+
+    _HANDLERS = {"MEM_READ": _enqueue, "MEM_WRITE": _enqueue}
 
     def tick(self, cycle: int) -> None:
         """Advance one cycle: start and complete DRAM accesses."""

@@ -31,16 +31,6 @@ from repro.core.layouts import Layout, build_network, memory_controller_placemen
 from repro.noc.routing import Routing
 from repro.traffic.trace import TraceRecord
 
-# Message-type -> handling component at the destination node.
-_L1_MESSAGES = frozenset(
-    {"DATA", "DATA_E", "DATA_X", "INV", "FWD_GETS", "FWD_GETX", "WB_ACK"}
-)
-_L2_MESSAGES = frozenset(
-    {"GETS", "GETX", "PUTX", "INV_ACK", "OWNER_DATA", "MEM_DATA"}
-)
-_MC_MESSAGES = frozenset({"MEM_READ", "MEM_WRITE"})
-
-
 @dataclass(frozen=True)
 class CmpConfig:
     """Platform parameters (Table 2 defaults)."""
@@ -226,20 +216,21 @@ class CmpSystem:
         msg = packet.payload
         if not isinstance(msg, Message):
             raise TypeError(f"CMP network delivered a non-coherence packet: {packet}")
-        if msg.mtype in _L2_MESSAGES:
+        # A message goes to the component whose handler table names it.
+        if msg.mtype in L2DirectoryController._HANDLERS:
             delay = self.config.l2_bank.latency
-        elif msg.mtype in _L1_MESSAGES:
+        elif msg.mtype in L1Controller._HANDLERS:
             delay = 1
         else:
             delay = 0
         self._dispatch_after(delay, msg)
 
     def _dispatch(self, msg: Message) -> None:
-        if msg.mtype in _L1_MESSAGES:
+        if msg.mtype in L1Controller._HANDLERS:
             self.l1s[msg.dst].handle(msg)
-        elif msg.mtype in _L2_MESSAGES:
+        elif msg.mtype in L2DirectoryController._HANDLERS:
             self.l2s[msg.dst].handle(msg)
-        elif msg.mtype in _MC_MESSAGES:
+        elif msg.mtype in MemoryController._HANDLERS:
             try:
                 mc = self.mcs[msg.dst]
             except KeyError:
@@ -435,6 +426,22 @@ class CmpSystem:
                 + ("; ".join(filter(None, waits)) or "none")
             )
         return self.cycle
+
+    def measure(self, max_cycles: int = 2_000_000) -> int:
+        """The one CMP experiment: warm the caches, open the network's
+        measurement window, run every core to the end of its trace and
+        close the window.
+
+        Returns the cycle count; raises :meth:`run`'s "failed to finish"
+        ``RuntimeError`` when ``max_cycles`` pass first.  Afterwards
+        ``network.stats`` holds the run's window and the cores, caches
+        and ``miss_records`` its results.
+        """
+        self.warm_caches()
+        self.network.begin_measurement()
+        cycles = self.run(max_cycles=max_cycles)
+        self.network.end_measurement()
+        return cycles
 
     def _mshr_waits(self, core: int) -> str:
         """Each block ``core`` has a miss outstanding on, with its home

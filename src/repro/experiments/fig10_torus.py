@@ -71,12 +71,9 @@ def run_app_traffic(
             packet = network.make_packet(src, dst, payload_bits=bits)
             if created >= warmup_packets:
                 packet.measured = True
-                if not network.measuring:
-                    network.begin_measurement()
             network.enqueue(packet)
             created += 1
         network.step()
-    network.end_measurement()
     deadline = network.cycle + drain_cycle_cap
     while len(network.stats.records) < measure_packets and network.cycle < deadline:
         network.step()

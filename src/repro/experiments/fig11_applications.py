@@ -17,44 +17,10 @@ from repro.cmp import CmpSystem
 from repro.core.layouts import layout_by_name
 from repro.core.power import network_power_breakdown
 from repro.experiments.common import format_table, percent_reduction
-from repro.traffic.workloads import WORKLOADS, generate_core_trace
+from repro.traffic.workloads import core_traces
 
 DEFAULT_WORKLOADS = ("SAP", "SPECjbb", "frrt", "vips", "ddup", "sclst")
 DEFAULT_LAYOUTS = ("baseline", "center+B", "diagonal+B", "center+BL", "diagonal+BL")
-
-
-def run_one(
-    layout_name: str,
-    workload: str,
-    records_per_core: int,
-    seed: int = 7,
-    max_cycles: int = 400_000,
-) -> Dict[str, object]:
-    """One full-system run; returns latency/power metrics."""
-    layout = layout_by_name(layout_name)
-    profile = WORKLOADS[workload]
-    traces = {
-        core: generate_core_trace(profile, core, records_per_core, seed=seed)
-        for core in range(layout.mesh_size**2)
-    }
-    system = CmpSystem(layout, traces)
-    system.warm_caches()
-    system.network.begin_measurement()
-    cycles = system.run(max_cycles=max_cycles)
-    system.network.end_measurement()
-    stats = system.network.stats
-    power = network_power_breakdown(system.network, stats)
-    return {
-        "cycles": cycles,
-        "ipc": system.mean_ipc(),
-        "net_latency_cycles": stats.avg_latency_cycles,
-        "queuing": stats.avg_queuing_cycles,
-        "blocking": stats.avg_blocking_cycles,
-        "transfer": stats.avg_transfer_cycles,
-        "power_w": power["total"],
-        "power_breakdown": power,
-        "miss_latency": system.miss_latency_stats()["mean"],
-    }
 
 
 def run(
@@ -66,10 +32,28 @@ def run(
     results: Dict[str, Dict[str, Dict[str, object]]] = {}
     for workload in workloads:
         results[workload] = {}
-        for layout in layouts:
-            results[workload][layout] = run_one(
-                layout, workload, records_per_core, seed=seed
+        for layout_name in layouts:
+            layout = layout_by_name(layout_name)
+            system = CmpSystem(
+                layout,
+                core_traces(
+                    workload, range(layout.mesh_size**2), records_per_core, seed
+                ),
             )
+            cycles = system.measure()
+            stats = system.network.stats
+            power = network_power_breakdown(system.network, stats)
+            results[workload][layout_name] = {
+                "cycles": cycles,
+                "ipc": system.mean_ipc(),
+                "net_latency_cycles": stats.avg_latency_cycles,
+                "queuing": stats.avg_queuing_cycles,
+                "blocking": stats.avg_blocking_cycles,
+                "transfer": stats.avg_transfer_cycles,
+                "power_w": power["total"],
+                "power_breakdown": power,
+                "miss_latency": system.miss_latency_stats()["mean"],
+            }
     summary = {}
     for layout in layouts:
         if layout == "baseline":

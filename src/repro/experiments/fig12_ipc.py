@@ -1,16 +1,19 @@
 """Figure 12: IPC improvement of HeteroNoC layouts over the baseline.
 
 Full-system runs; the paper reports Diagonal+BL improving IPC by ~12 % on
-commercial workloads and ~10 % on PARSEC.  This harness reuses the
-Figure 11 runner and reports the IPC view of the same experiments.
+commercial workloads and ~10 % on PARSEC.  This harness runs the same
+full-system recipe as Figure 11 (:meth:`CmpSystem.measure`) and reports
+the IPC view of the experiments.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from repro.cmp import CmpSystem
+from repro.core.layouts import layout_by_name
 from repro.experiments.common import format_table, percent_change
-from repro.experiments.fig11_applications import run_one
+from repro.traffic.workloads import core_traces
 
 COMMERCIAL = ("SAP", "SPECjbb", "TPC-C", "SJAS")
 PARSEC = ("frrt", "fsim", "vips", "canl", "ddup", "sclst")
@@ -28,9 +31,16 @@ def run(
     ipc: Dict[str, Dict[str, float]] = {}
     for workload in workloads:
         ipc[workload] = {}
-        for layout in layouts:
-            result = run_one(layout, workload, records_per_core, seed=seed)
-            ipc[workload][layout] = result["ipc"]
+        for layout_name in layouts:
+            layout = layout_by_name(layout_name)
+            system = CmpSystem(
+                layout,
+                core_traces(
+                    workload, range(layout.mesh_size**2), records_per_core, seed
+                ),
+            )
+            system.measure()
+            ipc[workload][layout_name] = system.mean_ipc()
     improvements: Dict[str, Dict[str, float]] = {}
     for layout in layouts:
         if layout == "baseline":

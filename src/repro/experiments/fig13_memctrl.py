@@ -30,7 +30,7 @@ from repro.core.layouts import (
     memory_controller_placement,
 )
 from repro.experiments.common import format_table, percent_reduction
-from repro.traffic.workloads import WORKLOADS, generate_core_trace
+from repro.traffic.workloads import core_traces
 
 CONFIGURATIONS = {
     "corners_homo": ("corners", "baseline"),
@@ -96,7 +96,6 @@ def run_closed_loop_ur(
             outstanding[node] -= 1
 
     network.on_delivery = on_delivery
-    network.begin_measurement()
     while len(latencies) < per_node * num_nodes:
         if network.cycle >= max_cycles:
             raise RuntimeError("closed-loop run failed to complete; deadlock?")
@@ -128,32 +127,11 @@ def run_closed_loop_ur(
                 still.append((ready, mc, node, token))
         pending_responses[:] = still
         network.step()
-    network.end_measurement()
     mean = sum(latencies) / len(latencies)
     var = sum((l - mean) ** 2 for l in latencies) / len(latencies)
     return ClosedLoopResult(
         mean_latency=mean, std_latency=var**0.5, requests=len(latencies)
     )
-
-
-def run_workload(
-    mc_placement: str,
-    layout_name: str,
-    workload: str,
-    records_per_core: int = 250,
-    seed: int = 13,
-) -> Dict[str, float]:
-    """Full-CMP run; memory round-trip latency statistics."""
-    layout = layout_by_name(layout_name)
-    profile = WORKLOADS[workload]
-    traces = {
-        core: generate_core_trace(profile, core, records_per_core, seed=seed)
-        for core in range(layout.mesh_size**2)
-    }
-    system = CmpSystem(layout, traces, config=CmpConfig(mc_placement=mc_placement))
-    system.warm_caches()
-    system.run(max_cycles=400_000)
-    return system.miss_latency_stats(via_memory_only=True)
 
 
 def run(
@@ -169,13 +147,20 @@ def run(
         )
     apps: Dict[str, Dict[str, Dict[str, float]]] = {}
     for workload in workloads:
-        apps[workload] = {
-            config_name: run_workload(
-                placement, layout_name, workload,
-                records_per_core=records_per_core, seed=seed,
+        apps[workload] = {}
+        for config_name, (placement, layout_name) in CONFIGURATIONS.items():
+            layout = layout_by_name(layout_name)
+            system = CmpSystem(
+                layout,
+                core_traces(
+                    workload, range(layout.mesh_size**2), records_per_core, seed
+                ),
+                config=CmpConfig(mc_placement=placement),
             )
-            for config_name, (placement, layout_name) in CONFIGURATIONS.items()
-        }
+            system.measure()
+            apps[workload][config_name] = system.miss_latency_stats(
+                via_memory_only=True
+            )
     reference = ur["corners_homo"].mean_latency
     ur_reductions = {
         name: percent_reduction(result.mean_latency, reference)

@@ -19,46 +19,41 @@ metric uses the slowest SPECjbb thread).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cmp import CmpSystem, harmonic_speedup, weighted_speedup
 from repro.cmp.core_model import large_core_config, small_core_config
 from repro.core.layouts import (
+    Layout,
     asymmetric_cmp_layout,
     baseline_layout,
     layout_by_name,
 )
 from repro.experiments.common import format_table, percent_change
-from repro.noc.routing import TableRouting
+from repro.noc.routing import Routing, TableRouting
 from repro.noc.topology import Mesh
-from repro.traffic.workloads import WORKLOADS, generate_core_trace
+from repro.traffic.workloads import core_traces
 
 NETWORKS = ("HomoNoC-XY", "HeteroNoC-XY", "HeteroNoC-Table+XY")
 PAPER_WS_IMPROVEMENT = {"HeteroNoC-XY": 6.0, "HeteroNoC-Table+XY": 11.0}
 PAPER_HS_IMPROVEMENT = {"HeteroNoC-Table+XY": 11.5}
 
 
-def _build_system(
-    network_name: str,
-    traces: Dict[int, list],
-    core_configs: Dict[int, object],
-    mesh_size: int = 8,
-) -> CmpSystem:
+def _network(
+    network_name: str, mesh_size: int
+) -> Tuple[Layout, Optional[Routing]]:
+    """The layout and routing ``network_name`` stands for."""
     if network_name == "HomoNoC-XY":
-        layout = baseline_layout(mesh_size)
-        routing = None
-    else:
-        layout = layout_by_name("diagonal+BL", mesh_size)
-        routing = None
-        if network_name == "HeteroNoC-Table+XY":
-            placement = asymmetric_cmp_layout(mesh_size)
-            routing = TableRouting(
-                Mesh(mesh_size),
-                big_routers=set(layout.big_positions),
-                table_nodes=set(placement["large"]),
-                escape_vc=0,
-            )
-    return CmpSystem(layout, traces, core_configs=core_configs, routing=routing)
+        return baseline_layout(mesh_size), None
+    layout = layout_by_name("diagonal+BL", mesh_size)
+    if network_name == "HeteroNoC-XY":
+        return layout, None
+    return layout, TableRouting(
+        Mesh(mesh_size),
+        big_routers=set(layout.big_positions),
+        table_nodes=set(asymmetric_cmp_layout(mesh_size)["large"]),
+        escape_vc=0,
+    )
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -73,31 +68,26 @@ def run(
 ) -> Dict[str, object]:
     placement = asymmetric_cmp_layout(mesh_size)
     large_nodes, small_nodes = placement["large"], placement["small"]
-    libquantum = WORKLOADS["libquantum"]
-    specjbb = WORKLOADS["SPECjbb"]
-    large_traces = {
-        node: generate_core_trace(libquantum, node, records_large, seed=seed)
-        for node in large_nodes
-    }
-    small_traces = {
-        node: generate_core_trace(specjbb, node, records_small, seed=seed)
-        for node in small_nodes
-    }
+    large_traces = core_traces("libquantum", large_nodes, records_large, seed)
+    small_traces = core_traces("SPECjbb", small_nodes, records_small, seed)
     core_configs = {node: large_core_config() for node in large_nodes}
     core_configs.update({node: small_core_config() for node in small_nodes})
 
     results: Dict[str, Dict[str, float]] = {}
     for network_name in NETWORKS:
-        # Run-alone IPCs (each application with the platform to itself).
-        alone_large = _run_ipc(
-            network_name, large_traces, core_configs, mesh_size
-        )
-        alone_small = _run_ipc(
-            network_name, small_traces, core_configs, mesh_size
-        )
-        shared = _run_ipc(
-            network_name, {**large_traces, **small_traces}, core_configs, mesh_size
-        )
+        # Run-alone IPCs (each application with the platform to itself),
+        # then both sharing it.
+        ipcs = []
+        for traces in (
+            large_traces, small_traces, {**large_traces, **small_traces}
+        ):
+            layout, routing = _network(network_name, mesh_size)
+            system = CmpSystem(
+                layout, traces, core_configs=core_configs, routing=routing
+            )
+            system.measure()
+            ipcs.append(system.per_core_ipc())
+        alone_large, alone_small, shared = ipcs
         lib_alone = _mean([alone_large[n] for n in large_nodes])
         jbb_alone = _mean([alone_small[n] for n in small_nodes])
         lib_shared = _mean([shared[n] for n in large_nodes])
@@ -128,18 +118,6 @@ def run(
         if name != "HomoNoC-XY"
     }
     return {"results": results, "summary": summary}
-
-
-def _run_ipc(
-    network_name: str,
-    traces: Dict[int, list],
-    core_configs: Dict[int, object],
-    mesh_size: int,
-) -> Dict[int, float]:
-    system = _build_system(network_name, traces, core_configs, mesh_size)
-    system.warm_caches()
-    system.run(max_cycles=600_000)
-    return system.per_core_ipc()
 
 
 def main() -> None:

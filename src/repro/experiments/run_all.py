@@ -193,13 +193,33 @@ def _pop_flag_with_value(argv: list, flag: str):
     return argv[index + 1], argv[:index] + argv[index + 2:]
 
 
-def _configure_exec(argv: list):
-    """Apply ``--jobs N`` / ``--no-cache`` / ``--resume`` to the engine.
+def _pop_exec_flags(argv: list):
+    """Remove ``--jobs N`` / ``--no-cache`` / ``--resume`` from argv.
 
-    Returns ``(argv, resume_store)`` where ``resume_store`` is the store
-    path when ``--resume`` was given (else ``None``).  Everything this
-    prints goes to stderr: the harness tables on stdout must stay
-    byte-identical whatever the execution backend.
+    Returns ``(argv, jobs, cache, resume)``; raises ``ValueError`` on a bad
+    value or on ``--resume`` without the cache.
+    """
+    jobs = None
+    if "--jobs" in argv:
+        value, argv = _pop_flag_with_value(argv, "--jobs")
+        jobs = int(value)
+        if jobs < 1:
+            raise ValueError(f"--jobs needs a positive integer, got {value}")
+    cache = "--no-cache" not in argv
+    resume = "--resume" in argv
+    if resume and not cache:
+        raise ValueError("--resume needs the cache; drop --no-cache")
+    argv = [a for a in argv if a not in ("--no-cache", "--resume")]
+    return argv, jobs, cache, resume
+
+
+def _configure_exec(jobs, cache: bool, resume: bool):
+    """Apply the ``--jobs`` / ``--no-cache`` / ``--resume`` choices to the
+    engine.
+
+    Returns the store path when ``--resume`` was given (else ``None``).
+    Everything this prints goes to stderr: the harness tables on stdout
+    must stay byte-identical whatever the execution backend.
 
     Every mode shares one result store -- ``REPRO_SWEEP_CACHE`` or
     :func:`repro.exec.default_store_path` -- so ``--resume`` only adds the
@@ -213,25 +233,12 @@ def _configure_exec(argv: list):
     )
     from repro.obs.profiler import make_progress_printer
 
-    jobs = None
-    if "--jobs" in argv:
-        value, argv = _pop_flag_with_value(argv, "--jobs")
-        jobs = int(value)
-        if jobs < 1:
-            raise ValueError(f"--jobs needs a positive integer, got {value}")
     store_path, cache_label = None, "off"
-    if "--no-cache" in argv:
-        argv = [a for a in argv if a != "--no-cache"]
-    else:
+    if cache:
         store_path = ResultStore(
             ExecDefaults.from_env().cache_dir or default_store_path()
         ).path
         cache_label = str(store_path)
-    resume = "--resume" in argv
-    if resume:
-        argv = [a for a in argv if a != "--resume"]
-        if store_path is None:
-            raise ValueError("--resume needs the cache; drop --no-cache")
     configure(
         jobs=jobs,
         cache_dir=store_path,
@@ -240,7 +247,7 @@ def _configure_exec(argv: list):
         progress=make_progress_printer(),
     )
     print(f"[exec] jobs={jobs or 'default'} cache={cache_label}", file=sys.stderr)
-    return argv, store_path if resume else None
+    return store_path if resume else None
 
 
 def _report_resume(store_path, names: list) -> dict:
@@ -326,36 +333,42 @@ def _run_harness(name: str, csv_dir) -> None:
 
 
 def main(argv: list) -> int:
-    if "--kernel" in argv:
-        import os
-
-        from repro.noc.config import NetworkConfig
-
-        try:
-            value, argv = _pop_flag_with_value(argv, "--kernel")
-            NetworkConfig.check_kernel(value)
-        except ValueError as exc:
-            print(exc)
-            return 2
-        # REPRO_KERNEL reaches every network the harnesses (and any
-        # --jobs worker processes) construct; the harness tables stay
-        # byte-identical because the kernels are bit-identical.
-        os.environ["REPRO_KERNEL"] = value
-    if "--list" in argv:
-        return _list_harnesses()
-    csv_dir = None
-    obs_dir = None
-    submit_url = None
+    # The whole command line is checked before anything is configured:
+    # an argument this does not know exits 2 having touched nothing.
+    kernel = csv_dir = obs_dir = submit_url = None
     try:
+        if "--kernel" in argv:
+            from repro.noc.config import NetworkConfig
+
+            kernel, argv = _pop_flag_with_value(argv, "--kernel")
+            NetworkConfig.check_kernel(kernel)
         if "--csv" in argv:
             csv_dir, argv = _pop_flag_with_value(argv, "--csv")
         if "--obs" in argv:
             obs_dir, argv = _pop_flag_with_value(argv, "--obs")
         if "--submit" in argv:
             submit_url, argv = _pop_flag_with_value(argv, "--submit")
-        argv, resume_store = _configure_exec(argv)
+        argv, jobs, cache, resume = _pop_exec_flags(argv)
     except ValueError as exc:
         print(exc)
+        return 2
+    if kernel is not None:
+        import os
+
+        # REPRO_KERNEL reaches every network the harnesses (and any
+        # --jobs worker processes) construct; the harness tables stay
+        # byte-identical because the kernels are bit-identical.
+        os.environ["REPRO_KERNEL"] = kernel
+    if "--list" in argv:
+        return _list_harnesses()
+    flags = [a for a in argv if a.startswith("-")]
+    if flags:
+        print(f"unknown flags: {flags}; see repro.experiments.run_all's usage")
+        return 2
+    names = argv or list(HARNESSES)
+    unknown = [n for n in names if n not in HARNESSES]
+    if unknown:
+        print(f"unknown experiments: {unknown}; choose from {sorted(HARNESSES)}")
         return 2
     if submit_url is not None:
         from repro.serve.client import ServeClient, ServeError, install_submit
@@ -367,15 +380,7 @@ def main(argv: list) -> int:
             return 2
         install_submit(submit_url, client="run_all")
         print(f"[exec] submitting sweeps to {submit_url}", file=sys.stderr)
-    flags = [a for a in argv if a.startswith("-")]
-    if flags:
-        print(f"unknown flags: {flags}; see repro.experiments.run_all's usage")
-        return 2
-    names = argv or list(HARNESSES)
-    unknown = [n for n in names if n not in HARNESSES]
-    if unknown:
-        print(f"unknown experiments: {unknown}; choose from {sorted(HARNESSES)}")
-        return 2
+    resume_store = _configure_exec(jobs, cache, resume)
     if resume_store is not None:
         resume_report = _report_resume(resume_store, names)
         _write_resume_manifest(resume_store, resume_report)

@@ -13,8 +13,9 @@ DESIGN.md's substitution table.
 
 Two consumers:
 
-* the CMP model replays :func:`generate_core_trace` streams through cores,
-  caches and the directory protocol (Figures 11-14);
+* the CMP model replays :func:`core_traces` -- one
+  :func:`generate_core_trace` stream per core -- through cores, caches and
+  the directory protocol (Figures 11-14);
 * network-only studies use :func:`app_packet_stream`, which abstracts each
   memory access into a request/response packet pair between a core and the
   home node of the accessed block (Figure 10).
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.traffic.trace import TraceRecord
 
@@ -279,6 +280,21 @@ def generate_core_trace(
             )
         )
     return records
+
+
+def core_traces(
+    workload: str,
+    nodes: Iterable[int],
+    records_per_core: int,
+    seed: int,
+) -> Dict[int, List[TraceRecord]]:
+    """``{core: trace}`` of the named workload for every core in ``nodes``:
+    the trace map a :class:`~repro.cmp.system.CmpSystem` takes."""
+    profile = WORKLOADS[workload]
+    return {
+        core: generate_core_trace(profile, core, records_per_core, seed=seed)
+        for core in nodes
+    }
 
 
 def home_node(address: int, num_nodes: int, block_bytes: int = BLOCK_BYTES) -> int:

@@ -6,11 +6,13 @@ import weakref
 import pytest
 
 from repro.cmp.cache import EXCLUSIVE, MODIFIED, SHARED, CacheConfig
+from repro.cmp.coherence import L1Controller, L2DirectoryController
 from repro.cmp.core_model import TraceCore, small_core_config
+from repro.cmp.memory import MemoryController
 from repro.cmp.system import CmpConfig, CmpSystem
 from repro.core.layouts import layout_by_name
 from repro.traffic.trace import TraceRecord
-from repro.traffic.workloads import WORKLOADS, generate_core_trace
+from repro.traffic.workloads import WORKLOADS, core_traces, generate_core_trace
 
 
 def _small_cmp_config():
@@ -340,6 +342,58 @@ class TestFreedByReferenceCount:
         assert sizes[2] - sizes[1] < 200
 
 
+def _fig11_system(layout_name, workload):
+    """A cell of fig11's grid at its default seed (7) and size (400
+    records a core)."""
+    layout = layout_by_name(layout_name)
+    return CmpSystem(
+        layout, core_traces(workload, range(layout.mesh_size**2), 400, 7)
+    )
+
+
+class TestMeasure:
+    def test_measure_leaves_the_window_closed(self):
+        system = _system()
+        cycles = system.measure()
+        stats = system.network.stats
+        assert not system.network.measuring
+        assert (stats.start_cycle, stats.end_cycle) == (0, cycles)
+        assert stats.measured_cycles == cycles
+        assert all(core.done for core in system.cores.values())
+
+    def test_measure_reports_a_run_that_does_not_finish(self):
+        with pytest.raises(RuntimeError, match="CMP failed to finish within 50"):
+            _system().measure(max_cycles=50)
+
+
+class TestMessageRouting:
+    TABLES = {
+        "l1": L1Controller._HANDLERS,
+        "l2": L2DirectoryController._HANDLERS,
+        "mc": MemoryController._HANDLERS,
+    }
+
+    def test_handler_tables_are_disjoint(self):
+        tables = [set(table) for table in self.TABLES.values()]
+        assert sum(map(len, tables)) == len(set().union(*tables))
+
+    def test_every_message_sent_routes_to_one_component(self, monkeypatch):
+        sent = set()
+        send_message = CmpSystem.send_message
+
+        def recorded(system, msg):
+            sent.add(msg.mtype)
+            send_message(system, msg)
+
+        monkeypatch.setattr(CmpSystem, "send_message", recorded)
+        system = _system(traces=core_traces("TPC-C", range(16), 60, 0))
+        system.measure()
+        assert {"GETS", "GETX", "MEM_READ", "DATA", "INV"} <= sent
+        for mtype in sent:
+            owners = [name for name, t in self.TABLES.items() if mtype in t]
+            assert len(owners) == 1, (mtype, owners)
+
+
 class TestKnownDefects:
     @pytest.mark.xfail(
         strict=True,
@@ -355,9 +409,7 @@ class TestKnownDefects:
         """``canl``, fig11's default seed (7) and records/core (400):
         other seeds finish in about 3,000 cycles; this one leaves two
         cores waiting with the network empty and no event pending."""
-        from repro.experiments.fig11_applications import run_one
-
-        run_one(layout, "canl", 400, seed=7, max_cycles=6_000)
+        _fig11_system(layout, "canl").measure(max_cycles=6_000)
 
     @pytest.mark.xfail(
         strict=True,
@@ -373,9 +425,7 @@ class TestKnownDefects:
         """``ddup`` on ``center+BL`` at seed 7 and 400 records/core -- a
         cell of fig11's default grid -- leaves cores 44 and 46 waiting;
         seeds 1-3 finish in about 1,900-2,300 cycles."""
-        from repro.experiments.fig11_applications import run_one
-
-        run_one("center+BL", "ddup", 400, seed=7, max_cycles=6_000)
+        _fig11_system("center+BL", "ddup").measure(max_cycles=6_000)
 
     @pytest.mark.xfail(
         strict=True,

@@ -21,6 +21,7 @@ from repro.experiments import (
     fig13_memctrl,
     table1_router_model,
 )
+from repro.cmp import CmpSystem
 from repro.exec import SweepPoint, execute_point
 from repro.experiments.common import (
     format_table,
@@ -28,6 +29,7 @@ from repro.experiments.common import (
     percent_reduction,
     point_metrics,
 )
+from repro.traffic.trace import TraceRecord
 
 
 class TestCommon:
@@ -173,10 +175,16 @@ class TestFig10Runner:
 
 
 class TestFig11Runner:
-    def test_run_one_structure(self):
-        from repro.experiments.fig11_applications import run_one
+    def test_row_structure(self):
+        from repro.experiments.fig11_applications import run
 
-        result = run_one("diagonal+BL", "frrt", records_per_core=100, seed=3)
+        data = run(
+            workloads=("frrt",),
+            layouts=("baseline", "diagonal+BL"),
+            records_per_core=100,
+            seed=3,
+        )
+        result = data["results"]["frrt"]["diagonal+BL"]
         assert result["ipc"] > 0
         assert result["power_w"] > 0
         assert result["net_latency_cycles"] > 0
@@ -201,16 +209,69 @@ class TestFig12Runner:
     def test_records_per_core_passed_through(self, monkeypatch):
         sizes = []
 
-        def stub_run_one(layout, workload, records_per_core, seed=7):
+        def stub_core_traces(workload, nodes, records_per_core, seed):
             sizes.append(records_per_core)
-            return {"ipc": 1.0}
+            # One core, one miss: a CMP run of a few hundred cycles.
+            return {0: [TraceRecord(gap=0, is_write=False, address=1 << 20)]}
 
-        monkeypatch.setattr(fig12_ipc, "run_one", stub_run_one)
+        monkeypatch.setattr(fig12_ipc, "core_traces", stub_core_traces)
         fig12_ipc.run(records_per_core=450)
         assert sizes and set(sizes) == {450}
         sizes.clear()
         fig12_ipc.run()  # the size run_all prints
         assert sizes and set(sizes) == {400}
+
+
+class TestCmpHarnessesRunTheRecipe:
+    """Every full-system harness runs its CMPs through
+    :meth:`CmpSystem.measure`, the recipe the golden fixture pins."""
+
+    @pytest.fixture
+    def measured(self, monkeypatch):
+        calls = []
+        measure = CmpSystem.measure
+
+        def counted(system, *args, **kwargs):
+            calls.append(system)
+            return measure(system, *args, **kwargs)
+
+        monkeypatch.setattr(CmpSystem, "measure", counted)
+        return calls
+
+    def test_fig11(self, measured):
+        from repro.experiments import fig11_applications
+
+        fig11_applications.run(
+            workloads=("SAP",), layouts=("baseline", "diagonal+BL"),
+            records_per_core=20, seed=3,
+        )
+        assert len(measured) == 2
+
+    def test_fig12(self, measured):
+        fig12_ipc.run(
+            commercial=("SAP",), parsec=(),
+            layouts=("baseline", "diagonal+BL"), records_per_core=20, seed=3,
+        )
+        assert len(measured) == 2
+
+    def test_fig13_app_mode(self, measured):
+        fig13_memctrl.run(
+            workloads=("frrt",), num_requests=64, records_per_core=20, seed=3
+        )
+        assert len(measured) == len(fig13_memctrl.CONFIGURATIONS)
+
+    def test_fig14_on_4x4(self, measured):
+        from repro.experiments import fig14_asymmetric
+
+        fig14_asymmetric.run(records_large=20, records_small=20, mesh_size=4)
+        # Each network: libquantum alone, SPECjbb alone, both together.
+        assert len(measured) == 3 * len(fig14_asymmetric.NETWORKS)
+
+    def test_golden_cmp_rows(self, measured):
+        from tests.test_golden_cmp import run_row
+
+        run_row("SAP/baseline", "event")
+        assert len(measured) == 1
 
 
 class TestAblationHarness:

@@ -1,9 +1,11 @@
 """Golden full-system runs: fixed-seed ``CmpSystem`` references, exact match.
 
 ``tests/golden/cmp_runs.json`` commits what ten small fixed-seed CMP runs
-produce -- four applications on the homogeneous mesh and on Diagonal+BL,
-one asymmetric run with in-order cores on every other node (the
-``blocking_loads`` stall path) and one with no start stagger.  Each row
+produce through :meth:`CmpSystem.measure` -- the one recipe Figures 11-14
+run: warm the caches, run to completion inside the network's measurement
+window, close it.  Four applications run on the homogeneous mesh and on
+Diagonal+BL, one asymmetric run has in-order cores on every other node
+(the ``blocking_loads`` stall path) and one has no start stagger.  Each row
 holds the cycle count, every core's counters (stalls, retired
 instructions, start cycle, L1 loads / stores, tag-store hits / misses),
 the mean IPC, packets delivered, mean network latency and the number of
@@ -17,7 +19,8 @@ which pins
   rules out spans, so the compiled kernel steps the CMP's network one
   cycle at a time and must not change a single number.
 
-Regenerate after an *intentional* model change::
+Regenerate after an *intentional* model change (the rows then pin what
+the figures print, since both go through ``measure``)::
 
     PYTHONPATH=src python tests/test_golden_cmp.py --regen
 """
@@ -31,7 +34,7 @@ from repro.cmp.core_model import small_core_config
 from repro.cmp.system import CmpConfig, CmpSystem
 from repro.core.layouts import layout_by_name
 from repro.noc.ckernel import ckernel_available
-from repro.traffic.workloads import WORKLOADS, generate_core_trace
+from repro.traffic.workloads import core_traces
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "cmp_runs.json"
 
@@ -52,10 +55,7 @@ def _build(name: str) -> CmpSystem:
     app, layout_name, variant = GOLDEN_RUNS[name]
     layout = layout_by_name(layout_name)
     nodes = range(layout.mesh_size**2)
-    traces = {
-        core: generate_core_trace(WORKLOADS[app], core, RECORDS_PER_CORE, seed=SEED)
-        for core in nodes
-    }
+    traces = core_traces(app, nodes, RECORDS_PER_CORE, SEED)
     if variant == "asymmetric":
         small = {node: small_core_config() for node in nodes if node % 2}
         return CmpSystem(layout, traces, core_configs=small)
@@ -67,9 +67,7 @@ def _build(name: str) -> CmpSystem:
 def run_row(name: str, kernel: str) -> dict:
     system = _build(name)
     system.network.use_kernel(kernel)
-    system.warm_caches()
-    system.network.begin_measurement()
-    cycles = system.run(max_cycles=200_000)
+    cycles = system.measure()
     assert system.network.active_kernel == kernel
     stats = system.network.stats
     cores = [system.cores[node] for node in sorted(system.cores)]

@@ -14,6 +14,7 @@ from repro.noc.topology import ConcentratedMesh, FlattenedButterfly
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.runner import run_synthetic
 from repro.traffic.selfsimilar import SelfSimilarInjector
+from repro.traffic import workloads
 from repro.traffic.workloads import WORKLOADS, generate_core_trace
 
 
@@ -105,7 +106,7 @@ class TestAsymmetricHarnessSmall:
             lengths.setdefault(profile.name, set()).add(len(trace))
             return trace
 
-        monkeypatch.setattr(fig14_asymmetric, "generate_core_trace", traced)
+        monkeypatch.setattr(workloads, "generate_core_trace", traced)
         data = fig14_asymmetric.run(
             records_large=60, records_small=40, mesh_size=4
         )
@@ -143,6 +144,13 @@ class TestRunAllCli:
 
     def test_dispatch_unknown(self):
         assert run_all.main(["not-an-experiment"]) == 2
+
+    def test_bad_command_line_configures_nothing(self, capsys):
+        """Names and flags are checked before the engine is configured:
+        no ``[exec]`` line."""
+        assert run_all.main(["bogus"]) == 2
+        assert run_all.main(["--no-cahce", "table1"]) == 2
+        assert "[exec]" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--no-cahce", "--full"])
     def test_unknown_flag_rejected(self, flag, capsys, monkeypatch):

@@ -62,12 +62,9 @@ class TestSolversAreLoadedOnDemand:
             "import sys\n"
             "from repro.cmp import CmpSystem\n"
             "from repro.core.layouts import baseline_layout\n"
-            "from repro.traffic.workloads import WORKLOADS, generate_core_trace\n"
-            "traces = {c: generate_core_trace(WORKLOADS['SAP'], c, 5, seed=1)\n"
-            "          for c in range(16)}\n"
-            "system = CmpSystem(baseline_layout(4), traces)\n"
-            "system.warm_caches()\n"
-            "system.run(max_cycles=100_000)\n"
+            "from repro.traffic.workloads import core_traces\n"
+            "system = CmpSystem(baseline_layout(4), core_traces('SAP', range(16), 5, 1))\n"
+            "system.measure()\n"
             "loaded = {'numpy', 'scipy'} & {m.split('.')[0] for m in sys.modules}\n"
             "assert not loaded, loaded\n"
         )
