@@ -104,9 +104,8 @@ class L1Controller:
         self.home_of = home_of
         self.send = send
         self.schedule = schedule
-        # blocks with a PUTX in flight; value False once superseded by a
-        # forward that already handed the block onward.
-        self.writeback_buffer: Dict[int, bool] = {}
+        # blocks with a PUTX in flight (until their WB_ACK).
+        self.writeback_buffer: Set[int] = set()
         self.loads = 0
         self.stores = 0
         #: optional hook fired when a miss completes:
@@ -203,7 +202,7 @@ class L1Controller:
             self.cache.invalidate(msg.block)
 
     def _write_back(self, block: int) -> None:
-        self.writeback_buffer[block] = True
+        self.writeback_buffer.add(block)
         self.send(
             Message(
                 mtype="PUTX", block=block, src=self.node, dst=self.home_of(block)
@@ -253,7 +252,7 @@ class L1Controller:
         elif msg.block in self.writeback_buffer:
             # PUTX crossed the forward on the wire; serve from the
             # writeback buffer and let the home drop the stale PUTX.
-            self.writeback_buffer[msg.block] = False
+            pass
         elif self._stash_if_fill_in_flight(msg):
             # Forwards target *owners*; without an M/E copy here, the
             # forward must concern the ownership our outstanding request
@@ -275,7 +274,7 @@ class L1Controller:
         if line is not None and line.state in (MODIFIED, EXCLUSIVE):
             self.cache.invalidate(msg.block)
         elif msg.block in self.writeback_buffer:
-            self.writeback_buffer[msg.block] = False
+            pass  # served from the writeback buffer, as for FWD_GETS
         elif self._stash_if_fill_in_flight(msg):
             return
         else:
@@ -293,7 +292,7 @@ class L1Controller:
         )
 
     def _on_wb_ack(self, msg: Message) -> None:
-        self.writeback_buffer.pop(msg.block, None)
+        self.writeback_buffer.discard(msg.block)
 
     _HANDLERS = {
         "DATA": _on_data,

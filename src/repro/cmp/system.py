@@ -75,11 +75,10 @@ class CmpSystem:
         config: Optional[CmpConfig] = None,
         core_configs: Optional[Dict[int, CoreConfig]] = None,
         routing: Optional[Routing] = None,
-        flit_mode: str = "paper",
     ) -> None:
         self.layout = layout
         self.config = config or CmpConfig()
-        self.network = build_network(layout, routing=routing, flit_mode=flit_mode)
+        self.network = build_network(layout, routing=routing)
         # The system owns the network, the controllers and the cores; what
         # they hold of it -- the delivery callback, the send / schedule
         # ports, the miss hook -- is this one weak reference, so the last

@@ -4,9 +4,10 @@ The subsystem has four cooperating layers, all wired together by
 ``run_synthetic(..., faults=FaultSchedule(...))``:
 
 * :mod:`repro.faults.schedule` -- declarative, deterministic fault
-  schedules (:class:`FaultSpec` / :class:`FaultSchedule`) that travel
-  inside a :class:`~repro.exec.point.SweepPoint`, so faulty configs
-  cache and parallelize like any other sweep point;
+  schedules (:class:`FaultSpec` / :class:`FaultSchedule`) of link and
+  router faults, permanent or transient, that travel inside a
+  :class:`~repro.exec.point.SweepPoint`, so faulty configs cache and
+  parallelize like any other sweep point;
 * :mod:`repro.faults.injector` -- :class:`FaultInjector`, the runtime
   that applies/repairs faults on schedule and purges the casualties;
 * :mod:`repro.faults.routing` / :mod:`repro.faults.retransmit` -- the
@@ -30,9 +31,7 @@ from repro.faults.schedule import (
     FAULT_MODES,
     FaultSchedule,
     FaultSpec,
-    intermittent_link_faults,
     kill_routers,
-    mesh_link_channels,
 )
 from repro.faults.watchdog import (
     BlockedVC,
@@ -59,7 +58,5 @@ __all__ = [
     "check_network_invariants",
     "default_timeout",
     "diagnose_blocked_vcs",
-    "intermittent_link_faults",
     "kill_routers",
-    "mesh_link_channels",
 ]

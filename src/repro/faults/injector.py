@@ -11,14 +11,6 @@ fast paths:
     ``(router, port)`` endpoints of currently dead channels (both
     directions of a link fault; every incident channel of a dead
     router);
-``stuck_vcs``
-    ``(router, port, vc)`` input virtual channels that stopped
-    arbitrating;
-``flaky_ports``
-    directed outputs whose traversing flits get payload bits flipped;
-``degraded_ports``
-    wide (two-lane) channel endpoints operating in narrow fallback.
-
 ``topology_epoch`` increments whenever the alive-channel graph changes,
 which is what :class:`repro.faults.routing.FaultAwareRouting` keys its
 distance-table cache on.
@@ -36,17 +28,14 @@ network interface (:class:`repro.faults.retransmit.RetransmissionManager`)
 decides whether a lost packet is retransmitted or declared dead.
 
 All timing is deterministic: permanent and transient events come
-straight off the schedule, and intermittent episodes draw their
-Poisson inter-arrival gaps from per-spec RNGs seeded by
-``(schedule.seed, spec index)``, so a fault schedule inside a
-``SweepPoint`` caches and parallelizes like any other spec.
+straight off the schedule, so a fault schedule inside a ``SweepPoint``
+caches and parallelizes like any other spec.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.faults.schedule import FaultSchedule, FaultSpec
 
@@ -63,29 +52,19 @@ class FaultInjector:
         self.topology = topology
         self.dead_routers: Set[int] = set()
         self.dead_ports: Set[Tuple[int, int]] = set()
-        self.stuck_vcs: Set[Tuple[int, int, int]] = set()
-        self.flaky_ports: Set[Tuple[int, int]] = set()
-        self.degraded_ports: Set[Tuple[int, int]] = set()
         self.topology_epoch = 0
         #: (cycle, "apply"|"repair", spec) log for diagnostics/tests
         self.events: List[Tuple[int, str, FaultSpec]] = []
-        self._effects: Dict[Tuple, int] = {}
-        self._rngs: Dict[int, random.Random] = {}
+        self._effects: Dict[object, int] = {}
         # Timeline heap: (cycle, sequence, action, spec_index).
         self._timeline: List[Tuple[int, int, str, int]] = []
         self._seq = 0
         self._routing = None
         self._validate_specs()
         for index, spec in enumerate(schedule.specs):
-            if spec.mode == "permanent":
-                self._push(spec.at, "apply", index)
-            elif spec.mode == "transient":
-                self._push(spec.at, "apply", index)
+            self._push(spec.at, "apply", index)
+            if spec.mode == "transient":
                 self._push(spec.at + spec.repair_after, "repair", index)
-            else:  # intermittent: draw the first episode lazily-deterministic
-                rng = random.Random(schedule.seed * 1_000_003 + index)
-                self._rngs[index] = rng
-                self._push(spec.at + self._gap(rng, spec), "apply", index)
 
     # -- construction helpers --------------------------------------------------
     def _validate_specs(self) -> None:
@@ -118,19 +97,11 @@ class FaultInjector:
         heapq.heappush(self._timeline, (cycle, self._seq, action, index))
         self._seq += 1
 
-    @staticmethod
-    def _gap(rng: random.Random, spec: FaultSpec) -> int:
-        """One Poisson inter-episode gap, at least one cycle."""
-        return max(1, round(rng.expovariate(spec.rate)))
-
     def set_routing(self, routing) -> None:
         """Give the injector the fault-aware routing for reachability."""
         self._routing = routing
 
     # -- queries used on simulator fast paths ---------------------------------
-    def any_dead(self) -> bool:
-        return bool(self.dead_routers or self.dead_ports)
-
     def port_dead(self, router: int, port: int) -> bool:
         return (router, port) in self.dead_ports
 
@@ -143,28 +114,19 @@ class FaultInjector:
             )
         return self._routing.reachable(src_router, dst_router)
 
-    def next_event_cycle(self) -> Optional[int]:
-        return self._timeline[0][0] if self._timeline else None
-
     # -- per-cycle drive -------------------------------------------------------
     def tick(self, network, cycle: int) -> None:
         """Apply/repair every fault event due at ``cycle``."""
         topo_changed = False
         revived: List[Tuple[int, int]] = []
         while self._timeline and self._timeline[0][0] <= cycle:
-            when, _seq, action, index = heapq.heappop(self._timeline)
+            _when, _seq, action, index = heapq.heappop(self._timeline)
             spec = self.schedule.specs[index]
             if action == "apply":
                 topo_changed |= self._apply(spec)
-                self.events.append((cycle, "apply", spec))
-                if spec.mode == "intermittent":
-                    self._push(when + spec.duration, "repair", index)
             else:
                 topo_changed |= self._repair(spec, revived)
-                self.events.append((cycle, "repair", spec))
-                if spec.mode == "intermittent":
-                    rng = self._rngs[index]
-                    self._push(when + self._gap(rng, spec), "apply", index)
+            self.events.append((cycle, action, spec))
         if topo_changed:
             self.topology_epoch += 1
             self._purge_casualties(network, cycle)
@@ -175,41 +137,23 @@ class FaultInjector:
             network.reconcile_channel_credits(revived)
 
     # -- fault effects ---------------------------------------------------------
-    def _spec_effects(self, spec: FaultSpec) -> List[Tuple]:
-        """Atomic live-state effects of one spec (refcounted)."""
+    def _spec_effects(self, spec: FaultSpec) -> List[object]:
+        """The elements one spec kills (refcounted): router ids and the
+        ``(router, port)`` ends of channels."""
         topo = self.topology
-        if spec.kind == "router":
-            effects: List[Tuple] = [("router", spec.router)]
-            for port in range(topo.num_ports(spec.router)):
-                neighbor = topo.neighbor(spec.router, port)
-                if neighbor is None:
-                    continue
-                effects.append(("port", spec.router, port))
-                effects.append(("port", neighbor[0], neighbor[1]))
-            return effects
-        neighbor = topo.neighbor(spec.router, spec.port)
         if spec.kind == "link":
-            return [
-                ("port", spec.router, spec.port),
-                ("port", neighbor[0], neighbor[1]),
-            ]
-        if spec.kind == "vc_stuck":
-            return [("vc", spec.router, spec.port, spec.vc)]
-        if spec.kind == "bit_flip":
-            return [("flaky", spec.router, spec.port)]
-        # link_degrade: both directions fall back to one lane.
-        return [
-            ("degraded", spec.router, spec.port),
-            ("degraded", neighbor[0], neighbor[1]),
-        ]
+            return [(spec.router, spec.port), topo.neighbor(spec.router, spec.port)]
+        effects: List[object] = [spec.router]
+        for port in range(topo.num_ports(spec.router)):
+            neighbor = topo.neighbor(spec.router, port)
+            if neighbor is None:
+                continue
+            effects.append((spec.router, port))
+            effects.append(neighbor)
+        return effects
 
-    _SETS = {
-        "router": "dead_routers",
-        "port": "dead_ports",
-        "vc": "stuck_vcs",
-        "flaky": "flaky_ports",
-        "degraded": "degraded_ports",
-    }
+    def _live(self, effect) -> Set:
+        return self.dead_ports if isinstance(effect, tuple) else self.dead_routers
 
     def _apply(self, spec: FaultSpec) -> bool:
         """Raise refcounts; returns True when the alive graph changed."""
@@ -218,28 +162,20 @@ class FaultInjector:
             count = self._effects.get(effect, 0)
             self._effects[effect] = count + 1
             if count == 0:
-                live: Set = getattr(self, self._SETS[effect[0]])
-                key = effect[1] if effect[0] == "router" else effect[1:]
-                live.add(key)
-                if effect[0] in ("router", "port"):
-                    changed = True
+                self._live(effect).add(effect)
+                changed = True
         return changed
 
-    def _repair(
-        self, spec: FaultSpec, revived: Optional[List[Tuple[int, int]]] = None
-    ) -> bool:
+    def _repair(self, spec: FaultSpec, revived: List[Tuple[int, int]]) -> bool:
         changed = False
         for effect in self._spec_effects(spec):
             count = self._effects[effect] - 1
             self._effects[effect] = count
             if count == 0:
-                live: Set = getattr(self, self._SETS[effect[0]])
-                key = effect[1] if effect[0] == "router" else effect[1:]
-                live.discard(key)
-                if effect[0] in ("router", "port"):
-                    changed = True
-                    if effect[0] == "port" and revived is not None:
-                        revived.append(key)
+                self._live(effect).discard(effect)
+                changed = True
+                if isinstance(effect, tuple):
+                    revived.append(effect)
         return changed
 
     # -- casualty collection ---------------------------------------------------

@@ -1,19 +1,17 @@
 """End-to-end retransmission at the network interface.
 
 Under a fault schedule, packets can be lost (purged mid-wormhole by a
-link/router kill), arrive corrupted (bit-flip faults), or wedge behind
-a stuck VC.  The :class:`RetransmissionManager` is the NI-level
-recovery layer the run driver wires in: every packet it sends is
-tracked until a *clean* delivery, and
+link/router kill) or wedge in a fault-induced routing cycle.  The
+:class:`RetransmissionManager` is the NI-level recovery layer the run
+driver wires in: every packet it sends is tracked until its delivery,
+and
 
-* a **corrupted delivery** is discarded and the packet retransmitted
-  immediately;
 * a **purge notification** (``Network.report_packet_lost``) triggers a
   retransmission, unless the destination is currently unreachable --
   then the packet waits and the timeout path retries it;
 * a **timeout** (no delivery within the window) purges the packet from
   the network -- this is also the recovery path for packets wedged
-  behind a stuck VC or a fault-induced routing cycle -- and
+  in a fault-induced routing cycle -- and
   retransmits it with the timeout grown by ``backoff_factor``
   (exponential backoff, so repeated losses of one flow thin out its
   pressure on the faulty region).
@@ -32,7 +30,7 @@ while per-trip routing state is reset.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 class _Outstanding:
@@ -76,7 +74,6 @@ class RetransmissionManager:
         #: packets ready to re-enter their source queue next tick
         self._retry_queue: List = []
         self.retransmissions = 0
-        self.corrupt_deliveries = 0
         self.clean_deliveries = 0
         self.lost_packets = 0
         self.lost_measured = 0
@@ -117,16 +114,10 @@ class RetransmissionManager:
     # -- network callbacks -----------------------------------------------------
     def on_delivery(self, packet, cycle: int) -> None:
         """Fired by the network for every completed packet (its
-        ``on_delivery`` callback); corrupted arrivals retransmit."""
-        entry = self._outstanding.get(packet.packet_id)
-        if entry is None:
-            return  # not ours (e.g. enqueued directly around the NI)
-        if packet.corrupted:
-            self.corrupt_deliveries += 1
-            self._retry(entry, cycle, purge=False)
-            return
-        self.clean_deliveries += 1
-        del self._outstanding[packet.packet_id]
+        ``on_delivery`` callback)."""
+        if self._outstanding.pop(packet.packet_id, None) is not None:
+            # (a packet enqueued directly around the NI is not ours)
+            self.clean_deliveries += 1
 
     def on_loss(self, packet, reason: str, cycle: int) -> None:
         """Fired by the network when a fault purges ``packet``."""
@@ -208,7 +199,6 @@ class RetransmissionManager:
         packet.min_lanes = None
         packet.vc_class = 0
         packet.on_escape = False
-        packet.corrupted = False
 
     def _declare_lost(self, packet, reason: str, cycle: int) -> None:
         self._outstanding.pop(packet.packet_id, None)
@@ -220,7 +210,6 @@ class RetransmissionManager:
     def summary(self) -> Dict[str, int]:
         return {
             "clean_deliveries": self.clean_deliveries,
-            "corrupt_deliveries": self.corrupt_deliveries,
             "retransmissions": self.retransmissions,
             "lost_packets": self.lost_packets,
             "lost_measured": self.lost_measured,

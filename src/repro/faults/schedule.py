@@ -1,13 +1,10 @@
 """Declarative fault schedules.
 
-A :class:`FaultSpec` names one fault -- what breaks (a link, a whole
-router, a single virtual channel, a bit-flipping link, a wide link
-degraded to narrow operation), where, and *when* (permanently from a
-cycle, transiently with repair after N cycles, or intermittently as a
-seeded Poisson process of episodes).  A :class:`FaultSchedule` bundles a
-tuple of specs with the seed that pins the intermittent arrivals, plus
-the end-to-end resilience-policy knobs the network interface uses while
-the schedule is active.
+A :class:`FaultSpec` names one fault -- what breaks (a link or a whole
+router), where, and *when* (permanently from a cycle, or transiently
+with repair after N cycles).  A :class:`FaultSchedule` bundles a tuple
+of specs with the end-to-end resilience-policy knobs the network
+interface uses while the schedule is active.
 
 Both types are frozen, hashable and JSON-able, so a schedule can ride
 inside a :class:`repro.exec.point.SweepPoint`: faulty configurations
@@ -25,18 +22,6 @@ Fault kinds
     Fail-stop of a whole router: every incident channel dies, every
     buffered flit is lost, and nodes attached to it fall off the
     network until repair.
-``vc_stuck``
-    Input virtual channel ``(router, port, vc)`` stops arbitrating;
-    flits inside it are wedged until the fault repairs or the NI's
-    retransmission timeout purges them.
-``bit_flip``
-    While active, every flit traversing the directed output
-    ``(router, port)`` has payload bits flipped; the packet arrives
-    corrupted, is discarded by the destination NI and retransmitted.
-``link_degrade``
-    A wide (256 b merged) channel falls back to narrow (128 b,
-    one-flit-per-cycle) operation -- the big-router degraded mode.
-    Traffic keeps flowing at half link bandwidth; nothing is lost.
 
 Timing modes
 ============
@@ -44,21 +29,15 @@ Timing modes
 ``permanent``   -- active from cycle ``at`` forever.
 ``transient``   -- active from ``at``, repaired ``repair_after`` cycles
                    later.
-``intermittent``-- episodes of ``duration`` cycles whose start times
-                   form a Poisson process of ``rate`` episodes/cycle,
-                   drawn deterministically from the schedule seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-FAULT_KINDS = ("link", "router", "vc_stuck", "bit_flip", "link_degrade")
-FAULT_MODES = ("permanent", "transient", "intermittent")
-
-#: kinds that name a specific port on the target router
-_PORT_KINDS = ("link", "vc_stuck", "bit_flip", "link_degrade")
+FAULT_KINDS = ("link", "router")
+FAULT_MODES = ("permanent", "transient")
 
 
 @dataclass(frozen=True)
@@ -68,12 +47,9 @@ class FaultSpec:
     kind: str
     router: int
     port: Optional[int] = None
-    vc: Optional[int] = None
     mode: str = "permanent"
     at: int = 0
     repair_after: Optional[int] = None
-    rate: Optional[float] = None
-    duration: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -82,14 +58,10 @@ class FaultSpec:
             raise ValueError(f"mode must be one of {FAULT_MODES}, got {self.mode!r}")
         if self.router < 0:
             raise ValueError(f"router must be non-negative, got {self.router}")
-        if self.kind in _PORT_KINDS and self.port is None:
-            raise ValueError(f"{self.kind} faults need a port")
+        if self.kind == "link" and self.port is None:
+            raise ValueError("link faults need a port")
         if self.kind == "router" and self.port is not None:
             raise ValueError("router faults kill every port; do not give one")
-        if self.kind == "vc_stuck" and self.vc is None:
-            raise ValueError("vc_stuck faults need a vc")
-        if self.kind != "vc_stuck" and self.vc is not None:
-            raise ValueError(f"{self.kind} faults do not take a vc")
         if self.at < 0:
             raise ValueError(f"at must be non-negative, got {self.at}")
         if self.mode == "transient":
@@ -97,23 +69,6 @@ class FaultSpec:
                 raise ValueError("transient faults need repair_after >= 1")
         elif self.repair_after is not None:
             raise ValueError(f"{self.mode} faults do not take repair_after")
-        if self.mode == "intermittent":
-            if self.rate is None or not (0.0 < self.rate <= 1.0):
-                raise ValueError(
-                    "intermittent faults need a rate in (0, 1] episodes/cycle"
-                )
-            if self.duration < 1:
-                raise ValueError(f"duration must be >= 1, got {self.duration}")
-        elif self.rate is not None:
-            raise ValueError(f"{self.mode} faults do not take a rate")
-
-    def target(self) -> Tuple:
-        """The identity of the faulted resource (for dedup/diagnostics)."""
-        if self.kind == "router":
-            return (self.kind, self.router)
-        if self.kind == "vc_stuck":
-            return (self.kind, self.router, self.port, self.vc)
-        return (self.kind, self.router, self.port)
 
     def to_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -132,7 +87,10 @@ class FaultSchedule:
             useful: it enables the whole resilience stack (fault-aware
             routing, retransmission tracking, watchdog) with no faults,
             giving a like-for-like baseline for degradation studies.
-        seed: pins the Poisson arrivals of every intermittent spec.
+        seed: pins nothing -- every remaining fault fires on its
+            declared cycles.  It stays a field (and a part of every
+            faulty point's key) until the benchmark's own schedule stops
+            passing it (ROADMAP item 1).
         retransmit_timeout: NI retransmission timeout in cycles
             (``None`` derives a default from the network's zero-load
             hop cost).
@@ -176,14 +134,14 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FaultSchedule":
-        specs = tuple(FaultSpec.from_dict(s) for s in payload.get("specs", ()))
-        return cls(
-            specs=specs,
-            seed=payload.get("seed", 0),
-            retransmit_timeout=payload.get("retransmit_timeout"),
-            max_retries=payload.get("max_retries", 8),
-            backoff_factor=payload.get("backoff_factor", 2.0),
-        )
+        """The inverse of :meth:`to_dict`; a key it does not know (a
+        typo such as ``max_retry``) is a ``ValueError``, not a default."""
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"unknown fault schedule keys: {', '.join(sorted(unknown))}"
+            )
+        return cls(**payload)
 
 
 def kill_routers(
@@ -195,47 +153,3 @@ def kill_routers(
         for rid in routers
     )
     return FaultSchedule(specs=specs, **schedule_kwargs)
-
-
-def intermittent_link_faults(
-    channels: Sequence[Tuple[int, int]],
-    rate: float,
-    duration: int,
-    seed: int = 0,
-    **schedule_kwargs,
-) -> FaultSchedule:
-    """Poisson-arrival transient faults on each ``(router, port)`` channel.
-
-    Each channel independently suffers episodes of ``duration`` cycles at
-    ``rate`` episodes/cycle -- the "X% transient link-fault rate" setting
-    of the resilience studies.
-    """
-    specs = tuple(
-        FaultSpec(
-            kind="link",
-            router=router,
-            port=port,
-            mode="intermittent",
-            rate=rate,
-            duration=duration,
-        )
-        for router, port in channels
-    )
-    return FaultSchedule(specs=specs, seed=seed, **schedule_kwargs)
-
-
-def mesh_link_channels(topology) -> List[Tuple[int, int]]:
-    """One ``(router, port)`` handle per full-duplex channel pair.
-
-    ``topology.channels()`` yields both directions; faults kill channel
-    pairs, so keep the direction with the lower endpoint to avoid
-    declaring each physical link twice.
-    """
-    seen = set()
-    handles: List[Tuple[int, int]] = []
-    for src, sport, dst, dport in topology.channels():
-        if (dst, dport, src, sport) in seen:
-            continue
-        seen.add((src, sport, dst, dport))
-        handles.append((src, sport))
-    return handles

@@ -814,7 +814,6 @@ class CKernel:
         lib.ck_set(ck, S_NLOG, 0)
         net.packets_in_flight -= rows
         net.total_delivered += rows
-        net._clean_packets += rows
         net._clean_flits += flits_done
 
     def _release_held(self, chunk: memoryview, classes: List[str]) -> None:

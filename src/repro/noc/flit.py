@@ -136,10 +136,6 @@ class Packet:
     min_lanes: Optional[int] = None
     # Whether this packet falls inside the measurement window.
     measured: bool = False
-    # Set by the fault injector when a bit-flip fault mangles any of the
-    # packet's flits in transit; the destination NI discards corrupted
-    # arrivals and retransmits.
-    corrupted: bool = False
 
     def __post_init__(self) -> None:
         if self.num_flits < 1:

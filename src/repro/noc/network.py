@@ -23,7 +23,7 @@ cycle it is produced):
 5. occupancy sampling.
 
 Every counter -- the routers' activities, per-channel link flits and busy
-cycles, clean deliveries -- runs from construction on both kernels; the
+cycles, deliveries -- runs from construction on both kernels; the
 kernels never ask whether a measurement window is open.  A window is the
 difference of two :meth:`Network.counters` snapshots, and
 :meth:`Network.begin_measurement` / :meth:`Network.end_measurement` take
@@ -269,14 +269,14 @@ class Network:
         #: the live counter totals (see :meth:`counters`), owned here from
         #: construction so that windows, stats and the compiled kernel's
         #: flushes never need a :class:`Router`: the routers' activities,
-        #: flits and busy cycles per output port, clean deliveries.
+        #: flits and busy cycles per output port, delivered flits (the
+        #: delivered packets are :attr:`total_delivered`).
         self._activities = [
             RouterActivity(buffer_capacity_flits=capacity)
             for capacity in shape.capacity
         ]
         self._link_flits = [[0] * ports for ports in shape.num_ports]
         self._link_busy = [[0] * ports for ports in shape.num_ports]
-        self._clean_packets = 0
         self._clean_flits = 0
         #: the counters :meth:`begin_measurement` took, if it has run.
         self._window_start: Optional[Counters] = None
@@ -309,8 +309,8 @@ class Network:
         #: optional :class:`repro.faults.watchdog.Watchdog` sampled at the
         #: end of every cycle.
         self.watchdog = None
-        #: lifetime count of completed packets (clean or corrupted);
-        #: monotone progress signal for the watchdog's livelock check.
+        #: lifetime count of delivered packets; also the monotone progress
+        #: signal for the watchdog's livelock check.
         self.total_delivered = 0
         #: optional callback fired when a fault purges a packet
         #: (``on_loss(packet, reason, cycle)``) -- the NI retransmission
@@ -579,21 +579,11 @@ class Network:
             router.faults = injector
         self._install_routing_tables()
 
-    def detach_faults(self) -> None:
-        """Remove the fault injector; fault taps revert to no-ops."""
-        self.faults = None
-        for router in self._routers or ():
-            router.faults = None
-        self._install_routing_tables()
-
     def attach_watchdog(self, watchdog) -> None:
         """Attach a deadlock/livelock watchdog (read-only: cannot change
         simulation results)."""
         self._refuse_under_ck("attach_watchdog()")
         self.watchdog = watchdog
-
-    def detach_watchdog(self) -> None:
-        self.watchdog = None
 
     def sync_stats(self) -> None:
         """Bring the compiled kernel's activity and link counters onto the
@@ -611,7 +601,7 @@ class Network:
             [activity.snapshot() for activity in self._activities],
             _nonzero_ports(self._link_flits),
             _nonzero_ports(self._link_busy),
-            self._clean_packets,
+            self.total_delivered,
             self._clean_flits,
         )
 
@@ -625,7 +615,7 @@ class Network:
     def end_measurement(self) -> None:
         """Close the window and freeze its counters into :attr:`stats`:
         the cycles, activity deltas, the channels that moved and the
-        clean deliveries since :meth:`begin_measurement`."""
+        deliveries since :meth:`begin_measurement`."""
         self.measuring = False
         if self._window_start is None:
             raise RuntimeError("end_measurement() without begin_measurement()")
@@ -909,13 +899,7 @@ class Network:
         sources.
         """
         fallback, fallback_free = None, 0
-        faults = self.faults
         for vc in range(router.config.num_vcs):
-            if (
-                faults is not None
-                and (router.router_id, port, vc) in faults.stuck_vcs
-            ):
-                continue  # do not feed a stuck VC
             free = router.free_slots(port, vc)
             if free == 0:
                 continue
@@ -930,7 +914,6 @@ class Network:
     ) -> None:
         rid = router.router_id
         obs = self.obs if self._tracing else None
-        faults = self.faults
         merging = self._merging
         is_ejection = router.is_ejection
         out_links = router.out_links
@@ -962,18 +945,8 @@ class Network:
                     packet.hops += 1
                     if packet.min_lanes is not None:
                         lanes = link.lanes if merging else 1
-                        if (
-                            faults is not None
-                            and (rid, out_port) in faults.degraded_ports
-                        ):
-                            lanes = 1
                         if lanes < packet.min_lanes:
                             packet.min_lanes = lanes
-                if (
-                    faults is not None
-                    and (rid, out_port) in faults.flaky_ports
-                ):
-                    packet.corrupted = True  # bit-flip fault on this channel
                 when = cycle + link.delay
                 bucket = arrivals.get(when)
                 if bucket is None:
@@ -1011,15 +984,6 @@ class Network:
         packet.received_at = cycle
         self.packets_in_flight -= 1
         self.total_delivered += 1
-        if packet.corrupted:
-            # A bit-flip fault mangled this packet in transit: the
-            # destination NI discards it, so it contributes to no stats;
-            # the ``on_delivery`` callback still fires so the NI can
-            # schedule its retransmission.
-            if self.on_delivery is not None:
-                self.on_delivery(packet, cycle)
-            return
-        self._clean_packets += 1
         self._clean_flits += packet.num_flits
         if packet.measured:
             self._stats.record_packet(self._latency_record(packet))

@@ -141,8 +141,7 @@ class Router:
         # Lanes usable on injection/ejection at this router's local ports.
         self._local_lanes = config.lanes if network_config.flit_merging else 1
         # Static per-port lane count (link width / flit width; ejection uses
-        # the router's own lane provisioning).  Fault-induced degradation is
-        # layered on top by the callers that care.
+        # the router's own lane provisioning).
         self._static_lanes: List[int] = [0] * num_ports
         # Precomputed routing tables, installed by the owning Network when
         # the routing discipline is a pure function of (router, dest).
@@ -284,9 +283,7 @@ class Router:
                     router_id, packet, out_port, self.out_vc_count
                 )
             for cand_port, cand_vc, escaped in candidates:
-                if faults is not None and not self._candidate_alive(
-                    faults, cand_port, cand_vc
-                ):
+                if faults is not None and faults.port_dead(router_id, cand_port):
                     continue
                 owners = out_vc_owner[cand_port]
                 if owners[cand_vc] is None:
@@ -304,65 +301,6 @@ class Router:
                     break
 
     # -- stage 2b: switch allocation ------------------------------------------
-    def _candidate_alive(self, faults, cand_port: int, cand_vc: int) -> bool:
-        """Whether a VA candidate's channel and downstream VC are usable."""
-        if faults.port_dead(self.router_id, cand_port):
-            return False
-        link = self.out_links[cand_port]
-        if link is not None and (
-            (link.dst_router, link.dst_port, cand_vc) in faults.stuck_vcs
-        ):
-            return False
-        return True
-
-    def _eligible_vcs_faulty(self, port: int, cycle: int) -> List[int]:
-        """VCs of ``port`` whose head flit could traverse the switch now,
-        on a faulty router (the fault-free scan is inlined in
-        :meth:`allocate_switch`).
-
-        VC ascending order is load-bearing: ``_pick_second_flit`` scans the
-        eligible list in order when choosing a same-port companion flit.
-        """
-        eligible = []
-        faults = self.faults
-        for vc in range(self.num_vcs):
-            if (self.router_id, port, vc) in faults.stuck_vcs:
-                continue  # this input VC stopped arbitrating
-            state = self._vc_states[port][vc]
-            if not state.queue:
-                continue
-            flit = state.queue[0]
-            if flit.ready_at > cycle:
-                continue
-            if state.out_vc is None:
-                continue
-            if state.packet_id != flit.packet.packet_id:
-                continue  # new packet still needs RC/VA
-            out_port = state.route_port
-            if not self.is_ejection[out_port]:
-                if faults.port_dead(self.router_id, out_port):
-                    continue  # committed across a dead channel; purge pending
-            if self.is_ejection[out_port]:
-                eligible.append(vc)
-            elif self.out_credits[out_port][state.out_vc] > 0:
-                eligible.append(vc)
-            else:
-                self.activity.credit_stalls += 1
-        return eligible
-
-    def _output_lanes(self, port: int) -> int:
-        if self.is_ejection[port]:
-            return self.config.lanes
-        link = self.out_links[port]
-        if link is None:
-            return 0
-        if (
-            self.faults is not None
-            and (self.router_id, port) in self.faults.degraded_ports
-        ):
-            return 1  # wide link fallen back to narrow operation
-        return link.lanes
-
     def allocate_switch(self, cycle: int) -> List[Grant]:
         """SA (both sub-stages) and the wide-link second-grant pass."""
         num_ports = self.num_ports
@@ -371,7 +309,8 @@ class Router:
         allocator = self.allocator
         activity = self.activity
         num_vcs = self.num_vcs
-        faulty = self.faults is not None
+        dead_ports = None if self.faults is None else self.faults.dead_ports
+        router_id = self.router_id
         is_ejection = self.is_ejection
         out_credits = self.out_credits
         eligible_by_port: List[List[int]] = [_NO_VCS] * num_ports
@@ -380,33 +319,35 @@ class Router:
         for port in range(num_ports):
             if port_active[port] == 0:
                 continue
-            if faulty:
-                eligible = self._eligible_vcs_faulty(port, cycle)
-            else:
-                # The fault-free scan, inlined: one method call per active
-                # port per cycle is measurable at mesh scale.
-                eligible = []
-                states = vc_states[port]
-                for vc in range(num_vcs):
-                    state = states[vc]
-                    queue = state.queue
-                    if not queue:
-                        continue
-                    flit = queue[0]
-                    if flit.ready_at > cycle:
-                        continue
-                    out_vc = state.out_vc
-                    if out_vc is None:
-                        continue
-                    if state.packet_id != flit.packet.packet_id:
-                        continue  # new packet still needs RC/VA
-                    out_port = state.route_port
-                    if is_ejection[out_port]:
-                        eligible.append(vc)
-                    elif out_credits[out_port][out_vc] > 0:
-                        eligible.append(vc)
-                    else:
-                        activity.credit_stalls += 1
+            # VCs whose head flit could traverse the switch now, scanned
+            # inline (one method call per active port per cycle is
+            # measurable at mesh scale).  VC ascending order is
+            # load-bearing: ``_pick_second_flit`` scans the eligible list
+            # in order when choosing a same-port companion flit.
+            eligible = []
+            states = vc_states[port]
+            for vc in range(num_vcs):
+                state = states[vc]
+                queue = state.queue
+                if not queue:
+                    continue
+                flit = queue[0]
+                if flit.ready_at > cycle:
+                    continue
+                out_vc = state.out_vc
+                if out_vc is None:
+                    continue
+                if state.packet_id != flit.packet.packet_id:
+                    continue  # new packet still needs RC/VA
+                out_port = state.route_port
+                if is_ejection[out_port]:
+                    eligible.append(vc)
+                elif dead_ports is not None and (router_id, out_port) in dead_ports:
+                    continue  # committed across a dead channel: a purge frees it
+                elif out_credits[out_port][out_vc] > 0:
+                    eligible.append(vc)
+                else:
+                    activity.credit_stalls += 1
             if not eligible:
                 continue
             eligible_by_port[port] = eligible
@@ -437,7 +378,6 @@ class Router:
 
         static_lanes = self._static_lanes
         merging = self._merging
-        faults = self.faults
         grants: List[Grant] = []
         for out_port, ports in bidders.items():
             if len(ports) == 1:
@@ -464,11 +404,6 @@ class Router:
             grants.append(first)
             if not merging or static_lanes[out_port] < 2:
                 continue
-            if (
-                faults is not None
-                and (self.router_id, out_port) in faults.degraded_ports
-            ):
-                continue  # wide link fallen back to narrow operation
             second = self._pick_second_flit(
                 out_port, first, bids, eligible_by_port, cycle
             )

@@ -54,8 +54,10 @@ import struct
 #: v7: a ``"c"`` network holds its live kernel, pickled as its arena
 #: image and packet-handle table, instead of routers synced from it;
 #: v8: the pickled ``Network`` holds its always-on link and delivery
-#: counter totals and the counters its measurement window opened at).
-SNAPSHOT_VERSION = 8
+#: counter totals and the counters its measurement window opened at;
+#: v9: the pickled ``Network`` counts deliveries once, in
+#: ``total_delivered``, and a pickled ``Packet`` has no bit-flip flag).
+SNAPSHOT_VERSION = 9
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)

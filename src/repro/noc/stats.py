@@ -258,7 +258,7 @@ class Counters:
 
     ``link_flits`` / ``link_busy`` map ``(src_router, src_port)`` to the
     flits a channel carried and the cycles it carried at least one;
-    ``packets`` / ``flits`` count the clean (uncorrupted) deliveries.
+    ``packets`` / ``flits`` count the deliveries.
     """
 
     cycle: int

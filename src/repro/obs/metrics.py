@@ -287,7 +287,8 @@ class KernelMetrics(Observer):
     conservation is exact: every flit of every delivered packet crosses
     exactly ``hops`` links, hence ``total link flits == sum(num_flits *
     hops)`` once the network is idle (attached throughout, fault-free
-    runs; corrupted deliveries skip ``on_packet_delivered``).
+    runs; the links a faulted packet crossed before its purge are never
+    credited).
 
     Buffer occupancy and the active-set size are sampled every
     :attr:`sample_every` cycles.
@@ -421,8 +422,8 @@ class KernelMetrics(Observer):
 
         Exact only once the network has drained (in-flight flits have
         crossed links their packets have not yet been credited for) and
-        only fault-free (corrupted deliveries never fire the delivery
-        hook).
+        only fault-free (a packet a fault purges crossed links that no
+        delivery credits).
         """
         return self.link_flits_total == self._expected_link_flits.value
 

@@ -79,7 +79,7 @@ class SyntheticRunResult:
     #: possible under a fault schedule with bounded retries).
     lost_measured_packets: int = 0
     #: NI/fault-layer counters for the run (empty for fault-free runs):
-    #: retransmissions, corrupt/clean deliveries, losses, fault events.
+    #: retransmissions, deliveries, losses, fault events.
     resilience: Dict[str, int] = field(default_factory=dict)
     #: simulated cycles by what drove them: ``c_span`` (whole spans inside
     #: the compiled kernel, traffic source included), ``c`` (compiled

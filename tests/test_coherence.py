@@ -267,7 +267,7 @@ class TestL1Responses:
         directory entry."""
         harness = Harness()
         l1 = _l1(harness)
-        l1.writeback_buffer[BLOCK] = True
+        l1.writeback_buffer.add(BLOCK)
         assert l1.request(BLOCK, True, 0, lambda: None) == "blocked"
         l1.handle(Message("WB_ACK", BLOCK, src=0, dst=1))
         assert l1.request(BLOCK, True, 1, lambda: None) == "miss"
@@ -275,17 +275,17 @@ class TestL1Responses:
     def test_wb_ack_clears_buffer(self):
         harness = Harness()
         l1 = _l1(harness)
-        l1.writeback_buffer[BLOCK] = True
+        l1.writeback_buffer.add(BLOCK)
         l1.handle(Message("WB_ACK", BLOCK, src=0, dst=1))
         assert BLOCK not in l1.writeback_buffer
 
     def test_fwd_crossing_putx_served_from_buffer(self):
         harness = Harness()
         l1 = _l1(harness)
-        l1.writeback_buffer[BLOCK] = True  # PUTX in flight
+        l1.writeback_buffer.add(BLOCK)  # PUTX in flight
         l1.handle(Message("FWD_GETS", BLOCK, src=0, dst=1, requester=5))
         assert harness.pop_all()[0].mtype == "OWNER_DATA"
-        assert l1.writeback_buffer[BLOCK] is False  # superseded
+        assert BLOCK in l1.writeback_buffer  # until the WB_ACK
 
 
 class TestL2Directory:

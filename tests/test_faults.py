@@ -7,7 +7,8 @@ Covers the acceptance criteria of the resilience subsystem:
 * permanent router kills lose exactly the unreachable packets, and
   every one of them is an *explicit* loss (full accounting);
 * a hand-built routing cycle deadlocks and the watchdog names the
-  blocked routers/VCs within its window;
+  blocked routers/VCs within its window; without a watchdog, the NI's
+  timeout purges the wedged wormholes and delivers every packet;
 * a synthetically leaked credit trips the ``REPRO_CHECK`` invariant
   suite within one check interval;
 * fault-free runs never trip the invariants (property test), and a
@@ -27,16 +28,16 @@ from repro.core.layouts import build_network, layout_by_name
 from repro.exec import SweepPoint, run_sweep
 from repro.exec.point import PointResult, execute_point
 from repro.faults import (
+    FAULT_KINDS,
+    FAULT_MODES,
+    FaultInjector,
     FaultSchedule,
     FaultSpec,
-    FaultInjector,
     InvariantViolation,
     SimulationStalled,
     Watchdog,
     check_network_invariants,
-    intermittent_link_faults,
     kill_routers,
-    mesh_link_channels,
 )
 from repro.noc.config import RouterConfig
 from repro.noc.network import Network
@@ -56,6 +57,18 @@ def _build(mesh_size=4, layout="baseline"):
     return network, pattern
 
 
+def _channel_pairs(topology):
+    """One ``(router, port)`` handle per full-duplex channel: the
+    direction met first in ``topology.channels()``."""
+    seen = set()
+    handles = []
+    for src, sport, dst, dport in topology.channels():
+        if (dst, dport, src, sport) not in seen:
+            seen.add((src, sport, dst, dport))
+            handles.append((src, sport))
+    return handles
+
+
 # -- schedules ride inside sweep points ---------------------------------------
 class TestSchedules:
     def test_schedule_json_round_trip(self):
@@ -64,9 +77,9 @@ class TestSchedules:
                 FaultSpec(kind="router", router=5),
                 FaultSpec(kind="link", router=1, port=2, mode="transient",
                           at=10, repair_after=50),
-                FaultSpec(kind="vc_stuck", router=3, port=1, vc=0),
-                FaultSpec(kind="bit_flip", router=2, port=3,
-                          mode="intermittent", rate=0.01, duration=8),
+                FaultSpec(kind="link", router=3, port=1, at=20),
+                FaultSpec(kind="router", router=2, mode="transient",
+                          at=5, repair_after=8),
             ),
             seed=42,
             retransmit_timeout=128,
@@ -78,18 +91,29 @@ class TestSchedules:
         assert FaultSchedule.from_dict(payload) == schedule
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            FaultSpec(kind="meteor", router=0)
+        assert FAULT_KINDS == ("link", "router")
+        assert FAULT_MODES == ("permanent", "transient")
+        for kind in ("meteor", "vc_stuck", "bit_flip", "link_degrade"):
+            with pytest.raises(ValueError):
+                FaultSpec(kind=kind, router=0, port=1)
         with pytest.raises(ValueError):
             FaultSpec(kind="link", router=0)  # port required
         with pytest.raises(ValueError):
             FaultSpec(kind="router", router=0, port=1)
         with pytest.raises(ValueError):
-            FaultSpec(kind="vc_stuck", router=0, port=1)  # vc required
-        with pytest.raises(ValueError):
             FaultSpec(kind="link", router=0, port=1, mode="transient")
         with pytest.raises(ValueError):
             FaultSpec(kind="link", router=0, port=1, mode="intermittent")
+        with pytest.raises(TypeError):  # a retired field
+            FaultSpec.from_dict({"kind": "link", "router": 0, "port": 1,
+                                 "rate": 0.01})
+
+    def test_from_dict_rejects_unknown_keys(self):
+        """A typo in a served job's schedule is an error, not a default
+        (``max_retry`` used to run with ``max_retries=8``)."""
+        payload = kill_routers([5]).to_dict()
+        with pytest.raises(ValueError, match="max_retry"):
+            FaultSchedule.from_dict({**payload, "max_retry": 2})
 
     def test_sweep_point_spec_omits_faults_when_absent(self):
         point = SweepPoint(mesh_size=4, rate=0.05)
@@ -125,7 +149,7 @@ class TestResilience:
         NI retransmission layer still delivers 100% of the measured
         packets (fixed seed, zero explicit losses)."""
         network, pattern = _build()
-        channels = mesh_link_channels(network.topology)
+        channels = _channel_pairs(network.topology)
         count = max(1, round(0.05 * len(channels)))
         schedule = FaultSchedule(
             specs=tuple(
@@ -142,11 +166,20 @@ class TestResilience:
         assert result.lost_measured_packets == 0
         assert not result.saturated
 
-    def test_intermittent_poisson_link_faults_recovered(self):
+    def test_repeated_transient_link_episodes_recovered(self):
+        """A channel that fails, repairs and fails again is a list of
+        transient specs; every episode applies and repairs, and the NI
+        still delivers every measured packet."""
         network, pattern = _build()
-        channels = mesh_link_channels(network.topology)
-        schedule = intermittent_link_faults(
-            channels[:3], rate=0.002, duration=40, seed=9,
+        channels = _channel_pairs(network.topology)[:3]
+        schedule = FaultSchedule(
+            specs=tuple(
+                FaultSpec(kind="link", router=router, port=port,
+                          mode="transient", at=60 + 150 * episode + 20 * i,
+                          repair_after=40)
+                for episode in range(2)
+                for i, (router, port) in enumerate(channels)
+            ),
         )
         result = run_synthetic(
             network, pattern, 0.05, warmup_packets=50, measure_packets=250,
@@ -154,7 +187,45 @@ class TestResilience:
         )
         assert len(result.stats.records) == 250
         assert result.lost_measured_packets == 0
-        assert result.resilience["fault_events"] > 0
+        assert result.resilience["fault_events"] == 12  # 6 applies + 6 repairs
+
+    def test_overlapping_faults_keep_a_channel_dead_until_the_last_repair(self):
+        """Fault effects are refcounted: a link fault and a fault of the
+        router at its far end share both channel ends, and the channel
+        lives again only when both have repaired."""
+        network, _ = _build()
+        router, port = 5, 2
+        far = network.topology.neighbor(router, port)
+        schedule = FaultSchedule(
+            specs=(
+                FaultSpec(kind="link", router=router, port=port,
+                          mode="transient", at=10, repair_after=100),
+                FaultSpec(kind="router", router=far[0], mode="transient",
+                          at=50, repair_after=20),
+            ),
+        )
+        injector = FaultInjector(schedule, network.topology)
+        network.attach_faults(injector)
+        ends = {(router, port), far}
+        seen = []
+        for cycle in (0, 10, 50, 70, 110):
+            injector.tick(network, cycle)
+            seen.append((
+                ends <= injector.dead_ports,
+                far[0] in injector.dead_routers,
+                injector.topology_epoch,
+            ))
+        assert seen == [
+            (False, False, 0),
+            (True, False, 1),   # link down
+            (True, True, 2),    # far router down too
+            (True, False, 3),   # router back, the link still down
+            (False, False, 4),  # last repair: the channel lives
+        ]
+        assert injector.dead_ports == set()
+        assert [(c, a) for c, a, _ in injector.events] == [
+            (10, "apply"), (50, "apply"), (70, "repair"), (110, "repair"),
+        ]
 
     def test_router_kill_loses_exactly_the_unreachable_packets(self):
         network, pattern = _build()
@@ -225,67 +296,6 @@ class TestResilience:
                 )
                 assert total == depth, (src, sport, vc, total)
 
-    def test_bit_flip_corruption_retransmits_until_clean(self):
-        network, pattern = _build()
-        channels = mesh_link_channels(network.topology)
-        router, port = next(
-            (r, p) for r, p in channels if r == 5
-        )
-        schedule = FaultSchedule(
-            specs=(FaultSpec(kind="bit_flip", router=router, port=port,
-                             mode="transient", at=80, repair_after=400),),
-        )
-        result = run_synthetic(
-            network, pattern, 0.1, warmup_packets=50, measure_packets=300,
-            seed=3, faults=schedule,
-        )
-        assert len(result.stats.records) == 300
-        assert result.lost_measured_packets == 0
-        assert result.resilience["corrupt_deliveries"] > 0
-        assert result.resilience["retransmissions"] > 0
-
-    def test_stuck_vc_recovered_by_timeout_purge(self):
-        network, pattern = _build()
-        channels = mesh_link_channels(network.topology)
-        router, port = next((r, p) for r, p in channels if r == 5)
-        schedule = FaultSchedule(
-            specs=(FaultSpec(kind="vc_stuck", router=router, port=port,
-                             vc=0, mode="transient", at=50,
-                             repair_after=600),),
-        )
-        result = run_synthetic(
-            network, pattern, 0.08, warmup_packets=50, measure_packets=300,
-            seed=3, faults=schedule,
-        )
-        assert len(result.stats.records) == 300
-        assert result.lost_measured_packets == 0
-
-    def test_link_degrade_halves_lanes_and_loses_nothing(self):
-        network, pattern = _build(layout="diagonal+BL")
-        wide = next(
-            (router.router_id, port)
-            for router in network.routers
-            for port in range(router.num_ports)
-            if not router.is_ejection[port] and router._output_lanes(port) == 2
-        )
-        schedule = FaultSchedule(
-            specs=(FaultSpec(kind="link_degrade", router=wide[0],
-                             port=wide[1]),),
-        )
-        injector = FaultInjector(schedule, network.topology)
-        network.attach_faults(injector)
-        injector.tick(network, 0)
-        assert network.routers[wide[0]]._output_lanes(wide[1]) == 1
-        network.detach_faults()
-
-        network, pattern = _build(layout="diagonal+BL")
-        result = run_synthetic(
-            network, pattern, 0.05, warmup_packets=50, measure_packets=250,
-            seed=3, faults=schedule,
-        )
-        assert len(result.stats.records) == 250
-        assert result.lost_measured_packets == 0
-
 
 # -- watchdog and invariants ---------------------------------------------------
 class _ClockwiseRing(Routing):
@@ -312,21 +322,54 @@ class _ClockwiseRing(Routing):
         return self._port_to[(router, self.ORDER[(here + 1) % 4])]
 
 
-class TestWatchdog:
-    def _ring_network(self):
-        topo = Mesh(2)
-        configs = {
-            rid: RouterConfig(num_vcs=1, buffer_depth=2)
-            for rid in range(topo.num_routers)
-        }
-        network = Network(topo, configs)
-        network.routing = _ClockwiseRing(topo)
-        return network
+def _ring_network():
+    topo = Mesh(2)
+    configs = {
+        rid: RouterConfig(num_vcs=1, buffer_depth=2)
+        for rid in range(topo.num_routers)
+    }
+    network = Network(topo, configs)
+    network.routing = _ClockwiseRing(topo)
+    return network
 
+
+def test_routing_cycle_wedge_recovered_by_timeout_purge():
+    """With no watchdog, the NI's retransmission timeout is the only way
+    out of a wormhole wedge: it purges packets whose flits are still
+    buffered in the network, and every measured packet gets through.
+    An empty schedule arms the NI and leaves the ring's routing as is."""
+    network = _ring_network()
+    buffered_at_purge = []
+    purge_packet = network.purge_packet
+
+    def spy(packet):
+        buffered_at_purge.append(any(
+            flit.packet is packet
+            for router in network.routers
+            for states in router._vc_states
+            for state in states
+            for flit in state.queue
+        ))
+        return purge_packet(packet)
+
+    network.purge_packet = spy
+    result = run_synthetic(
+        network, pattern_by_name("uniform_random", network.topology), 0.05,
+        warmup_packets=10, measure_packets=40, seed=3,
+        faults=FaultSchedule(retransmit_timeout=64), watchdog=None,
+    )
+    assert len(result.stats.records) == 40
+    assert result.lost_measured_packets == 0
+    assert result.resilience["fault_events"] == 0
+    assert result.resilience["retransmissions"] > 0
+    assert any(buffered_at_purge), "no timeout purged a wedged wormhole"
+
+
+class TestWatchdog:
     def test_hand_built_routing_cycle_raises_simulation_stalled(self):
         """A 4-packet cyclic wormhole wedge is detected within the
         watchdog window and the diagnosis names the blocked VCs."""
-        network = self._ring_network()
+        network = _ring_network()
         network.attach_watchdog(Watchdog(stall_window=64, check_interval=16))
         for i in range(4):
             src = _ClockwiseRing.ORDER[i]

@@ -109,7 +109,7 @@ def _digest(net):
         net.cycle,
         net.packets_in_flight,
         net.total_delivered,
-        (net._clean_packets, net._clean_flits),
+        net._clean_flits,
         tuple(routers),
         events,
         credits,
@@ -239,7 +239,7 @@ def _arena_digest(net):
         net.cycle,
         net.packets_in_flight,
         net.total_delivered,
-        (net._clean_packets, net._clean_flits),
+        net._clean_flits,
         tuple(routers),
         events,
         credits,
@@ -711,7 +711,7 @@ def test_route_tables_match_dynamic_routing():
             assert table[dst] == routing.output_port(router.router_id, probe)
 
 
-def test_route_tables_cleared_under_faults_and_restored():
+def test_route_tables_cleared_under_faults():
     from repro.faults.injector import FaultInjector
     from repro.faults.schedule import FaultSchedule
 
@@ -720,8 +720,6 @@ def test_route_tables_cleared_under_faults_and_restored():
     injector = FaultInjector(FaultSchedule(specs=()), net.topology)
     net.attach_faults(injector)
     assert all(r._route_table is None for r in net.routers)
-    net.detach_faults()
-    assert all(r._route_table is not None for r in net.routers)
 
 
 @pytest.mark.parametrize("layout", ["baseline", "diagonal+BL"])

@@ -385,8 +385,6 @@ class TestRouteTables:
         second.attach_faults(FaultInjector(schedule, second.topology))
         assert all(router._route_table is None for router in second.routers)
         assert first.routers[5]._route_table is not None
-        second.detach_faults()
-        assert second.routers[5]._route_table is first.routers[5]._route_table
 
     def test_threads_probing_one_shape_end_with_one_table(self):
         """The job server builds networks on several worker threads."""

@@ -280,7 +280,7 @@ class TestRunnerCheckpointing:
         mid-measure, drain; span-driven under ``c``; with the NI and a
         fault schedule in the payload -- the resumed run ends where the
         uninterrupted one does."""
-        from repro.faults import FaultSchedule, FaultSpec, mesh_link_channels
+        from repro.faults import FaultSchedule, FaultSpec
         from repro.traffic import runner
 
         knobs = dict(rate=0.1, warmup_packets=30, measure_packets=120, seed=3)
@@ -289,12 +289,8 @@ class TestRunnerCheckpointing:
         def run(**more):
             net = self._network(kernel)
             if case == "faults":
-                router, port = next(
-                    (r, p) for r, p in mesh_link_channels(net.topology)
-                    if r == 5
-                )
                 more["faults"] = FaultSchedule(specs=(FaultSpec(
-                    kind="bit_flip", router=router, port=port,
+                    kind="link", router=5, port=2,
                     mode="transient", at=20, repair_after=200,
                 ),))
             pattern = pattern_by_name("uniform_random", net.topology)
