@@ -18,7 +18,6 @@ shapes at 8x8) is :func:`repro.search.exhaustive_search` over a
 from repro.core.hetero import (
     hetero_link_width,
     min_small_routers,
-    power_inequality_ratio,
     total_buffer_bits,
     total_vcs,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "memory_controller_placement",
     "min_small_routers",
     "network_power_breakdown",
-    "power_inequality_ratio",
     "router_area_mm2",
     "router_frequency_ghz",
     "total_buffer_bits",

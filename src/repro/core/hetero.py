@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from typing import Dict
 
-from repro.core.power import TABLE1_POWER_W
-from repro.noc.config import MESH_PORTS, RouterConfig
+from repro.noc.config import MESH_PORTS, ROUTER_KINDS, RouterConfig
 from repro.noc.link import link_width_between
 from repro.noc.topology import Topology
 
@@ -48,38 +47,33 @@ def hetero_link_width(
     return int(width)
 
 
-def min_small_routers(
-    mesh_size: int,
-    base_power: float = TABLE1_POWER_W["baseline"],
-    small_power: float = TABLE1_POWER_W["small"],
-    big_power: float = TABLE1_POWER_W["big"],
-) -> int:
+def min_small_routers(mesh_size: int) -> int:
     """Minimum small-router count for a power-neutral heterogeneous mesh.
 
-    From ``P_base*N^2 >= P_small*n_s + P_big*(N^2 - n_s)``:
-    ``n_s >= N^2 * (P_big - P_base) / (P_big - P_small)``.
+    From ``P_base*N^2 >= P_small*n_s + P_big*(N^2 - n_s)`` over the Table 1
+    powers: ``n_s >= N^2 * (P_big - P_base) / (P_big - P_small)``.
 
     >>> min_small_routers(8)
     38
     """
-    if big_power <= small_power:
-        raise ValueError("big routers must consume more than small ones")
+    base, small, big = (ROUTER_KINDS[k].power_w for k in ("baseline", "small", "big"))
     n_routers = mesh_size * mesh_size
-    bound = n_routers * (big_power - base_power) / (big_power - small_power)
+    bound = n_routers * (big - base) / (big - small)
     return math.ceil(bound)
 
 
-def power_inequality_ratio(
-    base_power: float = TABLE1_POWER_W["baseline"],
-    small_power: float = TABLE1_POWER_W["small"],
-    big_power: float = TABLE1_POWER_W["big"],
-) -> float:
-    """The paper's ``1.71 >= N^2 / n_s`` threshold ratio.
+def power_slack(num_routers: int, num_big: int) -> float:
+    """Signed fractional headroom of the power inequality for ``num_big``
+    big routers among ``num_routers`` (negative: over the homogeneous
+    budget).
 
-    >>> round(power_inequality_ratio(), 2)
-    1.71
+    >>> round(power_slack(64, 16), 3)
+    0.072
     """
-    return (big_power - small_power) / (big_power - base_power)
+    base, small, big = (ROUTER_KINDS[k].power_w for k in ("baseline", "small", "big"))
+    budget = base * num_routers
+    spent = big * num_big + small * (num_routers - num_big)
+    return (budget - spent) / budget
 
 
 def total_vcs(configs: Dict[int, RouterConfig], num_ports: int = MESH_PORTS) -> int:

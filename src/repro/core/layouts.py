@@ -23,18 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.core.power import heteronoc_frequency_ghz
-from repro.noc.config import (
-    BASELINE_FREQUENCY_GHZ,
-    NetworkConfig,
-    RouterConfig,
-    baseline_router,
-    big_router,
-    big_router_buffer_only,
-    big_router_paper_mode,
-    small_router,
-    small_router_buffer_only,
-    small_router_paper_mode,
-)
+from repro.noc.config import ROUTER_KINDS, NetworkConfig, RouterConfig, router_config
 from repro.noc.network import Network
 from repro.noc.routing import Routing, router_traversal_counts
 from repro.noc.topology import Mesh, Topology
@@ -139,26 +128,23 @@ class Layout:
         """
         if flit_mode not in ("paper", "strict"):
             raise ValueError(f"flit_mode must be 'paper' or 'strict', got {flit_mode!r}")
-        n_routers = self.mesh_size * self.mesh_size
         if self.is_baseline:
-            return {rid: baseline_router() for rid in range(n_routers)}
-        if self.redistribute_links:
-            if flit_mode == "paper":
-                big, small = big_router_paper_mode(), small_router_paper_mode()
-            else:
-                big, small = big_router(), small_router()
+            family, rest = "baseline", "baseline"
+        elif self.redistribute_links:
+            family, rest = ("+BL" if flit_mode == "paper" else "+BL strict"), "small"
         else:
-            big, small = big_router_buffer_only(), small_router_buffer_only()
+            family, rest = "+B", "small"
+        big, other = router_config("big", family), router_config(rest, family)
         return {
-            rid: big if rid in self.big_positions else small
-            for rid in range(n_routers)
+            rid: big if rid in self.big_positions else other
+            for rid in range(self.mesh_size**2)
         }
 
     def network_config(self, **overrides) -> NetworkConfig:
         """Network parameters; heterogeneous layouts run at the big-router
         (worst-case) clock per Section 3.4."""
         if self.is_baseline:
-            frequency = BASELINE_FREQUENCY_GHZ
+            frequency = ROUTER_KINDS["baseline"].frequency_ghz
         else:
             frequency = heteronoc_frequency_ghz()
         return NetworkConfig(frequency_ghz=frequency, **overrides)

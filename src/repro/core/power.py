@@ -5,17 +5,9 @@ The authors synthesized their router in structural RTL (Synopsys, 65 nm)
 and fed Orion-derived dynamic/leakage numbers into the simulator.  Neither
 tool chain is available here, so we build an *analytical* model with
 physically-motivated scalings and calibrate its free constants against the
-paper's own anchors:
-
-====================  ========  ==========  =========
-router                power     area        frequency
-====================  ========  ==========  =========
-baseline 3VC/192b     0.67 W    0.290 mm2   2.20 GHz
-small    2VC/128b     0.30 W    0.235 mm2   2.25 GHz
-big      6VC/256b     1.19 W    0.425 mm2   2.07 GHz
-====================  ========  ==========  =========
-
-(power quoted at a 50 % activity factor, the paper's footnote 3).
+paper's own anchors, the power (at a 50 % activity factor, the paper's
+footnote 3), area and clock of each Table 1 row in
+:data:`repro.noc.config.ROUTER_KINDS`.
 
 Component scalings (per router, P ports, V VCs/PC, flit width Wf, crossbar
 /link width Wl, clock f):
@@ -46,28 +38,15 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Dict
 
 from repro.noc.config import (
-    BASELINE_FREQUENCY_GHZ,
-    BIG_FREQUENCY_GHZ,
-    BIG_VCS,
     MESH_PORTS,
-    SMALL_FREQUENCY_GHZ,
-    SMALL_VCS,
+    ROUTER_KINDS,
     RouterConfig,
-    baseline_router,
-    big_router,
-    small_router,
+    router_config,
 )
 
 if TYPE_CHECKING:
     import numpy as np
 
-TABLE1_POWER_W = {"baseline": 0.67, "small": 0.30, "big": 1.19}
-TABLE1_AREA_MM2 = {"baseline": 0.290, "small": 0.235, "big": 0.425}
-TABLE1_FREQUENCY_GHZ = {
-    "baseline": BASELINE_FREQUENCY_GHZ,
-    "small": SMALL_FREQUENCY_GHZ,
-    "big": BIG_FREQUENCY_GHZ,
-}
 CALIBRATION_ACTIVITY = 0.5
 #: fraction of port traversals that continue over an inter-router link
 #: (4 of 5 mesh ports are network ports).
@@ -81,24 +60,25 @@ def router_frequency_ghz(num_vcs: int) -> float:
     """Clock achievable by a router with ``num_vcs`` VCs per channel.
 
     The three Table 1 points are returned exactly; other VC counts use the
-    critical-path model ``t = a + b*log2(V)`` fitted through the 3-VC and
-    6-VC anchors (the VA stage dominates and grows with the VC count).
+    critical-path model ``t = a + b*log2(V)`` fitted through the baseline
+    and big anchors (the VA stage dominates and grows with the VC count).
     """
     if num_vcs < 1:
         raise ValueError(f"num_vcs must be >= 1, got {num_vcs}")
-    anchors = {SMALL_VCS: 2.25, 3: 2.20, BIG_VCS: 2.07}
-    if num_vcs in anchors:
-        return anchors[num_vcs]
-    t3 = 1.0 / 2.20
-    t6 = 1.0 / 2.07
-    slope = (t6 - t3) / (math.log2(6) - math.log2(3))
-    intercept = t3 - slope * math.log2(3)
+    for row in ROUTER_KINDS.values():
+        if row.num_vcs == num_vcs:
+            return row.frequency_ghz
+    base, big = ROUTER_KINDS["baseline"], ROUTER_KINDS["big"]
+    t_base = 1.0 / base.frequency_ghz
+    t_big = 1.0 / big.frequency_ghz
+    slope = (t_big - t_base) / (math.log2(big.num_vcs) - math.log2(base.num_vcs))
+    intercept = t_base - slope * math.log2(base.num_vcs)
     return 1.0 / (intercept + slope * math.log2(num_vcs))
 
 
 def heteronoc_frequency_ghz() -> float:
     """Worst-case clock of a heterogeneous network: the big router's."""
-    return router_frequency_ghz(BIG_VCS)
+    return ROUTER_KINDS["big"].frequency_ghz
 
 
 # -- area model (Section 3.5) ---------------------------------------------------
@@ -112,15 +92,12 @@ def _area_coefficients() -> np.ndarray:
 
     rows = []
     targets = []
-    for cfg, kind in (
-        (baseline_router(), "baseline"),
-        (small_router(), "small"),
-        (big_router(), "big"),
-    ):
+    for kind, row in ROUTER_KINDS.items():
+        cfg = router_config(kind)
         bits = cfg.buffer_bits(MESH_PORTS)
         alloc = (MESH_PORTS * cfg.num_vcs) ** 2
         rows.append([1.0, bits, alloc])
-        targets.append(TABLE1_AREA_MM2[kind])
+        targets.append(row.area_mm2)
     coeffs = np.linalg.solve(np.array(rows), np.array(targets))
     if (coeffs < 0).any():
         raise RuntimeError(f"area model produced negative coefficients: {coeffs}")
@@ -167,9 +144,11 @@ def _calibrated_weights() -> Dict[str, float]:
     import numpy as np
     from scipy.optimize import lsq_linear
 
-    base = _component_raw_values(baseline_router(), BASELINE_FREQUENCY_GHZ)
-    small = _component_raw_values(small_router(), SMALL_FREQUENCY_GHZ)
-    big = _component_raw_values(big_router(), BIG_FREQUENCY_GHZ)
+    base, small, big = (
+        _component_raw_values(router_config(kind), ROUTER_KINDS[kind].frequency_ghz)
+        for kind in ("baseline", "small", "big")
+    )
+    power = {kind: row.power_w for kind, row in ROUTER_KINDS.items()}
     ratio_small = np.array(
         [small[c] / base[c] for c in _COMPONENTS]
     )
@@ -185,8 +164,8 @@ def _calibrated_weights() -> Dict[str, float]:
 
     rows = [
         (ones, 1.0, 200.0),
-        (ratio_small, TABLE1_POWER_W["small"] / TABLE1_POWER_W["baseline"], 200.0),
-        (ratio_big, TABLE1_POWER_W["big"] / TABLE1_POWER_W["baseline"], 200.0),
+        (ratio_small, power["small"] / power["baseline"], 200.0),
+        (ratio_big, power["big"] / power["baseline"], 200.0),
         (buf_row, 0.35, 20.0),  # "buffers consume about 35% of router power"
         (pick("xbar"), 0.28, 3.0),
         # The three power anchors leave little room for link energy (its
@@ -230,10 +209,11 @@ class RouterPowerModel:
     def __init__(self, num_ports: int = MESH_PORTS) -> None:
         self.num_ports = num_ports
         weights = _calibrated_weights()
+        base = ROUTER_KINDS["baseline"]
         base_raw = _component_raw_values(
-            baseline_router(), BASELINE_FREQUENCY_GHZ, MESH_PORTS
+            router_config("baseline"), base.frequency_ghz, MESH_PORTS
         )
-        base_power = TABLE1_POWER_W["baseline"]
+        base_power = base.power_w
         # Per-unit coefficients: component power = coeff * raw value.
         self._coeff = {
             c: weights[c] * base_power / base_raw[c] for c in _COMPONENTS

@@ -24,22 +24,22 @@ from repro.core.power import (
     router_frequency_ghz,
 )
 from repro.experiments.common import format_table
-from repro.noc.config import baseline_router, big_router, small_router
+from repro.noc.config import ROUTER_KINDS, router_config
 
 
 def run() -> Dict[str, object]:
+    """Each router's modelled power / area / clock beside Table 1's
+    (``paper``), keyed by a label like ``"big (6VC/256b)"``, and the
+    network buffer accounting."""
     model = RouterPowerModel()
-    routers = {
-        "baseline (3VC/192b)": baseline_router(),
-        "small (2VC/128b)": small_router(),
-        "big (6VC/256b)": big_router(),
-    }
     rows = {}
-    for label, config in routers.items():
-        rows[label] = {
+    for kind, row in ROUTER_KINDS.items():
+        config = router_config(kind)
+        rows[f"{kind} ({row.num_vcs}VC/{row.link_width}b)"] = {
             "power_w": model.table1_power(config),
             "area_mm2": router_area_mm2(config),
             "frequency_ghz": router_frequency_ghz(config.num_vcs),
+            "paper": (row.power_w, row.area_mm2, row.frequency_ghz),
         }
 
     base_configs = baseline_layout().router_configs()
@@ -58,18 +58,11 @@ def run() -> Dict[str, object]:
     return {"routers": rows, "accounting": accounting}
 
 
-PAPER_VALUES = {
-    "baseline (3VC/192b)": (0.67, 0.290, 2.20),
-    "small (2VC/128b)": (0.30, 0.235, 2.25),
-    "big (6VC/256b)": (1.19, 0.425, 2.07),
-}
-
-
 def main() -> None:
     data = run()
     rows = []
     for label, values in data["routers"].items():
-        paper_p, paper_a, paper_f = PAPER_VALUES[label]
+        paper_p, paper_a, paper_f = values["paper"]
         rows.append(
             [
                 label,

@@ -23,7 +23,7 @@ healthy remainder of the network instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 
 class InvariantViolation(RuntimeError):
@@ -45,26 +45,6 @@ class InvariantViolation(RuntimeError):
             f"{len(self.violations)} invariant violation(s) at cycle "
             f"{cycle}: {preview}"
         )
-
-
-def _in_flight_counts(network) -> Tuple[Dict, Dict]:
-    """Flits on links and credits on the wire, keyed by (router, port, vc).
-
-    Arrival events are keyed by their *downstream* coordinates, credit
-    events by their *upstream* coordinates -- exactly how the network
-    schedules them.
-    """
-    arrivals: Dict[Tuple[int, int, int], int] = {}
-    for events in network._arrivals.values():
-        for router_id, port, vc, _flit in events:
-            key = (router_id, port, vc)
-            arrivals[key] = arrivals.get(key, 0) + 1
-    credits: Dict[Tuple[int, int, int], int] = {}
-    for events in network._credits.values():
-        for router_id, port, vc, _release in events:
-            key = (router_id, port, vc)
-            credits[key] = credits.get(key, 0) + 1
-    return arrivals, credits
 
 
 def check_network_invariants(network) -> List[str]:
@@ -150,7 +130,7 @@ def check_network_invariants(network) -> List[str]:
             )
 
     # -- credit conservation per channel ---------------------------------------
-    arrivals, credit_events = _in_flight_counts(network)
+    arrivals, credit_events = network.in_flight_counts()
     for src, sport, dst, dport in topo.channels():
         if src in dead_routers or dst in dead_routers:
             continue

@@ -168,11 +168,14 @@ class Watchdog:
         self._delivered_cycle = 0
 
     def _movement_signature(self, network) -> Tuple[int, int, int]:
+        """Flit movement so far, read from the activity counters the
+        network owns (building no :class:`Router`)."""
+        network.sync_stats()
         traversals = 0
         writes = 0
-        for router in network.routers:
-            traversals += router.activity.crossbar_traversals
-            writes += router.activity.buffer_writes
+        for activity in network._activities:
+            traversals += activity.crossbar_traversals
+            writes += activity.buffer_writes
         return traversals, writes, network.packets_in_flight
 
     def check(self, network, cycle: int) -> None:

@@ -1,19 +1,13 @@
 """Configuration records for routers and networks.
 
-The paper's three router types (Table 1):
+:data:`ROUTER_KINDS` is the paper's Table 1: one :class:`RouterKind` row
+per router kind (baseline, small, big) with its VCs, physical flit and
+link widths, power, area and clock.  Every other reader of Table 1 --
+the power, area and frequency models, the power inequality, the layouts
+and the Table 1 harness -- reads these rows.
 
-===========  =====  ============  ==========  ======  ========  =========
-Router       VCs/PC  buffer depth  flit width  power   area      frequency
-===========  =====  ============  ==========  ======  ========  =========
-baseline     3      5 flits       192 b       0.67 W  0.290 mm2  2.20 GHz
-small        2      5 flits       128 b       0.30 W  0.235 mm2  2.25 GHz
-big          6      5 flits       256 b*      1.19 W  0.425 mm2  2.07 GHz
-===========  =====  ============  ==========  ======  ========  =========
-
-``*`` big routers keep the 128-bit flit width but drive 256-bit links and
-crossbar, carrying two merged flits per cycle (Section 3).
-
-A :class:`RouterConfig` captures one router's provisioning; a
+A :class:`RouterConfig` captures one router's provisioning, which
+:func:`router_config` derives from a kind's row for a layout family; a
 :class:`NetworkConfig` captures whole-network parameters shared by every
 router (pipeline depth, routing discipline, clock).
 """
@@ -21,27 +15,47 @@ router (pipeline depth, routing discipline, clock).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-BASELINE_VCS = 3
-SMALL_VCS = 2
-BIG_VCS = 6
-BUFFER_DEPTH = 5
-BASELINE_FLIT_WIDTH = 192
-HETERO_FLIT_WIDTH = 128
-BASELINE_LINK_WIDTH = 192
-NARROW_LINK_WIDTH = 128
-WIDE_LINK_WIDTH = 256
-BASELINE_FREQUENCY_GHZ = 2.20
-SMALL_FREQUENCY_GHZ = 2.25
-BIG_FREQUENCY_GHZ = 2.07
 MESH_PORTS = 5  # N, E, S, W + local injection/ejection port
 
 
 @dataclass(frozen=True)
+class RouterKind:
+    """One router kind of Table 1.
+
+    Attributes:
+        num_vcs: virtual channels per physical channel (5 flits deep each).
+        flit_width: physical flit (buffer word) width in bits.
+        link_width: physical link and crossbar width in bits; the big
+            router keeps 128 b flits and drives 256 b links, carrying two
+            merged flits per cycle (Section 3).
+        power_w: power at a 50 % activity factor (the paper's footnote 3).
+        area_mm2: synthesized area.
+        frequency_ghz: achievable clock.
+    """
+
+    num_vcs: int
+    flit_width: int
+    link_width: int
+    power_w: float
+    area_mm2: float
+    frequency_ghz: float
+
+
+#: Table 1, in the order the power and area models are calibrated.
+ROUTER_KINDS = {
+    # RouterKind(VCs, flit b, link b, power W, area mm2, clock GHz)
+    "baseline": RouterKind(3, 192, 192, 0.67, 0.290, 2.20),
+    "small": RouterKind(2, 128, 128, 0.30, 0.235, 2.25),
+    "big": RouterKind(6, 128, 256, 1.19, 0.425, 2.07),
+}
+
+
+@dataclass(frozen=True)
 class RouterConfig:
-    """Provisioning of one router.
+    """Provisioning of one router; the defaults are Table 1's baseline.
 
     Attributes:
         num_vcs: virtual channels per physical channel.
@@ -54,10 +68,10 @@ class RouterConfig:
             bookkeeping, power/area modelling and placement-aware routing.
     """
 
-    num_vcs: int = BASELINE_VCS
-    buffer_depth: int = BUFFER_DEPTH
-    flit_width: int = BASELINE_FLIT_WIDTH
-    link_width: int = BASELINE_LINK_WIDTH
+    num_vcs: int = ROUTER_KINDS["baseline"].num_vcs
+    buffer_depth: int = 5
+    flit_width: int = ROUTER_KINDS["baseline"].flit_width
+    link_width: int = ROUTER_KINDS["baseline"].link_width
     kind: str = "baseline"
     # Hardware widths for the power/area models when they differ from the
     # simulation (flow-control) widths.  The "paper" flit-accounting mode
@@ -108,79 +122,41 @@ class RouterConfig:
         )
 
 
-def baseline_router() -> RouterConfig:
-    """The homogeneous baseline router (3 VCs, 192 b)."""
-    return RouterConfig()
+def router_config(kind: str, family: str = "baseline") -> RouterConfig:
+    """The provisioning of a Table 1 router ``kind`` in a layout family
+    (Figure 3; see :meth:`repro.core.layouts.Layout.router_configs`):
 
+    * ``"baseline"`` and ``"+BL strict"`` -- the physical router: the
+      row's VCs, flit width and link width;
+    * ``"+B"`` (buffer-only redistribution) -- the row's VCs over the
+      baseline's flits and links;
+    * ``"+BL"`` (buffers and links, the paper's flit accounting) --
+      packets keep the baseline flit, so a link moves as many of them per
+      cycle as the row's link carries of its own flits; the ``power_*``
+      widths carry the physical datapath to the power and area models.
 
-def small_router() -> RouterConfig:
-    """The HeteroNoC small router (2 VCs, 128 b flits and links)."""
-    return RouterConfig(
-        num_vcs=SMALL_VCS,
-        flit_width=HETERO_FLIT_WIDTH,
-        link_width=NARROW_LINK_WIDTH,
-        kind="small",
-    )
-
-
-def big_router() -> RouterConfig:
-    """The HeteroNoC big router (6 VCs, 128 b flits over 256 b links)."""
-    return RouterConfig(
-        num_vcs=BIG_VCS,
-        flit_width=HETERO_FLIT_WIDTH,
-        link_width=WIDE_LINK_WIDTH,
-        kind="big",
-    )
-
-
-def small_router_paper_mode() -> RouterConfig:
-    """Small router under the paper's flit accounting (see layouts).
-
-    The physical datapath is the Table 1 small router (128 b buffers and
-    links -- carried in the ``power_*`` fields), but packets keep the
-    baseline 192 b flit decomposition so narrow links move one flit per
-    cycle, matching the paper's reported throughput behaviour.
+    A :class:`RouterConfig`'s widths default to the baseline's.
     """
-    return RouterConfig(
-        num_vcs=SMALL_VCS,
-        flit_width=BASELINE_FLIT_WIDTH,
-        link_width=BASELINE_FLIT_WIDTH,
-        kind="small",
-        power_flit_width=HETERO_FLIT_WIDTH,
-        power_link_width=NARROW_LINK_WIDTH,
-    )
-
-
-def big_router_paper_mode() -> RouterConfig:
-    """Big router under the paper's flit accounting: its wide links carry
-    two flits per cycle (the merged pair of Section 3.2)."""
-    return RouterConfig(
-        num_vcs=BIG_VCS,
-        flit_width=BASELINE_FLIT_WIDTH,
-        link_width=2 * BASELINE_FLIT_WIDTH,
-        kind="big",
-        power_flit_width=HETERO_FLIT_WIDTH,
-        power_link_width=WIDE_LINK_WIDTH,
-    )
-
-
-def small_router_buffer_only() -> RouterConfig:
-    """Small router of the +B layouts: fewer VCs, baseline-width links."""
-    return RouterConfig(
-        num_vcs=SMALL_VCS,
-        flit_width=BASELINE_FLIT_WIDTH,
-        link_width=BASELINE_LINK_WIDTH,
-        kind="small",
-    )
-
-
-def big_router_buffer_only() -> RouterConfig:
-    """Big router of the +B layouts: more VCs, baseline-width links."""
-    return RouterConfig(
-        num_vcs=BIG_VCS,
-        flit_width=BASELINE_FLIT_WIDTH,
-        link_width=BASELINE_LINK_WIDTH,
-        kind="big",
+    row = ROUTER_KINDS[kind]
+    if family in ("baseline", "+BL strict"):
+        return RouterConfig(
+            num_vcs=row.num_vcs, flit_width=row.flit_width,
+            link_width=row.link_width, kind=kind,
+        )
+    if family == "+B":
+        return RouterConfig(num_vcs=row.num_vcs, kind=kind)
+    if family == "+BL":
+        lanes = row.link_width // row.flit_width
+        return RouterConfig(
+            num_vcs=row.num_vcs,
+            link_width=lanes * ROUTER_KINDS["baseline"].flit_width,
+            kind=kind,
+            power_flit_width=row.flit_width,
+            power_link_width=row.link_width,
+        )
+    raise ValueError(
+        f"unknown layout family {family!r}; expected 'baseline', '+B', "
+        "'+BL' or '+BL strict'"
     )
 
 
@@ -217,7 +193,7 @@ class NetworkConfig:
     router_pipeline_stages: int = 2
     link_delay: int = 1
     credit_delay: int = 1
-    frequency_ghz: float = BASELINE_FREQUENCY_GHZ
+    frequency_ghz: float = ROUTER_KINDS["baseline"].frequency_ghz
     data_packet_bits: int = 1024
     flit_merging: bool = True
     kernel: str = "event"
@@ -255,23 +231,7 @@ class NetworkConfig:
         self.check_kernel(kernel)
         return kernel
 
-    @property
-    def cycle_time_ns(self) -> float:
-        """Duration of one network cycle in nanoseconds."""
-        return 1.0 / self.frequency_ghz
-
-    def with_frequency(self, frequency_ghz: float) -> "NetworkConfig":
-        """Copy of this config clocked at ``frequency_ghz``."""
-        return replace(self, frequency_ghz=frequency_ghz)
-
     def zero_load_hop_cycles(self) -> int:
         """Cycles per hop at zero load: pipeline depth plus link delay."""
         return self.router_pipeline_stages + self.link_delay
 
-
-def router_config_summary(configs: Dict[int, RouterConfig]) -> Dict[str, int]:
-    """Count router kinds in a node->config map (layout sanity checks)."""
-    counts: Dict[str, int] = {}
-    for config in configs.values():
-        counts[config.kind] = counts.get(config.kind, 0) + 1
-    return counts

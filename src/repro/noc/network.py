@@ -66,7 +66,7 @@ builds them.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.noc.config import NetworkConfig, RouterConfig
@@ -1123,6 +1123,16 @@ class Network:
             self.packets_in_flight -= 1
         return found
 
+    def in_flight_counts(self) -> Tuple[Counter, Counter]:
+        """Flits on links and credits on the wire, counted per
+        ``(router, port, vc)``: arrivals by their downstream coordinates,
+        credits by their upstream ones -- exactly how the two calendars
+        hold them."""
+        return (
+            Counter(event[:3] for events in self._arrivals.values() for event in events),
+            Counter(event[:3] for events in self._credits.values() for event in events),
+        )
+
     def reconcile_channel_credits(self, revived) -> None:
         """Re-derive upstream credit counts for just-repaired channels.
 
@@ -1135,16 +1145,7 @@ class Network:
         returning`` from the actual queues and in-flight events so the
         repaired channel runs at full credit again.
         """
-        arrivals: Dict[Tuple[int, int, int], int] = {}
-        for events in self._arrivals.values():
-            for router_id, port, vc, _flit in events:
-                key = (router_id, port, vc)
-                arrivals[key] = arrivals.get(key, 0) + 1
-        returning: Dict[Tuple[int, int, int], int] = {}
-        for events in self._credits.values():
-            for router_id, port, vc, _release in events:
-                key = (router_id, port, vc)
-                returning[key] = returning.get(key, 0) + 1
+        arrivals, returning = self.in_flight_counts()
         for rid, port in revived:
             if not self._element_alive(rid, port):
                 continue  # still dead via an overlapping fault

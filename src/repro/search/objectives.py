@@ -53,7 +53,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.power import TABLE1_POWER_W
+from repro.core import hetero
 from repro.search.canonical import (
     AXIS_SWAPPING,
     canonical_placement,
@@ -380,13 +380,7 @@ class PlacementEvaluator:
 
     def power_slack(self, num_big: int) -> float:
         """Headroom of ``P_base*N^2 >= P_small*n_s + P_big*n_b`` (signed)."""
-        total = self.model.num_routers
-        budget = TABLE1_POWER_W["baseline"] * total
-        spent = (
-            TABLE1_POWER_W["big"] * num_big
-            + TABLE1_POWER_W["small"] * (total - num_big)
-        )
-        return (budget - spent) / budget
+        return hetero.power_slack(self.model.num_routers, num_big)
 
     # -- evaluation -----------------------------------------------------------
     def evaluate(self, positions: Iterable[int]) -> PlacementObjectives:

@@ -28,7 +28,7 @@ class TestCustomLayout:
         with pytest.raises(ValueError):
             custom_layout("bad", {64}, mesh_size=8)
 
-    def test_buffer_only_custom(self):
+    def test_custom_plus_b_layout(self):
         layout = custom_layout("mine+B", {5}, mesh_size=4, redistribute_links=False)
         configs = layout.router_configs()
         assert all(c.link_width == 192 for c in configs.values())

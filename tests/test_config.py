@@ -2,75 +2,68 @@
 
 import pytest
 
+from repro.core.layouts import LAYOUT_NAMES, layout_by_name
 from repro.noc.config import (
-    BASELINE_FLIT_WIDTH,
-    HETERO_FLIT_WIDTH,
     MESH_PORTS,
-    NARROW_LINK_WIDTH,
-    WIDE_LINK_WIDTH,
     NetworkConfig,
     RouterConfig,
-    baseline_router,
-    big_router,
-    big_router_buffer_only,
-    big_router_paper_mode,
-    router_config_summary,
-    small_router,
-    small_router_buffer_only,
-    small_router_paper_mode,
+    router_config,
 )
+
+#: (kind, layout family) -> (num_vcs, buffer_depth, flit_width, link_width,
+#: power_flit_width, power_link_width): every provisioning a layout builds.
+_PROVISIONING = {
+    ("baseline", "baseline"): (3, 5, 192, 192, None, None),
+    ("small", "+B"): (2, 5, 192, 192, None, None),
+    ("big", "+B"): (6, 5, 192, 192, None, None),
+    ("small", "+BL"): (2, 5, 192, 192, 128, 128),
+    ("big", "+BL"): (6, 5, 192, 384, 128, 256),
+    ("small", "+BL strict"): (2, 5, 128, 128, None, None),
+    ("big", "+BL strict"): (6, 5, 128, 256, None, None),
+}
 
 
 class TestRouterConfig:
-    def test_baseline_defaults(self):
-        config = baseline_router()
-        assert config.num_vcs == 3
-        assert config.buffer_depth == 5
-        assert config.flit_width == 192
-        assert config.link_width == 192
-        assert config.kind == "baseline"
-        assert config.lanes == 1
+    @pytest.mark.parametrize("kind, family", list(_PROVISIONING))
+    def test_router_config_fields(self, kind, family):
+        config = router_config(kind, family)
+        assert (
+            config.num_vcs, config.buffer_depth, config.flit_width,
+            config.link_width, config.power_flit_width, config.power_link_width,
+        ) == _PROVISIONING[kind, family]
+        assert config.kind == kind
 
-    def test_small_router(self):
-        config = small_router()
-        assert (config.num_vcs, config.flit_width, config.link_width) == (2, 128, 128)
-        assert config.lanes == 1
+    def test_layouts_build_exactly_these_configs(self):
+        built = {
+            config
+            for name in LAYOUT_NAMES
+            for flit_mode in ("paper", "strict")
+            for config in layout_by_name(name, 4).router_configs(flit_mode).values()
+        }
+        assert built == {router_config(*key) for key in _PROVISIONING}
 
-    def test_big_router_has_two_lanes(self):
-        config = big_router()
-        assert (config.num_vcs, config.flit_width, config.link_width) == (6, 128, 256)
-        assert config.lanes == 2
+    def test_baseline_is_the_default_config(self):
+        assert router_config("baseline") == RouterConfig()
+        assert RouterConfig().lanes == 1
 
-    def test_buffer_only_variants_keep_baseline_width(self):
-        assert small_router_buffer_only().flit_width == BASELINE_FLIT_WIDTH
-        assert big_router_buffer_only().link_width == BASELINE_FLIT_WIDTH
-        assert big_router_buffer_only().num_vcs == 6
-
-    def test_paper_mode_hardware_widths(self):
-        small = small_router_paper_mode()
-        big = big_router_paper_mode()
-        # Simulation widths follow baseline flit accounting...
-        assert small.flit_width == BASELINE_FLIT_WIDTH
-        assert big.lanes == 2
-        # ...but the power model sees the physical datapath.
-        assert small.hw_flit_width == HETERO_FLIT_WIDTH
-        assert small.hw_link_width == NARROW_LINK_WIDTH
-        assert big.hw_link_width == WIDE_LINK_WIDTH
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError):
+            router_config("big", "+L")
 
     def test_hw_widths_default_to_simulation_widths(self):
-        config = baseline_router()
+        config = router_config("baseline")
         assert config.hw_flit_width == config.flit_width
         assert config.hw_link_width == config.link_width
 
     def test_buffer_bits_matches_table1(self):
         # 3 VCs x 5 ports x 5 deep x 192 b = 14,400 bits per router.
-        assert baseline_router().buffer_bits(MESH_PORTS) == 14_400
-        assert small_router().buffer_bits(MESH_PORTS) == 6_400
-        assert big_router().buffer_bits(MESH_PORTS) == 19_200
+        assert router_config("baseline").buffer_bits(MESH_PORTS) == 14_400
+        assert router_config("small").buffer_bits(MESH_PORTS) == 6_400
+        assert router_config("big").buffer_bits(MESH_PORTS) == 19_200
 
-    def test_paper_mode_buffer_bits_use_hardware_width(self):
-        assert small_router_paper_mode().buffer_bits(MESH_PORTS) == 6_400
-        assert big_router_paper_mode().buffer_bits(MESH_PORTS) == 19_200
+    def test_paper_flit_buffer_bits_use_hardware_width(self):
+        assert router_config("small", "+BL").buffer_bits(MESH_PORTS) == 6_400
+        assert router_config("big", "+BL").buffer_bits(MESH_PORTS) == 19_200
 
     def test_rejects_bad_vcs(self):
         with pytest.raises(ValueError):
@@ -84,10 +77,6 @@ class TestRouterConfig:
         with pytest.raises(ValueError):
             RouterConfig(flit_width=192, link_width=256)
 
-    def test_summary_counts_kinds(self):
-        configs = {0: big_router(), 1: small_router(), 2: small_router()}
-        assert router_config_summary(configs) == {"big": 1, "small": 2}
-
 
 class TestNetworkConfig:
     def test_defaults(self):
@@ -96,16 +85,8 @@ class TestNetworkConfig:
         assert config.link_delay == 1
         assert config.frequency_ghz == pytest.approx(2.20)
 
-    def test_cycle_time(self):
-        assert NetworkConfig(frequency_ghz=2.0).cycle_time_ns == pytest.approx(0.5)
-
     def test_zero_load_hop_cycles(self):
         assert NetworkConfig().zero_load_hop_cycles() == 3
-
-    def test_with_frequency(self):
-        config = NetworkConfig().with_frequency(2.07)
-        assert config.frequency_ghz == pytest.approx(2.07)
-        assert config.link_delay == 1
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

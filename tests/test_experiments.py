@@ -59,8 +59,13 @@ class TestCommon:
 class TestTable1:
     def test_exact_reproduction(self):
         data = table1_router_model.run()
-        for label, paper in table1_router_model.PAPER_VALUES.items():
-            row = data["routers"][label]
+        assert {label: row["paper"] for label, row in data["routers"].items()} == {
+            "baseline (3VC/192b)": (0.67, 0.290, 2.20),
+            "small (2VC/128b)": (0.30, 0.235, 2.25),
+            "big (6VC/256b)": (1.19, 0.425, 2.07),
+        }
+        for row in data["routers"].values():
+            paper = row["paper"]
             assert row["power_w"] == pytest.approx(paper[0], rel=0.03)
             assert row["area_mm2"] == pytest.approx(paper[1], abs=0.002)
             assert row["frequency_ghz"] == pytest.approx(paper[2])

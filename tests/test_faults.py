@@ -392,6 +392,23 @@ class TestWatchdog:
         # Detected within (stall_window + check_interval) of the wedge.
         assert diagnosis.cycle < 1_000
 
+    def test_progress_check_builds_no_router(self):
+        """The movement signature reads the activity counters the network
+        owns, so checking a network whose object model was never built
+        leaves it unbuilt -- and reads what the routers would."""
+        network = build_network(layout_by_name("baseline", 4))
+        watchdog = Watchdog()
+        watchdog.check(network, 0)
+        assert network._routers is None
+        network.enqueue(network.make_packet(0, 15, payload_bits=1024))
+        for _ in range(5):
+            network.step()
+        assert watchdog._movement_signature(network) == (
+            sum(r.activity.crossbar_traversals for r in network.routers),
+            sum(r.activity.buffer_writes for r in network.routers),
+            1,
+        )
+
     def test_watchdog_quiet_on_healthy_run(self):
         network, pattern = _build()
         run_synthetic(

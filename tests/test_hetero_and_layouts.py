@@ -7,7 +7,7 @@ from repro.core.hetero import (
     buffer_reduction_fraction,
     hetero_link_width,
     min_small_routers,
-    power_inequality_ratio,
+    power_slack,
     total_buffer_bits,
     total_buffer_flits,
     total_vcs,
@@ -48,15 +48,12 @@ class TestPowerInequality:
     def test_paper_minimum(self):
         assert min_small_routers(8) == 38
 
-    def test_threshold_ratio(self):
-        assert power_inequality_ratio() == pytest.approx(1.71, abs=0.01)
-
     def test_chosen_48_satisfies_bound(self):
         assert 48 >= min_small_routers(8)
 
-    def test_requires_big_hungrier_than_small(self):
-        with pytest.raises(ValueError):
-            min_small_routers(8, big_power=0.2, small_power=0.3)
+    def test_slack_turns_negative_past_the_minimum(self):
+        most_big = 64 - min_small_routers(8)
+        assert power_slack(64, most_big) >= 0 > power_slack(64, most_big + 1)
 
 
 class TestResourceAccounting:
@@ -77,7 +74,7 @@ class TestResourceAccounting:
         assert total_buffer_bits(hetero) == 614_400
         assert buffer_reduction_fraction(hetero, base) == pytest.approx(1 / 3)
 
-    def test_buffer_only_layouts_save_no_bits(self):
+    def test_plus_b_layouts_save_no_bits(self):
         base = baseline_layout().router_configs()
         hetero = layout_by_name("center+B").router_configs()
         assert total_buffer_bits(hetero) == total_buffer_bits(base)
@@ -152,7 +149,7 @@ class TestLayouts:
         configs = layout_by_name("diagonal+BL").router_configs("strict")
         assert all(c.flit_width == 128 for c in configs.values())
 
-    def test_paper_mode_uses_192b_flit_accounting(self):
+    def test_paper_flits_are_192b(self):
         configs = layout_by_name("diagonal+BL").router_configs("paper")
         assert all(c.flit_width == 192 for c in configs.values())
         big = [c for c in configs.values() if c.kind == "big"]

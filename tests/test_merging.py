@@ -2,7 +2,7 @@
 
 from repro.core.layouts import layout_by_name, build_network
 from repro.core.merging import merge_report, per_router_merge_counts
-from repro.noc.config import NetworkConfig, big_router
+from repro.noc.config import NetworkConfig, router_config
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
 from repro.traffic.patterns import UniformRandom
@@ -12,7 +12,7 @@ from repro.traffic.runner import run_synthetic
 def _all_big_network():
     """4x4 mesh of big routers: every link is wide (2 lanes)."""
     topology = Mesh(4)
-    configs = {r: big_router() for r in range(16)}
+    configs = {r: router_config("big") for r in range(16)}
     return Network(topology, configs, NetworkConfig())
 
 
@@ -74,7 +74,7 @@ class TestNoMergingOnNarrowLinks:
         assert report.wide_link_flits == 0
         assert report.merge_fraction == 0.0
 
-    def test_buffer_only_layouts_never_merge(self):
+    def test_plus_b_layouts_never_merge(self):
         network = build_network(layout_by_name("diagonal+B"))
         result = run_synthetic(
             network, UniformRandom(64), rate=0.03,

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.noc.config import (
-    NetworkConfig,
-    RouterConfig,
-    baseline_router,
-    big_router,
-    small_router,
-)
+from repro.noc.config import NetworkConfig, RouterConfig, router_config
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
 
@@ -35,19 +29,19 @@ class TestConstruction:
     def test_requires_complete_config_map(self):
         topology = Mesh(4)
         with pytest.raises(ValueError):
-            Network(topology, {0: baseline_router()})
+            Network(topology, {0: router_config("baseline")})
 
     def test_requires_uniform_flit_width(self):
         topology = Mesh(4)
-        configs = {r: baseline_router() for r in range(16)}
-        configs[3] = small_router()  # 128 b flits
+        configs = {r: router_config("baseline") for r in range(16)}
+        configs[3] = router_config("small")  # 128 b flits
         with pytest.raises(ValueError):
             Network(topology, configs)
 
     def test_link_width_rule(self):
         topology = Mesh(4)
-        configs = {r: small_router() for r in range(16)}
-        configs[5] = big_router()
+        configs = {r: router_config("small") for r in range(16)}
+        configs[5] = router_config("big")
         network = Network(topology, configs)
         router5 = network.routers[5]
         # Every link touching the big router is wide (2 lanes).
@@ -61,8 +55,8 @@ class TestConstruction:
 
     def test_describe_mentions_kinds(self):
         topology = Mesh(4)
-        configs = {r: small_router() for r in range(16)}
-        configs[0] = big_router()
+        configs = {r: router_config("small") for r in range(16)}
+        configs[0] = router_config("big")
         text = Network(topology, configs).describe()
         assert "1 big" in text and "15 small" in text
 

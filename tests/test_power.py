@@ -1,5 +1,6 @@
 """Tests for the calibrated power/area/frequency models."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,13 +13,12 @@ from repro.core.layouts import layout_by_name, build_network
 from repro.core.power import (
     CALIBRATION_ACTIVITY,
     RouterPowerModel,
-    TABLE1_POWER_W,
     heteronoc_frequency_ghz,
     network_power_breakdown,
     router_area_mm2,
     router_frequency_ghz,
 )
-from repro.noc.config import baseline_router, big_router, small_router
+from repro.noc.config import ROUTER_KINDS, router_config
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.runner import run_synthetic
 
@@ -27,9 +27,9 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _CALIBRATION = (
     "from repro.core.power import RouterPowerModel, router_area_mm2\n"
-    "from repro.noc.config import baseline_router, big_router, small_router\n"
+    "from repro.noc.config import ROUTER_KINDS, router_config\n"
     "model = RouterPowerModel()\n"
-    "routers = [baseline_router(), small_router(), big_router()]\n"
+    "routers = [router_config(kind) for kind in ROUTER_KINDS]\n"
     "numbers = [value.hex() for _name, value in sorted(model._coeff.items())]\n"
     "numbers += [router_area_mm2(r).hex() for r in routers]\n"
     "numbers += [model.table1_power(r).hex() for r in routers]\n"
@@ -86,6 +86,43 @@ class TestSolversAreLoadedOnDemand:
         assert len(late) == 12
 
 
+class TestTable1IsOneTable:
+    """Every reader of Table 1 reads ``ROUTER_KINDS``: change one figure
+    and the power inequality, the search's power slack and the Table 1
+    harness all move with it."""
+
+    @staticmethod
+    def _readings():
+        from repro.core import power
+        from repro.core.hetero import min_small_routers
+        from repro.experiments import table1_router_model
+        from repro.search import PlacementEvaluator
+
+        power._calibrated_weights.cache_clear()
+        power._area_coefficients.cache_clear()
+        big = table1_router_model.run()["routers"]["big (6VC/256b)"]
+        return (
+            min_small_routers(8),
+            PlacementEvaluator(8).power_slack(16),
+            big["paper"][0],
+            big["power_w"],
+        )
+
+    def test_a_changed_row_moves_every_reader(self, monkeypatch):
+        before = self._readings()
+        monkeypatch.setitem(
+            ROUTER_KINDS, "big", dataclasses.replace(ROUTER_KINDS["big"], power_w=1.30)
+        )
+        try:
+            after = self._readings()
+        finally:
+            monkeypatch.undo()
+            assert self._readings() == before
+        assert before[:3] == (38, pytest.approx(0.22015, abs=1e-5), 1.19)
+        assert after[:3] == (41, pytest.approx(0.17910, abs=1e-5), 1.30)
+        assert after[3] > before[3]
+
+
 class TestFrequencyModel:
     def test_table1_anchors_exact(self):
         assert router_frequency_ghz(3) == pytest.approx(2.20)
@@ -106,26 +143,26 @@ class TestFrequencyModel:
 
 class TestAreaModel:
     def test_table1_areas_exact(self):
-        assert router_area_mm2(baseline_router()) == pytest.approx(0.290, abs=1e-3)
-        assert router_area_mm2(small_router()) == pytest.approx(0.235, abs=1e-3)
-        assert router_area_mm2(big_router()) == pytest.approx(0.425, abs=1e-3)
+        assert router_area_mm2(router_config("baseline")) == pytest.approx(0.290, abs=1e-3)
+        assert router_area_mm2(router_config("small")) == pytest.approx(0.235, abs=1e-3)
+        assert router_area_mm2(router_config("big")) == pytest.approx(0.425, abs=1e-3)
 
     def test_big_router_area_delta_matches_paper(self):
         """Section 3.5: big +46%, small -18% vs baseline."""
-        base = router_area_mm2(baseline_router())
-        assert (router_area_mm2(big_router()) - base) / base == pytest.approx(
+        base = router_area_mm2(router_config("baseline"))
+        assert (router_area_mm2(router_config("big")) - base) / base == pytest.approx(
             0.466, abs=0.02
         )
-        assert (router_area_mm2(small_router()) - base) / base == pytest.approx(
+        assert (router_area_mm2(router_config("small")) - base) / base == pytest.approx(
             -0.19, abs=0.02
         )
 
     def test_total_hetero_area_below_homogeneous(self):
         """Section 3.5: 18.08 mm2 vs 18.56 mm2."""
-        hetero = 48 * router_area_mm2(small_router()) + 16 * router_area_mm2(
-            big_router()
+        hetero = 48 * router_area_mm2(router_config("small")) + 16 * router_area_mm2(
+            router_config("big")
         )
-        homo = 64 * router_area_mm2(baseline_router())
+        homo = 64 * router_area_mm2(router_config("baseline"))
         assert hetero == pytest.approx(18.08, abs=0.05)
         assert homo == pytest.approx(18.56, abs=0.05)
         assert hetero < homo
@@ -134,25 +171,21 @@ class TestAreaModel:
 class TestPowerModel:
     def test_table1_power_anchors(self):
         model = RouterPowerModel()
-        for config, kind in (
-            (baseline_router(), "baseline"),
-            (small_router(), "small"),
-            (big_router(), "big"),
-        ):
-            assert model.table1_power(config) == pytest.approx(
-                TABLE1_POWER_W[kind], rel=0.03
+        for kind, row in ROUTER_KINDS.items():
+            assert model.table1_power(router_config(kind)) == pytest.approx(
+                row.power_w, rel=0.03
             )
 
     def test_buffer_share_near_paper(self):
         """Refs [29, 30]: buffers ~= 35% of router power."""
         model = RouterPowerModel()
-        power = model.power_at_activity(baseline_router(), CALIBRATION_ACTIVITY)
+        power = model.power_at_activity(router_config("baseline"), CALIBRATION_ACTIVITY)
         assert power.buffers / power.total == pytest.approx(0.35, abs=0.08)
 
     def test_dynamic_power_scales_with_activity(self):
         model = RouterPowerModel()
-        idle = model.power_at_activity(baseline_router(), 0.0)
-        busy = model.power_at_activity(baseline_router(), 1.0)
+        idle = model.power_at_activity(router_config("baseline"), 0.0)
+        busy = model.power_at_activity(router_config("baseline"), 1.0)
         assert busy.total > idle.total
         # Leakage persists at zero activity.
         assert idle.total > 0
@@ -160,25 +193,24 @@ class TestPowerModel:
     def test_activity_bounds(self):
         model = RouterPowerModel()
         with pytest.raises(ValueError):
-            model.power_at_activity(baseline_router(), 1.5)
+            model.power_at_activity(router_config("baseline"), 1.5)
 
     def test_power_from_counts_scaling(self):
         model = RouterPowerModel()
         low = model.power_from_counts(
-            baseline_router(), 2.2, cycles=1000, flit_traversals=500, link_flits=400
+            router_config("baseline"), 2.2, cycles=1000, flit_traversals=500, link_flits=400
         )
         high = model.power_from_counts(
-            baseline_router(), 2.2, cycles=1000, flit_traversals=2000, link_flits=1600
+            router_config("baseline"), 2.2, cycles=1000, flit_traversals=2000, link_flits=1600
         )
         assert high.total > low.total
         with pytest.raises(ValueError):
-            model.power_from_counts(baseline_router(), 2.2, 0, 1, 1)
+            model.power_from_counts(router_config("baseline"), 2.2, 0, 1, 1)
 
     def test_power_inequality_threshold(self):
         """The Table 1 numbers give the paper's 1.71 threshold ratio."""
-        ratio = (TABLE1_POWER_W["big"] - TABLE1_POWER_W["small"]) / (
-            TABLE1_POWER_W["big"] - TABLE1_POWER_W["baseline"]
-        )
+        power = {kind: row.power_w for kind, row in ROUTER_KINDS.items()}
+        ratio = (power["big"] - power["small"]) / (power["big"] - power["baseline"])
         assert ratio == pytest.approx(1.71, abs=0.01)
 
 

@@ -16,7 +16,7 @@ from repro.noc.router import Router
 from repro.noc.topology import Mesh
 
 
-def _standalone_router(num_vcs=3, depth=3):
+def _standalone(num_vcs=3, depth=3):
     """A router with 5 ports; port 0 local, others wired to dummies."""
     config = RouterConfig(num_vcs=num_vcs, buffer_depth=depth)
     router = Router(
@@ -44,7 +44,7 @@ def _flit(src=0, dst=1, num_flits=1):
 
 class TestBufferWrite:
     def test_write_sets_ready_cycle(self):
-        router = _standalone_router()
+        router = _standalone()
         (flit,) = _flit()
         router.write_flit(1, 0, flit, cycle=10)
         assert flit.ready_at == 11  # 2-stage pipeline: eligible next cycle
@@ -52,7 +52,7 @@ class TestBufferWrite:
         assert router.activity.buffer_writes == 1
 
     def test_overflow_detected(self):
-        router = _standalone_router(depth=2)
+        router = _standalone(depth=2)
         flits = _flit(num_flits=3)
         router.write_flit(1, 0, flits[0], 0)
         router.write_flit(1, 0, flits[1], 0)
@@ -60,14 +60,14 @@ class TestBufferWrite:
             router.write_flit(1, 0, flits[2], 0)
 
     def test_free_slots(self):
-        router = _standalone_router(depth=3)
+        router = _standalone(depth=3)
         assert router.free_slots(1, 0) == 3
         (flit,) = _flit()
         router.write_flit(1, 0, flit, 0)
         assert router.free_slots(1, 0) == 2
 
     def test_input_vc_free_logic(self):
-        router = _standalone_router()
+        router = _standalone()
         assert router.input_vc_free(0, 0)
         (flit,) = _flit()
         router.write_flit(0, 0, flit, 0)
@@ -76,7 +76,7 @@ class TestBufferWrite:
 
 class TestCredits:
     def test_return_credit_bounded(self):
-        router = _standalone_router(depth=3)
+        router = _standalone(depth=3)
         router.out_credits[1][0] = 2
         router.return_credit(1, 0)
         assert router.out_credits[1][0] == 3
@@ -84,7 +84,7 @@ class TestCredits:
             router.return_credit(1, 0)  # above the downstream depth
 
     def test_release_vc(self):
-        router = _standalone_router()
+        router = _standalone()
         router.out_vc_owner[1][0] = 42
         router.release_vc(1, 0)
         assert router.out_vc_owner[1][0] is None
@@ -107,12 +107,13 @@ class TestWormholeProtocolChecks:
 
 class TestLinkWidthRule:
     def test_wider_endpoint_wins(self):
-        from repro.noc.config import baseline_router, big_router, small_router
+        from repro.noc.config import router_config
 
-        assert link_width_between(small_router(), small_router()) == 128
-        assert link_width_between(small_router(), big_router()) == 256
-        assert link_width_between(big_router(), big_router()) == 256
-        assert link_width_between(baseline_router(), baseline_router()) == 192
+        base, small, big = (router_config(k) for k in ("baseline", "small", "big"))
+        assert link_width_between(small, small) == 128
+        assert link_width_between(small, big) == 256
+        assert link_width_between(big, big) == 256
+        assert link_width_between(base, base) == 192
 
     def test_link_validation(self):
         with pytest.raises(ValueError):
