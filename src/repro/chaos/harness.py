@@ -36,7 +36,7 @@ import dataclasses
 import os
 import pathlib
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.chaos.corrupt import corrupt_store_rows, flip_bits
 from repro.chaos.kill import write_kill_plan

@@ -146,6 +146,25 @@ def sweep_id_for(
     return digest.hexdigest()
 
 
+def journal_points(
+    conn: sqlite3.Connection,
+    sweep_id: str,
+    points: Sequence[SweepPoint],
+    tag: Optional[str],
+) -> None:
+    """Insert a sweep's journal rows as ``pending`` inside the caller's
+    transaction on ``conn``; rows already present keep their status."""
+    conn.executemany(
+        "INSERT OR IGNORE INTO sweep_journal "
+        "(sweep_id, point_key, seq, label, tag, status) "
+        "VALUES (?, ?, ?, ?, ?, 'pending')",
+        [
+            (sweep_id, point.key(), seq, point.label, tag)
+            for seq, point in enumerate(points)
+        ],
+    )
+
+
 class ResultStore:
     """Content-addressed, crash-safe store of :class:`PointResult` rows.
 
@@ -291,6 +310,25 @@ class ResultStore:
         match, JSON shape -- is moved to the quarantine table (one
         transaction) and reported as a miss, so the engine recomputes it.
         """
+        result_json = self.get_json(point)
+        if result_json is None:
+            return None
+        try:
+            return PointResult.from_dict(json.loads(result_json))
+        except (ValueError, KeyError, TypeError) as exc:
+            self.quarantine_row(point.key(), str(exc))
+            return None
+
+    def get_json(self, point: SweepPoint) -> Optional[str]:
+        """The stored ``result`` JSON text for ``point``, verified, or
+        ``None`` on any miss.
+
+        The text is exactly what :meth:`put` wrote: a row that fails its
+        checksum, schema version or spec match is quarantined (one
+        transaction) and reported as a miss.  :meth:`get` is this read
+        plus the decode; the job server splices the text into its
+        response as it is.
+        """
         if os.environ.get("REPRO_CHAOS_PLAN"):
             from repro.chaos.sites import chaos_site
 
@@ -322,7 +360,7 @@ class ResultStore:
                 raise ValueError(f"spec version {version} != {SPEC_VERSION}")
             if json.loads(spec_json) != point.spec_dict():
                 raise ValueError("stored spec does not match the point")
-            return PointResult.from_dict(json.loads(result_json))
+            return result_json
         except (ValueError, KeyError, TypeError) as exc:
             self.quarantine_row(key, str(exc))
             return None
@@ -431,15 +469,7 @@ class ResultStore:
         try:
             conn = self._connect()
             with conn:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO sweep_journal "
-                    "(sweep_id, point_key, seq, label, tag, status) "
-                    "VALUES (?, ?, ?, ?, ?, 'pending')",
-                    [
-                        (sweep_id, point.key(), seq, point.label, tag)
-                        for seq, point in enumerate(points)
-                    ],
-                )
+                journal_points(conn, sweep_id, points, tag)
         except sqlite3.DatabaseError as exc:
             self._recover(f"journal write failed: {exc}")
             return None

@@ -186,6 +186,12 @@ class FaultInjector:
         dead_p = self.dead_ports
         casualties: Dict[int, Tuple[object, str]] = {}
 
+        # Every packet the walk below meets, by id; and the ids of
+        # wormholes committed across a dead channel from a VC that holds
+        # none of their flits right now (the rest is upstream).
+        seen: Dict[int, object] = {}
+        stranded: List[int] = []
+
         def condemn(packet, reason: str) -> None:
             casualties.setdefault(packet.packet_id, (packet, reason))
 
@@ -193,11 +199,23 @@ class FaultInjector:
         for router in network.routers:
             rid = router.router_id
             router_dead = rid in dead_r
+            if not router_dead:
+                for states in router._vc_states:
+                    for state in states:
+                        if (
+                            state.packet_id is not None
+                            and not state.queue
+                            and state.out_vc is not None
+                            and state.out_vc >= 0
+                            and (rid, state.route_port) in dead_p
+                        ):
+                            stranded.append(state.packet_id)
             for (port, vc) in list(router._active):
                 state = router._vc_states[port][vc]
                 port_dead = (rid, port) in dead_p
                 for flit in state.queue:
                     packet = flit.packet
+                    seen[packet.packet_id] = packet
                     if router_dead or port_dead:
                         condemn(packet, REASON_FAULT)
                     elif topo.router_of_node(packet.dst) in dead_r:
@@ -218,6 +236,7 @@ class FaultInjector:
         # Flits on the wire.
         for events in network._arrivals.values():
             for router_id, port, _vc, flit in events:
+                seen[flit.packet.packet_id] = flit.packet
                 if router_id in dead_r or (router_id, port) in dead_p:
                     condemn(flit.packet, REASON_FAULT)
                 elif not self.reachable(
@@ -233,11 +252,16 @@ class FaultInjector:
             if source.mid_packet:
                 packets.append(source.flits[0].packet)
             for packet in packets:
+                seen[packet.packet_id] = packet
                 dst_router = topo.router_of_node(packet.dst)
                 if src_router in dead_r or dst_router in dead_r:
                     condemn(packet, REASON_UNREACHABLE)
                 elif not self.reachable(src_router, dst_router):
                     condemn(packet, REASON_UNREACHABLE)
+
+        for packet_id in stranded:
+            if packet_id in seen:
+                condemn(seen[packet_id], REASON_FAULT)
 
         for packet, reason in casualties.values():
             network.purge_packet(packet)

@@ -222,6 +222,7 @@ class ServeMetrics:
         self.point_inflight_joins = reg.counter("serve.point_inflight_joins")
         self.point_errors = reg.counter("serve.point_errors")
         self.http_requests = reg.counter("serve.http_requests")
+        self.http_connections = reg.counter("serve.http_connections")
         self.http_errors = reg.counter("serve.http_errors")
         self.job_latency = reg.histogram("serve.job_latency_s", _WALL_BUCKETS_S)
         self.point_latency = reg.histogram(

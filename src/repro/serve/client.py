@@ -2,8 +2,10 @@
 
 :class:`ServeClient` speaks the JSON API of
 :class:`~repro.serve.server.SweepServer` over ``http.client`` -- no
-dependencies, picklable-free, one connection per request (the server
-closes connections after each response anyway).
+dependencies.  Each thread that uses a client keeps one connection
+alive across its requests; a request that finds that connection closed
+under it (the server stopped or restarted in between) is sent once more
+on a fresh one.  Event streams each open a connection of their own.
 
 The high-level call is :meth:`ServeClient.run_sweep`: submit, wait,
 fetch -- a drop-in for :func:`repro.exec.engine.run_sweep` that returns
@@ -20,6 +22,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import threading
 import time
 from typing import Dict, Iterator, List, Optional, Sequence
 from urllib.parse import urlsplit
@@ -51,29 +54,40 @@ class ServeClient:
         self.host = split.hostname
         self.port = split.port or 80
         self.timeout = timeout
+        # One kept-alive connection per thread (http.client is not
+        # thread-safe).
+        self._local = threading.local()
 
     # -- transport ------------------------------------------------------------
     def _request(
         self, method: str, path: str, body: Optional[dict] = None
     ) -> Dict[str, object]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            payload = json.dumps(body) if body is not None else None
-            conn.request(
-                method, path, body=payload,
-                headers={"Content-Type": "application/json"},
+        payload = json.dumps(body) if body is not None else None
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
             )
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-        except (OSError, http.client.HTTPException) as exc:
-            raise ServeError(
-                f"{method} {path} failed: {type(exc).__name__}: {exc}"
-            ) from exc
-        finally:
-            conn.close()
+        while True:
+            # http.client drops the socket after a "Connection: close"
+            # answer and opens a fresh one for the next request.
+            reused = conn.sock is not None
+            try:
+                conn.request(
+                    method, path, body=payload,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                data = response.read()
+                status = response.status
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and isinstance(exc, ConnectionError):
+                    continue  # the kept-alive socket was closed under us
+                raise ServeError(
+                    f"{method} {path} failed: {type(exc).__name__}: {exc}"
+                ) from exc
         try:
             parsed = json.loads(data)
         except ValueError as exc:
@@ -245,10 +259,12 @@ class ServeClient:
     ) -> List[PointResult]:
         """Submit, wait, fetch: the remote twin of engine ``run_sweep``.
 
-        Four requests and no timer: a sweep the store already holds
-        costs its round trips.  A ``failed`` job still returns per-point
-        results (captured failures included), matching
-        ``on_error="capture"`` locally; a ``cancelled`` job raises.
+        Four requests and no timer: a sweep the store already holds is
+        done at submit and costs its round trips -- three on this
+        thread's kept-alive connection, one event stream.  A ``failed``
+        job still returns per-point results (captured failures
+        included), matching ``on_error="capture"`` locally; a
+        ``cancelled`` job raises.
         """
         points = list(points)
         submitted = self.submit(

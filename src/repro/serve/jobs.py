@@ -17,10 +17,14 @@ of creating a duplicate; only ``failed``/``cancelled`` jobs requeue.
 
 State machine::
 
+    submit --------------------------------------> done  (born done)
     queued --claim--> running --finish--> done | failed
       ^                  |
       |                  +--cancel (cooperative) --> cancelled
       +--requeue_running-- (crash recovery at server startup)
+
+A job whose points the store already holds is born done: no worker
+claims or replays it.
 
 ``claim`` is a single ``BEGIN IMMEDIATE`` transaction (highest priority
 first, FIFO within a priority), so two workers -- even in different
@@ -34,8 +38,8 @@ import sqlite3
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.exec.point import PointResult, SweepPoint
-from repro.exec.store import ResultStore, sweep_id_for
+from repro.exec.point import SweepPoint
+from repro.exec.store import ResultStore, journal_points, sweep_id_for
 
 #: every state a jobs-table row can be in.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -87,40 +91,53 @@ class JobQueue:
         joinable state (queued/running/done) -- the caller simply
         observes that job instead of a new one.  A ``failed`` or
         ``cancelled`` twin is requeued in place (same id, fresh attempt).
+
+        A job whose every point the store already holds is *born done*:
+        its row is written ``done`` (with no worker) and its journal rows
+        committed in the submit transaction, so no worker ever sees it
+        queued.  The check stops at the first point the store lacks.
         """
         points = list(points)
         if not points:
             raise ValueError("a job needs at least one point")
         job_id = job_id_for(points, tag)
-        specs_json = json.dumps([p.spec_dict() for p in points], sort_keys=True)
-        keys_json = json.dumps([p.key() for p in points])
         conn = self.store.connection()
+        row = conn.execute(
+            "SELECT state FROM jobs WHERE job_id = ?", (job_id,)
+        ).fetchone()
+        if row is not None and row[0] in JOINABLE_STATES:
+            return job_id, True
+        stored = all(self.store.get_json(point) is not None for point in points)
+        state, now = ("done" if stored else "queued"), _now()
+        finished = now if stored else None
         with conn:
-            row = conn.execute(
-                "SELECT state FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            if row is not None and row[0] in JOINABLE_STATES:
-                return job_id, True
             if row is not None:
                 conn.execute(
-                    "UPDATE jobs SET state = 'queued', priority = ?, "
-                    "client = ?, submitted_at = ?, started_at = NULL, "
-                    "finished_at = NULL, worker = NULL, error = NULL "
-                    "WHERE job_id = ?",
-                    (priority, client, _now(), job_id),
+                    "UPDATE jobs SET state = ?, priority = ?, client = ?, "
+                    "submitted_at = ?, started_at = NULL, finished_at = ?, "
+                    "worker = NULL, error = NULL WHERE job_id = ?",
+                    (state, priority, client, now, finished, job_id),
                 )
             else:
                 conn.execute(
                     "INSERT INTO jobs (job_id, state, priority, tag, "
-                    "client, points, point_keys, submitted_at) "
-                    "VALUES (?, 'queued', ?, ?, ?, ?, ?, ?)",
-                    (job_id, priority, tag, client, specs_json,
-                     keys_json, _now()),
+                    "client, points, point_keys, submitted_at, finished_at) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    (job_id, state, priority, tag, client,
+                     json.dumps([p.spec_dict() for p in points],
+                                sort_keys=True),
+                     json.dumps([p.key() for p in points]), now, finished),
                 )
-        # Journal the job's points up front (idempotent), so progress is
-        # reportable before a worker ever touches the job and committed
-        # points survive any crash.
-        self.store.begin_sweep(points, tag=tag)
+            # The job's journal, in the same transaction: progress is
+            # reportable before a worker ever touches the job, and
+            # committed points survive any crash.
+            journal_points(conn, job_id, points, tag)
+            if stored:
+                conn.execute(
+                    "UPDATE sweep_journal SET status = 'done', "
+                    "committed_at = ? WHERE sweep_id = ? AND status != 'done'",
+                    (now, job_id),
+                )
         return job_id, False
 
     # -- worker side ----------------------------------------------------------
@@ -252,13 +269,3 @@ class JobQueue:
                 "SELECT state FROM jobs WHERE job_id = ?", (job_id,)
             ).fetchone()
         return row[0] if row else None
-
-    def results_for(
-        self, job_id: str
-    ) -> Optional[List[Optional[PointResult]]]:
-        """The job's results in point order (``None`` per missing row)."""
-        job = self.get(job_id, include_points=True)
-        if job is None:
-            return None
-        points = points_from_specs(job["points"])
-        return [self.store.get(point) for point in points]

@@ -3,8 +3,9 @@
 One process, three kinds of thread:
 
 * the **asyncio loop thread** -- a hand-rolled HTTP/1.1 server on
-  ``asyncio`` streams (stdlib only), answering the JSON API below and
-  streaming job events as chunked NDJSON;
+  ``asyncio`` streams (stdlib only), answering the JSON API below on
+  kept-alive connections and streaming job events as chunked NDJSON
+  (each stream on a connection of its own, closed when it ends);
 * **worker threads** -- each waits idle until a submission (or a stop)
   wakes it, claims jobs from the persistent
   :class:`~repro.serve.jobs.JobQueue` and executes their points through
@@ -27,11 +28,20 @@ API::
     GET  /jobs/<id>/events     chunked NDJSON event stream (live-follow)
     POST /jobs/<id>/cancel     cancel queued, or signal a running job
 
+A connection serves requests until the client closes it or sends
+``Connection: close``; an error response (400, 404, 405, 409, 500) and
+a request whose framing cannot be trusted close it, and :meth:`stop
+<SweepServer.stop>` closes the idle ones.
+
 Nothing between ``POST /jobs`` and the results waits on a timer: a
 submission wakes the workers, and every event a worker publishes (and a
 cancel, and a stop) wakes the ``/events`` followers, whose stream ends
 with an ``end`` line the moment the job does -- which is what
 :meth:`ServeClient.wait <repro.serve.client.ServeClient.wait>` follows.
+A job whose every point the store already holds is *born done*:
+``POST /jobs`` writes it ``done`` and publishes its events itself, and
+no worker wakes for it.  ``GET /jobs/<id>/result`` sends each stored
+row as the verified JSON text the store holds, without decoding it.
 A stream that has nothing to say writes a blank keep-alive line every
 :data:`KEEPALIVE_S`, so a point that outlasts the follower's socket
 timeout does not cut it.  ``poll_s`` is only how often an idle worker
@@ -134,7 +144,10 @@ class SweepServer:
         # Loop-side twin: one event per open /events stream, set when
         # there may be something new to write (loop thread only).
         self._followers: Set[asyncio.Event] = set()
+        # Every open connection, and those waiting for their next request
+        # (stop() closes these at once).
         self._connections: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.Task] = set()
         # Per-job event buffers + cancel flags, and the finished jobs
         # whose buffers are still kept; guarded by _state_lock.
         self._events: Dict[str, List[dict]] = {}
@@ -251,6 +264,10 @@ class SweepServer:
             await self._stopped_loop.wait()
         finally:
             server.close()
+            # A kept-alive connection waiting for its next request has
+            # nothing to finish: close it now.
+            for task in self._idle:
+                task.cancel()
             await server.wait_closed()
             # Let the open streams write the ``end`` line request_stop()
             # woke them for, rather than resetting them.
@@ -259,16 +276,38 @@ class SweepServer:
             self._api_queue.store.close()
 
     async def _handle_connection(self, reader, writer) -> None:
+        """Serve requests on one connection until the client closes it,
+        asks to (``Connection: close``), an answer is an error, or the
+        server stops."""
         task = asyncio.current_task()
         self._connections.add(task)
         task.add_done_callback(self._connections.discard)
+        self.metrics.http_connections.inc()
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, query, body = request
-            self.metrics.http_requests.inc()
-            await self._route(writer, method, path, query, body)
+            while True:
+                self._idle.add(task)
+                try:
+                    request = await self._read_request(reader)
+                finally:
+                    self._idle.discard(task)
+                if request is None:
+                    return
+                method, path, query, body, keep_alive = request
+                self.metrics.http_requests.inc()
+                parts = [p for p in path.split("/") if p]
+                if (
+                    method == "GET" and len(parts) == 3
+                    and parts[0] == "jobs" and parts[2] == "events"
+                ):
+                    await self._handle_events(writer, parts[1])
+                    return
+                status, payload = self._route(method, path, query, body)
+                keep_alive = (
+                    keep_alive and status < 400 and not self._stop.is_set()
+                )
+                await self._respond(writer, status, payload, keep_alive)
+                if not keep_alive:
+                    return
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:
@@ -288,12 +327,20 @@ class SweepServer:
 
     async def _read_request(
         self, reader
-    ) -> Optional[Tuple[str, str, dict, Optional[dict]]]:
+    ) -> Optional[Tuple[str, str, dict, Optional[dict], bool]]:
+        """One request, or ``None`` at a clean end of the connection.
+
+        The last field says whether the connection may stay open:
+        HTTP/1.1 without ``Connection: close``, and no body framing this
+        server does not read (a chunked body would be taken for the next
+        request).  A malformed request line also ends the connection; a
+        bad length or body raises (a 500 that closes it).
+        """
         line = await reader.readline()
         if not line:
             return None
         try:
-            method, target, _version = line.decode("latin-1").split()
+            method, target, version = line.decode("latin-1").split()
         except ValueError:
             return None
         headers = {}
@@ -315,58 +362,56 @@ class SweepServer:
             key: values[-1]
             for key, values in parse_qs(split.query).items()
         }
-        return method.upper(), split.path, query, body
+        keep_alive = (
+            version == "HTTP/1.1"
+            and headers.get("connection", "").lower() != "close"
+            and "transfer-encoding" not in headers
+        )
+        return method.upper(), split.path, query, body, keep_alive
 
     async def _respond(
-        self, writer, status: int, payload: dict
+        self, writer, status: int, payload, keep_alive: bool = False
     ) -> None:
+        """Write one response; ``payload`` is a dict, or JSON bytes."""
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                    405: "Method Not Allowed", 409: "Conflict",
                    500: "Internal Server Error"}
-        data = json.dumps(payload).encode("utf-8")
+        data = (
+            payload if isinstance(payload, bytes)
+            else json.dumps(payload).encode("utf-8")
+        )
         head = (
             f"HTTP/1.1 {status} {reasons.get(status, 'OK')}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(data)}\r\n"
-            f"Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         ).encode("latin-1")
         writer.write(head + data)
         await writer.drain()
 
-    async def _route(self, writer, method, path, query, body) -> None:
+    def _route(self, method, path, query, body) -> Tuple[int, object]:
+        """Answer one request: ``(status, payload)``."""
         parts = [p for p in path.split("/") if p]
         if path == "/healthz" and method == "GET":
-            await self._respond(writer, 200, self._health())
-            return
+            return 200, self._health()
         if path == "/metrics" and method == "GET":
-            await self._respond(writer, 200, self._metrics_payload())
-            return
+            return 200, self._metrics_payload()
         if parts and parts[0] == "jobs":
             if len(parts) == 1:
                 if method == "POST":
-                    await self._handle_submit(writer, body)
-                elif method == "GET":
-                    await self._handle_list(writer, query)
-                else:
-                    await self._respond(
-                        writer, 405, {"error": f"{method} not allowed"}
-                    )
-                return
+                    return self._handle_submit(body)
+                if method == "GET":
+                    return self._handle_list(query)
+                return 405, {"error": f"{method} not allowed"}
             job_id = parts[1]
             if len(parts) == 2 and method == "GET":
-                await self._handle_status(writer, job_id)
-                return
+                return self._handle_status(job_id)
             if len(parts) == 3 and parts[2] == "result" and method == "GET":
-                await self._handle_result(writer, job_id)
-                return
-            if len(parts) == 3 and parts[2] == "events" and method == "GET":
-                await self._handle_events(writer, job_id)
-                return
+                return self._handle_result(job_id)
             if len(parts) == 3 and parts[2] == "cancel" and method == "POST":
-                await self._handle_cancel(writer, job_id)
-                return
+                return self._handle_cancel(job_id)
         self.metrics.http_errors.inc()
-        await self._respond(writer, 404, {"error": f"no route {method} {path}"})
+        return 404, {"error": f"no route {method} {path}"}
 
     # -- handlers -------------------------------------------------------------
     def _health(self) -> dict:
@@ -396,22 +441,17 @@ class SweepServer:
             "instruments": self.metrics.registry.snapshot(),
         }
 
-    async def _handle_submit(self, writer, body) -> None:
+    def _handle_submit(self, body) -> Tuple[int, dict]:
+        started = time.monotonic()
         if not isinstance(body, dict) or not body.get("points"):
             self.metrics.http_errors.inc()
-            await self._respond(
-                writer, 400, {"error": "body must carry a points list"}
-            )
-            return
+            return 400, {"error": "body must carry a points list"}
         try:
             points = points_from_specs(body["points"])
             priority = int(body.get("priority", 0))
         except (TypeError, ValueError) as exc:
             self.metrics.http_errors.inc()
-            await self._respond(
-                writer, 400, {"error": f"invalid job: {exc}"}
-            )
-            return
+            return 400, {"error": f"invalid job: {exc}"}
         # Under the lock, so a worker that claims the row at once cannot
         # publish into a buffer this is about to drop.
         with self._state_lock:
@@ -427,66 +467,87 @@ class SweepServer:
                 self._events.pop(job_id, None)
                 if job_id in self._finished:
                     self._finished.remove(job_id)
+        job = self._api_queue.get(job_id)
         if deduped:
             self.metrics.jobs_deduped.inc()
         else:
             self.metrics.jobs_submitted.inc()
-            self._wake_workers()
-        job = self._api_queue.get(job_id)
-        await self._respond(writer, 200, {
+            # Only submit writes a row ``done`` without a worker.
+            if job["state"] == "done" and job["worker"] is None:
+                self._narrate_born_done(job, points, started)
+            else:
+                self._wake_workers()
+        return 200, {
             "job_id": job_id,
             "deduped": deduped,
             "state": job["state"],
             "num_points": job["num_points"],
-        })
+        }
 
-    async def _handle_list(self, writer, query) -> None:
+    def _narrate_born_done(self, job: dict, points, started: float) -> None:
+        """Publish the events a worker replaying the job from the store
+        would have, for a job submit already finished."""
+        job_id = job["job_id"]
+        events = [{
+            "event": "job_started", "job_id": job_id, "worker": None,
+            "num_points": len(points),
+        }]
+        events.extend(
+            {"event": "point", "seq": seq, "label": point.label, "key": key,
+             "source": "cached", "error": None}
+            for seq, (point, key) in enumerate(zip(points, job["point_keys"]))
+        )
+        events.append({
+            "event": "job_done", "job_id": job_id, "points": len(points),
+            "errors": 0,
+        })
+        with self._state_lock:
+            self._events.setdefault(job_id, []).extend(events)
+        self._wake_followers()
+        self.metrics.point_cache_hits.inc(len(points))
+        self.metrics.job_finished("done", time.monotonic() - started)
+        self._retire_job(job_id)
+
+    def _handle_list(self, query) -> Tuple[int, dict]:
         state = query.get("state")
         if state is not None and state not in JOB_STATES:
             self.metrics.http_errors.inc()
-            await self._respond(
-                writer, 400,
-                {"error": f"state must be one of {sorted(JOB_STATES)}"},
-            )
-            return
+            return 400, {"error": f"state must be one of {sorted(JOB_STATES)}"}
         limit = min(int(query.get("limit", 100)), 1000)
-        await self._respond(writer, 200, {
+        return 200, {
             "jobs": self._api_queue.list_jobs(state=state, limit=limit),
-        })
+        }
 
-    async def _handle_status(self, writer, job_id) -> None:
+    def _handle_status(self, job_id) -> Tuple[int, dict]:
         job = self._api_queue.get(job_id)
         if job is None:
-            await self._respond(writer, 404, {"error": f"no job {job_id}"})
-            return
-        await self._respond(writer, 200, job)
+            return 404, {"error": f"no job {job_id}"}
+        return 200, job
 
-    async def _handle_result(self, writer, job_id) -> None:
-        job = self._api_queue.get(job_id)
+    def _handle_result(self, job_id) -> Tuple[int, object]:
+        """The job's stored rows in point order (``null`` per missing
+        row), each spliced in as the verified text the store holds."""
+        job = self._api_queue.get(job_id, include_points=True)
         if job is None:
-            await self._respond(writer, 404, {"error": f"no job {job_id}"})
-            return
+            return 404, {"error": f"no job {job_id}"}
         if job["state"] not in _TERMINAL:
-            await self._respond(writer, 409, {
-                "error": "job not finished", "state": job["state"],
-            })
-            return
-        results = self._api_queue.results_for(job_id)
-        await self._respond(writer, 200, {
-            "job_id": job_id,
-            "state": job["state"],
-            "error": job["error"],
-            "results": [
-                result.to_dict() if result is not None else None
-                for result in results
-            ],
+            return 409, {"error": "job not finished", "state": job["state"]}
+        store = self._api_queue.store
+        rows = [
+            store.get_json(point) or "null"
+            for point in points_from_specs(job["points"])
+        ]
+        head = json.dumps({
+            "job_id": job_id, "state": job["state"], "error": job["error"],
         })
+        return 200, (
+            f'{head[:-1]}, "results": [{", ".join(rows)}]}}'.encode("utf-8")
+        )
 
-    async def _handle_cancel(self, writer, job_id) -> None:
+    def _handle_cancel(self, job_id) -> Tuple[int, dict]:
         job = self._api_queue.get(job_id)
         if job is None:
-            await self._respond(writer, 404, {"error": f"no job {job_id}"})
-            return
+            return 404, {"error": f"no job {job_id}"}
         state = self._api_queue.cancel(job_id)  # flips a queued row only
         if state == "running":
             with self._state_lock:
@@ -500,10 +561,8 @@ class SweepServer:
                 "after_points": 0,
             })
             self._retire_job(job_id)
-        await self._respond(
-            writer, 200, {"job_id": job_id, "state": state,
-                          "cancelling": state in ("running", "cancelled")}
-        )
+        return 200, {"job_id": job_id, "state": state,
+                     "cancelling": state in ("running", "cancelled")}
 
     async def _handle_events(self, writer, job_id) -> None:
         job = self._api_queue.get(job_id)

@@ -420,3 +420,93 @@ class TestCompiledStepping:
         with pytest.raises(RuntimeError, match="wormhole violation"):
             for _ in range(50):
                 net.step()
+
+
+_LEAK_RUN = """
+import sys
+import repro.noc.ckernel as ckernel
+from repro.core.layouts import build_network, layout_by_name
+from repro.faults import InvariantViolation
+from repro.traffic.patterns import pattern_by_name
+from repro.traffic.runner import run_synthetic
+
+net = build_network(layout_by_name("baseline", 4))
+net.use_kernel("c")
+pattern = pattern_by_name("uniform_random", net.topology)
+try:
+    result = run_synthetic(
+        net, pattern, 0.05, warmup_packets=50, measure_packets=300, seed=1
+    )
+except InvariantViolation as exc:
+    print(f"caught: {exc}")
+    sys.exit(3)
+print(ckernel.load_kernel_library()._name)
+print(result.kernel_cycles, result.span_fallback)
+net.drain(max_cycles=100_000)
+ck = net._ck
+print(sum(ck._arr(ckernel.A_CRED)[lane] for lane in range(ck.L)))
+"""
+
+
+@needs_ckernel
+class TestLeakingBuild:
+    """The instrument that proves runtime checks see the C arena: a
+    kernel built with ``-DCK_TEST_LEAK_CREDIT`` loses the first credit
+    return of a run."""
+
+    @pytest.fixture(scope="class")
+    def leaking_cache(self, tmp_path_factory):
+        import importlib.util
+        from pathlib import Path
+
+        tool = (
+            Path(__file__).resolve().parent.parent
+            / "tools" / "ckernel_sanitized.py"
+        )
+        spec = importlib.util.spec_from_file_location("ckernel_tool", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        directory = tmp_path_factory.mktemp("leaking-ckernel")
+        module.build(directory, module.LEAK_CREDIT)
+        return directory
+
+    def _run(self, cache, **env):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        environ = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_") or key == "REPRO_CKERNEL_CACHE"
+        }
+        environ.update(PYTHONPATH=str(src), **env)
+        if cache is not None:
+            environ["REPRO_CKERNEL_CACHE"] = str(cache)
+        return subprocess.run(
+            [sys.executable, "-c", _LEAK_RUN], env=environ,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_unarmed_run_does_not_notice(self, leaking_cache):
+        proc = self._run(leaking_cache)
+        assert proc.returncode == 0, proc.stderr
+        library, cycles, credits = proc.stdout.splitlines()
+        assert library.startswith(str(leaking_cache))
+        assert "'c_span': 0," not in cycles and cycles.endswith("None")
+        # Drained, the plain build holds every credit; this one is short
+        # by the one it lost.
+        plain = self._run(None)
+        assert plain.returncode == 0, plain.stderr
+        assert int(credits) == int(plain.stdout.splitlines()[2]) - 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 19: an armed run settles on the event kernel "
+        "('a watchdog is attached'), so the leaking walk never runs",
+    )
+    def test_armed_run_catches_the_leak(self, leaking_cache):
+        proc = self._run(leaking_cache, REPRO_CHECK="1")
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "caught:" in proc.stdout

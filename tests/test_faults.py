@@ -255,6 +255,58 @@ class TestResilience:
         assert result.lost_measured_packets == 0
         assert result.resilience["fault_events"] == 2  # apply + repair
 
+    def test_wormhole_committed_from_an_empty_vc_is_purged_at_the_fault(
+        self, monkeypatch
+    ):
+        """Regression: at cycle 28 of this run, router 11 holds an input
+        VC committed to packet 12's wormhole across its port 3 with none
+        of the packet's flits buffered (the rest is upstream).  Killing
+        that channel then must purge the packet and hand it to the NI at
+        once -- before the fix its body flits waited behind the dead port
+        until the NI timeout purged it, 288 cycles later."""
+        from repro.faults.retransmit import RetransmissionManager
+
+        cycle, router, port, packet_id = 28, 11, 3, 12
+        committed = []
+        real_tick = FaultInjector.tick
+
+        def tick(self, network, now):
+            if now == cycle:
+                committed.extend(
+                    not state.queue
+                    for states in network.routers[router]._vc_states
+                    for state in states
+                    if state.packet_id == packet_id
+                    and state.out_vc is not None and state.out_vc >= 0
+                    and state.route_port == port
+                )
+            return real_tick(self, network, now)
+
+        retries = []
+        real_retry = RetransmissionManager._retry
+
+        def retry(self, entry, now, purge):
+            retries.append((entry.packet.packet_id, now, purge))
+            return real_retry(self, entry, now, purge)
+
+        monkeypatch.setattr(FaultInjector, "tick", tick)
+        monkeypatch.setattr(RetransmissionManager, "_retry", retry)
+        network, pattern = _build()
+        schedule = FaultSchedule(
+            specs=(FaultSpec(kind="link", router=router, port=port,
+                             at=cycle),),
+        )
+        result = run_synthetic(
+            network, pattern, 0.05, warmup_packets=50, measure_packets=300,
+            seed=3, faults=schedule,
+        )
+        assert committed == [True]  # the VC is committed and empty
+        assert [r for r in retries if r[0] == packet_id] == [
+            (packet_id, cycle, False)  # purged by the fault, not a timeout
+        ]
+        assert len(result.stats.records) == 300
+        assert result.lost_measured_packets == 0
+
     def test_repaired_channels_recover_full_credit(self, monkeypatch):
         """Regression: purges while an element is dead deliberately skip
         restoring credits at dead routers, so without repair-time

@@ -16,7 +16,10 @@ What must hold:
   reroutes whole sweeps;
 * nothing on the served-job path waits on a timer: a submission wakes
   the workers, ``/events`` is pushed (with keep-alives through silence)
-  and ``ServeClient.wait`` follows it -- one ``job()`` fetch, no sleep.
+  and ``ServeClient.wait`` follows it -- one ``job()`` fetch, no sleep;
+* a job the store already answers is done at submit (no worker claims
+  it), ``/result`` serves verified store rows, and each client thread
+  keeps one connection alive across its requests.
 
 The SIGKILL/restart scenario lives in ``tests/test_serve_chaos.py``
 (driving ``repro.serve.smoke``); this file stays in-process.
@@ -175,17 +178,6 @@ class TestJobQueue:
         assert [j["job_id"] for j in queue.list_jobs(state="running")] == [
             first
         ]
-
-    def test_results_for_reports_missing_rows(self, tmp_path):
-        queue = JobQueue(tmp_path / "s.sqlite")
-        points = _points(2)
-        job_id, _ = queue.submit(points)
-        [result] = run_sweep(points[:1], cache=None)
-        queue.store.put(points[0], result)
-        rows = queue.results_for(job_id)
-        assert rows[0].to_dict() == result.to_dict()
-        assert rows[1] is None
-        assert queue.results_for("no-such-job") is None
 
 
 @pytest.fixture
@@ -413,6 +405,29 @@ class TestServerAPI:
         assert store.get(points[0]) is None
         assert store.get(points[1]) is not None
 
+    def test_result_serves_null_for_a_missing_row(self, server, client):
+        """``/result`` reads verified store rows: a row lost after the job
+        finished comes back ``null``, and as a captured failure from
+        ``results(points=...)``."""
+        points = _points(2)
+        local = _comparable(run_sweep(points, cache=None))
+        job_id = client.submit(points)["job_id"]
+        assert client.wait(job_id, timeout=120)["state"] == "done"
+        store = ResultStore(server.store_path)
+        with store.connection() as conn:
+            conn.execute(
+                "DELETE FROM results WHERE key = ?", (points[1].key(),)
+            )
+        store.close()
+        payload = client._request("GET", f"/jobs/{job_id}/result")
+        assert payload["results"][1] is None
+        results = client.results(job_id, points=points)
+        assert _comparable(results[:1]) == local[:1]
+        assert results[1].error == "job done"
+        assert results[1].latency_cycles != results[1].latency_cycles  # NaN
+        with pytest.raises(ServeError, match="404"):
+            client._request("GET", "/jobs/no-such-job/result")
+
     def test_inflight_point_joined_not_raced(self, server, client, gate):
         """Two jobs (different tags) sharing one point, two workers:
         the second worker joins the first's in-flight simulation
@@ -485,7 +500,9 @@ class TestPushedWait:
     def test_no_wakeup_is_lost_under_contention(self, tmp_path):
         """More workers and clients than cores, a tiny switch interval,
         and a fallback poll far beyond the timeout: a wake-up lost
-        between a worker's claim and its wait would strand a job."""
+        between a worker's claim and its wait would strand a job.  Each
+        job pairs the stored point with a new one, so none is born done
+        and every one needs a worker."""
         server = SweepServer(
             tmp_path / "stress.sqlite", port=0, workers=4, poll_s=300.0
         )
@@ -498,15 +515,16 @@ class TestPushedWait:
             ServeClient(url).run_sweep(points, tag="seed-the-store")
 
             def replay(index):
+                novel = replace(points[0], seed=100 + index)
                 results = ServeClient(url).run_sweep(
-                    points, tag=f"replay-{index}", timeout=30
+                    [points[0], novel], tag=f"replay-{index}", timeout=30
                 )
                 return results[0].to_dict()["latency_cycles"]
 
             with ThreadPoolExecutor(max_workers=6) as pool:
                 latencies = set(pool.map(replay, range(36)))
             assert len(latencies) == 1
-            assert server.metrics.points_executed.value == 1
+            assert server.metrics.points_executed.value == 1 + 36
         finally:
             sys.setswitchinterval(interval)
             server.stop()
@@ -594,7 +612,7 @@ class TestPushedWait:
     def test_replayed_sweep_costs_milliseconds(self, server, client):
         """The floor under the claim: three stored 4x4 points through
         ``run_sweep`` took a fixed 0.2 s sleep when ``wait`` polled;
-        pushed, they take four round trips (~10 ms)."""
+        pushed and done at submit, they take four round trips (~4 ms)."""
         points = _points(3)
         client.run_sweep(points, tag="compute")
         elapsed = []
@@ -604,6 +622,175 @@ class TestPushedWait:
             elapsed.append(time.perf_counter() - started)
             assert all(result.error is None for result in results)
         assert statistics.median(elapsed) < 0.1
+
+
+def _instruments(client):
+    return {
+        row["name"]: row for row in client.metrics()["instruments"]
+        if not row["labels"]
+    }
+
+
+class TestBornDone:
+    """A job whose every point the store holds finishes at submit."""
+
+    def test_stored_job_is_done_at_submit(self, server, client):
+        points = _points(2)
+        client.run_sweep(points, tag="compute")
+        executed = _instruments(client)["serve.points_executed"]["value"]
+        submitted = client.submit(points, tag="replay")
+        assert not submitted["deduped"] and submitted["state"] == "done"
+        job = client.job(submitted["job_id"])
+        assert job["worker"] is None
+        assert job["progress"] == {"total": 2, "committed": 2, "pending": 0}
+        events = list(client.stream_events(submitted["job_id"]))
+        assert [e["event"] for e in events] == [
+            "snapshot", "job_started", "point", "point", "job_done", "end",
+        ]
+        assert all(
+            e["source"] == "cached" for e in events if e["event"] == "point"
+        )
+        assert _comparable(client.results(submitted["job_id"])) == (
+            _comparable(run_sweep(points, cache=None))
+        )
+        assert _instruments(client)["serve.points_executed"]["value"] == (
+            executed
+        )
+
+    def test_no_worker_claims_a_born_done_job(self, tmp_path, monkeypatch):
+        claimed = []
+        real_claim = JobQueue.claim
+
+        def claim(self, worker):
+            job = real_claim(self, worker)
+            if job is not None:
+                claimed.append(job["job_id"])
+            return job
+
+        monkeypatch.setattr(JobQueue, "claim", claim)
+        server = SweepServer(
+            tmp_path / "poll.sqlite", port=0, workers=2, poll_s=0.001
+        )
+        server.start()
+        try:
+            client = ServeClient(f"http://127.0.0.1:{server.port}")
+            points = _points(1)
+            first = client.submit(points, tag="compute")["job_id"]
+            client.wait(first, timeout=120)
+            assert claimed == [first]
+            for index in range(50):
+                submitted = client.submit(points, tag=f"replay-{index}")
+                assert submitted["state"] == "done"
+            time.sleep(0.05)  # fifty more idle polls per worker
+            assert claimed == [first]
+            assert server.metrics.points_executed.value == 1
+        finally:
+            server.stop()
+
+    def test_corrupt_row_is_quarantined_at_submit_and_recomputed(
+        self, server, client
+    ):
+        points = _points(2)
+        local = _comparable(run_sweep(points, cache=None))
+        client.run_sweep(points, tag="compute")
+        store = ResultStore(server.store_path)
+        with store.connection() as conn:
+            conn.execute(
+                "UPDATE results SET checksum = 'broken' WHERE key = ?",
+                (points[1].key(),),
+            )
+        with pytest.warns(UserWarning, match="quarantined"):
+            submitted = client.submit(points, tag="replay")
+        # The submit-time read quarantined the row before it answered.
+        assert submitted["state"] != "done"
+        assert [row["key"] for row in store.quarantined()] == [
+            points[1].key()
+        ]
+        store.close()
+        job = client.wait(submitted["job_id"], timeout=120)
+        assert job["state"] == "done" and job["worker"] is not None
+        assert _comparable(client.results(submitted["job_id"])) == local
+        assert server.metrics.points_executed.value == 3
+
+
+class TestKeepAlive:
+    """One kept-alive connection per client thread."""
+
+    def test_replayed_sweeps_share_one_connection(self, server, client):
+        points = _points(3)
+        run_sweep(points, cache=server.store_path)
+        requests = server.metrics.http_requests.value
+        connections = server.metrics.http_connections.value
+        fresh = ServeClient(f"http://127.0.0.1:{server.port}")
+        for index in range(5):
+            fresh.run_sweep(points, tag=f"replay-{index}")
+        # submit, job and result on the kept-alive connection; each
+        # event stream on its own.
+        assert server.metrics.http_requests.value - requests == 20
+        assert server.metrics.http_connections.value - connections == 6
+
+    def test_errors_close_the_connection(self, server, client):
+        client.health()
+        before = server.metrics.http_connections.value
+        with pytest.raises(ServeError, match="404"):
+            client.job("deadbeef")
+        client.health()
+        client.health()
+        assert server.metrics.http_connections.value == before + 1
+
+    @pytest.mark.parametrize("request_head, kept", [
+        ("GET /healthz HTTP/1.1\r\n", True),
+        ("GET /healthz HTTP/1.1\r\nConnection: close\r\n", False),
+        ("GET /healthz HTTP/1.0\r\n", False),
+        # A body this server does not read could pass for a request.
+        ("GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", False),
+    ])
+    def test_connection_header_answers_the_request(
+        self, server, request_head, kept
+    ):
+        import socket
+
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(request_head.encode("latin-1") + b"\r\n")
+            head = sock.recv(65536).split(b"\r\n\r\n")[0].decode()
+        expected = "keep-alive" if kept else "close"
+        assert f"Connection: {expected}" in head.splitlines()
+
+    def test_stop_closes_an_idle_connection(self, tmp_path):
+        server = SweepServer(tmp_path / "idle.sqlite", port=0, workers=1)
+        server.start()
+        client = ServeClient(f"http://127.0.0.1:{server.port}")
+        client.health()  # leaves the connection open and idle
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+
+    def test_request_after_restart_reconnects(self, tmp_path):
+        store_path = tmp_path / "restart.sqlite"
+        port = _free_port()
+        first = SweepServer(store_path, port=port, workers=1).start()
+        client = ServeClient(f"http://127.0.0.1:{port}")
+        try:
+            assert client.health()["status"] == "ok"
+        finally:
+            first.stop()
+        second = SweepServer(store_path, port=port, workers=1).start()
+        try:
+            assert client.health()["status"] == "ok"
+            assert second.metrics.http_requests.value == 1
+        finally:
+            second.stop()
+
+    def test_client_shared_by_threads(self, server, client):
+        jobs = [_points(2, seed=seed) for seed in range(4)]
+        local = [_comparable(run_sweep(job, cache=None)) for job in jobs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            served = list(pool.map(client.run_sweep, jobs))
+        assert [_comparable(results) for results in served] == local
+        # ...and again, on the connections the threads kept.
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            served = list(pool.map(client.run_sweep, jobs))
+        assert [_comparable(results) for results in served] == local
 
 
 class TestCrashRecovery:

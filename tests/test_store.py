@@ -329,12 +329,12 @@ class TestSchemaV2:
         queue = JobQueue(path)
         job_id, deduped = queue.submit(points, tag="fig07")
         assert not deduped
-        assert queue.store.job_counts() == {"queued": 1}
-        # The point is already in the store (the pre-migration sweep),
-        # but the job's own journal starts pending: a worker commits it
-        # by replaying the row, never by recomputing.
+        # The point is already in the store (the pre-migration sweep):
+        # the job is born done, its journal committed, with no worker.
+        assert queue.store.job_counts() == {"done": 1}
+        assert queue.get(job_id)["worker"] is None
         assert queue.get(job_id)["progress"] == {
-            "total": 1, "committed": 0, "pending": 1,
+            "total": 1, "committed": 1, "pending": 0,
         }
 
     def test_tag_progress_aggregates_across_sweeps(self, tmp_path):
@@ -365,14 +365,17 @@ class TestSchemaV2:
         finally:
             configure(sweep_tag=None)
         queue = JobQueue(path)
-        queue.submit(points, tag="fig07")
-        done_id, _ = queue.submit(_points(1), tag="other")
+        queue.submit(points, tag="fig07")  # every point stored: born done
+        novel = _points(3)[2:]
+        queue.submit(novel, tag="other")
+        queue.submit(novel, tag="third")
         queue.claim("w")
         assert main([str(path), "info"]) == 0
         out = capsys.readouterr().out
         assert "progress by tag:" in out
         assert "fig07  2/2 committed, 0 pending" in out
-        assert "jobs: 1 queued, 1 running" in out
+        assert "other  0/1 committed, 1 pending" in out
+        assert "jobs: 1 done, 1 queued, 1 running" in out
 
 
 def _stress_writer(store_path, rates):

@@ -9,6 +9,10 @@ its own name and loads it instead of compiling, so every test that runs
 the ``c`` kernel runs the sanitized walk, and the first undefined
 behaviour aborts the process.
 
+:func:`build` takes the flags, so the same helper builds the other test
+libraries under that name: ``LEAK_CREDIT`` is the kernel that loses the
+first credit return of a run, which the runtime checks must catch.
+
 Usage, from the repository root::
 
     python tools/ckernel_sanitized.py /tmp/ubsan
@@ -24,6 +28,7 @@ import argparse
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -33,17 +38,20 @@ from repro.noc.ckernel import SOURCE, find_compiler, library_name  # noqa: E402
 #: sanitizer's (-ffp-contract=off still: the RNG twin's self-check must
 #: pass, or spans would be switched off under test).
 SANITIZE = ("-O1", "-g", "-fsanitize=undefined", "-fno-sanitize-recover=all")
+#: the loader's optimisation level plus the test-only credit leak.
+LEAK_CREDIT = ("-O2", "-DCK_TEST_LEAK_CREDIT")
 FLAGS = ("-shared", "-fPIC", "-ffp-contract=off")
 
 
-def build(directory: Path) -> Path:
-    """Compile the sanitized library into ``directory``; return its path."""
+def build(directory: Path, flags: Sequence[str] = SANITIZE) -> Path:
+    """Compile the kernel with ``flags`` into ``directory``, under the
+    plain build's cache name; return its path."""
     compiler = find_compiler()
     if compiler is None:
         raise SystemExit("no C compiler found on PATH")
     target = directory / library_name(compiler, SOURCE.read_bytes())
     directory.mkdir(parents=True, exist_ok=True)
-    cmd = [compiler, *SANITIZE, *FLAGS, "-o", str(target), str(SOURCE), "-lm"]
+    cmd = [compiler, *flags, *FLAGS, "-o", str(target), str(SOURCE), "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr or proc.stdout)
