@@ -46,17 +46,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.layouts import diagonal_positions
 from repro.experiments.common import format_table
-from repro.search import (
-    PlacementEvaluator,
-    canonical_placement,
-    evolutionary_search,
-    exhaustive_search,
-    is_diagonal_family,
-    pareto_frontier,
-    simulated_annealing,
-)
-from repro.search.canonical import wrapped_diagonals
-from repro.search.refine import refine_placements
+
+# repro.search (numpy) is imported by the functions that search, so
+# run_all, which imports every harness, loads numpy only for this one.
 
 SMALL_MESH = 4
 LARGE_MESH = 8
@@ -83,6 +75,9 @@ def family_candidates(n: int, num_big: int) -> List[Tuple[int, ...]]:
     its 4x4 shapes to 8x8.  Deduplicated by (full dihedral) canonical
     form.
     """
+    from repro.search import canonical_placement
+    from repro.search.canonical import wrapped_diagonals
+
     if num_big % n:
         return []
     bands = wrapped_diagonals(n)
@@ -107,6 +102,8 @@ def _search_budget(smoke: bool) -> Dict[str, int]:
 
 
 def _record_row(record, n: int) -> List[str]:
+    from repro.search import is_diagonal_family
+
     return [
         str(record.canonical),
         f"{record.scalar:.4f}",
@@ -122,6 +119,16 @@ def run(
     refine_packets: int = 600,
 ) -> Dict[str, object]:
     """Run all stages; returns the full result bundle plus named checks."""
+    from repro.search import (
+        PlacementEvaluator,
+        canonical_placement,
+        evolutionary_search,
+        exhaustive_search,
+        is_diagonal_family,
+        pareto_frontier,
+        simulated_annealing,
+    )
+
     checks: Dict[str, bool] = {}
     out: Dict[str, object] = {"checks": checks}
 
@@ -273,6 +280,9 @@ def _refine_stage(
     pair is one :class:`repro.exec.SweepPoint`, so the batch parallelizes
     and caches through :func:`repro.exec.run_sweep`.
     """
+    from repro.search import is_diagonal_family
+    from repro.search.refine import refine_placements
+
     unique: List[Tuple[int, ...]] = []
     for candidate in candidates:
         key = tuple(sorted(candidate))

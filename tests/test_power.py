@@ -48,7 +48,9 @@ def _python(code: str) -> str:
 
 class TestSolversAreLoadedOnDemand:
     """numpy and scipy serve one 3x3 solve and one bounded least-squares
-    fit; a CMP run, a job client and a store replay never ask for either."""
+    fit, and only for a Table 1 the pinned fits do not cover; a sweep
+    point, a CMP run, a job client and a store replay never ask for
+    either."""
 
     def test_cmp_exec_and_client_import_neither(self):
         _python(
@@ -69,9 +71,43 @@ class TestSolversAreLoadedOnDemand:
             "assert not loaded, loaded\n"
         )
 
+    def test_a_sweep_point_imports_neither(self, tmp_path):
+        _python(
+            "import sys\n"
+            "import repro.experiments.run_all\n"
+            "from repro.exec import ResultStore, SweepPoint, execute_point, run_sweep\n"
+            "points = [SweepPoint(layout='diagonal+BL', mesh_size=4, rate=0.05,\n"
+            "                     kernel=kernel, seed=seed, warmup_packets=20,\n"
+            "                     measure_packets=100)\n"
+            "          for seed, kernel in ((1, 'c'), (2, 'event'))]\n"
+            "for point in points:\n"
+            "    assert execute_point(point).power_w > 0\n"
+            f"with ResultStore({str(tmp_path / 'sweeps.sqlite')!r}) as store:\n"
+            "    results = run_sweep(points, jobs=1, cache=store, progress=None)\n"
+            "    assert len(store) == 2\n"
+            "assert [r.power_w for r in results] == [execute_point(p).power_w for p in points]\n"
+            "loaded = {'numpy', 'scipy'} & {m.split('.')[0] for m in sys.modules}\n"
+            "assert not loaded, loaded\n"
+        )
+
+    def test_pinned_fits_are_the_solver_fits(self):
+        """The pinned outputs are what numpy / scipy solve on the pinned
+        inputs, to the last bit."""
+        report = "import json; print(json.dumps(numbers))\n"
+        pinned = json.loads(_python(
+            _CALIBRATION + "import sys\nassert 'numpy' not in sys.modules\n" + report
+        ))
+        solved = json.loads(_python(
+            "import repro.core.power as power\n"
+            "power._PINNED_FITS.clear()\n" + _CALIBRATION
+            + "import sys\nassert 'scipy' in sys.modules\n" + report
+        ))
+        assert solved == pinned
+        assert len(pinned) == 12
+
     def test_calibration_does_not_depend_on_when_they_load(self):
-        """Same solver, same bits: loaded by the first call that needs
-        them, or long before it."""
+        """Same bits whether numpy / scipy were loaded long before the
+        first call or never are."""
         report = "import json; print(json.dumps(numbers))\n"
         late = json.loads(_python(
             "import sys, repro.cmp\n"
