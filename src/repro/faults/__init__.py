@@ -14,12 +14,12 @@ The subsystem has four cooperating layers, all wired together by
   resilience mechanisms: fault-aware rerouting around dead elements and
   NI-level end-to-end ACK/timeout/retransmission;
 * :mod:`repro.faults.watchdog` / :mod:`repro.faults.invariants` -- the
-  safety net: deadlock/livelock detection with structured diagnoses and
-  the ``REPRO_CHECK=1`` state-machine invariant checks.
+  safety net, sampled by the run driver on either kernel: deadlock/
+  livelock detection with structured diagnoses and ``REPRO_CHECK=1``.
 
-Everything here follows the observability layer's null-object discipline:
-a network without an attached injector/watchdog pays a single ``is not
-None`` check per hook and produces byte-identical results.
+A network without an attached injector pays a single ``is not None``
+check per hook, and the safety net only reads the network's lane view,
+so neither changes a result by a byte (the null-object discipline).
 """
 
 from repro.faults.injector import FaultInjector

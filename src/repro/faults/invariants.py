@@ -1,8 +1,9 @@
 """Simulator invariant checks (the ``REPRO_CHECK=1`` layer).
 
-Every check is *read-only*: running them cannot perturb a simulation, so
-a run with checking enabled produces byte-identical results to one
-without -- the golden-run tests pin this.  The checks:
+Every check is *read-only* and reads only the network's lane view
+(:meth:`~repro.noc.network.Network.lane_view`), which the compiled
+kernel's arena and the event kernel's routers give alike: a checked run
+is the unchecked run, on the same kernel, byte for byte.  The checks:
 
 * **credit conservation** -- for every inter-router channel and VC, the
   upstream credit count plus flits buffered downstream, flits in flight
@@ -48,112 +49,110 @@ class InvariantViolation(RuntimeError):
 
 
 def check_network_invariants(network) -> List[str]:
-    """Return a description of every broken invariant (empty == healthy)."""
+    """Return a description of every broken invariant (empty == healthy),
+    read from the network's :meth:`~repro.noc.network.Network.lane_view`
+    on either kernel.  Whole columns are swept first, so a healthy check
+    costs a few passes over lists; only suspect lanes are described."""
+    view = network.lane_view()
+    P, V = view.P, view.V
+    per_router = P * V
+    qlen, claim, route, out_vc = view.qlen, view.claim, view.route, view.out_vc
+    nonempty = [depth > 0 for depth in qlen]
+
+    def owner(lane):
+        return view.owner[(lane // per_router * P + route[lane]) * V + out_vc[lane]]
+
+    # -- per-VC index, depth and claim accounting ------------------------------
+    # VC state machine: a held downstream allocation must be owned by the
+    # claiming packet at the routed output port.
+    suspects = [
+        lane for lane, vc in enumerate(out_vc)
+        if vc >= 0 and claim[lane] >= 0 and owner(lane) != claim[lane]
+    ]
+    if nonempty != view.indexed or any(
+        max(qlen[at:at + per_router]) > depth
+        for at, depth in zip(range(0, len(qlen), per_router), view.depth)
+    ):
+        suspects = range(len(qlen))
     violations: List[str] = []
-    topo = network.topology
-    faults = network.faults
-    dead_routers = faults.dead_routers if faults is not None else frozenset()
-    dead_ports = faults.dead_ports if faults is not None else frozenset()
-
-    # -- per-router buffer and index accounting --------------------------------
-    for router in network.routers:
-        rid = router.router_id
-        total = 0
-        for port in range(router.num_ports):
-            active = 0
-            for vc in range(router.config.num_vcs):
-                state = router._vc_states[port][vc]
-                depth = len(state.queue)
-                total += depth
-                keyed = (port, vc) in router._active
-                if depth > 0:
-                    active += 1
-                    if not keyed:
-                        violations.append(
-                            f"router {rid} port {port} vc {vc}: "
-                            f"{depth} buffered flits but VC not in the "
-                            "active index"
-                        )
-                elif keyed:
-                    violations.append(
-                        f"router {rid} port {port} vc {vc}: empty VC "
-                        "still in the active index"
-                    )
-                if depth > router.config.buffer_depth:
-                    violations.append(
-                        f"router {rid} port {port} vc {vc}: {depth} flits "
-                        f"exceed buffer depth {router.config.buffer_depth}"
-                    )
-                # VC state machine: a held downstream allocation must be
-                # owned by this packet at the routed output port.
-                if (
-                    state.out_vc is not None
-                    and state.out_vc >= 0
-                    and state.packet_id is not None
-                ):
-                    owner = router.out_vc_owner[state.route_port][state.out_vc]
-                    if owner != state.packet_id:
-                        violations.append(
-                            f"router {rid} port {port} vc {vc}: packet "
-                            f"{state.packet_id} claims output vc "
-                            f"{state.out_vc} of port {state.route_port} "
-                            f"owned by {owner}"
-                        )
-            if router._port_active[port] != active:
-                violations.append(
-                    f"router {rid} port {port}: active-VC count "
-                    f"{router._port_active[port]} != {active} non-empty VCs"
-                )
-        if router.occupied_flits != total:
+    for lane in suspects:
+        depth, keyed = qlen[lane], view.indexed[lane]
+        rp, vc = divmod(lane, V)
+        rid, port = divmod(rp, P)
+        where = f"router {rid} port {port} vc {vc}"
+        if depth and not keyed:
+            violations.append(f"{where}: {depth} buffered flits but VC not "
+                              "in the active index")
+        elif keyed and not depth:
+            violations.append(f"{where}: empty VC still in the active index")
+        if depth > view.depth[rid]:
             violations.append(
-                f"router {rid}: occupied_flits {router.occupied_flits} != "
-                f"{total} buffered flits"
+                f"{where}: {depth} flits exceed buffer depth {view.depth[rid]}"
+            )
+        if out_vc[lane] >= 0 and claim[lane] >= 0 and owner(lane) != claim[lane]:
+            violations.append(
+                f"{where}: packet {claim[lane]} claims output vc "
+                f"{out_vc[lane]} of port {route[lane]} owned by "
+                f"{None if owner(lane) < 0 else owner(lane)}"
             )
 
-    # -- event-kernel active-set coverage --------------------------------------
-    # The active sets are conservative supersets: every router holding
-    # flits and every source with pending work must be a member, or the
-    # event-driven stepper would skip them forever.
-    active_routers = network._active_routers
-    for router in network.routers:
-        if router.occupied_flits > 0 and router.router_id not in active_routers:
+    # -- per-port and per-router counts, active sets ---------------------------
+    counts = [sum(nonempty[at:at + V]) for at in range(0, len(qlen), V)]
+    for rp, (active, nonempty_vcs) in enumerate(zip(view.port_active, counts)):
+        if active != nonempty_vcs:
             violations.append(
-                f"router {router.router_id}: {router.occupied_flits} "
-                "buffered flits but not in the network's active-router set"
+                f"router {rp // P} port {rp % P}: active-VC count {active} "
+                f"!= {nonempty_vcs} non-empty VCs"
             )
-    active_sources = network._active_sources
-    for node, source in enumerate(network.sources):
-        if (source.queue or source.mid_packet) and node not in active_sources:
+    for rid, occupied in enumerate(view.occupied):
+        total = sum(qlen[rid * per_router:(rid + 1) * per_router])
+        if occupied != total:
+            violations.append(
+                f"router {rid}: occupied_flits {occupied} != {total} "
+                "buffered flits"
+            )
+        # The active sets are conservative supersets: every router holding
+        # flits and every source with pending work must be a member, or
+        # the kernel would skip them forever.
+        if occupied and rid not in view.active_routers:
+            violations.append(
+                f"router {rid}: {occupied} buffered flits but not in the "
+                "network's active-router set"
+            )
+    for node in view.queued:
+        if node not in view.active_sources:
             violations.append(
                 f"source {node}: pending work but not in the network's "
                 "active-source set"
             )
 
-    # -- credit conservation per channel ---------------------------------------
-    arrivals, credit_events = network.in_flight_counts()
-    for src, sport, dst, dport in topo.channels():
+    # -- credit conservation per channel VC ------------------------------------
+    credits, ceiling = view.credits, view.ceiling
+    on_link, returning = view.on_link, view.returning
+    channels = zip(*view.channels)
+    suspects = channels if min(credits) < 0 else [
+        (up, down, rp) for up, down, rp in channels
+        if credits[up] + returning[up] + qlen[down] + on_link[down] != ceiling[rp]
+    ]
+    faults = network.faults
+    dead_routers = faults.dead_routers if faults is not None else frozenset()
+    dead_ports = faults.dead_ports if faults is not None else frozenset()
+    for up, down, rp in suspects:
+        (src, sport), (dst, dport) = divmod(rp, P), divmod(down // V, P)
         if src in dead_routers or dst in dead_routers:
             continue
         if (src, sport) in dead_ports or (dst, dport) in dead_ports:
             continue
-        upstream = network.routers[src]
-        downstream = network.routers[dst]
-        depth = upstream._credit_ceiling[sport]
-        for vc in range(upstream.out_vc_count[sport]):
-            held = upstream.out_credits[sport][vc]
-            if held < 0 or held > depth:
-                violations.append(
-                    f"channel {src}:{sport}->{dst}:{dport} vc {vc}: credit "
-                    f"count {held} outside [0, {depth}]"
-                )
-            buffered = len(downstream._vc_states[dport][vc].queue)
-            on_link = arrivals.get((dst, dport, vc), 0)
-            returning = credit_events.get((src, sport, vc), 0)
-            conserved = held + buffered + on_link + returning
-            if conserved != depth:
-                violations.append(
-                    f"channel {src}:{sport}->{dst}:{dport} vc {vc}: credits "
-                    f"not conserved ({held} held + {buffered} buffered + "
-                    f"{on_link} on link + {returning} returning != {depth})"
-                )
+        held, depth = credits[up], ceiling[rp]
+        channel = f"channel {src}:{sport}->{dst}:{dport} vc {up % V}"
+        if held < 0 or held > depth:
+            violations.append(
+                f"{channel}: credit count {held} outside [0, {depth}]"
+            )
+        if held + qlen[down] + on_link[down] + returning[up] != depth:
+            violations.append(
+                f"{channel}: credits not conserved ({held} held + "
+                f"{qlen[down]} buffered + {on_link[down]} on link + "
+                f"{returning[up]} returning != {depth})"
+            )
     return violations

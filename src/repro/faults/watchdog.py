@@ -1,8 +1,12 @@
 """Deadlock/livelock watchdog.
 
-The watchdog rides the network's cycle loop (``Network.step`` calls
-:meth:`Watchdog.check` once per cycle when attached) and watches two
-cheap progress signals:
+The watchdog belongs to the run driver: ``run_synthetic`` keeps it in
+its run state and calls :meth:`Watchdog.check` after every cycle that is
+a multiple of ``check_interval`` -- on the compiled kernel by ending a
+span there -- so an armed run is the same program, on the same kernel,
+as an unarmed one.  It watches two cheap progress signals, a no-progress
+timeout sampled at those cycles as BookSim 2.0's deadlock check is
+(Jiang et al., ISPASS 2013):
 
 * **deadlock** -- the flit-movement signature (crossbar traversals +
   buffer writes + packets in flight) is frozen for ``stall_window``
@@ -19,8 +23,8 @@ Either condition raises :class:`SimulationStalled` carrying a
 *why* it is blocked (no downstream VC won, or zero credits), so a CI
 failure reads like a diagnosis instead of a timeout.
 
-The watchdog is read-only: attaching it cannot change simulation
-results, which the golden-run byte-identity tests rely on.  Invariant
+The watchdog is read-only: arming it cannot change simulation results,
+which the golden-run byte-identity tests rely on.  Invariant
 checking (``check_invariants=True``, normally driven by the
 ``REPRO_CHECK=1`` environment flag) additionally runs
 :func:`repro.faults.invariants.check_network_invariants` every
@@ -94,47 +98,39 @@ class SimulationStalled(RuntimeError):
         super().__init__(diagnosis.describe())
 
 
-def diagnose_blocked_vcs(network) -> List[BlockedVC]:
-    """Name every non-empty input VC and why its head flit cannot move."""
+def diagnose_blocked_vcs(view) -> List[BlockedVC]:
+    """Name every non-empty input VC of a
+    :class:`~repro.noc.network.LaneView` and why its head flit cannot
+    move."""
+    P, V = view.P, view.V
     blocked: List[BlockedVC] = []
-    for router in network.routers:
-        for (port, vc) in router._active:
-            state = router._vc_states[port][vc]
-            if not state.queue:
-                continue
-            head = state.queue[0]
-            if state.packet_id != head.packet.packet_id:
-                reason = "head-of-queue packet still awaiting RC"
-            elif state.out_vc is None:
-                reason = "no downstream VC won (VA starvation or cycle)"
-            elif state.out_vc >= 0 and not router.is_ejection[state.route_port]:
-                credits = router.out_credits[state.route_port][state.out_vc]
-                if credits == 0:
-                    reason = (
-                        f"zero credits on out vc {state.out_vc} "
-                        "(downstream buffer full)"
-                    )
-                else:
-                    reason = "eligible but losing switch allocation"
-            else:
-                reason = "eligible but losing switch allocation"
-            blocked.append(
-                BlockedVC(
-                    router=router.router_id,
-                    port=port,
-                    vc=vc,
-                    packet_id=state.packet_id,
-                    buffered_flits=len(state.queue),
-                    route_port=state.route_port,
-                    out_vc=state.out_vc,
-                    reason=reason,
-                )
-            )
+    for lane, buffered in enumerate(view.qlen):
+        if not buffered:
+            continue
+        rp, vc = divmod(lane, V)
+        rid, port = divmod(rp, P)
+        claim, route, out_vc = view.claim[lane], view.route[lane], view.out_vc[lane]
+        if claim != view.head[lane]:
+            reason = "head-of-queue packet still awaiting RC"
+        elif out_vc == -2:
+            reason = "no downstream VC won (VA starvation or cycle)"
+        elif out_vc >= 0 and not view.credits[(rid * P + route) * V + out_vc]:
+            reason = f"zero credits on out vc {out_vc} (downstream buffer full)"
+        else:
+            reason = "eligible but losing switch allocation"
+        blocked.append(BlockedVC(
+            router=rid, port=port, vc=vc,
+            packet_id=None if claim < 0 else claim,
+            buffered_flits=buffered,
+            route_port=None if route < 0 else route,
+            out_vc=None if out_vc == -2 else out_vc,
+            reason=reason,
+        ))
     return blocked
 
 
 class Watchdog:
-    """Progress monitor attached via ``Network.attach_watchdog``.
+    """Progress monitor the run driver samples (see the module docstring).
 
     Args:
         stall_window: cycles without any flit movement before declaring
@@ -167,19 +163,15 @@ class Watchdog:
         self._delivered = -1
         self._delivered_cycle = 0
 
-    def _movement_signature(self, network) -> Tuple[int, int, int]:
-        """Flit movement so far, read from the activity counters the
-        network owns (building no :class:`Router`)."""
-        network.sync_stats()
-        traversals = 0
-        writes = 0
-        for activity in network._activities:
-            traversals += activity.crossbar_traversals
-            writes += activity.buffer_writes
-        return traversals, writes, network.packets_in_flight
+    def _movement_signature(self, network) -> Tuple[int, int]:
+        """Flit movement so far, read from the network's activity counters
+        (building no :class:`Router`)."""
+        return network.flit_moves(), network.packets_in_flight
 
     def check(self, network, cycle: int) -> None:
-        """Sample progress; raise on deadlock/livelock/invariant breach."""
+        """Sample progress after ``cycle`` has run when ``cycle`` is a
+        multiple of ``check_interval`` (a no-op otherwise); raise on
+        deadlock/livelock/invariant breach."""
         if cycle % self.check_interval:
             return
         if self.check_invariants:
@@ -208,16 +200,12 @@ class Watchdog:
             self._raise(network, "livelock", cycle, starving_for)
 
     def _raise(self, network, kind: str, cycle: int, stalled_for: int) -> None:
-        diagnosis = StallDiagnosis(
+        view = network.lane_view()
+        raise SimulationStalled(StallDiagnosis(
             kind=kind,
             cycle=cycle,
             stalled_for=stalled_for,
             packets_in_flight=network.packets_in_flight,
-            blocked=diagnose_blocked_vcs(network),
-            queued_sources=[
-                node
-                for node, source in enumerate(network.sources)
-                if source.queue or source.mid_packet
-            ],
-        )
-        raise SimulationStalled(diagnosis)
+            blocked=diagnose_blocked_vcs(view),
+            queued_sources=view.queued,
+        ))

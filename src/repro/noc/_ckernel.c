@@ -1542,3 +1542,31 @@ i64 ck_load(CK *ck, i64 key, const i64 *in, i64 n) {
     copy_ints(ck->hfree, at, nfree);
     return 0;
 }
+
+/* ---- the runtime checks' lane view ------------------------------------- */
+/* What the runtime checks read beyond the arena arrays: per lane, the
+ * packet id of the head flit (-1: empty) and whether the lane is on its
+ * router's active list, written to head and indexed; the flits on links
+ * (by downstream lane) and the credits on their way back (by upstream
+ * lane), added onto on_link and returning; per node, the packets queued
+ * at its source, added onto queued.  The last three come zeroed (L, L
+ * and nnodes ints). */
+void ck_lane_view(CK *ck, i64 *head, i64 *indexed, i64 *on_link,
+                  i64 *returning, i64 *queued) {
+    const i64 P = ck->P, V = ck->V, D = ck->D;
+    for (i64 lane = 0; lane < ck->L; lane++) {
+        head[lane] = ck->qlen[lane]
+                         ? ck->pk_id[ck->qs_pkt[lane * D + ck->qhead[lane]]]
+                         : -1;
+        indexed[lane] = ck->act_pos[lane] >= 0;
+    }
+    for (i64 i = 0; i < ck->cal_sz; i++) {
+        const Vec *a = &ck->arr_b[i], *c = &ck->cred_b[i];
+        for (i64 e = 0; e < a->len; e += 5)
+            on_link[(a->buf[e] * P + a->buf[e + 1]) * V + a->buf[e + 2]]++;
+        for (i64 e = 0; e < c->len; e += 4)
+            returning[(c->buf[e] * P + c->buf[e + 1]) * V + c->buf[e + 2]]++;
+    }
+    for (i64 i = 0; i < ck->nnodes; i++)
+        queued[i] += ck->srcq[i].len;
+}

@@ -58,8 +58,8 @@ runs over a flat integer arena; this module owns everything around it:
   :class:`CKernel` constructor raises :class:`CKernelUnavailable`; the
   network warns once per process *and reason*, keeps the reason for
   :meth:`Network.span_blocker`, and the ``event`` kernel carries the
-  run, as it does when faults/observers/watchdogs attach before the
-  first step (after it they raise).  The ladder is ``c -> event`` and
+  run, as it does when faults or observers attach before the first
+  step (after it they raise).  The ladder is ``c -> event`` and
   both rungs are bit-identical, so a compiler-less host asking for
   ``"c"`` runs at event speed (EXPERIMENTS.md, "Fallback rules").
 
@@ -219,6 +219,7 @@ def _bind(lib: ctypes.CDLL) -> None:
     sig("ck_set_packet", None, void_p, *([i64] * 10))
     sig("ck_source_push", i64, void_p, i64, i64)
     sig("ck_wake", None, void_p, i64)
+    sig("ck_lane_view", None, void_p, *([p_i64] * 5))
     sig("ck_total_buffered", i64, void_p)
     sig("ck_image_size", i64, void_p)
     sig("ck_dump", None, void_p, i64, ctypes.c_char_p)
@@ -466,6 +467,14 @@ def _arena_image(shape, tables, P: int, V: int) -> bytes:
     return image.tobytes()
 
 
+def _members(words: List[int]) -> set:
+    """The ids whose bits are set in a C bitmask of 64-bit words."""
+    return {
+        w * 64 + bit for w, word in enumerate(words) if word
+        for bit in range(64) if word >> bit & 1
+    }
+
+
 def _span_born(pid: int, src: int, dst: int, flits: int, created: int,
                measured: int) -> Packet:
     """The Packet ``Network.make_packet`` would have built for a packet
@@ -568,10 +577,10 @@ class CKernel:
         lib = load_kernel_library()
         shape = net._shape
         R = len(shape.configs)
-        #: uniform strides: max ports / max VCs over the routers (lanes
-        #: for ports or VCs a router does not have are never touched).
-        P = max(shape.num_ports)
-        V = max(cfg.num_vcs for cfg in shape.configs)
+        #: uniform strides: the shape's lane strides, max ports / max VCs
+        #: over the routers (lanes for ports or VCs a router does not
+        #: have are never touched).
+        P, V = shape.lane_ports, shape.lane_vcs
         if P > 62 or V > 62:
             raise CKernelUnavailable(
                 f"router shape too wide for the bitmask kernel "
@@ -949,6 +958,50 @@ class CKernel:
 
     def total_buffered_flits(self) -> int:
         return self.lib.ck_total_buffered(self._ck)
+
+    def _ints(self, aid: int, n: int) -> List[int]:
+        """The first ``n`` ints of array ``aid``, copied into a list."""
+        return memoryview(ctypes.string_at(self._arr(aid), 8 * n)).cast(
+            "q"
+        ).tolist()
+
+    def unflushed_moves(self) -> int:
+        """Crossbar traversals plus buffer writes the C counters hold
+        that :meth:`flush_activity` has not yet added onto the network."""
+        return sum(self._ints(A_XB, self.R)) + sum(self._ints(A_BW, self.R))
+
+    def lane_view(self):
+        """The arena as a :class:`~repro.noc.network.LaneView`: its lane
+        arrays copied out, the rest gathered by ``ck_lane_view``."""
+        from repro.noc.network import LaneView
+
+        ints = self._ints
+        R, L, RP, nnodes = self.R, self.L, self.RP, self.nnodes
+        gathered = [(ctypes.c_int64 * n)() for n in (L, L, L, L, nnodes)]
+        self.lib.ck_lane_view(self._ck, *gathered)
+        head, indexed, on_link, returning, waiting = (
+            memoryview(column).cast("B").cast("q").tolist()
+            for column in gathered
+        )
+        shape = self.net._shape
+        return LaneView(
+            P=self.P, V=self.V,
+            claim=ints(A_ST_PID, L), route=ints(A_ST_ROUTE, L),
+            out_vc=ints(A_ST_OUTVC, L), qlen=ints(A_QLEN, L), head=head,
+            indexed=indexed, credits=ints(A_CRED, L), owner=ints(A_OWNER, L),
+            on_link=on_link, returning=returning,
+            occupied=ints(A_OCCUPIED, R), depth=ints(A_DEPTH, R),
+            port_active=[mask.bit_count() for mask in ints(A_OCC, RP)],
+            ceiling=ints(A_CEIL, RP), out_vcs=ints(A_OVC_CNT, RP),
+            active_routers=_members(ints(A_ACTW, (R + 63) // 64)),
+            active_sources=_members(ints(A_SRCW, (nnodes + 63) // 64)),
+            queued=[
+                node for node, (queue, mid) in enumerate(
+                    zip(waiting, ints(A_SRC_PKT, nnodes))
+                ) if queue or mid >= 0
+            ],
+            channels=shape.channel_lanes,
+        )
 
     # -- activity & link-stat flushing ------------------------------------
     def flush_activity(self) -> None:

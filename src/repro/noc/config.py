@@ -181,8 +181,8 @@ class NetworkConfig:
             ``repro.noc.ckernel``: the router state packed into flat
             integer arrays and stepped by an on-demand-built C shared
             object; ``event`` carries the whole run instead when faults,
-            observation hooks, a watchdog or dynamic routing given before
-            the first step need the per-flit object datapath, and --
+            observation hooks or dynamic routing given before the first
+            step need the per-flit object datapath, and --
             with one ``RuntimeWarning`` -- when no C compiler is
             available).  Both are bit-identical.  Overridable per
             process with ``REPRO_KERNEL``.

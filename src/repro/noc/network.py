@@ -45,29 +45,34 @@ The fast path -- the compiled kernel of :mod:`repro.noc.ckernel` -- is
 selected with ``NetworkConfig(kernel="c")``, ``REPRO_KERNEL=c`` or
 ``network.use_kernel("c")``.  It simulates the same microarchitecture
 over flat integer arrays and is bit-identical to the event kernel.  The
-kernel is chosen once, before the first step: faults, observation hooks,
-a watchdog or a dynamic routing discipline given by then need the
-per-flit object datapath, so the event kernel carries the run
+kernel is chosen once, before the first step: faults, observation hooks
+or a dynamic routing discipline given by then need the per-flit object
+datapath, so the event kernel carries the run
 (:meth:`Network.span_blocker` says why); once the compiled kernel is live
 its arena is the whole state of the run, and attaching any of them, or
-switching kernels, raises.  When the compiled kernel cannot be built or
-does not support the network shape (no C compiler, a router wider than
-62 ports or VCs) the event kernel carries the whole run after one
-``RuntimeWarning`` naming the reason.
+switching kernels, raises.  The runtime checks (the watchdog and the
+invariant suite of :mod:`repro.faults`) need neither: they read
+:meth:`Network.lane_view`, which both kernels give, so an armed run is
+the same program as an unarmed one.  When the compiled kernel cannot be
+built or does not support the network shape (no C compiler, a router
+wider than 62 ports or VCs) the event kernel carries the whole run after
+one ``RuntimeWarning`` naming the reason.
 
 Construction is paid once per :class:`NetworkShape` (memoised by
 :func:`network_shape`), and the :class:`~repro.noc.router.Router` objects
 are built from it only when something first reads :attr:`Network.routers`
 (an object-model step, an observer or fault injector), so a run on the
-compiled kernel -- its checkpoints and their restores included -- never
-builds them.
+compiled kernel -- its checkpoints, their restores and its runtime checks
+included -- never builds them.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict, deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.noc.config import NetworkConfig, RouterConfig
 from repro.noc.flit import Flit, Packet, flits_per_packet
@@ -109,6 +114,52 @@ class _SourceState:
     @property
     def mid_packet(self) -> bool:
         return self.next_flit < len(self.flits)
+
+
+@dataclass
+class LaneView:
+    """A run's state as flat columns, the same from either kernel: what
+    the runtime checks read (:mod:`repro.faults.invariants`, the
+    watchdog's diagnosis) and the fault layer's credit reconciliation.
+
+    A lane is ``(router * P + port) * V + vc`` under the widest router's
+    ``P`` ports and ``V`` VCs; lanes a router lacks read empty.  Per input
+    VC: the packet that claims it (``claim``, -1: none), its route port
+    (-1: none) and downstream VC (``out_vc``; -2: none won, -1:
+    ejection), its queue length, the packet of its head flit (-1: empty),
+    whether the kernel indexes it as active (1 or 0), the flits on the
+    link into it (``on_link``).  Per output VC, under the same numbering:
+    ``credits``, the ``owner`` packet (-1: free) and the credits on their
+    way back to it (``returning``).  Per router, the buffered flits the
+    kernel counts (``occupied``) and the buffer depth; per router and
+    port, the kernel's non-empty-VC count (``port_active``), the credit
+    ``ceiling`` and the downstream VC count.  Then the kernel's active
+    router and source sets, the nodes with a packet waiting at their
+    source (``queued``), and the shape's inter-router channel VCs as the
+    columns ``(output lanes, input lanes downstream, router * P +
+    port)``."""
+
+    P: int
+    V: int
+    claim: List[int]
+    route: List[int]
+    out_vc: List[int]
+    qlen: List[int]
+    head: List[int]
+    indexed: List[int]
+    credits: List[int]
+    owner: List[int]
+    on_link: List[int]
+    returning: List[int]
+    occupied: List[int]
+    depth: List[int]
+    port_active: List[int]
+    ceiling: List[int]
+    out_vcs: List[int]
+    active_routers: Set[int]
+    active_sources: Set[int]
+    queued: List[int]
+    channels: Tuple[List[int], List[int], List[int]]
 
 
 class NetworkShape:
@@ -190,6 +241,10 @@ class NetworkShape:
             for node in range(topology.num_nodes)
         ]
         self.node_lanes = [self.local_lanes[rid] for rid in self.node_router_id]
+        #: the lane strides, the widest router's ports and VCs: lane
+        #: ``(router * P + port) * V + vc`` (see :class:`LaneView`)
+        self.lane_ports = max(self.num_ports)
+        self.lane_vcs = max(cfg.num_vcs for cfg in configs)
         #: VA candidates per router and output port when the routing
         #: keeps the default (every downstream VC, in order)
         self.va_tables = [
@@ -200,6 +255,24 @@ class NetworkShape:
         #: ``(route tables, bytes)``: the compiled kernel's arena image for
         #: this shape under those tables (see ``CKernel._fill_static``).
         self.arena: Optional[Tuple[object, bytes]] = None
+
+    @cached_property
+    def channel_lanes(self) -> Tuple[List[int], List[int], List[int]]:
+        """Per inter-router channel VC, three columns: its output lane
+        upstream, its input lane downstream and the upstream ``router * P
+        + port`` (columns of ints, so a shape keeps no container per
+        channel VC for the cycle collector to walk)."""
+        P, V = self.lane_ports, self.lane_vcs
+        ups, downs, ports = [], [], []
+        for rid, links in enumerate(self.out_links):
+            for port, link in enumerate(links):
+                if link is None:
+                    continue
+                for vc in range(self.out_vcs[rid][port]):
+                    ups.append((rid * P + port) * V + vc)
+                    downs.append((link.dst_router * P + link.dst_port) * V + vc)
+                    ports.append(rid * P + port)
+        return ups, downs, ports
 
 
 #: how many shapes :func:`network_shape` keeps: the least recently used
@@ -306,9 +379,6 @@ class Network:
         #: so a fault-free build is byte-identical to one without the
         #: subsystem (same discipline as ``obs``).
         self.faults = None
-        #: optional :class:`repro.faults.watchdog.Watchdog` sampled at the
-        #: end of every cycle.
-        self.watchdog = None
         #: lifetime count of delivered packets; also the monotone progress
         #: signal for the watchdog's livelock check.
         self.total_delivered = 0
@@ -449,8 +519,8 @@ class Network:
         """The selected cycle kernel: ``"event"`` or ``"c"``.
 
         Note this is the *requested* kernel; a requested ``"c"`` runs on
-        the event kernel when faults, observation hooks, a watchdog or
-        dynamic routing were attached before the first step, or when the
+        the event kernel when faults, observation hooks or dynamic
+        routing were attached before the first step, or when the
         compiled kernel is unavailable (see :attr:`active_kernel` and
         :meth:`span_blocker`).
         """
@@ -513,7 +583,6 @@ class Network:
         for attached, what in (
             (self.faults, "a fault injector"),
             (self.obs, "an observer"),
-            (self.watchdog, "a watchdog"),
         ):
             if attached is not None:
                 return f"{what} is attached"
@@ -578,12 +647,6 @@ class Network:
         for router in self.routers:
             router.faults = injector
         self._install_routing_tables()
-
-    def attach_watchdog(self, watchdog) -> None:
-        """Attach a deadlock/livelock watchdog (read-only: cannot change
-        simulation results)."""
-        self._refuse_under_ck("attach_watchdog()")
-        self.watchdog = watchdog
 
     def sync_stats(self) -> None:
         """Bring the compiled kernel's activity and link counters onto the
@@ -771,8 +834,6 @@ class Network:
             router.activity.occupancy_integral += router.occupied_flits
         if self._tracing:
             self.obs.on_cycle_end(cycle, self.measuring)
-        if self.watchdog is not None:
-            self.watchdog.check(self, cycle)
         self.cycle = cycle + 1
 
     def run_cycles(self, n: int) -> None:
@@ -1123,15 +1184,78 @@ class Network:
             self.packets_in_flight -= 1
         return found
 
-    def in_flight_counts(self) -> Tuple[Counter, Counter]:
-        """Flits on links and credits on the wire, counted per
-        ``(router, port, vc)``: arrivals by their downstream coordinates,
-        credits by their upstream ones -- exactly how the two calendars
-        hold them."""
-        return (
-            Counter(event[:3] for events in self._arrivals.values() for event in events),
-            Counter(event[:3] for events in self._credits.values() for event in events),
+    def lane_view(self) -> LaneView:
+        """The run's state as a :class:`LaneView`: read in place from the
+        compiled kernel's arena, or gathered from the routers, calendars
+        and sources of the event kernel."""
+        if self._ck is not None:
+            return self._ck.lane_view()
+        shape = self._shape
+        P, V = shape.lane_ports, shape.lane_vcs
+        L = len(shape.configs) * P * V
+        claim, route, out_vc, head = [-1] * L, [-1] * L, [-2] * L, [-1] * L
+        qlen, indexed = [0] * L, [0] * L
+        credits, owner = [0] * L, [-1] * L
+        port_active, ceiling, out_vcs = [], [], []
+        for router in self.routers:
+            base = router.router_id * P
+            for port, states in enumerate(router._vc_states):
+                lane = (base + port) * V
+                vcs = router.out_vc_count[port]
+                credits[lane:lane + vcs] = router.out_credits[port]
+                owner[lane:lane + vcs] = [
+                    -1 if pid is None else pid
+                    for pid in router.out_vc_owner[port]
+                ]
+                for state in states:
+                    if state.packet_id is not None:
+                        claim[lane] = state.packet_id
+                        route[lane] = state.route_port
+                    if state.out_vc is not None:
+                        out_vc[lane] = state.out_vc
+                    if state.queue:
+                        qlen[lane] = len(state.queue)
+                        head[lane] = state.queue[0].packet.packet_id
+                    lane += 1
+            for port, vc in router._active:
+                indexed[(base + port) * V + vc] = 1
+            pad = [0] * (P - router.num_ports)
+            port_active += router._port_active + pad
+            ceiling += router._credit_ceiling + pad
+            out_vcs += router.out_vc_count + pad
+        on_link, returning = [0] * L, [0] * L
+        for events in self._arrivals.values():
+            for rid, port, vc, _ in events:
+                on_link[(rid * P + port) * V + vc] += 1
+        for events in self._credits.values():
+            for rid, port, vc, _ in events:
+                returning[(rid * P + port) * V + vc] += 1
+        return LaneView(
+            P=P, V=V, claim=claim, route=route, out_vc=out_vc, qlen=qlen,
+            head=head, indexed=indexed, credits=credits, owner=owner,
+            on_link=on_link, returning=returning,
+            occupied=[router.occupied_flits for router in self.routers],
+            depth=[cfg.buffer_depth for cfg in shape.configs],
+            port_active=port_active, ceiling=ceiling, out_vcs=out_vcs,
+            active_routers=set(self._active_routers),
+            active_sources=set(self._active_sources),
+            queued=[
+                node for node, source in enumerate(self.sources)
+                if source.queue or source.mid_packet
+            ],
+            channels=shape.channel_lanes,
         )
+
+    def flit_moves(self) -> int:
+        """Crossbar traversals plus buffer writes so far, over every
+        router: the watchdog's movement signal, read without flushing the
+        compiled kernel's counters."""
+        moves = 0
+        for activity in self._activities:
+            moves += activity.crossbar_traversals + activity.buffer_writes
+        if self._ck is not None:
+            moves += self._ck.unflushed_moves()
+        return moves
 
     def reconcile_channel_credits(self, revived) -> None:
         """Re-derive upstream credit counts for just-repaired channels.
@@ -1142,27 +1266,24 @@ class Network:
         with its upstream counter short by every flit discarded during
         the outage.  For each revived ``(router, port)`` downstream
         endpoint, recompute ``held = depth - buffered - on_link -
-        returning`` from the actual queues and in-flight events so the
-        repaired channel runs at full credit again.
+        returning`` from the :meth:`lane_view` so the repaired channel
+        runs at full credit again.
         """
-        arrivals, returning = self.in_flight_counts()
+        view = self.lane_view()
+        P, V = view.P, view.V
         for rid, port in revived:
             if not self._element_alive(rid, port):
                 continue  # still dead via an overlapping fault
             upstream = self.topology.neighbor(rid, port)
             if upstream is None or not self._element_alive(*upstream):
                 continue
-            up_router = self.routers[upstream[0]]
-            sport = upstream[1]
-            depth = up_router._credit_ceiling[sport]
-            down_states = self.routers[rid]._vc_states[port]
-            for vc in range(up_router.out_vc_count[sport]):
-                up_router.out_credits[sport][vc] = (
-                    depth
-                    - len(down_states[vc].queue)
-                    - arrivals.get((rid, port, vc), 0)
-                    - returning.get((upstream[0], sport, vc), 0)
-                )
+            up_rp = upstream[0] * P + upstream[1]
+            up, down = up_rp * V, (rid * P + port) * V
+            self.routers[upstream[0]].out_credits[upstream[1]][:] = [
+                view.ceiling[up_rp] - view.qlen[down + vc]
+                - view.on_link[down + vc] - view.returning[up + vc]
+                for vc in range(view.out_vcs[up_rp])
+            ]
 
     def report_packet_lost(self, packet: Packet, reason: str, cycle: int) -> None:
         """Tell the recovery layer a fault purged ``packet``."""

@@ -56,8 +56,10 @@ import struct
 #: v8: the pickled ``Network`` holds its always-on link and delivery
 #: counter totals and the counters its measurement window opened at;
 #: v9: the pickled ``Network`` counts deliveries once, in
-#: ``total_delivered``, and a pickled ``Packet`` has no bit-flip flag).
-SNAPSHOT_VERSION = 9
+#: ``total_delivered``, and a pickled ``Packet`` has no bit-flip flag;
+#: v10: the watchdog is a field of the runner's state, not of the
+#: pickled ``Network``).
+SNAPSHOT_VERSION = 10
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)

@@ -130,6 +130,9 @@ class RunState:
     #: NI retransmission layer and its timeout (fault-schedule runs only).
     ni: Optional[object] = None
     retransmit_timeout: Optional[int] = None
+    #: the :class:`~repro.faults.watchdog.Watchdog` the loops sample, if
+    #: the run is armed (a resumed run stays armed).
+    watchdog: Optional[object] = None
     #: packets created so far, i.e. the creation index of the next one.
     created: int = 0
     kernel_cycles: Dict[str, int] = field(default_factory=_no_cycles)
@@ -282,12 +285,14 @@ def run_synthetic(
             end-to-end retransmission layer (all traffic then flows
             through the NI, and measured packets that exhaust their
             retries are *explicitly* counted lost, never dropped).
-        watchdog: ``"auto"`` (default) attaches a deadlock/livelock
+        watchdog: ``"auto"`` (default) arms a deadlock/livelock
             :class:`repro.faults.watchdog.Watchdog` when a fault
             schedule is active or ``REPRO_CHECK=1`` is set in the
             environment (which also enables the invariant checks); pass
             a :class:`~repro.faults.watchdog.Watchdog` to force one, or
-            ``None`` to disable.
+            ``None`` to disable.  The loops sample it after every cycle
+            that is a multiple of its ``check_interval``, ending a span
+            there, so an armed ``"c"`` run keeps its spans.
         checkpoint_every: take a full simulation checkpoint (see
             :mod:`repro.noc.snapshot`) every N simulated cycles;
             requires ``checkpoint_path``.  Checkpointing never perturbs
@@ -308,16 +313,16 @@ def run_synthetic(
     (a snapshot cannot carry live file handles).
 
     When the compiled kernel drives the network and nothing needs Python
-    per cycle, packet or delivery (no NI, observer, watchdog or
-    ``on_delivery``; built-in pattern and injector classes), the load and
-    drain loops advance in *spans*: ``network.step(Span(...))`` runs whole
-    cycles inside the kernel, injection included, and comes back for
-    checkpoints, heartbeats and sampler windows, at the end of a phase
-    and before the body of the cycle that births the first measured
-    packet -- the span calls the driver's window opening there, as the
-    per-cycle loop does while that packet is made, and carries on with
-    that cycle's body.  A span ends before a cycle that could
-    overshoot the packet target (every node firing), so the last packets
+    per cycle, packet or delivery (no NI, observer or ``on_delivery``;
+    built-in pattern and injector classes), the load and drain loops
+    advance in *spans*: ``network.step(Span(...))`` runs whole cycles
+    inside the kernel, injection included, and comes back for
+    checkpoints, heartbeats, sampler windows and watchdog samples, at the
+    end of a phase and before the body of the cycle that births the
+    first measured packet -- the span calls the driver's window opening
+    there, as the per-cycle loop does while that packet is made, and
+    carries on with that cycle's body.  A span ends before a cycle that
+    could overshoot the packet target (every node firing), so the last packets
     of the target, fewer than there are nodes, are born through
     :func:`_offer_load`; the drain is spans again.  Results are
     bit-identical either way; ``kernel_cycles`` / ``span_fallback`` on
@@ -408,14 +413,13 @@ def run_synthetic(
                 watchdog = Watchdog(
                     stall_window=stall, check_invariants=repro_check
                 )
-        if watchdog is not None:
-            network.attach_watchdog(watchdog)
+        run.watchdog = watchdog
         network.reset_stats()
     if checkpoint_every is None:
         run.next_checkpoint = None
     elif run.next_checkpoint is None:
         run.next_checkpoint = network.cycle + checkpoint_every
-    rng, injector, ni = run.rng, run.injector, run.ni
+    rng, injector, ni, watchdog = run.rng, run.injector, run.ni, run.watchdog
     kernel_cycles = run.kernel_cycles
 
     if profiler is not None:
@@ -493,7 +497,7 @@ def run_synthetic(
     def _span_room() -> int:
         """Cycles a span starting now may cover: up to the next cycle the
         loop itself must see (checkpoint, heartbeat, sampler window,
-        drain deadline)."""
+        watchdog sample, drain deadline)."""
         cycle = network.cycle
         stops = [cycle + _UNBOUNDED_SPAN]
         if run.drain_deadline is not None:
@@ -505,7 +509,15 @@ def run_synthetic(
         if sampler is not None and network.measuring:
             window = sampler.window
             stops.append(cycle + window - _window_cycles() % window)
+        if watchdog is not None:
+            # Just after the next cycle the watchdog samples.
+            stops.append(cycle + -cycle % watchdog.check_interval + 1)
         return min(stops) - cycle
+
+    def _check() -> None:
+        """Let the watchdog sample the cycle just run, if it is due."""
+        if watchdog is not None:
+            watchdog.check(network, network.cycle - 1)
 
     def _load_span() -> None:
         ran, born = network.step(Span(
@@ -515,10 +527,12 @@ def run_synthetic(
         ))
         run.created += born
         kernel_cycles["c_span"] += ran
+        _check()
 
     def _step_once() -> None:
         network.step()
         kernel_cycles[network.active_kernel] += 1
+        _check()
 
     saturated = False
     try:
@@ -577,6 +591,7 @@ def run_synthetic(
                     need_measured=measure_packets - _accounted(),
                 ))
                 kernel_cycles["c_span"] += ran
+                _check()
             else:
                 if ni is not None:
                     ni.tick(network.cycle)

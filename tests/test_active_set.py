@@ -12,9 +12,9 @@ corrupt a run:
   the wormhole finishes injecting;
 * a transient router fault that empties part of the mesh must not
   prevent traffic from re-activating the repaired router;
-* the watchdog still observes every cycle (it runs unconditionally in
-  the event kernel), so a wedged network is detected even when the
-  active set goes quiet -- and a genuinely idle network never
+* the watchdog samples by cycle, not by the active set (its driver
+  calls it after every step), so a wedged network is detected even
+  when the active set goes quiet -- and a genuinely idle network never
   false-positives.
 """
 
@@ -183,14 +183,15 @@ class TestWatchdogUnderEventKernel:
         return net
 
     def test_deadlock_detected_by_event_kernel(self):
-        """The watchdog runs every cycle regardless of the active set, so
-        a cyclic wormhole wedge is still detected and diagnosed."""
+        """The watchdog samples every cycle regardless of the active set,
+        so a cyclic wormhole wedge is still detected and diagnosed."""
         net = self._wedged_network()
         assert net.kernel == "event"
-        net.attach_watchdog(Watchdog(stall_window=64, check_interval=16))
+        watchdog = Watchdog(stall_window=64, check_interval=16)
         with pytest.raises(SimulationStalled) as excinfo:
             for _ in range(5_000):
                 net.step()
+                watchdog.check(net, net.cycle - 1)
         assert excinfo.value.diagnosis.kind == "deadlock"
         assert excinfo.value.diagnosis.packets_in_flight == 4
         # The wedged routers hold flits, so they are *in* the active set:
@@ -201,7 +202,8 @@ class TestWatchdogUnderEventKernel:
         """An idle network (empty active set) resets the progress clocks;
         a tight stall window must not fire."""
         net = build_network(layout_by_name("baseline", 2))
-        net.attach_watchdog(Watchdog(stall_window=32, check_interval=8))
+        watchdog = Watchdog(stall_window=32, check_interval=8)
         for _ in range(2_000):
             net.step()
+            watchdog.check(net, net.cycle - 1)
         assert net.cycle == 2_000

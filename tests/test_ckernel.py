@@ -501,12 +501,9 @@ class TestLeakingBuild:
         assert plain.returncode == 0, plain.stderr
         assert int(credits) == int(plain.stdout.splitlines()[2]) - 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 19: an armed run settles on the event kernel "
-        "('a watchdog is attached'), so the leaking walk never runs",
-    )
     def test_armed_run_catches_the_leak(self, leaking_cache):
+        """Armed, the run stays on the leaking arena, and the invariant
+        suite reading it finds the lost credit."""
         proc = self._run(leaking_cache, REPRO_CHECK="1")
         assert proc.returncode == 3, proc.stdout + proc.stderr
         assert "caught:" in proc.stdout

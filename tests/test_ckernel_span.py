@@ -597,21 +597,43 @@ class TestSpanEligibility:
         assert selfsimilar.span_twin(injector, 9) is None
 
     @needs_ckernel
-    @pytest.mark.parametrize("what", ["watchdog", "faults"])
-    def test_watchers_keep_the_per_cycle_loop(self, what):
-        knobs = {}
-        if what == "watchdog":
-            from repro.faults import Watchdog
+    def test_faults_keep_the_per_cycle_loop(self):
+        from repro.faults.schedule import FaultSchedule
 
-            knobs["watchdog"] = Watchdog(stall_window=10_000)
-        else:
-            from repro.faults.schedule import FaultSchedule
-
-            knobs["faults"] = FaultSchedule(specs=())
-        result = self._run(self._c_network(), **knobs)
+        result = self._run(self._c_network(), faults=FaultSchedule(specs=()))
         assert result.kernel_cycles["c_span"] == 0
         assert result.span_fallback is not None
         assert sum(result.kernel_cycles.values()) == result.total_cycles
+
+    @needs_ckernel
+    @pytest.mark.parametrize("interval", [1, 16, 64])
+    def test_an_armed_run_keeps_its_spans(self, interval):
+        """The watchdog is the run driver's: a span ends just after each
+        cycle it samples -- every multiple of its interval, as the
+        per-cycle loop samples them -- and the armed run, invariant suite
+        included, is otherwise the unarmed one."""
+        from repro.faults import Watchdog
+
+        class Sampled(Watchdog):
+            def check(self, network, cycle):
+                if cycle % self.check_interval == 0:
+                    sampled.append((cycle, network.cycle))
+                super().check(network, cycle)
+
+        sampled = []
+        point = _point(layout="diagonal+BL", rate=0.08, seed=6)
+        plain = _observe(point, "span")
+        armed = _observe(point, "span", watchdog=Sampled(
+            stall_window=10_000, check_interval=interval,
+            check_invariants=True,
+        ))
+        _span_driven(armed)
+        assert armed["kernel_cycles"] == plain["kernel_cycles"]
+        assert _same_run(armed, plain)
+        assert sampled == [
+            (cycle, cycle + 1)
+            for cycle in range(0, armed["total_cycles"], interval)
+        ]
 
     @needs_ckernel
     @pytest.mark.parametrize("point", [

@@ -7,12 +7,14 @@ Covers the acceptance criteria of the resilience subsystem:
 * permanent router kills lose exactly the unreachable packets, and
   every one of them is an *explicit* loss (full accounting);
 * a hand-built routing cycle deadlocks and the watchdog names the
-  blocked routers/VCs within its window; without a watchdog, the NI's
-  timeout purges the wedged wormholes and delivers every packet;
+  blocked routers/VCs within its window, with the same diagnosis on both
+  kernels; without a watchdog, the NI's timeout purges the wedged
+  wormholes and delivers every packet;
 * a synthetically leaked credit trips the ``REPRO_CHECK`` invariant
-  suite within one check interval;
-* fault-free runs never trip the invariants (property test), and a
-  golden reference run is byte-identical with ``REPRO_CHECK=1``;
+  suite within one check interval, on either kernel;
+* fault-free runs never trip the invariants on either kernel (property
+  test), and a golden reference run is byte-identical with
+  ``REPRO_CHECK=1``;
 * fault schedules ride inside sweep points: hashing, caching and JSON
   round-trips.
 """
@@ -39,6 +41,7 @@ from repro.faults import (
     check_network_invariants,
     kill_routers,
 )
+from repro.noc.ckernel import A_CRED, ckernel_available, unavailable_reason
 from repro.noc.config import RouterConfig
 from repro.noc.network import Network
 from repro.noc.routing import Routing
@@ -47,6 +50,12 @@ from repro.traffic.patterns import pattern_by_name
 from repro.traffic.runner import run_synthetic
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "golden_runs.json"
+
+needs_ckernel = pytest.mark.skipif(
+    not ckernel_available(),
+    reason=f"compiled kernel unavailable: {unavailable_reason()}",
+)
+KERNELS = ["event", pytest.param("c", marks=needs_ckernel)]
 
 
 def _build(mesh_size=4, layout="baseline"):
@@ -374,15 +383,41 @@ class _ClockwiseRing(Routing):
         return self._port_to[(router, self.ORDER[(here + 1) % 4])]
 
 
-def _ring_network():
+class _ProbedRing(_ClockwiseRing):
+    """The same cycle as static route tables, so the c kernel can run it."""
+
+    def build_route_tables(self):
+        return self._probe_tables()
+
+
+def _ring_network(routing=_ClockwiseRing):
     topo = Mesh(2)
     configs = {
         rid: RouterConfig(num_vcs=1, buffer_depth=2)
         for rid in range(topo.num_routers)
     }
     network = Network(topo, configs)
-    network.routing = _ClockwiseRing(topo)
+    network.routing = routing(topo)
     return network
+
+
+def _wedge(network, watchdog):
+    """Start the four cyclic wormholes and step ``network`` -- sampled by
+    ``watchdog`` after every cycle, as the run driver does -- until the
+    watchdog gives up; returns its diagnosis."""
+    for i in range(4):
+        src = _ClockwiseRing.ORDER[i]
+        dst = _ClockwiseRing.ORDER[(i + 3) % 4]
+        network.enqueue(
+            network.make_packet(src, dst, payload_bits=network.flit_width * 8)
+        )
+    with pytest.raises(SimulationStalled) as excinfo:
+        for _ in range(5_000):
+            network.step()
+            watchdog.check(network, network.cycle - 1)
+    # The diagnosis, not just the exception, reaches the message.
+    assert "blocked" in str(excinfo.value)
+    return excinfo.value.diagnosis
 
 
 def test_routing_cycle_wedge_recovered_by_timeout_purge():
@@ -421,28 +456,38 @@ class TestWatchdog:
     def test_hand_built_routing_cycle_raises_simulation_stalled(self):
         """A 4-packet cyclic wormhole wedge is detected within the
         watchdog window and the diagnosis names the blocked VCs."""
-        network = _ring_network()
-        network.attach_watchdog(Watchdog(stall_window=64, check_interval=16))
-        for i in range(4):
-            src = _ClockwiseRing.ORDER[i]
-            dst = _ClockwiseRing.ORDER[(i + 3) % 4]
-            network.enqueue(
-                network.make_packet(src, dst, payload_bits=network.flit_width * 8)
-            )
-        with pytest.raises(SimulationStalled) as excinfo:
-            for _ in range(5_000):
-                network.step()
-        diagnosis = excinfo.value.diagnosis
+        diagnosis = _wedge(
+            _ring_network(), Watchdog(stall_window=64, check_interval=16)
+        )
         assert diagnosis.kind == "deadlock"
         assert diagnosis.packets_in_flight == 4
         assert len(diagnosis.blocked) >= 1
         entry = diagnosis.blocked[0]
         assert entry.router in _ClockwiseRing.ORDER
         assert entry.vc == 0
-        # The diagnosis, not just the exception, reaches the message.
-        assert "blocked" in str(excinfo.value)
         # Detected within (stall_window + check_interval) of the wedge.
         assert diagnosis.cycle < 1_000
+
+    @needs_ckernel
+    def test_wedge_diagnosed_alike_on_the_c_kernel(self):
+        """The checks read the lane view both kernels give: the wedge
+        stalls the C arena too, and its diagnosis -- kind, cycle, every
+        blocked VC with its reason, the queued sources -- is the event
+        kernel's, with no router built."""
+        diagnoses = {}
+        for kernel in ("event", "c"):
+            network = _ring_network(_ProbedRing)
+            network.use_kernel(kernel)
+            diagnoses[kernel] = _wedge(
+                network, Watchdog(stall_window=64, check_interval=16)
+            )
+            assert network.active_kernel == kernel
+        assert network._routers is None
+        assert diagnoses["c"] == diagnoses["event"]
+        assert diagnoses["c"].kind == "deadlock"
+        assert {entry.reason for entry in diagnoses["c"].blocked} >= {
+            "zero credits on out vc 0 (downstream buffer full)"
+        }
 
     def test_progress_check_builds_no_router(self):
         """The movement signature reads the activity counters the network
@@ -456,8 +501,8 @@ class TestWatchdog:
         for _ in range(5):
             network.step()
         assert watchdog._movement_signature(network) == (
-            sum(r.activity.crossbar_traversals for r in network.routers),
-            sum(r.activity.buffer_writes for r in network.routers),
+            sum(r.activity.crossbar_traversals for r in network.routers)
+            + sum(r.activity.buffer_writes for r in network.routers),
             1,
         )
 
@@ -469,18 +514,25 @@ class TestWatchdog:
             watchdog=Watchdog(stall_window=500, check_interval=8),
         )
 
-    def test_credit_leak_detected_within_one_interval(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_credit_leak_detected_within_one_interval(self, kernel):
         network, _ = _build()
+        network.use_kernel(kernel)
         src, sport, _, _ = next(iter(network.topology.channels()))
-        network.routers[src].out_credits[sport][0] -= 1
+        if kernel == "c":
+            assert network.span_blocker() is None  # the arena is live
+            ck = network._ck
+            ck._view(A_CRED, ck.L)[(src * ck.P + sport) * ck.V] -= 1
+        else:
+            network.routers[src].out_credits[sport][0] -= 1
         violations = check_network_invariants(network)
         assert any("not conserved" in v for v in violations)
-        network.attach_watchdog(
-            Watchdog(check_interval=1, check_invariants=True)
-        )
+        watchdog = Watchdog(check_interval=1, check_invariants=True)
         with pytest.raises(InvariantViolation) as excinfo:
             for _ in range(4):
                 network.step()
+                watchdog.check(network, network.cycle - 1)
+        assert network.active_kernel == kernel
         assert excinfo.value.cycle <= 4
         assert any("not conserved" in v for v in excinfo.value.violations)
 
@@ -490,21 +542,28 @@ class TestWatchdog:
         violations = check_network_invariants(network)
         assert any("occupied_flits" in v for v in violations)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=5, deadline=None)
     @given(
         rate=st.floats(min_value=0.02, max_value=0.08),
         seed=st.integers(min_value=0, max_value=1_000),
     )
-    def test_fault_free_runs_never_trip_invariants(self, rate, seed):
+    def test_fault_free_runs_never_trip_invariants(self, kernel, rate, seed):
         """Property: the invariant suite is silent on healthy runs at any
-        load/seed -- the REPRO_CHECK layer must never false-positive."""
+        load/seed, on either kernel -- the REPRO_CHECK layer must never
+        false-positive (on ``c`` it samples at span ends)."""
         network, pattern = _build()
-        run_synthetic(
+        network.use_kernel(kernel)
+        result = run_synthetic(
             network, pattern, rate, warmup_packets=30, measure_packets=100,
             seed=seed,
             watchdog=Watchdog(
                 stall_window=50_000, check_interval=16, check_invariants=True
             ),
+        )
+        assert network.active_kernel == kernel
+        assert result.kernel_cycles["event"] == (
+            result.total_cycles if kernel == "event" else 0
         )
 
 

@@ -624,12 +624,6 @@ def test_unknown_kernel_rejected_everywhere(door, name, monkeypatch, capsys):
         assert repr(kernel) in message, message
 
 
-def _attach_watchdog(net):
-    from repro.faults import Watchdog
-
-    net.attach_watchdog(Watchdog(stall_window=10_000, check_interval=64))
-
-
 def _attach_observer(net):
     from repro.obs.hooks import Observer
 
@@ -661,17 +655,16 @@ def _use_event_kernel(net):
 @pytest.mark.parametrize(
     "attach, cause",
     [
-        (_attach_watchdog, "a watchdog"),
         (_attach_observer, "an observer"),
         (_attach_faults, "a fault injector"),
         (_set_dynamic_routing, "routing is dynamic"),
         (_use_event_kernel, "the event kernel drives"),
     ],
-    ids=["watchdog", "observer", "faults", "routing", "use_kernel"],
+    ids=["observer", "faults", "routing", "use_kernel"],
 )
 def test_ckernel_falls_back_when_hooks_attached(attach, cause):
-    """Watchdogs, observation hooks, fault injectors and dynamic routing
-    need the per-flit object datapath, and the kernel is chosen before
+    """Observation hooks, fault injectors and dynamic routing need the
+    per-flit object datapath, and the kernel is chosen before
     the first step: given then, a requested c kernel falls back to event
     for the whole run, ``span_blocker()`` names the cause and c cannot
     be started later; once the c arena is live, the same call raises
@@ -697,6 +690,40 @@ def test_ckernel_falls_back_when_hooks_attached(attach, cause):
         attach(net)
     assert net.active_kernel == "c"
     assert net.kernel == "c", "the *requested* kernel is unchanged"
+
+
+@needs_ckernel
+def test_an_armed_c_run_is_the_unarmed_program(monkeypatch):
+    """``REPRO_CHECK=1`` arms the watchdog and the invariant suite on the
+    run driver, not on the network: the armed c run keeps its spans and
+    its arena -- no event cycle, no router built -- and its records,
+    counters and arena are the unarmed run's."""
+    from repro.exec import execute_point
+    from repro.traffic import UniformRandom, run_synthetic
+
+    point = SweepPoint(
+        layout="diagonal+BL", mesh_size=4, rate=0.08, seed=5,
+        warmup_packets=40, measure_packets=300, kernel="c",
+    )
+    runs = {}
+    for armed in ("0", "1"):
+        monkeypatch.setenv("REPRO_CHECK", armed)
+        net = build_network(layout_by_name("diagonal+BL", 4))
+        net.use_kernel("c")
+        result = run_synthetic(
+            net, UniformRandom(16), 0.08, warmup_packets=40,
+            measure_packets=300, seed=5,
+        )
+        assert result.span_fallback is None
+        assert result.kernel_cycles["event"] == 0
+        assert result.kernel_cycles["c_span"] > 0
+        assert net._routers is None
+        runs[armed] = (
+            result.total_cycles, result.kernel_cycles,
+            [tuple(vars(r).values()) for r in result.stats.records],
+            _digest(net), execute_point(point).to_dict(),
+        )
+    assert runs["1"] == runs["0"]
 
 
 def test_route_tables_match_dynamic_routing():

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.layouts import build_network, layout_by_name
 from repro.exec.point import SweepPoint, checkpoint_path_for, execute_point
+from repro.faults import Watchdog
 from repro.noc.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotCorrupt,
@@ -50,6 +51,19 @@ from tests.test_kernel_differential import (
 
 def _fresh_network(leg, mesh_size=4, layout="baseline"):
     return _use_leg(build_network(layout_by_name(layout, mesh_size)), leg)
+
+
+class _SampledWatchdog(Watchdog):
+    """A watchdog that notes every cycle it samples."""
+
+    def __init__(self, **knobs):
+        super().__init__(**knobs)
+        self.sampled = []
+
+    def check(self, network, cycle):
+        if cycle % self.check_interval == 0:
+            self.sampled.append(cycle)
+        super().check(network, cycle)
 
 
 def _restamp(blob, version):
@@ -123,7 +137,7 @@ class TestContainer:
             loads(b"NOTASNAP" + blob[8:])
 
     @pytest.mark.parametrize(
-        "version", [1, 2, 3, 4, 5, 6, 7, SNAPSHOT_VERSION + 1]
+        "version", [1, 2, 3, 4, 5, 6, 7, 8, 9, SNAPSHOT_VERSION + 1]
     )
     def test_version_skew_detected(self, version):
         """Newer *and* older containers refuse before unpickling: a v1
@@ -133,7 +147,9 @@ class TestContainer:
         one a ``SimSnapshot`` wrapper class that no longer exists, a v5
         one a ``Network`` whose routers are a plain attribute, a v6 one a
         ``"c"`` network synced into routers, with no kernel to restore, a
-        v7 one a ``Network`` whose link counters live in its stats."""
+        v7 one a ``Network`` whose link counters live in its stats, a v8
+        one a ``Network`` that keeps a second delivery count, a v9 one a
+        ``Network`` that carries the run's watchdog."""
         blob = _restamp(dumps(self._snapshot()), version)
         with pytest.raises(SnapshotVersionMismatch, match=f"v{version}"):
             loads(blob)
@@ -319,6 +335,42 @@ class TestRunnerCheckpointing:
             assert run(resume_from=state) == plain
         # before the window, inside it, and in the drain
         assert phases == {(False, False), (True, False), (False, True)}
+
+    @pytest.mark.parametrize(
+        "kernel", ["event", pytest.param("c", marks=needs_ckernel)]
+    )
+    def test_an_armed_run_resumes_armed(self, monkeypatch, kernel):
+        """The watchdog is a field of the run state, not of the network:
+        a checkpoint of an armed run holds it with its progress clocks,
+        and the resumed run -- whatever ``watchdog`` it is handed -- goes
+        on sampling it, at the cycles the uninterrupted run samples."""
+        from repro.traffic import runner
+
+        knobs = dict(rate=0.1, warmup_packets=30, measure_packets=120, seed=3)
+
+        def run(**more):
+            net = self._network(kernel)
+            pattern = pattern_by_name("uniform_random", net.topology)
+            return self._summary(run_synthetic(net, pattern, **knobs, **more))
+
+        def armed():
+            return _SampledWatchdog(check_interval=8, check_invariants=True)
+
+        uninterrupted = armed()
+        plain = run(watchdog=uninterrupted)
+        blobs = []
+        monkeypatch.setattr(
+            runner, "save_snapshot", lambda run, path: blobs.append(dumps(run))
+        )
+        assert run(
+            watchdog=armed(), checkpoint_every=40, checkpoint_path="unused"
+        ) == plain
+        state = loads(blobs[len(blobs) // 2])
+        assert isinstance(state.watchdog, _SampledWatchdog)
+        assert "watchdog" not in vars(state.network)
+        assert 0 < len(state.watchdog.sampled) < len(uninterrupted.sampled)
+        assert run(resume_from=state, watchdog=None) == plain
+        assert state.watchdog.sampled == uninterrupted.sampled
 
     def test_resume_rejects_mismatched_spec(self, tmp_path):
         path = tmp_path / "run.ckpt"
