@@ -53,6 +53,10 @@ class MemoryController:
             raise ValueError(f"memory controller got unexpected {msg.mtype}")
         handler(self, msg)
 
+    def idle(self) -> bool:
+        """True when no request is queued or inside DRAM."""
+        return not self._queue and not self._in_flight
+
     def _enqueue(self, msg: Message) -> None:
         # A posted write consumes a service slot too, but needs no reply.
         self._queue.append(msg)

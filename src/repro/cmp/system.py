@@ -405,26 +405,47 @@ class CmpSystem:
 
         Returns the cycle count at stop.  Raises if ``until_done`` and the
         deadline passes with cores still outstanding -- that indicates a
-        protocol or network deadlock.
+        protocol or network livelock -- or, at once, when the run wedges:
+        a live core waits on a miss while no event is pending, the
+        network is empty and no memory controller is busy, so nothing
+        left can complete it (a protocol deadlock).
         """
         deadline = self.cycle + max_cycles
+        wedged = False
         try:
             while self.cycle < deadline:
                 if until_done and not self._live:
                     return self.cycle
                 self._tick()
+                if until_done and not self._events and self._wedged():
+                    wedged = True
+                    break
         finally:
             self._sync_cores()
         if until_done and self._live:
             stuck = [c for c, core in self.cores.items() if not core.done]
             waits = [self._mshr_waits(core) for core in stuck[:8]]
+            when = (
+                f": wedged at cycle {self.cycle} with nothing left to "
+                "complete a miss" if wedged
+                else f" within {max_cycles} cycles"
+            )
             raise RuntimeError(
-                f"CMP failed to finish within {max_cycles} cycles; "
+                f"CMP failed to finish{when}; "
                 f"cores still running: {stuck[:8]}"
                 f"{'...' if len(stuck) > 8 else ''}; MSHR waits: "
                 + ("; ".join(filter(None, waits)) or "none")
             )
         return self.cycle
+
+    def _wedged(self) -> bool:
+        """With no event pending: whether a live core holds a miss that
+        nothing in flight -- no packet, no memory access -- can finish."""
+        return (
+            self.network.idle()
+            and all(mc.idle() for mc in self.mcs.values())
+            and any(core.l1.mshrs.outstanding for core in self._live)
+        )
 
     def measure(self, max_cycles: int = 2_000_000) -> int:
         """The one CMP experiment: warm the caches, open the network's
@@ -432,9 +453,9 @@ class CmpSystem:
         close the window.
 
         Returns the cycle count; raises :meth:`run`'s "failed to finish"
-        ``RuntimeError`` when ``max_cycles`` pass first.  Afterwards
-        ``network.stats`` holds the run's window and the cores, caches
-        and ``miss_records`` its results.
+        ``RuntimeError`` when the run wedges or ``max_cycles`` pass
+        first.  Afterwards ``network.stats`` holds the run's window and
+        the cores, caches and ``miss_records`` its results.
         """
         self.warm_caches()
         self.network.begin_measurement()

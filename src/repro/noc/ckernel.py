@@ -66,11 +66,13 @@ runs over a flat integer arena; this module owns everything around it:
 Packets cross the FFI as integer handles from one C-side allocator.
 Packets handed to :meth:`Network.enqueue` keep their Python object in a
 handle table; packets born inside a span exist only as C records until
-they finish (a row of the completion log).  Per-cycle stepping flushes
-the log through ``Network._complete_packet``, so latency records,
-callbacks and ``packets_in_flight`` behave exactly as under the event
-kernel; a span reduces its rows, as columns, straight into the stats'
-latency sample.
+they finish (a row of the completion log).  A cycle's log and a span's
+are emptied alike (:meth:`CKernel._reduce_log`): counters by arithmetic
+over whole columns, the measured rows, as columns, through
+:meth:`NetworkStats.record_completions
+<repro.noc.stats.NetworkStats.record_completions>` as under the event
+kernel, then ``on_delivery`` for each Packet object in finishing order
+(a span-born packet has none, and a callback keeps a run off spans).
 """
 
 from __future__ import annotations
@@ -475,21 +477,6 @@ def _members(words: List[int]) -> set:
     }
 
 
-def _span_born(pid: int, src: int, dst: int, flits: int, created: int,
-               measured: int) -> Packet:
-    """The Packet ``Network.make_packet`` would have built for a packet
-    that ``ck_run`` created, under the id C drew for it."""
-    return Packet(src=src, dst=dst, num_flits=flits, created_at=created,
-                  packet_id=pid, measured=bool(measured))
-
-
-def _mirror(packet: Packet, hops: int, lanes: int, injected: int) -> None:
-    """Copy the in-network fields of a C packet record onto ``packet``."""
-    packet.hops = hops
-    packet.min_lanes = None if lanes < 0 else lanes
-    packet.injected_at = None if injected < 0 else injected
-
-
 @dataclass
 class SpanSource:
     """A run's open-loop traffic source in the plain-data form ``ck_run``
@@ -723,21 +710,7 @@ class CKernel:
         rows = self.lib.ck_step(self._ck)
         if rows < 0:
             self._raise_error(rows)
-        if rows:
-            flat = self._log(rows).tolist()
-            self.lib.ck_set(self._ck, S_NLOG, 0)
-            complete = net._complete_packet
-            for at in range(0, len(flat), LOG_WIDTH):
-                (h, pid, src, dst, flits, hops, created, injected, lanes,
-                 measured, _) = flat[at:at + LOG_WIDTH]
-                packet = self._held(h)
-                if packet is None:
-                    packet = _span_born(pid, src, dst, flits, created,
-                                        measured)
-                else:
-                    self._let_go(h, packet)
-                _mirror(packet, hops, lanes, injected)
-                complete(packet, cycle)
+        self._reduce_log(rows)
         net.cycle = cycle + 1
 
     def run(self, span: Span) -> Tuple[int, int]:
@@ -782,19 +755,18 @@ class CKernel:
         net.next_packet_id += born
         net.packets_in_flight += born
         net.cycle += ran
-        self._reduce_log()
+        self._reduce_log(lib.ck_get(ck, S_NLOG))
         if measure_from is not None:
             net._stats.packets_offered += max(
                 0, created + born - max(created, measure_from)
             )
         return ran, born
 
-    def _reduce_log(self) -> None:
-        """Empty the completion log a span left: counters by arithmetic
-        over whole columns, the measured rows into the latency sample."""
-        lib = self.lib
-        ck = self._ck
-        rows = lib.ck_get(ck, S_NLOG)
+    def _reduce_log(self, rows: int) -> None:
+        """Empty a completion log of ``rows`` rows, a cycle's or a span's:
+        counters by arithmetic over whole columns, the measured rows into
+        the latency sample, then ``on_delivery`` for each packet Python
+        enqueued, in finishing order."""
         if not rows:
             return
         net = self.net
@@ -803,13 +775,14 @@ class CKernel:
         stages = net.config.router_pipeline_stages
         link_delay = net.config.link_delay
         flits_done = 0
+        released: List[Packet] = []
         for start in range(0, rows, _SPAN_LOG_ROWS):
             count = min(_SPAN_LOG_ROWS, rows - start)
             chunk = log[start * LOG_WIDTH:(start + count) * LOG_WIDTH]
             flits_done += sum(chunk[LOG_NFLITS::LOG_WIDTH])
             classes = ["data"] * count
             if self._hmap:
-                self._release_held(chunk, classes)
+                self._release_held(chunk, classes, released)
             measured = chunk[LOG_MEASURED::LOG_WIDTH]
             wanted = sum(measured)
             if not wanted:
@@ -820,26 +793,36 @@ class CKernel:
             if wanted < count:
                 fields = [list(compress(field, measured)) for field in fields]
             stats.record_completions(*fields, stages, link_delay)
-        lib.ck_set(ck, S_NLOG, 0)
+        self.lib.ck_set(self._ck, S_NLOG, 0)
         net.packets_in_flight -= rows
         net.total_delivered += rows
         net._clean_flits += flits_done
+        on_delivery = net.on_delivery
+        if on_delivery is not None:
+            for packet in released:
+                on_delivery(packet, packet.received_at)
 
-    def _release_held(self, chunk: memoryview, classes: List[str]) -> None:
+    def _release_held(self, chunk: memoryview, classes: List[str],
+                      released: List[Packet]) -> None:
         """Finish the Packet objects among a chunk of completion-log rows
-        (packets Python enqueued), noting each one's class by row."""
+        (packets Python enqueued): note each one's class by row and append
+        it to ``released``."""
         # A held packet always finishes before its handle can be reissued
-        # to a span-born one, and rows are in finishing order, so a Packet
-        # found here is its row's packet.
+        # (``on_delivery``, which may enqueue, runs once the whole log is
+        # read), and rows are in finishing order, so a Packet found here
+        # is its row's packet.
         for row, h in enumerate(chunk[LOG_HANDLE::LOG_WIDTH].tolist()):
             packet = self._held(h)
             if packet is not None:
                 self._let_go(h, packet)
                 at = row * LOG_WIDTH
-                _mirror(packet, chunk[at + LOG_HOPS],
-                        chunk[at + LOG_MINLANES], chunk[at + LOG_INJ])
+                lanes = chunk[at + LOG_MINLANES]
+                packet.hops = chunk[at + LOG_HOPS]
+                packet.min_lanes = None if lanes < 0 else lanes
+                packet.injected_at = chunk[at + LOG_INJ]
                 packet.received_at = chunk[at + LOG_RECEIVED]
                 classes[row] = packet.packet_class
+                released.append(packet)
 
     def _lend(self, source: SpanSource) -> Tuple[int, int]:
         """Make ``source`` the one the C side draws from -- tables,

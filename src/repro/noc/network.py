@@ -72,6 +72,7 @@ import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.noc.config import NetworkConfig, RouterConfig
@@ -79,14 +80,16 @@ from repro.noc.flit import Flit, Packet, flits_per_packet
 from repro.noc.link import Link, link_width_between
 from repro.noc.router import Grant, Router
 from repro.noc.routing import Routing, minimal_routing_for
-from repro.noc.stats import (
-    Counters,
-    LatencyRecord,
-    NetworkStats,
-    RouterActivity,
-    decompose_latency,
-)
+from repro.noc.stats import Counters, NetworkStats, RouterActivity
 from repro.noc.topology import Topology
+
+
+#: a packet's fields :meth:`NetworkStats.record_completions` takes, in its
+#: argument order.
+_SAMPLE_FIELDS = attrgetter(
+    "packet_id", "src", "dst", "num_flits", "hops", "created_at",
+    "injected_at", "min_lanes", "received_at", "packet_class",
+)
 
 
 def _nonzero_ports(totals: List[List[int]]) -> Dict[Tuple[int, int], int]:
@@ -815,6 +818,7 @@ class Network:
             self._inject(cycle)
         active = self._active_routers
         live: List[Router] = []
+        measured: List[Packet] = []
         if active:
             routing = self._routing
             for rid in sorted(active):
@@ -827,7 +831,9 @@ class Network:
             for router in live:
                 grants = router.allocate_switch(cycle)
                 if grants:
-                    self._transport(router, grants, cycle)
+                    self._transport(router, grants, cycle, measured)
+        if measured:
+            self._record_measured(measured)
         # Inactive routers hold zero flits and would add zero to their
         # occupancy integral; sampling only the live ones is exact.
         for router in live:
@@ -971,7 +977,8 @@ class Network:
         return fallback
 
     def _transport(
-        self, router: Router, grants: List[Grant], cycle: int
+        self, router: Router, grants: List[Grant], cycle: int,
+        measured: List[Packet],
     ) -> None:
         rid = router.router_id
         obs = self.obs if self._tracing else None
@@ -1000,6 +1007,8 @@ class Network:
                     obs.on_flit_ejected(rid, out_port, flit, cycle)
                 if flit.is_tail:
                     self._complete_packet(packet, cycle)
+                    if packet.measured:
+                        measured.append(packet)
             else:
                 link = out_links[out_port]
                 if flit.is_head:
@@ -1046,24 +1055,18 @@ class Network:
         self.packets_in_flight -= 1
         self.total_delivered += 1
         self._clean_flits += packet.num_flits
-        if packet.measured:
-            self._stats.record_packet(self._latency_record(packet))
         if self.obs is not None:
             self.obs.on_packet_delivered(packet, cycle)
         if self.on_delivery is not None:
             self.on_delivery(packet, cycle)
 
-    def _latency_record(self, packet: Packet) -> LatencyRecord:
-        return LatencyRecord(
-            packet.packet_id, packet.src, packet.dst, packet.num_flits,
-            packet.hops,
-            *decompose_latency(
-                packet.packet_id, packet.num_flits, packet.hops,
-                packet.created_at, packet.injected_at, packet.min_lanes,
-                packet.received_at, self.config.router_pipeline_stages,
-                self.config.link_delay,
-            ),
-            packet.packet_class,
+    def _record_measured(self, packets: List[Packet]) -> None:
+        """Hand the measured packets a cycle finished to the latency
+        sample, as columns of their fields."""
+        config = self.config
+        self._stats.record_completions(
+            *zip(*map(_SAMPLE_FIELDS, packets)),
+            config.router_pipeline_stages, config.link_delay,
         )
 
     # -- fault recovery ------------------------------------------------------------

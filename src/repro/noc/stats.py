@@ -54,85 +54,6 @@ class LatencyRecord:
             )
 
 
-def _in_network_floor(packet_id: int, in_network: int, minimum: int) -> int:
-    """``in_network`` cycles, checked against the per-hop pipeline bound."""
-    if in_network < minimum:
-        raise RuntimeError(
-            f"packet {packet_id} beat the per-hop pipeline "
-            f"bound ({in_network} < {minimum} cycles); the "
-            "router model violated its own timing"
-        )
-    return in_network
-
-
-def decompose_latency(
-    packet_id: int,
-    num_flits: int,
-    hops: int,
-    created_at: int,
-    injected_at: int,
-    min_lanes: Optional[int],
-    received_at: int,
-    stages: int,
-    link_delay: int,
-) -> Tuple[int, int, int, int]:
-    """``(total, queuing, transfer, blocking)`` of one delivered packet
-    from its plain fields, on routers of ``stages`` pipeline stages and
-    links of ``link_delay`` cycles; ``min_lanes`` below 1 (or ``None``)
-    means the narrowest link is unknown and counts as one lane."""
-    base = stages - 1
-    hop_cost = base + link_delay
-    lanes = min_lanes if min_lanes and min_lanes > 0 else 1
-    total = received_at - created_at
-    queuing = injected_at - created_at
-    transfer = hop_cost * hops + base - (1 - num_flits) // lanes
-    blocking = total - queuing - transfer
-    if blocking < 0:
-        # A packet can (slightly) beat the analytic zero-load bound:
-        # when contention delays the head, trailing flits bunch up and
-        # later wide links carry them two per cycle, recovering
-        # serialization the bound charged to the narrowest link.
-        # Attribute the whole in-network time to transfer then.
-        transfer = _in_network_floor(
-            packet_id, total - queuing, hop_cost * hops + base
-        )
-        blocking = 0
-    return total, queuing, transfer, blocking
-
-
-def decompose_latency_columns(
-    packet_id: List[int],
-    num_flits: List[int],
-    hops: List[int],
-    created_at: List[int],
-    injected_at: List[int],
-    min_lanes: List[int],
-    received_at: List[int],
-    stages: int,
-    link_delay: int,
-) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """:func:`decompose_latency` over whole columns (one packet per row),
-    the form a completion log of the compiled kernel is reduced in."""
-    base = stages - 1
-    hop_cost = base + link_delay
-    total = [r - c for r, c in zip(received_at, created_at)]
-    queuing = [i - c for i, c in zip(injected_at, created_at)]
-    transfer = [
-        hop_cost * h + base - (1 - f) // (l if l > 0 else 1)
-        for h, f, l in zip(hops, num_flits, min_lanes)
-    ]
-    blocking = [t - q - x for t, q, x in zip(total, queuing, transfer)]
-    if blocking and min(blocking) < 0:
-        for row, slack in enumerate(blocking):
-            if slack < 0:
-                transfer[row] = _in_network_floor(
-                    packet_id[row], total[row] - queuing[row],
-                    hop_cost * hops[row] + base,
-                )
-                blocking[row] = 0
-    return total, queuing, transfer, blocking
-
-
 class LatencySample(Sequence):
     """The measured packets, one column per :class:`LatencyRecord` field
     (integers, plus the class names), a row per packet in finishing order.
@@ -163,10 +84,6 @@ class LatencySample(Sequence):
         if isinstance(index, slice):
             return list(map(LatencyRecord, *picked))
         return LatencyRecord(*picked)
-
-    def _append(self, record: LatencyRecord) -> None:
-        for name in self.COLUMNS:
-            getattr(self, name).append(getattr(record, name))
 
     def _extend(self, *columns: list) -> None:
         """Append whole columns, given in :attr:`COLUMNS` order."""
@@ -320,32 +237,57 @@ class NetworkStats:
         self.saturated: bool = False
 
     # -- recording ----------------------------------------------------------
-    def record_packet(self, record: LatencyRecord) -> None:
-        self.records._append(record)
-        self.packets_delivered += 1
-        self.flits_delivered += record.num_flits
-
     def record_completions(
         self,
-        packet_id: List[int],
-        src: List[int],
-        dst: List[int],
-        num_flits: List[int],
-        hops: List[int],
-        created_at: List[int],
-        injected_at: List[int],
-        min_lanes: List[int],
-        received_at: List[int],
-        packet_class: List[str],
+        packet_id: Sequence[int],
+        src: Sequence[int],
+        dst: Sequence[int],
+        num_flits: Sequence[int],
+        hops: Sequence[int],
+        created_at: Sequence[int],
+        injected_at: Sequence[int],
+        min_lanes: Sequence[Optional[int]],
+        received_at: Sequence[int],
+        packet_class: Sequence[str],
         stages: int,
         link_delay: int,
     ) -> None:
-        """:meth:`record_packet` for many measured packets at once, given
-        as columns of their plain fields (a row per packet)."""
-        total, queuing, transfer, blocking = decompose_latency_columns(
-            packet_id, num_flits, hops, created_at, injected_at, min_lanes,
-            received_at, stages, link_delay,
-        )
+        """Record measured packets, given as columns of their plain fields
+        (a row per packet, in finishing order), on routers of ``stages``
+        pipeline stages and links of ``link_delay`` cycles: the one place
+        a finished packet becomes a latency record, on every kernel.
+
+        ``min_lanes`` below 1 (or ``None``) means the narrowest link is
+        unknown and counts as one lane.
+        """
+        base = stages - 1
+        hop_cost = base + link_delay
+        total = [r - c for r, c in zip(received_at, created_at)]
+        queuing = [i - c for i, c in zip(injected_at, created_at)]
+        transfer = [
+            hop_cost * h + base - (1 - f) // (l if l and l > 0 else 1)
+            for h, f, l in zip(hops, num_flits, min_lanes)
+        ]
+        blocking = [t - q - x for t, q, x in zip(total, queuing, transfer)]
+        if blocking and min(blocking) < 0:
+            # A packet can (slightly) beat the analytic zero-load bound:
+            # when contention delays the head, trailing flits bunch up and
+            # later wide links carry them two per cycle, recovering
+            # serialization the bound charged to the narrowest link.
+            # Attribute the whole in-network time to transfer then.
+            for row, slack in enumerate(blocking):
+                if slack < 0:
+                    in_network = total[row] - queuing[row]
+                    minimum = hop_cost * hops[row] + base
+                    if in_network < minimum:
+                        raise RuntimeError(
+                            f"packet {packet_id[row]} beat the per-hop "
+                            f"pipeline bound ({in_network} < {minimum} "
+                            "cycles); the router model violated its own "
+                            "timing"
+                        )
+                    transfer[row] = in_network
+                    blocking[row] = 0
         self.records._extend(
             packet_id, src, dst, num_flits, hops, total, queuing, transfer,
             blocking, packet_class,

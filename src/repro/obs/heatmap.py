@@ -10,11 +10,10 @@ Usage::
 
     PYTHONPATH=src python -m repro.obs.heatmap attribution.json
     PYTHONPATH=src python -m repro.obs.heatmap attribution.json --top 5
-    PYTHONPATH=src python -m repro.obs.heatmap --demo --size 8 --rate 0.05
 
-``--demo`` runs a small instrumented uniform-random simulation in-process
-and renders its attribution directly (no file needed); with ``--out`` it
-also writes the attribution JSON for later rendering.
+``python -m repro.experiments.run_all fig01 --obs DIR`` runs a small
+instrumented uniform-random simulation and writes its report as
+``DIR/obs_demo_attribution.json``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import List, Optional
 
 from repro.obs.attribution import AttributionReport
 
-__all__ = ["render_grid", "render_report", "demo_report", "main"]
+__all__ = ["render_grid", "render_report", "main"]
 
 #: Intensity ramp, blank (cold) to ``@`` (hot).
 RAMP = " .:-=+*#%@"
@@ -107,83 +106,20 @@ def render_report(report: AttributionReport, top_k: int = 10) -> str:
     return "\n".join(lines)
 
 
-def demo_report(
-    size: int = 8,
-    rate: float = 0.05,
-    seed: int = 11,
-    layout: str = "baseline",
-    warmup_packets: int = 100,
-    measure_packets: int = 600,
-) -> AttributionReport:
-    """Run a small instrumented uniform-random simulation and attribute it."""
-    from repro.core.layouts import build_network, layout_by_name
-    from repro.obs.attribution import attribute_metrics
-    from repro.obs.metrics import KernelMetrics
-    from repro.traffic.patterns import pattern_by_name
-    from repro.traffic.runner import run_synthetic
-
-    network = build_network(layout_by_name(layout, size))
-    metrics = KernelMetrics(network)
-    network.attach_observer(metrics)
-    pattern = pattern_by_name("uniform_random", network.topology)
-    run_synthetic(
-        network,
-        pattern,
-        rate,
-        seed=seed,
-        warmup_packets=warmup_packets,
-        measure_packets=measure_packets,
-    )
-    # run_synthetic stops once the measured packets are accounted for;
-    # drain the background load to idle so flit conservation is exact.
-    network.drain(max_cycles=400_000)
-    network.detach_observer()
-    return attribute_metrics(metrics)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.heatmap", description=__doc__
     )
     parser.add_argument(
-        "report", nargs="?", default=None,
+        "report",
         help="attribution JSON written by AttributionReport.write_json",
     )
     parser.add_argument(
         "--top", type=int, default=10,
         help="rows per top-k table (default 10)",
     )
-    parser.add_argument(
-        "--demo", action="store_true",
-        help="run a small instrumented simulation instead of reading a file",
-    )
-    parser.add_argument("--size", type=int, default=8,
-                        help="--demo mesh size (default 8)")
-    parser.add_argument("--rate", type=float, default=0.05,
-                        help="--demo injection rate (default 0.05)")
-    parser.add_argument("--seed", type=int, default=11,
-                        help="--demo traffic seed (default 11)")
-    parser.add_argument("--layout", default="baseline",
-                        help="--demo layout name (default baseline)")
-    parser.add_argument(
-        "--out", default=None,
-        help="also write the attribution JSON to this path (--demo only)",
-    )
     args = parser.parse_args(argv)
-
-    if args.demo:
-        report = demo_report(
-            size=args.size, rate=args.rate, seed=args.seed,
-            layout=args.layout,
-        )
-        if args.out:
-            report.write_json(args.out, top_k=args.top)
-            print(f"wrote {args.out}")
-    elif args.report is not None:
-        report = AttributionReport.read_json(args.report)
-    else:
-        parser.error("give an attribution JSON file or use --demo")
-        return 2  # unreachable; parser.error raises SystemExit
+    report = AttributionReport.read_json(args.report)
     print(render_report(report, top_k=args.top))
     return 0
 

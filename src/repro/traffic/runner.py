@@ -603,6 +603,10 @@ def run_synthetic(
         # Whatever ended the loops, the streams the spans borrowed go
         # back to rng and the injector.
         network.reclaim_span_source()
+        if ni is not None:
+            # The NI holds the network: unhooked, a finished network is
+            # freed by reference counting, not by the cycle collector.
+            network.on_delivery = network.on_loss = None
     stats = network.stats
     recorded = len(stats.records)
     lost_measured = ni.lost_measured if ni is not None else 0

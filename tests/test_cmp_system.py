@@ -201,6 +201,27 @@ class TestEndToEnd:
             )
         assert any(opened) == open_txn
 
+    def test_a_wedged_run_raises_when_it_wedges(self, monkeypatch):
+        """A request lost on its way leaves its core waiting on a miss that
+        nothing can complete: the run reports that cycle, not the
+        deadline's."""
+        send_message = CmpSystem.send_message
+        dropped = []
+
+        def drop_first_gets(system, msg):
+            if msg.mtype == "GETS" and msg.src != msg.dst and not dropped:
+                dropped.append((system.cycle, msg.src))
+                return
+            send_message(system, msg)
+
+        monkeypatch.setattr(CmpSystem, "send_message", drop_first_gets)
+        system = _system()
+        with pytest.raises(RuntimeError, match="wedged at cycle") as raised:
+            system.run(max_cycles=100_000)
+        (dropped_at, core), = dropped
+        assert system.cycle - dropped_at < 50
+        assert f"core {core}: " in str(raised.value)
+
 
 def _counters(system):
     """Everything a reader of a (possibly mid-run) system can see."""

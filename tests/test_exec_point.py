@@ -9,11 +9,14 @@ serialization round-trip the cache depends on.
 """
 
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import pytest
 
-from repro.exec import SPEC_VERSION, PointResult, SweepPoint
+from repro.exec import SPEC_VERSION, PointResult, SweepPoint, execute_point
+from repro.faults import FaultSchedule, FaultSpec
 
 #: the golden-run UR spec's key, computed once and pinned as a literal.
 #: If this changes, every cached result on every machine silently
@@ -154,6 +157,37 @@ class TestNetworkConstruction:
         )
         network = point.build_network()
         assert network.kernel == "c"
+
+
+class TestFreedByReferenceCount:
+    def test_finished_faulty_point_frees_its_network(self, monkeypatch):
+        """The retransmission NI a faulty point hooks onto its network
+        holds that network: the run unhooks it, so the finished network,
+        routers and all, dies with its last reference rather than at the
+        cycle collector's next pass."""
+        built = []
+        build_network = SweepPoint.build_network
+
+        def kept(point):
+            network = build_network(point)
+            built.append(weakref.ref(network))
+            return network
+
+        monkeypatch.setattr(SweepPoint, "build_network", kept)
+        point = dataclasses.replace(PINNED_POINT, faults=FaultSchedule(
+            specs=(FaultSpec(kind="link", router=5, port=2,
+                             mode="transient", at=50, repair_after=100),),
+            seed=3,
+        ))
+        gc.collect()
+        gc.disable()
+        try:
+            result = execute_point(point)
+            (network,) = built
+            assert network() is None
+        finally:
+            gc.enable()
+        assert result.error is None and result.resilience["fault_events"]
 
 
 class TestPointResult:

@@ -8,25 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.layouts import baseline_layout, build_network
-from repro.noc.stats import (
-    LatencyRecord,
-    NetworkStats,
-    RouterActivity,
-    decompose_latency,
-    decompose_latency_columns,
-)
+from repro.noc.stats import LatencyRecord, NetworkStats, RouterActivity
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.runner import run_synthetic
 
 
-def _record(packet_id=0, total=20, queuing=2, transfer=15, **kwargs):
+#: the router model of the hand-made packets below: 2-stage routers and
+#: 1-cycle links, so a 6-flit packet over 2 hops of 1-lane links has a
+#: transfer latency of 10 cycles and an in-network floor of 5.
+_STAGES, _LINK_DELAY = 2, 1
+
+
+def _record_totals(stats, totals, queuing=2):
+    """Record one measured 6-flit, 2-hop packet from node 0 to node 5 per
+    total latency in ``totals``, each created at cycle 0."""
+    n = len(totals)
+    stats.record_completions(
+        list(range(n)), [0] * n, [5] * n, [6] * n, [2] * n, [0] * n,
+        [queuing] * n, [1] * n, list(totals), ["data"] * n,
+        _STAGES, _LINK_DELAY,
+    )
+    return stats
+
+
+def _record(packet_id=0, total=20, queuing=2, transfer=10, **kwargs):
     blocking = total - queuing - transfer
     return LatencyRecord(
         packet_id=packet_id,
         src=0,
         dst=5,
         num_flits=6,
-        hops=4,
+        hops=2,
         total=total,
         queuing=queuing,
         transfer=transfer,
@@ -45,7 +57,7 @@ class TestLatencyRecord:
 
     def test_valid_record(self):
         record = _record()
-        assert record.blocking == 3
+        assert record.blocking == 8
 
 
 class TestRouterActivity:
@@ -70,10 +82,7 @@ class TestRouterActivity:
 
 class TestNetworkStats:
     def _stats_with_records(self, totals):
-        stats = NetworkStats(num_routers=4, num_nodes=4)
-        for i, total in enumerate(totals):
-            stats.record_packet(_record(packet_id=i, total=total))
-        return stats
+        return _record_totals(NetworkStats(num_routers=4, num_nodes=4), totals)
 
     def test_mean_latency(self):
         stats = self._stats_with_records([20, 30, 40])
@@ -82,8 +91,8 @@ class TestNetworkStats:
     def test_latency_components(self):
         stats = self._stats_with_records([20, 20])
         assert stats.avg_queuing_cycles == pytest.approx(2.0)
-        assert stats.avg_transfer_cycles == pytest.approx(15.0)
-        assert stats.avg_blocking_cycles == pytest.approx(3.0)
+        assert stats.avg_transfer_cycles == pytest.approx(10.0)
+        assert stats.avg_blocking_cycles == pytest.approx(8.0)
         assert stats.avg_network_latency_cycles == pytest.approx(18.0)
 
     def test_latency_ns_scaling(self):
@@ -211,8 +220,8 @@ _DELIVERED = st.tuples(
 
 
 class TestColumnarSample:
-    """The sample is stored as columns; the per-packet path, the bulk
-    path and the ``records`` view must be three readings of one thing."""
+    """The sample is stored as columns that one formula fills; the
+    ``records`` view reads them back as :class:`LatencyRecord` rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -220,7 +229,7 @@ class TestColumnarSample:
         stages=st.integers(1, 5),
         link_delay=st.integers(1, 3),
     )
-    def test_bulk_path_equals_per_packet_path(
+    def test_components_sum_and_keep_the_pipeline_floor(
         self, delivered, stages, link_delay
     ):
         rows = []
@@ -232,51 +241,50 @@ class TestColumnarSample:
             rows.append((pid, src, dst, flits, hops, created, injected,
                          lanes, injected + minimum + extra, cls))
         columns = [list(column) for column in zip(*rows)] or [[]] * 10
-        ids, srcs, dsts, flits, hops, created, injected, lanes, received, _ = (
-            columns
+        stats = NetworkStats(4, 64)
+        stats.record_completions(*columns, stages, link_delay)
+        # building each row runs LatencyRecord's sum check
+        records = list(stats.records)
+        assert len(records) == len(stats.records) == len(rows)
+        for row, record in zip(rows, records):
+            pid, src, dst, flits, hops, created, injected, lanes, received, cls = (
+                row
+            )
+            assert (record.packet_id, record.src, record.dst,
+                    record.num_flits, record.hops, record.packet_class) == (
+                pid, src, dst, flits, hops, cls)
+            assert record.total == received - created
+            assert record.queuing == injected - created
+            # the zero-load bound: pipeline and links per hop, plus the
+            # tail's serialization over the narrowest link (one lane when
+            # unknown); a packet that beats it is all transfer, never less
+            # than the per-hop floor
+            floor = (stages - 1 + link_delay) * hops + stages - 1
+            bound = floor + -(-(flits - 1) // (lanes if lanes > 0 else 1))
+            assert record.blocking >= 0
+            if record.blocking:
+                assert record.transfer == bound
+            else:
+                assert floor <= record.transfer <= bound
+                assert record.transfer == min(bound, received - injected)
+        assert [stats.records[i] for i in range(len(rows))] == records
+        assert stats.records[1:] == records[1:]
+        assert bool(stats.records) == bool(rows)
+        assert (stats.packets_delivered, stats.flits_delivered) == (
+            len(rows), sum(row[3] for row in rows),
         )
-
-        scalar = [
-            decompose_latency(r[0], r[3], r[4], r[5], r[6], r[7], r[8],
-                              stages, link_delay)
-            for r in rows
-        ]
-        by_column = decompose_latency_columns(
-            ids, flits, hops, created, injected, lanes, received,
-            stages, link_delay,
-        )
-        assert list(zip(*by_column)) == scalar
         # min_lanes of None reads as any other unknown width
-        assert scalar == [
-            decompose_latency(r[0], r[3], r[4], r[5], r[6],
-                              r[7] if r[7] > 0 else None, r[8],
-                              stages, link_delay)
-            for r in rows
-        ]
-
-        per_packet, bulk = NetworkStats(4, 64), NetworkStats(4, 64)
-        for row, parts in zip(rows, scalar):
-            per_packet.record_packet(LatencyRecord(*row[:5], *parts, row[9]))
-        bulk.record_completions(*columns, stages, link_delay)
-        expected = list(per_packet.records)
-        assert list(bulk.records) == expected
-        assert [bulk.records[i] for i in range(len(rows))] == expected
-        assert bulk.records[1:] == expected[1:]
-        assert len(bulk.records) == len(rows)
-        assert bool(bulk.records) == bool(rows)
+        unknown = NetworkStats(4, 64)
+        columns[7] = [lanes if lanes > 0 else None for lanes in columns[7]]
+        unknown.record_completions(*columns, stages, link_delay)
+        assert list(unknown.records) == records
         # NaN != NaN on an empty sample: compare the printed form
-        assert repr(bulk.summary()) == repr(per_packet.summary())
-        assert (bulk.packets_delivered, bulk.flits_delivered) == (
-            per_packet.packets_delivered, per_packet.flits_delivered,
-        )
-        restored = pickle.loads(pickle.dumps(bulk))
-        assert list(restored.records) == expected
-        assert repr(restored.summary()) == repr(bulk.summary())
+        restored = pickle.loads(pickle.dumps(stats))
+        assert list(restored.records) == records
+        assert repr(restored.summary()) == repr(stats.summary())
 
     def test_view_checks_a_doctored_column(self):
-        stats = NetworkStats(4, 4)
-        for i, total in enumerate([20, 30]):
-            stats.record_packet(_record(packet_id=i, total=total))
+        stats = _record_totals(NetworkStats(4, 4), [20, 30])
         stats.records.total[1] += 1
         assert stats.records[0].total == 20
         with pytest.raises(ValueError, match="must sum to the total"):
@@ -285,29 +293,25 @@ class TestColumnarSample:
             list(stats.records)
 
     def test_view_has_no_sequence_mutators(self):
-        stats = NetworkStats(4, 4)
-        stats.record_packet(_record())
+        stats = _record_totals(NetworkStats(4, 4), [20])
         with pytest.raises(TypeError):
             stats.records[0] = _record(packet_id=9)
         assert not hasattr(stats.records, "append")
         assert stats.records[-1] == _record()
 
-    def test_both_forms_refuse_a_packet_faster_than_the_pipeline(self):
+    def test_a_packet_faster_than_the_pipeline_is_refused(self):
         # 4 hops of 3-stage routers and 1-cycle links: 14 cycles at least
-        fields = dict(packet_id=7, num_flits=6, hops=4, created_at=0,
-                      injected_at=2, min_lanes=1, received_at=2 + 13)
+        fields = [[7], [0], [5], [6], [4], [0], [2], [1], [2 + 13], ["data"]]
+        stats = NetworkStats(4, 4)
         with pytest.raises(RuntimeError, match="packet 7 beat the per-hop"):
-            decompose_latency(**fields, stages=3, link_delay=1)
-        with pytest.raises(RuntimeError, match="packet 7 beat the per-hop"):
-            decompose_latency_columns(
-                **{name: [value] for name, value in fields.items()},
-                stages=3, link_delay=1,
-            )
+            stats.record_completions(*fields, 3, 1)
+        assert not stats.records and stats.packets_delivered == 0
         # at the bound the whole in-network time is transfer
-        fields["received_at"] += 1
-        assert decompose_latency(**fields, stages=3, link_delay=1) == (
-            16, 2, 14, 0
-        )
+        fields[8] = [2 + 14]
+        stats.record_completions(*fields, 3, 1)
+        record = stats.records[0]
+        assert (record.total, record.queuing, record.transfer,
+                record.blocking) == (16, 2, 14, 0)
 
 
 class TestStatisticalProperties:

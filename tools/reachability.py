@@ -109,7 +109,8 @@ def surfaces(work: Path, harnesses: List[str]) -> List[Tuple[str, List[str]]]:
         ("obs.replay trace --chrome", [py, "-m", "repro.obs.replay",
                                        str(obs / "obs_demo_trace.jsonl"),
                                        "--chrome", str(obs / "replayed.json")]),
-        ("obs.heatmap --demo", [py, "-m", "repro.obs.heatmap", "--demo"]),
+        ("obs.heatmap", [py, "-m", "repro.obs.heatmap",
+                         str(obs / "obs_demo_attribution.json")]),
         ("exec info", [py, "-m", "repro.exec", str(store), "info"]),
         ("serve smoke", [py, "-m", "repro.serve.smoke",
                          "--workdir", str(work / "serve")]),
