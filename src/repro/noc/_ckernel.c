@@ -8,8 +8,8 @@
  * The kernel owns the whole dynamic simulation state of a run -- per-lane
  * scalars and bitmasks (repro.noc.ckernel), flit queues as fixed rings
  * of (packet handle, flit index, ready_at), per-node source queues,
- * arrival/credit calendars, activity-counter deltas, packet records and a
- * completion log -- and advances it one clock cycle per ck_step() call,
+ * arrival/credit calendars, activity-counter deltas, packet records and
+ * latency records -- and advances it one clock cycle per ck_step() call,
  * or a whole span of cycles per ck_run() call with the open-loop traffic
  * source (injection coin flips, destination draws, packet birth, the
  * opening of the measurement window) inside the loop.  The phase order,
@@ -22,11 +22,13 @@
  * Packets and flits cross the FFI as integer handles/indices.  Handles
  * come from one allocator here, whether the packet was born in Python
  * (ck_handle_new + ck_set_packet) or in ck_run; the Python wrapper keeps
- * Packet objects for the former and reads finished packets as rows of the
- * completion log.  All arrays are exposed through ck_arr()/ck_get()/
- * ck_set() accessors so no struct layout is shared with ctypes, and the
- * state moves in and out of the arena only as the image of ck_dump() /
- * ck_load() (a checkpoint).
+ * Packet objects for the former (held packets).  A packet writes what the
+ * wrapper takes of it as it finishes: tallies, its latency record if it
+ * is measured (the twin of NetworkStats.record_completions) and its row
+ * of the held columns if Python holds it.  All arrays are exposed through
+ * ck_arr()/ck_get() accessors so no struct layout is shared with ctypes,
+ * and the state moves in and out of the arena only as the image of
+ * ck_dump() / ck_load() (a checkpoint).
  *
  * The per-cycle walk does no 64-bit division on its hot paths; every index
  * that wraps is a sum below twice its modulus, wrapped by one conditional
@@ -57,6 +59,11 @@ typedef uint64_t u64;
  * inline; their slow paths (growth, the MT19937 twist) and the cycle body
  * itself stay out of line */
 #define OUT_OF_LINE static __attribute__((noinline))
+/* code the walk calls but that must not move it: its own input section,
+ * which the linker places after all of .text, so cycle_body, ck_step and
+ * ck_run keep their place in the library whatever is added here (a walk
+ * shifted by new code ahead of it has cost sweep_c about 4 %) */
+#define AFTER_THE_WALK __attribute__((noinline, section(".text.after")))
 
 /* x % n for 0 <= x < 2n (see the index invariants above) */
 static inline i64 wrap_once(i64 x, i64 n) { return x < n ? x : x - n; }
@@ -143,13 +150,14 @@ enum {
     A_BW, A_BR, A_XB, A_RC, A_VA, A_ARB, A_CF, A_CS, A_MG, A_OC,
     A_LF, A_LB,
     A_PK_ID, A_PK_SRC, A_PK_DST, A_PK_NFLITS, A_PK_MINLANES, A_PK_HOPS,
-    A_PK_INJ, A_PK_CREATED, A_PK_MEASURED, A_PK_LIVE,
-    A_LOG,
+    A_PK_INJ, A_PK_CREATED, A_PK_FLAGS, A_PK_LIVE,
+    A_COLS,
     A_SS_ON, A_SS_REMAINING, A_DST_OFF, A_DST_TAB,
+    A_TAKE,
 };
 
 enum {
-    S_CYCLE = 0, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NLOG, S_PEND,
+    S_CYCLE = 0, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_PEND,
     S_PK_TOP, S_BORN, S_BODY_PENDING,
 };
 
@@ -165,13 +173,32 @@ enum {
     E_CALENDAR = -7,
     E_PARETO_ZERO = -8,
     E_IMAGE = -9, /* ck_load: the image is not one of this arena */
+    E_BOUND = -10, /* a packet beat the per-hop pipeline bound */
 };
 
-/* completion-log row: one finished packet */
+/* pk_flags bits: the packet is in the latency sample; Python holds its
+ * Packet object (it came through ck_set_packet from the wrapper) */
+enum { PK_MEASURED = 1, PK_HELD = 2 };
+
+/* the finished packets since the wrapper last took them (ck_arr(A_TAKE)):
+ * how many, their flits, the measured ones (rows of the REC_* columns),
+ * the held ones (rows of the HELD_* columns); then the columns' stride,
+ * which the wrapper reads but never zeroes */
 enum {
-    LOG_HANDLE = 0, LOG_ID, LOG_SRC, LOG_DST, LOG_NFLITS, LOG_HOPS,
-    LOG_CREATED, LOG_INJ, LOG_MINLANES, LOG_MEASURED, LOG_RECEIVED,
-    LOG_WIDTH,
+    TAKE_ROWS = 0, TAKE_FLITS, TAKE_RECORDS, TAKE_HELD, TAKE_STRIDE,
+    TAKE_WIDTH,
+};
+
+/* the columns of what the wrapper takes (ck_arr(A_COLS), column k at
+ * k * stride): a measured packet's latency record, the integer fields of
+ * repro.noc.stats.LatencyRecord; a held packet's row, what its Packet
+ * learns when it finishes and the index of its record among the ones
+ * taken with it (-1: unmeasured) */
+enum {
+    REC_ID = 0, REC_SRC, REC_DST, REC_NFLITS, REC_HOPS, REC_TOTAL,
+    REC_QUEUING, REC_TRANSFER, REC_BLOCKING,
+    HELD_HANDLE, HELD_RECORD, HELD_HOPS, HELD_MINLANES, HELD_INJ,
+    HELD_RECEIVED, TAKE_COLS,
 };
 
 /* ---- MT19937, word for word CPython's _randommodule.c ------------------- */
@@ -304,12 +331,11 @@ typedef struct CK {
      * below pk_top have been issued, hfree stacks the released ones */
     i64 pk_cap, pk_top, hfree_len;
     i64 *pk_id, *pk_src, *pk_dst, *pk_nflits, *pk_minlanes, *pk_hops,
-        *pk_inj, *pk_created, *pk_measured, *pk_live, *hfree;
+        *pk_inj, *pk_created, *pk_flags, *pk_live, *hfree;
 
-    /* completion log: LOG_WIDTH ints per packet whose tail was ejected
-     * since the wrapper last emptied it */
-    Vec log;
-    i64 log_measured; /* rows with LOG_MEASURED set */
+    /* finished packets: TAKE_COLS columns of take[TAKE_STRIDE] ints */
+    i64 *cols;
+    i64 hop; /* the record formula's per-hop cycles: po + link delay */
 
     /* span driver (ck_run): the traffic source Python lends for the spans
      * of a run */
@@ -328,6 +354,8 @@ typedef struct CK {
     u64 *scratch_w;
     i64 *bid_vc, *obid, *elig, *bid_ports, *out_order;
     i64 *grants; /* 2*P rows of 6: ip, ivc, op, gov, pkt, seq */
+
+    i64 take[TAKE_WIDTH];
 #ifdef CK_TEST_LEAK_CREDIT
     i64 leaked; /* the test build has dropped its credit return */
 #endif
@@ -336,7 +364,7 @@ typedef struct CK {
 void ck_free(CK *ck);
 
 CK *ck_new(i64 R, i64 P, i64 V, i64 nnodes, i64 po, i64 cd, i64 merging,
-           i64 cal_sz, i64 maxdepth) {
+           i64 cal_sz, i64 maxdepth, i64 link_delay) {
     CK *ck = (CK *)calloc(1, sizeof(CK));
     if (!ck)
         return NULL;
@@ -348,6 +376,7 @@ CK *ck_new(i64 R, i64 P, i64 V, i64 nnodes, i64 po, i64 cd, i64 merging,
     ck->nnodes = nnodes;
     ck->D = maxdepth;
     ck->po = po;
+    ck->hop = po + link_delay;
     ck->cd = cd;
     ck->merging = merging;
     ck->cal_sz = cal_sz;
@@ -442,9 +471,9 @@ void ck_free(CK *ck) {
     free(ck->cred_b);
     free(ck->pk_id); free(ck->pk_src); free(ck->pk_dst);
     free(ck->pk_nflits); free(ck->pk_minlanes); free(ck->pk_hops);
-    free(ck->pk_inj); free(ck->pk_created); free(ck->pk_measured);
+    free(ck->pk_inj); free(ck->pk_created); free(ck->pk_flags);
     free(ck->pk_live); free(ck->hfree);
-    free(ck->log.buf);
+    free(ck->cols);
     free(ck->rng); free(ck->node_rng); free(ck->src_f64);
     free(ck->dst_tab);
     free(ck);
@@ -517,13 +546,14 @@ i64 *ck_arr(CK *ck, i64 id) {
     case A_PK_HOPS: return ck->pk_hops;
     case A_PK_INJ: return ck->pk_inj;
     case A_PK_CREATED: return ck->pk_created;
-    case A_PK_MEASURED: return ck->pk_measured;
+    case A_PK_FLAGS: return ck->pk_flags;
     case A_PK_LIVE: return ck->pk_live;
-    case A_LOG: return ck->log.buf;
+    case A_COLS: return ck->cols;
     case A_SS_ON: return ck->ss_on;
     case A_SS_REMAINING: return ck->ss_remaining;
     case A_DST_OFF: return ck->dst_off;
     case A_DST_TAB: return ck->dst_tab;
+    case A_TAKE: return ck->take;
     }
     return NULL;
 }
@@ -563,23 +593,12 @@ i64 ck_get(CK *ck, i64 id) {
     case S_ERR_A: return ck->err_a;
     case S_ERR_B: return ck->err_b;
     case S_ERR_C: return ck->err_c;
-    case S_NLOG: return ck->log.len / LOG_WIDTH;
     case S_PEND: return ck->pend;
     case S_PK_TOP: return ck->pk_top;
     case S_BORN: return ck->born;
     case S_BODY_PENDING: return ck->body_pending;
     }
     return 0;
-}
-
-void ck_set(CK *ck, i64 id, i64 v) {
-    switch (id) {
-    case S_CYCLE: ck->cycle = v; break;
-    case S_NLOG:
-        ck->log.len = v * LOG_WIDTH;
-        ck->log_measured = 0;
-        break;
-    }
 }
 
 /* ---- packet records ----------------------------------------------------- */
@@ -608,8 +627,8 @@ static i64 ensure_packets(CK *ck, i64 cap) {
     a = regrow(ck->pk_inj, old, nc); if (!a) return -1; ck->pk_inj = a;
     a = regrow(ck->pk_created, old, nc); if (!a) return -1;
     ck->pk_created = a;
-    a = regrow(ck->pk_measured, old, nc); if (!a) return -1;
-    ck->pk_measured = a;
+    a = regrow(ck->pk_flags, old, nc); if (!a) return -1;
+    ck->pk_flags = a;
     a = regrow(ck->pk_live, old, nc); if (!a) return -1; ck->pk_live = a;
     /* sized with the records so releasing a handle can never fail */
     a = regrow(ck->hfree, old, nc); if (!a) return -1; ck->hfree = a;
@@ -634,7 +653,7 @@ i64 ck_handle_new(CK *ck) {
 
 void ck_set_packet(CK *ck, i64 h, i64 pid, i64 src, i64 dst, i64 nflits,
                    i64 injected, i64 minlanes, i64 hops, i64 created,
-                   i64 measured) {
+                   i64 flags) {
     ck->pk_id[h] = pid;
     ck->pk_src[h] = src;
     ck->pk_dst[h] = dst;
@@ -643,35 +662,22 @@ void ck_set_packet(CK *ck, i64 h, i64 pid, i64 src, i64 dst, i64 nflits,
     ck->pk_minlanes[h] = minlanes;
     ck->pk_hops[h] = hops;
     ck->pk_created[h] = created;
-    ck->pk_measured[h] = measured;
+    ck->pk_flags[h] = flags;
 }
 
-/* Tail ejected: append the packet's row to the completion log and release
- * its handle (nothing in the kernel state names a delivered packet). */
-static int complete_packet(CK *ck, i64 h, i64 cycle) {
-    Vec *log = &ck->log;
-    if (log->len + LOG_WIDTH > log->cap) {
-        i64 nc = log->cap ? log->cap * 2 : 64 * LOG_WIDTH;
-        i64 *nb = (i64 *)realloc(log->buf, (size_t)nc * sizeof(i64));
-        if (!nb)
-            return -1;
-        log->buf = nb;
-        log->cap = nc;
+AFTER_THE_WALK static i64 finish_packet(CK *ck, i64 h, i64 received);
+
+/* Tail ejected: tally the packet, write what the wrapper takes of it
+ * (finish_packet) and release its handle (nothing in the kernel state names
+ * a delivered packet).  Returns 0 or finish_packet's error code. */
+static inline i64 complete_packet(CK *ck, i64 h, i64 cycle) {
+    ck->take[TAKE_ROWS]++;
+    ck->take[TAKE_FLITS] += ck->pk_nflits[h];
+    if (ck->pk_flags[h]) {
+        i64 rc = finish_packet(ck, h, cycle);
+        if (rc)
+            return rc;
     }
-    i64 *row = log->buf + log->len;
-    row[LOG_HANDLE] = h;
-    row[LOG_ID] = ck->pk_id[h];
-    row[LOG_SRC] = ck->pk_src[h];
-    row[LOG_DST] = ck->pk_dst[h];
-    row[LOG_NFLITS] = ck->pk_nflits[h];
-    row[LOG_HOPS] = ck->pk_hops[h];
-    row[LOG_CREATED] = ck->pk_created[h];
-    row[LOG_INJ] = ck->pk_inj[h];
-    row[LOG_MINLANES] = ck->pk_minlanes[h];
-    row[LOG_MEASURED] = ck->pk_measured[h];
-    row[LOG_RECEIVED] = cycle;
-    log->len += LOG_WIDTH;
-    ck->log_measured += ck->pk_measured[h];
     ck->pk_live[h] = 0;
     ck->hfree[ck->hfree_len++] = h;
     return 0;
@@ -1266,8 +1272,11 @@ OUT_OF_LINE i64 cycle_body(CK *ck) {
                             if (el < pk_minlanes[pkt])
                                 pk_minlanes[pkt] = el;
                         }
-                        if (is_tail && complete_packet(ck, pkt, cycle))
-                            ERR3(E_NOMEM, 0, 0, 0);
+                        if (is_tail) {
+                            i64 rc = complete_packet(ck, pkt, cycle);
+                            if (rc)
+                                return rc;
+                        }
                     } else {
                         i64 rpo2 = base + op;
                         if (is_head) {
@@ -1322,11 +1331,11 @@ OUT_OF_LINE i64 cycle_body(CK *ck) {
     return 0;
 }
 
-/* One cycle, traffic offered by the caller; returns the completion-log
- * row count (or a negative error code). */
+/* One cycle, traffic offered by the caller; returns the packets finished
+ * since the wrapper last took them (or a negative error code). */
 i64 ck_step(CK *ck) {
     i64 rc = cycle_body(ck);
-    return rc < 0 ? rc : ck->log.len / LOG_WIDTH;
+    return rc < 0 ? rc : ck->take[TAKE_ROWS];
 }
 
 /* ---- a span of whole cycles with the open-loop source inside ------------ */
@@ -1357,7 +1366,8 @@ i64 ck_run(CK *ck, i64 max_cycles, i64 created,
     while (done < max_cycles) {
         if (!ck->body_pending) {
             if ((birth_budget >= 0 && created + n > birth_budget) ||
-                (need_measured >= 0 && ck->log_measured >= need_measured))
+                (need_measured >= 0 &&
+                 ck->take[TAKE_RECORDS] >= need_measured))
                 break;
             i64 opens = 0;
             for (i64 node = 0; node < n; node++) {
@@ -1425,9 +1435,9 @@ i64 ck_run(CK *ck, i64 max_cycles, i64 created,
  * PK_FIELDS packet-record arrays up to pk_top, the free-handle stack.
  * The static tensors are not in it (ck_load expects the shape's image
  * to be written already); neither is the span source, which is handed
- * back to Python before an image is taken, nor the completion log,
- * which the wrapper empties after every call, nor body_pending, which
- * never outlives one CKernel.run. */
+ * back to Python before an image is taken, nor the finished packets'
+ * take, which the wrapper empties after every call, nor body_pending,
+ * which never outlives one CKernel.run. */
 enum { IMG_HEADER = 7, IMG_SCALARS = 4, PK_FIELDS = 10 };
 
 /* memcpy of n ints that may come from (or go to) a buffer never grown */
@@ -1439,7 +1449,7 @@ static void copy_ints(i64 *dst, const i64 *src, i64 n) {
 static void pk_fields(CK *ck, i64 **f) {
     f[0] = ck->pk_id; f[1] = ck->pk_src; f[2] = ck->pk_dst;
     f[3] = ck->pk_nflits; f[4] = ck->pk_minlanes; f[5] = ck->pk_hops;
-    f[6] = ck->pk_inj; f[7] = ck->pk_created; f[8] = ck->pk_measured;
+    f[6] = ck->pk_inj; f[7] = ck->pk_created; f[8] = ck->pk_flags;
     f[9] = ck->pk_live;
 }
 
@@ -1569,4 +1579,71 @@ void ck_lane_view(CK *ck, i64 *head, i64 *indexed, i64 *on_link,
     }
     for (i64 i = 0; i < ck->nnodes; i++)
         queued[i] += ck->srcq[i].len;
+}
+
+/* ---- finished packets: latency records and held rows ------------------ */
+/* floor division for b > 0, as Python's // */
+static inline i64 floor_div(i64 a, i64 b) {
+    i64 q = a / b;
+    return q - (a % b < 0);
+}
+
+/* Packet h, finished at cycle `received`: if measured, its latency record
+ * -- the twin of repro.noc.stats.NetworkStats.record_completions, Fig
+ * 8(a)'s queuing / transfer / blocking split with its negative-slack clamp,
+ * and E_BOUND (packet id, in-network cycles, the per-hop minimum) for a
+ * packet faster than the pipeline -- then, if Python holds it, its held
+ * row.  Returns 0 or the error code. */
+AFTER_THE_WALK static i64 finish_packet(CK *ck, i64 h, i64 received) {
+    i64 *take = ck->take;
+    i64 stride = take[TAKE_STRIDE];
+    if (take[TAKE_RECORDS] == stride || take[TAKE_HELD] == stride) {
+        i64 nc = stride ? 2 * stride : 1024;
+        i64 *nb = (i64 *)malloc((size_t)(TAKE_COLS * nc) * sizeof(i64));
+        if (!nb)
+            ERR3(E_NOMEM, 0, 0, 0);
+        for (i64 k = 0; ck->cols && k < TAKE_COLS; k++)
+            copy_ints(nb + k * nc, ck->cols + k * stride,
+                      take[k < HELD_HANDLE ? TAKE_RECORDS : TAKE_HELD]);
+        free(ck->cols);
+        ck->cols = nb;
+        take[TAKE_STRIDE] = stride = nc;
+    }
+    i64 record = -1;
+    if (ck->pk_flags[h] & PK_MEASURED) {
+        const i64 base = ck->po, minimum = ck->hop * ck->pk_hops[h] + base;
+        const i64 lanes = ck->pk_minlanes[h] > 0 ? ck->pk_minlanes[h] : 1;
+        i64 total = received - ck->pk_created[h];
+        i64 queuing = ck->pk_inj[h] - ck->pk_created[h];
+        i64 transfer = minimum - floor_div(1 - ck->pk_nflits[h], lanes);
+        i64 blocking = total - queuing - transfer;
+        if (blocking < 0) {
+            if (total - queuing < minimum)
+                ERR3(E_BOUND, ck->pk_id[h], total - queuing, minimum);
+            transfer = total - queuing;
+            blocking = 0;
+        }
+        const i64 row[] = {
+            ck->pk_id[h], ck->pk_src[h], ck->pk_dst[h], ck->pk_nflits[h],
+            ck->pk_hops[h], total, queuing, transfer, blocking,
+        };
+        record = take[TAKE_RECORDS]++;
+        for (i64 k = REC_ID; k < HELD_HANDLE; k++)
+            ck->cols[k * stride + record] = row[k];
+    }
+    if (ck->pk_flags[h] & PK_HELD) {
+        const i64 row[] = {
+            h, record, ck->pk_hops[h], ck->pk_minlanes[h], ck->pk_inj[h],
+            received,
+        };
+        i64 n = take[TAKE_HELD]++;
+        for (i64 k = HELD_HANDLE; k < TAKE_COLS; k++)
+            ck->cols[k * stride + n] = row[k - HELD_HANDLE];
+    }
+    return 0;
+}
+
+/* finish_packet for a test: rows of its own through the record formula */
+AFTER_THE_WALK i64 ck_finish(CK *ck, i64 h, i64 received) {
+    return finish_packet(ck, h, received);
 }

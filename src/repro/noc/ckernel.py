@@ -64,15 +64,18 @@ runs over a flat integer arena; this module owns everything around it:
   ``"c"`` runs at event speed (EXPERIMENTS.md, "Fallback rules").
 
 Packets cross the FFI as integer handles from one C-side allocator.
-Packets handed to :meth:`Network.enqueue` keep their Python object in a
-handle table; packets born inside a span exist only as C records until
-they finish (a row of the completion log).  A cycle's log and a span's
-are emptied alike (:meth:`CKernel._reduce_log`): counters by arithmetic
-over whole columns, the measured rows, as columns, through
-:meth:`NetworkStats.record_completions
-<repro.noc.stats.NetworkStats.record_completions>` as under the event
-kernel, then ``on_delivery`` for each Packet object in finishing order
-(a span-born packet has none, and a callback keeps a run off spans).
+Packets handed to :meth:`Network.enqueue` (*held* packets) keep their
+Python object in a handle table; packets born inside a span exist only
+as C records.  C writes what a finished packet leaves behind as it
+finishes: tallies of packets and flits, a measured packet's latency
+record -- the twin of :meth:`NetworkStats.record_completions
+<repro.noc.stats.NetworkStats.record_completions>`, the event kernel's
+reducer -- as a row of per-column buffers, and a held packet's row of the
+held log.  After a cycle or a span :meth:`CKernel._take` brings them
+onto the network alike: the counters, the record columns extended onto
+the latency sample, then the held Packets finished and ``on_delivery``
+fired for each in finishing order (a span-born packet has none, and a
+callback keeps a run off spans).
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ import warnings
 import weakref
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -205,11 +207,10 @@ def _bind(lib: ctypes.CDLL) -> None:
         fn.restype = restype
         fn.argtypes = list(argtypes)
 
-    sig("ck_new", void_p, *([i64] * 9))
+    sig("ck_new", void_p, *([i64] * 10))
     sig("ck_free", None, void_p)
     sig("ck_arr", p_i64, void_p, i64)
     sig("ck_get", i64, void_p, i64)
-    sig("ck_set", None, void_p, i64, i64)
     sig("ck_step", i64, void_p)
     sig("ck_run", i64, void_p, *([i64] * 9))
     sig("ck_rng_words", void_p, void_p, i64)
@@ -226,6 +227,7 @@ def _bind(lib: ctypes.CDLL) -> None:
     sig("ck_image_size", i64, void_p)
     sig("ck_dump", None, void_p, i64, ctypes.c_char_p)
     sig("ck_load", i64, void_p, i64, ctypes.c_char_p, i64)
+    sig("ck_finish", i64, void_p, i64, i64)
 
 
 def load_kernel_library() -> ctypes.CDLL:
@@ -359,30 +361,27 @@ def warn_unavailable(reason: str) -> None:
     A_BW, A_BR, A_XB, A_RC, A_VA, A_ARB, A_CF, A_CS, A_MG, A_OC,
     A_LF, A_LB,
     A_PK_ID, A_PK_SRC, A_PK_DST, A_PK_NFLITS, A_PK_MINLANES, A_PK_HOPS,
-    A_PK_INJ, A_PK_CREATED, A_PK_MEASURED, A_PK_LIVE,
-    A_LOG,
+    A_PK_INJ, A_PK_CREATED, A_PK_FLAGS, A_PK_LIVE,
+    A_COLS,
     A_SS_ON, A_SS_REMAINING, A_DST_OFF, A_DST_TAB,
-) = range(71)
+    A_TAKE,
+) = range(72)
 
 (
-    S_CYCLE, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_NLOG, S_PEND, S_PK_TOP,
+    S_CYCLE, S_ERR, S_ERR_A, S_ERR_B, S_ERR_C, S_PEND, S_PK_TOP,
     S_BORN, S_BODY_PENDING,
-) = range(10)
+) = range(9)
 
-#: ints per completion-log row, in this order (the C ``LOG_*`` enum).
-(
-    LOG_HANDLE, LOG_ID, LOG_SRC, LOG_DST, LOG_NFLITS, LOG_HOPS, LOG_CREATED,
-    LOG_INJ, LOG_MINLANES, LOG_MEASURED, LOG_RECEIVED, LOG_WIDTH,
-) = range(12)
-#: the log fields :meth:`NetworkStats.record_completions` takes, in its
-#: argument order (the class names follow them).
-_SAMPLE_FIELDS = (
-    LOG_ID, LOG_SRC, LOG_DST, LOG_NFLITS, LOG_HOPS, LOG_CREATED, LOG_INJ,
-    LOG_MINLANES, LOG_RECEIVED,
-)
-#: rows a span reduces per chunk of columns: bounds the transient lists
-#: of Python ints a 100,000-packet drain would otherwise build in one go.
-_SPAN_LOG_ROWS = 8192
+#: ``pk_flags`` bits (the C ``PK_*`` enum).
+PK_MEASURED, PK_HELD = 1, 2
+#: the finished packets' tallies, zeroed once taken, then the stride of
+#: the columns they fill (the C ``TAKE_*`` enum).
+TAKE_ROWS, TAKE_FLITS, TAKE_RECORDS, TAKE_HELD, TAKE_STRIDE = range(5)
+#: those columns (the C ``REC_*`` / ``HELD_*`` enum): a measured packet's
+#: record, :class:`~repro.noc.stats.LatencyRecord`'s integer fields in its
+#: order, then a held packet's handle, record index (-1: unmeasured), hops,
+#: min lanes, injection and receive cycles.
+HELD_HANDLE, TAKE_COLS = 9, 15
 
 #: every code ``ck_step``/``ck_run`` can return (the C ``E_*`` enum, walked
 #: by a test): exception type and message over the three error operands.
@@ -394,7 +393,7 @@ _ERRORS = {
                        "packet {b} at queue head without its head flit"),
     -4: (RuntimeError, "switch traversal popped an unexpected flit"),
     -5: (RuntimeError, "negative credits at router {a} port {b} vc {c}"),
-    -6: (MemoryError, "compiled kernel out of memory (completion log, "
+    -6: (MemoryError, "compiled kernel out of memory (record columns, "
                       "packet records or event calendar)"),
     -7: (RuntimeError, "event from router {a} port {b} scheduled outside "
                        "the calendar ring"),
@@ -403,6 +402,10 @@ _ERRORS = {
     -9: (ValueError, "arena image refused at word {a} (read {b}, expected "
                      "{c}): another kernel source, network shape or a "
                      "truncated image"),
+    # what NetworkStats.record_completions raises for the same packet
+    -10: (RuntimeError, "packet {a} beat the per-hop pipeline bound ({b} < "
+                        "{c} cycles); the router model violated its own "
+                        "timing"),
 }
 
 _INJECTOR_KINDS = {"bernoulli": 0, "pareto": 1}
@@ -589,11 +592,18 @@ class CKernel:
         ck = lib.ck_new(
             R, P, V, self.nnodes, po, cd,
             1 if net._merging else 0, self.cal_sz, self.D,
+            net.config.link_delay,
         )
         if not ck:
             raise CKernelUnavailable("ck_new returned NULL (out of memory)")
         self._ck = ck
         self._finalizer = weakref.finalize(self, lib.ck_free, ck)
+        #: the finished packets' tallies (``TAKE_*``), read in place
+        self._tally = self._view(A_TAKE, TAKE_STRIDE + 1)
+        #: the columns they fill, read in place, and the stride they were
+        #: read at (C moves them only when the stride grows)
+        self._cols: Optional[memoryview] = None
+        self._stride = 0
         self._hmap: Dict[int, int] = {  # id(packet) -> handle
             id(packet): h for h, packet in enumerate(self._handles)
             if packet is not None
@@ -640,20 +650,10 @@ class CKernel:
             packet.num_flits,
             -1 if packet.injected_at is None else packet.injected_at,
             -1 if packet.min_lanes is None else packet.min_lanes,
-            packet.hops, packet.created_at, 1 if packet.measured else 0,
+            packet.hops, packet.created_at,
+            PK_HELD | PK_MEASURED if packet.measured else PK_HELD,
         )
         return h
-
-    def _held(self, h: int) -> Optional[Packet]:
-        """The Packet object behind handle ``h``; ``None`` for a packet
-        born in a span that exists only as its C record."""
-        handles = self._handles
-        return handles[h] if h < len(handles) else None
-
-    def _let_go(self, h: int, packet: Packet) -> None:
-        """Forget a finished packet (C released the handle already)."""
-        del self._hmap[id(packet)]
-        self._handles[h] = None
 
     # -- the arena's state --------------------------------------------------
     def _fill_static(self) -> None:
@@ -695,14 +695,6 @@ class CKernel:
             self._raise_error(rc)
 
     # -- stepping ---------------------------------------------------------
-    def _log(self, rows: int) -> memoryview:
-        """The completion log's first ``rows`` rows, read in place as one
-        flat int64 view: field ``f`` of every row is the strided column
-        ``log[f::LOG_WIDTH]``.  Valid until the next ``ck_step`` /
-        ``ck_run``, which may move the buffer."""
-        log = self._view(A_LOG, rows * LOG_WIDTH)
-        return memoryview(log).cast("B").cast("q")
-
     def step(self) -> None:
         self._refuse_while_lent("step()")
         net = self.net
@@ -710,7 +702,8 @@ class CKernel:
         rows = self.lib.ck_step(self._ck)
         if rows < 0:
             self._raise_error(rows)
-        self._reduce_log(rows)
+        if rows:
+            self._take()
         net.cycle = cycle + 1
 
     def run(self, span: Span) -> Tuple[int, int]:
@@ -755,74 +748,62 @@ class CKernel:
         net.next_packet_id += born
         net.packets_in_flight += born
         net.cycle += ran
-        self._reduce_log(lib.ck_get(ck, S_NLOG))
+        self._take()
         if measure_from is not None:
             net._stats.packets_offered += max(
                 0, created + born - max(created, measure_from)
             )
         return ran, born
 
-    def _reduce_log(self, rows: int) -> None:
-        """Empty a completion log of ``rows`` rows, a cycle's or a span's:
-        counters by arithmetic over whole columns, the measured rows into
-        the latency sample, then ``on_delivery`` for each packet Python
-        enqueued, in finishing order."""
+    def _take(self) -> None:
+        """Bring the packets finished since the last take onto the
+        network, a cycle's or a span's: the counters from C's tallies,
+        the latency records C wrote onto the sample, then each held
+        Packet finished, and ``on_delivery`` fired for it, in finishing
+        order."""
+        tally = self._tally
+        rows, flits, records, held, stride = tally[:]
         if not rows:
             return
+        tally[:TAKE_STRIDE] = (0,) * TAKE_STRIDE
         net = self.net
-        stats = net._stats
-        log = self._log(rows)
-        stages = net.config.router_pipeline_stages
-        link_delay = net.config.link_delay
-        flits_done = 0
+        if stride != self._stride:
+            cols = self._view(A_COLS, TAKE_COLS * stride)
+            self._cols = memoryview(cols).cast("B").cast("q")
+            self._stride = stride
+        cols = self._cols
+        classes = ["data"] * records
         released: List[Packet] = []
-        for start in range(0, rows, _SPAN_LOG_ROWS):
-            count = min(_SPAN_LOG_ROWS, rows - start)
-            chunk = log[start * LOG_WIDTH:(start + count) * LOG_WIDTH]
-            flits_done += sum(chunk[LOG_NFLITS::LOG_WIDTH])
-            classes = ["data"] * count
-            if self._hmap:
-                self._release_held(chunk, classes, released)
-            measured = chunk[LOG_MEASURED::LOG_WIDTH]
-            wanted = sum(measured)
-            if not wanted:
-                continue
-            fields = [
-                chunk[field::LOG_WIDTH].tolist() for field in _SAMPLE_FIELDS
-            ] + [classes]
-            if wanted < count:
-                fields = [list(compress(field, measured)) for field in fields]
-            stats.record_completions(*fields, stages, link_delay)
-        self.lib.ck_set(self._ck, S_NLOG, 0)
+        if held:
+            handles = self._handles
+            for h, record, hops, lanes, injected, received in zip(*[
+                cols[at:at + held].tolist()
+                for at in range(HELD_HANDLE * stride, TAKE_COLS * stride,
+                                stride)
+            ]):
+                # C released the handle already: forget the packet
+                packet = handles[h]
+                handles[h] = None
+                del self._hmap[id(packet)]
+                packet.hops = hops
+                packet.min_lanes = None if lanes < 0 else lanes
+                packet.injected_at = injected
+                packet.received_at = received
+                if record >= 0:
+                    classes[record] = packet.packet_class
+                released.append(packet)
+        if records:
+            net._stats.add_records(*[
+                cols[at:at + records].tolist()
+                for at in range(0, HELD_HANDLE * stride, stride)
+            ], classes)
         net.packets_in_flight -= rows
         net.total_delivered += rows
-        net._clean_flits += flits_done
+        net._clean_flits += flits
         on_delivery = net.on_delivery
         if on_delivery is not None:
             for packet in released:
                 on_delivery(packet, packet.received_at)
-
-    def _release_held(self, chunk: memoryview, classes: List[str],
-                      released: List[Packet]) -> None:
-        """Finish the Packet objects among a chunk of completion-log rows
-        (packets Python enqueued): note each one's class by row and append
-        it to ``released``."""
-        # A held packet always finishes before its handle can be reissued
-        # (``on_delivery``, which may enqueue, runs once the whole log is
-        # read), and rows are in finishing order, so a Packet found here
-        # is its row's packet.
-        for row, h in enumerate(chunk[LOG_HANDLE::LOG_WIDTH].tolist()):
-            packet = self._held(h)
-            if packet is not None:
-                self._let_go(h, packet)
-                at = row * LOG_WIDTH
-                lanes = chunk[at + LOG_MINLANES]
-                packet.hops = chunk[at + LOG_HOPS]
-                packet.min_lanes = None if lanes < 0 else lanes
-                packet.injected_at = chunk[at + LOG_INJ]
-                packet.received_at = chunk[at + LOG_RECEIVED]
-                classes[row] = packet.packet_class
-                released.append(packet)
 
     def _lend(self, source: SpanSource) -> Tuple[int, int]:
         """Make ``source`` the one the C side draws from -- tables,

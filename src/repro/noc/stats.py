@@ -254,8 +254,9 @@ class NetworkStats:
     ) -> None:
         """Record measured packets, given as columns of their plain fields
         (a row per packet, in finishing order), on routers of ``stages``
-        pipeline stages and links of ``link_delay`` cycles: the one place
-        a finished packet becomes a latency record, on every kernel.
+        pipeline stages and links of ``link_delay`` cycles: the reference
+        formula of a latency record, which the event kernel calls and the
+        compiled kernel's ``finish_packet`` twins (:meth:`add_records`).
 
         ``min_lanes`` below 1 (or ``None``) means the narrowest link is
         unknown and counts as one lane.
@@ -295,6 +296,14 @@ class NetworkStats:
         self.packets_delivered += len(total)
         self.flits_delivered += sum(num_flits)
 
+    def add_records(self, *columns: Sequence) -> None:
+        """Append latency records another writer has already reduced --
+        the compiled kernel's twin of :meth:`record_completions` -- given
+        as whole columns in :attr:`LatencySample.COLUMNS` order."""
+        self.records._extend(*columns)
+        self.packets_delivered += len(columns[0])
+        self.flits_delivered += sum(columns[3])
+
     # -- aggregate latency metrics -------------------------------------------
     def _mean(self, column: List[int]) -> float:
         if not column:
@@ -304,14 +313,6 @@ class NetworkStats:
     @property
     def avg_latency_cycles(self) -> float:
         return self._mean(self.records.total)
-
-    @property
-    def avg_network_latency_cycles(self) -> float:
-        """Mean latency excluding source queuing (in-network time only)."""
-        records = self.records
-        return self._mean(
-            [t - q for t, q in zip(records.total, records.queuing)]
-        )
 
     @property
     def avg_queuing_cycles(self) -> float:
@@ -338,26 +339,12 @@ class NetworkStats:
         (nearest rank, see :func:`_nearest_rank`)."""
         return _nearest_rank(sorted(self.records.total), fraction)
 
-    def latency_std_cycles(self) -> float:
-        """Standard deviation of packet latency (Figure 13b's jitter)."""
-        totals = self.records.total
-        mean = self._mean(totals)
-        return math.sqrt(sum((t - mean) ** 2 for t in totals) / len(totals))
-
     # -- throughput -----------------------------------------------------------
     @property
     def accepted_packets_per_node_per_cycle(self) -> float:
         if self.measured_cycles == 0:
             raise ValueError("measurement window is empty")
         return self.window_packet_deliveries / (
-            self.measured_cycles * self.num_nodes
-        )
-
-    @property
-    def accepted_flits_per_node_per_cycle(self) -> float:
-        if self.measured_cycles == 0:
-            raise ValueError("measurement window is empty")
-        return self.window_flit_deliveries / (
             self.measured_cycles * self.num_nodes
         )
 
