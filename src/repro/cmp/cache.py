@@ -112,13 +112,6 @@ class SetAssociativeCache:
         self.misses += 1
         return False, None
 
-    def victim_for(self, address: int) -> Optional[CacheLine]:
-        """Line that :meth:`insert` would evict for ``address``."""
-        block, cache_set = self._locate(address)
-        if block in cache_set or len(cache_set) < self._associativity:
-            return None
-        return next(iter(cache_set.values()))
-
     def insert(self, address: int, state: str) -> Optional[CacheLine]:
         """Install a block; returns the evicted line, if any.
 
@@ -148,10 +141,6 @@ class SetAssociativeCache:
             yield from self._sets[index].values()
 
     @property
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets.values())
-
-    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
@@ -165,14 +154,6 @@ class MSHREntry:
     is_write: bool
     issued_at: int
     waiters: List[object] = field(default_factory=list)
-    # Set when an invalidation arrives while the fill is still in flight
-    # (the INV overtook the DATA on a different virtual channel): the line
-    # is installed, consumed by the waiters, then dropped immediately.
-    invalidate_on_fill: bool = False
-    # A FWD_GETS/FWD_GETX that overtook our own grant (the home granted us
-    # ownership and immediately forwarded the next requester; the forward
-    # won the race through the network).  Serviced right after the fill.
-    pending_forward: Optional[object] = None
 
 
 class MSHRFile:

@@ -1,4 +1,4 @@
-"""Two-level directory-based MESI coherence protocol (Table 2).
+"""Two-level directory-based MESI coherence protocol (Table 2), as data.
 
 Private L1s are kept coherent by directories co-located with the shared
 L2's home banks.  Every protocol action is a message that travels through
@@ -24,23 +24,20 @@ MEM_DATA     data    memory controller -> home fill
 MEM_WRITE    data    dirty L2 eviction -> memory controller
 ===========  ======  ====================================================
 
-The home bank serializes transactions per block (a busy block queues later
-requests), which keeps the protocol free of most races; the remaining
-PUTX-vs-forward race is handled with a writeback buffer at the L1.
-
-Known approximation (timing model): when the (inclusive) L2 evicts a line
-with L1 copies, the home sends fire-and-forget INVs and drops the late
-acknowledgements instead of blocking the fill on a full recall; DESIGN.md
-records this.  L2 banks are large enough (1 MB, 16-way) that such recalls
-are rare in the evaluated workloads.
+Each controller is a transition table, as in gem5 Ruby's SLICC
+controllers: ``state_of`` names a block's state, ``_classify`` turns a
+message and the protocol's guards into an event, and ``_fire`` runs the
+``TABLE`` row ``(state, event) -> (actions, next state)``.  A message a
+transient state cannot take is deferred, and replayed once the block is
+stable again.  Known defects stay rows until ROADMAP item 2 edits them;
+the fire-and-forget L2 recall is an approximation DESIGN.md records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Set
-
 from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.cmp.cache import (
     EXCLUSIVE,
@@ -58,6 +55,9 @@ DATA_MESSAGE_BITS = 1024
 DATA_MESSAGES = frozenset(
     {"PUTX", "DATA", "DATA_E", "DATA_X", "OWNER_DATA", "MEM_DATA", "MEM_WRITE"}
 )
+MESSAGE_TYPES = DATA_MESSAGES | {
+    "GETS", "GETX", "WB_ACK", "INV", "INV_ACK", "FWD_GETS", "FWD_GETX", "MEM_READ"
+}
 
 
 @dataclass
@@ -79,14 +79,103 @@ class Message:
         return DATA_MESSAGE_BITS if self.mtype in DATA_MESSAGES else ADDRESS_MESSAGE_BITS
 
 
-#: the line state each kind of grant installs.
-_FILL_STATE = {"DATA": SHARED, "DATA_E": EXCLUSIVE, "DATA_X": MODIFIED}
-
 SendFn = Callable[[Message], None]
 ScheduleFn = Callable[[int, Callable[[], None]], None]
 
 
-class L1Controller:
+class ProtocolError(RuntimeError):
+    """A controller met a (state, event) pair its table has no row for."""
+
+
+def _table(*rows) -> Dict[Tuple[str, str], tuple]:
+    """Rows ``(states, events, actions, next state)``, SLICC style: a
+    state or event may be a tuple of them, and a next state of None
+    keeps the state."""
+    table = {}
+    for states, events, actions, next_state in rows:
+        for state in (states,) if isinstance(states, str) else states:
+            for event in (events,) if isinstance(events, str) else events:
+                if (state, event) in table:
+                    raise ValueError(f"two rows for ({state}, {event})")
+                table[state, event] = (actions, state if next_state is None else next_state)
+    return table
+
+
+class _TableController:
+    """The interpreter both controllers share.  A controller defines
+    ``state_of``, ``STABLE`` and ``TRANSIENT`` (its state names),
+    ``TABLE`` and ``MESSAGES`` (the message types that are its events)."""
+
+    def _classify(self, state: str, msg: Message) -> str:
+        return msg.mtype
+
+    def handle(self, msg: Message) -> None:
+        state = self.state_of(msg.block)
+        self._fire(msg.block, state, self._classify(state, msg), msg)
+
+    def _fire(self, block: int, state: str, event: str, arg) -> Tuple[Callable, ...]:
+        row = self.TABLE.get((state, event))
+        if row is None:
+            raise ProtocolError(
+                f"{type(self).__name__} at node {self.node}: block {block:#x} "
+                f"in state {state} has no row for event {event}"
+            )
+        actions, next_state = row
+        for action in actions:
+            action(self, block, arg)
+        if next_state in self.TRANSIENT:
+            self.transient[block] = next_state
+        else:
+            self.transient.pop(block, None)
+            queue = self.deferred.get(block)
+            if queue:
+                msg = queue.popleft()
+                if not queue:
+                    del self.deferred[block]
+                self.handle(msg)
+        return actions
+
+    def _send(self, mtype: str, block: int, dst: int, **fields) -> None:
+        self.send(Message(mtype=mtype, block=block, src=self.node, dst=dst, **fields))
+
+
+def _defer(self: _TableController, block: int, msg: Message) -> None:
+    """Action: hold ``msg`` back until ``block`` enters a stable state."""
+    self.deferred.setdefault(block, deque()).append(msg)
+
+
+# -- L1 ------------------------------------------------------------------------
+I, S, E, M = INVALID, SHARED, EXCLUSIVE, MODIFIED
+#: read / write / upgrade (S held) miss in flight, waiting for its grant
+IS_D, IM_D, SM_D = "IS_D", "IM_D", "SM_D"
+#: a read miss an INV crossed: the fill serves the waiters, then goes
+IS_D_I = "IS_D_I"
+#: a miss with a forward parked on its fill (replayed once it lands)
+IS_D_F, IM_D_F, SM_D_F = "IS_D_F", "IM_D_F", "SM_D_F"
+#: a PUTX in flight, until its WB_ACK
+MI_A = "MI_A"
+#: the actions of a hit row.  ``request`` serves every hit row itself (a
+#: store enters M, then the core waits the L1 latency), so ``_fire``
+#: never runs one
+HIT = "hit"
+
+
+def _fill(state: str) -> Callable:
+    """Action: install the granted line in ``state``; the line it pushes
+    out takes its own REPLACEMENT row."""
+
+    def action(self, block, msg) -> None:
+        victim = self.cache.insert(block, state)
+        if state == M:
+            self.cache.probe(block).dirty = True
+        if victim is not None:
+            vb = victim.block
+            self._fire(vb, self.transient.get(vb, victim.state), "REPLACEMENT", victim)
+
+    return action
+
+
+class L1Controller(_TableController):
     """Private L1 cache controller for one core."""
 
     def __init__(
@@ -100,19 +189,27 @@ class L1Controller:
     ) -> None:
         self.node = node
         self.cache = SetAssociativeCache(cache_config)
+        self._block_bytes = cache_config.block_bytes
+        self._latency = cache_config.latency
         self.mshrs = MSHRFile(mshr_capacity)
         self.home_of = home_of
         self.send = send
         self.schedule = schedule
-        # blocks with a PUTX in flight (until their WB_ACK).
-        self.writeback_buffer: Set[int] = set()
+        self.transient: Dict[int, str] = {}
+        self.deferred: Dict[int, Deque[Message]] = {}
         self.loads = 0
         self.stores = 0
         #: optional hook fired when a miss completes:
         #: (block, issue_cycle, via_memory, is_write) -> None
         self.on_miss_complete: Optional[Callable[[int, int, bool, bool], None]] = None
 
-    # -- core-facing interface ------------------------------------------------
+    def state_of(self, block: int) -> str:
+        state = self.transient.get(block)
+        if state is None:
+            line = self.cache.probe(block)
+            state = line.state if line is not None else INVALID
+        return state
+
     def request(
         self,
         address: int,
@@ -123,193 +220,134 @@ class L1Controller:
         """Core demand access.  Returns ``"hit"``, ``"miss"`` or ``"blocked"``.
 
         On a hit the completion callback fires after the L1 latency; on a
-        miss it fires when the fill arrives.  ``"blocked"`` means the MSHR
-        file is full (or the block already has a conflicting outstanding
-        miss that cannot be merged) and the core must retry.
+        miss it fires when the fill arrives.  ``"blocked"`` means the row
+        refuses the access (no free MSHR, a read miss in flight under a
+        write, a PUTX in flight) and the core must retry.
         """
         if is_write:
             self.stores += 1
         else:
             self.loads += 1
-        block = self.cache.config.block_address(address)
-        if block in self.writeback_buffer:
-            # Our own PUTX for this block is still in flight; requesting
-            # it again now could reach the home before the PUTX and leave
-            # a stale writeback to clobber the new directory entry.
-            # Stall until the WB_ACK clears the buffer.
-            return "blocked"
-        hit, line = self.cache.access(address)
-        if hit:
-            if not is_write or line.state in (MODIFIED, EXCLUSIVE):
+        block = address - address % self._block_bytes
+        state = self.transient.get(block)
+        if state is not MI_A:
+            # The demand lookup counts a hit or miss and touches LRU; an
+            # access to a block whose PUTX is in flight is refused first.
+            hit, line = self.cache.access(address)
+            if state is None:
+                state = line.state if hit else INVALID
+            # The HIT rows of the table, served here: a store hit enters M.
+            if state in (_STORE_HITS if is_write else _LOAD_HITS):
                 if is_write:
-                    line.state = MODIFIED
+                    line.state = M
                     line.dirty = True
-                self.schedule(self.cache.config.latency, on_complete)
+                self.schedule(self._latency, on_complete)
                 return "hit"
-            # Write to a Shared line: upgrade via GETX.
-            hit = False
-        entry = self.mshrs.lookup(block)
-        if entry is not None:
-            if is_write and not entry.is_write:
-                # A read miss is outstanding and a write wants the block:
-                # simplest correct handling is to retry once it returns.
-                return "blocked"
-            entry.waiters.append(on_complete)
-            return "miss"
-        if self.mshrs.full:
-            return "blocked"
-        entry = self.mshrs.allocate(block, is_write, cycle)
-        entry.waiters.append(on_complete)
-        self.send(
-            Message(
-                mtype="GETX" if is_write else "GETS",
-                block=block,
-                src=self.node,
-                dst=self.home_of(block),
-            )
-        )
-        return "miss"
+        event = "STORE" if is_write else "LOAD"
+        if state in self.STABLE and self.mshrs.full:
+            event = "STORE_FULL" if is_write else "LOAD_FULL"
+        actions = self._fire(block, state, event, (is_write, cycle, on_complete))
+        return "miss" if actions else "blocked"
 
-    # -- network-facing interface ----------------------------------------------
-    def handle(self, msg: Message) -> None:
-        handler = self._HANDLERS.get(msg.mtype)
-        if handler is None:
-            raise ValueError(f"L1 at node {self.node} got unexpected {msg.mtype}")
-        handler(self, msg)
+    # -- actions: (self, block, the message or the core access) -----------------
+    def _allocate(self, block, access) -> None:
+        is_write, cycle, on_complete = access
+        self.mshrs.allocate(block, is_write, cycle).waiters.append(on_complete)
 
-    def _on_data(self, msg: Message) -> None:
-        state = _FILL_STATE[msg.mtype]
-        victim = self.cache.insert(msg.block, state)
-        line = self.cache.lookup(msg.block)
-        if state == MODIFIED:
-            line.dirty = True
-        if victim is not None and victim.state == MODIFIED:
-            self._write_back(victim.block)
-        entry = self.mshrs.release(msg.block)
+    def _request_home(self, block, access) -> None:
+        self._send("GETX" if access[0] else "GETS", block, self.home_of(block))
+
+    def _putx(self, block, arg) -> None:
+        self._send("PUTX", block, self.home_of(block))
+
+    def _merge(self, block, access) -> None:
+        self.mshrs.lookup(block).waiters.append(access[2])
+
+    def _complete(self, block, msg) -> None:
+        entry = self.mshrs.release(block)
         if self.on_miss_complete is not None:
-            self.on_miss_complete(
-                msg.block, entry.issued_at, msg.via_memory, entry.is_write
-            )
+            self.on_miss_complete(block, entry.issued_at, msg.via_memory, entry.is_write)
         for waiter in entry.waiters:
             waiter()
-        if entry.pending_forward is not None:
-            # Service the forward that overtook this fill: the line is
-            # resident now, so the normal handler applies.
-            self.handle(entry.pending_forward)
-        elif entry.invalidate_on_fill and msg.mtype != "DATA_X":
-            # A crossed invalidation: the waiters consumed the fill, but
-            # the copy must not linger (the directory no longer lists us).
-            self.cache.invalidate(msg.block)
 
-    def _write_back(self, block: int) -> None:
-        self.writeback_buffer.add(block)
-        self.send(
-            Message(
-                mtype="PUTX", block=block, src=self.node, dst=self.home_of(block)
-            )
-        )
+    def _touch(self, block, msg) -> None:
+        self.cache.lookup(block)
 
-    def _on_inv(self, msg: Message) -> None:
-        line = self.cache.invalidate(msg.block)
-        # A Modified line can be INVed only by the L2-eviction recall path;
-        # its data rides back as a writeback so memory stays current.
-        if line is not None and line.state == MODIFIED:
-            self._write_back(msg.block)
-        if line is None:
-            # The INV may have overtaken a read fill still in flight on
-            # another virtual channel; remember to drop the line once the
-            # data lands, else this cache becomes an invisible sharer.
-            entry = self.mshrs.lookup(msg.block)
-            if entry is not None and not entry.is_write:
-                entry.invalidate_on_fill = True
-        self.send(
-            Message(
-                mtype="INV_ACK", block=msg.block, src=self.node, dst=msg.src
-            )
-        )
+    def _to_shared(self, block, msg) -> None:
+        line = self.cache.lookup(block)
+        line.state = S
+        line.dirty = False
 
-    def _stash_if_fill_in_flight(self, msg: Message) -> bool:
-        """Forward-overtakes-grant race: the home granted us the block and
-        immediately forwarded the next requester to us, but the forward
-        beat our fill through the network.  Park it on the MSHR entry and
-        service it once the data lands."""
-        entry = self.mshrs.lookup(msg.block)
-        if entry is not None:
-            if entry.pending_forward is not None:
-                raise RuntimeError(
-                    f"two forwards in flight for block {msg.block:#x} at "
-                    f"node {self.node}: the home failed to serialize"
-                )
-            entry.pending_forward = msg
-            return True
-        return False
+    def _drop(self, block, msg) -> None:
+        self.cache.invalidate(block)
 
-    def _on_fwd_gets(self, msg: Message) -> None:
-        line = self.cache.lookup(msg.block)
-        if line is not None and line.state in (MODIFIED, EXCLUSIVE):
-            line.state = SHARED
-            line.dirty = False
-        elif msg.block in self.writeback_buffer:
-            # PUTX crossed the forward on the wire; serve from the
-            # writeback buffer and let the home drop the stale PUTX.
-            pass
-        elif self._stash_if_fill_in_flight(msg):
-            # Forwards target *owners*; without an M/E copy here, the
-            # forward must concern the ownership our outstanding request
-            # is about to receive (it overtook the grant).  A stale S copy
-            # does not make us the owner either.
-            return
-        self.send(
-            Message(
-                mtype="OWNER_DATA",
-                block=msg.block,
-                src=self.node,
-                dst=msg.src,
-                requester=msg.requester,
-            )
-        )
+    def _ack_inv(self, block, msg) -> None:
+        self._send("INV_ACK", block, msg.src)
 
-    def _on_fwd_getx(self, msg: Message) -> None:
-        line = self.cache.lookup(msg.block)
-        if line is not None and line.state in (MODIFIED, EXCLUSIVE):
-            self.cache.invalidate(msg.block)
-        elif msg.block in self.writeback_buffer:
-            pass  # served from the writeback buffer, as for FWD_GETS
-        elif self._stash_if_fill_in_flight(msg):
-            return
-        else:
-            # Silent-eviction fallback: the home still thinks we own the
-            # block; any stale copy must go before we acknowledge.
-            self.cache.invalidate(msg.block)
-        self.send(
-            Message(
-                mtype="OWNER_DATA",
-                block=msg.block,
-                src=self.node,
-                dst=msg.src,
-                requester=msg.requester,
-            )
-        )
+    def _owner_data(self, block, msg) -> None:
+        self._send("OWNER_DATA", block, msg.src, requester=msg.requester)
 
-    def _on_wb_ack(self, msg: Message) -> None:
-        self.writeback_buffer.discard(msg.block)
+    _fill_S, _fill_E, _fill_M = _fill(S), _fill(E), _fill(M)
 
-    _HANDLERS = {
-        "DATA": _on_data,
-        "DATA_E": _on_data,
-        "DATA_X": _on_data,
-        "INV": _on_inv,
-        "FWD_GETS": _on_fwd_gets,
-        "FWD_GETX": _on_fwd_getx,
-        "WB_ACK": _on_wb_ack,
-    }
-
-    # -- invariants (used by tests) ---------------------------------------------
-    def state_of(self, block: int) -> str:
-        line = self.cache.probe(block)
-        return line.state if line is not None else INVALID
+    STABLE = frozenset({I, S, E, M})
+    TRANSIENT = frozenset({IS_D, IS_D_I, IS_D_F, IM_D, IM_D_F, SM_D, SM_D_F, MI_A})
+    TABLE = _table(
+        # -- core accesses; a row with no action refuses (the core retries),
+        # as MI_A does: a re-request could overtake the PUTX to the home
+        (I, "LOAD", (_allocate, _request_home), IS_D),
+        (I, "STORE", (_allocate, _request_home), IM_D),
+        (S, "STORE", (_allocate, _request_home), SM_D),
+        (I, ("LOAD_FULL", "STORE_FULL"), (), None),
+        (S, "STORE_FULL", (), None),
+        ((S, E, M, SM_D, SM_D_F), "LOAD", HIT, None),
+        ((E, M), "STORE", HIT, M),
+        ((IS_D, IS_D_I, IS_D_F, IM_D, IM_D_F), "LOAD", (_merge,), None),
+        ((IM_D, IM_D_F, SM_D, SM_D_F), "STORE", (_merge,), None),
+        ((IS_D, IS_D_I, IS_D_F, MI_A), "STORE", (), None),
+        (MI_A, "LOAD", (), None),
+        # -- grants
+        ((IS_D, IS_D_F), "DATA", (_fill_S, _complete), S),
+        ((IS_D, IS_D_F), "DATA_E", (_fill_E, _complete), E),
+        (IS_D_I, "DATA", (_fill_S, _complete, _drop), I),
+        (IS_D_I, "DATA_E", (_fill_E, _complete, _drop), I),
+        ((IM_D, IM_D_F, SM_D, SM_D_F), "DATA_X", (_fill_M, _complete), M),
+        # -- replacements: a Modified line writes back, a clean one leaves
+        # silently (for E, the home still lists this cache as owner)
+        ((S, E), "REPLACEMENT", (), I),
+        (M, "REPLACEMENT", (_putx,), MI_A),
+        (SM_D, "REPLACEMENT", (), IM_D),
+        (SM_D_F, "REPLACEMENT", (), IM_D_F),
+        # -- invalidations; a Modified line is INVed only by an L2 recall
+        ((I, IS_D_I, IS_D_F, IM_D, IM_D_F, MI_A), "INV", (_ack_inv,), None),
+        (IS_D, "INV", (_ack_inv,), IS_D_I),
+        ((S, E), "INV", (_drop, _ack_inv), I),
+        (M, "INV", (_drop, _putx, _ack_inv), MI_A),
+        (SM_D, "INV", (_drop, _ack_inv), IM_D),
+        (SM_D_F, "INV", (_drop, _ack_inv), IM_D_F),
+        # -- forwards.  Without a line (dropped silently, or its PUTX crossed
+        # the forward) the L1 answers anyway; a miss in flight takes the
+        # forward for its coming grant and parks it: the rows item 2 repairs
+        ((I, MI_A), ("FWD_GETS", "FWD_GETX"), (_owner_data,), None),
+        (S, "FWD_GETS", (_touch, _owner_data), None),
+        ((E, M), "FWD_GETS", (_to_shared, _owner_data), S),
+        ((S, E, M), "FWD_GETX", (_drop, _owner_data), I),
+        ((IS_D, IS_D_I), ("FWD_GETS", "FWD_GETX"), (_defer,), IS_D_F),
+        (IM_D, ("FWD_GETS", "FWD_GETX"), (_defer,), IM_D_F),
+        (SM_D, ("FWD_GETS", "FWD_GETX"), (_touch, _defer), SM_D_F),
+        (MI_A, "WB_ACK", (), I),
+    )
+    MESSAGES = frozenset(event for _, event in TABLE if event in MESSAGE_TYPES)
 
 
+#: the states whose LOAD / STORE row is a HIT
+_LOAD_HITS, _STORE_HITS = (
+    frozenset(state for (state, ev), (actions, _) in L1Controller.TABLE.items()
+              if ev == event and actions is HIT)
+    for event in ("LOAD", "STORE")
+)
+
+
+# -- directory -------------------------------------------------------------------
 @dataclass(slots=True)
 class DirectoryEntry:
     """Directory state for one block with L1 copies."""
@@ -319,237 +357,193 @@ class DirectoryEntry:
     owner: Optional[int] = None
 
 
-@dataclass
-class _Transaction:
-    """An in-flight transaction serializing a block at its home."""
-
-    kind: str  # "fetch", "fwd_gets", "fwd_getx", "inv_collect"
-    requester: int
-    is_write: bool
-    pending_acks: int = 0
+#: stable: no L1 copy listed / L1 sharers / one L1 owner (M or E)
+DIR_IDLE, DIR_SHARED, DIR_OWNED = "idle", "shared", "owned"
+#: transient: memory read, forward to the owner, invalidations outstanding
+DIR_FETCH, DIR_FWD_GETS, DIR_FWD_GETX = "fetch", "fwd_gets", "fwd_getx"
+DIR_INV_COLLECT = "inv_collect"
 
 
-class L2DirectoryController:
+def _other_copies(entry: Optional[DirectoryEntry], requester: Optional[int]) -> Set[int]:
+    """The L1s other than ``requester`` that hold the block."""
+    others = set(entry.sharers) if entry else set()
+    if entry is not None and entry.owner is not None:
+        others.add(entry.owner)
+    others.discard(requester)
+    return others
+
+
+class L2DirectoryController(_TableController):
     """One home bank of the shared L2, with its directory slice."""
 
     def __init__(
         self,
         node: int,
         cache_config: CacheConfig,
-        home_of: Callable[[int], int],
         mc_of: Callable[[int], int],
         send: SendFn,
     ) -> None:
         self.node = node
         self.cache = SetAssociativeCache(cache_config)
-        self.home_of = home_of
         self.mc_of = mc_of
         self.send = send
         self.directory: Dict[int, DirectoryEntry] = {}
-        self.busy: Dict[int, _Transaction] = {}
-        self.waiting: Dict[int, Deque[Message]] = {}
+        self.transient: Dict[int, str] = {}
+        #: the request each open transaction serves
+        self.serving: Dict[int, Message] = {}
+        #: INV_ACKs each inv_collect still waits for
+        self.acks: Dict[int, int] = {}
+        self.deferred: Dict[int, Deque[Message]] = {}
         self.requests_served = 0
 
-    # -- dispatch ------------------------------------------------------------
-    def handle(self, msg: Message) -> None:
-        handler = self._HANDLERS.get(msg.mtype)
-        if handler is None:
-            raise ValueError(f"L2 at node {self.node} got unexpected {msg.mtype}")
-        handler(self, msg)
+    def state_of(self, block: int) -> str:
+        state = self.transient.get(block)
+        if state is None:
+            entry = self.directory.get(block)
+            if entry is None:
+                return DIR_IDLE
+            state = DIR_SHARED if entry.state == SHARED else DIR_OWNED
+        return state
 
-    # -- requests ---------------------------------------------------------------
-    def _on_request(self, msg: Message) -> None:
-        if msg.block in self.busy:
-            self.waiting.setdefault(msg.block, deque()).append(msg)
-            return
-        self._start_request(msg)
+    def _classify(self, state: str, msg: Message) -> str:
+        """The message type, or a guarded form: ``*_L2_MISS``, a request not
+        forwarded whose block has no L2 line; ``OWNER_*``, a request (its
+        clean E line went silently) or PUTX (a plain one is stale) from the
+        recorded owner; ``SOLE_GETX``, from the only L1 with a copy;
+        ``LAST_INV_ACK``, the ack an inv_collect waits for last."""
+        mtype, block = msg.mtype, msg.block
+        if mtype in ("GETS", "GETX"):
+            if state in self.TRANSIENT:
+                return mtype
+            # The demand lookup (it touches LRU) evaluates "block in L2".
+            in_l2 = self.cache.lookup(block) is not None
+            entry = self.directory.get(block)
+            if state == DIR_OWNED and entry.owner != msg.src:
+                return mtype
+            if not in_l2:
+                return mtype + "_L2_MISS"
+            if state == DIR_OWNED:
+                return "OWNER_" + mtype
+            if mtype == "GETX" and state == DIR_SHARED and not _other_copies(entry, msg.src):
+                return "SOLE_GETX"
+        elif mtype == "PUTX":
+            entry = self.directory.get(block)
+            if entry is not None and entry.owner == msg.src:
+                return "OWNER_PUTX"
+        elif mtype == "INV_ACK" and state == DIR_INV_COLLECT and self.acks[block] == 1:
+            return "LAST_INV_ACK"
+        return mtype
 
-    def _start_request(self, msg: Message) -> None:
-        block = msg.block
-        is_write = msg.mtype == "GETX"
+    # -- actions ---------------------------------------------------------------
+    # A grant answers the open transaction's request, else msg itself.
+    def _grant_shared(self, block, msg) -> None:
+        requester = self.serving.pop(block, msg).src
         entry = self.directory.get(block)
-        in_l2 = self.cache.lookup(block) is not None
-
-        if entry is not None and entry.state == MODIFIED and entry.owner != msg.src:
-            kind = "fwd_getx" if is_write else "fwd_gets"
-            self.busy[block] = _Transaction(
-                kind=kind, requester=msg.src, is_write=is_write
-            )
-            self.send(
-                Message(
-                    mtype="FWD_GETX" if is_write else "FWD_GETS",
-                    block=block,
-                    src=self.node,
-                    dst=entry.owner,
-                    requester=msg.src,
-                )
-            )
-            return
-
-        if not in_l2:
-            self.busy[block] = _Transaction(
-                kind="fetch", requester=msg.src, is_write=is_write
-            )
-            self.send(
-                Message(
-                    mtype="MEM_READ", block=block, src=self.node, dst=self.mc_of(block)
-                )
-            )
-            return
-
-        if is_write:
-            sharers = set(entry.sharers) if entry else set()
-            if entry is not None and entry.owner is not None:
-                sharers.add(entry.owner)
-            sharers.discard(msg.src)
-            if sharers:
-                self.busy[block] = _Transaction(
-                    kind="inv_collect",
-                    requester=msg.src,
-                    is_write=True,
-                    pending_acks=len(sharers),
-                )
-                for sharer in sharers:
-                    self.send(
-                        Message(
-                            mtype="INV", block=block, src=self.node, dst=sharer
-                        )
-                    )
-                return
-            self._grant(block, msg.src, "DATA_X")
-            return
-
-        # Read with no remote Modified owner.
-        if entry is None:
-            self._grant(block, msg.src, "DATA_E")
-        else:
-            self._grant(block, msg.src, "DATA")
-
-    def _grant(
-        self, block: int, requester: int, mtype: str, via_memory: bool = False
-    ) -> None:
-        entry = self.directory.get(block)
-        if mtype == "DATA_X" or mtype == "DATA_E":
-            self.directory[block] = DirectoryEntry(state=MODIFIED, owner=requester)
-        else:
-            if entry is None or entry.state != SHARED:
-                entry = DirectoryEntry(state=SHARED)
-                self.directory[block] = entry
-            entry.sharers.add(requester)
-            entry.owner = None
+        if entry is None or entry.state != SHARED:
+            entry = self.directory[block] = DirectoryEntry(state=SHARED)
+        entry.sharers.add(requester)
+        entry.owner = None
         self.requests_served += 1
-        self.send(
-            Message(
-                mtype=mtype,
-                block=block,
-                src=self.node,
-                dst=requester,
-                via_memory=via_memory,
-            )
-        )
-        self._drain_waiters(block)
+        self._send("DATA", block, requester)
 
-    def _drain_waiters(self, block: int) -> None:
-        queue = self.waiting.get(block)
-        if queue and block not in self.busy:
-            next_msg = queue.popleft()
-            if not queue:
-                del self.waiting[block]
-            self._start_request(next_msg)
+    def _grant_owner(self, block, msg, via_memory: bool = False) -> None:
+        """Make the requester the owner: DATA_X for a GETX, DATA_E for a GETS."""
+        request = self.serving.pop(block, msg)
+        self.directory[block] = DirectoryEntry(state=MODIFIED, owner=request.src)
+        self.requests_served += 1
+        mtype = "DATA_X" if request.mtype == "GETX" else "DATA_E"
+        self._send(mtype, block, request.src, via_memory=via_memory)
 
-    # -- transaction completions -----------------------------------------------
-    def _on_owner_data(self, msg: Message) -> None:
-        txn = self.busy.pop(msg.block, None)
-        if txn is None:
-            return  # late data from a recalled line: memory write-through
-        line = self.cache.lookup(msg.block)
+    def _grant_fetched(self, block, msg) -> None:
+        self._grant_owner(block, msg, via_memory=True)
+
+    def _share_with_owner(self, block, msg) -> None:
+        requester = self.serving.pop(block).src
+        entry = DirectoryEntry(state=SHARED)
+        entry.sharers.update({msg.src, requester})
+        self.directory[block] = entry
+        self.requests_served += 1
+        self._send("DATA", block, requester)
+
+    def _forward(self, block, msg) -> None:
+        self.serving[block] = msg
+        owner = self.directory[block].owner
+        self._send("FWD_" + msg.mtype, block, owner, requester=msg.src)
+
+    def _fetch(self, block, msg) -> None:
+        self.serving[block] = msg
+        self._send("MEM_READ", block, self.mc_of(block))
+
+    def _invalidate_others(self, block, msg) -> None:
+        others = _other_copies(self.directory.get(block), msg.src)
+        self.serving[block] = msg
+        self.acks[block] = len(others)
+        for sharer in others:
+            self._send("INV", block, sharer)
+
+    def _count_ack(self, block, msg) -> None:
+        self.acks[block] -= 1
+        if not self.acks[block]:
+            del self.acks[block]
+
+    def _drop_entry(self, block, msg) -> None:
+        self.directory.pop(block, None)
+
+    def _mark_dirty(self, block, msg) -> None:
+        line = self.cache.lookup(block)
         if line is not None:
             line.dirty = True
-        if txn.kind == "fwd_gets":
-            entry = DirectoryEntry(state=SHARED)
-            entry.sharers.update({msg.src, txn.requester})
-            self.directory[msg.block] = entry
-            self.requests_served += 1
-            self.send(
-                Message(
-                    mtype="DATA", block=msg.block, src=self.node, dst=txn.requester
-                )
-            )
-        else:  # fwd_getx
-            self.directory[msg.block] = DirectoryEntry(
-                state=MODIFIED, owner=txn.requester
-            )
-            self.requests_served += 1
-            self.send(
-                Message(
-                    mtype="DATA_X", block=msg.block, src=self.node, dst=txn.requester
-                )
-            )
-        self._drain_waiters(msg.block)
 
-    def _on_inv_ack(self, msg: Message) -> None:
-        txn = self.busy.get(msg.block)
-        if txn is None or txn.kind != "inv_collect":
-            return  # ack for a fire-and-forget eviction INV
-        txn.pending_acks -= 1
-        if txn.pending_acks > 0:
-            return
-        del self.busy[msg.block]
-        self.directory.pop(msg.block, None)
-        self._grant(msg.block, txn.requester, "DATA_X")
+    def _ack_putx(self, block, msg) -> None:
+        self._send("WB_ACK", block, msg.src)
 
-    def _on_mem_data(self, msg: Message) -> None:
-        txn = self.busy.pop(msg.block, None)
-        victim = self.cache.insert(msg.block, SHARED)
+    def _fill_l2(self, block, msg) -> None:
+        victim = self.cache.insert(block, SHARED)
         if victim is not None:
-            self._evict(victim)
-        if txn is None:
-            return
-        if txn.is_write:
-            self._grant(msg.block, txn.requester, "DATA_X", via_memory=True)
-        else:
-            self._grant(msg.block, txn.requester, "DATA_E", via_memory=True)
+            self._fire(victim.block, self.state_of(victim.block), "REPLACEMENT", victim)
 
-    def _on_putx(self, msg: Message) -> None:
-        entry = self.directory.get(msg.block)
-        if entry is not None and entry.owner == msg.src:
-            del self.directory[msg.block]
-            line = self.cache.lookup(msg.block)
-            if line is not None:
-                line.dirty = True
-        self.send(
-            Message(mtype="WB_ACK", block=msg.block, src=self.node, dst=msg.src)
-        )
+    def _recall(self, block, victim) -> None:
+        """Fire-and-forget INVs to every L1 copy; late acks are dropped."""
+        for target in _other_copies(self.directory.pop(block, None), None):
+            self._send("INV", block, target)
 
-    def _evict(self, victim) -> None:
-        """Inclusive-L2 eviction: recall L1 copies (fire-and-forget) and
-        write dirty data back to memory."""
-        entry = self.directory.pop(victim.block, None)
-        if entry is not None:
-            targets = set(entry.sharers)
-            if entry.owner is not None:
-                targets.add(entry.owner)
-            for target in targets:
-                self.send(
-                    Message(
-                        mtype="INV", block=victim.block, src=self.node, dst=target
-                    )
-                )
+    def _write_back(self, block, victim) -> None:
         if victim.dirty:
-            self.send(
-                Message(
-                    mtype="MEM_WRITE",
-                    block=victim.block,
-                    src=self.node,
-                    dst=self.mc_of(victim.block),
-                )
-            )
+            self._send("MEM_WRITE", block, self.mc_of(block))
 
-    _HANDLERS = {
-        "GETS": _on_request,
-        "GETX": _on_request,
-        "PUTX": _on_putx,
-        "INV_ACK": _on_inv_ack,
-        "OWNER_DATA": _on_owner_data,
-        "MEM_DATA": _on_mem_data,
-    }
+    STABLE = frozenset({DIR_IDLE, DIR_SHARED, DIR_OWNED})
+    TRANSIENT = frozenset({DIR_FETCH, DIR_FWD_GETS, DIR_FWD_GETX, DIR_INV_COLLECT})
+    TABLE = _table(
+        # -- requests on a stable block
+        (DIR_IDLE, ("GETS", "GETX"), (_grant_owner,), DIR_OWNED),
+        (STABLE, ("GETS_L2_MISS", "GETX_L2_MISS"), (_fetch,), DIR_FETCH),
+        (DIR_SHARED, "GETS", (_grant_shared,), None),
+        (DIR_SHARED, "GETX", (_invalidate_others,), DIR_INV_COLLECT),
+        (DIR_SHARED, "SOLE_GETX", (_grant_owner,), DIR_OWNED),
+        (DIR_OWNED, "GETS", (_forward,), DIR_FWD_GETS),
+        (DIR_OWNED, "GETX", (_forward,), DIR_FWD_GETX),
+        (DIR_OWNED, "OWNER_GETS", (_grant_shared,), DIR_SHARED),
+        (DIR_OWNED, "OWNER_GETX", (_grant_owner,), None),
+        # -- requests on a busy block wait their turn, in order
+        (TRANSIENT, ("GETS", "GETX"), (_defer,), None),
+        # -- completions
+        (DIR_FETCH, "MEM_DATA", (_fill_l2, _grant_fetched), DIR_OWNED),
+        (DIR_FWD_GETS, "OWNER_DATA", (_mark_dirty, _share_with_owner), DIR_SHARED),
+        (DIR_FWD_GETX, "OWNER_DATA", (_mark_dirty, _grant_owner), DIR_OWNED),
+        (DIR_INV_COLLECT, "INV_ACK", (_count_ack,), None),
+        (DIR_INV_COLLECT, "LAST_INV_ACK", (_count_ack, _drop_entry, _grant_owner), DIR_OWNED),
+        # -- an ack for a fire-and-forget recall INV is dropped
+        ((*STABLE, DIR_FETCH, DIR_FWD_GETS, DIR_FWD_GETX), "INV_ACK", (), None),
+        # -- writebacks, whatever is open: the owner's is taken, a stale
+        # one (its forward was answered from MI_A) only acked
+        (DIR_OWNED, "OWNER_PUTX", (_drop_entry, _mark_dirty, _ack_putx), DIR_IDLE),
+        ((DIR_FWD_GETS, DIR_FWD_GETX), "OWNER_PUTX", (_drop_entry, _mark_dirty, _ack_putx), None),
+        ((*STABLE, *TRANSIENT), "PUTX", (_ack_putx,), None),
+        # -- inclusive-L2 replacement: recall the L1 copies and write back
+        # dirty data; an open transaction stays open
+        (STABLE, "REPLACEMENT", (_recall, _write_back), DIR_IDLE),
+        # (a fetch has no L2 line to replace)
+        ((DIR_FWD_GETS, DIR_FWD_GETX, DIR_INV_COLLECT), "REPLACEMENT", (_recall, _write_back),
+         None),
+    )
+    MESSAGES = frozenset(event for _, event in TABLE if event in MESSAGE_TYPES)

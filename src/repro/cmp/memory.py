@@ -47,21 +47,18 @@ class MemoryController:
         self.reads_served = 0
         self.writes_served = 0
 
-    def handle(self, msg: Message, cycle: int) -> None:
-        handler = self._HANDLERS.get(msg.mtype)
-        if handler is None:
+    #: the message types this controller takes
+    MESSAGES = frozenset({"MEM_READ", "MEM_WRITE"})
+
+    def handle(self, msg: Message) -> None:
+        if msg.mtype not in self.MESSAGES:
             raise ValueError(f"memory controller got unexpected {msg.mtype}")
-        handler(self, msg)
+        # A posted write consumes a service slot too, but needs no reply.
+        self._queue.append(msg)
 
     def idle(self) -> bool:
         """True when no request is queued or inside DRAM."""
         return not self._queue and not self._in_flight
-
-    def _enqueue(self, msg: Message) -> None:
-        # A posted write consumes a service slot too, but needs no reply.
-        self._queue.append(msg)
-
-    _HANDLERS = {"MEM_READ": _enqueue, "MEM_WRITE": _enqueue}
 
     def tick(self, cycle: int) -> None:
         """Advance one cycle: start and complete DRAM accesses."""

@@ -147,12 +147,21 @@ class CmpSystem:
             )
             l1.on_miss_complete = functools.partial(record_miss, node)
             self.l1s[node] = l1
-            self.l2s[node] = L2DirectoryController(
-                node, self.config.l2_bank, home_of, mc_of, send
-            )
+            self.l2s[node] = L2DirectoryController(node, self.config.l2_bank, mc_of, send)
         self.mcs: Dict[int, MemoryController] = {
             node: MemoryController(node, self.config.memory, send)
             for node in mc_nodes
+        }
+        # One route per message type, read off the controllers' tables:
+        # the components that take it, and the cycles it waits on arrival.
+        self._routes: Dict[str, tuple] = {
+            mtype: (components, delay)
+            for components, delay, messages in (
+                (self.l2s, self.config.l2_bank.latency, L2DirectoryController.MESSAGES),
+                (self.l1s, 1, L1Controller.MESSAGES),
+                (self.mcs, 0, MemoryController.MESSAGES),
+            )
+            for mtype in messages
         }
         core_configs = core_configs or {}
         window = max(1, self.config.start_stagger_window)
@@ -211,35 +220,28 @@ class CmpSystem:
         packet.measured = self.network.measuring
         self.network.enqueue(packet)
 
+    def _route(self, msg: Message) -> tuple:
+        try:
+            return self._routes[msg.mtype]
+        except KeyError:
+            raise ValueError(f"unroutable message type {msg.mtype}") from None
+
     def _on_packet(self, packet, cycle: int) -> None:
         msg = packet.payload
         if not isinstance(msg, Message):
             raise TypeError(f"CMP network delivered a non-coherence packet: {packet}")
-        # A message goes to the component whose handler table names it.
-        if msg.mtype in L2DirectoryController._HANDLERS:
-            delay = self.config.l2_bank.latency
-        elif msg.mtype in L1Controller._HANDLERS:
-            delay = 1
-        else:
-            delay = 0
-        self._dispatch_after(delay, msg)
+        self._dispatch_after(self._route(msg)[1], msg)
 
     def _dispatch(self, msg: Message) -> None:
-        if msg.mtype in L1Controller._HANDLERS:
-            self.l1s[msg.dst].handle(msg)
-        elif msg.mtype in L2DirectoryController._HANDLERS:
-            self.l2s[msg.dst].handle(msg)
-        elif msg.mtype in MemoryController._HANDLERS:
-            try:
-                mc = self.mcs[msg.dst]
-            except KeyError:
-                raise RuntimeError(
-                    f"memory message routed to node {msg.dst} without a "
-                    "memory controller"
-                ) from None
-            mc.handle(msg, self.cycle)
-        else:
-            raise ValueError(f"unroutable message type {msg.mtype}")
+        components = self._route(msg)[0]
+        try:
+            component = components[msg.dst]
+        except KeyError:
+            raise RuntimeError(
+                f"{msg.mtype} routed to node {msg.dst}, which has no "
+                "component that takes it"
+            ) from None
+        component.handle(msg)
 
     def _record_miss(
         self, node: int, block: int, issued_at: int, via_memory: bool, is_write: bool
@@ -464,18 +466,18 @@ class CmpSystem:
         return cycles
 
     def _mshr_waits(self, core: int) -> str:
-        """Each block ``core`` has a miss outstanding on, with its home
-        and the transaction open there (a deadlock report's evidence);
-        empty when the core waits on no miss."""
+        """Each block ``core`` has a miss outstanding on, with the L1's
+        state for it and its home's (a deadlock report's evidence); empty
+        when the core waits on no miss."""
         blocks = []
-        for block in self.l1s[core].mshrs.blocks():
+        l1 = self.l1s[core]
+        for block in l1.mshrs.blocks():
             home = self.home_of(block)
-            txn = self.l2s[home].busy.get(block)
-            held = (
-                "no open transaction" if txn is None
-                else f"{txn.kind} for core {txn.requester}"
-            )
-            blocks.append(f"{block:#x} (home {home}: {held})")
+            l2 = self.l2s[home]
+            held = l2.state_of(block)
+            if block in l2.serving:
+                held += f" for core {l2.serving[block].src}"
+            blocks.append(f"{block:#x} ({l1.state_of(block)}; home {home}: {held})")
         return f"core {core}: " + ", ".join(blocks) if blocks else ""
 
     # -- results ---------------------------------------------------------------------

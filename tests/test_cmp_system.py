@@ -6,13 +6,14 @@ import weakref
 import pytest
 
 from repro.cmp.cache import EXCLUSIVE, MODIFIED, SHARED, CacheConfig
-from repro.cmp.coherence import L1Controller, L2DirectoryController
+from repro.cmp.coherence import MESSAGE_TYPES, L1Controller, L2DirectoryController
 from repro.cmp.core_model import TraceCore, small_core_config
 from repro.cmp.memory import MemoryController
 from repro.cmp.system import CmpConfig, CmpSystem
 from repro.core.layouts import layout_by_name
 from repro.traffic.trace import TraceRecord
 from repro.traffic.workloads import WORKLOADS, core_traces, generate_core_trace
+from tests.test_coherence import _sent_by_each_row
 
 
 def _small_cmp_config():
@@ -176,7 +177,8 @@ class TestEndToEnd:
     @pytest.mark.parametrize("cycles, open_txn", [(5, False), (40, True)])
     def test_run_deadline_names_each_waiting_miss(self, cycles, open_txn):
         """The deadline error is a deadlock report: each stuck core's MSHR
-        blocks, with their home and the transaction open there."""
+        blocks, with the L1's named state and the home's (and, when a
+        transaction is open there, the core it serves)."""
         system = _system()
         with pytest.raises(RuntimeError, match="failed to finish") as raised:
             system.run(max_cycles=cycles)
@@ -188,17 +190,19 @@ class TestEndToEnd:
         assert waiting
         opened = []
         for core in waiting:
-            blocks = system.l1s[core].mshrs.blocks()
-            home = system.home_of(blocks[0])
-            txn = system.l2s[home].busy.get(blocks[0])
-            opened.append(txn is not None)
-            held = (
-                f"{txn.kind} for core {txn.requester}" if txn
-                else "no open transaction"
-            )
-            assert f"core {core}: {blocks[0]:#x} (home {home}: {held})" in (
-                message
-            )
+            l1 = system.l1s[core]
+            block = l1.mshrs.blocks()[0]
+            home = system.home_of(block)
+            l2 = system.l2s[home]
+            held = l2.state_of(block)
+            opened.append(held in l2.TRANSIENT)
+            if held in l2.TRANSIENT:
+                held += f" for core {l2.serving[block].src}"
+            assert l1.state_of(block) in l1.TRANSIENT
+            assert (
+                f"core {core}: {block:#x} ({l1.state_of(block)}; "
+                f"home {home}: {held})"
+            ) in message
         assert any(opened) == open_txn
 
     def test_a_wedged_run_raises_when_it_wedges(self, monkeypatch):
@@ -388,15 +392,27 @@ class TestMeasure:
 
 
 class TestMessageRouting:
-    TABLES = {
-        "l1": L1Controller._HANDLERS,
-        "l2": L2DirectoryController._HANDLERS,
-        "mc": MemoryController._HANDLERS,
+    """A message goes to the one component whose events name it: the
+    controllers' table event columns, and the memory controller's two."""
+
+    COMPONENTS = {
+        "l1": L1Controller.MESSAGES,
+        "l2": L2DirectoryController.MESSAGES,
+        "mc": MemoryController.MESSAGES,
     }
 
-    def test_handler_tables_are_disjoint(self):
-        tables = [set(table) for table in self.TABLES.values()]
+    def test_event_columns_are_disjoint(self):
+        tables = list(self.COMPONENTS.values())
         assert sum(map(len, tables)) == len(set().union(*tables))
+
+    def test_every_message_a_row_sends_is_one_components_event(self):
+        sent = {"MEM_DATA"}  # the memory controller's reply
+        for mtypes in _sent_by_each_row().values():
+            sent |= mtypes
+        assert sent == MESSAGE_TYPES
+        for mtype in sent:
+            owners = [name for name, t in self.COMPONENTS.items() if mtype in t]
+            assert len(owners) == 1, (mtype, owners)
 
     def test_every_message_sent_routes_to_one_component(self, monkeypatch):
         sent = set()
@@ -410,8 +426,9 @@ class TestMessageRouting:
         system = _system(traces=core_traces("TPC-C", range(16), 60, 0))
         system.measure()
         assert {"GETS", "GETX", "MEM_READ", "DATA", "INV"} <= sent
+        assert sent <= set(system._routes)
         for mtype in sent:
-            owners = [name for name, t in self.TABLES.items() if mtype in t]
+            owners = [name for name, t in self.COMPONENTS.items() if mtype in t]
             assert len(owners) == 1, (mtype, owners)
 
 

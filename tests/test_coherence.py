@@ -5,6 +5,8 @@ These drive the L1 and L2 controllers directly with scripted messages
 transition of the protocol tables in isolation.
 """
 
+import pytest
+
 from repro.cmp.cache import (
     EXCLUSIVE,
     INVALID,
@@ -13,9 +15,14 @@ from repro.cmp.cache import (
     CacheConfig,
 )
 from repro.cmp.coherence import (
+    DIR_FETCH,
+    DirectoryEntry,
+    HIT,
+    MI_A,
     L1Controller,
     L2DirectoryController,
     Message,
+    ProtocolError,
 )
 
 
@@ -53,13 +60,23 @@ def _l2(harness, node=0):
     return L2DirectoryController(
         node=node,
         cache_config=CacheConfig(size_bytes=256 * 1024, associativity=16),
-        home_of=lambda block: 0,
         mc_of=lambda block: 63,
         send=harness.send,
     )
 
 
 BLOCK = 0x4000
+
+
+def _writing_back(harness):
+    """An L1 whose PUTX for BLOCK is in flight: an L2 recall INVed its
+    Modified copy."""
+    l1 = _l1(harness)
+    l1.cache.insert(BLOCK, MODIFIED)
+    l1.handle(Message("INV", BLOCK, src=0, dst=1))
+    assert [m.mtype for m in harness.pop_all()] == ["PUTX", "INV_ACK"]
+    assert l1.state_of(BLOCK) == MI_A
+    return l1
 
 
 class TestL1Requests:
@@ -155,7 +172,7 @@ class TestL1Responses:
         l1.handle(Message("DATA", 0x100, src=0, dst=1))
         putx = [m for m in harness.pop_all() if m.mtype == "PUTX"]
         assert putx and putx[0].block == 0x0000
-        assert 0x0000 in l1.writeback_buffer
+        assert l1.state_of(0x0000) == MI_A
 
     def test_inv_acks_and_invalidates(self):
         harness = Harness()
@@ -266,26 +283,23 @@ class TestL1Responses:
         home first and then have the stale PUTX clobber the fresh
         directory entry."""
         harness = Harness()
-        l1 = _l1(harness)
-        l1.writeback_buffer.add(BLOCK)
+        l1 = _writing_back(harness)
         assert l1.request(BLOCK, True, 0, lambda: None) == "blocked"
         l1.handle(Message("WB_ACK", BLOCK, src=0, dst=1))
         assert l1.request(BLOCK, True, 1, lambda: None) == "miss"
 
     def test_wb_ack_clears_buffer(self):
         harness = Harness()
-        l1 = _l1(harness)
-        l1.writeback_buffer.add(BLOCK)
+        l1 = _writing_back(harness)
         l1.handle(Message("WB_ACK", BLOCK, src=0, dst=1))
-        assert BLOCK not in l1.writeback_buffer
+        assert l1.state_of(BLOCK) == INVALID
 
     def test_fwd_crossing_putx_served_from_buffer(self):
         harness = Harness()
-        l1 = _l1(harness)
-        l1.writeback_buffer.add(BLOCK)  # PUTX in flight
+        l1 = _writing_back(harness)  # PUTX in flight
         l1.handle(Message("FWD_GETS", BLOCK, src=0, dst=1, requester=5))
         assert harness.pop_all()[0].mtype == "OWNER_DATA"
-        assert BLOCK in l1.writeback_buffer  # until the WB_ACK
+        assert l1.state_of(BLOCK) == MI_A  # until the WB_ACK
 
 
 class TestL2Directory:
@@ -295,7 +309,7 @@ class TestL2Directory:
         l2.handle(Message("GETS", BLOCK, src=1, dst=0))
         (mem,) = harness.pop_all()
         assert mem.mtype == "MEM_READ" and mem.dst == 63
-        assert BLOCK in l2.busy
+        assert l2.state_of(BLOCK) == DIR_FETCH
 
     def test_mem_data_grants_exclusive_on_read(self):
         harness = Harness()
@@ -383,7 +397,7 @@ class TestL2Directory:
     def test_eviction_recalls_sharers_and_writes_back(self):
         harness = Harness()
         config = CacheConfig(size_bytes=128, associativity=1)
-        l2 = L2DirectoryController(0, config, lambda b: 0, lambda b: 63, harness.send)
+        l2 = L2DirectoryController(0, config, lambda b: 63, harness.send)
         l2.cache.insert(0x0000, SHARED)
         l2.cache.lookup(0x0000).dirty = True
         from repro.cmp.coherence import DirectoryEntry
@@ -400,3 +414,244 @@ class TestL2Directory:
         assert kinds.count("INV") == 2
         assert "MEM_WRITE" in kinds
         assert 0x0000 not in l2.directory
+
+
+def _small_l1(harness):
+    """A one-way, two-set L1 with two MSHRs: BLOCK and CONFLICT share a
+    set, so a fill of either replaces the other."""
+    config = CacheConfig(size_bytes=2 * 128, associativity=1)
+    return L1Controller(1, config, 2, lambda b: 0, harness.send, harness.schedule)
+
+
+CONFLICT = BLOCK + 0x100
+
+
+def _load(l1):
+    l1.request(BLOCK, False, 0, lambda: None)
+
+
+def _store(l1):
+    l1.request(BLOCK, True, 0, lambda: None)
+
+
+def _deliver(mtype):
+    return lambda l1: l1.handle(Message(mtype, BLOCK, src=0, dst=1, requester=5))
+
+
+def _holding(state):
+    return lambda l1: l1.cache.insert(BLOCK, state)
+
+
+#: L1 state -> the steps that put BLOCK in it, from a cold cache
+L1_RECIPES = {
+    "I": (),
+    "S": (_holding(SHARED),),
+    "E": (_holding(EXCLUSIVE),),
+    "M": (_holding(MODIFIED),),
+    "IS_D": (_load,),
+    "IS_D_I": (_load, _deliver("INV")),
+    "IS_D_F": (_load, _deliver("FWD_GETS")),
+    "IM_D": (_store,),
+    "IM_D_F": (_store, _deliver("FWD_GETX")),
+    "SM_D": (_holding(SHARED), _store),
+    "SM_D_F": (_holding(SHARED), _store, _deliver("FWD_GETS")),
+    "MI_A": (_holding(MODIFIED), _deliver("INV")),
+}
+#: the forward each recipe parks
+PARKED = {"IS_D_F": "FWD_GETS", "IM_D_F": "FWD_GETX", "SM_D_F": "FWD_GETS"}
+
+
+class TestTransitionTables:
+    CONTROLLERS = (L1Controller, L2DirectoryController)
+
+    @pytest.mark.parametrize("controller", CONTROLLERS, ids=lambda c: c.__name__)
+    def test_every_state_is_declared_and_reachable(self, controller):
+        declared = controller.STABLE | controller.TRANSIENT
+        assert not controller.STABLE & controller.TRANSIENT
+        edges = {}
+        for (state, _), (_, next_state) in controller.TABLE.items():
+            assert state in declared and next_state in declared
+            edges.setdefault(state, set()).add(next_state)
+        reached, frontier = set(controller.STABLE), list(controller.STABLE)
+        while frontier:
+            for next_state in edges.get(frontier.pop(), ()):
+                if next_state not in reached:
+                    reached.add(next_state)
+                    frontier.append(next_state)
+        assert reached == declared
+
+    def test_recipes_cover_every_l1_state(self):
+        assert set(L1_RECIPES) == L1Controller.STABLE | L1Controller.TRANSIENT
+
+    @pytest.mark.parametrize("state, event", sorted(L1Controller.TABLE))
+    def test_every_l1_row_enters_its_next_state(self, state, event):
+        harness = Harness()
+        l1 = _small_l1(harness)
+        for step in L1_RECIPES[state]:
+            step(l1)
+        assert l1.state_of(BLOCK) == state
+        actions, next_state = L1Controller.TABLE[state, event]
+        status = _fire_l1_row(l1, state, event)
+        if event in ("LOAD", "STORE", "LOAD_FULL", "STORE_FULL"):
+            expected = "hit" if actions is HIT else "miss" if actions else "blocked"
+            assert status == expected
+        elif event != "REPLACEMENT":
+            if state in PARKED and next_state in L1Controller.STABLE:
+                # The fill replays the parked forward against its state.
+                next_state = L1Controller.TABLE[next_state, PARKED[state]][1]
+        assert l1.state_of(BLOCK) == next_state
+
+
+class TestMissingRows:
+    """A (state, event) pair with no row raises, naming the controller,
+    node, block, state and event."""
+
+    def _raises(self, controller, msg, *fields):
+        with pytest.raises(ProtocolError) as raised:
+            controller.handle(msg)
+        for text in fields:
+            assert text in str(raised.value)
+
+    def test_l1_fill_without_a_miss(self):
+        l1 = _l1(Harness(), node=3)
+        self._raises(
+            l1, Message("DATA", BLOCK, src=0, dst=3),
+            "L1Controller", "node 3", f"block {BLOCK:#x}", "state I", "event DATA",
+        )
+
+    def test_second_parked_forward(self):
+        harness = Harness()
+        l1 = _l1(harness)
+        l1.request(BLOCK, False, 0, lambda: None)
+        l1.handle(Message("FWD_GETS", BLOCK, src=0, dst=1, requester=5))
+        self._raises(
+            l1, Message("FWD_GETX", BLOCK, src=0, dst=1, requester=6),
+            "L1Controller", "node 1", "state IS_D_F", "event FWD_GETX",
+        )
+
+    def test_directory_fill_without_a_fetch(self):
+        self._raises(
+            _l2(Harness(), node=0), Message("MEM_DATA", BLOCK, src=63, dst=0),
+            "L2DirectoryController", "node 0", f"block {BLOCK:#x}", "state idle",
+            "event MEM_DATA",
+        )
+
+
+def _small_l2(harness):
+    """A one-way, two-set home: BLOCK and CONFLICT share a set."""
+    config = CacheConfig(size_bytes=2 * 128, associativity=1)
+    return L2DirectoryController(0, config, lambda b: 63, harness.send)
+
+
+def _req(mtype, src):
+    return lambda l2: l2.handle(Message(mtype, BLOCK, src=src, dst=0))
+
+
+def _entry(state, sharers=(), owner=None):
+    def put(l2):
+        l2.directory[BLOCK] = DirectoryEntry(state=state, sharers=set(sharers), owner=owner)
+    return put
+
+
+def _in_l2(l2):
+    l2.cache.insert(BLOCK, SHARED)
+
+
+#: home state -> the steps that put BLOCK in it (owner 1, sharers {1, 2});
+#: the *_L2_MISS events take the same recipe with the L2 line dropped
+L2_RECIPES = {
+    "idle": (_in_l2,),
+    "shared": (_in_l2, _entry(SHARED, sharers=(1, 2))),
+    "owned": (_in_l2, _entry(MODIFIED, owner=1)),
+    "fetch": (_req("GETS", 3),),
+    "fwd_gets": (_in_l2, _entry(MODIFIED, owner=1), _req("GETS", 3)),
+    "fwd_getx": (_in_l2, _entry(MODIFIED, owner=1), _req("GETX", 3)),
+    "inv_collect": (_in_l2, _entry(SHARED, sharers=(1, 2)), _req("GETX", 3)),
+}
+
+#: event -> the message that raises it against the recipes above
+L2_EVENTS = {
+    "GETS": Message("GETS", BLOCK, src=4, dst=0),
+    "GETX": Message("GETX", BLOCK, src=4, dst=0),
+    "GETS_L2_MISS": Message("GETS", BLOCK, src=1, dst=0),
+    "GETX_L2_MISS": Message("GETX", BLOCK, src=1, dst=0),
+    "OWNER_GETS": Message("GETS", BLOCK, src=1, dst=0),
+    "OWNER_GETX": Message("GETX", BLOCK, src=1, dst=0),
+    "SOLE_GETX": Message("GETX", BLOCK, src=1, dst=0),
+    "PUTX": Message("PUTX", BLOCK, src=4, dst=0),
+    "OWNER_PUTX": Message("PUTX", BLOCK, src=1, dst=0),
+    "INV_ACK": Message("INV_ACK", BLOCK, src=4, dst=0),
+    "LAST_INV_ACK": Message("INV_ACK", BLOCK, src=1, dst=0),
+    "MEM_DATA": Message("MEM_DATA", BLOCK, src=63, dst=0),
+    "OWNER_DATA": Message("OWNER_DATA", BLOCK, src=1, dst=0, requester=3),
+}
+
+
+def _sent_by_each_row():
+    """Drive every row of both tables from its recipe; return the message
+    types each one sent."""
+    sent = {}
+    for (state, event) in L1Controller.TABLE:
+        harness = Harness()
+        l1 = _small_l1(harness)
+        for step in L1_RECIPES[state]:
+            step(l1)
+        harness.pop_all()
+        _fire_l1_row(l1, state, event)
+        sent["L1", state, event] = {m.mtype for m in harness.pop_all()}
+    for (state, event) in L2DirectoryController.TABLE:
+        harness = Harness()
+        _fire_l2_row(harness, state, event)
+        sent["L2", state, event] = {m.mtype for m in harness.sent}
+    return sent
+
+
+def _fire_l1_row(l1, state, event):
+    if event in ("LOAD", "STORE", "LOAD_FULL", "STORE_FULL"):
+        if event.endswith("_FULL"):
+            for other in (0x8000, 0x8080)[l1.mshrs.outstanding:]:
+                l1.request(other, False, 0, lambda: None)
+            assert l1.mshrs.full
+        return l1.request(BLOCK, event.startswith("STORE"), 1, lambda: None)
+    if event == "REPLACEMENT":
+        l1.request(CONFLICT, False, 0, lambda: None)
+        l1.handle(Message("DATA", CONFLICT, src=0, dst=1))
+    else:
+        _deliver(event)(l1)
+
+
+def _fire_l2_row(harness, state, event):
+    l2 = _small_l2(harness)
+    for step in L2_RECIPES[state]:
+        step(l2)
+    if event in ("GETS_L2_MISS", "GETX_L2_MISS"):
+        l2.cache.invalidate(BLOCK)
+    if event == "SOLE_GETX":
+        l2.directory[BLOCK].sharers = {1}
+    if event == "LAST_INV_ACK":
+        l2.handle(Message("INV_ACK", BLOCK, src=2, dst=0))
+    harness.pop_all()
+    if event == "REPLACEMENT":
+        l2.cache.probe(BLOCK).dirty = True  # so the replacement writes it back
+        l2.handle(Message("GETS", CONFLICT, src=5, dst=0))
+        l2.handle(Message("MEM_DATA", CONFLICT, src=63, dst=0))
+    else:
+        l2.handle(L2_EVENTS[event])
+    return l2
+
+
+class TestDirectoryRows:
+    @pytest.mark.parametrize("state, event", sorted(L2DirectoryController.TABLE))
+    def test_every_directory_row_enters_its_next_state(self, monkeypatch, state, event):
+        fired = []
+        fire = L2DirectoryController._fire
+
+        def recorded(l2, block, *row):
+            if block == BLOCK:
+                fired.append(row[:2])
+            return fire(l2, block, *row)
+
+        monkeypatch.setattr(L2DirectoryController, "_fire", recorded)
+        l2 = _fire_l2_row(Harness(), state, event)
+        assert fired[-1] == (state, event)
+        assert l2.state_of(BLOCK) == L2DirectoryController.TABLE[state, event][1]

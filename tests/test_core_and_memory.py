@@ -297,7 +297,7 @@ class TestMemoryController:
 
     def test_read_latency(self):
         mc, sent = self._mc(latency=10)
-        mc.handle(Message("MEM_READ", 0x100, src=3, dst=0), cycle=0)
+        mc.handle(Message("MEM_READ", 0x100, src=3, dst=0))
         for cycle in range(12):
             mc.tick(cycle)
         assert len(sent) == 1
@@ -305,7 +305,7 @@ class TestMemoryController:
 
     def test_not_before_latency(self):
         mc, sent = self._mc(latency=10)
-        mc.handle(Message("MEM_READ", 0x100, src=3, dst=0), cycle=0)
+        mc.handle(Message("MEM_READ", 0x100, src=3, dst=0))
         for cycle in range(9):
             mc.tick(cycle)
         assert not sent
@@ -313,7 +313,7 @@ class TestMemoryController:
     def test_service_interval_limits_rate(self):
         mc, sent = self._mc(latency=5, interval=4)
         for i in range(3):
-            mc.handle(Message("MEM_READ", i * 128, src=1, dst=0), cycle=0)
+            mc.handle(Message("MEM_READ", i * 128, src=1, dst=0))
         for cycle in range(30):
             mc.tick(cycle)
         assert len(sent) == 3
@@ -322,7 +322,7 @@ class TestMemoryController:
 
     def test_writes_posted(self):
         mc, sent = self._mc()
-        mc.handle(Message("MEM_WRITE", 0x100, src=1, dst=0), cycle=0)
+        mc.handle(Message("MEM_WRITE", 0x100, src=1, dst=0))
         for cycle in range(20):
             mc.tick(cycle)
         assert not sent  # no reply for writes
@@ -331,7 +331,7 @@ class TestMemoryController:
     def test_rejects_other_messages(self):
         mc, _ = self._mc()
         with pytest.raises(ValueError):
-            mc.handle(Message("GETS", 0x100, src=1, dst=0), cycle=0)
+            mc.handle(Message("GETS", 0x100, src=1, dst=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """Golden full-system runs: fixed-seed ``CmpSystem`` references, exact match.
 
-``tests/golden/cmp_runs.json`` commits what ten small fixed-seed CMP runs
-produce through :meth:`CmpSystem.measure` -- the one recipe Figures 11-14
+``tests/golden/cmp_runs.json`` commits what twelve small fixed-seed CMP
+runs produce through :meth:`CmpSystem.measure` -- the one recipe Figures 11-14
 run: warm the caches, run to completion inside the network's measurement
 window, close it.  Four applications run on the homogeneous mesh and on
 Diagonal+BL, one asymmetric run has in-order cores on every other node
-(the ``blocking_loads`` stall path) and one has no start stagger.  Each row
+(the ``blocking_loads`` stall path), one has no start stagger, and two
+larger ones reach the forward races the others miss.  Each row
 holds the cycle count, every core's counters (stalls, retired
 instructions, start cycle, L1 loads / stores, tag-store hits / misses),
 the mean IPC, packets delivered, mean network latency and the number of
@@ -30,6 +31,7 @@ import pathlib
 
 import pytest
 
+from repro.cmp.coherence import L1Controller
 from repro.cmp.core_model import small_core_config
 from repro.cmp.system import CmpConfig, CmpSystem
 from repro.core.layouts import layout_by_name
@@ -41,21 +43,36 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "cmp_runs.json"
 RECORDS_PER_CORE = 120
 SEED = 5
 
-#: name -> (application, layout, variant)
+#: name -> (application, layout, variant, records per core, seed)
 GOLDEN_RUNS = {
-    f"{app}/{layout}": (app, layout, "plain")
+    f"{app}/{layout}": (app, layout, "plain", RECORDS_PER_CORE, SEED)
     for app in ("SAP", "TPC-C", "frrt", "canl")
     for layout in ("baseline", "diagonal+BL")
 }
-GOLDEN_RUNS["SPECjbb/baseline/asymmetric"] = ("SPECjbb", "baseline", "asymmetric")
-GOLDEN_RUNS["SJAS/diagonal+BL/no-stagger"] = ("SJAS", "diagonal+BL", "no-stagger")
+GOLDEN_RUNS["SPECjbb/baseline/asymmetric"] = (
+    "SPECjbb", "baseline", "asymmetric", RECORDS_PER_CORE, SEED
+)
+GOLDEN_RUNS["SJAS/diagonal+BL/no-stagger"] = (
+    "SJAS", "diagonal+BL", "no-stagger", RECORDS_PER_CORE, SEED
+)
+# The smallest runs that reach the protocol's forward races, which the
+# rows above never do: a FWD_GETX, and a forward met by the owner's PUTX
+# still in flight (answered from the writeback buffer) ...
+GOLDEN_RUNS["SAP/baseline/forward-meets-writeback"] = (
+    "SAP", "baseline", "plain", 180, 1
+)
+# ... and a forward to an owner that dropped its clean Exclusive line
+# without telling the home.
+GOLDEN_RUNS["TPC-C/diagonal+BL/forward-to-evicted-owner"] = (
+    "TPC-C", "diagonal+BL", "plain", 300, 2
+)
 
 
 def _build(name: str) -> CmpSystem:
-    app, layout_name, variant = GOLDEN_RUNS[name]
+    app, layout_name, variant, records, seed = GOLDEN_RUNS[name]
     layout = layout_by_name(layout_name)
     nodes = range(layout.mesh_size**2)
-    traces = core_traces(app, nodes, RECORDS_PER_CORE, SEED)
+    traces = core_traces(app, nodes, records, seed)
     if variant == "asymmetric":
         small = {node: small_core_config() for node in nodes if node % 2}
         return CmpSystem(layout, traces, core_configs=small)
@@ -129,6 +146,30 @@ def test_rows_exercise_what_they_are_there_for(golden):
     large = sum(asym["stall_cycles"][0::2])
     assert small > 2 * large
     assert set(golden["SJAS/diagonal+BL/no-stagger"]["started_at"]) == {0}
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [
+        (
+            "SAP/baseline/forward-meets-writeback",
+            {("M", "FWD_GETX"), ("MI_A", "FWD_GETX")},
+        ),
+        ("TPC-C/diagonal+BL/forward-to-evicted-owner", {("I", "FWD_GETS")}),
+    ],
+)
+def test_forward_rows_reach_the_races_they_pin(monkeypatch, name, rows):
+    """Each larger row fires the L1 table rows it was added for."""
+    fired = set()
+    fire = L1Controller._fire
+
+    def recorded(self, block, state, event, arg):
+        fired.add((state, event))
+        return fire(self, block, state, event, arg)
+
+    monkeypatch.setattr(L1Controller, "_fire", recorded)
+    _build(name).measure()
+    assert rows <= fired
 
 
 def _regenerate() -> None:
